@@ -1,7 +1,7 @@
 """Configuration-driven verification runs.
 
 Usage:
-    chaingeom run <config.json> [--out DIR] [--parallel N] [--dot]
+    chaingeom run <config.json> [--out DIR] [--dot]
 
 A scenario config is JSON:
 
@@ -28,7 +28,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -69,53 +68,46 @@ class ScenarioConfig:
         }
 
 
-def _task_enumerate_points(R, K, options, parallel):
+def _task_enumerate_points(R, K, options):
     return suites.points_report(R)
 
 
-def _task_distant_graph(R, K, options, parallel):
-    if parallel > 1:
-        # deterministic regardless of schedule: workers only warm per-point
-        # admissibility caches, the graph itself is assembled sequentially
-        from chaingeom.projline import enumerate_points, is_admissible
-        pts = enumerate_points(R)
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(lambda p: is_admissible(R, *p), pts))
+def _task_distant_graph(R, K, options):
     return suites.graph_report(R)
 
 
-def _task_chain_orbit(R, K, options, parallel):
+def _task_chain_orbit(R, K, options):
     return suites.chain_report(
         R, K,
-        through_infinity=bool(options.get("through_infinity", R.size > 16)),
-        cap=int(options.get("cap", 10 ** 6)),
+        through_infinity=options.get("through_infinity", R.size > 16),
+        cap=options.get("cap", 10 ** 6),
     )
 
 
-def _task_duality(R, K, options, parallel):
-    return suites.duality_suite(R, K, samples=int(options.get("samples", 10000)),
-                                seed=int(options.get("seed", 1)))
+def _task_duality(R, K, options):
+    return suites.duality_suite(R, K, samples=options.get("samples", 10000),
+                                seed=options.get("seed", 1))
 
 
-def _task_vergleich(R, K, options, parallel):
+def _task_vergleich(R, K, options):
     return suites.vergleich_report(R, K)
 
 
-def _task_partial_affine(R, K, options, parallel):
+def _task_partial_affine(R, K, options):
     return suites.partial_affine_report(R, K)
 
 
-def _task_derive_plane(R, K, options, parallel):
+def _task_derive_plane(R, K, options):
     return suites.derive_plane_report(
         R, K,
-        skip_replacement=bool(options.get("skip_replacement", False)),
-        desargues_cap=int(options.get("desargues_cap", 10 ** 7)),
+        skip_replacement=options.get("skip_replacement", False),
+        desargues_cap=options.get("desargues_cap", 10 ** 7),
     )
 
 
-def _task_sigma(R, K, options, parallel):
-    return suites.sigma_suite(R, K, samples=int(options.get("samples", 10000)),
-                              seed=int(options.get("seed", 2)))
+def _task_sigma(R, K, options):
+    return suites.sigma_suite(R, K, samples=options.get("samples", 10000),
+                              seed=options.get("seed", 2))
 
 
 TASKS = {
@@ -128,6 +120,30 @@ TASKS = {
     "derive-plane": _task_derive_plane,
     "sigma-suite": _task_sigma,
 }
+
+# The options each task accepts, with their JSON type; any other key is an
+# error.  Counts and caps must be at least 1.
+TASK_OPTIONS = {
+    "chain-orbit": {"through_infinity": bool, "cap": int},
+    "duality-suite": {"samples": int, "seed": int},
+    "derive-plane": {"skip_replacement": bool, "desargues_cap": int},
+    "sigma-suite": {"samples": int, "seed": int},
+}
+POSITIVE_OPTIONS = frozenset({"samples", "cap", "desargues_cap"})
+
+
+def _check_options(task: str, options: dict) -> None:
+    allowed = TASK_OPTIONS.get(task, {})
+    for key, value in options.items():
+        kind = allowed.get(key)
+        if kind is None:
+            raise ConfigError(f"task {task} takes no option {key!r}")
+        # bool is a subclass of int, so an integer option must exclude it
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ConfigError(f"option {key} of {task} must be a JSON "
+                              f"{'boolean' if kind is bool else 'integer'}")
+        if key in POSITIVE_OPTIONS and value < 1:
+            raise ConfigError(f"option {key} of {task} must be at least 1")
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -154,9 +170,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         options = t.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError("task options must be an object")
-        for key in ("seed", "samples", "cap", "desargues_cap"):
-            if key in options and not isinstance(options[key], int):
-                raise ConfigError(f"option {key} must be an integer")
+        _check_options(t["name"], options)
         tasks.append(TaskSpec(t["name"], options))
     output = data.get("output", {})
     if not isinstance(output, dict):
@@ -196,7 +210,7 @@ def export_dot(graph, path: str) -> None:
 
 
 def run(config: ScenarioConfig, out_dir: Optional[str] = None,
-        parallel: int = 1, want_dot: bool = False) -> tuple[dict, bool]:
+        want_dot: bool = False) -> tuple[dict, bool]:
     """Execute the scenario; returns (report, all_pass).  Task exceptions
     become failed tasks, the report is written regardless."""
     try:
@@ -210,7 +224,7 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
     for task in config.tasks:
         t0 = time.perf_counter()
         try:
-            body = TASKS[task.name](ring, K, task.options, parallel)
+            body = TASKS[task.name](ring, K, task.options)
             status = "pass" if body.pop("ok") else "fail"
         except Exception as exc:  # diagnostics become recorded failures
             body = {"error": f"{type(exc).__name__}: {exc}"}
@@ -260,15 +274,12 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run a scenario config")
     runp.add_argument("config", help="path to a scenario JSON file")
     runp.add_argument("--out", default=None, help="output directory")
-    runp.add_argument("--parallel", type=int, default=1,
-                      help="worker threads for parallelizable tasks")
     runp.add_argument("--dot", action="store_true",
                       help="export the distant graph as DOT")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        report, all_pass = run(config, out_dir=args.out,
-                               parallel=args.parallel, want_dot=args.dot)
+        report, all_pass = run(config, out_dir=args.out, want_dot=args.dot)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -58,16 +58,12 @@ class CompatClass:
         return len(self.blocks)
 
 
-def _right_affine_steps(R: Ring):
-    muls = [R.right_products(g) for g in unit_generators(R)]
+def _affine_steps(R: Ring, products):
+    """Generators of the affine action x -> x*a + c (products =
+    R.right_products) or x -> a*x + c (products = R.left_products)."""
+    muls = [products(g) for g in unit_generators(R)]
     adds = [[R.add(x, h) for x in R.elements()] for h in additive_generators(R)]
-    return [lambda B, t=t: frozenset(int(t[x]) for x in B) for t in muls + adds]
-
-
-def _left_affine_steps(R: Ring):
-    muls = [R.left_products(g) for g in unit_generators(R)]
-    adds = [[R.add(x, h) for x in R.elements()] for h in additive_generators(R)]
-    return [lambda B, t=t: frozenset(int(t[x]) for x in B) for t in muls + adds]
+    return [lambda B, t=t: frozenset(t[x] for x in B) for t in muls + adds]
 
 
 def _partition(blocks, steps):
@@ -150,7 +146,7 @@ def delta_orbits(res: Residue) -> tuple[CompatClass, ...]:
         return _delta_memo[key]
     R = res.ring
     _verify_coordinate_action(res)
-    classes = _partition(res.blocks, _right_affine_steps(R))
+    classes = _partition(res.blocks, _affine_steps(R, R.right_products))
     out = []
     for cls in sorted(classes, key=lambda c: sorted(map(sorted, c))):
         w = _find_witness(R, res.subfield, cls, "compatibility")
@@ -189,7 +185,7 @@ def dual_compat_classes(res: Residue) -> tuple[CompatClass, ...]:
         return _delta_memo[key]
     R = res.ring
     img = {B: block_perp_image(res, B) for B in res.blocks}
-    img_classes = _partition(set(img.values()), _left_affine_steps(R))
+    img_classes = _partition(set(img.values()), _affine_steps(R, R.left_products))
     out = []
     for icls in sorted(img_classes, key=lambda c: sorted(map(sorted, c))):
         blocks = frozenset(B for B, I in img.items() if I in icls)
@@ -522,8 +518,6 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
                                         "image": [A2, B2, C2],
                                         "axis_points": [P, Q, S],
                                     }
-                                    if find_failure:
-                                        return witness
                                     return witness
     return None
 

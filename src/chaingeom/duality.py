@@ -7,9 +7,9 @@ The annihilator map sends a point R(a, b) to the full solution set
 {(x, y)^T : a*x + b*y = 0}, computed by an exhaustive kernel scan over all
 |R|^2 candidate columns, followed by extraction of an admissible cyclic
 generator.  This is the definition-level oracle that every closed formula
-in the package is tested against, so it never reuses those formulas.  For
-matrix2 rings the scan is vectorized (encode a*x for all x and bucket-match
-against -(b*y) for all y), which inspects exactly the same candidate set.
+in the package is tested against, so it never reuses those formulas.  The
+scan reads the ring's operation tables and bucket-matches a*x against
+-(b*y) over all x and y, which inspects every candidate column.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Optional
 
-from chaingeom.rings import Matrix2Ring, Ring, Subfield, subfield_in_opposite
+from chaingeom.rings import Ring, Subfield, subfield_in_opposite
 from chaingeom.projline import (
     Matrix2,
     Point,
@@ -124,26 +124,20 @@ def dual_chain_orbit(R: Ring, K: Subfield, through: Optional[DualPoint] = None) 
 def annihilator_pairs(R: Ring, rows: Iterable[tuple[int, int]]) -> frozenset:
     """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in rows}.
 
-    Exhaustive over all |R|^2 candidate columns; vectorized for matrix2.
+    Exhaustive over all |R|^2 candidate columns: for each row, every x is
+    matched against the bucket of y with -(b*y) = a*x.
     """
-    rows = list(rows)
-    if isinstance(R, Matrix2Ring):
-        sol = None
-        for a, b in rows:
-            ax = R.left_products(a)
-            nby = R._neg_arr[R.left_products(b)]
-            buckets: dict = {}
-            for y in R.elements():
-                buckets.setdefault(int(nby[y]), []).append(y)
-            cur = {(x, y) for x in R.elements() for y in buckets.get(int(ax[x]), ())}
-            sol = cur if sol is None else sol & cur
-        return frozenset(sol if sol is not None else
-                         ((x, y) for x in R.elements() for y in R.elements()))
-    sol = set()
-    for x in R.elements():
-        for y in R.elements():
-            if all(R.add(R.mul(a, x), R.mul(b, y)) == R.zero for a, b in rows):
-                sol.add((x, y))
+    neg = R._neg_t
+    sol = None
+    for a, b in rows:
+        buckets: dict = {}
+        for y, by in enumerate(R.left_products(b)):
+            buckets.setdefault(neg[by], []).append(y)
+        cur = {(x, y) for x, ax in enumerate(R.left_products(a))
+               for y in buckets.get(ax, ())}
+        sol = cur if sol is None else sol & cur
+    if sol is None:  # no equations: every column solves them
+        sol = {(x, y) for x in R.elements() for y in R.elements()}
     return frozenset(sol)
 
 
@@ -158,8 +152,7 @@ def perp_point(R: Ring, p: Point) -> DualPoint:
     for v, w in sorted(kern):
         if not is_column_admissible(R, v, w):
             continue
-        Lv, Lw = R.left_products(v), R.left_products(w)
-        if {(int(Lv[r]), int(Lw[r])) for r in R.elements()} == kern:
+        if set(zip(R.left_products(v), R.left_products(w))) == kern:
             return R.canonical_pair_right(v, w)
     raise PerpNotCyclicError(f"kernel of {p} over {R.name} has no admissible generator")
 
@@ -223,13 +216,12 @@ def bidual_point(R: Ring, p: Point) -> Point:
     # left kernel: rows (a, b) with a*v + b*w = 0
     Rv, Rw = R.right_products(v), R.right_products(w)
     kern = {(a, b) for a in R.elements() for b in R.elements()
-            if R.add(int(Rv[a]), int(Rw[b])) == R.zero}
+            if R.add(Rv[a], Rw[b]) == R.zero}
     from chaingeom.projline import is_admissible
     for a, b in sorted(kern):
         if not is_admissible(R, a, b):
             continue
-        Ra, Rb = R.right_products(a), R.right_products(b)
-        if {(int(Ra[r]), int(Rb[r])) for r in R.elements()} == kern:
+        if set(zip(R.right_products(a), R.right_products(b))) == kern:
             return R.canonical_pair_left(a, b)
     raise PerpNotCyclicError(f"left kernel of {p} over {R.name} not cyclic")
 

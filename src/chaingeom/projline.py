@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
-from chaingeom.rings import Matrix2Ring, OppositeRing, Ring
+from chaingeom.rings import Ring
 
 Point = tuple[int, int]
 Matrix2 = tuple[int, int, int, int]
@@ -66,93 +66,26 @@ def mat_times_col(R: Ring, M: Matrix2, col: tuple[int, int]) -> tuple[int, int]:
             R.add(R.mul(M[2], v), R.mul(M[3], w)))
 
 
-def _mat4_rows(R: Matrix2Ring, M: Matrix2) -> list[list[int]]:
-    A, B, C, D = (R._tuples[x] for x in M)
-    return [
-        [A[0], A[1], B[0], B[1]],
-        [A[2], A[3], B[2], B[3]],
-        [C[0], C[1], D[0], D[1]],
-        [C[2], C[3], D[2], D[3]],
-    ]
-
-
-def modp_invert(rows: list[list[int]], p: int) -> Optional[list[list[int]]]:
-    """Gauss-Jordan inverse of a square matrix mod prime p, or None."""
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def modp_rank(rows: list[list[int]], p: int) -> int:
-    mat = [list(r) for r in rows]
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if mat[r][col] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
     """Two-sided inverse of M in GL2(R), or None.
 
-    matrix2 rings reinterpret M as a 4x4 matrix over F_q and eliminate;
-    opposite rings delegate via transposition; everything else brute-force
-    solves for the inverse columns over R^2 (fine for |R| <= 16).
+    Solves M * (x, y)^T = e_1 and = e_2 column by column over R^2, indexing
+    the operation tables directly: the products b*y are bucketed by value,
+    so each column solve is linear in |R|.
     """
-    if isinstance(R, Matrix2Ring):
-        inv4 = modp_invert(_mat4_rows(R, M), R.p)
-        if inv4 is None:
-            return None
-        enc = R._encode
-        return (
-            enc((inv4[0][0], inv4[0][1], inv4[1][0], inv4[1][1])),
-            enc((inv4[0][2], inv4[0][3], inv4[1][2], inv4[1][3])),
-            enc((inv4[2][0], inv4[2][1], inv4[3][0], inv4[3][1])),
-            enc((inv4[2][2], inv4[2][3], inv4[3][2], inv4[3][3])),
-        )
-    if isinstance(R, OppositeRing):
-        a, b, c, d = M
-        inv = mat_invert(R.base, (a, c, b, d))
-        if inv is None:
-            return None
-        return (inv[0], inv[2], inv[1], inv[3])
     a, b, c, d = M
-    one, zero = R.one, R.zero
-    # bucket the products b*y by value so each column solve is linear in |R|
-    by = R.left_products(b)
+    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    ma, mc, md = mul[a], mul[c], mul[d]
     buckets: dict = {}
-    for y in R.elements():
-        buckets.setdefault(int(by[y]), []).append(y)
+    for y, by in enumerate(mul[b]):
+        buckets.setdefault(by, []).append(y)
     cols = []
-    for e1, e2 in ((one, zero), (zero, one)):
+    for e1, e2 in ((R.one, R.zero), (R.zero, R.one)):
+        row1 = add[e1]
         found = None
         for x in R.elements():
-            need = R.sub(e1, R.mul(a, x))
-            for y in buckets.get(need, ()):
-                if R.add(R.mul(c, x), R.mul(d, y)) == e2:
+            for y in buckets.get(row1[neg[ma[x]]], ()):
+                if add[mc[x]][md[y]] == e2:
                     found = (x, y)
                     break
             if found:
@@ -173,51 +106,39 @@ def _admissible_table(R: Ring) -> dict:
     return {}
 
 
+def _unimodular(R: Ring, r: tuple[int, ...], s: tuple[int, ...]) -> bool:
+    """True iff 1 = r[x] + s[y] for some x, y, given two product rows."""
+    one_minus = R._add_t[R.one]
+    neg = R._neg_t
+    targets = set(s)
+    return any(one_minus[neg[v]] in targets for v in set(r))
+
+
 def is_admissible(R: Ring, a: int, b: int) -> bool:
     """True iff (a, b) extends to the first row of a matrix in GL2(R).
 
-    matrix2 rings use the rank test on the 2x4 matrix [a | b] over F_q
-    (completions exist iff the first two rows of the 4x4 block matrix are
-    independent); opposite rings map to column admissibility over the base;
-    the generic path scans completions (c, d) with mat_invert.  Results are
-    cached per ring.
+    One table test: 1 lies in aR + bR.  Over a ring of stable rank at most
+    2, and every finite ring qualifies, unimodular rows are exactly the
+    admissible ones; the tests keep the completion scan over mat_invert as
+    the reference.  Results are cached per ring.
     """
     table = _admissible_table(R)
     key = (a, b)
     hit = table.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(R, Matrix2Ring):
-        A, B = R._tuples[a], R._tuples[b]
-        out = modp_rank([[A[0], A[1], B[0], B[1]],
-                         [A[2], A[3], B[2], B[3]]], R.p) == 2
-    elif isinstance(R, OppositeRing):
-        out = is_column_admissible(R.base, a, b)
-    else:
-        out = any(mat_invert(R, (a, b, c, d)) is not None
-                  for c in R.elements() for d in R.elements())
-    table[key] = out
-    return out
+    if hit is None:
+        hit = table[key] = _unimodular(R, R.left_products(a), R.left_products(b))
+    return hit
 
 
 def is_column_admissible(R: Ring, v: int, w: int) -> bool:
-    """True iff (v, w)^T extends to the first column of a matrix in GL2(R)."""
+    """True iff (v, w)^T extends to the first column of a matrix in GL2(R):
+    the table test 1 in Rv + Rw, cached per ring."""
     table = _admissible_table(R)
     key = ("col", v, w)
     hit = table.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(R, Matrix2Ring):
-        V, W = R._tuples[v], R._tuples[w]
-        out = modp_rank([[V[0], V[1]], [V[2], V[3]], [W[0], W[1]], [W[2], W[3]]],
-                        R.p) == 2
-    elif isinstance(R, OppositeRing):
-        out = is_admissible(R.base, v, w)
-    else:
-        out = any(mat_invert(R, (v, x, w, y)) is not None
-                  for x in R.elements() for y in R.elements())
-    table[key] = out
-    return out
+    if hit is None:
+        hit = table[key] = _unimodular(R, R.right_products(v), R.right_products(w))
+    return hit
 
 
 def make_point(R: Ring, a: int, b: int) -> Point:

@@ -1,10 +1,10 @@
 """Finite rings with dense integer element indices.
 
 Every ring here is small enough (|R| <= 81) that exhaustive verification is
-the default posture: unit groups come from a brute-force two-sided inverse
-scan, subfields are re-verified axiom by axiom no matter how they were
-described, and the full ring axioms can be checked on demand over the whole
-element set.
+the default posture: arithmetic runs on Cayley tables built once per ring,
+unit groups come from a brute-force two-sided inverse scan, subfields are
+re-verified axiom by axiom no matter how they were described, and the full
+ring axioms can be checked on demand over the whole element set.
 
 Families:
 
@@ -39,7 +39,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-TABLE_LIMIT = 16  # precompute full operation tables at or below this size
 SIZE_CAP = 81     # largest ring admitted into the zoo
 
 IRREDUCIBLE = {
@@ -69,6 +68,10 @@ class NotAUnitError(ValueError):
 
 class RingMapError(ValueError):
     pass
+
+
+class RingAxiomError(ValueError):
+    """A ring axiom fails on the operation tables; names the first witness."""
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -169,10 +172,15 @@ class RingSpec:
 class Ring:
     """Finite associative unital ring on element indices 0..size-1.
 
-    Arithmetic is table-backed when size <= TABLE_LIMIT and structural
-    otherwise.  Instances are immutable after construction and safe to
-    share; derived data (units, inverse table) is precomputed by brute
-    force at build time.
+    Arithmetic is one representation for every family and size: add, mul
+    and neg Cayley tables, filled once from the family's structural
+    formulas at construction, so add/mul/neg are plain lookups.  The
+    transposed mul table serves right multiplication, and the left and
+    right canonical-pair tables (least unit multiple of every pair) make
+    canonicalizing a single lookup.  Units come from a brute-force
+    two-sided inverse scan over the mul table.  Instances are immutable
+    after construction and safe to share; the hot loops of projline and
+    duality index _add_t, _mul_t and _neg_t directly.
     """
 
     def __init__(self, spec: RingSpec, size: int, one: int):
@@ -183,22 +191,40 @@ class Ring:
         self.size = size
         self.zero = 0
         self.one = one
-        self._add_t = self._mul_t = self._neg_t = None
-        if size <= TABLE_LIMIT:
-            self._add_t = [[self._struct_add(a, b) for b in range(size)] for a in range(size)]
-            self._mul_t = [[self._struct_mul(a, b) for b in range(size)] for a in range(size)]
-            self._neg_t = [self._struct_neg(a) for a in range(size)]
+        els = range(size)
+        self._add_t = tuple(tuple(self._struct_add(a, b) for b in els) for a in els)
+        self._mul_t = tuple(tuple(self._struct_mul(a, b) for b in els) for a in els)
+        self._neg_t = tuple(self._struct_neg(a) for a in els)
+        self._mul_cols = tuple(zip(*self._mul_t))  # _mul_cols[b][a] == a*b
         # two-sided inverses by exhaustive scan
         inv: list[Optional[int]] = [None] * size
-        for a in range(size):
-            for b in range(size):
-                if self.mul(a, b) == one and self.mul(b, a) == one:
+        for a in els:
+            row, col = self._mul_t[a], self._mul_cols[a]
+            for b in els:
+                if row[b] == one and col[b] == one:
                     inv[a] = b
                     break
         self._inv_t = inv
-        self.units = tuple(a for a in range(size) if inv[a] is not None)
+        self.units = tuple(a for a in els if inv[a] is not None)
         self.unit_set = frozenset(self.units)
+        self._pair_left = self._canonical_pairs(np.array(self._mul_t, dtype=np.int64))
+        self._pair_right = self._canonical_pairs(np.array(self._mul_cols, dtype=np.int64))
         self._opposite: Optional[Ring] = None
+
+    def _canonical_pairs(self, products: np.ndarray) -> tuple:
+        """Table of the least (p[u][a], p[u][b]) over units u, for all a, b.
+
+        The minimum is folded over the units one at a time, so the scratch
+        space stays at two |R| x |R| arrays.
+        """
+        n = self.size
+        best = None
+        for u in self.units:
+            row = products[u]
+            key = row[:, None] * n + row[None, :]
+            best = key if best is None else np.minimum(best, key, out=best)
+        first, second = np.divmod(best, n)
+        return tuple(tuple(zip(f, s)) for f, s in zip(first.tolist(), second.tolist()))
 
     # family hooks -----------------------------------------------------
     def _struct_add(self, a: int, b: int) -> int:
@@ -215,19 +241,16 @@ class Ring:
 
     # arithmetic ---------------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        t = self._add_t
-        return t[a][b] if t is not None else self._struct_add(a, b)
+        return self._add_t[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_t
-        return t[a][b] if t is not None else self._struct_mul(a, b)
+        return self._mul_t[a][b]
 
     def neg(self, a: int) -> int:
-        t = self._neg_t
-        return t[a] if t is not None else self._struct_neg(a)
+        return self._neg_t[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add_t[a][self._neg_t[b]]
 
     def inv(self, a: int) -> Optional[int]:
         return self._inv_t[a]
@@ -238,32 +261,21 @@ class Ring:
     def elements(self) -> range:
         return range(self.size)
 
-    # bulk helpers (overridden with vectorized versions where it matters)
-    def left_products(self, a: int):
-        """[a*x for every x], indexable by x."""
-        return [self.mul(a, x) for x in range(self.size)]
+    def left_products(self, a: int) -> tuple[int, ...]:
+        """(a*x for every x), indexable by x: a row of the mul table."""
+        return self._mul_t[a]
 
-    def right_products(self, a: int):
-        """[x*a for every x], indexable by x."""
-        return [self.mul(x, a) for x in range(self.size)]
+    def right_products(self, a: int) -> tuple[int, ...]:
+        """(x*a for every x), indexable by x: a column of the mul table."""
+        return self._mul_cols[a]
 
     def canonical_pair_left(self, a: int, b: int) -> tuple[int, int]:
         """Least (u*a, u*b) over units u, in index-lexicographic order."""
-        best = None
-        for u in self.units:
-            cand = (self.mul(u, a), self.mul(u, b))
-            if best is None or cand < best:
-                best = cand
-        return best
+        return self._pair_left[a][b]
 
     def canonical_pair_right(self, v: int, w: int) -> tuple[int, int]:
         """Least (v*u, w*u) over units u."""
-        best = None
-        for u in self.units:
-            cand = (self.mul(v, u), self.mul(w, u))
-            if best is None or cand < best:
-                best = cand
-        return best
+        return self._pair_right[v][w]
 
     def opposite(self) -> "Ring":
         """Same elements, reversed multiplication.  Involutive."""
@@ -405,12 +417,6 @@ class Matrix2Ring(DigitRing):
             raise UnsupportedParameterError(
                 f"matrix2({spec.q}): only q in {{2, 3}} stays under the size cap")
         super().__init__(spec, (1, 0, 0, 1))
-        self.p = spec.q  # prime, so field index == residue
-        self._mats = np.array([[[t[0], t[1]], [t[2], t[3]]] for t in self._tuples],
-                              dtype=np.int64)
-        self._pows = np.array([1, self.q, self.q ** 2, self.q ** 3], dtype=np.int64)
-        self._units_arr = np.array(self.units, dtype=np.int64)
-        self._neg_arr = np.array([self.neg(a) for a in range(self.size)], dtype=np.int64)
 
     def _struct_mul(self, x, y):
         m, ad = self.gf.mul_t, self.gf.add_t
@@ -422,34 +428,14 @@ class Matrix2Ring(DigitRing):
                 + q * q * ad[m[a21][b11]][m[a22][b21]]
                 + q * q * q * ad[m[a21][b12]][m[a22][b22]])
 
-    def _encode_mats(self, mats: np.ndarray) -> np.ndarray:
-        return mats.reshape(-1, 4) @ self._pows
-
-    def left_products(self, a: int) -> np.ndarray:
-        return self._encode_mats((self._mats[a] @ self._mats) % self.p)
-
-    def right_products(self, a: int) -> np.ndarray:
-        return self._encode_mats((self._mats @ self._mats[a]) % self.p)
-
-    def canonical_pair_left(self, a, b):
-        ua = self.right_products(a)[self._units_arr]
-        ub = self.right_products(b)[self._units_arr]
-        i = int(np.argmin(ua * self.size + ub))
-        return int(ua[i]), int(ub[i])
-
-    def canonical_pair_right(self, v, w):
-        vu = self.left_products(v)[self._units_arr]
-        wu = self.left_products(w)[self._units_arr]
-        i = int(np.argmin(vu * self.size + wu))
-        return int(vu[i]), int(wu[i])
-
     def elem_str(self, x):
         a, b, c, d = self._tuples[x]
         return f"[[{a},{b}],[{c},{d}]]"
 
 
 class OppositeRing(Ring):
-    """Reversed multiplication over the same element set."""
+    """Reversed multiplication over the same element set: the mul table is
+    the base ring's table transposed."""
 
     def __init__(self, base: Ring):
         self.base = base
@@ -464,18 +450,6 @@ class OppositeRing(Ring):
 
     def _struct_neg(self, a):
         return self.base.neg(a)
-
-    def left_products(self, a):
-        return self.base.right_products(a)
-
-    def right_products(self, a):
-        return self.base.left_products(a)
-
-    def canonical_pair_left(self, a, b):
-        return self.base.canonical_pair_right(a, b)
-
-    def canonical_pair_right(self, v, w):
-        return self.base.canonical_pair_left(v, w)
 
     def elem_str(self, a):
         return self.base.elem_str(a)
@@ -737,31 +711,38 @@ def make_ring_map(source: Ring, target: Ring, func, kind: str,
 
 # exhaustive ring axioms --------------------------------------------------
 
+def _require(holds: np.ndarray, axiom: str) -> None:
+    """Raise RingAxiomError at the first index where holds is False."""
+    if not holds.all():
+        witness = tuple(int(i) for i in np.argwhere(~holds)[0])
+        raise RingAxiomError(f"{axiom} fails at {witness}")
+
+
 def verify_axioms(ring: Ring) -> None:
-    """Assert associativity, commutative addition, distributivity and the
-    two-sided unit over the whole ring, via scratch tables."""
+    """Check associativity, commutative addition, distributivity, the
+    additive inverse table and the two-sided unit over the whole ring,
+    reading the operation tables directly; raise RingAxiomError naming the
+    broken axiom and its first witness."""
     n = ring.size
-    A = np.array([[ring.add(a, b) for b in range(n)] for a in range(n)], dtype=np.int16)
-    M = np.array([[ring.mul(a, b) for b in range(n)] for a in range(n)], dtype=np.int16)
+    A = np.array(ring._add_t, dtype=np.int16)
+    M = np.array(ring._mul_t, dtype=np.int16)
     idx = np.arange(n, dtype=np.int16)
-    assert (A == A.T).all(), "addition not commutative"
-    assert (A[0, :] == idx).all(), "0 is not neutral"
-    assert (A[A, :] == A[:, A]).all(), "addition not associative"
-    assert (M[M, :] == M[:, M]).all(), "multiplication not associative"
+    _require(A == A.T, "commutativity of addition")
+    _require(A[0, :] == idx, "neutrality of 0")
+    _require(A[A, :] == A[:, A], "associativity of addition")
+    _require(A[idx, np.array(ring._neg_t)] == 0, "additive inverse")
+    _require(M[M, :] == M[:, M], "associativity of multiplication")
     # left distributivity: a*(b+c) == a*b + a*c
-    left = M[np.arange(n)[:, None, None], A[None, :, :]]
-    right = A[M[:, :, None], M[:, None, :]]
-    assert (left == right).all(), "left distributivity fails"
+    _require(M[idx[:, None, None], A[None, :, :]] == A[M[:, :, None], M[:, None, :]],
+             "left distributivity")
     # right distributivity: (a+b)*c == a*c + b*c
-    left = M[A[:, :, None], np.arange(n)[None, None, :]]
-    right = A[M[:, None, :], M[None, :, :]]
-    assert (left == right).all(), "right distributivity fails"
-    assert (M[ring.one, :] == idx).all() and (M[:, ring.one] == idx).all(), \
-        "1 is not a two-sided unit"
-    # every element has an additive inverse
-    assert all(0 in A[a, :] for a in range(n)), "additive inverses missing"
-    # units closed under product and inverse
+    _require(M[A[:, :, None], idx[None, None, :]] == A[M[:, None, :], M[None, :, :]],
+             "right distributivity")
+    _require(M[ring.one, :] == idx, "1 as left unit")
+    _require(M[:, ring.one] == idx, "1 as right unit")
     for u in ring.units:
-        assert ring.inv(u) in ring.unit_set
+        if ring.inv(u) not in ring.unit_set:
+            raise RingAxiomError(f"inverse of the unit {u} is not a unit")
         for v in ring.units:
-            assert ring.mul(u, v) in ring.unit_set, "units not closed under product"
+            if ring.mul(u, v) not in ring.unit_set:
+                raise RingAxiomError(f"units not closed under product at ({u}, {v})")

@@ -113,13 +113,25 @@ def test_dot_byte_stable(tmp_path, f4):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_parallel_flag_same_report(tmp_path):
-    path = small_config(tmp_path, [{"name": "distant-graph"}])
-    config = load_config(str(path))
-    r1, _ = run(config, out_dir=str(tmp_path / "s"), parallel=1)
-    r2, _ = run(config, out_dir=str(tmp_path / "p"), parallel=4)
-    del r1["timing"], r2["timing"]
-    assert r1 == r2
+@pytest.mark.parametrize("task,options", [
+    # booleans must be JSON booleans: bool("false") would read as True
+    ("chain-orbit", {"through_infinity": "false"}),
+    ("derive-plane", {"skip_replacement": 0}),
+    # integer options must not be booleans
+    ("duality-suite", {"samples": True}),
+    # counts and caps must be at least 1
+    ("sigma-suite", {"samples": -5}),
+    ("chain-orbit", {"cap": 0}),
+    ("derive-plane", {"desargues_cap": 0}),
+    # a key outside the task's option set
+    ("chain-orbit", {"samples": 10}),
+    ("enumerate-points", {"seed": 1}),
+])
+def test_bad_option_is_config_error(tmp_path, task, options):
+    path = small_config(tmp_path, [{"name": task, "options": options}])
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_shipped_configs_parse():

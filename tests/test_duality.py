@@ -53,14 +53,15 @@ def test_perp_commutative_formula(f4, dual2, prod22):
             assert perp_point(R, p) == commutative_perp_formula(R, p)
 
 
-def test_annihilator_vectorized_matches_loop(m2f2):
+def test_annihilator_vectorized_matches_loop(m2f2, m2f3):
     rng = random.Random(5)
-    for _ in range(20):
-        a, b = rng.randrange(16), rng.randrange(16)
-        fast = annihilator_pairs(m2f2, [(a, b)])
-        slow = {(x, y) for x in m2f2.elements() for y in m2f2.elements()
-                if m2f2.add(m2f2.mul(a, x), m2f2.mul(b, y)) == 0}
-        assert fast == slow
+    for R in (m2f2, m2f3):
+        for _ in range(20):
+            a, b = rng.randrange(R.size), rng.randrange(R.size)
+            fast = annihilator_pairs(R, [(a, b)])
+            slow = {(x, y) for x in R.elements() for y in R.elements()
+                    if R.add(R.mul(a, x), R.mul(b, y)) == 0}
+            assert fast == slow
 
 
 def test_perp_bijective(zoo):

@@ -10,6 +10,7 @@ from chaingeom.projline import (
     enumerate_points,
     infinity,
     is_admissible,
+    is_column_admissible,
     line_generators,
     make_point,
     mat_identity,
@@ -40,14 +41,21 @@ def test_mat_invert_absent(dual2):
     assert mat_invert(dual2, (1, 0, 0, 2)) is None
 
 
-def test_mat_invert_generic_matches_elimination(m2f2):
-    # spot-check the 4x4 elimination against explicit multiplication
-    i = mat_identity(m2f2)
-    for M in [elementary(m2f2, 5), (6, 0, 0, 9), (9, 11, 0, 7)]:
-        N = mat_invert(m2f2, M)
-        if N is not None:
-            assert mat_mul(m2f2, M, N) == i
-            assert mat_mul(m2f2, N, M) == i
+def test_mat_invert_generic_matches_elimination(m2f2, m2f3):
+    # spot-check the column solve against explicit multiplication, both ways
+    for R, mats in ((m2f2, [elementary(m2f2, 5), (6, 0, 0, 9), (9, 11, 0, 7)]),
+                    (m2f3, [elementary(m2f3, 50), (28, 0, 0, 43), (40, 13, 0, 71),
+                            (3, 9, 9, 4)])):
+        i = mat_identity(R)
+        for M in mats:
+            N = mat_invert(R, M)
+            if N is not None:
+                assert mat_mul(R, M, N) == i
+                assert mat_mul(R, N, M) == i
+    # entries that are all non-units can still form an invertible matrix
+    assert mat_invert(m2f3, (3, 9, 9, 4)) is not None
+    # equal rows never complete to an invertible matrix
+    assert mat_invert(m2f3, (40, 13, 40, 13)) is None
 
 
 def test_is_admissible_basics(f4, dual2):
@@ -58,13 +66,20 @@ def test_is_admissible_basics(f4, dual2):
             assert is_admissible(R, t, R.one)
 
 
-def test_admissible_rank_path_matches_completion_scan(m2f2):
-    """The matrix2 rank shortcut agrees with the generic completion search."""
-    for a in m2f2.elements():
-        for b in m2f2.elements():
-            scan = any(mat_invert(m2f2, (a, b, c, d)) is not None
-                       for c in m2f2.elements() for d in m2f2.elements())
-            assert is_admissible(m2f2, a, b) == scan
+def test_admissible_rank_path_matches_completion_scan(small_rings):
+    """The unimodularity table tests agree with the completion scan over
+    mat_invert, for rows and for columns, on every ring of at most 16
+    elements."""
+    for R in small_rings:
+        els = R.elements()
+        for a in els:
+            for b in els:
+                rows = any(mat_invert(R, (a, b, c, d)) is not None
+                           for c in els for d in els)
+                assert is_admissible(R, a, b) == rows, (R.name, a, b)
+                cols = any(mat_invert(R, (a, x, b, y)) is not None
+                           for x in els for y in els)
+                assert is_column_admissible(R, a, b) == cols, (R.name, a, b)
 
 
 def test_make_point_unit_invariance_small(small_zoo):

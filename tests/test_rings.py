@@ -1,11 +1,20 @@
-import pytest
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import chaingeom
 from chaingeom.rings import (
     GF,
     NotAFieldError,
     NotAUnitError,
     NotProperError,
     RingMap,
+    RingAxiomError,
     RingMapError,
     RingSpec,
     UnsupportedParameterError,
@@ -216,3 +225,72 @@ def test_elem_str(f4, dual2, m2f2, prod22):
     assert dual2.elem_str(3) == "1+e"
     assert m2f2.elem_str(9) == "[[1,0],[0,1]]"
     assert prod22.elem_str(3) == "(1,1)"
+
+
+def test_opposite_table_is_transpose(m2f2, m2f3):
+    for R in (m2f2, m2f3):
+        op = R.opposite()
+        for a in R.elements():
+            assert op.left_products(a) == R.right_products(a)
+            assert op.right_products(a) == R.left_products(a)
+            for b in R.elements():
+                assert op.mul(a, b) == R.mul(b, a)
+    op = m2f2.opposite()
+    for a in m2f2.elements():
+        for b in m2f2.elements():
+            assert op.canonical_pair_left(a, b) == m2f2.canonical_pair_right(a, b)
+            assert op.canonical_pair_right(a, b) == m2f2.canonical_pair_left(a, b)
+
+
+def least_unit_multiples(R, a, b):
+    """Reference: the least left and right unit multiples of (a, b), by scan."""
+    left = min((R.mul(u, a), R.mul(u, b)) for u in R.units)
+    right = min((R.mul(a, u), R.mul(b, u)) for u in R.units)
+    return left, right
+
+
+def test_canonical_pairs_match_brute_force_small(small_rings):
+    for R in small_rings:
+        for a in R.elements():
+            for b in R.elements():
+                assert (R.canonical_pair_left(a, b), R.canonical_pair_right(a, b)) \
+                    == least_unit_multiples(R, a, b), (R.name, a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 80), st.integers(0, 80), st.booleans())
+def test_canonical_pairs_match_brute_force_m2f3(m2f3, a, b, opposite):
+    R = m2f3.opposite() if opposite else m2f3
+    assert (R.canonical_pair_left(a, b), R.canonical_pair_right(a, b)) \
+        == least_unit_multiples(R, a, b)
+
+
+CORRUPT_F4 = """
+import sys
+from chaingeom.rings import FiniteFieldRing, RingAxiomError, RingSpec, verify_axioms
+assert not __debug__, "expected to run under python -O"
+R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
+verify_axioms(R)
+rows = [list(row) for row in R._mul_t]
+rows[2][3] = 0
+R._mul_t = tuple(map(tuple, rows))
+try:
+    verify_axioms(R)
+except RingAxiomError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_verify_axioms_raises_under_optimize():
+    """verify_axioms must not depend on assert, which python -O strips."""
+    src = str(Path(chaingeom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_F4], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the message names the broken axiom and its first witness (a, b, c)
+    assert re.match(r"associativity of multiplication fails at \(\d+, \d+, \d+\)",
+                    proc.stdout)
