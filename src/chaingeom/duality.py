@@ -9,7 +9,9 @@ The annihilator map sends a point R(a, b) to the full solution set
 generator.  This is the definition-level oracle that every closed formula
 in the package is tested against, so it never reuses those formulas.  The
 scan reads the ring's operation tables and bucket-matches a*x against
--(b*y) over all x and y, which inspects every candidate column.
+-(b*y) over all x and y, which inspects every candidate column.  perp_point
+scans once per (ring instance, point); its memo holds only the oracle's own
+results and never feeds a formula.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from chaingeom.rings import Ring, Subfield, subfield_in_opposite
 from chaingeom.projline import (
     Matrix2,
     Point,
+    VerificationError,
+    _checked_orbit,
     elementary,
     enumerate_points,
-    infinity,
+    is_admissible,
     is_column_admissible,
     line_generators,
     make_point,
@@ -31,12 +35,12 @@ from chaingeom.projline import (
     mat_times_col,
     row_times_mat,
 )
-from chaingeom.chains import chain_orbit, stabilizer_generators, standard_chain
+from chaingeom.chains import chain_orbit, stabilizer_generators
 
 DualPoint = tuple[int, int]
 
 
-class PerpNotCyclicError(AssertionError):
+class PerpNotCyclicError(VerificationError):
     """The annihilator of a point failed to be cyclic with admissible generator."""
 
 
@@ -58,22 +62,11 @@ def apply_matrix_dual(R: Ring, q: DualPoint, M: Matrix2) -> DualPoint:
 def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
     """All dual points: left-action orbit of (1,0)^T R, cross-checked
     against the column-admissible scan."""
-    start = R.canonical_pair_right(R.one, R.zero)
-    seen = {start}
-    frontier = [start]
-    gens = line_generators(R)
-    while frontier:
-        q = frontier.pop()
-        for M in gens:
-            r = apply_matrix_dual(R, q, M)
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
     scanned = {R.canonical_pair_right(v, w)
                for v in R.elements() for w in R.elements()
                if is_column_admissible(R, v, w)}
-    assert seen == scanned, f"{R.name}: dual orbit/scan disagree"
-    return tuple(sorted(seen))
+    return _checked_orbit(R, R.canonical_pair_right(R.one, R.zero), apply_matrix_dual,
+                         scanned, "dual points")
 
 
 def dual_distant(R: Ring, q1: DualPoint, q2: DualPoint) -> bool:
@@ -121,32 +114,36 @@ def dual_chain_orbit(R: Ring, K: Subfield, through: Optional[DualPoint] = None) 
 
 # the annihilator oracle ----------------------------------------------------
 
+def _kernel(neg: tuple[int, ...], r: tuple[int, ...], s: tuple[int, ...]) -> set:
+    """{(x, y) : r[x] + s[y] = 0}, each x matched against the bucket of -s[y]."""
+    buckets: dict = {}
+    for y, sy in enumerate(s):
+        buckets.setdefault(neg[sy], []).append(y)
+    return {(x, y) for x, rx in enumerate(r) for y in buckets.get(rx, ())}
+
+
 def annihilator_pairs(R: Ring, rows: Iterable[tuple[int, int]]) -> frozenset:
     """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in rows}.
 
     Exhaustive over all |R|^2 candidate columns: for each row, every x is
     matched against the bucket of y with -(b*y) = a*x.
     """
-    neg = R._neg_t
     sol = None
     for a, b in rows:
-        buckets: dict = {}
-        for y, by in enumerate(R.left_products(b)):
-            buckets.setdefault(neg[by], []).append(y)
-        cur = {(x, y) for x, ax in enumerate(R.left_products(a))
-               for y in buckets.get(ax, ())}
+        cur = _kernel(R._neg_t, R.left_products(a), R.left_products(b))
         sol = cur if sol is None else sol & cur
     if sol is None:  # no equations: every column solves them
         sol = {(x, y) for x in R.elements() for y in R.elements()}
     return frozenset(sol)
 
 
+@cache
 def perp_point(R: Ring, p: Point) -> DualPoint:
     """The annihilator of R(a, b) as a canonical dual point.
 
     Scans the kernel, verifies it is a cyclic right submodule spanned by an
     admissible column, and returns that generator; raises PerpNotCyclicError
-    otherwise (never on zoo rings).
+    otherwise (never on zoo rings).  Memoized per (ring instance, point).
     """
     kern = annihilator_pairs(R, [p])
     for v, w in sorted(kern):
@@ -165,7 +162,8 @@ def covariance_holds(R: Ring, U: Iterable[tuple[int, int]], M: Matrix2) -> bool:
     """(U*M)-perp equals M^-1 * (U-perp), as raw solution sets."""
     U = list(U)
     Minv = mat_invert(R, M)
-    assert Minv is not None, "covariance needs an invertible matrix"
+    if Minv is None:
+        raise VerificationError(f"covariance needs an invertible matrix, got {M}")
     lhs = annihilator_pairs(R, [row_times_mat(R, u, M) for u in U])
     rhs = frozenset(mat_times_col(R, Minv, c) for c in annihilator_pairs(R, U))
     return lhs == rhs
@@ -213,11 +211,8 @@ def bidual_point(R: Ring, p: Point) -> Point:
     """Apply the annihilator twice, returning to the line via the canonical
     identification of R^2 with its bidual."""
     v, w = perp_point(R, p)
-    # left kernel: rows (a, b) with a*v + b*w = 0
-    Rv, Rw = R.right_products(v), R.right_products(w)
-    kern = {(a, b) for a in R.elements() for b in R.elements()
-            if R.add(Rv[a], Rw[b]) == R.zero}
-    from chaingeom.projline import is_admissible
+    # left kernel: rows (a, b) with a*v + b*w = 0, over all |R|^2 rows
+    kern = _kernel(R._neg_t, R.right_products(v), R.right_products(w))
     for a, b in sorted(kern):
         if not is_admissible(R, a, b):
             continue

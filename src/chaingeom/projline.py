@@ -28,7 +28,11 @@ class NotAdmissibleError(ValueError):
     pass
 
 
-class MethodDisagreementError(AssertionError):
+class VerificationError(AssertionError):
+    """An internal cross-check failed; raised explicitly, so python -O keeps it."""
+
+
+class MethodDisagreementError(VerificationError):
     """Orbit enumeration and admissible-pair scan produced different point sets."""
 
 
@@ -39,14 +43,11 @@ def mat_identity(R: Ring) -> Matrix2:
 
 
 def mat_mul(R: Ring, M: Matrix2, N: Matrix2) -> Matrix2:
-    a, b, c, d = M
+    add, mul = R._add_t, R._mul_t
+    ma, mb, mc, md = mul[M[0]], mul[M[1]], mul[M[2]], mul[M[3]]
     e, f, g, h = N
-    return (
-        R.add(R.mul(a, e), R.mul(b, g)),
-        R.add(R.mul(a, f), R.mul(b, h)),
-        R.add(R.mul(c, e), R.mul(d, g)),
-        R.add(R.mul(c, f), R.mul(d, h)),
-    )
+    return (add[ma[e]][mb[g]], add[ma[f]][mb[h]],
+            add[mc[e]][md[g]], add[mc[f]][md[h]])
 
 
 def elementary(R: Ring, t: int) -> Matrix2:
@@ -55,30 +56,38 @@ def elementary(R: Ring, t: int) -> Matrix2:
 
 
 def row_times_mat(R: Ring, row: tuple[int, int], M: Matrix2) -> tuple[int, int]:
-    a, b = row
-    return (R.add(R.mul(a, M[0]), R.mul(b, M[2])),
-            R.add(R.mul(a, M[1]), R.mul(b, M[3])))
+    add, mul = R._add_t, R._mul_t
+    ma, mb = mul[row[0]], mul[row[1]]
+    return add[ma[M[0]]][mb[M[2]]], add[ma[M[1]]][mb[M[3]]]
 
 
 def mat_times_col(R: Ring, M: Matrix2, col: tuple[int, int]) -> tuple[int, int]:
-    v, w = col
-    return (R.add(R.mul(M[0], v), R.mul(M[1], w)),
-            R.add(R.mul(M[2], v), R.mul(M[3], w)))
+    add, mul = R._add_t, R._mul_cols
+    cv, cw = mul[col[0]], mul[col[1]]
+    return add[cv[M[0]]][cw[M[1]]], add[cv[M[2]]][cw[M[3]]]
+
+
+@cache
+def _value_buckets(R: Ring, b: int) -> dict:
+    """{value: [every y with b*y == value]}, built on first use per (ring, b)."""
+    buckets: dict = {}
+    for y, by in enumerate(R._mul_t[b]):
+        buckets.setdefault(by, []).append(y)
+    return buckets
 
 
 def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
     """Two-sided inverse of M in GL2(R), or None.
 
     Solves M * (x, y)^T = e_1 and = e_2 column by column over R^2, indexing
-    the operation tables directly: the products b*y are bucketed by value,
-    so each column solve is linear in |R|.
+    the operation tables directly: the products b*y are bucketed by value
+    once per b, so each column solve is linear in |R|.  Raises
+    VerificationError if the solution is only a one-sided inverse.
     """
     a, b, c, d = M
     add, mul, neg = R._add_t, R._mul_t, R._neg_t
     ma, mc, md = mul[a], mul[c], mul[d]
-    buckets: dict = {}
-    for y, by in enumerate(mul[b]):
-        buckets.setdefault(by, []).append(y)
+    buckets = _value_buckets(R, b)
     cols = []
     for e1, e2 in ((R.one, R.zero), (R.zero, R.one)):
         row1 = add[e1]
@@ -95,16 +104,13 @@ def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
         cols.append(found)
     N = (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
     # finite rings are Dedekind-finite, so the one-sided inverse is two-sided
-    assert mat_mul(R, N, M) == mat_identity(R)
+    if mat_mul(R, N, M) != mat_identity(R):
+        raise VerificationError(
+            f"{R.name}: {N} is a right inverse of {M} but not a left inverse")
     return N
 
 
 # admissibility and points --------------------------------------------------
-
-@cache
-def _admissible_table(R: Ring) -> dict:
-    return {}
-
 
 def _unimodular(R: Ring, r: tuple[int, ...], s: tuple[int, ...]) -> bool:
     """True iff 1 = r[x] + s[y] for some x, y, given two product rows."""
@@ -114,6 +120,7 @@ def _unimodular(R: Ring, r: tuple[int, ...], s: tuple[int, ...]) -> bool:
     return any(one_minus[neg[v]] in targets for v in set(r))
 
 
+@cache
 def is_admissible(R: Ring, a: int, b: int) -> bool:
     """True iff (a, b) extends to the first row of a matrix in GL2(R).
 
@@ -122,23 +129,14 @@ def is_admissible(R: Ring, a: int, b: int) -> bool:
     admissible ones; the tests keep the completion scan over mat_invert as
     the reference.  Results are cached per ring.
     """
-    table = _admissible_table(R)
-    key = (a, b)
-    hit = table.get(key)
-    if hit is None:
-        hit = table[key] = _unimodular(R, R.left_products(a), R.left_products(b))
-    return hit
+    return _unimodular(R, R.left_products(a), R.left_products(b))
 
 
+@cache
 def is_column_admissible(R: Ring, v: int, w: int) -> bool:
     """True iff (v, w)^T extends to the first column of a matrix in GL2(R):
     the table test 1 in Rv + Rw, cached per ring."""
-    table = _admissible_table(R)
-    key = ("col", v, w)
-    hit = table.get(key)
-    if hit is None:
-        hit = table[key] = _unimodular(R, R.right_products(v), R.right_products(w))
-    return hit
+    return _unimodular(R, R.right_products(v), R.right_products(w))
 
 
 def make_point(R: Ring, a: int, b: int) -> Point:
@@ -166,27 +164,32 @@ def line_generators(R: Ring) -> list[Matrix2]:
     return gens
 
 
-@cache
-def enumerate_points(R: Ring) -> tuple[Point, ...]:
-    """All points, by orbit BFS cross-checked against the admissible scan."""
-    start = infinity(R)
+def _checked_orbit(R: Ring, start, act, scanned: set, what: str) -> tuple:
+    """Sorted orbit of start under line_generators acting by act(R, x, M);
+    raises MethodDisagreementError unless it equals the scanned set."""
     gens = line_generators(R)
     seen = {start}
     frontier = [start]
     while frontier:
         p = frontier.pop()
         for M in gens:
-            q = apply_matrix(R, p, M)
+            q = act(R, p, M)
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
+    if seen != scanned:
+        raise MethodDisagreementError(
+            f"{R.name}: orbit gives {len(seen)} {what}, scan gives {len(scanned)}")
+    return tuple(sorted(seen))
+
+
+@cache
+def enumerate_points(R: Ring) -> tuple[Point, ...]:
+    """All points, by orbit BFS cross-checked against the admissible scan."""
     scanned = {R.canonical_pair_left(a, b)
                for a in R.elements() for b in R.elements()
                if is_admissible(R, a, b)}
-    if seen != scanned:
-        raise MethodDisagreementError(
-            f"{R.name}: orbit gives {len(seen)} points, scan gives {len(scanned)}")
-    return tuple(sorted(seen))
+    return _checked_orbit(R, infinity(R), apply_matrix, scanned, "points")
 
 
 def distant(R: Ring, p: Point, q: Point) -> bool:
@@ -230,7 +233,7 @@ def _bfs(adj, src):
 
 @cache
 def distant_graph(R: Ring) -> DistantGraph:
-    """Build the full graph; asserts every component has the same diameter."""
+    """Build the full graph; every component must share one diameter."""
     pts = enumerate_points(R)
     index = {p: i for i, p in enumerate(pts)}
     n = len(pts)
@@ -257,7 +260,8 @@ def distant_graph(R: Ring) -> DistantGraph:
             diam = max(diam, max(_bfs(adj, j).values()))
         diameters.append(diam)
         n_comp += 1
-    assert len(set(diameters)) == 1, f"components disagree on diameter: {diameters}"
+    if len(set(diameters)) != 1:
+        raise VerificationError(f"{R.name}: components disagree on diameter: {diameters}")
     inf_idx = index[infinity(R)]
     dist_inf = _bfs(adj, inf_idx)
     return DistantGraph(

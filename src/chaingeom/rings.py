@@ -322,23 +322,22 @@ class FiniteFieldRing(Ring):
 
 
 class DigitRing(Ring):
-    """Base for rings encoded as tuples of F_q digits with componentwise addition."""
+    """Base for rings encoded as tuples of F_q digits with componentwise addition,
+    unrolled over four digit places (shorter encodings padded with zeros), each
+    place reading the field table pre-multiplied by its place value."""
 
-    ndigits = 0
+    ndigits = 0  # at most 4
 
     def __init__(self, spec: RingSpec, one_digits: tuple[int, ...]):
         self.gf = GF(spec.q)
-        self.q = spec.q
-        size = spec.q ** self.ndigits
-        self._tuples = [self._decode(i, spec.q) for i in range(size)]
+        self.q = q = spec.q
+        size = q ** self.ndigits
+        places = [q ** k for k in range(4)]
+        self._padded = [tuple(i // w % q for w in places) for i in range(size)]
+        self._tuples = [d[:self.ndigits] for d in self._padded]
+        self._place_add = [[[w * s for s in row] for row in self.gf.add_t] for w in places]
+        self._place_neg = [[w * s for s in self.gf.neg_t] for w in places]
         super().__init__(spec, size, self._encode(one_digits))
-
-    def _decode(self, i: int, q: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.ndigits):
-            out.append(i % q)
-            i //= q
-        return tuple(out)
 
     def _encode(self, ds) -> int:
         val = 0
@@ -347,12 +346,13 @@ class DigitRing(Ring):
         return val
 
     def _struct_add(self, a, b):
-        t = self.gf.add_t
-        return self._encode([t[x][y] for x, y in zip(self._tuples[a], self._tuples[b])])
+        a0, a1, a2, a3 = self._padded[a]
+        b0, b1, b2, b3 = self._padded[b]
+        t0, t1, t2, t3 = self._place_add
+        return t0[a0][b0] + t1[a1][b1] + t2[a2][b2] + t3[a3][b3]
 
     def _struct_neg(self, a):
-        t = self.gf.neg_t
-        return self._encode([t[x] for x in self._tuples[a]])
+        return sum(n[d] for n, d in zip(self._place_neg, self._padded[a]))
 
 
 class DualNumbersRing(DigitRing):

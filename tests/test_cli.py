@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +139,16 @@ def test_shipped_configs_parse():
     from pathlib import Path
     for cfg in Path(__file__).resolve().parent.parent.glob("configs/*.json"):
         load_config(str(cfg))
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_report_matches_golden(tmp_path, name):
+    """The shipped config reproduces the committed report byte for byte
+    once the volatile timing key is dropped."""
+    root = Path(__file__).resolve().parent
+    report, all_pass = run(load_config(str(root.parent / "configs" / f"{name}.json")),
+                           out_dir=str(tmp_path))
+    assert all_pass
+    report.pop("timing")
+    golden = (root / "data" / f"golden_{name}.json").read_text()
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingeom.projline import (
@@ -14,7 +15,10 @@ from chaingeom.projline import (
     word_point,
 )
 from chaingeom.chains import chain_orbit
+from chaingeom.rings import FiniteFieldRing
 from chaingeom.duality import (
+    PerpNotCyclicError,
+    _kernel,
     annihilator_pairs,
     bidual_fixes,
     commutative_perp_formula,
@@ -62,6 +66,40 @@ def test_annihilator_vectorized_matches_loop(m2f2, m2f3):
             slow = {(x, y) for x in R.elements() for y in R.elements()
                     if R.add(R.mul(a, x), R.mul(b, y)) == 0}
             assert fast == slow
+
+
+def test_perp_memo_matches_uncached_scan(zoo, m2f3):
+    for R in [r for r, _ in zoo] + [m2f3.opposite()]:
+        for p in enumerate_points(R):
+            assert perp_point(R, p) == perp_point.__wrapped__(R, p), (R.name, p)
+
+
+def test_perp_memo_is_per_ring_instance(f4):
+    # a separately built F4 with 2*1 corrupted to 0 has a non-cyclic kernel
+    # at R(1, 2); it must not get the clean instance's memoized answer back
+    p = (1, 2)
+    assert perp_point(f4, p) == (1, 3)
+    fresh = FiniteFieldRing(f4.spec)
+    rows = [list(row) for row in fresh._mul_t]
+    rows[2][1] = 0
+    fresh._mul_t = tuple(map(tuple, rows))
+    for _ in range(2):  # failures are not memoized either
+        with pytest.raises(PerpNotCyclicError):
+            perp_point(fresh, p)
+    assert perp_point(f4, p) == (1, 3)
+
+
+def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
+    cases = [(R, enumerate_points(R)) for R in small_rings]
+    cases.append((m2f3, enumerate_points(m2f3)[::7]))
+    for R, pts in cases:
+        for p in pts:
+            v, w = perp_point(R, p)
+            Rv, Rw = R.right_products(v), R.right_products(w)
+            loop = {(a, b) for a in R.elements() for b in R.elements()
+                    if R.add(Rv[a], Rw[b]) == R.zero}
+            assert _kernel(R._neg_t, Rv, Rw) == loop, (R.name, p)
+            assert bidual_fixes(R, p), (R.name, p)
 
 
 def test_perp_bijective(zoo):

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chaingeom
+from chaingeom.duality import PerpNotCyclicError
 from chaingeom.projline import (
+    MethodDisagreementError,
     NotAdmissibleError,
+    VerificationError,
     apply_matrix,
     distant,
     distant_graph,
@@ -16,8 +25,10 @@ from chaingeom.projline import (
     mat_identity,
     mat_invert,
     mat_mul,
+    mat_times_col,
     point_permutation,
     point_word,
+    row_times_mat,
     word_point,
 )
 
@@ -56,6 +67,57 @@ def test_mat_invert_generic_matches_elimination(m2f2, m2f3):
     assert mat_invert(m2f3, (3, 9, 9, 4)) is not None
     # equal rows never complete to an invertible matrix
     assert mat_invert(m2f3, (40, 13, 40, 13)) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.tuples(*[st.integers(0, 80)] * 4), st.tuples(*[st.integers(0, 80)] * 4),
+       st.booleans())
+def test_matrix_helpers_match_ring_methods_m2f3(m2f3, M, N, opposite):
+    # the table-indexed helpers agree with products spelled out via R.add/R.mul
+    R = m2f3.opposite() if opposite else m2f3
+    a, b, c, d = M
+    e, f, g, h = N
+    dot = lambda x, y, z, w: R.add(R.mul(x, y), R.mul(z, w))
+    assert mat_mul(R, M, N) == (dot(a, e, b, g), dot(a, f, b, h),
+                                dot(c, e, d, g), dot(c, f, d, h))
+    assert row_times_mat(R, (e, f), M) == (dot(e, a, f, c), dot(e, b, f, d))
+    assert mat_times_col(R, M, (e, f)) == (dot(a, e, b, f), dot(c, e, d, f))
+
+
+def test_verification_errors_are_assertion_errors():
+    for exc in (VerificationError, MethodDisagreementError, PerpNotCyclicError):
+        assert issubclass(exc, VerificationError) and issubclass(exc, AssertionError)
+
+
+CORRUPT_F4_INVERT = """
+import itertools, sys
+from chaingeom.projline import VerificationError, mat_invert
+from chaingeom.rings import FiniteFieldRing, RingSpec
+assert not __debug__, "expected to run under python -O"
+R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
+rows = [list(row) for row in R._mul_t]
+rows[2][1] = 0
+R._mul_t = tuple(map(tuple, rows))
+try:
+    for M in itertools.product(R.elements(), repeat=4):
+        mat_invert(R, M)
+except VerificationError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_mat_invert_two_sided_check_raises_under_optimize():
+    """The two-sided inverse check must not depend on assert, which python -O
+    strips: with one corrupted product, some right inverse is not a left one."""
+    src = str(Path(chaingeom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_F4_INVERT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "is a right inverse of" in proc.stdout and "not a left inverse" in proc.stdout
 
 
 def test_is_admissible_basics(f4, dual2):

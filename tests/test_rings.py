@@ -265,6 +265,32 @@ def test_canonical_pairs_match_brute_force_m2f3(m2f3, a, b, opposite):
         == least_unit_multiples(R, a, b)
 
 
+DIGIT_SPECS = [("dual-numbers", 2), ("dual-numbers", 3), ("dual-numbers", 4),
+               ("product", 2), ("product", 3), ("matrix2", 2), ("matrix2", 3),
+               ("upper-triangular2", 2), ("upper-triangular2", 3)]
+
+
+@pytest.mark.parametrize("family,q", DIGIT_SPECS)
+def test_digit_tables_match_digitwise_formula(family, q):
+    # the unrolled place-value fill equals encoding the digitwise field sums
+    R = build_ring(RingSpec(family, q))
+    digits = []
+    for i in R.elements():
+        ds = []
+        for _ in range(R.ndigits):
+            i, d = divmod(i, q)
+            ds.append(d)
+        digits.append(tuple(ds))
+    assert R._tuples == digits
+    add, neg = R.gf.add_t, R.gf.neg_t
+    assert R._add_t == tuple(
+        tuple(R._encode([add[x][y] for x, y in zip(digits[a], digits[b])])
+              for b in R.elements())
+        for a in R.elements())
+    assert R._neg_t == tuple(R._encode([neg[x] for x in digits[a]]) for a in R.elements())
+    verify_axioms(R)
+
+
 CORRUPT_F4 = """
 import sys
 from chaingeom.rings import FiniteFieldRing, RingAxiomError, RingSpec, verify_axioms
