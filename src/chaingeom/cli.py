@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from chaingeom.rings import FAMILIES, Ring, RingSpec, Subfield, build_ring, build_subfield
+from chaingeom.rings import FAMILIES, RingSpec, build_ring, build_subfield
 from chaingeom.projline import distant_graph
 from chaingeom import suites
 
@@ -152,9 +152,11 @@ def parse_config(data: dict) -> ScenarioConfig:
     if data.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"schema must be {SCHEMA_VERSION}")
     ring = data.get("ring")
-    if (not isinstance(ring, dict) or ring.get("family") not in FAMILIES
-            or not isinstance(ring.get("q"), int)):
+    if not isinstance(ring, dict) or ring.get("family") not in FAMILIES:
         raise ConfigError("ring must be {family, q} with a known family")
+    # bool is a subclass of int: "q": true must not mean q = 1
+    if not isinstance(ring.get("q"), int) or isinstance(ring["q"], bool):
+        raise ConfigError("q must be an integer")
     subfield = data.get("subfield")
     if subfield not in ("prime", "scalar", "singer", "diagonal"):
         raise ConfigError(f"unknown subfield descriptor {subfield!r}")

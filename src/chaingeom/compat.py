@@ -11,6 +11,9 @@ The derivation analogue replaces one regulus of the spread of left
 K-subspaces with its opposite regulus of right K''-cosets, where K'' is a
 second conjugate subfield, and validates the outcome as an affine plane of
 order q^2 including an exhaustive or witness-producing Desargues search.
+That search is a sliced table kernel: join, meet and incidence tables of
+the projective completion, indexed by numpy over bounded slabs that still
+examine every configuration, in the order of the plain nested loop.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
+
+import numpy as np
 
 from chaingeom.rings import (
     Ring,
@@ -28,7 +33,7 @@ from chaingeom.rings import (
     normality_witness,
     unit_generators,
 )
-from chaingeom.projline import make_point
+from chaingeom.projline import VerificationError, make_point
 from chaingeom.chains import Residue, residue_at
 from chaingeom.duality import (
     dual_chain_orbit,
@@ -332,12 +337,15 @@ def left_subspace_spread(R: Ring, K: Subfield) -> frozenset:
     members = {frozenset(R.mul(k, x) for k in K.elements)
                for x in R.elements() if x != R.zero}
     q2 = len(K.elements)
-    assert all(len(m) == q2 for m in members)
-    covered = set().union(*members)
-    assert covered == set(R.elements())
+    if any(len(m) != q2 for m in members):
+        raise VerificationError("spread member of the wrong size")
+    if set().union(*members) != set(R.elements()):
+        raise VerificationError("spread does not cover the ring")
     for m1, m2 in combinations(members, 2):
-        assert m1 & m2 == {R.zero}
-    assert len(members) == (R.size - 1) // (q2 - 1)
+        if m1 & m2 != {R.zero}:
+            raise VerificationError(f"spread members {sorted(m1)}, {sorted(m2)} meet")
+    if len(members) != (R.size - 1) // (q2 - 1):
+        raise VerificationError(f"spread has {len(members)} members")
     return frozenset(members)
 
 
@@ -444,82 +452,97 @@ def _projective_completion(R: Ring, lines: list) -> tuple[list, list]:
     return points, proj_lines
 
 
+# entries per slab of the Desargues kernel: one (A, A') row on order 9
+_SLAB = 72 * 72
+
+
+def _plane_tables(n_points: int, lines) -> tuple:
+    """The tables the Desargues scan indexes: line_of (N x N line index, -1 on
+    the diagonal), meet (L x L point index, -1 on the diagonal) and the L x N
+    0/1 incidence matrix.  Raises VerificationError unless every two points
+    lie on exactly one line and every two lines meet in exactly one point."""
+    inc = np.zeros((len(lines), n_points), dtype=np.int64)
+    for li, L in enumerate(lines):
+        inc[li, list(L)] = 1
+    # each product entry sums over the common lines (points); where exactly
+    # one is common, the index-weighted product names it
+    for what, X in (("lines through points", inc), ("points on lines", inc.T)):
+        common = X.T @ X
+        np.fill_diagonal(common, 1)
+        bad = np.argwhere(common != 1)
+        if len(bad):
+            i, j = bad[0].tolist()
+            raise VerificationError(
+                f"projective completion is not linear: {common[i, j]} {what} {i} and {j}")
+    line_of = (inc.T * np.arange(len(lines))) @ inc
+    meet = (inc * np.arange(n_points)) @ inc.T
+    np.fill_diagonal(line_of, -1)
+    np.fill_diagonal(meet, -1)
+    return line_of, meet, inc
+
+
+def _ordered_pairs(m: int) -> tuple:
+    """Index arrays of every ordered pair (i, j), i != j, lexicographically."""
+    return np.nonzero(~np.eye(m, dtype=bool))
+
+
 def _desargues_scan(points, lines, find_failure: bool, cap: int):
     """Deterministic sweep over centrally-perspective triangle pairs.
 
+    Points are the ids 0..N-1.  Returns (witness, configurations examined).
     find_failure=True returns the first non-closing configuration (or None
     after the cap, a diagnostic); find_failure=False proves the statement
     by sweeping every configuration (no cap).
+
+    Every configuration (O, l1 < l2 < l3 through O, A != A' on l1,
+    B != B' on l2, C != C' on l3) is examined, in lexicographic order.  For
+    one (O, l1, l2, l3) the axis points P = AB.A'B', Q = AC.A'C' and
+    S = BC.B'C' are index tables over the ordered pairs, and the closing
+    test runs on slabs of whole (A, A') rows of at most _SLAB entries.  In
+    a projective plane (checked by _plane_tables) AB != A'B', AC != A'C'
+    and BC != B'C' always, so no configuration is skipped uncounted.
     """
-    line_of = {}
-    for li, L in enumerate(lines):
-        for a, b in combinations(L, 2):
-            key = (a, b) if a < b else (b, a)
-            assert key not in line_of, "projective completion is not linear"
-            line_of[key] = li
-    by_point: dict = {p: [] for p in points}
-    for li, L in enumerate(lines):
-        for p in L:
-            by_point[p].append(li)
-    line_pts = [tuple(L) for L in lines]
-    meets: dict = {}
-
-    def meet(l1, l2):
-        key = (l1, l2) if l1 < l2 else (l2, l1)
-        got = meets.get(key)
-        if got is None:
-            got = (set(line_pts[l1]) & set(line_pts[l2])).pop()
-            meets[key] = got
-        return got
-
-    def lt(a, b):
-        return line_of[(a, b) if a < b else (b, a)]
-
+    line_of, meet, inc = _plane_tables(len(points), lines)
+    line_pts = [np.array(L) for L in lines]
     count = 0
     for O in points:
-        ls = by_point[O]
-        for l1, l2, l3 in combinations(ls, 3):
-            p1 = [p for p in line_pts[l1] if p != O]
-            p2 = [p for p in line_pts[l2] if p != O]
-            p3 = [p for p in line_pts[l3] if p != O]
-            for A in p1:
-                for A2 in p1:
-                    if A2 == A:
-                        continue
-                    for B in p2:
-                        for B2 in p2:
-                            if B2 == B:
-                                continue
-                            ab, ab2 = lt(A, B), lt(A2, B2)
-                            if ab == ab2:
-                                continue
-                            P = meet(ab, ab2)
-                            for C in p3:
-                                for C2 in p3:
-                                    if C2 == C:
-                                        continue
-                                    count += 1
-                                    if find_failure and count > cap:
-                                        return None
-                                    ac, ac2 = lt(A, C), lt(A2, C2)
-                                    bc, bc2 = lt(B, C), lt(B2, C2)
-                                    if ac == ac2 or bc == bc2:
-                                        continue
-                                    Q = meet(ac, ac2)
-                                    S = meet(bc, bc2)
-                                    if P == Q or P == S or Q == S:
-                                        continue
-                                    if S in line_pts[lt(P, Q)]:
-                                        continue
-                                    witness = {
-                                        "center": O,
-                                        "lines": [l1, l2, l3],
-                                        "triangle": [A, B, C],
-                                        "image": [A2, B2, C2],
-                                        "axis_points": [P, Q, S],
-                                    }
-                                    return witness
-    return None
+        for l1, l2, l3 in combinations(np.flatnonzero(inc[:, O]).tolist(), 3):
+            sides = []
+            for li in (l1, l2, l3):
+                pts = line_pts[li][line_pts[li] != O]
+                i, j = _ordered_pairs(len(pts))
+                sides.append((pts[i], pts[j]))
+            (A, A2), (B, B2), (C, C2) = sides
+            P = meet[line_of[A[:, None], B], line_of[A2[:, None], B2]]
+            Q = meet[line_of[A[:, None], C], line_of[A2[:, None], C2]]
+            S = meet[line_of[B[:, None], C], line_of[B2[:, None], C2]]
+            rows = max(1, _SLAB // S.size)
+            for r0 in range(0, len(A), rows):
+                p = P[r0:r0 + rows, :, None]
+                q = Q[r0:r0 + rows, None, :]
+                # P, Q, S distinct and not collinear: S off the line PQ, which
+                # holds P and Q; where P == Q line_of is -1, masked by p != q
+                fail = (p != q) & (inc[line_of[p, q], S] == 0)
+                hits = np.flatnonzero(fail)
+                if hits.size:
+                    examined = count + int(hits[0]) + 1
+                    if find_failure and examined > cap:
+                        return None, cap
+                    a, rest = divmod(int(hits[0]), S.size)
+                    b, c = divmod(rest, S.shape[1])
+                    a += r0
+                    witness = {
+                        "center": O,
+                        "lines": [l1, l2, l3],
+                        "triangle": [int(A[a]), int(B[b]), int(C[c])],
+                        "image": [int(A2[a]), int(B2[b]), int(C2[c])],
+                        "axis_points": [int(P[a, b]), int(Q[a, c]), int(S[b, c])],
+                    }
+                    return witness, examined
+                count += fail.size
+                if find_failure and count > cap:
+                    return None, cap
+    return None, count
 
 
 def derive_plane(R: Ring, K: Subfield, skip_replacement: bool = False,
@@ -541,8 +564,10 @@ def derive_plane(R: Ring, K: Subfield, skip_replacement: bool = False,
     kclass = next(c for c in classes if kblock in c.blocks)
     spread = left_subspace_spread(R, K)
     ag_lines = {frozenset(R.add(x, c) for x in m) for m in spread for c in R.elements()}
-    assert len(ag_lines) == (q * q + 1) * q * q
-    assert kclass.blocks <= ag_lines  # the class extends to AG(2, q^2)
+    if len(ag_lines) != (q * q + 1) * q * q:
+        raise VerificationError(f"AG(2, q^2) came out with {len(ag_lines)} lines")
+    if not kclass.blocks <= ag_lines:
+        raise VerificationError("the class does not extend to AG(2, q^2)")
     block_set = frozenset(res.blocks)
 
     K2 = second_conjugate(R, K)
@@ -583,18 +608,19 @@ def derive_plane(R: Ring, K: Subfield, skip_replacement: bool = False,
     two_point, playfair, lines_per_point, _ = _affine_checks(R, lines)
     if not (two_point and playfair):
         raise DerivedPlaneError("derived structure is not an affine plane")
-    assert len(lines) * (q * q) == R.size * lines_per_point
+    if len(lines) * (q * q) != R.size * lines_per_point:
+        raise VerificationError("line and point counts of the plane disagree")
 
     points, proj_lines = _projective_completion(R, lines)
     if degenerate and skip_replacement:
         # negative control: the line set is exactly AG(2, q^2), the field plane
         desargues, method, witness = True, "field-plane-identity", None
     elif q == 2:
-        witness = _desargues_scan(points, proj_lines, find_failure=False, cap=0)
+        witness, _ = _desargues_scan(points, proj_lines, find_failure=False, cap=0)
         desargues, method = witness is None, "exhaustive"
     else:
-        witness = _desargues_scan(points, proj_lines, find_failure=True,
-                                  cap=desargues_cap)
+        witness, _ = _desargues_scan(points, proj_lines, find_failure=True,
+                                     cap=desargues_cap)
         if witness is None:
             raise DerivedPlaneError(
                 "no Desargues failure within the search cap; cannot classify")

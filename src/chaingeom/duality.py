@@ -11,13 +11,18 @@ in the package is tested against, so it never reuses those formulas.  The
 scan reads the ring's operation tables and bucket-matches a*x against
 -(b*y) over all x and y, which inspects every candidate column.  perp_point
 scans once per (ring instance, point); its memo holds only the oracle's own
-results and never feeds a formula.
+results and never feeds a formula.  The covariance law is swept per
+generator: covariance_failures builds the same kernels for a batch of rows
+as boolean stacks from the tables, and covariance_holds stays the per-module
+check.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from typing import Iterable, Optional
+
+import numpy as np
 
 from chaingeom.rings import Ring, Subfield, subfield_in_opposite
 from chaingeom.projline import (
@@ -167,6 +172,56 @@ def covariance_holds(R: Ring, U: Iterable[tuple[int, int]], M: Matrix2) -> bool:
     lhs = annihilator_pairs(R, [row_times_mat(R, u, M) for u in U])
     rhs = frozenset(mat_times_col(R, Minv, c) for c in annihilator_pairs(R, U))
     return lhs == rhs
+
+
+@cache
+def _table_arrays(R: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The add, mul and neg tables as integer arrays, built on first use per ring."""
+    return tuple(np.array(t, dtype=np.intp) for t in (R._add_t, R._mul_t, R._neg_t))
+
+
+# rows per slab of covariance_failures: at most this many kernel entries
+_COV_SLAB = 1 << 18
+
+
+def _kernel_stack(neg: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row i is the raveled |R| x |R| mask r[i, x] + s[i, y] = 0, tested as
+    r[i, x] == -s[i, y] over every candidate column (x, y)."""
+    return (r[:, :, None] == neg[s][:, None, :]).reshape(len(r), -1)
+
+
+def covariance_failures(R: Ring, M: Matrix2, rows: Iterable[tuple[int, int]]) -> int:
+    """The number of rows u (with repeats) where (u*M)-perp differs from
+    M^-1 * (u-perp), as raw solution sets: covariance_holds(R, [u], M) for
+    every row at once.
+
+    Both kernels are boolean stacks over all |R|^2 candidate columns, built
+    from the operation tables in slabs of rows; the map c -> M^-1 * c is an
+    index table over the columns.
+    """
+    Minv = mat_invert(R, M)
+    if Minv is None:
+        raise VerificationError(f"covariance needs an invertible matrix, got {M}")
+    add, mul, neg = _table_arrays(R)
+    n = R.size
+    v, w = np.arange(n)[:, None], np.arange(n)[None, :]
+    image = (add[mul[Minv[0], v], mul[Minv[1], w]] * n
+             + add[mul[Minv[2], v], mul[Minv[3], w]]).ravel()
+    rows = np.array(list(rows), dtype=np.intp).reshape(-1, 2)
+    failures = 0
+    step = max(1, _COV_SLAB // (n * n))
+    for r0 in range(0, len(rows), step):
+        a, b = rows[r0:r0 + step].T
+        am, bm = mul[a], mul[b]
+        ker = _kernel_stack(neg, am, bm)
+        # the rows u*M = (a*M0 + b*M2, a*M1 + b*M3)
+        lhs = _kernel_stack(neg, mul[add[am[:, M[0]], bm[:, M[2]]]],
+                            mul[add[am[:, M[1]], bm[:, M[3]]]])
+        rhs = np.zeros_like(lhs)
+        i, c = np.nonzero(ker)
+        rhs[i, image[c]] = True
+        failures += int(np.count_nonzero((lhs != rhs).any(axis=1)))
+    return failures
 
 
 # closed formulas ------------------------------------------------------------

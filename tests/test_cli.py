@@ -135,6 +135,15 @@ def test_bad_option_is_config_error(tmp_path, task, options):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("q", [True, "4", None])
+def test_ring_q_must_be_an_integer(tmp_path, q):
+    path = small_config(tmp_path, [{"name": "enumerate-points"}],
+                        ring={"family": "finite-field", "q": q})
+    with pytest.raises(ConfigError, match="q must be an integer"):
+        load_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
 def test_shipped_configs_parse():
     from pathlib import Path
     for cfg in Path(__file__).resolve().parent.parent.glob("configs/*.json"):

@@ -1,7 +1,18 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+import chaingeom
+from chaingeom import compat
 from chaingeom.projline import apply_matrix, infinity, line_generators, make_point
 from chaingeom.chains import chain_orbit, residue_at
 from chaingeom.compat import (
     CompatClass,
+    _desargues_scan,
     check_class_structure,
     compare_residue_with_dual,
     delta_orbits,
@@ -211,3 +222,175 @@ def test_eq9_family_shapes(m2f3, m2f3_k):
     fam = eq9_family(m2f3, m2f3_k, "compatibility")
     assert len(fam) == 54
     assert frozenset(m2f3_k.elements) in fam
+
+
+# the Desargues scan ------------------------------------------------------------
+
+def reference_desargues_scan(points, lines, find_failure: bool, cap: int):
+    """The loop sweep the table kernel replaced, kept as its reference.
+
+    Same order, count and cap semantics; returns (witness, configurations
+    examined), where a cut-off scan has examined exactly cap of them.
+    """
+    line_of = {}
+    for li, L in enumerate(lines):
+        for a, b in combinations(L, 2):
+            key = (a, b) if a < b else (b, a)
+            assert key not in line_of, "projective completion is not linear"
+            line_of[key] = li
+    by_point: dict = {p: [] for p in points}
+    for li, L in enumerate(lines):
+        for p in L:
+            by_point[p].append(li)
+    line_pts = [tuple(L) for L in lines]
+    meets: dict = {}
+
+    def meet(l1, l2):
+        key = (l1, l2) if l1 < l2 else (l2, l1)
+        got = meets.get(key)
+        if got is None:
+            got = (set(line_pts[l1]) & set(line_pts[l2])).pop()
+            meets[key] = got
+        return got
+
+    def lt(a, b):
+        return line_of[(a, b) if a < b else (b, a)]
+
+    count = 0
+    for O in points:
+        ls = by_point[O]
+        for l1, l2, l3 in combinations(ls, 3):
+            p1 = [p for p in line_pts[l1] if p != O]
+            p2 = [p for p in line_pts[l2] if p != O]
+            p3 = [p for p in line_pts[l3] if p != O]
+            for A in p1:
+                for A2 in p1:
+                    if A2 == A:
+                        continue
+                    for B in p2:
+                        for B2 in p2:
+                            if B2 == B:
+                                continue
+                            ab, ab2 = lt(A, B), lt(A2, B2)
+                            if ab == ab2:
+                                continue
+                            P = meet(ab, ab2)
+                            for C in p3:
+                                for C2 in p3:
+                                    if C2 == C:
+                                        continue
+                                    count += 1
+                                    if find_failure and count > cap:
+                                        return None, cap
+                                    ac, ac2 = lt(A, C), lt(A2, C2)
+                                    bc, bc2 = lt(B, C), lt(B2, C2)
+                                    if ac == ac2 or bc == bc2:
+                                        continue
+                                    Q = meet(ac, ac2)
+                                    S = meet(bc, bc2)
+                                    if P == Q or P == S or Q == S:
+                                        continue
+                                    if S in line_pts[lt(P, Q)]:
+                                        continue
+                                    witness = {
+                                        "center": O,
+                                        "lines": [l1, l2, l3],
+                                        "triangle": [A, B, C],
+                                        "image": [A2, B2, C2],
+                                        "axis_points": [P, Q, S],
+                                    }
+                                    return witness, count
+    return None, count
+
+
+def assert_desargues_fails_at(lines, w):
+    """Check a witness from the incidence lists alone: the triangles are in
+    perspective from the center along the three named lines, the side pairs
+    meet at the named axis points, and those are distinct and not collinear."""
+    sets = [frozenset(L) for L in lines]
+
+    def join(x, y):
+        (L,) = [L for L in sets if x in L and y in L]
+        return L
+
+    O = w["center"]
+    assert len(set(w["lines"])) == 3
+    for li, X, X2 in zip(w["lines"], w["triangle"], w["image"]):
+        assert len({O, X, X2}) == 3 and {O, X, X2} <= sets[li]
+    for T in (w["triangle"], w["image"]):
+        assert T[2] not in join(T[0], T[1]), "degenerate triangle"
+    (A, B, C), (A2, B2, C2) = w["triangle"], w["image"]
+    P, Q, S = w["axis_points"]
+    assert P in join(A, B) & join(A2, B2)
+    assert Q in join(A, C) & join(A2, C2)
+    assert S in join(B, C) & join(B2, C2)
+    assert len({P, Q, S}) == 3 and S not in join(P, Q)
+
+
+@pytest.fixture(scope="module")
+def completed_planes(m2f2, m2f2_k, m2f3, m2f3_k):
+    """{order: (points, lines)} of the projective completions derive_plane
+    scans: AG(2, 4) from matrix2(2) and the Hall plane from matrix2(3)."""
+    planes = {}
+    real = compat._desargues_scan
+
+    def spy(points, lines, find_failure, cap):
+        planes[round((len(points) - 1) ** 0.5)] = (points, lines)
+        return real(points, lines, find_failure, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compat, "_desargues_scan", spy)
+        derive_plane(m2f2, m2f2_k)
+        derive_plane(m2f3, m2f3_k)
+    return planes
+
+
+def test_desargues_kernel_matches_loop_order4(completed_planes):
+    points, lines = completed_planes[4]
+    assert len(points) == 21
+    # 21 centers x 10 line triples x 12^3 ordered point pairs
+    assert _desargues_scan(points, lines, find_failure=False, cap=0) == (None, 362_880)
+    assert reference_desargues_scan(points, lines, False, 0) == (None, 362_880)
+
+
+def test_desargues_kernel_matches_loop_hall_plane(completed_planes):
+    points, lines = completed_planes[9]
+    found = _desargues_scan(points, lines, find_failure=True, cap=10 ** 7)
+    assert found == reference_desargues_scan(points, lines, True, 10 ** 7)
+    witness, examined = found
+    assert witness == {"center": 0, "lines": [0, 1, 2], "triangle": [1, 3, 4],
+                       "image": [2, 6, 36], "axis_points": [84, 31, 22]}
+    assert_desargues_fails_at(lines, witness)
+    # the exhaustive mode must find a failure on a non-desarguesian plane too
+    exhaustive = _desargues_scan(points, lines, find_failure=False, cap=0)
+    assert exhaustive == found == reference_desargues_scan(points, lines, False, 0)
+    # the cap cuts off exactly before the witness configuration
+    for scan in (_desargues_scan, reference_desargues_scan):
+        assert scan(points, lines, True, examined - 1) == (None, examined - 1)
+        assert scan(points, lines, True, examined) == found
+
+
+DOUBLE_JOIN = """
+from chaingeom.compat import _desargues_scan
+from chaingeom.projline import VerificationError
+assert not __debug__, "expected to run under python -O"
+fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+try:
+    _desargues_scan(range(7), fano + [(0, 1)], find_failure=False, cap=0)
+except VerificationError as exc:
+    print(exc)
+else:
+    raise SystemExit("no error for points 0 and 1 on two lines")
+"""
+
+
+def test_desargues_linearity_check_survives_optimize():
+    """The scan's linearity check must not depend on assert, which python -O
+    strips: two points on two lines must raise."""
+    src = str(Path(chaingeom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", DOUBLE_JOIN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "not linear" in proc.stdout

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,13 +16,15 @@ from chaingeom.projline import (
     word_point,
 )
 from chaingeom.chains import chain_orbit
-from chaingeom.rings import FiniteFieldRing
+from chaingeom.projline import VerificationError
+from chaingeom.rings import DualNumbersRing, FiniteFieldRing, RingSpec
 from chaingeom.duality import (
     PerpNotCyclicError,
     _kernel,
     annihilator_pairs,
     bidual_fixes,
     commutative_perp_formula,
+    covariance_failures,
     covariance_holds,
     dual_chain_orbit,
     dual_distant,
@@ -172,6 +175,69 @@ def test_covariance_random_subsets_dual2(dual2, U, t1, t2):
     from chaingeom.projline import mat_mul
     M = mat_mul(dual2, M, elementary(dual2, t2))
     assert covariance_holds(dual2, U, M)
+
+
+def loop_covariance_failures(R, M, rows):
+    return sum(not covariance_holds(R, [u], M) for u in rows)
+
+
+def test_covariance_failures_matches_holds(small_rings):
+    """The batched sweep counts what covariance_holds finds row by row, for
+    every generator and row of every ring with at most 16 elements."""
+    for R in small_rings:
+        rows = [(a, b) for a in R.elements() for b in R.elements()]
+        for M in line_generators(R):
+            assert covariance_failures(R, M, rows) == loop_covariance_failures(R, M, rows)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 176), st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)),
+                                     min_size=1, max_size=12))
+def test_covariance_failures_matches_holds_m2f3(m2f3, g, rows):
+    M = line_generators(m2f3)[g]
+    assert covariance_failures(m2f3, M, rows) == loop_covariance_failures(m2f3, M, rows)
+
+
+def covariance_sweep(R, count):
+    """Per generator, the failure count over every row, or "raise"."""
+    rows = [(a, b) for a in R.elements() for b in R.elements()]
+    out = []
+    for M in line_generators(R):
+        try:
+            out.append(count(R, M, rows))
+        except VerificationError:
+            out.append("raise")
+    return out
+
+
+def corrupted(cls, spec, a, b, value, columns):
+    """A freshly built ring (not build_ring's cached one) with a*b := value,
+    in the column table too when columns is set."""
+    R = cls(spec)
+    rows = [list(row) for row in R._mul_t]
+    rows[a][b] = value
+    R._mul_t = tuple(map(tuple, rows))
+    if columns:
+        R._mul_cols = tuple(zip(*R._mul_t))
+    return R
+
+
+@pytest.mark.parametrize("cls, spec", [(FiniteFieldRing, RingSpec("finite-field", 4)),
+                                       (DualNumbersRing, RingSpec("dual-numbers", 2))])
+def test_covariance_sweep_negative_control(cls, spec):
+    """Every single corrupted product makes the sweep fail or raise, never
+    pass; with both product tables corrupted alike the batched counts equal
+    the row-by-row ones."""
+    clean = cls(spec)._mul_t
+    for a, b, value in itertools.product(range(len(clean)), repeat=3):
+        if value == clean[a][b]:
+            continue
+        swept = covariance_sweep(corrupted(cls, spec, a, b, value, False),
+                                 covariance_failures)
+        assert any(x == "raise" or x > 0 for x in swept), (a, b, value)
+        R = corrupted(cls, spec, a, b, value, True)
+        assert (covariance_sweep(R, covariance_failures)
+                == covariance_sweep(R, loop_covariance_failures)), (a, b, value)
 
 
 def test_word_formula_n0_n1(zoo):
