@@ -1,6 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import chaingeom
 from chaingeom.rings import RingSpec, build_ring, build_subfield
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """Runs Python source in a python -O subprocess that imports this
+    checkout's chaingeom; returns the CompletedProcess."""
+    src = str(Path(chaingeom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+    return run
 
 
 @pytest.fixture(scope="session")

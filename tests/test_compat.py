@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
-import chaingeom
 from chaingeom import compat
 from chaingeom.projline import apply_matrix, infinity, line_generators, make_point
 from chaingeom.chains import chain_orbit, residue_at
@@ -384,13 +379,9 @@ else:
 """
 
 
-def test_desargues_linearity_check_survives_optimize():
+def test_desargues_linearity_check_survives_optimize(run_optimized):
     """The scan's linearity check must not depend on assert, which python -O
     strips: two points on two lines must raise."""
-    src = str(Path(chaingeom.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", DOUBLE_JOIN], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(DOUBLE_JOIN)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "not linear" in proc.stdout

@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import chaingeom
 from chaingeom.duality import PerpNotCyclicError
 from chaingeom.projline import (
     MethodDisagreementError,
@@ -108,14 +102,10 @@ sys.exit(1)
 """
 
 
-def test_mat_invert_two_sided_check_raises_under_optimize():
+def test_mat_invert_two_sided_check_raises_under_optimize(run_optimized):
     """The two-sided inverse check must not depend on assert, which python -O
     strips: with one corrupted product, some right inverse is not a left one."""
-    src = str(Path(chaingeom.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_F4_INVERT], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(CORRUPT_F4_INVERT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "is a right inverse of" in proc.stdout and "not a left inverse" in proc.stdout
 

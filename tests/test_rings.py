@@ -1,13 +1,8 @@
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import chaingeom
 from chaingeom.rings import (
     GF,
     NotAFieldError,
@@ -309,13 +304,9 @@ sys.exit(1)
 """
 
 
-def test_verify_axioms_raises_under_optimize():
+def test_verify_axioms_raises_under_optimize(run_optimized):
     """verify_axioms must not depend on assert, which python -O strips."""
-    src = str(Path(chaingeom.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_F4], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(CORRUPT_F4)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # the message names the broken axiom and its first witness (a, b, c)
     assert re.match(r"associativity of multiplication fails at \(\d+, \d+, \d+\)",
