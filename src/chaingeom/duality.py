@@ -181,7 +181,7 @@ def _table_arrays(R: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # rows per slab of covariance_failures: at most this many kernel entries
-_COV_SLAB = 1 << 18
+_COV_SLAB = 1 << 15
 
 
 def _kernel_stack(neg: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
