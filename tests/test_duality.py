@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingeom.projline import (
+    VerificationError,
     distant,
     distant_graph,
     elementary,
@@ -16,7 +17,6 @@ from chaingeom.projline import (
     word_point,
 )
 from chaingeom.chains import chain_orbit
-from chaingeom.projline import VerificationError
 from chaingeom.rings import DualNumbersRing, FiniteFieldRing, RingSpec
 from chaingeom.duality import (
     PerpNotCyclicError,
