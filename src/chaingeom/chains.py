@@ -21,8 +21,9 @@ from chaingeom.rings import Ring, Subfield, additive_generators, unit_generators
 from chaingeom.projline import (
     Matrix2,
     Point,
+    VerificationError,
     apply_matrix,
-    distant,
+    distant_graph,
     infinity,
     line_generators,
     make_point,
@@ -104,9 +105,9 @@ class Residue:
 
 @cache
 def residue_at(R: Ring, K: Subfield, p: Point) -> Residue:
-    from chaingeom.projline import enumerate_points
     chains = chain_orbit(R, K, through=p)
-    pts = tuple(q for q in enumerate_points(R) if distant(R, p, q))
+    g = distant_graph(R)  # its points are enumerate_points(R), in order
+    pts = tuple(g.points[j] for j in sorted(g.adj[g.index[p]]))
     point_blocks = tuple(sorted((C - {p} for C in chains), key=sorted))
     coord_of = None
     blocks = None
@@ -115,9 +116,13 @@ def residue_at(R: Ring, K: Subfield, p: Point) -> Residue:
         coord_of = {}
         for x in R.elements():
             q = make_point(R, x, R.one)
-            assert q in pt_set and q not in coord_of
+            if q not in pt_set or q in coord_of:
+                raise VerificationError(
+                    f"{R.name}: R({x}, 1) = {q} is not a new point of the far-point residue")
             coord_of[q] = x
-        assert len(coord_of) == len(pts)  # x -> R(x, 1) is a bijection onto the residue
+        if len(coord_of) != len(pts):  # x -> R(x, 1) is a bijection onto the residue
+            raise VerificationError(
+                f"{R.name}: {len(coord_of)} coordinates for {len(pts)} residue points")
         blocks = tuple(sorted((frozenset(coord_of[q] for q in B) for B in point_blocks),
                               key=sorted))
     return Residue(R, K, p, pts, point_blocks, coord_of, blocks)
@@ -125,6 +130,7 @@ def residue_at(R: Ring, K: Subfield, p: Point) -> Residue:
 
 def blocks_through(res: Residue, xs) -> set:
     """Coordinate blocks of the far-point residue containing every x in xs."""
-    assert res.blocks is not None
+    if res.blocks is None:
+        raise VerificationError(f"blocks at {res.at} over {res.ring.name} are not coordinatized")
     want = set(xs)
     return {B for B in res.blocks if want <= B}

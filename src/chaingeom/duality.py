@@ -29,7 +29,9 @@ from chaingeom.projline import (
     Matrix2,
     Point,
     VerificationError,
+    _admissibility,
     _checked_orbit,
+    _table_arrays,
     elementary,
     enumerate_points,
     is_admissible,
@@ -67,11 +69,8 @@ def apply_matrix_dual(R: Ring, q: DualPoint, M: Matrix2) -> DualPoint:
 def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
     """All dual points: left-action orbit of (1,0)^T R, cross-checked
     against the column-admissible scan."""
-    scanned = {R.canonical_pair_right(v, w)
-               for v in R.elements() for w in R.elements()
-               if is_column_admissible(R, v, w)}
     return _checked_orbit(R, R.canonical_pair_right(R.one, R.zero), apply_matrix_dual,
-                         scanned, "dual points")
+                          _admissibility(R)[1], R.canonical_pair_right, "dual points")
 
 
 def dual_distant(R: Ring, q1: DualPoint, q2: DualPoint) -> bool:
@@ -112,7 +111,8 @@ def dual_chain_orbit(R: Ring, K: Subfield, through: Optional[DualPoint] = None) 
     if through == dual_infinity(R):
         # shift the standard chain through (0,1)^T R first, then walk its stabilizer
         seed = apply_matrix_dual_chain(R, dual_standard_chain(R, K), elementary(R, R.zero))
-        assert through in seed
+        if through not in seed:
+            raise VerificationError(f"{R.name}: shifted standard chain misses {through}")
         return _dual_orbit(R, seed, stabilizer_generators(R))
     return frozenset(C for C in dual_chain_orbit(R, K) if through in C)
 
@@ -172,12 +172,6 @@ def covariance_holds(R: Ring, U: Iterable[tuple[int, int]], M: Matrix2) -> bool:
     lhs = annihilator_pairs(R, [row_times_mat(R, u, M) for u in U])
     rhs = frozenset(mat_times_col(R, Minv, c) for c in annihilator_pairs(R, U))
     return lhs == rhs
-
-
-@cache
-def _table_arrays(R: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The add, mul and neg tables as integer arrays, built on first use per ring."""
-    return tuple(np.array(t, dtype=np.intp) for t in (R._add_t, R._mul_t, R._neg_t))
 
 
 # rows per slab of covariance_failures: at most this many kernel entries

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
+import numpy as np
+
 from chaingeom.rings import Ring
 
 Point = tuple[int, int]
@@ -112,31 +114,48 @@ def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
 
 # admissibility and points --------------------------------------------------
 
-def _unimodular(R: Ring, r: tuple[int, ...], s: tuple[int, ...]) -> bool:
-    """True iff 1 = r[x] + s[y] for some x, y, given two product rows."""
-    one_minus = R._add_t[R.one]
-    neg = R._neg_t
-    targets = set(s)
-    return any(one_minus[neg[v]] in targets for v in set(r))
+@cache
+def _table_arrays(R: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The add, mul and neg tables as integer arrays, built on first use per ring."""
+    return tuple(np.array(t, dtype=np.intp) for t in (R._add_t, R._mul_t, R._neg_t))
 
 
 @cache
+def _admissibility(R: Ring) -> tuple[tuple, tuple]:
+    """(rows, cols) with rows[a][b] iff 1 in aR + bR and cols[v][w] iff
+    1 in Rv + Rw, for all |R|^2 pairs, built on first use per ring.
+
+    member[a, v] says v lies in aR.  The pair (a, b) is unimodular iff some
+    v in aR has 1 - v in bR, so the whole row table is one boolean product
+    member @ member[:, 1 - v].T; the column table is the same product over
+    the memberships in Ra.
+    """
+    add, mul, neg = _table_arrays(R)
+    n = R.size
+    one_minus = add[R.one][neg]
+    tables = []
+    for products in (mul, mul.T):  # products[a] = (a*x) for rows, (x*a) for columns
+        member = np.zeros((n, n), dtype=bool)
+        member[np.arange(n)[:, None], products] = True
+        tables.append(tuple(map(tuple, (member @ member[:, one_minus].T).tolist())))
+    return tuple(tables)
+
+
 def is_admissible(R: Ring, a: int, b: int) -> bool:
     """True iff (a, b) extends to the first row of a matrix in GL2(R).
 
     One table test: 1 lies in aR + bR.  Over a ring of stable rank at most
     2, and every finite ring qualifies, unimodular rows are exactly the
     admissible ones; the tests keep the completion scan over mat_invert as
-    the reference.  Results are cached per ring.
+    the reference.  Reads the admissibility table of the ring.
     """
-    return _unimodular(R, R.left_products(a), R.left_products(b))
+    return _admissibility(R)[0][a][b]
 
 
-@cache
 def is_column_admissible(R: Ring, v: int, w: int) -> bool:
     """True iff (v, w)^T extends to the first column of a matrix in GL2(R):
-    the table test 1 in Rv + Rw, cached per ring."""
-    return _unimodular(R, R.right_products(v), R.right_products(w))
+    the table test 1 in Rv + Rw."""
+    return _admissibility(R)[1][v][w]
 
 
 def make_point(R: Ring, a: int, b: int) -> Point:
@@ -164,9 +183,12 @@ def line_generators(R: Ring) -> list[Matrix2]:
     return gens
 
 
-def _checked_orbit(R: Ring, start, act, scanned: set, what: str) -> tuple:
+def _checked_orbit(R: Ring, start, act, table: tuple, canonical, what: str) -> tuple:
     """Sorted orbit of start under line_generators acting by act(R, x, M);
-    raises MethodDisagreementError unless it equals the scanned set."""
+    raises MethodDisagreementError unless it equals the scan of every
+    admissible pair in table, canonicalized by canonical(a, b)."""
+    scanned = {canonical(a, b) for a, row in enumerate(table)
+               for b, ok in enumerate(row) if ok}
     gens = line_generators(R)
     seen = {start}
     frontier = [start]
@@ -186,10 +208,8 @@ def _checked_orbit(R: Ring, start, act, scanned: set, what: str) -> tuple:
 @cache
 def enumerate_points(R: Ring) -> tuple[Point, ...]:
     """All points, by orbit BFS cross-checked against the admissible scan."""
-    scanned = {R.canonical_pair_left(a, b)
-               for a in R.elements() for b in R.elements()
-               if is_admissible(R, a, b)}
-    return _checked_orbit(R, infinity(R), apply_matrix, scanned, "points")
+    return _checked_orbit(R, infinity(R), apply_matrix, _admissibility(R)[0],
+                          R.canonical_pair_left, "points")
 
 
 def distant(R: Ring, p: Point, q: Point) -> bool:
@@ -215,20 +235,89 @@ class DistantGraph:
         return sum(len(s) for s in self.adj) // 2
 
 
-def _bfs(adj, src):
-    dist = {src: 0}
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    return dist
+# leading zero bits of every byte value
+_LEADING_ZEROS = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
+
+
+def _first_bits(packed: np.ndarray) -> np.ndarray:
+    """Index of the first set bit of every row of np.packbits output; each
+    row must have one."""
+    k = (packed != 0).argmax(axis=1)
+    return 8 * k + _LEADING_ZEROS[packed[np.arange(len(packed)), k]]
+
+
+def _distant_pairs(R: Ring, pts: tuple[Point, ...]) -> np.ndarray:
+    """Adjacency of the distant relation: mat_invert's column solve for every
+    pair of points at once.
+
+    For p = (a, b), ones[p] and zeros[p] pack the columns (x, y) in
+    x-major order with a*x + b*y = 1 and = 0.  The stacked matrix (p; q) has
+    a right inverse iff ones[p] & zeros[q] and zeros[p] & ones[q] both have a
+    set bit, and the first ones are the columns mat_invert finds.  Their
+    left-inverse check runs for every distant pair together and raises the
+    same VerificationError as mat_invert.
+    """
+    add, mul, _ = _table_arrays(R)
+    size = R.size
+    sums = add.astype(np.uint8).ravel()  # sums[u * size + v] = u + v
+    ones, zeros = [], []
+    for a, b in pts:
+        vals = sums[(mul[a] * size)[:, None] + mul[b]]
+        ones.append(np.packbits(vals == R.one))
+        zeros.append(np.packbits(vals == R.zero))
+    ones, zeros = np.array(ones), np.array(zeros)
+    n = len(pts)
+    adj = np.zeros((n, n), dtype=bool)
+    solved = []  # per row i, the first column of each solve for every distant j > i
+    for i in range(n - 1):
+        oz, zo = ones[i] & zeros[i + 1:], zeros[i] & ones[i + 1:]
+        js = np.flatnonzero(oz.any(axis=1) & zo.any(axis=1))
+        adj[i, i + 1 + js] = True
+        solved.append((_first_bits(oz[js]), _first_bits(zo[js])))
+    i, j = np.nonzero(adj)  # row-major, the order of solved
+    c1, c2 = (np.concatenate(part) for part in zip(*solved))
+    x1, y1 = np.divmod(c1, size)
+    x2, y2 = np.divmod(c2, size)
+    P = np.array(pts, dtype=np.intp)
+    a, b, c, d = P[i, 0], P[i, 1], P[j, 0], P[j, 1]
+    # N * M for N = [[x1, x2], [y1, y2]] and M = [[a, b], [c, d]], entrywise
+    NM = (add[mul[x1, a], mul[x2, c]], add[mul[x1, b], mul[x2, d]],
+          add[mul[y1, a], mul[y2, c]], add[mul[y1, b], mul[y2, d]])
+    left = np.all([e == want for e, want in zip(NM, mat_identity(R))], axis=0)
+    if not left.all():
+        k = int(np.argmin(left))
+        N = tuple(int(v[k]) for v in (x1, x2, y1, y2))
+        M = tuple(int(v[k]) for v in (a, b, c, d))
+        raise VerificationError(
+            f"{R.name}: {N} is a right inverse of {M} but not a left inverse")
+    return adj | adj.T
+
+
+def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Breadth-first search from every vertex at once, by boolean products.
+
+    After step k, reach[v] holds the vertices within distance k of v; the
+    eccentricity of v is the last step that grew its row.  Returns the
+    component of every vertex (numbered in order of least member), the
+    diameter of every component, and the distance from src (-1 if
+    unreachable).
+    """
+    reach = np.eye(len(adj), dtype=bool)
+    ecc = np.zeros(len(adj), dtype=np.intp)
+    dist = np.where(reach[src], 0, -1)
+    step = 0
+    while True:
+        nxt = reach | (reach @ adj)
+        grew = (nxt != reach).any(axis=1)
+        if not grew.any():
+            break
+        step += 1
+        ecc[grew] = step
+        dist[nxt[src] & ~reach[src]] = step
+        reach = nxt
+    roots, component = np.unique(reach.argmax(axis=1), return_inverse=True)
+    diameters = [int(ecc[component == c].max()) for c in range(len(roots))]
+    return component.tolist(), diameters, dist
 
 
 @cache
@@ -236,43 +325,19 @@ def distant_graph(R: Ring) -> DistantGraph:
     """Build the full graph; every component must share one diameter."""
     pts = enumerate_points(R)
     index = {p: i for i, p in enumerate(pts)}
-    n = len(pts)
-    adj_sets: list[set] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if distant(R, pts[i], pts[j]):
-                adj_sets[i].add(j)
-                adj_sets[j].add(i)
-    adj = [frozenset(s) for s in adj_sets]
-    component = [-1] * n
-    diameters = []
-    n_comp = 0
-    for i in range(n):
-        if component[i] != -1:
-            continue
-        dist = _bfs(adj, i)
-        ecc = max(dist.values())
-        for j in dist:
-            component[j] = n_comp
-        # diameter of the component: max over all sources inside it
-        diam = ecc
-        for j in dist:
-            diam = max(diam, max(_bfs(adj, j).values()))
-        diameters.append(diam)
-        n_comp += 1
+    adj = _distant_pairs(R, pts)
+    component, diameters, dist = _bfs_levels(adj, index[infinity(R)])
     if len(set(diameters)) != 1:
         raise VerificationError(f"{R.name}: components disagree on diameter: {diameters}")
-    inf_idx = index[infinity(R)]
-    dist_inf = _bfs(adj, inf_idx)
     return DistantGraph(
         ring=R,
         points=pts,
         index=index,
-        adj=adj,
+        adj=[frozenset(np.flatnonzero(row).tolist()) for row in adj],
         component=component,
-        n_components=n_comp,
+        n_components=len(diameters),
         diameter=diameters[0],
-        dist_from_infinity={pts[j]: d for j, d in dist_inf.items()},
+        dist_from_infinity={pts[j]: int(dist[j]) for j in np.flatnonzero(dist >= 0)},
     )
 
 

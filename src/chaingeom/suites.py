@@ -81,10 +81,29 @@ def chain_report(R: Ring, K: Subfield, through_infinity: bool = False,
             "chain_size": len(K.elements) + 1}
 
 
-def _sample_words(R: Ring, rng: random.Random, total: int):
-    for _ in range(total):
-        n = rng.choice((1, 2, 3))
-        yield tuple(rng.randrange(R.size) for _ in range(n))
+def _words(R: Ring, samples: int, seed: int):
+    """Elementary words of length 1 to 3.  Rings with at most
+    EXHAUSTIVE_LIMIT elements give every word, each (t1,) followed by its
+    extensions (t1, t2), each of those followed by its (t1, t2, t3); larger
+    rings give `samples` words of random length from random.Random(seed)."""
+    if R.size <= EXHAUSTIVE_LIMIT:
+        for t1 in R.elements():
+            yield (t1,)
+            for t2 in R.elements():
+                yield (t1, t2)
+                for t3 in R.elements():
+                    yield (t1, t2, t3)
+    else:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            n = rng.choice((1, 2, 3))
+            yield tuple(rng.randrange(R.size) for _ in range(n))
+
+
+def _word_sweep(R: Ring, samples: int, seed: int, holds) -> tuple[int, int]:
+    """(checks, mismatches) of the predicate holds(ts) over _words."""
+    results = [holds(ts) for ts in _words(R, samples, seed)]
+    return len(results), results.count(False)
 
 
 def duality_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 1) -> dict:
@@ -109,40 +128,19 @@ def duality_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 1) -> 
 
     rep["far_point_image"] = perp_point(R, infinity(R)) == dual_infinity(R)
 
-    mismatches = 0
-    checks = 0
     neg_one = R.neg(R.one)
 
-    def check_word(ts):
-        nonlocal mismatches, checks
-        checks += 1
+    def formulas_hold(ts):
         p = word_point(R, ts)
         oracle = perp_point(R, p)
         if word_dual_point(R, ts) != oracle:
-            mismatches += 1
-            return
-        if len(ts) == 1 and make_dual_point(R, neg_one, ts[0]) != oracle:
-            mismatches += 1
-        elif len(ts) == 2:
-            p2, q2 = length2_perp_formula(R, *ts)
-            if p2 != p or q2 != oracle:
-                mismatches += 1
-        elif len(ts) == 3:
-            p3, q3 = length3_perp_formula(R, *ts)
-            if p3 != p or q3 != oracle:
-                mismatches += 1
+            return False
+        if len(ts) == 1:
+            return make_dual_point(R, neg_one, ts[0]) == oracle
+        formula = length2_perp_formula if len(ts) == 2 else length3_perp_formula
+        return formula(R, *ts) == (p, oracle)
 
-    if small:
-        for t1 in R.elements():
-            check_word((t1,))
-            for t2 in R.elements():
-                check_word((t1, t2))
-                for t3 in R.elements():
-                    check_word((t1, t2, t3))
-    else:
-        rng = random.Random(seed)
-        for ts in _sample_words(R, rng, samples):
-            check_word(ts)
+    checks, mismatches = _word_sweep(R, samples, seed, formulas_hold)
     rep["word_formula_checks"] = checks
     rep["word_formula_mismatches"] = mismatches
 
@@ -276,17 +274,11 @@ def sigma_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 2) -> di
     rep["conjugator"] = verify_subfield_condition(m, K, K)
     rep["far_point_fixed"] = antiiso_point_map(m, infinity(R)) == infinity(R)
 
-    mismatches = 0
-    checks = 0
-
-    def check_word(ts):
-        nonlocal mismatches, checks
-        checks += 1
+    def formulas_hold(ts):
         p = word_point(R, ts)
         composite = antiiso_point_map(m, p)
         if antiiso_word_point(m, ts) != composite:
-            mismatches += 1
-            return
+            return False
         ph = [m(t) for t in ts]
         if len(ts) == 1:
             want = make_point(R, ph[0], R.one)
@@ -295,20 +287,9 @@ def sigma_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 2) -> di
         else:
             a = R.sub(R.sub(R.mul(R.mul(ph[2], ph[1]), ph[0]), ph[2]), ph[0])
             want = make_point(R, a, R.sub(R.mul(ph[2], ph[1]), R.one))
-        if composite != want:
-            mismatches += 1
+        return composite == want
 
-    if small:
-        for t1 in R.elements():
-            check_word((t1,))
-            for t2 in R.elements():
-                check_word((t1, t2))
-                for t3 in R.elements():
-                    check_word((t1, t2, t3))
-    else:
-        rng = random.Random(seed)
-        for ts in _sample_words(R, rng, samples):
-            check_word(ts)
+    checks, mismatches = _word_sweep(R, samples, seed, formulas_hold)
     rep["word_formula_checks"] = checks
     rep["word_formula_mismatches"] = mismatches
 

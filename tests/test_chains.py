@@ -1,6 +1,14 @@
 from itertools import combinations
 
-from chaingeom.projline import distant, enumerate_points, infinity, make_point
+import pytest
+
+from chaingeom.projline import (
+    VerificationError,
+    distant,
+    enumerate_points,
+    infinity,
+    make_point,
+)
 from chaingeom.chains import (
     blocks_through,
     chain_orbit,
@@ -162,9 +170,24 @@ def test_residue_at_other_point(f4, f4_k):
         assert all(distant(f4, p, x) for x in B)
 
 
+def test_residue_points_match_pairwise_distant(zoo):
+    """The residue reads its points off the distant-graph kernel; they are
+    the points distant from p by mat_invert, in enumerate_points order."""
+    for R, K in zoo:
+        pts = enumerate_points(R)
+        for p in (infinity(R), pts[-1]) if R.size <= 16 else (infinity(R),):
+            res = residue_at(R, K, p)
+            assert res.points == tuple(q for q in pts if distant(R, p, q)), (R.name, p)
+
+
+def test_blocks_through_needs_coordinates(f4, f4_k):
+    res = residue_at(f4, f4_k, make_point(f4, 0, 1))
+    with pytest.raises(VerificationError, match="not coordinatized"):
+        blocks_through(res, [0])
+
+
 def test_orbit_cap(f4, f4_k):
     from chaingeom.chains import OrbitCapExceededError
-    import pytest
     with pytest.raises(OrbitCapExceededError):
         chain_orbit(f4, f4_k, cap=3)
 

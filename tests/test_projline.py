@@ -1,11 +1,15 @@
+from collections import deque
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaingeom.duality import PerpNotCyclicError
 from chaingeom.projline import (
     MethodDisagreementError,
     NotAdmissibleError,
     VerificationError,
+    _bfs_levels,
     apply_matrix,
     distant,
     distant_graph,
@@ -145,6 +149,21 @@ def test_make_point_unit_invariance_small(small_zoo):
                     assert make_point(R, R.mul(u, a), R.mul(u, b)) == p
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 80), st.integers(0, 80))
+@example(0, 0)
+@example(1, 9)  # E11, E21: a row but not a column
+@example(1, 3)  # E11, E12: a column but not a row
+def test_admissibility_table_matches_completion_scan_m2f3(m2f3, a, b):
+    """The table tests agree with the completion scan over mat_invert for
+    rows and columns of the 81-element ring."""
+    els = m2f3.elements()
+    rows = any(mat_invert(m2f3, (a, b, c, d)) is not None for c in els for d in els)
+    assert is_admissible(m2f3, a, b) == rows
+    cols = any(mat_invert(m2f3, (a, x, b, y)) is not None for x in els for y in els)
+    assert is_column_admissible(m2f3, a, b) == cols
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 47))
 def test_make_point_unit_invariance_m2f3(m2f3, a, b, ui):
@@ -200,6 +219,117 @@ def test_distant_gl_invariant(zoo):
             iperm = [g.index[perm[p]] for p in g.points]
             for i in range(len(g.points)):
                 assert g.adj[iperm[i]] == frozenset(iperm[j] for j in g.adj[i])
+
+
+def _pairwise_adjacency(R, pts, pairs):
+    return {(i, j): distant(R, pts[i], pts[j]) for i, j in pairs}
+
+
+def test_kernel_adjacency_matches_pairwise_distant_small(small_rings):
+    """The bitset GL2 test agrees with mat_invert on every ordered pair of
+    points, on every ring of at most 16 elements and both opposites."""
+    for R in small_rings:
+        g = distant_graph(R)
+        n = len(g.points)
+        want = _pairwise_adjacency(R, g.points, [(i, j) for i in range(n) for j in range(n)])
+        assert {(i, j): j in g.adj[i] for i in range(n) for j in range(n)} == want, R.name
+
+
+def test_kernel_adjacency_matches_pairwise_distant_m2f3(m2f3):
+    g = distant_graph(m2f3)
+    n = len(g.points)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert len(pairs) == 8385
+    want = _pairwise_adjacency(m2f3, g.points, pairs)
+    assert {(i, j): j in g.adj[i] for i, j in pairs} == want
+    assert all(i not in g.adj[i] for i in range(n))
+    assert g.n_edges == sum(want.values())
+
+
+def reference_bfs(adj, src):
+    """Plain breadth-first search, the loop the boolean-product levels
+    replaced: {vertex: distance} for every vertex reachable from src."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y in sorted(adj[x]):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def reference_levels(adj, src):
+    """(component per vertex numbered by least member, diameter per
+    component, distances from src) from one plain BFS per vertex."""
+    n = len(adj)
+    runs = [reference_bfs(adj, v) for v in range(n)]
+    roots = sorted({min(run) for run in runs})
+    component = [roots.index(min(runs[v])) for v in range(n)]
+    diameters = [max(max(runs[v].values()) for v in range(n) if component[v] == c)
+                 for c in range(len(roots))]
+    return component, diameters, runs[src]
+
+
+def test_graph_levels_match_reference_bfs(zoo, small_rings):
+    """Components, diameter and distances from R(1, 0) agree with one plain
+    BFS per point, on every zoo ring and every ring of at most 16 elements."""
+    for R in [R for R, _ in zoo] + small_rings:
+        g = distant_graph(R)
+        component, diameters, dist = reference_levels(g.adj, g.index[infinity(R)])
+        assert g.component == component, R.name
+        assert g.n_components == len(diameters) and {g.diameter} == set(diameters), R.name
+        assert g.dist_from_infinity == {g.points[j]: d for j, d in dist.items()}, R.name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    st.integers(0, n - 1), st.just(n))))
+def test_bfs_levels_match_reference_on_any_graph(graph):
+    """The boolean-product levels on arbitrary undirected graphs, most of
+    them disconnected, against the plain BFS reference."""
+    edges, src, n = graph
+    adj = [set() for _ in range(n)]
+    matrix = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+            matrix[i, j] = matrix[j, i] = True
+    component, diameters, dist = _bfs_levels(matrix, src)
+    want_component, want_diameters, want_dist = reference_levels(adj, src)
+    assert (component, diameters) == (want_component, want_diameters)
+    assert {j: int(d) for j, d in enumerate(dist) if d >= 0} == want_dist
+    assert all(d == -1 for j, d in enumerate(dist) if j not in want_dist)
+
+
+CORRUPT_F4_GRAPH = """
+import sys
+from chaingeom.projline import VerificationError, distant_graph
+from chaingeom.rings import FiniteFieldRing, RingSpec
+assert not __debug__, "expected to run under python -O"
+R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
+rows = [list(row) for row in R._mul_t]
+rows[2][1] = 0
+R._mul_t = tuple(map(tuple, rows))
+try:
+    distant_graph(R)
+except VerificationError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_distant_graph_left_inverse_check_raises_under_optimize(run_optimized):
+    """The batched left-inverse check of the distant-graph kernel fails, as
+    mat_invert's does, on F4 with one corrupted product, under python -O."""
+    proc = run_optimized(CORRUPT_F4_GRAPH)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "(0, 1, 1, 0) is a right inverse of (0, 1, 1, 2) but not a left inverse" \
+        in proc.stdout
 
 
 def test_graph_f4_complete(f4):
