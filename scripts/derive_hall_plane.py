@@ -8,6 +8,7 @@ Usage: python3 scripts/derive_hall_plane.py [--q 2|3] [--skip-replacement]
 import argparse
 import json
 
+from chaingeom.geometry import Geometry
 from chaingeom.rings import RingSpec, build_ring, build_subfield
 from chaingeom.suites import derive_plane_report
 
@@ -19,8 +20,8 @@ def main() -> None:
                         help="negative control: keep the field plane")
     args = parser.parse_args()
     ring = build_ring(RingSpec("matrix2", args.q))
-    K = build_subfield(ring, "singer")
-    rep = derive_plane_report(ring, K, skip_replacement=args.skip_replacement)
+    geom = Geometry(ring, build_subfield(ring, "singer"))
+    rep = derive_plane_report(geom, skip_replacement=args.skip_replacement)
     print(json.dumps(rep, indent=2, sort_keys=True))
 
 

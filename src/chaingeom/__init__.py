@@ -17,10 +17,10 @@ from chaingeom.projline import (
     enumerate_points,
     infinity,
     make_point,
-    point_word,
+    point_words,
     word_point,
 )
-from chaingeom.chains import chain_orbit, residue_at, standard_chain
+from chaingeom.chains import residue_at, standard_chain
 from chaingeom.duality import (
     enumerate_dual_points,
     perp_chain,
@@ -28,14 +28,14 @@ from chaingeom.duality import (
     word_dual_point,
 )
 from chaingeom.compat import (
-    compare_residue_with_dual,
     delta_orbits,
     derive_plane,
     dual_compat_classes,
     validate_partial_affine,
 )
+from chaingeom.geometry import Geometry
 from chaingeom.isomorph import (
-    antiiso_point_map,
+    antiiso_point_table,
     antiiso_word_point,
     iso_point_map,
     transpose_map,
@@ -47,11 +47,11 @@ __all__ = [
     "build_ring", "build_subfield", "conjugate_subfield",
     "is_normal_subgroup", "make_ring_map",
     "distant", "distant_graph", "enumerate_points", "infinity",
-    "make_point", "point_word", "word_point",
-    "chain_orbit", "residue_at", "standard_chain",
+    "make_point", "point_words", "word_point",
+    "Geometry", "residue_at", "standard_chain",
     "enumerate_dual_points", "perp_chain", "perp_point", "word_dual_point",
-    "compare_residue_with_dual", "delta_orbits", "derive_plane",
+    "delta_orbits", "derive_plane",
     "dual_compat_classes", "validate_partial_affine",
-    "antiiso_point_map", "antiiso_word_point", "iso_point_map", "transpose_map",
+    "antiiso_point_table", "antiiso_word_point", "iso_point_map", "transpose_map",
     "ZOO", "zoo_scenarios",
 ]

@@ -1,11 +1,12 @@
-"""Chains, chain orbits, and residues with coordinatized blocks.
+"""Chains, their generators, and residues with coordinatized blocks.
 
 A chain is a frozenset of points: the image of the embedded line over the
-subfield K under some matrix in GL2(R).  The full chain set is an orbit
-BFS under the projective-line generator set; chains through the far point
-R(1, 0) come from a BFS under its stabilizer (lower triangular matrices
-with unit diagonal), generated by a small closure-tested generating set.
-Both routes must agree where both are affordable, which the tests check.
+subfield K under some matrix in GL2(R).  The full chain set is the orbit
+of the standard chain under the projective-line generator set; chains
+through the far point R(1, 0) form the orbit under its stabilizer (lower
+triangular matrices with unit diagonal), generated by a small
+closure-tested generating set.  Both orbits are built by a Geometry;
+both routes must agree where both are affordable, which the tests check.
 
 For the largest ring in the zoo (matrix2(3)) the full orbit is never
 materialized; every residue computation happens at the far point.
@@ -14,7 +15,6 @@ materialized; every residue computation happens at the far point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 from chaingeom.rings import Ring, Subfield, additive_generators, unit_generators
@@ -22,30 +22,18 @@ from chaingeom.projline import (
     Matrix2,
     Point,
     VerificationError,
-    apply_matrix,
-    distant_graph,
     infinity,
-    line_generators,
     make_point,
 )
 
 Chain = frozenset  # of Point
 
 
-class OrbitCapExceededError(RuntimeError):
-    pass
-
-
-@cache
 def standard_chain(R: Ring, K: Subfield) -> Chain:
     """{R(k, 1) : k in K} together with R(1, 0)."""
     pts = {make_point(R, k, R.one) for k in K.elements}
     pts.add(infinity(R))
     return frozenset(pts)
-
-
-def apply_matrix_chain(R: Ring, C: Chain, M: Matrix2) -> Chain:
-    return frozenset(apply_matrix(R, p, M) for p in C)
 
 
 def stabilizer_generators(R: Ring) -> list[Matrix2]:
@@ -54,38 +42,6 @@ def stabilizer_generators(R: Ring) -> list[Matrix2]:
     gens += [(R.one, R.zero, R.zero, u) for u in unit_generators(R)]
     gens += [(R.one, R.zero, c, R.one) for c in additive_generators(R)]
     return gens
-
-
-def _orbit(R: Ring, seed: Chain, gens: list[Matrix2], cap: int) -> frozenset:
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        C = frontier.pop()
-        for M in gens:
-            D = apply_matrix_chain(R, C, M)
-            if D not in seen:
-                if len(seen) >= cap:
-                    raise OrbitCapExceededError(
-                        f"chain orbit on {R.name} exceeded cap {cap}")
-                seen.add(D)
-                frontier.append(D)
-    return frozenset(seen)
-
-
-@cache
-def chain_orbit(R: Ring, K: Subfield, through: Optional[Point] = None,
-                cap: int = 10 ** 6) -> frozenset:
-    """All chains, or all chains through a given point.
-
-    through=None walks the full GL2(R) orbit of the standard chain;
-    through=R(1,0) walks the stabilizer orbit (the standard chain already
-    passes through it); any other point filters the full orbit.
-    """
-    if through is None:
-        return _orbit(R, standard_chain(R, K), line_generators(R), cap)
-    if through == infinity(R):
-        return _orbit(R, standard_chain(R, K), stabilizer_generators(R), cap)
-    return frozenset(C for C in chain_orbit(R, K, None, cap) if through in C)
 
 
 @dataclass
@@ -103,10 +59,16 @@ class Residue:
     blocks: Optional[tuple[frozenset, ...]]  # coordinate blocks, sorted
 
 
-@cache
-def residue_at(R: Ring, K: Subfield, p: Point) -> Residue:
-    chains = chain_orbit(R, K, through=p)
-    g = distant_graph(R)  # its points are enumerate_points(R), in order
+def residue_at(geom, p: Point) -> Residue:
+    """The residue of the Geometry geom at the point p.  Its chains through
+    the far point are the stabilizer orbit; through any other point they
+    are filtered out of the full orbit."""
+    R, K = geom.ring, geom.subfield
+    if p == infinity(R):
+        chains = geom.chains_at_infinity
+    else:
+        chains = frozenset(C for C in geom.chains if p in C)
+    g = geom.graph  # its points are enumerate_points(R), in order
     pts = tuple(g.points[j] for j in sorted(g.adj[g.index[p]]))
     point_blocks = tuple(sorted((C - {p} for C in chains), key=sorted))
     coord_of = None

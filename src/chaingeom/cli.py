@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from chaingeom.rings import FAMILIES, RingSpec, build_ring, build_subfield
-from chaingeom.projline import distant_graph
+from chaingeom.geometry import Geometry
 from chaingeom import suites
 
 SCHEMA_VERSION = 1
@@ -68,57 +68,17 @@ class ScenarioConfig:
         }
 
 
-def _task_enumerate_points(R, K, options):
-    return suites.points_report(R)
-
-
-def _task_distant_graph(R, K, options):
-    return suites.graph_report(R)
-
-
-def _task_chain_orbit(R, K, options):
-    return suites.chain_report(
-        R, K,
-        through_infinity=options.get("through_infinity", R.size > 16),
-        cap=options.get("cap", 10 ** 6),
-    )
-
-
-def _task_duality(R, K, options):
-    return suites.duality_suite(R, K, samples=options.get("samples", 10000),
-                                seed=options.get("seed", 1))
-
-
-def _task_vergleich(R, K, options):
-    return suites.vergleich_report(R, K)
-
-
-def _task_partial_affine(R, K, options):
-    return suites.partial_affine_report(R, K)
-
-
-def _task_derive_plane(R, K, options):
-    return suites.derive_plane_report(
-        R, K,
-        skip_replacement=options.get("skip_replacement", False),
-        desargues_cap=options.get("desargues_cap", 10 ** 7),
-    )
-
-
-def _task_sigma(R, K, options):
-    return suites.sigma_suite(R, K, samples=options.get("samples", 10000),
-                              seed=options.get("seed", 2))
-
-
+# Each task is a suite function, called with the run's Geometry and the
+# task's options as keyword arguments.
 TASKS = {
-    "enumerate-points": _task_enumerate_points,
-    "distant-graph": _task_distant_graph,
-    "chain-orbit": _task_chain_orbit,
-    "duality-suite": _task_duality,
-    "vergleich": _task_vergleich,
-    "partial-affine": _task_partial_affine,
-    "derive-plane": _task_derive_plane,
-    "sigma-suite": _task_sigma,
+    "enumerate-points": suites.points_report,
+    "distant-graph": suites.graph_report,
+    "chain-orbit": suites.chain_report,
+    "duality-suite": suites.duality_suite,
+    "vergleich": suites.vergleich_report,
+    "partial-affine": suites.partial_affine_report,
+    "derive-plane": suites.derive_plane_report,
+    "sigma-suite": suites.sigma_suite,
 }
 
 # The options each task accepts, with their JSON type; any other key is an
@@ -213,11 +173,12 @@ def export_dot(graph, path: str) -> None:
 
 def run(config: ScenarioConfig, out_dir: Optional[str] = None,
         want_dot: bool = False) -> tuple[dict, bool]:
-    """Execute the scenario; returns (report, all_pass).  Task exceptions
-    become failed tasks, the report is written regardless."""
+    """Execute the scenario on one Geometry, shared by every task; returns
+    (report, all_pass).  Task exceptions become failed tasks, the report is
+    written regardless."""
     try:
         ring = build_ring(config.ring)
-        K = build_subfield(ring, config.subfield)
+        geom = Geometry(ring, build_subfield(ring, config.subfield))
     except Exception as exc:
         raise ConfigError(f"cannot build scenario: {exc}") from exc
     results = []
@@ -226,7 +187,7 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
     for task in config.tasks:
         t0 = time.perf_counter()
         try:
-            body = TASKS[task.name](ring, K, task.options)
+            body = TASKS[task.name](geom, **task.options)
             status = "pass" if body.pop("ok") else "fail"
         except Exception as exc:  # diagnostics become recorded failures
             body = {"error": f"{type(exc).__name__}: {exc}"}
@@ -250,7 +211,7 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
     (base / report_name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     dot_name = config.output.get("dot")
     if want_dot or dot_name:
-        export_dot(distant_graph(ring), str(base / (dot_name or "distant.dot")))
+        export_dot(geom.graph, str(base / (dot_name or "distant.dot")))
     return report, all_pass
 
 

@@ -4,8 +4,9 @@ Everything happens in the residue at the far point, where blocks live in
 ring coordinates.  Compatibility is the orbit relation under the affine
 right action x -> x*a + c (a a unit), dual compatibility is the pullback
 along the annihilator map of the mirrored left action x -> d*x + c.  Both
-actions are realized on coordinates, with a one-time check per residue
-that the coordinate action agrees with the matrix action.
+actions are realized on coordinates as permutation tables, with a
+one-time check per residue that the coordinate action agrees with the
+matrix action.
 
 The derivation analogue replaces one regulus of the spread of left
 K-subspaces with its opposite regulus of right K''-cosets, where K'' is a
@@ -29,18 +30,17 @@ from chaingeom.rings import (
     Subfield,
     additive_generators,
     conjugate_subfield,
-    is_normal_subgroup,
-    normality_witness,
     unit_generators,
 )
-from chaingeom.projline import VerificationError, make_point
-from chaingeom.chains import Residue, residue_at
-from chaingeom.duality import (
-    dual_chain_orbit,
-    dual_infinity,
-    perp_point,
+from chaingeom.projline import (
+    VerificationError,
+    apply_matrix,
+    make_point,
+    orbit,
 )
-from chaingeom.projline import infinity
+from chaingeom.chains import Residue
+from chaingeom.duality import apply_matrix_dual, make_dual_point
+
 
 class RegulusNotFoundError(RuntimeError):
     pass
@@ -63,33 +63,32 @@ class CompatClass:
         return len(self.blocks)
 
 
-def _affine_steps(R: Ring, products):
-    """Generators of the affine action x -> x*a + c (products =
-    R.right_products) or x -> a*x + c (products = R.left_products)."""
-    muls = [products(g) for g in unit_generators(R)]
-    adds = [[R.add(x, h) for x in R.elements()] for h in additive_generators(R)]
-    return [lambda B, t=t: frozenset(t[x] for x in B) for t in muls + adds]
-
-
-def _partition(blocks, steps):
-    blocks = set(blocks)
-    classes = []
+def _witnessed_orbits(res: Residue, blocks, products, side: str) -> list[tuple]:
+    """The orbits of the affine action x -> x*a + c (products =
+    R.right_products) or x -> a*x + c (products = R.left_products) on a set
+    of coordinate blocks, sorted, each with its conjugate-subfield witness.
+    The generators act as permutation tables; raises VerificationError if
+    the action leaves the block set or a class has no witness."""
+    R = res.ring
+    steps = np.array([products(g) for g in unit_generators(R)]
+                     + [[R.add(x, h) for x in R.elements()] for h in additive_generators(R)],
+                     dtype=np.intp)
     unassigned = set(blocks)
+    classes = []
     while unassigned:
         seed = min(unassigned, key=sorted)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            B = frontier.pop()
-            for step in steps:
-                C = step(B)
-                if C not in orbit:
-                    assert C in blocks, "affine action left the block set"
-                    orbit.add(C)
-                    frontier.append(C)
-        classes.append(frozenset(orbit))
-        unassigned -= orbit
-    return classes
+        cls = frozenset(map(frozenset, orbit([sorted(seed)], steps).tolist()))
+        if not cls <= unassigned:
+            raise VerificationError(f"{R.name}: affine action left the block set")
+        classes.append(cls)
+        unassigned -= cls
+    out = []
+    for cls in sorted(classes, key=lambda c: sorted(map(sorted, c))):
+        w = _find_witness(R, res.subfield, cls, side)
+        if w is None:
+            raise VerificationError(f"{R.name}: {side} class without a witness")
+        out.append((cls, w))
+    return out
 
 
 def eq9_family(R: Ring, K: Subfield, side: str) -> frozenset:
@@ -121,44 +120,27 @@ def _find_witness(R: Ring, K: Subfield, class_blocks: frozenset, side: str) -> O
 
 
 def _verify_coordinate_action(res: Residue) -> None:
-    """The affine coordinate actions agree with the matrix actions of the
-    lower/upper unitriangular groups on (dual) residue points."""
+    """The affine coordinate actions x -> x*a + c and x -> a*x + c agree with
+    the matrix actions of [[a, 0], [c, 1]] on the residue points R(x, 1) and
+    of [[1, 0], [-c, a]] on the dual residue points (-1, x)^T R."""
     R = res.ring
-    from chaingeom.projline import apply_matrix
-    from chaingeom.duality import apply_matrix_dual, make_dual_point
-    coord_pt = {x: make_point(R, x, R.one) for x in R.elements()}
+    pt = [make_point(R, x, R.one) for x in R.elements()]
+    dual = [make_dual_point(R, R.neg(R.one), x) for x in R.elements()]
     for a in unit_generators(R):
         for c in additive_generators(R):
-            M = (a, R.zero, c, R.one)
             for x in R.elements():
-                got = apply_matrix(R, coord_pt[x], M)
-                assert got == coord_pt[R.add(R.mul(x, a), c)]
-    for d in unit_generators(R):
-        for c in additive_generators(R):
-            M = (R.one, R.zero, R.neg(c), d)
-            for x in R.elements():
-                got = apply_matrix_dual(R, make_dual_point(R, R.neg(R.one), x), M)
-                assert got == make_dual_point(R, R.neg(R.one), R.add(R.mul(d, x), c))
-
-
-_delta_memo: dict = {}
+                if (apply_matrix(R, pt[x], (a, R.zero, c, R.one)) != pt[R.add(R.mul(x, a), c)]
+                        or apply_matrix_dual(R, dual[x], (R.one, R.zero, R.neg(c), a))
+                        != dual[R.add(R.mul(a, x), c)]):
+                    raise VerificationError(f"{R.name}: the affine coordinate action "
+                                            f"at x={x}, a={a}, c={c} is not the matrix action")
 
 
 def delta_orbits(res: Residue) -> tuple[CompatClass, ...]:
     """Compatibility classes at the far point: orbits under x -> x*a + c."""
-    key = (res.ring, res.subfield, res.at, "compat")
-    if key in _delta_memo:
-        return _delta_memo[key]
-    R = res.ring
     _verify_coordinate_action(res)
-    classes = _partition(res.blocks, _affine_steps(R, R.right_products))
-    out = []
-    for cls in sorted(classes, key=lambda c: sorted(map(sorted, c))):
-        w = _find_witness(R, res.subfield, cls, "compatibility")
-        assert w is not None, "class without a conjugate-subfield witness"
-        out.append(CompatClass("compatibility", cls, w))
-    _delta_memo[key] = tuple(out)
-    return _delta_memo[key]
+    return tuple(CompatClass("compatibility", cls, w) for cls, w in
+                 _witnessed_orbits(res, res.blocks, res.ring.right_products, "compatibility"))
 
 
 def dual_residue_coord(R: Ring, q) -> Optional[int]:
@@ -171,34 +153,18 @@ def dual_residue_coord(R: Ring, q) -> Optional[int]:
     return R.neg(R.mul(w, vinv))
 
 
-def block_perp_image(res: Residue, B: frozenset) -> frozenset:
-    """Annihilator image of a coordinate block, in dual coordinates."""
-    R = res.ring
-    out = set()
-    for x in B:
-        y = dual_residue_coord(R, perp_point(R, make_point(R, x, R.one)))
-        assert y is not None
-        out.add(y)
-    return frozenset(out)
-
-
-def dual_compat_classes(res: Residue) -> tuple[CompatClass, ...]:
+def dual_compat_classes(res: Residue, perp_coords) -> tuple[CompatClass, ...]:
     """Dual compatibility: pull the left-affine orbit relation on the
-    annihilator images back to the blocks."""
-    key = (res.ring, res.subfield, res.at, "dual")
-    if key in _delta_memo:
-        return _delta_memo[key]
+    annihilator images back to the blocks.  perp_coords[x] is the dual
+    coordinate of the annihilator of R(x, 1)."""
     R = res.ring
-    img = {B: block_perp_image(res, B) for B in res.blocks}
-    img_classes = _partition(set(img.values()), _affine_steps(R, R.left_products))
-    out = []
-    for icls in sorted(img_classes, key=lambda c: sorted(map(sorted, c))):
-        blocks = frozenset(B for B, I in img.items() if I in icls)
-        w = _find_witness(R, res.subfield, icls, "dual-compatibility")
-        assert w is not None, "dual class without witness"
-        out.append(CompatClass("dual-compatibility", blocks, w))
-    _delta_memo[key] = tuple(out)
-    return _delta_memo[key]
+    img = {B: frozenset(perp_coords[x] for x in B) for B in res.blocks}
+    if any(None in I for I in img.values()):
+        raise VerificationError(f"{R.name}: a block point maps off the dual residue")
+    side = "dual-compatibility"
+    return tuple(CompatClass(side, frozenset(B for B, I in img.items() if I in icls), w)
+                 for icls, w in
+                 _witnessed_orbits(res, set(img.values()), R.left_products, side))
 
 
 def check_class_structure(cls: CompatClass) -> bool:
@@ -207,62 +173,18 @@ def check_class_structure(cls: CompatClass) -> bool:
     return eq9_family(R, cls.witness, cls.side) == cls.blocks
 
 
-def dual_residue_blocks(R: Ring, K: Subfield) -> frozenset:
-    """Blocks of the dual residue at the dual far point, computed from the
-    dual chain orbit and coordinatized via (-1, x)^T R -> x."""
-    blocks = set()
-    dinf = dual_infinity(R)
-    for C in dual_chain_orbit(R, K, through=dinf):
-        coords = frozenset(dual_residue_coord(R, q) for q in C if q != dinf)
-        assert None not in coords
-        blocks.add(coords)
-    return frozenset(blocks)
-
-
-@dataclass(frozen=True)
-class ResidueComparison:
-    """Outcome of comparing the residue at the far point with its dual."""
-
-    points_fixed: bool
-    blocks_equal: bool
-    partitions_equal: bool
-    units_normal: bool
-    witness_unit: Optional[int]
-    n_classes: int
-    n_dual_classes: int
-
-    @property
-    def consistent(self) -> bool:
-        """All three predicted behaviours hold."""
-        return (self.points_fixed and self.blocks_equal
-                and self.partitions_equal == self.units_normal)
-
-
-def compare_residue_with_dual(R: Ring, K: Subfield) -> ResidueComparison:
-    """(a) residue points are fixed by the annihilator map under the two
-    coordinate identifications, (b) primal and dual block sets coincide,
-    (c) the two partitions agree exactly when K* is normal in R*."""
-    res = residue_at(R, K, infinity(R))
-    points_fixed = all(
-        dual_residue_coord(R, perp_point(R, make_point(R, x, R.one))) == x
-        for x in R.elements())
-    blocks_equal = dual_residue_blocks(R, K) == frozenset(res.blocks)
-    classes = delta_orbits(res)
-    dual_classes = dual_compat_classes(res)
-    part = {c.blocks for c in classes}
-    dual_part = {c.blocks for c in dual_classes}
-    return ResidueComparison(
-        points_fixed=points_fixed,
-        blocks_equal=blocks_equal,
-        partitions_equal=part == dual_part,
-        units_normal=is_normal_subgroup(K, R),
-        witness_unit=normality_witness(K),
-        n_classes=len(classes),
-        n_dual_classes=len(dual_classes),
-    )
-
-
 # partial affine spaces ------------------------------------------------------
+
+def joins_unit_pairs_once(R: Ring, blocks) -> bool:
+    """Two points at unit difference lie on exactly one of the blocks."""
+    joined: dict = {}
+    for B in blocks:
+        for x, y in combinations(sorted(B), 2):
+            joined[(x, y)] = joined.get((x, y), 0) + 1
+    return all(joined.get((x, y), 0) == 1
+               for x in R.elements() for y in R.elements()
+               if x < y and R.is_unit(R.sub(y, x)))
+
 
 def validate_partial_affine(res: Residue, cls: CompatClass) -> bool:
     """The class forms a partial affine space on the residue points:
@@ -289,16 +211,7 @@ def validate_partial_affine(res: Residue, cls: CompatClass) -> bool:
     n_cosets = R.size // len(Kp)
     if any(count != n_cosets for count in directions.values()):
         return False
-    joined: dict = {}
-    for B in cls.blocks:
-        for x, y in combinations(sorted(B), 2):
-            joined[(x, y)] = joined.get((x, y), 0) + 1
-    for x in R.elements():
-        for y in R.elements():
-            if x < y and R.is_unit(R.sub(y, x)):
-                if joined.get((x, y), 0) != 1:
-                    return False
-    return True
+    return joins_unit_pairs_once(R, cls.blocks)
 
 
 def missing_directions(res: Residue, cls: CompatClass) -> int:
@@ -310,7 +223,8 @@ def missing_directions(res: Residue, cls: CompatClass) -> int:
     else:
         all_dirs = {frozenset(R.mul(x, k) for k in Kp) for x in R.elements() if x != 0}
     have = {frozenset(R.sub(x, min(B)) for x in B) for B in cls.blocks}
-    assert have <= all_dirs
+    if not have <= all_dirs:
+        raise VerificationError(f"{R.name}: a block direction is no witness subspace")
     return len(all_dirs) - len(have)
 
 
@@ -545,9 +459,10 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
     return None, count
 
 
-def derive_plane(R: Ring, K: Subfield, skip_replacement: bool = False,
+def derive_plane(geom, skip_replacement: bool = False,
                  desargues_cap: int = 10 ** 7) -> PlaneReport:
-    """Regulus replacement in the spread of left K-subspaces of matrix2(q).
+    """Regulus replacement in the spread of left K-subspaces of matrix2(q),
+    for the Geometry geom of (R, K).
 
     Removes the lines of the ambient affine plane AG(2, q^2) whose
     directions lie in the regulus determined by a second conjugate subfield
@@ -555,11 +470,12 @@ def derive_plane(R: Ring, K: Subfield, skip_replacement: bool = False,
     second conjugate exists (q = 2) the replacement degenerates to the
     identity and the plane is the Desarguesian AG(2, 4).
     """
+    R, K = geom.ring, geom.subfield
     if R.spec.family != "matrix2" or R.spec.q not in (2, 3):
         raise RegulusNotFoundError("derivation analogue needs matrix2(2) or matrix2(3)")
     q = R.spec.q
-    res = residue_at(R, K, infinity(R))
-    classes = delta_orbits(res)
+    res = geom.residue
+    classes = geom.compat_classes
     kblock = frozenset(K.elements)
     kclass = next(c for c in classes if kblock in c.blocks)
     spread = left_subspace_spread(R, K)

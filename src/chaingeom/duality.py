@@ -10,8 +10,9 @@ generator.  This is the definition-level oracle that every closed formula
 in the package is tested against, so it never reuses those formulas.  The
 scan reads the ring's operation tables and bucket-matches a*x against
 -(b*y) over all x and y, which inspects every candidate column.  perp_point
-scans once per (ring instance, point); its memo holds only the oracle's own
-results and never feeds a formula.  The covariance law is swept per
+scans on every call and remembers nothing; a Geometry calls it once per
+point and keeps the answers as its perp index array, which never feeds a
+formula.  The covariance law is swept per
 generator: covariance_failures builds the same kernels for a batch of rows
 as boolean stacks from the tables, and covariance_holds stays the per-module
 check.
@@ -19,30 +20,23 @@ check.
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from chaingeom.rings import Ring, Subfield, subfield_in_opposite
+from chaingeom.rings import Ring, Subfield
 from chaingeom.projline import (
     Matrix2,
     Point,
     VerificationError,
-    _admissibility,
     _checked_orbit,
-    _table_arrays,
-    elementary,
-    enumerate_points,
     is_admissible,
     is_column_admissible,
-    line_generators,
     make_point,
     mat_invert,
     mat_times_col,
     row_times_mat,
 )
-from chaingeom.chains import chain_orbit, stabilizer_generators
 
 DualPoint = tuple[int, int]
 
@@ -65,12 +59,20 @@ def apply_matrix_dual(R: Ring, q: DualPoint, M: Matrix2) -> DualPoint:
     return R.canonical_pair_right(*mat_times_col(R, M, q))
 
 
-@cache
+def col_images(R: Ring, keys, gens) -> np.ndarray:
+    """Canonical keys v*|R| + w of the columns M * (v, w)^T, for every
+    generator M (axis 0) and every column given by its key (axis 1)."""
+    add, mul = R._add_a, R._mul_a
+    v, w = np.divmod(np.asarray(keys, dtype=np.intp), R.size)
+    m0, m1, m2, m3 = np.asarray(gens, dtype=np.intp).T[:, :, None]
+    return R._right_key[add[mul[m0, v], mul[m1, w]], add[mul[m2, v], mul[m3, w]]]
+
+
 def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
     """All dual points: left-action orbit of (1,0)^T R, cross-checked
     against the column-admissible scan."""
-    return _checked_orbit(R, R.canonical_pair_right(R.one, R.zero), apply_matrix_dual,
-                          _admissibility(R)[1], R.canonical_pair_right, "dual points")
+    return _checked_orbit(R, R._right_key[R.one, R.zero], col_images, R._right_key,
+                          R._cols_ok, "dual points")
 
 
 def dual_distant(R: Ring, q1: DualPoint, q2: DualPoint) -> bool:
@@ -78,43 +80,11 @@ def dual_distant(R: Ring, q1: DualPoint, q2: DualPoint) -> bool:
     return mat_invert(R, (q1[0], q2[0], q1[1], q2[1])) is not None
 
 
-@cache
 def dual_standard_chain(R: Ring, K: Subfield) -> frozenset:
     """{(k, 1)^T R : k in K} together with (1, 0)^T R."""
     pts = {make_dual_point(R, k, R.one) for k in K.elements}
     pts.add(R.canonical_pair_right(R.one, R.zero))
     return frozenset(pts)
-
-
-def apply_matrix_dual_chain(R: Ring, C: frozenset, M: Matrix2) -> frozenset:
-    return frozenset(apply_matrix_dual(R, q, M) for q in C)
-
-
-def _dual_orbit(R: Ring, seed: frozenset, gens) -> frozenset:
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        C = frontier.pop()
-        for M in gens:
-            D = apply_matrix_dual_chain(R, C, M)
-            if D not in seen:
-                seen.add(D)
-                frontier.append(D)
-    return frozenset(seen)
-
-
-@cache
-def dual_chain_orbit(R: Ring, K: Subfield, through: Optional[DualPoint] = None) -> frozenset:
-    """All dual chains, or all through a given dual point."""
-    if through is None:
-        return _dual_orbit(R, dual_standard_chain(R, K), line_generators(R))
-    if through == dual_infinity(R):
-        # shift the standard chain through (0,1)^T R first, then walk its stabilizer
-        seed = apply_matrix_dual_chain(R, dual_standard_chain(R, K), elementary(R, R.zero))
-        if through not in seed:
-            raise VerificationError(f"{R.name}: shifted standard chain misses {through}")
-        return _dual_orbit(R, seed, stabilizer_generators(R))
-    return frozenset(C for C in dual_chain_orbit(R, K) if through in C)
 
 
 # the annihilator oracle ----------------------------------------------------
@@ -142,13 +112,12 @@ def annihilator_pairs(R: Ring, rows: Iterable[tuple[int, int]]) -> frozenset:
     return frozenset(sol)
 
 
-@cache
 def perp_point(R: Ring, p: Point) -> DualPoint:
     """The annihilator of R(a, b) as a canonical dual point.
 
     Scans the kernel, verifies it is a cyclic right submodule spanned by an
     admissible column, and returns that generator; raises PerpNotCyclicError
-    otherwise (never on zoo rings).  Memoized per (ring instance, point).
+    otherwise (never on zoo rings).
     """
     kern = annihilator_pairs(R, [p])
     for v, w in sorted(kern):
@@ -196,7 +165,7 @@ def covariance_failures(R: Ring, M: Matrix2, rows: Iterable[tuple[int, int]]) ->
     Minv = mat_invert(R, M)
     if Minv is None:
         raise VerificationError(f"covariance needs an invertible matrix, got {M}")
-    add, mul, neg = _table_arrays(R)
+    add, mul, neg = R._add_a, R._mul_a, R._neg_a
     n = R.size
     v, w = np.arange(n)[:, None], np.arange(n)[None, :]
     image = (add[mul[Minv[0], v], mul[Minv[1], w]] * n
@@ -222,13 +191,13 @@ def covariance_failures(R: Ring, M: Matrix2, rows: Iterable[tuple[int, int]]) ->
 
 def word_dual_point(R: Ring, ts: tuple[int, ...]) -> DualPoint:
     """Annihilator image of the word point, by the closed word formula:
-    E(0) * E(-t_1) * ... * E(-t_n) * E(0) * (0, 1)^T, sign factor dropped."""
-    col = (R.zero, R.one)
-    col = mat_times_col(R, elementary(R, R.zero), col)
+    E(0) * E(-t_1) * ... * E(-t_n) * E(0) * (0, 1)^T, sign factor dropped.
+    The column steps in place: E(s) * (v, w)^T = (s*v + w, -v)^T."""
+    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    v, w = R.one, R.zero  # E(0) * (0, 1)^T
     for t in reversed(ts):
-        col = mat_times_col(R, elementary(R, R.neg(t)), col)
-    col = mat_times_col(R, elementary(R, R.zero), col)
-    return R.canonical_pair_right(*col)
+        v, w = add[mul[neg[t]][v]][w], neg[v]
+    return R.canonical_pair_right(w, neg[v])  # a last E(0)
 
 
 def commutative_perp_formula(R: Ring, p: Point) -> DualPoint:
@@ -256,10 +225,11 @@ def length3_perp_formula(R: Ring, t1: int, t2: int, t3: int) -> tuple[Point, Dua
 
 # bidual and opposite --------------------------------------------------------
 
-def bidual_point(R: Ring, p: Point) -> Point:
-    """Apply the annihilator twice, returning to the line via the canonical
-    identification of R^2 with its bidual."""
-    v, w = perp_point(R, p)
+def bidual_point(R: Ring, q: DualPoint) -> Point:
+    """The annihilator of a dual point, back on the line via the canonical
+    identification of R^2 with its bidual: the bidual of p is
+    bidual_point(R, perp_point(R, p))."""
+    v, w = q
     # left kernel: rows (a, b) with a*v + b*w = 0, over all |R|^2 rows
     kern = _kernel(R._neg_t, R.right_products(v), R.right_products(w))
     for a, b in sorted(kern):
@@ -267,20 +237,12 @@ def bidual_point(R: Ring, p: Point) -> Point:
             continue
         if set(zip(R.right_products(a), R.right_products(b))) == kern:
             return R.canonical_pair_left(a, b)
-    raise PerpNotCyclicError(f"left kernel of {p} over {R.name} not cyclic")
+    raise PerpNotCyclicError(f"left kernel of {q} over {R.name} not cyclic")
 
 
-def bidual_fixes(R: Ring, p: Point) -> bool:
-    return bidual_point(R, p) == p
-
-
-def dual_matches_opposite(R: Ring, K: Subfield) -> bool:
+def dual_matches_opposite(geom, op) -> bool:
     """Transposing columns to rows over the opposite ring carries the dual
-    line onto the line over R-opposite and dual chains onto its chains."""
-    op = R.opposite()
-    Kop = subfield_in_opposite(K)
-    if set(enumerate_dual_points(R)) != set(enumerate_points(op)):
-        return False
-    dual_chains = dual_chain_orbit(R, K)
-    op_chains = chain_orbit(op, Kop)
-    return {frozenset(q for q in C) for C in dual_chains} == set(op_chains)
+    line of the Geometry geom onto the line of the Geometry op over
+    R-opposite, and dual chains onto its chains."""
+    return (set(geom.dual_points) == set(op.points)
+            and set(geom.dual_chains) == set(op.chains))

@@ -20,13 +20,14 @@ from chaingeom.rings import (
     Matrix2Ring,
     Ring,
     RingMap,
+    RingMapError,
     Subfield,
     UpperTriangularRing,
     conjugate_subfield,
     make_ring_map,
 )
-from chaingeom.projline import Matrix2, Point, make_point, row_times_mat
-from chaingeom.duality import DualPoint, perp_point
+from chaingeom.projline import Matrix2, Point, make_point, mat_times_col, row_times_mat
+from chaingeom.duality import DualPoint
 
 
 class SubfieldConditionError(ValueError):
@@ -88,13 +89,15 @@ def verify_subfield_condition(m: RingMap, K: Subfield, K2: Subfield) -> int:
 
 def iso_point_map(m: RingMap, p: Point) -> Point:
     """R(a, b) -> R'(a^phi, b^phi) for a ring isomorphism."""
-    assert m.kind == "isomorphism"
+    if m.kind != "isomorphism":
+        raise RingMapError(f"iso_point_map needs an isomorphism, got an {m.kind}")
     return m.target.canonical_pair_left(m(p[0]), m(p[1]))
 
 
 def antiiso_dual_to_point(m: RingMap, q: DualPoint) -> Point:
     """(v, w)^T R -> R'(v^phi, w^phi) for a ring antiisomorphism."""
-    assert m.kind == "antiisomorphism"
+    if m.kind != "antiisomorphism":
+        raise RingMapError(f"antiiso_dual_to_point needs an antiisomorphism, got an {m.kind}")
     return m.target.canonical_pair_left(m(q[0]), m(q[1]))
 
 
@@ -103,20 +106,23 @@ def quarter_turn(S: Ring, p: Point) -> Point:
     return S.canonical_pair_left(p[1], S.neg(p[0]))
 
 
-def antiiso_point_map(m: RingMap, p: Point) -> Point:
-    """The normalized line isomorphism induced by an antiisomorphism:
-    annihilator, entrywise map, quarter turn.  Fixes the far point."""
-    return quarter_turn(m.target, antiiso_dual_to_point(m, perp_point(m.source, p)))
+def antiiso_point_table(m: RingMap, geom) -> dict:
+    """The normalized line isomorphism induced by an antiisomorphism, on
+    every point of the Geometry geom over its source ring: annihilator (read
+    off geom.perp), entrywise map, quarter turn.  Fixes the far point."""
+    return {p: quarter_turn(m.target, antiiso_dual_to_point(m, geom.perp_of(p)))
+            for p in geom.points}
 
 
 def antiiso_word_point(m: RingMap, ts: tuple[int, ...]) -> Point:
-    """Closed form: R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi)."""
+    """Closed form: R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi), stepping the
+    row in place: (x, y) * E(t) = (x*t - y, x)."""
     S = m.target
-    from chaingeom.projline import elementary
-    row = (S.one, S.zero)
+    add, mul, neg = S._add_t, S._mul_t, S._neg_t
+    x, y = S.one, S.zero
     for t in reversed(ts):
-        row = row_times_mat(S, row, elementary(S, m(t)))
-    return S.canonical_pair_left(*row)
+        x, y = add[mul[x][m(t)]][neg[y]], x
+    return S.canonical_pair_left(x, y)
 
 
 def map_matrix_entrywise(m: RingMap, M: Matrix2) -> Matrix2:
@@ -126,7 +132,6 @@ def map_matrix_entrywise(m: RingMap, M: Matrix2) -> Matrix2:
 def transpose_law_holds(m: RingMap, M: Matrix2, q: DualPoint) -> bool:
     """(M * q) mapped entrywise equals (q mapped entrywise) * (M^T)^phi."""
     R, S = m.source, m.target
-    from chaingeom.projline import mat_times_col
     lhs = antiiso_dual_to_point(m, R.canonical_pair_right(*mat_times_col(R, M, q)))
     Mt_phi = map_matrix_entrywise(m, (M[0], M[2], M[1], M[3]))
     rhs = S.canonical_pair_left(*row_times_mat(S, (m(q[0]), m(q[1])), Mt_phi))
@@ -137,15 +142,12 @@ def iso_chain_map(m: RingMap, C: frozenset) -> frozenset:
     return frozenset(iso_point_map(m, p) for p in C)
 
 
-def antiiso_chain_map(m: RingMap, C: frozenset) -> frozenset:
-    return frozenset(antiiso_point_map(m, p) for p in C)
-
-
 def residue_restriction_is_ring_map(m: RingMap, point_map) -> bool:
     """Under the coordinate identifications, the restriction of the induced
-    map to the residue at the far point is the ring map itself."""
+    map point_map (a callable on points) to the residue at the far point is
+    the ring map itself."""
     R, S = m.source, m.target
-    return all(point_map(m, make_point(R, x, R.one)) == make_point(S, m(x), S.one)
+    return all(point_map(make_point(R, x, R.one)) == make_point(S, m(x), S.one)
                for x in R.elements())
 
 
@@ -155,12 +157,9 @@ def transported_partition(m: RingMap, classes) -> set:
             for c in classes}
 
 
-def preserves_compatibility(m: RingMap, K: Subfield, K2: Subfield) -> bool:
+def preserves_compatibility(m: RingMap, geom, geom2) -> bool:
     """True iff the induced map carries the far-point compatibility
-    partition onto the one of the target geometry."""
-    from chaingeom.projline import infinity
-    from chaingeom.chains import residue_at
-    from chaingeom.compat import delta_orbits
-    src = delta_orbits(residue_at(m.source, K, infinity(m.source)))
-    tgt = delta_orbits(residue_at(m.target, K2, infinity(m.target)))
-    return transported_partition(m, src) == {c.blocks for c in tgt}
+    partition of the Geometry geom onto the one of the target Geometry
+    geom2."""
+    return (transported_partition(m, geom.compat_classes)
+            == {c.blocks for c in geom2.compat_classes})

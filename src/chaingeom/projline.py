@@ -4,18 +4,21 @@ Points are canonical admissible pairs (a, b): the index-lexicographically
 least pair among the left unit multiples (u*a, u*b).  Matrices over the
 ring are plain row-major 4-tuples (a, b, c, d) for [[a, b], [c, d]].
 
-Point enumeration runs two independent methods, an orbit BFS from (1, 0)
+Point enumeration runs two independent methods, an orbit from (1, 0)
 under elementary and diagonal matrices and a full admissible-pair scan,
 and treats disagreement as fatal: over exotic rings membership of R(x,y)
 in the line does not force admissibility of (x, y), and the cross-check
 guards the convention that points are represented by admissible pairs
 only.
+
+Every orbit of the package comes from one engine, `orbit`, over
+permutation tables: here of canonical pairs, elsewhere of points, dual
+points and ring elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -36,6 +39,10 @@ class VerificationError(AssertionError):
 
 class MethodDisagreementError(VerificationError):
     """Orbit enumeration and admissible-pair scan produced different point sets."""
+
+
+class OrbitCapExceededError(RuntimeError):
+    pass
 
 
 # matrices ----------------------------------------------------------------
@@ -69,27 +76,20 @@ def mat_times_col(R: Ring, M: Matrix2, col: tuple[int, int]) -> tuple[int, int]:
     return add[cv[M[0]]][cw[M[1]]], add[cv[M[2]]][cw[M[3]]]
 
 
-@cache
-def _value_buckets(R: Ring, b: int) -> dict:
-    """{value: [every y with b*y == value]}, built on first use per (ring, b)."""
-    buckets: dict = {}
-    for y, by in enumerate(R._mul_t[b]):
-        buckets.setdefault(by, []).append(y)
-    return buckets
-
-
 def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
     """Two-sided inverse of M in GL2(R), or None.
 
     Solves M * (x, y)^T = e_1 and = e_2 column by column over R^2, indexing
     the operation tables directly: the products b*y are bucketed by value
-    once per b, so each column solve is linear in |R|.  Raises
+    first, so each column solve is linear in |R|.  Raises
     VerificationError if the solution is only a one-sided inverse.
     """
     a, b, c, d = M
     add, mul, neg = R._add_t, R._mul_t, R._neg_t
     ma, mc, md = mul[a], mul[c], mul[d]
-    buckets = _value_buckets(R, b)
+    buckets: dict = {}
+    for y, by in enumerate(mul[b]):
+        buckets.setdefault(by, []).append(y)
     cols = []
     for e1, e2 in ((R.one, R.zero), (R.zero, R.one)):
         row1 = add[e1]
@@ -114,33 +114,6 @@ def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
 
 # admissibility and points --------------------------------------------------
 
-@cache
-def _table_arrays(R: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The add, mul and neg tables as integer arrays, built on first use per ring."""
-    return tuple(np.array(t, dtype=np.intp) for t in (R._add_t, R._mul_t, R._neg_t))
-
-
-@cache
-def _admissibility(R: Ring) -> tuple[tuple, tuple]:
-    """(rows, cols) with rows[a][b] iff 1 in aR + bR and cols[v][w] iff
-    1 in Rv + Rw, for all |R|^2 pairs, built on first use per ring.
-
-    member[a, v] says v lies in aR.  The pair (a, b) is unimodular iff some
-    v in aR has 1 - v in bR, so the whole row table is one boolean product
-    member @ member[:, 1 - v].T; the column table is the same product over
-    the memberships in Ra.
-    """
-    add, mul, neg = _table_arrays(R)
-    n = R.size
-    one_minus = add[R.one][neg]
-    tables = []
-    for products in (mul, mul.T):  # products[a] = (a*x) for rows, (x*a) for columns
-        member = np.zeros((n, n), dtype=bool)
-        member[np.arange(n)[:, None], products] = True
-        tables.append(tuple(map(tuple, (member @ member[:, one_minus].T).tolist())))
-    return tuple(tables)
-
-
 def is_admissible(R: Ring, a: int, b: int) -> bool:
     """True iff (a, b) extends to the first row of a matrix in GL2(R).
 
@@ -149,13 +122,13 @@ def is_admissible(R: Ring, a: int, b: int) -> bool:
     admissible ones; the tests keep the completion scan over mat_invert as
     the reference.  Reads the admissibility table of the ring.
     """
-    return _admissibility(R)[0][a][b]
+    return bool(R._rows_ok[a, b])
 
 
 def is_column_admissible(R: Ring, v: int, w: int) -> bool:
     """True iff (v, w)^T extends to the first column of a matrix in GL2(R):
     the table test 1 in Rv + Rw."""
-    return _admissibility(R)[1][v][w]
+    return bool(R._cols_ok[v, w])
 
 
 def make_point(R: Ring, a: int, b: int) -> Point:
@@ -183,33 +156,70 @@ def line_generators(R: Ring) -> list[Matrix2]:
     return gens
 
 
-def _checked_orbit(R: Ring, start, act, table: tuple, canonical, what: str) -> tuple:
-    """Sorted orbit of start under line_generators acting by act(R, x, M);
-    raises MethodDisagreementError unless it equals the scan of every
-    admissible pair in table, canonicalized by canonical(a, b)."""
-    scanned = {canonical(a, b) for a, row in enumerate(table)
-               for b, ok in enumerate(row) if ok}
-    gens = line_generators(R)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        p = frontier.pop()
-        for M in gens:
-            q = act(R, p, M)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    if seen != scanned:
+def orbit(seeds, perms: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
+    """The orbit of the index sets given as rows of seeds under the
+    permutations perms[g]: i -> perms[g][i], as sorted rows, each member
+    once.  The whole frontier moves at once, and images are deduplicated
+    as one np.void value per row.  Raises OrbitCapExceededError iff the
+    orbit has more than cap members.
+    """
+    frontier = np.sort(np.asarray(seeds, dtype=np.intp), axis=1)
+    void = np.dtype((np.void, frontier.itemsize * frontier.shape[1]))
+    seen: set = set()
+    found = []
+    while len(frontier):
+        keys = np.ascontiguousarray(frontier).view(void).ravel()
+        _, first = np.unique(keys, return_index=True)
+        fresh = np.sort([i for i, k in zip(first.tolist(), keys[first].tolist())
+                         if k not in seen]).astype(np.intp)
+        seen.update(keys[fresh].tolist())
+        if cap is not None and len(seen) > cap:
+            raise OrbitCapExceededError(f"orbit exceeded cap {cap}")
+        found.append(frontier[fresh])
+        frontier = np.sort(perms[:, found[-1]], axis=2).reshape(-1, frontier.shape[1])
+    return np.concatenate(found)
+
+
+def index_of(keys: np.ndarray, wanted) -> np.ndarray:
+    """Positions of wanted in the sorted array keys; raises VerificationError
+    if some wanted key is not among them."""
+    wanted = np.asarray(wanted)
+    pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+    if not np.array_equal(keys[pos], wanted):
+        raise VerificationError("an image left the indexed set")
+    return pos
+
+
+def row_images(R: Ring, keys, gens) -> np.ndarray:
+    """Canonical keys a*|R| + b of the rows (a, b) * M, for every generator
+    M (axis 0) and every row given by its key (axis 1)."""
+    add, mul = R._add_a, R._mul_a
+    a, b = np.divmod(np.asarray(keys, dtype=np.intp), R.size)
+    m0, m1, m2, m3 = np.asarray(gens, dtype=np.intp).T[:, :, None]
+    return R._left_key[add[mul[a, m0], mul[b, m2]], add[mul[a, m1], mul[b, m3]]]
+
+
+def _checked_orbit(R: Ring, start: int, act, canonical: np.ndarray, ok: np.ndarray,
+                   what: str) -> tuple:
+    """Sorted pairs of the orbit of the canonical pair with key start under
+    line_generators, acting on keys by act(R, keys, gens); raises
+    MethodDisagreementError unless it equals the scan of every pair that
+    the table ok admits, canonicalized by the key table canonical."""
+    # distinct keys by counting: a plain np.unique imports numpy.ma (15 ms)
+    pairs = np.flatnonzero(np.bincount(canonical.ravel()))  # every canonical pair
+    perms = index_of(pairs, act(R, pairs, line_generators(R)))
+    found = np.sort(pairs[orbit([index_of(pairs, [start])], perms)[:, 0]])
+    scanned = np.flatnonzero(np.bincount(canonical[ok]))
+    if not np.array_equal(found, scanned):
         raise MethodDisagreementError(
-            f"{R.name}: orbit gives {len(seen)} {what}, scan gives {len(scanned)}")
-    return tuple(sorted(seen))
+            f"{R.name}: orbit gives {len(found)} {what}, scan gives {len(scanned)}")
+    return tuple(zip(*(x.tolist() for x in np.divmod(found, R.size))))
 
 
-@cache
 def enumerate_points(R: Ring) -> tuple[Point, ...]:
-    """All points, by orbit BFS cross-checked against the admissible scan."""
-    return _checked_orbit(R, infinity(R), apply_matrix, _admissibility(R)[0],
-                          R.canonical_pair_left, "points")
+    """All points, as an orbit cross-checked against the admissible scan."""
+    return _checked_orbit(R, R._left_key[R.one, R.zero], row_images, R._left_key,
+                          R._rows_ok, "points")
 
 
 def distant(R: Ring, p: Point, q: Point) -> bool:
@@ -257,7 +267,7 @@ def _distant_pairs(R: Ring, pts: tuple[Point, ...]) -> np.ndarray:
     left-inverse check runs for every distant pair together and raises the
     same VerificationError as mat_invert.
     """
-    add, mul, _ = _table_arrays(R)
+    add, mul = R._add_a, R._mul_a
     size = R.size
     sums = add.astype(np.uint8).ravel()  # sums[u * size + v] = u + v
     ones, zeros = [], []
@@ -320,10 +330,9 @@ def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.nda
     return component.tolist(), diameters, dist
 
 
-@cache
-def distant_graph(R: Ring) -> DistantGraph:
-    """Build the full graph; every component must share one diameter."""
-    pts = enumerate_points(R)
+def distant_graph(R: Ring, pts: tuple[Point, ...]) -> DistantGraph:
+    """Build the full graph on the points pts (those of enumerate_points);
+    every component must share one diameter."""
     index = {p: i for i, p in enumerate(pts)}
     adj = _distant_pairs(R, pts)
     component, diameters, dist = _bfs_levels(adj, index[infinity(R)])
@@ -344,43 +353,27 @@ def distant_graph(R: Ring) -> DistantGraph:
 # elementary words ----------------------------------------------------------
 
 def word_point(R: Ring, ts: tuple[int, ...]) -> Point:
-    """The point spanned by (1, 0) * E(t_n) * ... * E(t_1)."""
-    row = (R.one, R.zero)
+    """The point spanned by (1, 0) * E(t_n) * ... * E(t_1), stepping the row
+    in place: (x, y) * E(t) = (x*t - y, x)."""
+    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    x, y = R.one, R.zero
     for t in reversed(ts):
-        row = row_times_mat(R, row, elementary(R, t))
-    return R.canonical_pair_left(*row)
+        x, y = add[mul[x][t]][neg[y]], x
+    return R.canonical_pair_left(x, y)
 
 
-@cache
-def _word_table(R: Ring) -> dict:
-    """Shortest elementary word for every reachable point, by a single BFS.
-
-    The search stops one step past max{2, m} (m the graph diameter), which
-    suffices for every point of the component of (1, 0).
-    """
-    bound = max(2, distant_graph(R).diameter) + 1
+def point_words(R: Ring) -> dict:
+    """A shortest elementary word for every point of the component of (1, 0),
+    by one breadth-first search over the steps p -> p * E(t)."""
+    add, mul, neg = R._add_t, R._mul_t, R._neg_t
     layer = {infinity(R): ()}
     seen = dict(layer)
-    for _ in range(bound):
+    while layer:
         nxt = {}
-        for q, w in layer.items():
+        for (x, y), w in layer.items():
             for t in R.elements():
-                r = apply_matrix(R, q, elementary(R, t))
+                r = R.canonical_pair_left(add[mul[x][t]][neg[y]], x)
                 if r not in seen:
-                    word = (t,) + w
-                    seen[r] = word
-                    nxt[r] = word
+                    seen[r] = nxt[r] = (t,) + w
         layer = nxt
-        if not layer:
-            break
     return seen
-
-
-def point_word(R: Ring, p: Point) -> Optional[tuple[int, ...]]:
-    """A shortest elementary word for p, or None outside the component of (1,0)."""
-    return _word_table(R).get(p)
-
-
-def point_permutation(R: Ring, M: Matrix2) -> dict:
-    """The permutation p -> p*M of the whole point set."""
-    return {p: apply_matrix(R, p, M) for p in enumerate_points(R)}

@@ -178,9 +178,10 @@ class Ring:
     transposed mul table serves right multiplication, and the left and
     right canonical-pair tables (least unit multiple of every pair) make
     canonicalizing a single lookup.  Units come from a brute-force
-    two-sided inverse scan over the mul table.  Instances are immutable
-    after construction and safe to share; the hot loops of projline and
-    duality index _add_t, _mul_t and _neg_t directly.
+    two-sided inverse scan over the mul table.  The array kernels read the
+    same tables as numpy arrays, next to the admissibility tables.
+    Instances are immutable after construction and safe to share; the hot
+    loops of projline and duality index the tables directly.
     """
 
     def __init__(self, spec: RingSpec, size: int, one: int):
@@ -207,12 +208,35 @@ class Ring:
         self._inv_t = inv
         self.units = tuple(a for a in els if inv[a] is not None)
         self.unit_set = frozenset(self.units)
-        self._pair_left = self._canonical_pairs(np.array(self._mul_t, dtype=np.int64))
-        self._pair_right = self._canonical_pairs(np.array(self._mul_cols, dtype=np.int64))
+        self._fill_arrays()
+        self._left_key, self._pair_left = self._canonical_pairs(self._mul_a)
+        self._right_key, self._pair_right = self._canonical_pairs(self._mul_a.T)
         self._opposite: Optional[Ring] = None
 
-    def _canonical_pairs(self, products: np.ndarray) -> tuple:
-        """Table of the least (p[u][a], p[u][b]) over units u, for all a, b.
+    def _fill_arrays(self) -> None:
+        """The add, mul and neg tables as numpy arrays, and the admissibility
+        tables _rows_ok[a, b] iff 1 in aR + bR and _cols_ok[v, w] iff 1 in
+        Rv + Rw.  Runs again where the tests corrupt the Cayley tables.
+
+        member[a, v] says v lies in aR.  The pair (a, b) is unimodular iff
+        some v in aR has 1 - v in bR, so the whole row table is one boolean
+        product member @ member[:, 1 - v].T; the column table is the same
+        product over the memberships in Ra.
+        """
+        self._add_a, self._mul_a, self._neg_a = (
+            np.array(t, dtype=np.intp) for t in (self._add_t, self._mul_t, self._neg_t))
+        n = self.size
+        one_minus = self._add_a[self.one][self._neg_a]
+        tables = []
+        for products in (self._mul_a, self._mul_a.T):  # products[a] = (a*x), (x*a)
+            member = np.zeros((n, n), dtype=bool)
+            member[np.arange(n)[:, None], products] = True
+            tables.append(member @ member[:, one_minus].T)
+        self._rows_ok, self._cols_ok = tables
+
+    def _canonical_pairs(self, products: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Table of the least (p[u][a], p[u][b]) over units u, for all a, b:
+        as keys first * size + second, and as nested tuples of pairs.
 
         The minimum is folded over the units one at a time, so the scratch
         space stays at two |R| x |R| arrays.
@@ -224,7 +248,7 @@ class Ring:
             key = row[:, None] * n + row[None, :]
             best = key if best is None else np.minimum(best, key, out=best)
         first, second = np.divmod(best, n)
-        return tuple(tuple(zip(f, s)) for f, s in zip(first.tolist(), second.tolist()))
+        return best, tuple(tuple(zip(f, s)) for f, s in zip(first.tolist(), second.tolist()))
 
     # family hooks -----------------------------------------------------
     def _struct_add(self, a: int, b: int) -> int:
@@ -610,7 +634,8 @@ def normality_witness(K: Subfield) -> Optional[int]:
 
 def is_normal_subgroup(K: Subfield, ring: Ring) -> bool:
     """True iff u^-1 K* u = K* for every unit u."""
-    assert K.ring is ring
+    if K.ring is not ring:
+        raise ValueError(f"{K!r} is not a subfield of {ring.name}")
     return normality_witness(K) is None
 
 

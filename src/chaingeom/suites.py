@@ -9,41 +9,36 @@ ring takes explicit sample counts and seeds instead.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from chaingeom.rings import Ring, Subfield, is_normal_subgroup, normality_witness
+from chaingeom.rings import Ring, is_normal_subgroup, normality_witness, subfield_in_opposite
 from chaingeom.projline import (
-    distant_graph,
-    enumerate_points,
+    OrbitCapExceededError,
     infinity,
     line_generators,
     make_point,
     word_point,
 )
-from chaingeom.chains import chain_orbit, residue_at
 from chaingeom.duality import (
-    bidual_fixes,
+    bidual_point,
     covariance_failures,
-    dual_chain_orbit,
     dual_infinity,
-    enumerate_dual_points,
+    dual_matches_opposite,
     length2_perp_formula,
     length3_perp_formula,
     make_dual_point,
-    perp_chain,
-    perp_point,
     word_dual_point,
 )
 from chaingeom.compat import (
-    compare_residue_with_dual,
-    delta_orbits,
     derive_plane,
-    dual_compat_classes,
+    dual_residue_coord,
+    joins_unit_pairs_once,
     missing_directions,
     validate_partial_affine,
 )
+from chaingeom.geometry import Geometry
 from chaingeom.isomorph import (
-    antiiso_chain_map,
-    antiiso_point_map,
+    antiiso_point_table,
     antiiso_word_point,
     frobenius_map,
     identity_map,
@@ -55,13 +50,13 @@ from chaingeom.isomorph import (
 EXHAUSTIVE_LIMIT = 16
 
 
-def points_report(R: Ring) -> dict:
-    pts = enumerate_points(R)  # raises MethodDisagreementError on mismatch
+def points_report(geom: Geometry) -> dict:
+    pts = geom.points  # raises MethodDisagreementError on mismatch
     return {"ok": True, "points": len(pts), "methods_agree": True}
 
 
-def graph_report(R: Ring) -> dict:
-    g = distant_graph(R)
+def graph_report(geom: Geometry) -> dict:
+    g = geom.graph
     return {
         "ok": True,
         "points": len(g.points),
@@ -71,10 +66,16 @@ def graph_report(R: Ring) -> dict:
     }
 
 
-def chain_report(R: Ring, K: Subfield, through_infinity: bool = False,
+def chain_report(geom: Geometry, through_infinity: Optional[bool] = None,
                  cap: int = 10 ** 6) -> dict:
-    through = infinity(R) if through_infinity else None
-    chains = chain_orbit(R, K, through=through, cap=cap)
+    """The full chain orbit, or the chains through the far point; by default
+    the latter on rings larger than EXHAUSTIVE_LIMIT."""
+    R, K = geom.ring, geom.subfield
+    if through_infinity is None:
+        through_infinity = R.size > EXHAUSTIVE_LIMIT
+    chains = geom.chains_at_infinity if through_infinity else geom.chains
+    if len(chains) > cap:
+        raise OrbitCapExceededError(f"chain orbit on {R.name} exceeded cap {cap}")
     sizes = {len(C) for C in chains}
     key = "chains_through_infinity" if through_infinity else "chains"
     return {"ok": sizes == {len(K.elements) + 1}, key: len(chains),
@@ -106,33 +107,32 @@ def _word_sweep(R: Ring, samples: int, seed: int, holds) -> tuple[int, int]:
     return len(results), results.count(False)
 
 
-def duality_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 1) -> dict:
+def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     """Canonical-isomorphism checks: bijectivity on points and chains, the
     covariance law, and every closed image formula against the kernel-scan
-    oracle."""
+    oracle, whose answers the Geometry holds as its perp array."""
+    R, K = geom.ring, geom.subfield
     small = R.size <= EXHAUSTIVE_LIMIT
     rep: dict = {"mode": "exhaustive" if small else f"sampled({samples}, seed={seed})"}
-    pts = enumerate_points(R)
-    duals = enumerate_dual_points(R)
-    image = {perp_point(R, p) for p in pts}
-    rep["bijection"] = len(image) == len(pts) and image == set(duals)
+    pts = geom.points
+    perp_of = geom.perp_of
+    rep["bijection"] = sorted(geom.perp.tolist()) == list(range(len(geom.dual_points)))
 
     if small:
-        chains = chain_orbit(R, K)
-        dchains = dual_chain_orbit(R, K)
+        chains, dchains = geom.chains, geom.dual_chains
     else:
-        chains = chain_orbit(R, K, through=infinity(R))
-        dchains = dual_chain_orbit(R, K, through=dual_infinity(R))
-    rep["chain_bijection"] = {perp_chain(R, C) for C in chains} == set(dchains)
+        chains, dchains = geom.chains_at_infinity, geom.dual_chains_at_infinity
+    rep["chain_bijection"] = ({frozenset(map(perp_of, C)) for C in chains}
+                              == set(dchains))
     rep["chains_checked"] = len(chains)
 
-    rep["far_point_image"] = perp_point(R, infinity(R)) == dual_infinity(R)
+    rep["far_point_image"] = perp_of(infinity(R)) == dual_infinity(R)
 
     neg_one = R.neg(R.one)
 
     def formulas_hold(ts):
         p = word_point(R, ts)
-        oracle = perp_point(R, p)
+        oracle = perp_of(p)
         if word_dual_point(R, ts) != oracle:
             return False
         if len(ts) == 1:
@@ -159,15 +159,16 @@ def duality_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 1) -> 
     rep["covariance_failures"] = cov_failures
 
     if small:
-        rep["bidual_fixed"] = all(bidual_fixes(R, p) for p in pts)
-        from chaingeom.duality import dual_matches_opposite
-        rep["opposite_equivalent"] = dual_matches_opposite(R, K)
+        sample = pts
     else:
         rng = random.Random(seed + 2)
         sample = [pts[rng.randrange(len(pts))] for _ in range(50)]
-        rep["bidual_fixed"] = all(bidual_fixes(R, p) for p in sample)
+    rep["bidual_fixed"] = all(bidual_point(R, perp_of(p)) == p for p in sample)
+    if small:
+        op = Geometry(R.opposite(), subfield_in_opposite(K))
+        rep["opposite_equivalent"] = dual_matches_opposite(geom, op)
 
-    g = distant_graph(R)
+    g = geom.graph
     if g.n_components == 1 and g.diameter <= 2:
         covered = {word_point(R, (t1, t2))
                    for t1 in R.elements() for t2 in R.elements()}
@@ -181,26 +182,38 @@ def duality_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 1) -> 
     return rep
 
 
-def vergleich_report(R: Ring, K: Subfield) -> dict:
-    cmp = compare_residue_with_dual(R, K)
+def vergleich_report(geom: Geometry) -> dict:
+    """The residue at the far point against its dual: (a) residue points are
+    fixed by the annihilator map under the two coordinate identifications,
+    (b) primal and dual block sets coincide, (c) the two partitions agree
+    exactly when K* is normal in R*."""
+    R, K = geom.ring, geom.subfield
+    classes, dual_classes = geom.compat_classes, geom.dual_compat_classes
+    # the dual residue: dual chains through (0, 1)^T R, less that point, in
+    # the coordinates (-1, x)^T R -> x
+    dinf = dual_infinity(R)
+    dual_blocks = {frozenset(dual_residue_coord(R, q) for q in C if q != dinf)
+                   for C in geom.dual_chains_at_infinity}
     rep = {
-        "points_fixed": cmp.points_fixed,
-        "blocks_equal": cmp.blocks_equal,
-        "partitions_equal": cmp.partitions_equal,
-        "units_normal": cmp.units_normal,
-        "classes": cmp.n_classes,
-        "dual_classes": cmp.n_dual_classes,
-        "ok": cmp.consistent,
+        "points_fixed": all(geom.perp_coords[x] == x for x in R.elements()),
+        "blocks_equal": dual_blocks == set(geom.residue.blocks),
+        "partitions_equal": {c.blocks for c in classes} == {c.blocks for c in dual_classes},
+        "units_normal": is_normal_subgroup(K, R),
+        "classes": len(classes),
+        "dual_classes": len(dual_classes),
     }
-    if cmp.witness_unit is not None:
-        rep["normality_witness"] = cmp.witness_unit
-        rep["normality_witness_str"] = R.elem_str(cmp.witness_unit)
+    rep["ok"] = (rep["points_fixed"] and rep["blocks_equal"]
+                 and rep["partitions_equal"] == rep["units_normal"])
+    witness = normality_witness(K)
+    if witness is not None:
+        rep["normality_witness"] = witness
+        rep["normality_witness_str"] = R.elem_str(witness)
     return rep
 
 
-def partial_affine_report(R: Ring, K: Subfield) -> dict:
-    res = residue_at(R, K, infinity(R))
-    classes = delta_orbits(res) + dual_compat_classes(res)
+def partial_affine_report(geom: Geometry) -> dict:
+    R, res = geom.ring, geom.residue
+    classes = geom.compat_classes + geom.dual_compat_classes
     per_class = []
     ok = True
     for cls in classes:
@@ -214,26 +227,14 @@ def partial_affine_report(R: Ring, K: Subfield) -> dict:
             "partial_affine": valid,
         })
     # two distant points lie on exactly one block of every class
-    joined_ok = True
-    for cls in classes:
-        joined: dict = {}
-        for B in cls.blocks:
-            bs = sorted(B)
-            for i, x in enumerate(bs):
-                for y in bs[i + 1:]:
-                    joined[(x, y)] = joined.get((x, y), 0) + 1
-        for x in R.elements():
-            for y in R.elements():
-                if x < y and R.is_unit(R.sub(y, x)):
-                    if joined.get((x, y), 0) != 1:
-                        joined_ok = False
+    joined_ok = all(joins_unit_pairs_once(R, cls.blocks) for cls in classes)
     return {"ok": ok and joined_ok, "classes": per_class,
             "exactly_one_block_per_class": joined_ok}
 
 
-def derive_plane_report(R: Ring, K: Subfield, skip_replacement: bool = False,
+def derive_plane_report(geom: Geometry, skip_replacement: bool = False,
                         desargues_cap: int = 10 ** 7) -> dict:
-    plane = derive_plane(R, K, skip_replacement=skip_replacement,
+    plane = derive_plane(geom, skip_replacement=skip_replacement,
                          desargues_cap=desargues_cap)
     rep = {
         "points": plane.points,
@@ -263,20 +264,21 @@ def catalogue_antiiso(R: Ring):
     return identity_map(R, as_antiiso=True), "identity"
 
 
-def sigma_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 2) -> dict:
+def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     """Antiisomorphism-induced isomorphism: far-point image, the three
     entrywise image formulas, closed word form versus the composite, chain
     preservation, and the compatibility criterion."""
+    R, K = geom.ring, geom.subfield
     small = R.size <= EXHAUSTIVE_LIMIT
     m, name = catalogue_antiiso(R)
     rep: dict = {"map": name,
                  "mode": "exhaustive" if small else f"sampled({samples}, seed={seed})"}
     rep["conjugator"] = verify_subfield_condition(m, K, K)
-    rep["far_point_fixed"] = antiiso_point_map(m, infinity(R)) == infinity(R)
+    sigma = antiiso_point_table(m, geom)
+    rep["far_point_fixed"] = sigma[infinity(R)] == infinity(R)
 
     def formulas_hold(ts):
-        p = word_point(R, ts)
-        composite = antiiso_point_map(m, p)
+        composite = sigma[word_point(R, ts)]
         if antiiso_word_point(m, ts) != composite:
             return False
         ph = [m(t) for t in ts]
@@ -294,16 +296,16 @@ def sigma_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 2) -> di
     rep["word_formula_mismatches"] = mismatches
 
     if small:
-        chains = chain_orbit(R, K)
+        chains = geom.chains
         rep["chains_mapped"] = len(chains)
-        rep["chains_ok"] = {antiiso_chain_map(m, C) for C in chains} == set(chains)
+        rep["chains_ok"] = {frozenset(map(sigma.get, C)) for C in chains} == chains
     else:
-        chains = chain_orbit(R, K, through=infinity(R))
+        chains = geom.chains_at_infinity
         sample = sorted(chains, key=lambda c: sorted(c))[::9]
         rep["chains_mapped"] = len(sample)
-        rep["chains_ok"] = all(antiiso_chain_map(m, C) in chains for C in sample)
+        rep["chains_ok"] = all(frozenset(map(sigma.get, C)) in chains for C in sample)
 
-    preserved = preserves_compatibility(m, K, K)
+    preserved = preserves_compatibility(m, geom, geom)
     normal = is_normal_subgroup(K, R)
     rep["compatibility_preserved"] = preserved
     rep["units_normal"] = normal
@@ -314,5 +316,3 @@ def sigma_suite(R: Ring, K: Subfield, samples: int = 10000, seed: int = 2) -> di
     rep["ok"] = (rep["far_point_fixed"] and mismatches == 0 and rep["chains_ok"]
                  and rep["criterion_consistent"])
     return rep
-
-

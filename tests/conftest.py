@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import chaingeom
+from chaingeom.geometry import Geometry
 from chaingeom.rings import RingSpec, build_ring, build_subfield
 
 
@@ -84,6 +85,46 @@ def zoo(f4, f4_k, dual2, dual2_k, prod22, prod22_k, m2f2, m2f2_k, m2f3, m2f3_k):
 def small_zoo(zoo):
     """Zoo rings with |R| <= 16 (everything but matrix2(3))."""
     return [(r, k) for r, k in zoo if r.size <= 16]
+
+
+# One Geometry per zoo scenario, shared by the whole session the way one
+# run shares it between its tasks.
+
+@pytest.fixture(scope="session")
+def f4_g(f4, f4_k):
+    return Geometry(f4, f4_k)
+
+
+@pytest.fixture(scope="session")
+def dual2_g(dual2, dual2_k):
+    return Geometry(dual2, dual2_k)
+
+
+@pytest.fixture(scope="session")
+def prod22_g(prod22, prod22_k):
+    return Geometry(prod22, prod22_k)
+
+
+@pytest.fixture(scope="session")
+def m2f2_g(m2f2, m2f2_k):
+    return Geometry(m2f2, m2f2_k)
+
+
+@pytest.fixture(scope="session")
+def m2f3_g(m2f3, m2f3_k):
+    return Geometry(m2f3, m2f3_k)
+
+
+@pytest.fixture(scope="session")
+def zoo_g(f4_g, dual2_g, prod22_g, m2f2_g, m2f3_g):
+    """The Geometries of the five zoo scenarios, in zoo order."""
+    return [f4_g, dual2_g, prod22_g, m2f2_g, m2f3_g]
+
+
+@pytest.fixture(scope="session")
+def small_zoo_g(zoo_g):
+    """Zoo Geometries over rings with |R| <= 16."""
+    return [g for g in zoo_g if g.ring.size <= 16]
 
 
 SMALL_SPECS = ([("finite-field", q) for q in (2, 3, 4, 5, 7, 8, 9)]

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from chaingeom.cli import ConfigError, export_dot, load_config, main, parse_config, run
-from chaingeom.projline import distant_graph
 
 
 def small_config(tmp_path, tasks, ring=None, output=None):
@@ -89,15 +88,15 @@ def test_failed_task_still_writes_report(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
 
 
-def test_dot_export(tmp_path, f4, dual2):
-    g = distant_graph(f4)
+def test_dot_export(tmp_path, f4_g, dual2_g):
+    g = f4_g.graph
     path = tmp_path / "f4.dot"
     export_dot(g, str(path))
     text = path.read_text()
     nodes = [ln for ln in text.splitlines() if "component=" in ln]
     edges = [ln for ln in text.splitlines() if "--" in ln]
     assert len(nodes) == 5 and len(edges) == 10
-    g2 = distant_graph(dual2)
+    g2 = dual2_g.graph
     path2 = tmp_path / "dual2.dot"
     export_dot(g2, str(path2))
     text2 = path2.read_text()
@@ -106,8 +105,8 @@ def test_dot_export(tmp_path, f4, dual2):
         export_dot(g, "")
 
 
-def test_dot_byte_stable(tmp_path, f4):
-    g = distant_graph(f4)
+def test_dot_byte_stable(tmp_path, f4_g):
+    g = f4_g.graph
     p1, p2 = tmp_path / "a.dot", tmp_path / "b.dot"
     export_dot(g, str(p1))
     export_dot(g, str(p2))

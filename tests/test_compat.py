@@ -3,162 +3,174 @@ from itertools import combinations
 import pytest
 
 from chaingeom import compat
-from chaingeom.projline import apply_matrix, infinity, line_generators, make_point
-from chaingeom.chains import chain_orbit, residue_at
+from chaingeom.projline import (
+    VerificationError,
+    apply_matrix,
+    infinity,
+    line_generators,
+    make_point,
+)
+from chaingeom.suites import vergleich_report
 from chaingeom.compat import (
     CompatClass,
     _desargues_scan,
     check_class_structure,
-    compare_residue_with_dual,
-    delta_orbits,
     derive_plane,
-    dual_compat_classes,
     eq9_family,
     missing_directions,
     validate_partial_affine,
 )
 
 
-def res_of(R, K):
-    return residue_at(R, K, infinity(R))
+def test_single_class_when_units_normal(f4_g, dual2_g, prod22_g, m2f2_g):
+    assert [len(c) for c in f4_g.compat_classes] == [6]
+    assert [len(c) for c in dual2_g.compat_classes] == [4]
+    assert [len(c) for c in prod22_g.compat_classes] == [2]
+    assert [len(c) for c in m2f2_g.compat_classes] == [8]
 
 
-def test_single_class_when_units_normal(f4, f4_k, dual2, dual2_k, prod22, prod22_k,
-                                        m2f2, m2f2_k):
-    assert [len(c) for c in delta_orbits(res_of(f4, f4_k))] == [6]
-    assert [len(c) for c in delta_orbits(res_of(dual2, dual2_k))] == [4]
-    assert [len(c) for c in delta_orbits(res_of(prod22, prod22_k))] == [2]
-    assert [len(c) for c in delta_orbits(res_of(m2f2, m2f2_k))] == [8]
-
-
-def test_three_classes_m2f3(m2f3, m2f3_k):
-    classes = delta_orbits(res_of(m2f3, m2f3_k))
+def test_three_classes_m2f3(m2f3_g):
+    classes = m2f3_g.compat_classes
     assert len(classes) == 3
     assert all(len(c) == 54 for c in classes)
 
 
-def test_partitions_cover_blocks(zoo):
-    for R, K in zoo:
-        res = res_of(R, K)
-        for classes in (delta_orbits(res), dual_compat_classes(res)):
+def test_partitions_cover_blocks(zoo_g):
+    for g in zoo_g:
+        res = g.residue
+        for classes in (g.compat_classes, g.dual_compat_classes):
             seen = [B for c in classes for B in c.blocks]
             assert len(seen) == len(res.blocks)
             assert set(seen) == set(res.blocks)
 
 
-def test_class_structure(zoo):
-    for R, K in zoo:
-        res = res_of(R, K)
-        for c in delta_orbits(res) + dual_compat_classes(res):
+def test_class_structure(zoo_g):
+    for g in zoo_g:
+        for c in g.compat_classes + g.dual_compat_classes:
             assert check_class_structure(c)
 
 
-def test_class_structure_negative_control(f4, f4_k):
-    res = res_of(f4, f4_k)
-    cls = delta_orbits(res)[0]
+def test_affine_action_leaving_the_block_set_raises(m2f2_g):
+    """A block set that is not closed under the affine action, here the
+    residue blocks less one, is refused by an explicit raise."""
+    res = m2f2_g.residue
+    blocks = set(res.blocks) - {res.blocks[0]}
+    with pytest.raises(VerificationError, match="left the block set"):
+        compat._witnessed_orbits(res, blocks, m2f2_g.ring.right_products, "compatibility")
+
+
+def test_class_structure_negative_control(f4_g):
+    cls = f4_g.compat_classes[0]
     corrupted = CompatClass(cls.side, frozenset(list(cls.blocks)[:-1]), cls.witness)
     assert not check_class_structure(corrupted)
 
 
-def test_dual_partition_matches_when_normal(f4, f4_k, dual2, dual2_k,
-                                            prod22, prod22_k, m2f2, m2f2_k):
-    for R, K in ((f4, f4_k), (dual2, dual2_k), (prod22, prod22_k), (m2f2, m2f2_k)):
-        res = res_of(R, K)
-        assert ({c.blocks for c in delta_orbits(res)}
-                == {c.blocks for c in dual_compat_classes(res)})
+def test_dual_partition_matches_when_normal(small_zoo_g):
+    for g in small_zoo_g:
+        assert ({c.blocks for c in g.compat_classes}
+                == {c.blocks for c in g.dual_compat_classes})
 
 
-def test_dual_partition_differs_m2f3(m2f3, m2f3_k):
-    res = res_of(m2f3, m2f3_k)
-    assert ({c.blocks for c in delta_orbits(res)}
-            != {c.blocks for c in dual_compat_classes(res)})
+def test_dual_partition_differs_m2f3(m2f3_g):
+    assert ({c.blocks for c in m2f3_g.compat_classes}
+            != {c.blocks for c in m2f3_g.dual_compat_classes})
 
 
-def test_uK_dually_compatible_but_not_compatible(m2f3, m2f3_k):
+def test_uK_dually_compatible_but_not_compatible(m2f3_g):
     """With K* non-normal pick u with uK != Ku: the block uK shares its dual
     class with K but not its compatibility class."""
-    R, K = m2f3, m2f3_k
-    res = res_of(R, K)
+    R, K = m2f3_g.ring, m2f3_g.subfield
+    res = m2f3_g.residue
     kblock = frozenset(K.elements)
     u = next(u for u in R.units
              if frozenset(R.mul(u, k) for k in K.elements)
              != frozenset(R.mul(k, u) for k in K.elements))
     uK = frozenset(R.mul(u, k) for k in K.elements)
     assert uK in set(res.blocks)
-    compat_of_k = next(c for c in delta_orbits(res) if kblock in c.blocks)
-    dual_of_k = next(c for c in dual_compat_classes(res) if kblock in c.blocks)
+    compat_of_k = next(c for c in m2f3_g.compat_classes if kblock in c.blocks)
+    dual_of_k = next(c for c in m2f3_g.dual_compat_classes if kblock in c.blocks)
     assert uK not in compat_of_k.blocks
     assert uK in dual_of_k.blocks
 
 
-def test_residue_comparison_zoo(zoo):
-    for R, K in zoo:
-        rep = compare_residue_with_dual(R, K)
-        assert rep.points_fixed
-        assert rep.blocks_equal
-        assert rep.consistent
+def test_residue_comparison_zoo(zoo_g):
+    for g in zoo_g:
+        R = g.ring
+        rep = vergleich_report(g)
+        assert rep["points_fixed"]
+        assert rep["blocks_equal"]
+        assert rep["ok"]
         if R.name == "matrix2(3)":
-            assert not rep.units_normal and not rep.partitions_equal
-            assert rep.witness_unit is not None
+            assert not rep["units_normal"] and not rep["partitions_equal"]
+            assert rep["normality_witness"] is not None
         else:
-            assert rep.units_normal and rep.partitions_equal
+            assert rep["units_normal"] and rep["partitions_equal"]
 
 
-def test_partial_affine_f4_full_plane(f4, f4_k):
-    res = res_of(f4, f4_k)
-    cls = delta_orbits(res)[0]
+def test_partial_affine_f4_full_plane(f4_g):
+    res = f4_g.residue
+    cls = f4_g.compat_classes[0]
     assert validate_partial_affine(res, cls)
     assert len(cls.blocks) == 6            # all of AG(2, 2)
     assert missing_directions(res, cls) == 0
 
 
-def test_partial_affine_dual2_genuinely_partial(dual2, dual2_k):
-    res = res_of(dual2, dual2_k)
-    cls = delta_orbits(res)[0]
+def test_partial_affine_dual2_genuinely_partial(dual2, dual2_g):
+    res = dual2_g.residue
+    cls = dual2_g.compat_classes[0]
     assert validate_partial_affine(res, cls)
     assert missing_directions(res, cls) == 1   # the nilpotent direction {0, e}
     dirs = {frozenset(dual2.sub(x, min(B)) for x in B) for B in cls.blocks}
     assert frozenset({0, 2}) not in dirs
 
 
-def test_partial_affine_all_zoo_classes(zoo):
-    for R, K in zoo:
-        res = res_of(R, K)
-        for cls in delta_orbits(res) + dual_compat_classes(res):
-            assert validate_partial_affine(res, cls)
+def test_partial_affine_all_zoo_classes(zoo_g):
+    for g in zoo_g:
+        for cls in g.compat_classes + g.dual_compat_classes:
+            assert validate_partial_affine(g.residue, cls)
 
 
-def test_union_of_two_classes_fails(m2f3, m2f3_k):
-    res = res_of(m2f3, m2f3_k)
-    c1, c2 = delta_orbits(res)[:2]
+def test_partial_affine_needs_every_unit_pair_joined(f4_g):
+    """Dropping every coset of one direction keeps (i) and (ii) but leaves
+    the pairs at that unit difference on no block, which (iii) refuses."""
+    R, res, cls = f4_g.ring, f4_g.residue, f4_g.compat_classes[0]
+    kept = frozenset(B for B in cls.blocks
+                     if frozenset(R.sub(x, min(B)) for x in B) != frozenset({0, 1}))
+    assert len(kept) == 4
+    assert not validate_partial_affine(res, CompatClass(cls.side, kept, cls.witness))
+
+
+def test_union_of_two_classes_fails(m2f3_g):
+    res = m2f3_g.residue
+    c1, c2 = m2f3_g.compat_classes[:2]
     merged = CompatClass("compatibility", c1.blocks | c2.blocks, c1.witness)
     assert not validate_partial_affine(res, merged)
 
 
-def test_classes_maximal(f4, f4_k, m2f2, m2f2_k):
+def test_classes_maximal(f4_g, m2f2_g):
     """Adding any block outside the class double-joins some distant pair."""
-    for R, K in ((f4, f4_k), (m2f2, m2f2_k)):
-        res = res_of(R, K)
-        for cls in delta_orbits(res):
+    for g in (f4_g, m2f2_g):
+        res = g.residue
+        for cls in g.compat_classes:
             for extra in set(res.blocks) - cls.blocks:
                 bigger = CompatClass(cls.side, cls.blocks | {extra}, cls.witness)
                 assert not validate_partial_affine(res, bigger)
 
 
-def test_compat_transportable(f4, f4_k, dual2, dual2_k):
+def test_compat_transportable(f4_g, dual2_g):
     """Transporting the far-point partition by M agrees with the partition
     computed at the image point via the conjugated group."""
     from chaingeom.rings import additive_generators, unit_generators
-    for R, K in ((f4, f4_k), (dual2, dual2_k)):
-        res = res_of(R, K)
-        chains = chain_orbit(R, K)
+    for g in (f4_g, dual2_g):
+        R = g.ring
+        chains = g.chains
         coord_pt = {x: make_point(R, x, R.one) for x in R.elements()}
         for M in line_generators(R)[:6]:
             p = apply_matrix(R, infinity(R), M)
             transported = [
                 frozenset(frozenset(apply_matrix(R, coord_pt[x], M) for x in B)
                           for B in cls.blocks)
-                for cls in delta_orbits(res)
+                for cls in g.compat_classes
             ]
             # partition blocks at p under the conjugated group
             from chaingeom.projline import mat_invert, mat_mul
@@ -188,16 +200,16 @@ def test_compat_transportable(f4, f4_k, dual2, dual2_k):
             assert set(transported) == set(classes_at_p)
 
 
-def test_derive_plane_q2(m2f2, m2f2_k):
-    rep = derive_plane(m2f2, m2f2_k)
+def test_derive_plane_q2(m2f2_g):
+    rep = derive_plane(m2f2_g)
     assert (rep.points, rep.lines, rep.line_size) == (16, 20, 4)
     assert rep.two_point_axiom and rep.playfair
     assert rep.desargues and rep.desargues_method == "exhaustive"
     assert rep.degenerate_replacement  # unique F4 subfield, so K'' = K
 
 
-def test_derive_plane_q3(m2f3, m2f3_k):
-    rep = derive_plane(m2f3, m2f3_k)
+def test_derive_plane_q3(m2f3_g):
+    rep = derive_plane(m2f3_g)
     assert (rep.points, rep.lines, rep.line_size) == (81, 90, 9)
     assert rep.two_point_axiom and rep.playfair
     assert not rep.desargues
@@ -207,8 +219,8 @@ def test_derive_plane_q3(m2f3, m2f3_k):
     assert rep.lines_outside_block_set == 36
 
 
-def test_derive_plane_q3_control(m2f3, m2f3_k):
-    rep = derive_plane(m2f3, m2f3_k, skip_replacement=True)
+def test_derive_plane_q3_control(m2f3_g):
+    rep = derive_plane(m2f3_g, skip_replacement=True)
     assert (rep.points, rep.lines, rep.line_size) == (81, 90, 9)
     assert rep.desargues and rep.desargues_method == "field-plane-identity"
 
@@ -323,7 +335,7 @@ def assert_desargues_fails_at(lines, w):
 
 
 @pytest.fixture(scope="module")
-def completed_planes(m2f2, m2f2_k, m2f3, m2f3_k):
+def completed_planes(m2f2_g, m2f3_g):
     """{order: (points, lines)} of the projective completions derive_plane
     scans: AG(2, 4) from matrix2(2) and the Hall plane from matrix2(3)."""
     planes = {}
@@ -335,8 +347,8 @@ def completed_planes(m2f2, m2f2_k, m2f3, m2f3_k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compat, "_desargues_scan", spy)
-        derive_plane(m2f2, m2f2_k)
-        derive_plane(m2f3, m2f3_k)
+        derive_plane(m2f2_g)
+        derive_plane(m2f3_g)
     return planes
 
 

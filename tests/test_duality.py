@@ -4,34 +4,29 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaingeom.geometry import Geometry
 from chaingeom.projline import (
     VerificationError,
     distant,
-    distant_graph,
     elementary,
     enumerate_points,
     infinity,
     line_generators,
     make_point,
-    point_word,
+    point_words,
     word_point,
 )
-from chaingeom.chains import chain_orbit
-from chaingeom.rings import DualNumbersRing, FiniteFieldRing, RingSpec
+from chaingeom.rings import DualNumbersRing, FiniteFieldRing, RingSpec, subfield_in_opposite
 from chaingeom.duality import (
-    PerpNotCyclicError,
     _kernel,
     annihilator_pairs,
-    bidual_fixes,
+    bidual_point,
     commutative_perp_formula,
     covariance_failures,
     covariance_holds,
-    dual_chain_orbit,
     dual_distant,
     dual_infinity,
     dual_matches_opposite,
-    dual_standard_chain,
-    enumerate_dual_points,
     length2_perp_formula,
     length3_perp_formula,
     make_dual_point,
@@ -54,10 +49,10 @@ def test_perp_of_affine_points(zoo):
             assert perp_point(R, p) == make_dual_point(R, R.neg(R.one), t)
 
 
-def test_perp_commutative_formula(f4, dual2, prod22):
-    for R in (f4, dual2, prod22):
-        for p in enumerate_points(R):
-            assert perp_point(R, p) == commutative_perp_formula(R, p)
+def test_perp_commutative_formula(f4_g, dual2_g, prod22_g):
+    for g in (f4_g, dual2_g, prod22_g):
+        for p in g.points:
+            assert perp_point(g.ring, p) == commutative_perp_formula(g.ring, p)
 
 
 def test_annihilator_vectorized_matches_loop(m2f2, m2f3):
@@ -71,27 +66,6 @@ def test_annihilator_vectorized_matches_loop(m2f2, m2f3):
             assert fast == slow
 
 
-def test_perp_memo_matches_uncached_scan(zoo, m2f3):
-    for R in [r for r, _ in zoo] + [m2f3.opposite()]:
-        for p in enumerate_points(R):
-            assert perp_point(R, p) == perp_point.__wrapped__(R, p), (R.name, p)
-
-
-def test_perp_memo_is_per_ring_instance(f4):
-    # a separately built F4 with 2*1 corrupted to 0 has a non-cyclic kernel
-    # at R(1, 2); it must not get the clean instance's memoized answer back
-    p = (1, 2)
-    assert perp_point(f4, p) == (1, 3)
-    fresh = FiniteFieldRing(f4.spec)
-    rows = [list(row) for row in fresh._mul_t]
-    rows[2][1] = 0
-    fresh._mul_t = tuple(map(tuple, rows))
-    for _ in range(2):  # failures are not memoized either
-        with pytest.raises(PerpNotCyclicError):
-            perp_point(fresh, p)
-    assert perp_point(f4, p) == (1, 3)
-
-
 def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
     cases = [(R, enumerate_points(R)) for R in small_rings]
     cases.append((m2f3, enumerate_points(m2f3)[::7]))
@@ -102,21 +76,20 @@ def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
             loop = {(a, b) for a in R.elements() for b in R.elements()
                     if R.add(Rv[a], Rw[b]) == R.zero}
             assert _kernel(R._neg_t, Rv, Rw) == loop, (R.name, p)
-            assert bidual_fixes(R, p), (R.name, p)
+            assert bidual_point(R, (v, w)) == p, (R.name, p)
 
 
-def test_perp_bijective(zoo):
-    for R, _ in zoo:
-        pts = enumerate_points(R)
-        duals = enumerate_dual_points(R)
-        image = {perp_point(R, p) for p in pts}
+def test_perp_bijective(zoo_g):
+    for g in zoo_g:
+        pts, duals = g.points, g.dual_points
+        image = {perp_point(g.ring, p) for p in pts}
         assert len(image) == len(pts)
         assert image == set(duals)
 
 
-def test_perp_preserves_distant(small_zoo):
-    for R, _ in small_zoo:
-        pts = enumerate_points(R)
+def test_perp_preserves_distant(small_zoo_g):
+    for g in small_zoo_g:
+        R, pts = g.ring, g.points
         for i, p in enumerate(pts):
             for q in pts[i + 1:]:
                 assert distant(R, p, q) == dual_distant(R, perp_point(R, p),
@@ -130,24 +103,20 @@ def test_perp_standard_chain(f4, f4_k):
     assert perp_chain(f4, standard_chain(f4, f4_k)) == want
 
 
-def test_perp_maps_chains_onto_dual_chains(zoo):
-    for R, K in zoo:
-        if R.size > 16:
-            chains = chain_orbit(R, K, through=infinity(R))
-            dual_chains = dual_chain_orbit(R, K, through=dual_infinity(R))
+def test_perp_maps_chains_onto_dual_chains(zoo_g):
+    for g in zoo_g:
+        if g.ring.size > 16:
+            chains, dual_chains = g.chains_at_infinity, g.dual_chains_at_infinity
         else:
-            chains = chain_orbit(R, K)
-            dual_chains = dual_chain_orbit(R, K)
-        image = {perp_chain(R, C) for C in chains}
+            chains, dual_chains = g.chains, g.dual_chains
+        image = {perp_chain(g.ring, C) for C in chains}
         assert image == set(dual_chains)
 
 
-def test_dual_chains_through_agree_with_filter(small_zoo):
-    for R, K in small_zoo:
-        via_stab = dual_chain_orbit(R, K, through=dual_infinity(R))
-        via_filter = frozenset(C for C in dual_chain_orbit(R, K)
-                               if dual_infinity(R) in C)
-        assert via_stab == via_filter
+def test_dual_chains_through_agree_with_filter(small_zoo_g):
+    for g in small_zoo_g:
+        dinf = dual_infinity(g.ring)
+        assert g.dual_chains_at_infinity == frozenset(C for C in g.dual_chains if dinf in C)
 
 
 def test_covariance_identity_and_elementary(small_zoo):
@@ -219,6 +188,7 @@ def corrupted(cls, spec, a, b, value, columns):
     R._mul_t = tuple(map(tuple, rows))
     if columns:
         R._mul_cols = tuple(zip(*R._mul_t))
+    R._fill_arrays()
     return R
 
 
@@ -289,38 +259,37 @@ def test_word_formulas_m2f3_sampled(m2f3):
         assert word_dual_point(R, ts) == perp_point(R, p)
 
 
-def test_length2_formula_covers_connected_diameter2(zoo):
+def test_length2_formula_covers_connected_diameter2(zoo_g):
     # rings whose graph is connected with diameter <= 2: the length-2 words
     # alone reach every point, so the length-2 image formula covers the line
-    for R, _ in zoo:
-        g = distant_graph(R)
+    for geom in zoo_g:
+        R, g = geom.ring, geom.graph
         if g.n_components != 1 or g.diameter > 2:
             continue
         covered = {word_point(R, (t1, t2))
                    for t1 in R.elements() for t2 in R.elements()}
-        assert covered == set(enumerate_points(R))
+        assert covered == set(geom.points)
 
 
-def test_bidual(zoo):
-    for R, _ in zoo:
-        pts = enumerate_points(R)
+def test_bidual(zoo_g):
+    for g in zoo_g:
+        R, pts = g.ring, g.points
         sample = pts if R.size <= 16 else pts[::7]
         for p in sample:
-            assert bidual_fixes(R, p)
+            assert bidual_point(R, perp_point(R, p)) == p
 
 
-def test_dual_matches_opposite(f4, f4_k, dual2, dual2_k, prod22, prod22_k,
-                               m2f2, m2f2_k):
-    assert dual_matches_opposite(f4, f4_k)
-    assert dual_matches_opposite(dual2, dual2_k)
-    assert dual_matches_opposite(prod22, prod22_k)
-    assert dual_matches_opposite(m2f2, m2f2_k)
+def test_dual_matches_opposite(small_zoo_g):
+    for g in small_zoo_g:
+        op = Geometry(g.ring.opposite(), subfield_in_opposite(g.subfield))
+        assert dual_matches_opposite(g, op)
 
 
-def test_word_length_bound_matches(zoo):
+def test_word_length_bound_matches(zoo_g):
     # every point of the component has a word no longer than max{2, diameter}
-    for R, _ in zoo:
-        g = distant_graph(R)
+    for geom in zoo_g:
+        g = geom.graph
+        words = point_words(geom.ring)
         for p in g.points:
-            w = point_word(R, p)
+            w = words.get(p)
             assert w is not None and len(w) <= max(2, g.diameter)

@@ -2,21 +2,27 @@ import random
 
 import pytest
 
-from chaingeom.rings import RingSpec, build_ring, build_subfield, is_normal_subgroup
+from chaingeom.rings import (
+    RingMapError,
+    RingSpec,
+    build_ring,
+    build_subfield,
+    is_normal_subgroup,
+)
+from chaingeom.suites import catalogue_antiiso
+from chaingeom.geometry import Geometry
 from chaingeom.projline import (
-    enumerate_points,
     infinity,
     line_generators,
     make_point,
     word_point,
 )
-from chaingeom.chains import chain_orbit, standard_chain
-from chaingeom.duality import dual_infinity, enumerate_dual_points, make_dual_point, perp_point
+from chaingeom.chains import standard_chain
+from chaingeom.duality import dual_infinity, make_dual_point, perp_point
 from chaingeom.isomorph import (
     SubfieldConditionError,
-    antiiso_chain_map,
     antiiso_dual_to_point,
-    antiiso_point_map,
+    antiiso_point_table,
     antiiso_word_point,
     find_conjugator,
     frobenius_map,
@@ -33,26 +39,35 @@ from chaingeom.isomorph import (
 )
 
 
-def test_identity_map_is_identity_on_points(f4, f4_k):
+def test_identity_map_is_identity_on_points(f4, f4_g):
     m = identity_map(f4)
-    for p in enumerate_points(f4):
+    for p in f4_g.points:
         assert iso_point_map(m, p) == p
 
 
-def test_frobenius_permutes_line_and_fixes_standard_chain(f4, f4_k):
+def test_iso_map_kind_guards(m2f2):
+    """The map-kind guards raise, also under python -O: an isomorphism has
+    no dual-to-point map and an antiisomorphism no entrywise point map."""
+    with pytest.raises(RingMapError, match="needs an isomorphism"):
+        iso_point_map(transpose_map(m2f2), infinity(m2f2))
+    with pytest.raises(RingMapError, match="needs an antiisomorphism"):
+        antiiso_dual_to_point(identity_map(m2f2), dual_infinity(m2f2))
+
+
+def test_frobenius_permutes_line_and_fixes_standard_chain(f4, f4_k, f4_g):
     m = frobenius_map(f4)
-    pts = enumerate_points(f4)
+    pts = f4_g.points
     image = {iso_point_map(m, p) for p in pts}
     assert image == set(pts)
     C = standard_chain(f4, f4_k)
     assert iso_chain_map(m, C) == C
-    assert iso_chain_map(m, C) in chain_orbit(f4, f4_k)
+    assert iso_chain_map(m, C) in f4_g.chains
 
 
-def test_iso_maps_chains_to_chains(f4, f4_k, m2f2, m2f2_k):
+def test_iso_maps_chains_to_chains(f4, f4_g, m2f2, m2f2_g):
     m = frobenius_map(f4)
-    for C in chain_orbit(f4, f4_k):
-        assert iso_chain_map(m, C) in chain_orbit(f4, f4_k)
+    for C in f4_g.chains:
+        assert iso_chain_map(m, C) in f4_g.chains
     # inner automorphism of M2(F2): chains of the Singer geometry go to
     # chains of the conjugate-subfield geometry, which is the same set
     u = 6
@@ -60,7 +75,7 @@ def test_iso_maps_chains_to_chains(f4, f4_k, m2f2, m2f2_k):
     from chaingeom.rings import make_ring_map
     conj = make_ring_map(m2f2, m2f2,
                          lambda x: m2f2.mul(m2f2.mul(uinv, x), u), "isomorphism")
-    chains = chain_orbit(m2f2, m2f2_k)
+    chains = m2f2_g.chains
     for C in chains:
         assert iso_chain_map(conj, C) in chains
 
@@ -81,7 +96,7 @@ def test_subfield_condition_violated(m2f3, m2f3_k):
         verify_subfield_condition(m, prime, m2f3_k)
 
 
-def test_dual_to_point_basics(m2f2):
+def test_dual_to_point_basics(m2f2, m2f2_g):
     m = transpose_map(m2f2)
     R = m2f2
     assert antiiso_dual_to_point(m, dual_infinity(R)) == make_point(R, R.zero, R.one)
@@ -89,40 +104,43 @@ def test_dual_to_point_basics(m2f2):
         q = make_dual_point(R, R.neg(R.one), t)
         assert antiiso_dual_to_point(m, q) == make_point(R, R.neg(R.one), m(t))
     # well-defined on every dual point
-    for q in enumerate_dual_points(R):
+    for q in m2f2_g.dual_points:
         antiiso_dual_to_point(m, q)
 
 
-def test_quarter_turn_matches_matrix_action(f4, m2f2):
+def test_quarter_turn_matches_matrix_action(f4_g, m2f2_g):
     from chaingeom.projline import apply_matrix, mat_invert, elementary
-    for R in (f4, m2f2):
+    for g in (f4_g, m2f2_g):
+        R = g.ring
         E0inv = mat_invert(R, elementary(R, R.zero))
-        for p in enumerate_points(R):
+        for p in g.points:
             assert quarter_turn(R, p) == apply_matrix(R, p, E0inv)
 
 
-def test_sigma_fixes_infinity(zoo):
-    for R, K in zoo:
+def test_sigma_fixes_infinity(zoo_g):
+    for g in zoo_g:
+        R = g.ring
         if R.spec.family == "matrix2":
             m = transpose_map(R)
         else:
             m = identity_map(R, as_antiiso=True)
-        assert antiiso_point_map(m, infinity(R)) == infinity(R)
+        assert antiiso_point_table(m, g)[infinity(R)] == infinity(R)
         assert antiiso_word_point(m, ()) == infinity(R)
 
 
-def test_sigma_formulas_exhaustive_m2f2(m2f2):
+def test_sigma_formulas_exhaustive_m2f2(m2f2, m2f2_g):
     """Word images at lengths 1, 2, 3 equal the entrywise closed forms."""
     R = m2f2
     m = transpose_map(R)
+    sigma = antiiso_point_table(m, m2f2_g)
     for t1 in R.elements():
         p = make_point(R, t1, R.one)
-        assert antiiso_point_map(m, p) == make_point(R, m(t1), R.one)
+        assert sigma[p] == make_point(R, m(t1), R.one)
     for t1 in R.elements():
         for t2 in R.elements():
             p = word_point(R, (t1, t2))
             want = make_point(R, R.sub(R.mul(m(t2), m(t1)), R.one), m(t2))
-            assert antiiso_point_map(m, p) == want
+            assert sigma[p] == want
             assert antiiso_word_point(m, (t1, t2)) == want
     for t1 in R.elements():
         for t2 in R.elements():
@@ -131,92 +149,110 @@ def test_sigma_formulas_exhaustive_m2f2(m2f2):
                 a = R.sub(R.sub(R.mul(R.mul(m(t3), m(t2)), m(t1)), m(t3)), m(t1))
                 b = R.sub(R.mul(m(t3), m(t2)), R.one)
                 want = make_point(R, a, b)
-                assert antiiso_point_map(m, p) == want
+                assert sigma[p] == want
                 assert antiiso_word_point(m, (t1, t2, t3)) == want
 
 
-def test_sigma_word_equals_sigma_of_word_point(m2f2, f4):
-    for R, m in ((m2f2, transpose_map(m2f2)), (f4, frobenius_map(f4, as_antiiso=True))):
+def test_sigma_word_equals_sigma_of_word_point(m2f2_g, f4_g):
+    for g, m in ((m2f2_g, transpose_map(m2f2_g.ring)),
+                 (f4_g, frobenius_map(f4_g.ring, as_antiiso=True))):
+        R, sigma = g.ring, antiiso_point_table(m, g)
         for t1 in R.elements():
             for t2 in R.elements():
                 for t3 in R.elements():
                     for w in ((t1,), (t1, t2), (t1, t2, t3)):
-                        assert (antiiso_word_point(m, w)
-                                == antiiso_point_map(m, word_point(R, w)))
+                        assert antiiso_word_point(m, w) == sigma[word_point(R, w)]
 
 
-def test_sigma_formulas_sampled_m2f3(m2f3):
+def test_sigma_formulas_sampled_m2f3(m2f3, m2f3_g):
     R = m2f3
     m = transpose_map(R)
+    sigma = antiiso_point_table(m, m2f3_g)
     rng = random.Random(23)
     for _ in range(200):
         n = rng.choice((1, 2, 3))
         w = tuple(rng.randrange(R.size) for _ in range(n))
-        assert antiiso_word_point(m, w) == antiiso_point_map(m, word_point(R, w))
+        assert antiiso_word_point(m, w) == sigma[word_point(R, w)]
 
 
-def test_transpose_law(m2f2):
+def test_transpose_law(m2f2, m2f2_g):
     R = m2f2
     m = transpose_map(R)
     I = (R.one, R.zero, R.zero, R.one)
     q0 = dual_infinity(R)
     assert transpose_law_holds(m, I, q0)
-    duals = enumerate_dual_points(R)
+    duals = m2f2_g.dual_points
     for M in line_generators(R):
         for q in duals[::3]:
             assert transpose_law_holds(m, M, q)
 
 
-def test_sigma_maps_chains_to_chains_m2f2(m2f2, m2f2_k):
-    m = transpose_map(m2f2)
-    chains = chain_orbit(m2f2, m2f2_k)
-    image = {antiiso_chain_map(m, C) for C in chains}
+def image_chain(sigma, C):
+    return frozenset(sigma[p] for p in C)
+
+
+def test_sigma_maps_chains_to_chains_m2f2(m2f2, m2f2_g):
+    sigma = antiiso_point_table(transpose_map(m2f2), m2f2_g)
+    chains = m2f2_g.chains
+    image = {image_chain(sigma, C) for C in chains}
     assert image == set(chains)
 
 
-def test_sigma_maps_chains_to_chains_f4_frobenius(f4, f4_k):
-    m = frobenius_map(f4, as_antiiso=True)
-    chains = chain_orbit(f4, f4_k)
-    image = {antiiso_chain_map(m, C) for C in chains}
+def test_sigma_maps_chains_to_chains_f4_frobenius(f4, f4_g):
+    sigma = antiiso_point_table(frobenius_map(f4, as_antiiso=True), f4_g)
+    chains = f4_g.chains
+    image = {image_chain(sigma, C) for C in chains}
     assert image == set(chains)
 
 
-def test_sigma_maps_infinity_chains_m2f3(m2f3, m2f3_k):
-    m = transpose_map(m2f3)
-    chains = chain_orbit(m2f3, m2f3_k, through=infinity(m2f3))
+def test_antiiso_point_table_matches_oracle_composite(zoo_g):
+    """The table reads the annihilator off the Geometry; the composite with
+    a fresh oracle scan per point gives the same map."""
+    for g in zoo_g:
+        m, _ = catalogue_antiiso(g.ring)
+        want = {p: quarter_turn(g.ring, antiiso_dual_to_point(m, perp_point(g.ring, p)))
+                for p in g.points}
+        assert antiiso_point_table(m, g) == want
+
+
+def test_sigma_maps_infinity_chains_m2f3(m2f3, m2f3_g):
+    sigma = antiiso_point_table(transpose_map(m2f3), m2f3_g)
+    chains = m2f3_g.chains_at_infinity
     for C in sorted(chains, key=lambda c: sorted(c))[::9]:
-        assert antiiso_chain_map(m, C) in chains
+        assert image_chain(sigma, C) in chains
 
 
-def test_residue_restriction_of_induced_maps(zoo):
-    for R, K in zoo:
+def test_residue_restriction_of_induced_maps(zoo_g):
+    for g in zoo_g:
+        R = g.ring
         m = identity_map(R) if R.spec.family != "matrix2" else None
         if m is not None:
-            assert residue_restriction_is_ring_map(m, iso_point_map)
+            assert residue_restriction_is_ring_map(m, lambda p: iso_point_map(m, p))
         anti = (transpose_map(R) if R.spec.family == "matrix2"
                 else identity_map(R, as_antiiso=True))
-        assert residue_restriction_is_ring_map(anti, antiiso_point_map)
+        sigma = antiiso_point_table(anti, g)
+        assert residue_restriction_is_ring_map(anti, sigma.__getitem__)
 
 
-def test_iso_preserves_compatibility(f4, f4_k, m2f2, m2f2_k):
+def test_iso_preserves_compatibility(f4, f4_g):
     # an isomorphism always transports the partition, here checked via the
     # residue restriction for Frobenius and an inner automorphism
-    from chaingeom.chains import residue_at
-    from chaingeom.compat import delta_orbits
     from chaingeom.isomorph import transported_partition
     m = frobenius_map(f4)
-    src = delta_orbits(residue_at(f4, f4_k, infinity(f4)))
+    src = f4_g.compat_classes
     assert transported_partition(m, src) == {c.blocks for c in src}
+    assert preserves_compatibility(m, f4_g, f4_g)
 
 
-def test_sigma_compatibility_iff_normal(f4, f4_k, m2f2, m2f2_k, m2f3, m2f3_k):
+def test_sigma_compatibility_iff_normal(f4, f4_k, f4_g, m2f2, m2f2_k, m2f2_g,
+                                        m2f3, m2f3_k, m2f3_g):
     m = frobenius_map(f4, as_antiiso=True)
-    assert preserves_compatibility(m, f4_k, f4_k) == is_normal_subgroup(f4_k, f4)
+    assert preserves_compatibility(m, f4_g, f4_g) == is_normal_subgroup(f4_k, f4)
     m = transpose_map(m2f2)
-    assert preserves_compatibility(m, m2f2_k, m2f2_k)
+    assert preserves_compatibility(m, m2f2_g, m2f2_g)
     assert is_normal_subgroup(m2f2_k, m2f2)
     m = transpose_map(m2f3)
-    assert not preserves_compatibility(m, m2f3_k, m2f3_k)
+    assert not preserves_compatibility(m, m2f3_g, m2f3_g)
     assert not is_normal_subgroup(m2f3_k, m2f3)
 
 
@@ -225,13 +261,13 @@ def test_triangular_flip_in_catalogue():
     m = triangular_flip_map(ring)
     K = build_subfield(ring, "scalar")
     assert verify_subfield_condition(m, K, K) in ring.unit_set
-    assert antiiso_point_map(m, infinity(ring)) == infinity(ring)
+    assert antiiso_point_table(m, Geometry(ring, K))[infinity(ring)] == infinity(ring)
 
 
-def test_sigma_suite_commutative_zoo(dual2, dual2_k, prod22, prod22_k):
+def test_sigma_suite_commutative_zoo(dual2_g, prod22_g):
     from chaingeom.suites import sigma_suite
-    for R, K in ((dual2, dual2_k), (prod22, prod22_k)):
-        rep = sigma_suite(R, K)
+    for g in (dual2_g, prod22_g):
+        rep = sigma_suite(g)
         assert rep["ok"]
         assert rep["word_formula_mismatches"] == 0
         assert rep["compatibility_preserved"]  # commutative, trivially normal

@@ -8,24 +8,24 @@ from chaingeom.duality import PerpNotCyclicError
 from chaingeom.projline import (
     MethodDisagreementError,
     NotAdmissibleError,
+    OrbitCapExceededError,
     VerificationError,
     _bfs_levels,
-    apply_matrix,
     distant,
     distant_graph,
     elementary,
     enumerate_points,
+    index_of,
     infinity,
     is_admissible,
     is_column_admissible,
-    line_generators,
     make_point,
     mat_identity,
     mat_invert,
     mat_mul,
     mat_times_col,
-    point_permutation,
-    point_word,
+    orbit,
+    point_words,
     row_times_mat,
     word_point,
 )
@@ -184,13 +184,13 @@ def test_make_point_examples(f4, dual2):
         make_point(dual2, 2, 2)
 
 
-def test_point_counts(zoo):
+def test_point_counts(zoo_g):
     # 5 = q+1 over F4; 6 = |R| + |max ideal| over F2[e]; 9 = 3*3 over F2xF2;
     # 35 and 130 = lines of PG(3,2) and PG(3,3)
     want = {"finite-field(4)": 5, "dual-numbers(2)": 6, "product(2,2)": 9,
             "matrix2(2)": 35, "matrix2(3)": 130}
-    for R, _ in zoo:
-        assert len(enumerate_points(R)) == want[R.name]
+    for g in zoo_g:
+        assert len(g.points) == want[g.ring.name]
 
 
 def test_distant_basics(f4, dual2):
@@ -202,23 +202,23 @@ def test_distant_basics(f4, dual2):
     assert not distant(dual2, make_point(dual2, 0, 1), make_point(dual2, 2, 1))
 
 
-def test_distant_symmetric_irreflexive(small_zoo):
-    for R, _ in small_zoo:
-        pts = enumerate_points(R)
+def test_distant_symmetric_irreflexive(small_zoo_g):
+    for g in small_zoo_g:
+        R, pts = g.ring, g.points
         for p in pts:
             assert not distant(R, p, p)
             for q in pts:
                 assert distant(R, p, q) == distant(R, q, p)
 
 
-def test_distant_gl_invariant(zoo):
-    for R, _ in zoo:
-        g = distant_graph(R)
-        for M in line_generators(R):
-            perm = point_permutation(R, M)
-            iperm = [g.index[perm[p]] for p in g.points]
+def test_distant_gl_invariant(zoo_g):
+    """Every line generator, as a row of the permutation table, is an
+    automorphism of the distant graph."""
+    for geom in zoo_g:
+        g = geom.graph
+        for perm in geom.line_perms.tolist():
             for i in range(len(g.points)):
-                assert g.adj[iperm[i]] == frozenset(iperm[j] for j in g.adj[i])
+                assert g.adj[perm[i]] == frozenset(perm[j] for j in g.adj[i])
 
 
 def _pairwise_adjacency(R, pts, pairs):
@@ -229,14 +229,14 @@ def test_kernel_adjacency_matches_pairwise_distant_small(small_rings):
     """The bitset GL2 test agrees with mat_invert on every ordered pair of
     points, on every ring of at most 16 elements and both opposites."""
     for R in small_rings:
-        g = distant_graph(R)
+        g = distant_graph(R, enumerate_points(R))
         n = len(g.points)
         want = _pairwise_adjacency(R, g.points, [(i, j) for i in range(n) for j in range(n)])
         assert {(i, j): j in g.adj[i] for i in range(n) for j in range(n)} == want, R.name
 
 
-def test_kernel_adjacency_matches_pairwise_distant_m2f3(m2f3):
-    g = distant_graph(m2f3)
+def test_kernel_adjacency_matches_pairwise_distant_m2f3(m2f3, m2f3_g):
+    g = m2f3_g.graph
     n = len(g.points)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     assert len(pairs) == 8385
@@ -272,11 +272,13 @@ def reference_levels(adj, src):
     return component, diameters, runs[src]
 
 
-def test_graph_levels_match_reference_bfs(zoo, small_rings):
+def test_graph_levels_match_reference_bfs(zoo_g, small_rings):
     """Components, diameter and distances from R(1, 0) agree with one plain
     BFS per point, on every zoo ring and every ring of at most 16 elements."""
-    for R in [R for R, _ in zoo] + small_rings:
-        g = distant_graph(R)
+    graphs = [g.graph for g in zoo_g] + [distant_graph(R, enumerate_points(R))
+                                        for R in small_rings]
+    for g in graphs:
+        R = g.ring
         component, diameters, dist = reference_levels(g.adj, g.index[infinity(R)])
         assert g.component == component, R.name
         assert g.n_components == len(diameters) and {g.diameter} == set(diameters), R.name
@@ -307,15 +309,16 @@ def test_bfs_levels_match_reference_on_any_graph(graph):
 
 CORRUPT_F4_GRAPH = """
 import sys
-from chaingeom.projline import VerificationError, distant_graph
+from chaingeom.projline import VerificationError, distant_graph, enumerate_points
 from chaingeom.rings import FiniteFieldRing, RingSpec
 assert not __debug__, "expected to run under python -O"
 R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
 rows = [list(row) for row in R._mul_t]
 rows[2][1] = 0
 R._mul_t = tuple(map(tuple, rows))
+R._fill_arrays()
 try:
-    distant_graph(R)
+    distant_graph(R, enumerate_points(R))
 except VerificationError as exc:
     print(exc)
     sys.exit(0)
@@ -332,14 +335,14 @@ def test_distant_graph_left_inverse_check_raises_under_optimize(run_optimized):
         in proc.stdout
 
 
-def test_graph_f4_complete(f4):
-    g = distant_graph(f4)
+def test_graph_f4_complete(f4_g):
+    g = f4_g.graph
     assert len(g.points) == 5 and g.n_edges == 10
     assert g.diameter == 1 and g.n_components == 1
 
 
-def test_graph_dual2_octahedron(dual2):
-    g = distant_graph(dual2)
+def test_graph_dual2_octahedron(dual2_g):
+    g = dual2_g.graph
     assert len(g.points) == 6 and g.n_edges == 12
     assert g.diameter == 2 and g.n_components == 1
     # octahedron: every vertex misses exactly one other
@@ -347,18 +350,18 @@ def test_graph_dual2_octahedron(dual2):
         assert len(g.adj[i]) == 4
 
 
-def test_graph_m2f2(m2f2):
-    g = distant_graph(m2f2)
+def test_graph_m2f2(m2f2_g):
+    g = m2f2_g.graph
     assert len(g.points) == 35 and g.n_components == 1 and g.diameter == 2
 
 
-def test_graph_m2f3(m2f3):
-    g = distant_graph(m2f3)
+def test_graph_m2f3(m2f3_g):
+    g = m2f3_g.graph
     assert len(g.points) == 130 and g.n_components == 1 and g.diameter == 2
 
 
-def test_graph_prod22(prod22):
-    g = distant_graph(prod22)
+def test_graph_prod22(prod22_g):
+    g = prod22_g.graph
     assert len(g.points) == 9 and g.n_components == 1 and g.diameter == 2
     for i in range(9):
         assert len(g.adj[i]) == 4
@@ -382,12 +385,13 @@ def test_word_all_zero_even_collapses(f4, m2f2):
             assert word_point(R, (R.zero,) * n) == infinity(R)
 
 
-def test_point_word_lengths_match_graph_distance(zoo):
-    for R, _ in zoo:
-        g = distant_graph(R)
+def test_point_word_lengths_match_graph_distance(zoo_g):
+    for geom in zoo_g:
+        R, g = geom.ring, geom.graph
         bound = max(2, g.diameter)
+        words = point_words(R)
         for p in g.points:
-            w = point_word(R, p)
+            w = words.get(p)
             if p in g.dist_from_infinity:
                 assert w is not None and len(w) <= bound
                 assert len(w) == g.dist_from_infinity[p]
@@ -397,9 +401,58 @@ def test_point_word_lengths_match_graph_distance(zoo):
 
 
 def test_point_word_examples(f4, dual2):
-    assert point_word(f4, infinity(f4)) == ()
+    words = point_words(f4)
+    assert words[infinity(f4)] == ()
     for t in f4.elements():
-        assert point_word(f4, make_point(f4, t, 1)) == (t,)
+        assert words[make_point(f4, t, 1)] == (t,)
     # R(1, e) is distance 2 from infinity over F2[e]
-    w = point_word(dual2, make_point(dual2, 1, 2))
+    w = point_words(dual2).get(make_point(dual2, 1, 2))
     assert w is not None and len(w) == 2
+
+
+def test_index_of_refuses_a_key_outside_the_set():
+    keys = np.array([1, 3, 5])
+    assert index_of(keys, [5, 1, 3]).tolist() == [2, 0, 1]
+    for wanted in ([3, 4], [6], [0]):
+        with pytest.raises(VerificationError, match="left the indexed set"):
+            index_of(keys, wanted)
+
+
+def reference_orbit(seeds, perms):
+    """Plain BFS over frozensets, the loop the frontier-batched engine
+    replaced: the orbit of the seed sets under the permutations."""
+    seen = {frozenset(s) for s in seeds}
+    frontier = list(seen)
+    while frontier:
+        S = frontier.pop()
+        for perm in perms:
+            T = frozenset(perm[i] for i in S)
+            if T not in seen:
+                seen.add(T)
+                frontier.append(T)
+    return seen
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_orbit_matches_reference_bfs(data):
+    """The engine on stacks of permutations of up to 12 symbols, rows of
+    width 1 to 3, with and without a cap: the same orbit as the plain BFS,
+    each member once as a sorted row, and the cap error exactly when the
+    orbit has more than cap members."""
+    n = data.draw(st.integers(1, 12))
+    width = data.draw(st.integers(1, min(3, n)))
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    seeds = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=width,
+                                        max_size=width, unique=True),
+                               min_size=1, max_size=3))
+    cap = data.draw(st.none() | st.integers(1, 40))
+    want = reference_orbit(seeds, perms)
+    if cap is not None and len(want) > cap:
+        with pytest.raises(OrbitCapExceededError):
+            orbit(seeds, np.array(perms), cap)
+        return
+    rows = orbit(seeds, np.array(perms), cap).tolist()
+    assert all(row == sorted(row) for row in rows)
+    assert len(rows) == len(want)
+    assert set(map(frozenset, rows)) == want

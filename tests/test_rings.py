@@ -129,6 +129,8 @@ def test_normality(f4, f4_k, m2f2, m2f2_k, m2f3, m2f3_k):
     assert is_normal_subgroup(f4_k, f4)
     assert is_normal_subgroup(m2f2_k, m2f2)      # order-3 subgroup of S3
     assert not is_normal_subgroup(m2f3_k, m2f3)  # Singer F9* in GL2(F3)
+    with pytest.raises(ValueError, match="not a subfield of"):
+        is_normal_subgroup(f4_k, m2f2)  # the subfield of another ring
     u = normality_witness(m2f3_k)
     assert u is not None
     uinv = m2f3.inv(u)

@@ -1,6 +1,8 @@
-"""Static checks over the package source: no unused top-level import, and
-no more bare `assert` statements than the known ones, since python -O
-strips them and a cross-check must raise instead."""
+"""Static checks over the package source: no unused top-level import, no
+bare `assert` (python -O strips them, and a cross-check must raise
+instead), no `cache`/`lru_cache` decorator and no module-level dict that a
+function writes to: derived state belongs to a Geometry, not to the
+process."""
 
 import ast
 from pathlib import Path
@@ -9,8 +11,10 @@ import chaingeom
 
 SOURCES = sorted(Path(chaingeom.__file__).resolve().parent.glob("*.py"))
 
-# bare asserts still in src/: 8 in compat.py, 2 in isomorph.py, 1 in rings.py
-MAX_BARE_ASSERTS = 11
+MAX_BARE_ASSERTS = 0
+
+# the one module-level memo left: build_ring's table of constructed rings
+ALLOWED_MODULE_MEMOS = {("rings.py", "_RING_CACHE")}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -30,11 +34,89 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def cache_decorators(tree: ast.Module) -> list[str]:
+    """Functions decorated with cache or lru_cache, bare, called or reached
+    as an attribute (functools.cache)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.append(node.name)
+    return found
+
+
+def _module_dicts(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level to a dict display, a dict
+    comprehension, a dict() call or a value annotated as a dict."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value, annotation = node.targets, node.value, None
+        elif isinstance(node, ast.AnnAssign):
+            targets, value, annotation = [node.target], node.value, node.annotation
+        else:
+            continue
+        is_dict = (isinstance(value, (ast.Dict, ast.DictComp))
+                   or (isinstance(value, ast.Call)
+                       and getattr(value.func, "id", None) == "dict")
+                   or (annotation is not None and "dict" in ast.unparse(annotation).lower()))
+        if is_dict:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def module_memo_writes(tree: ast.Module) -> list[str]:
+    """Module-level dicts that some function body writes to, by NAME[...] =
+    or NAME.setdefault(...)."""
+    dicts = _module_dicts(tree)
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for t in targets:
+                if (isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
+                        and t.value.id in dicts):
+                    found.add(t.value.id)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "setdefault"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id in dicts):
+                found.add(node.func.value.id)
+    return sorted(found)
+
+
 def test_scan_finds_an_unused_import():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os\nfrom typing import Optional, Any\n"
                      "def f(x: Optional[int]) -> int:\n    return x\n")
     assert unused_imports(tree) == ["os", "Any"]
+
+
+def test_scan_finds_cache_decorators():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@cache\ndef a(x): return x\n"
+                     "@functools.lru_cache(maxsize=None)\ndef b(x): return x\n"
+                     "@lru_cache\ndef c(x): return x\n"
+                     "@staticmethod\ndef d(x): return x\n"
+                     "class K:\n    @functools.cache\n    def e(self): return 1\n")
+    assert cache_decorators(tree) == ["a", "b", "c", "e"]
+
+
+def test_scan_finds_module_memo_writes():
+    tree = ast.parse("MEMO = {}\nTABLE: dict = dict()\nCONST = {'a': 1}\nLIST = []\n"
+                     "def f(k):\n    MEMO[k] = k\n    local = {}\n    local[k] = 1\n"
+                     "def g(k):\n    return TABLE.setdefault(k, []) or CONST[k]\n"
+                     "def h(k):\n    LIST[0] = k\n")
+    assert module_memo_writes(tree) == ["MEMO", "TABLE"]
 
 
 def test_no_unused_top_level_imports():
@@ -47,3 +129,16 @@ def test_bare_assert_count():
     counts = {path.name: sum(isinstance(n, ast.Assert) for n in ast.walk(_parse(path)))
               for path in SOURCES}
     assert sum(counts.values()) <= MAX_BARE_ASSERTS, counts
+
+
+def test_no_cache_decorators():
+    found = {path.name: names for path in SOURCES
+             for names in [cache_decorators(_parse(path))] if names}
+    assert found == {}
+
+
+def test_no_module_level_memos():
+    found = {path.name: names for path in SOURCES
+             for names in [[n for n in module_memo_writes(_parse(path))
+                            if (path.name, n) not in ALLOWED_MODULE_MEMOS]] if names}
+    assert found == {}
