@@ -14,7 +14,10 @@ second conjugate subfield, and validates the outcome as an affine plane of
 order q^2 including an exhaustive or witness-producing Desargues search.
 That search is a sliced table kernel: join, meet and incidence tables of
 the projective completion, indexed by numpy over bounded slabs that still
-examine every configuration, in the order of the plain nested loop.
+examine every configuration, in the order of the plain nested loop.  The
+witness families, the unit-pair joins, the 2-dim subspace search and the
+affine-plane checks are table kernels too, over rows of ring elements read
+from the add and mul tables or over an incidence matrix.
 """
 
 from __future__ import annotations
@@ -91,31 +94,40 @@ def _witnessed_orbits(res: Residue, blocks, products, side: str) -> list[tuple]:
     return out
 
 
-def eq9_family(R: Ring, K: Subfield, side: str) -> frozenset:
+def _distinct_rows(rows) -> np.ndarray:
+    """The distinct rows of an integer table, in the order of their np.void
+    keys.  Deduplicates through return_index: a plain np.unique imports
+    numpy.ma (about 16 ms cold)."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return rows[np.unique(keys, return_index=True)[1]]
+
+
+def coset_family(R: Ring, K: Subfield, side: str) -> np.ndarray:
     """The family {K a + c : a unit, c in R} (compatibility side) or
-    {d K + c : d unit, c in R} (dual side), as coordinate block sets."""
-    out = set()
-    for a in R.units:
-        if side == "compatibility":
-            base = [R.mul(k, a) for k in K.elements]
-        else:
-            base = [R.mul(a, k) for k in K.elements]
-        for c in R.elements():
-            out.add(frozenset(R.add(x, c) for x in base))
-    return frozenset(out)
+    {d K + c : d unit, c in R} (dual side) of Eq. 9, as distinct sorted rows
+    read from the add and mul tables: the distinct bases K a (|R*| / |K*| of
+    them), then one table of their translates by every c."""
+    k, u = np.array(K.elements), np.array(R.units)
+    base = R._mul_a[k, u[:, None]] if side == "compatibility" else R._mul_a[u[:, None], k]
+    base = _distinct_rows(np.sort(base, axis=1))
+    family = R._add_a[base[:, None, :], np.arange(R.size)[:, None]]
+    return _distinct_rows(np.sort(family.reshape(-1, len(k)), axis=1))
 
 
 def _find_witness(R: Ring, K: Subfield, class_blocks: frozenset, side: str) -> Optional[Subfield]:
-    seen = set()
-    for u in R.units:
-        conj = conjugate_subfield(K, u)
-        if conj.elements in seen:
-            continue
-        seen.add(conj.elements)
-        if frozenset(conj.elements) not in class_blocks:
-            continue
-        if eq9_family(R, conj, side) == class_blocks:
-            return conj
+    """The conjugate subfield u^-1 K u, least unit u first, that is a block
+    of the class and whose coset family is exactly the class."""
+    k, u = np.array(K.elements), np.array(R.units)
+    inv = np.array([R.inv(x) for x in R.units])
+    tried = set()
+    for unit, row in zip(R.units, R._mul_a[R._mul_a[inv[:, None], k], u[:, None]].tolist()):
+        block = frozenset(row)
+        if block in class_blocks and block not in tried:
+            tried.add(block)
+            conj = conjugate_subfield(K, unit)
+            if check_class_structure(CompatClass(side, class_blocks, conj)):
+                return conj
     return None
 
 
@@ -168,32 +180,32 @@ def dual_compat_classes(res: Residue, perp_coords) -> tuple[CompatClass, ...]:
 
 
 def check_class_structure(cls: CompatClass) -> bool:
-    """True iff the class is exactly the coset family of its witness."""
-    R = cls.witness.ring
-    return eq9_family(R, cls.witness, cls.side) == cls.blocks
+    """True iff the class is exactly the coset family of its witness: the
+    two row sets are equal, not merely one inside the other."""
+    family = coset_family(cls.witness.ring, cls.witness, cls.side)
+    rows = _distinct_rows([sorted(B) for B in cls.blocks])
+    return rows.shape == family.shape and bool(np.all(rows == family))
 
 
 # partial affine spaces ------------------------------------------------------
 
 def joins_unit_pairs_once(R: Ring, blocks) -> bool:
-    """Two points at unit difference lie on exactly one of the blocks."""
-    joined: dict = {}
-    for B in blocks:
-        for x, y in combinations(sorted(B), 2):
-            joined[(x, y)] = joined.get((x, y), 0) + 1
-    return all(joined.get((x, y), 0) == 1
-               for x in R.elements() for y in R.elements()
-               if x < y and R.is_unit(R.sub(y, x)))
+    """Two points at unit difference lie on exactly one of the blocks (all
+    of one size; a repeated block counts twice).  The pairs x < y of every
+    block are counted at once, as a bincount of x |R| + y."""
+    n = R.size
+    rows = np.array([sorted(B) for B in blocks], dtype=np.intp, ndmin=2)
+    i, j = np.triu_indices(rows.shape[1], 1)
+    joined = np.bincount((rows[:, i] * n + rows[:, j]).ravel(), minlength=n * n)
+    unit = np.zeros(n, dtype=bool)
+    unit[list(R.units)] = True
+    # [x, y]: x < y and y - x a unit
+    need = np.triu(unit[R._add_a[:, R._neg_a]].T, 1)
+    return bool(np.all(joined.reshape(n, n)[need] == 1))
 
 
-def validate_partial_affine(res: Residue, cls: CompatClass) -> bool:
-    """The class forms a partial affine space on the residue points:
-
-    (i)   every block is a coset of a 1-dim left witness-subspace (right
-          subspace on the dual side),
-    (ii)  every direction that occurs comes with all of its cosets,
-    (iii) two points at unit difference lie on exactly one block.
-    """
+def cosets_hold(res: Residue, cls: CompatClass) -> bool:
+    """(i) and (ii) of validate_partial_affine."""
     R = res.ring
     Kp = cls.witness.elements
     directions: dict = {}
@@ -209,9 +221,18 @@ def validate_partial_affine(res: Residue, cls: CompatClass) -> bool:
             return False
         directions[B0] = directions.get(B0, 0) + 1
     n_cosets = R.size // len(Kp)
-    if any(count != n_cosets for count in directions.values()):
-        return False
-    return joins_unit_pairs_once(R, cls.blocks)
+    return all(count == n_cosets for count in directions.values())
+
+
+def validate_partial_affine(res: Residue, cls: CompatClass) -> bool:
+    """The class forms a partial affine space on the residue points:
+
+    (i)   every block is a coset of a 1-dim left witness-subspace (right
+          subspace on the dual side),
+    (ii)  every direction that occurs comes with all of its cosets,
+    (iii) two points at unit difference lie on exactly one block.
+    """
+    return cosets_hold(res, cls) and joins_unit_pairs_once(res.ring, cls.blocks)
 
 
 def missing_directions(res: Residue, cls: CompatClass) -> int:
@@ -265,29 +286,20 @@ def left_subspace_spread(R: Ring, K: Subfield) -> frozenset:
 
 def _all_2dim_subspaces(R: Ring, q: int) -> list:
     """Every additive subgroup of order q^2 arising as a span of two
-    elements (q prime here, so these are the F_q-subspaces)."""
-    out = set()
-    for x in R.elements():
-        if x == R.zero:
-            continue
-        for y in R.elements():
-            if y == R.zero:
-                continue
-            span = {R.add(self_mul_x, self_mul_y)
-                    for self_mul_x in _scalar_multiples(R, x, q)
-                    for self_mul_y in _scalar_multiples(R, y, q)}
-            if len(span) == q * q:
-                out.add(frozenset(span))
-    return sorted(out, key=sorted)
-
-
-def _scalar_multiples(R: Ring, x: int, q: int) -> list:
-    out = [R.zero]
-    cur = R.zero
-    for _ in range(q - 1):
-        cur = R.add(cur, x)
-        out.append(cur)
-    return out[:q]
+    elements (q prime here, so these are the F_q-subspaces), sorted.  The
+    spans {i x + j y} of all pairs x < y of nonzero elements are the rows
+    of one table; rows with q^2 distinct entries are kept."""
+    n = R.size
+    mult = np.zeros((n, q), dtype=np.intp)  # mult[x, i] = i x
+    for i in range(1, q):
+        mult[:, i] = R._add_a[mult[:, i - 1], np.arange(n)]
+    x, y = np.triu_indices(n, 1)
+    x, y = x[x != R.zero], y[x != R.zero]
+    spans = R._add_a[mult[x][:, :, None], mult[y][:, None, :]].reshape(-1, q * q)
+    spans.sort(axis=1)
+    rows = _distinct_rows(spans)
+    rows = rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]
+    return [frozenset(r) for r in rows[np.lexsort(rows.T[::-1])].tolist()]
 
 
 def regulus_through(R: Ring, q: int, m1, m2, m3, subspaces=None) -> tuple[frozenset, frozenset]:
@@ -316,35 +328,26 @@ def second_conjugate(R: Ring, K: Subfield) -> Optional[Subfield]:
     return None
 
 
-def _affine_checks(R: Ring, lines: list) -> tuple[bool, bool, int, dict]:
-    """Two-point axiom and Playfair for a line family over point set R."""
-    pair_line: dict = {}
-    two_point = True
+def _incidence(n_points: int, lines) -> np.ndarray:
+    """The lines x points 0/1 incidence matrix."""
+    inc = np.zeros((len(lines), n_points), dtype=np.int64)
     for li, L in enumerate(lines):
-        for x, y in combinations(sorted(L), 2):
-            if (x, y) in pair_line:
-                two_point = False
-            pair_line[(x, y)] = li
-    n = R.size
-    if len(pair_line) != n * (n - 1) // 2:
-        two_point = False
-    by_point: dict = {x: [] for x in R.elements()}
-    for li, L in enumerate(lines):
-        for x in L:
-            by_point[x].append(li)
-    playfair = True
-    line_sets = [frozenset(L) for L in lines]
-    for li, L in enumerate(lines):
-        for x in R.elements():
-            if x in line_sets[li]:
-                continue
-            parallels = [m for m in by_point[x]
-                         if not (line_sets[m] & line_sets[li])]
-            if len(parallels) != 1:
-                playfair = False
-    r_counts = {len(v) for v in by_point.values()}
-    lines_per_point = r_counts.pop() if len(r_counts) == 1 else -1
-    return two_point, playfair, lines_per_point, pair_line
+        inc[li, list(L)] = 1
+    return inc
+
+
+def _affine_checks(R: Ring, lines: list) -> tuple[bool, bool, int]:
+    """Two-point axiom, Playfair and the number of lines per point (-1 if
+    it varies) for a line family over point set R, from the incidence
+    matrix: every two points share exactly one line, and every line misses
+    each point off it by exactly one line through that point."""
+    inc = _incidence(R.size, lines)
+    common = inc.T @ inc
+    np.fill_diagonal(common, 1)
+    parallels = ((inc @ inc.T) == 0).astype(np.int64) @ inc  # [l, x]: lines through x missing l
+    per_point = inc.sum(axis=0)
+    return (bool(np.all(common == 1)), bool(np.all(parallels[inc == 0] == 1)),
+            int(per_point[0]) if np.all(per_point == per_point[0]) else -1)
 
 
 def _projective_completion(R: Ring, lines: list) -> tuple[list, list]:
@@ -375,9 +378,7 @@ def _plane_tables(n_points: int, lines) -> tuple:
     the diagonal), meet (L x L point index, -1 on the diagonal) and the L x N
     0/1 incidence matrix.  Raises VerificationError unless every two points
     lie on exactly one line and every two lines meet in exactly one point."""
-    inc = np.zeros((len(lines), n_points), dtype=np.int64)
-    for li, L in enumerate(lines):
-        inc[li, list(L)] = 1
+    inc = _incidence(n_points, lines)
     # each product entry sums over the common lines (points); where exactly
     # one is common, the index-weighted product names it
     for what, X in (("lines through points", inc), ("points on lines", inc.T)):
@@ -521,7 +522,7 @@ def derive_plane(geom, skip_replacement: bool = False,
         removed = frozenset(regulus)
         replaced_size = len(removed)
 
-    two_point, playfair, lines_per_point, _ = _affine_checks(R, lines)
+    two_point, playfair, lines_per_point = _affine_checks(R, lines)
     if not (two_point and playfair):
         raise DerivedPlaneError("derived structure is not an affine plane")
     if len(lines) * (q * q) != R.size * lines_per_point:

@@ -10,18 +10,29 @@ from chaingeom.geometry import Geometry
 from chaingeom.rings import RingSpec, build_ring, build_subfield
 
 
-@pytest.fixture(scope="session")
-def run_optimized():
-    """Runs Python source in a python -O subprocess that imports this
-    checkout's chaingeom; returns the CompletedProcess."""
+def _python_runner(*flags):
+    """Runs Python source in a fresh python subprocess with flags, importing
+    this checkout's chaingeom; returns the CompletedProcess."""
     src = str(Path(chaingeom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
     def run(code: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+        return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
     return run
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """Runs Python source under python -O (see _python_runner)."""
+    return _python_runner("-O")
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """Runs Python source in a fresh interpreter (see _python_runner)."""
+    return _python_runner()
 
 
 @pytest.fixture(scope="session")

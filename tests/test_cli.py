@@ -160,3 +160,24 @@ def test_report_matches_golden(tmp_path, name):
     report.pop("timing")
     golden = (root / "data" / f"golden_{name}.json").read_text()
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden
+
+
+COLD_RUNS = """
+import sys, tempfile
+from chaingeom.cli import load_config, run
+for name in ("m2f3", "m2f2"):
+    with tempfile.TemporaryDirectory() as out:
+        report, all_pass = run(load_config(CONFIGS + "/" + name + ".json"), out_dir=out)
+    if not all_pass:
+        raise SystemExit(name + " failed")
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_runs_do_not_import_numpy_ma(run_fresh):
+    """A plain np.unique (also with axis=0) imports numpy.ma, about 16 ms of
+    a cold run; the kernels dedupe through return_index, which does not."""
+    configs = str(Path(__file__).resolve().parent.parent / "configs")
+    proc = run_fresh(f"CONFIGS = {configs!r}" + COLD_RUNS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"

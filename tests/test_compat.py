@@ -1,6 +1,8 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaingeom import compat
 from chaingeom.projline import (
@@ -13,13 +15,20 @@ from chaingeom.projline import (
 from chaingeom.suites import vergleich_report
 from chaingeom.compat import (
     CompatClass,
+    DerivedPlaneError,
+    RegulusNotFoundError,
+    _affine_checks,
+    _all_2dim_subspaces,
     _desargues_scan,
     check_class_structure,
+    coset_family,
     derive_plane,
-    eq9_family,
+    joins_unit_pairs_once,
     missing_directions,
     validate_partial_affine,
 )
+from chaingeom.geometry import Geometry
+from chaingeom.rings import Matrix2Ring, RingSpec, build_subfield, conjugate_subfield
 
 
 def test_single_class_when_units_normal(f4_g, dual2_g, prod22_g, m2f2_g):
@@ -226,9 +235,240 @@ def test_derive_plane_q3_control(m2f3_g):
 
 
 def test_eq9_family_shapes(m2f3, m2f3_k):
-    fam = eq9_family(m2f3, m2f3_k, "compatibility")
+    fam = reference_eq9_family(m2f3, m2f3_k, "compatibility")
     assert len(fam) == 54
     assert frozenset(m2f3_k.elements) in fam
+    assert as_blocks(coset_family(m2f3, m2f3_k, "compatibility")) == fam
+
+
+# the compatibility kernels against their scalar references ---------------------
+
+def reference_eq9_family(R, K, side: str) -> frozenset:
+    """The family {K a + c : a unit, c in R} (compatibility side) or
+    {d K + c : d unit, c in R} (dual side), as coordinate block sets: the
+    loop `coset_family` replaced."""
+    out = set()
+    for a in R.units:
+        if side == "compatibility":
+            base = [R.mul(k, a) for k in K.elements]
+        else:
+            base = [R.mul(a, k) for k in K.elements]
+        for c in R.elements():
+            out.add(frozenset(R.add(x, c) for x in base))
+    return frozenset(out)
+
+
+def reference_joins_unit_pairs_once(R, blocks) -> bool:
+    """Two points at unit difference lie on exactly one of the blocks."""
+    joined: dict = {}
+    for B in blocks:
+        for x, y in combinations(sorted(B), 2):
+            joined[(x, y)] = joined.get((x, y), 0) + 1
+    return all(joined.get((x, y), 0) == 1
+               for x in R.elements() for y in R.elements()
+               if x < y and R.is_unit(R.sub(y, x)))
+
+
+def reference_all_2dim_subspaces(R, q: int) -> list:
+    """Every span {i x + j y} of two nonzero elements with q^2 members."""
+    def multiples(x):
+        out = [R.zero]
+        for _ in range(q - 1):
+            out.append(R.add(out[-1], x))
+        return out
+
+    out = set()
+    for x in R.elements():
+        for y in R.elements():
+            if R.zero in (x, y):
+                continue
+            span = {R.add(a, b) for a in multiples(x) for b in multiples(y)}
+            if len(span) == q * q:
+                out.add(frozenset(span))
+    return sorted(out, key=sorted)
+
+
+def reference_affine_checks(R, lines) -> tuple[bool, bool, int]:
+    """Two-point axiom, Playfair and lines per point (-1 if it varies)."""
+    pair_line: dict = {}
+    two_point = True
+    for li, L in enumerate(lines):
+        for x, y in combinations(sorted(L), 2):
+            if (x, y) in pair_line:
+                two_point = False
+            pair_line[(x, y)] = li
+    n = R.size
+    if len(pair_line) != n * (n - 1) // 2:
+        two_point = False
+    by_point: dict = {x: [] for x in R.elements()}
+    for li, L in enumerate(lines):
+        for x in L:
+            by_point[x].append(li)
+    playfair = True
+    line_sets = [frozenset(L) for L in lines]
+    for li, L in enumerate(lines):
+        for x in R.elements():
+            if x in line_sets[li]:
+                continue
+            parallels = [m for m in by_point[x]
+                         if not (line_sets[m] & line_sets[li])]
+            if len(parallels) != 1:
+                playfair = False
+    r_counts = {len(v) for v in by_point.values()}
+    lines_per_point = r_counts.pop() if len(r_counts) == 1 else -1
+    return two_point, playfair, lines_per_point
+
+
+def as_blocks(rows) -> frozenset:
+    return frozenset(map(frozenset, np.asarray(rows).tolist()))
+
+
+def conjugates(K):
+    """The distinct conjugate subfields u^-1 K u, least unit first."""
+    out = {}
+    for u in K.ring.units:
+        conj = conjugate_subfield(K, u)
+        out.setdefault(conj.elements, conj)
+    return list(out.values())
+
+
+def test_coset_family_matches_reference(zoo_g):
+    """For every conjugate subfield and side the kernel's family is the
+    loop's; for every class of either partition the kernel's equality test
+    answers as the loop's family does, matching or not; each class's
+    witness reproduces it."""
+    for g in zoo_g:
+        R = g.ring
+        classes = g.compat_classes + g.dual_compat_classes
+        for conj in conjugates(g.subfield):
+            for side in ("compatibility", "dual-compatibility"):
+                want = reference_eq9_family(R, conj, side)
+                assert as_blocks(coset_family(R, conj, side)) == want, (R.name, conj)
+                for cls in classes:
+                    probe = CompatClass(side, cls.blocks, conj)
+                    assert check_class_structure(probe) == (want == cls.blocks)
+        for cls in classes:
+            assert reference_eq9_family(R, cls.witness, cls.side) == cls.blocks
+
+
+def test_joins_match_reference_on_every_class(zoo_g):
+    for g in zoo_g:
+        for cls in g.compat_classes + g.dual_compat_classes:
+            assert joins_unit_pairs_once(g.ring, cls.blocks)
+            assert reference_joins_unit_pairs_once(g.ring, cls.blocks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_joins_match_reference_on_drawn_families(zoo_g, data):
+    """Sub-families of a class, drawn with repeats so that some blocks are
+    duplicated, get the same answer from kernel and loop."""
+    g = data.draw(st.sampled_from(zoo_g))
+    classes = g.compat_classes + g.dual_compat_classes
+    blocks = sorted(data.draw(st.sampled_from(classes)).blocks, key=sorted)
+    drawn = data.draw(st.lists(st.sampled_from(blocks), max_size=len(blocks) + 2))
+    assert (joins_unit_pairs_once(g.ring, drawn)
+            == reference_joins_unit_pairs_once(g.ring, drawn))
+
+
+@pytest.mark.parametrize("name, count", [("m2f2", 35), ("m2f3", 130)])
+def test_2dim_subspaces_match_reference(request, name, count):
+    R = request.getfixturevalue(name)
+    spans = _all_2dim_subspaces(R, R.spec.q)
+    assert len(spans) == count
+    assert spans == reference_all_2dim_subspaces(R, R.spec.q)
+
+
+@pytest.fixture(scope="module")
+def affine_line_sets(m2f2_g, m2f3_g):
+    """{name: (ring, lines)} of the line sets derive_plane checks as affine
+    planes: AG(2, 4), AG(2, 9) and the derived set on matrix2(3)."""
+    sets = {}
+    real = compat._affine_checks
+
+    def spy(R, lines):
+        sets[name] = (R, lines)
+        return real(R, lines)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compat, "_affine_checks", spy)
+        for name, g, skip in (("AG(2, 4)", m2f2_g, False), ("AG(2, 9)", m2f3_g, True),
+                              ("derived", m2f3_g, False)):
+            derive_plane(g, skip_replacement=skip)
+    return sets
+
+
+def test_affine_checks_match_reference(affine_line_sets):
+    for name, (R, lines) in affine_line_sets.items():
+        q2 = round(R.size ** 0.5)
+        assert _affine_checks(R, lines) == (True, True, q2 + 1), name
+        assert reference_affine_checks(R, lines) == (True, True, q2 + 1), name
+
+
+# negative controls of the compatibility kernels -------------------------------
+
+def test_class_with_a_shifted_block_has_no_witness(m2f3_g, monkeypatch):
+    """One block of a class moved off the coset family (one point swapped
+    for another) leaves the class without a witness.  The orbit engine is
+    stubbed to hand back that class as the orbit of its blocks."""
+    R, res = m2f3_g.ring, m2f3_g.residue
+    rows = sorted(map(sorted, m2f3_g.compat_classes[0].blocks))
+    B = rows[-1]
+    z = next(x for x in R.elements() if x not in B)
+    rows[-1] = sorted(B[1:] + [z])
+    assert frozenset(rows[-1]) not in set(res.blocks)
+    monkeypatch.setattr(compat, "orbit", lambda seeds, steps: np.array(rows))
+    with pytest.raises(VerificationError, match="class without a witness"):
+        compat._witnessed_orbits(res, as_blocks(rows), R.right_products, "compatibility")
+    assert reference_eq9_family(R, m2f3_g.compat_classes[0].witness,
+                                "compatibility") != as_blocks(rows)
+
+
+def test_duplicated_block_fails_the_joins(zoo_g):
+    for g in zoo_g:
+        blocks = sorted(g.compat_classes[0].blocks, key=sorted)
+        assert not joins_unit_pairs_once(g.ring, blocks + blocks[:1])
+
+
+def broken_line_sets(lines) -> dict:
+    return {"dropped": lines[1:],
+            "merged": [tuple(sorted(set(lines[0]) | set(lines[1])))] + lines[2:],
+            "doubled": lines + lines[:1]}
+
+
+def test_dropped_line_fails_playfair(affine_line_sets):
+    """One line dropped leaves some point without a parallel, one line
+    doubled gives some point two."""
+    for name, (R, lines) in affine_line_sets.items():
+        broken = broken_line_sets(lines)
+        assert not _affine_checks(R, broken["dropped"])[1], name
+        assert not _affine_checks(R, broken["doubled"])[1], name
+
+
+def test_merged_lines_fail_the_two_point_axiom(affine_line_sets):
+    for name, (R, lines) in affine_line_sets.items():
+        assert not _affine_checks(R, broken_line_sets(lines)["merged"])[0], name
+
+
+def test_affine_checks_match_reference_on_broken_sets(affine_line_sets):
+    for name, (R, lines) in affine_line_sets.items():
+        for how, broken in broken_line_sets(lines).items():
+            assert _affine_checks(R, broken) == reference_affine_checks(R, broken), (name, how)
+
+
+@pytest.mark.parametrize("q, a, b", [(2, 5, 9), (2, 14, 7), (3, 50, 54), (3, 1, 80)])
+def test_corrupted_addition_makes_derive_plane_raise(q, a, b):
+    """A freshly built matrix2(q) (not build_ring's cached one) whose
+    classes are found on clean tables, then one sum a + b changed."""
+    R = Matrix2Ring(RingSpec("matrix2", q))
+    g = Geometry(R, build_subfield(R, "singer"))
+    g.compat_classes
+    rows = [list(row) for row in R._add_t]
+    rows[a][b] = (rows[a][b] + 1) % R.size
+    R._add_t = tuple(map(tuple, rows))
+    R._fill_arrays()
+    with pytest.raises((VerificationError, RegulusNotFoundError, DerivedPlaneError)):
+        derive_plane(g)
 
 
 # the Desargues scan ------------------------------------------------------------
