@@ -294,8 +294,8 @@ def _all_2dim_subspaces(R: Ring, q: int) -> list:
     for i in range(1, q):
         mult[:, i] = R._add_a[mult[:, i - 1], np.arange(n)]
     x, y = np.triu_indices(n, 1)
-    x, y = x[x != R.zero], y[x != R.zero]
-    spans = R._add_a[mult[x][:, :, None], mult[y][:, None, :]].reshape(-1, q * q)
+    nonzero = x != R.zero
+    spans = R._add_a[mult[x[nonzero], :, None], mult[y[nonzero], None, :]].reshape(-1, q * q)
     spans.sort(axis=1)
     rows = _distinct_rows(spans)
     rows = rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]

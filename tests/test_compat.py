@@ -358,7 +358,7 @@ def test_joins_match_reference_on_every_class(zoo_g):
             assert reference_joins_unit_pairs_once(g.ring, cls.blocks)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_joins_match_reference_on_drawn_families(zoo_g, data):
     """Sub-families of a class, drawn with repeats so that some blocks are
