@@ -89,10 +89,3 @@ def residue_at(geom, p: Point) -> Residue:
                               key=sorted))
     return Residue(R, K, p, pts, point_blocks, coord_of, blocks)
 
-
-def blocks_through(res: Residue, xs) -> set:
-    """Coordinate blocks of the far-point residue containing every x in xs."""
-    if res.blocks is None:
-        raise VerificationError(f"blocks at {res.at} over {res.ring.name} are not coordinatized")
-    want = set(xs)
-    return {B for B in res.blocks if want <= B}

@@ -137,6 +137,11 @@ def parse_config(data: dict) -> ScenarioConfig:
     output = data.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output must be an object")
+    for key, value in output.items():
+        if key not in ("report", "dot"):
+            raise ConfigError(f"output takes no key {key!r}")
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"output {key} must be a non-empty string")
     return ScenarioConfig(RingSpec(ring["family"], ring["q"]), subfield,
                           tuple(tasks), output)
 

@@ -35,14 +35,9 @@ from chaingeom.rings import (
     conjugate_subfield,
     unit_generators,
 )
-from chaingeom.projline import (
-    VerificationError,
-    apply_matrix,
-    make_point,
-    orbit,
-)
+from chaingeom.projline import VerificationError, orbit, row_images
 from chaingeom.chains import Residue
-from chaingeom.duality import apply_matrix_dual, make_dual_point
+from chaingeom.duality import col_images
 
 
 class RegulusNotFoundError(RuntimeError):
@@ -131,26 +126,38 @@ def _find_witness(R: Ring, K: Subfield, class_blocks: frozenset, side: str) -> O
     return None
 
 
-def _verify_coordinate_action(res: Residue) -> None:
-    """The affine coordinate actions x -> x*a + c and x -> a*x + c agree with
-    the matrix actions of [[a, 0], [c, 1]] on the residue points R(x, 1) and
-    of [[1, 0], [-c, a]] on the dual residue points (-1, x)^T R."""
-    R = res.ring
-    pt = [make_point(R, x, R.one) for x in R.elements()]
-    dual = [make_dual_point(R, R.neg(R.one), x) for x in R.elements()]
-    for a in unit_generators(R):
-        for c in additive_generators(R):
-            for x in R.elements():
-                if (apply_matrix(R, pt[x], (a, R.zero, c, R.one)) != pt[R.add(R.mul(x, a), c)]
-                        or apply_matrix_dual(R, dual[x], (R.one, R.zero, R.neg(c), a))
-                        != dual[R.add(R.mul(a, x), c)]):
-                    raise VerificationError(f"{R.name}: the affine coordinate action "
-                                            f"at x={x}, a={a}, c={c} is not the matrix action")
+def _verify_coordinate_action(R: Ring) -> None:
+    """Each generator of the class orbits acts on the coordinates as its
+    matrix acts on the residue: x -> x*a (a a unit generator) and x -> x + c
+    (c an additive generator) as [[a, 0], [0, 1]] and [[1, 0], [c, 1]] on
+    the points R(x, 1), and x -> a*x and x -> x + c as [[1, 0], [0, a]] and
+    [[1, 0], [-c, 1]] on the dual points (-1, x)^T R.  Compares key tables
+    of row_images and col_images with the coordinate maps."""
+    one, zero = R.one, R.zero
+    x = np.arange(R.size)
+    units, shifts = unit_generators(R), additive_generators(R)
+    points, duals = R._left_key[x, one], R._right_key[R.neg(one), x]
+    moved = [R._add_a[x, c] for c in shifts]
+    for side, keys, got, coords in (
+            ("point", points,
+             row_images(R, points, [(a, zero, zero, one) for a in units]
+                        + [(one, zero, c, one) for c in shifts]),
+             [R._mul_a[x, a] for a in units] + moved),
+            ("dual point", duals,
+             col_images(R, duals, [(one, zero, zero, a) for a in units]
+                        + [(one, zero, R.neg(c), one) for c in shifts]),
+             [R._mul_a[a, x] for a in units] + moved)):
+        bad = np.argwhere(got != keys[np.array(coords)])
+        if len(bad):
+            g, at = bad[0].tolist()
+            gen = f"a={units[g]}" if g < len(units) else f"c={shifts[g - len(units)]}"
+            raise VerificationError(f"{R.name}: the affine coordinate action at x={at}, "
+                                    f"{gen} is not the matrix action on the {side}s")
 
 
 def delta_orbits(res: Residue) -> tuple[CompatClass, ...]:
     """Compatibility classes at the far point: orbits under x -> x*a + c."""
-    _verify_coordinate_action(res)
+    _verify_coordinate_action(res.ring)
     return tuple(CompatClass("compatibility", cls, w) for cls, w in
                  _witnessed_orbits(res, res.blocks, res.ring.right_products, "compatibility"))
 
@@ -205,7 +212,13 @@ def joins_unit_pairs_once(R: Ring, blocks) -> bool:
 
 
 def cosets_hold(res: Residue, cls: CompatClass) -> bool:
-    """(i) and (ii) of validate_partial_affine."""
+    """The first two conditions of a partial affine space on the residue
+    points, the third being joins_unit_pairs_once:
+
+    (i)   every block is a coset of a 1-dim left witness-subspace (right
+          subspace on the dual side),
+    (ii)  every direction that occurs comes with all of its cosets.
+    """
     R = res.ring
     Kp = cls.witness.elements
     directions: dict = {}
@@ -222,17 +235,6 @@ def cosets_hold(res: Residue, cls: CompatClass) -> bool:
         directions[B0] = directions.get(B0, 0) + 1
     n_cosets = R.size // len(Kp)
     return all(count == n_cosets for count in directions.values())
-
-
-def validate_partial_affine(res: Residue, cls: CompatClass) -> bool:
-    """The class forms a partial affine space on the residue points:
-
-    (i)   every block is a coset of a 1-dim left witness-subspace (right
-          subspace on the dual side),
-    (ii)  every direction that occurs comes with all of its cosets,
-    (iii) two points at unit difference lie on exactly one block.
-    """
-    return cosets_hold(res, cls) and joins_unit_pairs_once(res.ring, cls.blocks)
 
 
 def missing_directions(res: Residue, cls: CompatClass) -> int:

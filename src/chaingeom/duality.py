@@ -7,20 +7,20 @@ The annihilator map sends a point R(a, b) to the full solution set
 {(x, y)^T : a*x + b*y = 0}, computed by an exhaustive kernel scan over all
 |R|^2 candidate columns, followed by extraction of an admissible cyclic
 generator.  This is the definition-level oracle that every closed formula
-in the package is tested against, so it never reuses those formulas.  The
-scan reads the ring's operation tables and bucket-matches a*x against
--(b*y) over all x and y, which inspects every candidate column.  perp_point
-scans on every call and remembers nothing; a Geometry calls it once per
-point and keeps the answers as its perp index array, which never feeds a
-formula.  The covariance law is swept per
-generator: covariance_failures builds the same kernels for a batch of rows
-as boolean stacks from the tables, and covariance_holds stays the per-module
-check.
+in the package is tested against, so it never reuses those formulas.  One
+kernel builds every solution set: a boolean mask over the keys x*|R| + y
+of all candidate columns, r[x] == -s[y] tested from the operation tables.
+perp_point and bidual_point read a generator off that mask by one cyclic
+span test, an exact set equality.  perp_point scans on every call and
+remembers nothing; a Geometry calls it once per point and keeps the
+answers as its perp index array, which never feeds a formula.  The
+covariance law is swept per generator: covariance_failures builds the
+same kernels for a batch of rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -30,12 +30,8 @@ from chaingeom.projline import (
     Point,
     VerificationError,
     _checked_orbit,
-    is_admissible,
-    is_column_admissible,
     make_point,
     mat_invert,
-    mat_times_col,
-    row_times_mat,
 )
 
 DualPoint = tuple[int, int]
@@ -54,11 +50,6 @@ def dual_infinity(R: Ring) -> DualPoint:
     return R.canonical_pair_right(R.zero, R.one)
 
 
-def apply_matrix_dual(R: Ring, q: DualPoint, M: Matrix2) -> DualPoint:
-    """The dual point M * q, canonicalized."""
-    return R.canonical_pair_right(*mat_times_col(R, M, q))
-
-
 def col_images(R: Ring, keys, gens) -> np.ndarray:
     """Canonical keys v*|R| + w of the columns M * (v, w)^T, for every
     generator M (axis 0) and every column given by its key (axis 1)."""
@@ -75,11 +66,6 @@ def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
                           R._cols_ok, "dual points")
 
 
-def dual_distant(R: Ring, q1: DualPoint, q2: DualPoint) -> bool:
-    """True iff the columns side by side form a matrix in GL2(R)."""
-    return mat_invert(R, (q1[0], q2[0], q1[1], q2[1])) is not None
-
-
 def dual_standard_chain(R: Ring, K: Subfield) -> frozenset:
     """{(k, 1)^T R : k in K} together with (1, 0)^T R."""
     pts = {make_dual_point(R, k, R.one) for k in K.elements}
@@ -89,74 +75,57 @@ def dual_standard_chain(R: Ring, K: Subfield) -> frozenset:
 
 # the annihilator oracle ----------------------------------------------------
 
-def _kernel(neg: tuple[int, ...], r: tuple[int, ...], s: tuple[int, ...]) -> set:
-    """{(x, y) : r[x] + s[y] = 0}, each x matched against the bucket of -s[y]."""
-    buckets: dict = {}
-    for y, sy in enumerate(s):
-        buckets.setdefault(neg[sy], []).append(y)
-    return {(x, y) for x, rx in enumerate(r) for y in buckets.get(rx, ())}
+def _kernel_stack(neg: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row i is the raveled |R| x |R| mask r[i, x] + s[i, y] = 0, tested as
+    r[i, x] == -s[i, y] over every candidate column (x, y)."""
+    return (r[:, :, None] == neg[s][:, None, :]).reshape(len(r), r.shape[1] * s.shape[1])
 
 
-def annihilator_pairs(R: Ring, rows: Iterable[tuple[int, int]]) -> frozenset:
-    """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in rows}.
+def annihilator_pairs(R: Ring, rows: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in rows},
+    as a boolean mask over the keys x*|R| + y of all |R|^2 candidate columns."""
+    rows = list(rows)
+    r = np.array([R.left_products(a) for a, _ in rows], dtype=np.intp).reshape(-1, R.size)
+    s = np.array([R.left_products(b) for _, b in rows], dtype=np.intp).reshape(-1, R.size)
+    return _kernel_stack(R._neg_a, r, s).all(axis=0)
 
-    Exhaustive over all |R|^2 candidate columns: for each row, every x is
-    matched against the bucket of y with -(b*y) = a*x.
-    """
-    sol = None
-    for a, b in rows:
-        cur = _kernel(R._neg_t, R.left_products(a), R.left_products(b))
-        sol = cur if sol is None else sol & cur
-    if sol is None:  # no equations: every column solves them
-        sol = {(x, y) for x in R.elements() for y in R.elements()}
-    return frozenset(sol)
+
+def _cyclic_generator(kernel: np.ndarray, products: np.ndarray,
+                      ok: np.ndarray) -> Optional[tuple[int, int]]:
+    """The least pair (v, w), by key v*|R| + w, of the kernel mask that the
+    table ok admits and whose cyclic span {(products[v, x], products[w, x])
+    : x in R}, as a mask, equals the kernel mask: it lies inside the kernel
+    and leaves no member out.  None if no pair qualifies."""
+    n = len(products)
+    for key in np.flatnonzero(kernel & ok.ravel()).tolist():
+        v, w = divmod(key, n)
+        span = np.zeros_like(kernel)
+        span[products[v] * n + products[w]] = True
+        if (span == kernel).all():
+            return v, w
+    return None
 
 
 def perp_point(R: Ring, p: Point) -> DualPoint:
     """The annihilator of R(a, b) as a canonical dual point.
 
-    Scans the kernel, verifies it is a cyclic right submodule spanned by an
-    admissible column, and returns that generator; raises PerpNotCyclicError
-    otherwise (never on zoo rings).
+    Scans the kernel, finds an admissible column whose cyclic right span
+    {(v*x, w*x)} is the whole kernel, and returns it canonicalized; raises
+    PerpNotCyclicError if there is none (never on zoo rings).
     """
-    kern = annihilator_pairs(R, [p])
-    for v, w in sorted(kern):
-        if not is_column_admissible(R, v, w):
-            continue
-        if set(zip(R.left_products(v), R.left_products(w))) == kern:
-            return R.canonical_pair_right(v, w)
-    raise PerpNotCyclicError(f"kernel of {p} over {R.name} has no admissible generator")
-
-
-def perp_chain(R: Ring, C: frozenset) -> frozenset:
-    return frozenset(perp_point(R, p) for p in C)
-
-
-def covariance_holds(R: Ring, U: Iterable[tuple[int, int]], M: Matrix2) -> bool:
-    """(U*M)-perp equals M^-1 * (U-perp), as raw solution sets."""
-    U = list(U)
-    Minv = mat_invert(R, M)
-    if Minv is None:
-        raise VerificationError(f"covariance needs an invertible matrix, got {M}")
-    lhs = annihilator_pairs(R, [row_times_mat(R, u, M) for u in U])
-    rhs = frozenset(mat_times_col(R, Minv, c) for c in annihilator_pairs(R, U))
-    return lhs == rhs
+    gen = _cyclic_generator(annihilator_pairs(R, [p]), R._mul_a, R._cols_ok)
+    if gen is None:
+        raise PerpNotCyclicError(f"kernel of {p} over {R.name} has no admissible generator")
+    return R.canonical_pair_right(*gen)
 
 
 # rows per slab of covariance_failures: at most this many kernel entries
 _COV_SLAB = 1 << 15
 
 
-def _kernel_stack(neg: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row i is the raveled |R| x |R| mask r[i, x] + s[i, y] = 0, tested as
-    r[i, x] == -s[i, y] over every candidate column (x, y)."""
-    return (r[:, :, None] == neg[s][:, None, :]).reshape(len(r), -1)
-
-
 def covariance_failures(R: Ring, M: Matrix2, rows: Iterable[tuple[int, int]]) -> int:
     """The number of rows u (with repeats) where (u*M)-perp differs from
-    M^-1 * (u-perp), as raw solution sets: covariance_holds(R, [u], M) for
-    every row at once.
+    M^-1 * (u-perp), as raw solution sets, for every row at once.
 
     Both kernels are boolean stacks over all |R|^2 candidate columns, built
     from the operation tables in slabs of rows; the map c -> M^-1 * c is an
@@ -200,12 +169,6 @@ def word_dual_point(R: Ring, ts: tuple[int, ...]) -> DualPoint:
     return R.canonical_pair_right(w, neg[v])  # a last E(0)
 
 
-def commutative_perp_formula(R: Ring, p: Point) -> DualPoint:
-    """R(a, b) -> (-b, a)^T R, valid over commutative rings."""
-    a, b = p
-    return R.canonical_pair_right(R.neg(b), a)
-
-
 def length2_perp_formula(R: Ring, t1: int, t2: int) -> tuple[Point, DualPoint]:
     """The length-2 instance: R(t2*t1 - 1, t2) maps to (-t2, t1*t2 - 1)^T R."""
     p = make_point(R, R.sub(R.mul(t2, t1), R.one), t2)
@@ -228,16 +191,15 @@ def length3_perp_formula(R: Ring, t1: int, t2: int, t3: int) -> tuple[Point, Dua
 def bidual_point(R: Ring, q: DualPoint) -> Point:
     """The annihilator of a dual point, back on the line via the canonical
     identification of R^2 with its bidual: the bidual of p is
-    bidual_point(R, perp_point(R, p))."""
-    v, w = q
-    # left kernel: rows (a, b) with a*v + b*w = 0, over all |R|^2 rows
-    kern = _kernel(R._neg_t, R.right_products(v), R.right_products(w))
-    for a, b in sorted(kern):
-        if not is_admissible(R, a, b):
-            continue
-        if set(zip(R.right_products(a), R.right_products(b))) == kern:
-            return R.canonical_pair_left(a, b)
-    raise PerpNotCyclicError(f"left kernel of {q} over {R.name} not cyclic")
+    bidual_point(R, perp_point(R, p)).  The left kernel holds the rows
+    (a, b) with a*v + b*w = 0, over all |R|^2 rows; its generator spans it
+    as {(x*a, x*b)}."""
+    cols = R._mul_a.T  # cols[v, x] = x*v
+    kern = _kernel_stack(R._neg_a, cols[[q[0]]], cols[[q[1]]])[0]
+    gen = _cyclic_generator(kern, cols, R._rows_ok)
+    if gen is None:
+        raise PerpNotCyclicError(f"left kernel of {q} over {R.name} not cyclic")
+    return R.canonical_pair_left(*gen)
 
 
 def dual_matches_opposite(geom, op) -> bool:

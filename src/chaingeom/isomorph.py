@@ -26,7 +26,7 @@ from chaingeom.rings import (
     conjugate_subfield,
     make_ring_map,
 )
-from chaingeom.projline import Matrix2, Point, make_point, mat_times_col, row_times_mat
+from chaingeom.projline import Point
 from chaingeom.duality import DualPoint
 
 
@@ -87,13 +87,6 @@ def verify_subfield_condition(m: RingMap, K: Subfield, K2: Subfield) -> int:
 
 # induced maps ----------------------------------------------------------------
 
-def iso_point_map(m: RingMap, p: Point) -> Point:
-    """R(a, b) -> R'(a^phi, b^phi) for a ring isomorphism."""
-    if m.kind != "isomorphism":
-        raise RingMapError(f"iso_point_map needs an isomorphism, got an {m.kind}")
-    return m.target.canonical_pair_left(m(p[0]), m(p[1]))
-
-
 def antiiso_dual_to_point(m: RingMap, q: DualPoint) -> Point:
     """(v, w)^T R -> R'(v^phi, w^phi) for a ring antiisomorphism."""
     if m.kind != "antiisomorphism":
@@ -123,32 +116,6 @@ def antiiso_word_point(m: RingMap, ts: tuple[int, ...]) -> Point:
     for t in reversed(ts):
         x, y = add[mul[x][m(t)]][neg[y]], x
     return S.canonical_pair_left(x, y)
-
-
-def map_matrix_entrywise(m: RingMap, M: Matrix2) -> Matrix2:
-    return (m(M[0]), m(M[1]), m(M[2]), m(M[3]))
-
-
-def transpose_law_holds(m: RingMap, M: Matrix2, q: DualPoint) -> bool:
-    """(M * q) mapped entrywise equals (q mapped entrywise) * (M^T)^phi."""
-    R, S = m.source, m.target
-    lhs = antiiso_dual_to_point(m, R.canonical_pair_right(*mat_times_col(R, M, q)))
-    Mt_phi = map_matrix_entrywise(m, (M[0], M[2], M[1], M[3]))
-    rhs = S.canonical_pair_left(*row_times_mat(S, (m(q[0]), m(q[1])), Mt_phi))
-    return lhs == rhs
-
-
-def iso_chain_map(m: RingMap, C: frozenset) -> frozenset:
-    return frozenset(iso_point_map(m, p) for p in C)
-
-
-def residue_restriction_is_ring_map(m: RingMap, point_map) -> bool:
-    """Under the coordinate identifications, the restriction of the induced
-    map point_map (a callable on points) to the residue at the far point is
-    the ring map itself."""
-    R, S = m.source, m.target
-    return all(point_map(make_point(R, x, R.one)) == make_point(S, m(x), S.one)
-               for x in R.elements())
 
 
 def transported_partition(m: RingMap, classes) -> set:

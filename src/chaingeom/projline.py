@@ -64,18 +64,6 @@ def elementary(R: Ring, t: int) -> Matrix2:
     return (t, R.one, R.neg(R.one), R.zero)
 
 
-def row_times_mat(R: Ring, row: tuple[int, int], M: Matrix2) -> tuple[int, int]:
-    add, mul = R._add_t, R._mul_t
-    ma, mb = mul[row[0]], mul[row[1]]
-    return add[ma[M[0]]][mb[M[2]]], add[ma[M[1]]][mb[M[3]]]
-
-
-def mat_times_col(R: Ring, M: Matrix2, col: tuple[int, int]) -> tuple[int, int]:
-    add, mul = R._add_t, R._mul_cols
-    cv, cw = mul[col[0]], mul[col[1]]
-    return add[cv[M[0]]][cw[M[1]]], add[cv[M[2]]][cw[M[3]]]
-
-
 def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
     """Two-sided inverse of M in GL2(R), or None.
 
@@ -125,12 +113,6 @@ def is_admissible(R: Ring, a: int, b: int) -> bool:
     return bool(R._rows_ok[a, b])
 
 
-def is_column_admissible(R: Ring, v: int, w: int) -> bool:
-    """True iff (v, w)^T extends to the first column of a matrix in GL2(R):
-    the table test 1 in Rv + Rw."""
-    return bool(R._cols_ok[v, w])
-
-
 def make_point(R: Ring, a: int, b: int) -> Point:
     """Canonical representative of R(a, b); raises NotAdmissibleError."""
     if not is_admissible(R, a, b):
@@ -141,11 +123,6 @@ def make_point(R: Ring, a: int, b: int) -> Point:
 def infinity(R: Ring) -> Point:
     """The point R(1, 0)."""
     return R.canonical_pair_left(R.one, R.zero)
-
-
-def apply_matrix(R: Ring, p: Point, M: Matrix2) -> Point:
-    """The point p * M, canonicalized."""
-    return R.canonical_pair_left(*row_times_mat(R, p, M))
 
 
 def line_generators(R: Ring) -> list[Matrix2]:
@@ -220,11 +197,6 @@ def enumerate_points(R: Ring) -> tuple[Point, ...]:
     """All points, as an orbit cross-checked against the admissible scan."""
     return _checked_orbit(R, R._left_key[R.one, R.zero], row_images, R._left_key,
                           R._rows_ok, "points")
-
-
-def distant(R: Ring, p: Point, q: Point) -> bool:
-    """True iff the stacked representatives form a matrix in GL2(R)."""
-    return mat_invert(R, (p[0], p[1], q[0], q[1])) is not None
 
 
 @dataclass
@@ -361,19 +333,3 @@ def word_point(R: Ring, ts: tuple[int, ...]) -> Point:
         x, y = add[mul[x][t]][neg[y]], x
     return R.canonical_pair_left(x, y)
 
-
-def point_words(R: Ring) -> dict:
-    """A shortest elementary word for every point of the component of (1, 0),
-    by one breadth-first search over the steps p -> p * E(t)."""
-    add, mul, neg = R._add_t, R._mul_t, R._neg_t
-    layer = {infinity(R): ()}
-    seen = dict(layer)
-    while layer:
-        nxt = {}
-        for (x, y), w in layer.items():
-            for t in R.elements():
-                r = R.canonical_pair_left(add[mul[x][t]][neg[y]], x)
-                if r not in seen:
-                    seen[r] = nxt[r] = (t,) + w
-        layer = nxt
-    return seen

@@ -76,6 +76,8 @@ class RingAxiomError(ValueError):
 
 def prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^k with p prime, or raise UnsupportedParameterError."""
+    if q < 2:  # 0 % p == 0 for every p, and 0 // p never reaches 1
+        raise UnsupportedParameterError(f"{q} is not a prime power")
     for p in (2, 3, 5, 7):
         if q % p == 0:
             m, k = q, 0
@@ -641,11 +643,14 @@ def is_normal_subgroup(K: Subfield, ring: Ring) -> bool:
 
 # generating sets --------------------------------------------------------
 
-def unit_generators(ring: Ring) -> tuple[int, ...]:
-    """Small generating set for R*, greedy by element order."""
+def _greedy_generators(candidates, start: int, images, order: int) -> tuple[int, ...]:
+    """A small generating set, greedy by candidate order: a candidate outside
+    the span so far becomes a generator, and the span is closed again under
+    x -> each of images(x, g) for every generator g, until it has order
+    members."""
     gens: list[int] = []
-    span = {ring.one}
-    for u in ring.units:
+    span = {start}
+    for u in candidates:
         if u in span:
             continue
         gens.append(u)
@@ -655,36 +660,25 @@ def unit_generators(ring: Ring) -> tuple[int, ...]:
         while frontier:
             x = frontier.pop()
             for g in gens:
-                for y in (ring.mul(x, g), ring.mul(g, x)):
+                for y in images(x, g):
                     if y not in span:
                         span.add(y)
                         frontier.append(y)
-        if len(span) == len(ring.units):
+        if len(span) == order:
             break
     return tuple(gens)
+
+
+def unit_generators(ring: Ring) -> tuple[int, ...]:
+    """Small generating set for R*, greedy by element order."""
+    return _greedy_generators(ring.units, ring.one,
+                              lambda x, g: (ring.mul(x, g), ring.mul(g, x)), len(ring.units))
 
 
 def additive_generators(ring: Ring) -> tuple[int, ...]:
     """Small generating set for (R, +), greedy by element order."""
-    gens: list[int] = []
-    span = {ring.zero}
-    for a in ring.elements():
-        if a in span:
-            continue
-        gens.append(a)
-        frontier = list(span)
-        span.add(a)
-        frontier.append(a)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = ring.add(x, g)
-                if y not in span:
-                    span.add(y)
-                    frontier.append(y)
-        if len(span) == ring.size:
-            break
-    return tuple(gens)
+    return _greedy_generators(ring.elements(), ring.zero,
+                              lambda x, g: (ring.add(x, g),), ring.size)
 
 
 # ring maps ---------------------------------------------------------------

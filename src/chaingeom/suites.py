@@ -44,6 +44,7 @@ from chaingeom.isomorph import (
     identity_map,
     preserves_compatibility,
     transpose_map,
+    triangular_flip_map,
     verify_subfield_condition,
 )
 
@@ -259,6 +260,8 @@ def catalogue_antiiso(R: Ring):
         return transpose_map(R), "transpose"
     if R.spec.family == "finite-field" and R.gf.k > 1:
         return frobenius_map(R, as_antiiso=True), "frobenius"
+    if R.spec.family == "upper-triangular2":
+        return triangular_flip_map(R), "diagonal-flip"
     return identity_map(R, as_antiiso=True), "identity"
 
 

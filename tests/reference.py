@@ -1,0 +1,186 @@
+"""Scalar references the tests compare the package against.
+
+Each function is the plain, per-element form of something the package
+computes from its tables, or a definition-level law no scenario runs:
+the dict-bucket annihilator scan with its cyclic-generator loops, the
+per-module covariance law, the distant relation by matrix inversion, a
+breadth-first search for point words, the four matrix actions on single
+rows and columns, and the paper's laws on induced maps.
+"""
+
+from chaingeom.compat import cosets_hold, joins_unit_pairs_once
+from chaingeom.isomorph import antiiso_dual_to_point
+from chaingeom.projline import VerificationError, make_point, mat_invert
+from chaingeom.rings import RingMapError, additive_generators, unit_generators
+
+
+# matrix actions ---------------------------------------------------------------
+
+def row_times_mat(R, row, M):
+    add, mul = R._add_t, R._mul_t
+    ma, mb = mul[row[0]], mul[row[1]]
+    return add[ma[M[0]]][mb[M[2]]], add[ma[M[1]]][mb[M[3]]]
+
+
+def mat_times_col(R, M, col):
+    add, mul = R._add_t, R._mul_cols
+    cv, cw = mul[col[0]], mul[col[1]]
+    return add[cv[M[0]]][cw[M[1]]], add[cv[M[2]]][cw[M[3]]]
+
+
+def apply_matrix(R, p, M):
+    """The point p * M, canonicalized."""
+    return R.canonical_pair_left(*row_times_mat(R, p, M))
+
+
+def apply_matrix_dual(R, q, M):
+    """The dual point M * q, canonicalized."""
+    return R.canonical_pair_right(*mat_times_col(R, M, q))
+
+
+# the line ---------------------------------------------------------------------
+
+def is_column_admissible(R, v, w):
+    """True iff (v, w)^T extends to the first column of a matrix in GL2(R):
+    the table test 1 in Rv + Rw."""
+    return bool(R._cols_ok[v, w])
+
+
+def distant(R, p, q):
+    """True iff the stacked representatives form a matrix in GL2(R)."""
+    return mat_invert(R, (p[0], p[1], q[0], q[1])) is not None
+
+
+def point_words(R):
+    """A shortest elementary word for every point of the component of (1, 0),
+    by one breadth-first search over the steps p -> p * E(t)."""
+    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    layer = {R.canonical_pair_left(R.one, R.zero): ()}
+    seen = dict(layer)
+    while layer:
+        nxt = {}
+        for (x, y), w in layer.items():
+            for t in R.elements():
+                r = R.canonical_pair_left(add[mul[x][t]][neg[y]], x)
+                if r not in seen:
+                    seen[r] = nxt[r] = (t,) + w
+        layer = nxt
+    return seen
+
+
+# the annihilator oracle ---------------------------------------------------------
+
+def kernel_scan(neg, r, s):
+    """{(x, y) : r[x] + s[y] = 0}, each x matched against the bucket of -s[y]."""
+    buckets = {}
+    for y, sy in enumerate(s):
+        buckets.setdefault(neg[sy], []).append(y)
+    return {(x, y) for x, rx in enumerate(r) for y in buckets.get(rx, ())}
+
+
+def annihilator(R, rows):
+    """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in rows},
+    as a frozenset of pairs."""
+    sol = None
+    for a, b in rows:
+        cur = kernel_scan(R._neg_t, R.left_products(a), R.left_products(b))
+        sol = cur if sol is None else sol & cur
+    if sol is None:  # no equations: every column solves them
+        sol = {(x, y) for x in R.elements() for y in R.elements()}
+    return frozenset(sol)
+
+
+def perp_point(R, p):
+    """The least admissible column of the kernel, in sorted order, whose
+    cyclic span is the kernel; None if there is none."""
+    kern = annihilator(R, [p])
+    for v, w in sorted(kern):
+        if is_column_admissible(R, v, w) and set(
+                zip(R.left_products(v), R.left_products(w))) == kern:
+            return R.canonical_pair_right(v, w)
+    return None
+
+
+def bidual_point(R, q):
+    """The least admissible row of the left kernel of q whose cyclic span is
+    that kernel; None if there is none."""
+    kern = kernel_scan(R._neg_t, R.right_products(q[0]), R.right_products(q[1]))
+    for a, b in sorted(kern):
+        if R._rows_ok[a, b] and set(zip(R.right_products(a), R.right_products(b))) == kern:
+            return R.canonical_pair_left(a, b)
+    return None
+
+
+def covariance_holds(R, U, M):
+    """(U*M)-perp equals M^-1 * (U-perp), as raw solution sets."""
+    U = list(U)
+    Minv = mat_invert(R, M)
+    if Minv is None:
+        raise VerificationError(f"covariance needs an invertible matrix, got {M}")
+    lhs = annihilator(R, [row_times_mat(R, u, M) for u in U])
+    rhs = frozenset(mat_times_col(R, Minv, c) for c in annihilator(R, U))
+    return lhs == rhs
+
+
+def commutative_perp_formula(R, p):
+    """R(a, b) -> (-b, a)^T R, valid over commutative rings."""
+    a, b = p
+    return R.canonical_pair_right(R.neg(b), a)
+
+
+# compatibility ------------------------------------------------------------------
+
+def coordinate_action_holds(R):
+    """The affine coordinate maps x -> x*a, x -> a*x and x -> x + c, one
+    generator at a time, against the matrix actions of [[a, 0], [0, 1]],
+    [[1, 0], [c, 1]] on the points R(x, 1) and of [[1, 0], [0, a]],
+    [[1, 0], [-c, 1]] on the dual points (-1, x)^T R."""
+    one, zero = R.one, R.zero
+    pt = [R.canonical_pair_left(x, one) for x in R.elements()]
+    dual = [R.canonical_pair_right(R.neg(one), x) for x in R.elements()]
+    for x in R.elements():
+        for a in unit_generators(R):
+            if (apply_matrix(R, pt[x], (a, zero, zero, one)) != pt[R.mul(x, a)]
+                    or apply_matrix_dual(R, dual[x], (one, zero, zero, a))
+                    != dual[R.mul(a, x)]):
+                return False
+        for c in additive_generators(R):
+            if (apply_matrix(R, pt[x], (one, zero, c, one)) != pt[R.add(x, c)]
+                    or apply_matrix_dual(R, dual[x], (one, zero, R.neg(c), one))
+                    != dual[R.add(x, c)]):
+                return False
+    return True
+
+
+def validate_partial_affine(res, cls):
+    """The class forms a partial affine space on the residue points:
+    (i) and (ii) of cosets_hold, and (iii) two points at unit difference
+    lie on exactly one block."""
+    return cosets_hold(res, cls) and joins_unit_pairs_once(res.ring, cls.blocks)
+
+
+# induced maps ---------------------------------------------------------------------
+
+def iso_point_map(m, p):
+    """R(a, b) -> R'(a^phi, b^phi) for a ring isomorphism."""
+    if m.kind != "isomorphism":
+        raise RingMapError(f"iso_point_map needs an isomorphism, got an {m.kind}")
+    return m.target.canonical_pair_left(m(p[0]), m(p[1]))
+
+
+def transpose_law_holds(m, M, q):
+    """(M * q) mapped entrywise equals (q mapped entrywise) * (M^T)^phi."""
+    R, S = m.source, m.target
+    lhs = antiiso_dual_to_point(m, R.canonical_pair_right(*mat_times_col(R, M, q)))
+    Mt_phi = (m(M[0]), m(M[2]), m(M[1]), m(M[3]))
+    rhs = S.canonical_pair_left(*row_times_mat(S, (m(q[0]), m(q[1])), Mt_phi))
+    return lhs == rhs
+
+
+def residue_restriction_is_ring_map(m, point_map):
+    """Under the coordinate identifications, the restriction of the induced
+    map point_map (a callable on points) to the residue at the far point is
+    the ring map itself."""
+    R, S = m.source, m.target
+    return all(point_map(make_point(R, x, R.one)) == make_point(S, m(x), S.one)
+               for x in R.elements())

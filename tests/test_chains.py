@@ -5,18 +5,19 @@ import pytest
 from chaingeom.geometry import Geometry
 from chaingeom.projline import (
     OrbitCapExceededError,
-    VerificationError,
-    distant,
     infinity,
     make_point,
     orbit,
 )
-from chaingeom.chains import (
-    blocks_through,
-    residue_at,
-    standard_chain,
-)
+from chaingeom.chains import residue_at, standard_chain
 from chaingeom.rings import conjugate_subfield
+
+from reference import distant
+
+
+def blocks_through(res, xs) -> set:
+    """Coordinate blocks of the far-point residue containing every x in xs."""
+    return {B for B in res.blocks if set(xs) <= B}
 
 
 def test_standard_chain_sizes(f4, f4_k, dual2, dual2_k, m2f2, m2f2_k):
@@ -174,12 +175,6 @@ def test_residue_points_match_pairwise_distant(zoo_g):
         for p in (infinity(R), pts[-1]) if R.size <= 16 else (infinity(R),):
             res = residue_at(g, p)
             assert res.points == tuple(q for q in pts if distant(R, p, q)), (R.name, p)
-
-
-def test_blocks_through_needs_coordinates(f4, f4_g):
-    res = residue_at(f4_g, make_point(f4, 0, 1))
-    with pytest.raises(VerificationError, match="not coordinatized"):
-        blocks_through(res, [0])
 
 
 def test_orbit_cap(f4_g):

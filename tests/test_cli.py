@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from chaingeom.cli import ConfigError, export_dot, load_config, main, parse_config, run
+from chaingeom.cli import TASKS, ConfigError, export_dot, load_config, main, parse_config, run
 
 
 def small_config(tmp_path, tasks, ring=None, output=None):
@@ -141,6 +141,32 @@ def test_ring_q_must_be_an_integer(tmp_path, q):
     with pytest.raises(ConfigError, match="q must be an integer"):
         load_config(str(path))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("output", [
+    {"report": 5}, {"dot": 7}, {"report": ""}, {"dot": ""}, {"report": None},
+    {"report": ["r.json"]}, {"graph": "g.dot"},
+])
+def test_bad_output_is_config_error(tmp_path, output):
+    """A non-string or empty output name, or a key other than report and
+    dot, fails before any task runs."""
+    path = small_config(tmp_path, [{"name": "enumerate-points"}], output=output)
+    with pytest.raises(ConfigError, match="output"):
+        load_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_upper_triangular_runs_every_task(tmp_path, q):
+    """Every task but derive-plane (matrix2 only) passes on upper-triangular2,
+    the sigma suite with the diagonal-flip antiautomorphism."""
+    tasks = [{"name": name} for name in TASKS if name != "derive-plane"]
+    path = small_config(tmp_path, tasks, ring={"family": "upper-triangular2", "q": q})
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    sigma = next(t for t in report["tasks"] if t["name"] == "sigma-suite")
+    assert sigma["status"] == "pass" and sigma["map"] == "diagonal-flip"
 
 
 def test_shipped_configs_parse():

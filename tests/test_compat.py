@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from chaingeom import compat
 from chaingeom.projline import (
     VerificationError,
-    apply_matrix,
     infinity,
     line_generators,
     make_point,
@@ -25,10 +24,21 @@ from chaingeom.compat import (
     derive_plane,
     joins_unit_pairs_once,
     missing_directions,
-    validate_partial_affine,
 )
 from chaingeom.geometry import Geometry
-from chaingeom.rings import Matrix2Ring, RingSpec, build_subfield, conjugate_subfield
+from chaingeom.rings import (
+    DualNumbersRing,
+    FiniteFieldRing,
+    Matrix2Ring,
+    ProductRing,
+    RingSpec,
+    build_subfield,
+    conjugate_subfield,
+    unit_generators,
+)
+
+import reference
+from reference import apply_matrix, validate_partial_affine
 
 
 def test_single_class_when_units_normal(f4_g, dual2_g, prod22_g, m2f2_g):
@@ -72,6 +82,59 @@ def test_class_structure_negative_control(f4_g):
     cls = f4_g.compat_classes[0]
     corrupted = CompatClass(cls.side, frozenset(list(cls.blocks)[:-1]), cls.witness)
     assert not check_class_structure(corrupted)
+
+
+def corrupted_product(cls, spec, a, b, value):
+    """A freshly built ring (not build_ring's cached one) with a*b := value
+    in every product table."""
+    R = cls(spec)
+    rows = [list(row) for row in R._mul_t]
+    rows[a][b] = value
+    R._mul_t = tuple(map(tuple, rows))
+    R._mul_cols = tuple(zip(*R._mul_t))
+    R._fill_arrays()
+    return R
+
+
+def coordinate_action_raises(R) -> bool:
+    try:
+        compat._verify_coordinate_action(R)
+    except VerificationError:
+        return True
+    return False
+
+
+def test_coordinate_action_matches_reference(zoo, small_rings):
+    """The key-table check passes exactly where the per-generator scalar
+    reference holds: on every clean ring and its opposite, and on each
+    single corrupted product of the three 4-element zoo rings."""
+    for R in [R for R, _ in zoo] + small_rings:
+        for S in (R, R.opposite()):
+            assert not coordinate_action_raises(S), S.name
+            assert reference.coordinate_action_holds(S), S.name
+    caught = 0
+    for cls, spec in ((FiniteFieldRing, RingSpec("finite-field", 4)),
+                      (DualNumbersRing, RingSpec("dual-numbers", 2)),
+                      (ProductRing, RingSpec("product", 2))):
+        clean = cls(spec)._mul_t
+        for a, b, value in product(range(4), repeat=3):
+            if value != clean[a][b]:
+                R = corrupted_product(cls, spec, a, b, value)
+                raised = coordinate_action_raises(R)
+                assert raised != reference.coordinate_action_holds(R), (spec, a, b, value)
+                caught += raised
+    assert caught > 0
+
+
+@pytest.mark.parametrize("value", [0, 1, 3])
+def test_coordinate_action_without_unit_generators(value):
+    """R* = {1} on product(2,2), so no unit generator is tested; the shifts
+    x + c alone catch the product of the element 2 = (0, 1) with the one
+    (1, 1), element 3, corrupted."""
+    R = corrupted_product(ProductRing, RingSpec("product", 2), 2, 3, value)
+    assert R.one == 3 and unit_generators(R) == ()
+    with pytest.raises(VerificationError, match="not the matrix action"):
+        compat._verify_coordinate_action(R)
 
 
 def test_dual_partition_matches_when_normal(small_zoo_g):

@@ -1,39 +1,53 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingeom.geometry import Geometry
 from chaingeom.projline import (
     VerificationError,
-    distant,
     elementary,
     enumerate_points,
     infinity,
     line_generators,
     make_point,
-    point_words,
+    mat_invert,
     word_point,
 )
-from chaingeom.rings import DualNumbersRing, FiniteFieldRing, RingSpec, subfield_in_opposite
+from chaingeom.rings import (
+    DualNumbersRing,
+    FiniteFieldRing,
+    RingSpec,
+    build_ring,
+    subfield_in_opposite,
+)
 from chaingeom.duality import (
-    _kernel,
+    _cyclic_generator,
     annihilator_pairs,
     bidual_point,
-    commutative_perp_formula,
     covariance_failures,
-    covariance_holds,
-    dual_distant,
     dual_infinity,
     dual_matches_opposite,
     length2_perp_formula,
     length3_perp_formula,
     make_dual_point,
-    perp_chain,
     perp_point,
     word_dual_point,
 )
+
+import reference
+from reference import commutative_perp_formula, covariance_holds, distant, point_words
+
+
+def perp_chain(R, C):
+    return frozenset(perp_point(R, p) for p in C)
+
+
+def pairs(R, mask):
+    """The pairs (x, y) of a kernel mask over the keys x*|R| + y."""
+    return set(zip(*(k.tolist() for k in np.divmod(np.flatnonzero(mask), R.size))))
 
 
 def test_perp_of_infinity(zoo):
@@ -56,14 +70,20 @@ def test_perp_commutative_formula(f4_g, dual2_g, prod22_g):
 
 
 def test_annihilator_vectorized_matches_loop(m2f2, m2f3):
+    """The mask of one row against the plain loop, and of sets of up to
+    three rows, none included, against the dict-bucket scan."""
     rng = random.Random(5)
     for R in (m2f2, m2f3):
         for _ in range(20):
             a, b = rng.randrange(R.size), rng.randrange(R.size)
             fast = annihilator_pairs(R, [(a, b)])
+            assert fast.shape == (R.size ** 2,)
             slow = {(x, y) for x in R.elements() for y in R.elements()
                     if R.add(R.mul(a, x), R.mul(b, y)) == 0}
-            assert fast == slow
+            assert pairs(R, fast) == slow
+        for n in (0, 2, 3):
+            rows = [(rng.randrange(R.size), rng.randrange(R.size)) for _ in range(n)]
+            assert pairs(R, annihilator_pairs(R, rows)) == reference.annihilator(R, rows)
 
 
 def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
@@ -75,8 +95,47 @@ def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
             Rv, Rw = R.right_products(v), R.right_products(w)
             loop = {(a, b) for a in R.elements() for b in R.elements()
                     if R.add(Rv[a], Rw[b]) == R.zero}
-            assert _kernel(R._neg_t, Rv, Rw) == loop, (R.name, p)
+            assert reference.kernel_scan(R._neg_t, Rv, Rw) == loop, (R.name, p)
             assert bidual_point(R, (v, w)) == p, (R.name, p)
+
+
+def reference_rings(small_rings):
+    """Every ring of at most 16 elements and the opposite of each, and
+    upper-triangular2(2) and (3) with their opposites."""
+    rings = small_rings + [R.opposite() for R in small_rings]
+    tri = [build_ring(RingSpec("upper-triangular2", q)) for q in (2, 3)]
+    return rings + tri + [R.opposite() for R in tri]
+
+
+def test_perp_and_bidual_match_reference_scan(small_rings, m2f3):
+    """The mask kernel and its cyclic-generator search give the dual point
+    of the dict-bucket scan and its generator loop, and the bidual gives the
+    point of the left-kernel loop, at every point of every reference ring
+    and all 130 points of matrix2(3)."""
+    for R in reference_rings(small_rings) + [m2f3]:
+        for p in enumerate_points(R):
+            q = perp_point(R, p)
+            assert q == reference.perp_point(R, p), (R.name, p)
+            assert bidual_point(R, q) == reference.bidual_point(R, q) == p, (R.name, p)
+
+
+def test_cyclic_generator_needs_the_whole_kernel(m2f3):
+    """Both halves of the set equality bite: a kernel with one extra column
+    holds the span of the true generator but has more members, and a
+    kernel with one column swapped out has as many members but does not
+    hold that span; neither has a generator."""
+    R = m2f3
+    for p in enumerate_points(R)[::13]:
+        kern = annihilator_pairs(R, [p])
+        v, w = _cyclic_generator(kern, R._mul_a, R._cols_ok)
+        assert R.canonical_pair_right(v, w) == perp_point(R, p)
+        outside = int(np.flatnonzero(~kern)[0])
+        bigger = kern.copy()
+        bigger[outside] = True
+        assert _cyclic_generator(bigger, R._mul_a, R._cols_ok) is None, p
+        swapped = bigger.copy()
+        swapped[int(np.flatnonzero(kern)[-1])] = False
+        assert _cyclic_generator(swapped, R._mul_a, R._cols_ok) is None, p
 
 
 def test_perp_bijective(zoo_g):
@@ -92,8 +151,8 @@ def test_perp_preserves_distant(small_zoo_g):
         R, pts = g.ring, g.points
         for i, p in enumerate(pts):
             for q in pts[i + 1:]:
-                assert distant(R, p, q) == dual_distant(R, perp_point(R, p),
-                                                        perp_point(R, q))
+                (v1, w1), (v2, w2) = perp_point(R, p), perp_point(R, q)
+                assert distant(R, p, q) == (mat_invert(R, (v1, v2, w1, w2)) is not None)
 
 
 def test_perp_standard_chain(f4, f4_k):

@@ -4,10 +4,12 @@ isolation: derived state lives in the object, never across objects."""
 import pytest
 
 from chaingeom.chains import stabilizer_generators
-from chaingeom.duality import PerpNotCyclicError, apply_matrix_dual, perp_point
+from chaingeom.duality import PerpNotCyclicError, perp_point
 from chaingeom.geometry import Geometry
-from chaingeom.projline import apply_matrix, line_generators
+from chaingeom.projline import line_generators
 from chaingeom.rings import FiniteFieldRing, build_subfield, subfield_in_opposite
+
+from reference import apply_matrix, apply_matrix_dual
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ def test_perp_array_matches_the_oracle(geometries):
 
 
 def test_geometries_share_no_state(f4, f4_k):
-    """A Geometry over a freshly built F4 with 2*1 corrupted to 0 has a
+    """A Geometry over a freshly built F4 with 2*1 corrupted to 1 has a
     non-cyclic kernel at R(1, 2); its failure must not reach a Geometry over
     the clean ring, nor come back as an answer, and the clean answers are
     the Geometry's own."""
@@ -51,8 +53,9 @@ def test_geometries_share_no_state(f4, f4_k):
     assert clean.perp_of(p) == (1, 3)
     fresh = FiniteFieldRing(f4.spec)
     rows = [list(row) for row in fresh._mul_t]
-    rows[2][1] = 0
+    rows[2][1] = 1  # 0 would already break the dual-point enumeration
     fresh._mul_t = tuple(map(tuple, rows))
+    fresh._fill_arrays()  # the oracle reads the array tables
     for _ in range(2):  # a failure is not kept either
         with pytest.raises(PerpNotCyclicError):
             Geometry(fresh, build_subfield(fresh, "prime")).perp

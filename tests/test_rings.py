@@ -60,6 +60,9 @@ def test_unsupported_parameters():
         build_ring(RingSpec("matrix2", 4))
     with pytest.raises(UnsupportedParameterError):
         build_ring(RingSpec("nonsense", 2))
+    for q in (0, 1, -4, 10):  # 0 used to loop forever
+        with pytest.raises(UnsupportedParameterError, match="not a prime power"):
+            build_ring(RingSpec("finite-field", q))
 
 
 @pytest.mark.parametrize("family,q", [

@@ -1,10 +1,11 @@
 """Static checks over the package source: no unused top-level import, no
 bare `assert` (python -O strips them, and a cross-check must raise
-instead), no `cache`/`lru_cache` decorator and no module-level dict that a
-function writes to: derived state belongs to a Geometry, not to the
-process."""
+instead), no `cache`/`lru_cache` decorator, no module-level dict that a
+function writes to (derived state belongs to a Geometry, not to the
+process), and no top-level function or class that only the tests call."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import chaingeom
@@ -15,6 +16,15 @@ MAX_BARE_ASSERTS = 0
 
 # the one module-level memo left: build_ring's table of constructed rings
 ALLOWED_MODULE_MEMOS = {("rings.py", "_RING_CACHE")}
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+# definitions the program itself need not name, with the reason
+ALLOWED_UNREACHED = {
+    # the exhaustive table check the tests run today, and every scenario
+    # will run once it reports the tables it reads
+    ("rings.py", "verify_axioms"),
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -94,6 +104,46 @@ def module_memo_writes(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
+def _named(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, as a plain name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreached_definitions(modules: dict[str, ast.Module], others: list[ast.Module]) -> list:
+    """(module, name) of each top-level function or class of the modules
+    whose name no module, nor any tree of others, reads outside the
+    definition itself.  An import alone does not count as a use."""
+    named = {mod: _named(tree) for mod, tree in modules.items()}
+    outside = set().union(*map(_named, others))
+    found = []
+    for mod, tree in modules.items():
+        elsewhere = outside.union(*(n for m, n in named.items() if m != mod))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in elsewhere
+                    and named[mod][node.name] == _named(node)[node.name]):
+                found.append((mod, node.name))
+    return found
+
+
+def test_scan_finds_unreached_definitions():
+    modules = {
+        "a.py": ast.parse("def used(): pass\n"
+                          "def recursive(n): return recursive(n - 1)\n"
+                          "def unused(): pass\n"
+                          "class Kept: pass\n"
+                          "def caller(): return used() + b.via_attr()\n"),
+        "b.py": ast.parse("from a import unused\n"
+                          "def via_attr(): return Kept\n"
+                          "def by_script(): pass\n"),
+    }
+    scripts = [ast.parse("import b\nb.by_script()\n")]
+    assert unreached_definitions(modules, scripts) == [("a.py", "recursive"),
+                                                       ("a.py", "unused"),
+                                                       ("a.py", "caller")]
+
+
 def test_scan_finds_an_unused_import():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os\nfrom typing import Optional, Any\n"
@@ -142,3 +192,13 @@ def test_no_module_level_memos():
              for names in [[n for n in module_memo_writes(_parse(path))
                             if (path.name, n) not in ALLOWED_MODULE_MEMOS]] if names}
     assert found == {}
+
+
+def test_every_definition_is_reached():
+    """Each top-level function or class of the package is named by the
+    package or the scripts, outside its own definition and __init__.py;
+    one the tests alone call belongs in tests/reference.py or nowhere."""
+    modules = {path.name: _parse(path) for path in SOURCES if path.name != "__init__.py"}
+    found = [d for d in unreached_definitions(modules, [_parse(p) for p in SCRIPTS])
+             if d not in ALLOWED_UNREACHED]
+    assert found == []
