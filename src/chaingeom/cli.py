@@ -91,6 +91,9 @@ TASK_OPTIONS = {
 }
 POSITIVE_OPTIONS = frozenset({"samples", "cap", "desargues_cap"})
 
+# the rings (family, q) whose reguli the derive-plane task can replace
+DERIVE_PLANE_RINGS = {("matrix2", 2), ("matrix2", 3)}
+
 
 def _check_options(task: str, options: dict) -> None:
     allowed = TASK_OPTIONS.get(task, {})
@@ -133,6 +136,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         if not isinstance(options, dict):
             raise ConfigError("task options must be an object")
         _check_options(t["name"], options)
+        if (t["name"] == "derive-plane"
+                and (ring["family"], ring["q"]) not in DERIVE_PLANE_RINGS):
+            raise ConfigError("task derive-plane needs matrix2(2) or matrix2(3)")
         tasks.append(TaskSpec(t["name"], options))
     output = data.get("output", {})
     if not isinstance(output, dict):

@@ -238,17 +238,23 @@ def cosets_hold(res: Residue, cls: CompatClass) -> bool:
 
 
 def missing_directions(res: Residue, cls: CompatClass) -> int:
-    """Parallel classes of the ambient affine space absent from the class."""
+    """Parallel classes of the ambient affine space absent from the class.
+    The ambient directions K'x (x*K' on the dual side), x != 0, are the
+    distinct sorted rows of one slice of the mul table, and the class's
+    directions are its blocks shifted to 0, B - min(B), sorted the same way.
+    Raises VerificationError unless every direction of the class is one of
+    the ambient ones."""
     R = res.ring
-    Kp = cls.witness.elements
-    if cls.side == "compatibility":
-        all_dirs = {frozenset(R.mul(k, x) for k in Kp) for x in R.elements() if x != 0}
-    else:
-        all_dirs = {frozenset(R.mul(x, k) for k in Kp) for x in R.elements() if x != 0}
-    have = {frozenset(R.sub(x, min(B)) for x in B) for B in cls.blocks}
-    if not have <= all_dirs:
+    k, x = np.array(cls.witness.elements), np.arange(1, R.size)  # zero is 0
+    spans = R._mul_a[k, x[:, None]] if cls.side == "compatibility" else R._mul_a[x[:, None], k]
+    ambient = {row.tobytes() for row in np.sort(spans, axis=1)}
+    if any(len(B) != len(k) for B in cls.blocks):
+        raise VerificationError(f"{R.name}: a block is no coset of the witness")
+    rows = np.array([sorted(B) for B in cls.blocks], dtype=np.intp).reshape(-1, len(k))
+    have = {row.tobytes() for row in np.sort(R._add_a[rows, R._neg_a[rows[:, :1]]], axis=1)}
+    if not have <= ambient:
         raise VerificationError(f"{R.name}: a block direction is no witness subspace")
-    return len(all_dirs) - len(have)
+    return len(ambient) - len(have)
 
 
 # the derivation analogue -----------------------------------------------------

@@ -15,7 +15,9 @@ span test, an exact set equality.  perp_point scans on every call and
 remembers nothing; a Geometry calls it once per point and keeps the
 answers as its perp index array, which never feeds a formula.  The
 covariance law is swept per generator: covariance_failures builds the
-same kernels for a batch of rows.
+same kernels for a batch of rows.  The closed formulas under test are
+array functions over the operation tables, evaluated for every word of a
+sweep at once; word_dual_point is the one-word call of word_dual_points.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from chaingeom.projline import (
     Point,
     VerificationError,
     _checked_orbit,
-    make_point,
     mat_invert,
+    one_word,
 )
 
 DualPoint = tuple[int, int]
@@ -158,32 +160,55 @@ def covariance_failures(R: Ring, M: Matrix2, rows: Iterable[tuple[int, int]]) ->
 
 # closed formulas ------------------------------------------------------------
 
-def word_dual_point(R: Ring, ts: tuple[int, ...]) -> DualPoint:
-    """Annihilator image of the word point, by the closed word formula:
+def word_dual_points(R: Ring, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Canonical keys v*|R| + w of the annihilator images of the word
+    points (projline.word_points), by the closed word formula
     E(0) * E(-t_1) * ... * E(-t_n) * E(0) * (0, 1)^T, sign factor dropped.
-    The column steps in place: E(s) * (v, w)^T = (s*v + w, -v)^T."""
-    add, mul, neg = R._add_t, R._mul_t, R._neg_t
-    v, w = R.one, R.zero  # E(0) * (0, 1)^T
-    for t in reversed(ts):
-        v, w = add[mul[neg[t]][v]][w], neg[v]
-    return R.canonical_pair_right(w, neg[v])  # a last E(0)
+    Every column steps at once, E(s) * (v, w)^T = (s*v + w, -v)^T, where
+    lengths > j masks letter j in."""
+    add, mul, neg = R._add_a, R._mul_a, R._neg_a
+    letters = np.asarray(letters, dtype=np.intp)
+    lengths = np.asarray(lengths)
+    v = np.full(len(lengths), R.one, dtype=np.intp)  # E(0) * (0, 1)^T
+    w = np.full(len(lengths), R.zero, dtype=np.intp)
+    for j in reversed(range(letters.shape[1])):
+        live = lengths > j
+        v, w = np.where(live, add[mul[neg[letters[:, j]], v], w], v), np.where(live, neg[v], w)
+    return R._right_key[w, neg[v]]  # a last E(0)
 
 
-def length2_perp_formula(R: Ring, t1: int, t2: int) -> tuple[Point, DualPoint]:
-    """The length-2 instance: R(t2*t1 - 1, t2) maps to (-t2, t1*t2 - 1)^T R."""
-    p = make_point(R, R.sub(R.mul(t2, t1), R.one), t2)
-    q = R.canonical_pair_right(R.neg(t2), R.sub(R.mul(t1, t2), R.one))
-    return p, q
+def word_dual_point(R: Ring, ts: tuple[int, ...]) -> DualPoint:
+    """Annihilator image of the word point by the closed word formula: the
+    one-word call of word_dual_points."""
+    return divmod(int(word_dual_points(R, *one_word(ts))[0]), R.size)
 
 
-def length3_perp_formula(R: Ring, t1: int, t2: int, t3: int) -> tuple[Point, DualPoint]:
+# The closed length-1, -2 and -3 formulas, elementwise over arrays of
+# letters: each gives the entries of its pairs, not yet canonicalized.
+
+def length1_perp_formula(R: Ring, t1: np.ndarray) -> tuple:
+    """The length-1 instance: R(t1, 1) maps to (-1, t1)^T R; gives (v, w)."""
+    return np.full_like(t1, R.neg(R.one)), t1
+
+
+def length2_perp_formula(R: Ring, t1: np.ndarray, t2: np.ndarray) -> tuple:
+    """The length-2 instance: R(t2*t1 - 1, t2) maps to (-t2, t1*t2 - 1)^T R;
+    gives ((a, b), (v, w))."""
+    add, mul, neg = R._add_a, R._mul_a, R._neg_a
+    minus_one = neg[R.one]
+    return ((add[mul[t2, t1], minus_one], t2),
+            (neg[t2], add[mul[t1, t2], minus_one]))
+
+
+def length3_perp_formula(R: Ring, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> tuple:
     """The length-3 instance: R(t3*t2*t1 - t3 - t1, t3*t2 - 1) maps to
-    (-t2*t3 + 1, t1*t2*t3 - t1 - t3)^T R."""
-    a = R.sub(R.sub(R.mul(R.mul(t3, t2), t1), t3), t1)
-    b = R.sub(R.mul(t3, t2), R.one)
-    v = R.add(R.neg(R.mul(t2, t3)), R.one)
-    w = R.sub(R.sub(R.mul(R.mul(t1, t2), t3), t1), t3)
-    return make_point(R, a, b), R.canonical_pair_right(v, w)
+    (-t2*t3 + 1, t1*t2*t3 - t1 - t3)^T R; gives ((a, b), (v, w))."""
+    add, mul, neg = R._add_a, R._mul_a, R._neg_a
+    minus_one = neg[R.one]
+    t3t2 = mul[t3, t2]
+    a = add[add[mul[t3t2, t1], neg[t3]], neg[t1]]
+    w = add[add[mul[mul[t1, t2], t3], neg[t1]], neg[t3]]
+    return (a, add[t3t2, minus_one]), (add[neg[mul[t2, t3]], R.one], w)
 
 
 # bidual and opposite --------------------------------------------------------

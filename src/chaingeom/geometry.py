@@ -67,29 +67,38 @@ class Geometry:
     def dual_index(self) -> dict:
         return {q: i for i, q in enumerate(self.dual_points)}
 
-    def _table(self, pairs, images, gens) -> np.ndarray:
-        """Row g: the index in pairs (the points or the dual points) of the
-        image of each member under gens[g], acting by images."""
-        keys = np.array([a * self.ring.size + b for a, b in pairs], dtype=np.intp)
+    @cached_property
+    def point_keys(self) -> np.ndarray:
+        """The keys a*|R| + b of the points, sorted as the points are."""
+        return np.array([a * self.ring.size + b for a, b in self.points], dtype=np.intp)
+
+    @cached_property
+    def dual_keys(self) -> np.ndarray:
+        """The keys v*|R| + w of the dual points, sorted as they are."""
+        return np.array([v * self.ring.size + w for v, w in self.dual_points], dtype=np.intp)
+
+    def _table(self, keys, images, gens) -> np.ndarray:
+        """Row g: the index in keys (point_keys or dual_keys) of the image of
+        each member under gens[g], acting by images."""
         return index_of(keys, images(self.ring, keys, gens))
 
     @cached_property
     def line_perms(self) -> np.ndarray:
         """line_perms[g][i]: the index of points[i] * line_generators[g]."""
-        return self._table(self.points, row_images, line_generators(self.ring))
+        return self._table(self.point_keys, row_images, line_generators(self.ring))
 
     @cached_property
     def stabilizer_perms(self) -> np.ndarray:
-        return self._table(self.points, row_images, stabilizer_generators(self.ring))
+        return self._table(self.point_keys, row_images, stabilizer_generators(self.ring))
 
     @cached_property
     def dual_line_perms(self) -> np.ndarray:
         """dual_line_perms[g][i]: the index of line_generators[g] * dual_points[i]."""
-        return self._table(self.dual_points, col_images, line_generators(self.ring))
+        return self._table(self.dual_keys, col_images, line_generators(self.ring))
 
     @cached_property
     def dual_stabilizer_perms(self) -> np.ndarray:
-        return self._table(self.dual_points, col_images, stabilizer_generators(self.ring))
+        return self._table(self.dual_keys, col_images, stabilizer_generators(self.ring))
 
     @cached_property
     def perp(self) -> np.ndarray:
@@ -147,7 +156,7 @@ class Geometry:
         """The dual chains through (0, 1)^T R: the standard dual chain shifted
         through it by E(0), then its stabilizer orbit."""
         R = self.ring
-        (shift,) = self._table(self.dual_points, col_images, [elementary(R, R.zero)])
+        (shift,) = self._table(self.dual_keys, col_images, [elementary(R, R.zero)])
         seed = shift[self._dual_seed]
         if self.dual_index[dual_infinity(R)] not in seed:
             raise VerificationError(

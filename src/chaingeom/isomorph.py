@@ -4,7 +4,9 @@ A ring isomorphism acts on points entrywise.  A ring antiisomorphism
 reaches the target line through the dual: annihilator, then the entrywise
 map on columns, then a quarter turn R'(a', b') -> R'(b', -a') that puts the
 far point back onto the far point.  The closed word formula evaluates the
-same composite as R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi).
+same composite as R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi); it and the
+three entrywise image formulas are array functions over the words of a
+sweep.
 
 The catalogue of verified antiisomorphisms: the transpose on matrix2(q),
 any automorphism of a commutative ring, and the diagonal flip
@@ -14,6 +16,8 @@ any automorphism of a commutative ring, and the diagonal flip
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from chaingeom.rings import (
     FiniteFieldRing,
@@ -26,7 +30,7 @@ from chaingeom.rings import (
     conjugate_subfield,
     make_ring_map,
 )
-from chaingeom.projline import Point
+from chaingeom.projline import Point, one_word, word_points
 from chaingeom.duality import DualPoint
 
 
@@ -107,15 +111,39 @@ def antiiso_point_table(m: RingMap, geom) -> dict:
             for p in geom.points}
 
 
+def antiiso_word_points(m: RingMap, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Closed form R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi) for every word
+    of a sweep (projline.word_points): the word points over the target
+    ring of the mapped letters, as canonical keys."""
+    return word_points(m.target, np.asarray(m.table)[letters], lengths)
+
+
 def antiiso_word_point(m: RingMap, ts: tuple[int, ...]) -> Point:
-    """Closed form: R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi), stepping the
-    row in place: (x, y) * E(t) = (x*t - y, x)."""
-    S = m.target
-    add, mul, neg = S._add_t, S._mul_t, S._neg_t
-    x, y = S.one, S.zero
-    for t in reversed(ts):
-        x, y = add[mul[x][m(t)]][neg[y]], x
-    return S.canonical_pair_left(x, y)
+    """The closed word form of one word: the one-word call of
+    antiiso_word_points."""
+    return divmod(int(antiiso_word_points(m, *one_word(ts))[0]), m.target.size)
+
+
+# The three entrywise image formulas, elementwise over arrays of mapped
+# letters p_i = t_i^phi: each gives the entries (a, b) of the image point,
+# not yet canonicalized.
+
+def length1_sigma_formula(S: Ring, p1: np.ndarray) -> tuple:
+    """sigma(R(t1, 1)) = R'(p1, 1)."""
+    return p1, np.full_like(p1, S.one)
+
+
+def length2_sigma_formula(S: Ring, p1: np.ndarray, p2: np.ndarray) -> tuple:
+    """sigma of the word (t1, t2) is R'(p2*p1 - 1, p2)."""
+    add, mul, neg = S._add_a, S._mul_a, S._neg_a
+    return add[mul[p2, p1], neg[S.one]], p2
+
+
+def length3_sigma_formula(S: Ring, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> tuple:
+    """sigma of the word (t1, t2, t3) is R'(p3*p2*p1 - p3 - p1, p3*p2 - 1)."""
+    add, mul, neg = S._add_a, S._mul_a, S._neg_a
+    p3p2 = mul[p3, p2]
+    return add[add[mul[p3p2, p1], neg[p3]], neg[p1]], add[p3p2, neg[S.one]]
 
 
 def transported_partition(m: RingMap, classes) -> set:

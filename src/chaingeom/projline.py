@@ -324,12 +324,28 @@ def distant_graph(R: Ring, pts: tuple[Point, ...]) -> DistantGraph:
 
 # elementary words ----------------------------------------------------------
 
-def word_point(R: Ring, ts: tuple[int, ...]) -> Point:
-    """The point spanned by (1, 0) * E(t_n) * ... * E(t_1), stepping the row
-    in place: (x, y) * E(t) = (x*t - y, x)."""
-    add, mul, neg = R._add_t, R._mul_t, R._neg_t
-    x, y = R.one, R.zero
-    for t in reversed(ts):
-        x, y = add[mul[x][t]][neg[y]], x
-    return R.canonical_pair_left(x, y)
+def word_points(R: Ring, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Canonical keys a*|R| + b of the points spanned by
+    (1, 0) * E(t_n) * ... * E(t_1), one per row of letters: the word
+    (t_1, ..., t_n) is the row's first n = lengths[i] letters, and the rest
+    of the row is padding.  Every row steps at once from its last letter,
+    (x, y) * E(t) = (x*t - y, x), where lengths > j masks letter j in."""
+    add, mul, neg = R._add_a, R._mul_a, R._neg_a
+    letters = np.asarray(letters, dtype=np.intp)
+    lengths = np.asarray(lengths)
+    x = np.full(len(lengths), R.one, dtype=np.intp)
+    y = np.full(len(lengths), R.zero, dtype=np.intp)
+    for j in reversed(range(letters.shape[1])):
+        live = lengths > j
+        x, y = np.where(live, add[mul[x, letters[:, j]], neg[y]], x), np.where(live, x, y)
+    return R._left_key[x, y]
 
+
+def one_word(ts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The word ts as the (letters, lengths) arrays of a one-word sweep."""
+    return np.array(ts, dtype=np.intp).reshape(1, len(ts)), np.array([len(ts)])
+
+
+def word_point(R: Ring, ts: tuple[int, ...]) -> Point:
+    """The point of the word ts: the one-word call of word_points."""
+    return divmod(int(word_points(R, *one_word(ts))[0]), R.size)

@@ -3,7 +3,11 @@
 Each suite returns a flat report dict with a boolean "ok", exhaustive or
 seeded-sample check counts, and any witnesses worth recording.  Rings with
 at most 16 elements are always swept exhaustively; the 81-element matrix
-ring takes explicit sample counts and seeds instead.
+ring takes explicit sample counts and seeds instead.  The word sweeps of
+the duality and sigma suites are array kernels: every word is drawn into
+(letters, lengths) arrays, every closed form is evaluated for all words
+at once, and one driver, _word_sweep, counts the failures over boolean
+masks.
 """
 
 from __future__ import annotations
@@ -11,23 +15,28 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+import numpy as np
+
 from chaingeom.rings import Ring, is_normal_subgroup, normality_witness, subfield_in_opposite
 from chaingeom.projline import (
     OrbitCapExceededError,
+    index_of,
     infinity,
     line_generators,
     make_point,
     word_point,
+    word_points,
 )
 from chaingeom.duality import (
     bidual_point,
     covariance_failures,
     dual_infinity,
     dual_matches_opposite,
+    length1_perp_formula,
     length2_perp_formula,
     length3_perp_formula,
-    make_dual_point,
     word_dual_point,
+    word_dual_points,
 )
 from chaingeom.compat import (
     cosets_hold,
@@ -40,8 +49,12 @@ from chaingeom.geometry import Geometry
 from chaingeom.isomorph import (
     antiiso_point_table,
     antiiso_word_point,
+    antiiso_word_points,
     frobenius_map,
     identity_map,
+    length1_sigma_formula,
+    length2_sigma_formula,
+    length3_sigma_formula,
     preserves_compatibility,
     transpose_map,
     triangular_flip_map,
@@ -83,29 +96,98 @@ def chain_report(geom: Geometry, through_infinity: Optional[bool] = None,
             "chain_size": len(K.elements) + 1}
 
 
-def _words(R: Ring, samples: int, seed: int):
-    """Elementary words of length 1 to 3.  Rings with at most
-    EXHAUSTIVE_LIMIT elements give every word, each (t1,) followed by its
-    extensions (t1, t2), each of those followed by its (t1, t2, t3); larger
-    rings give `samples` words of random length from random.Random(seed)."""
-    if R.size <= EXHAUSTIVE_LIMIT:
-        for t1 in R.elements():
-            yield (t1,)
-            for t2 in R.elements():
-                yield (t1, t2)
-                for t3 in R.elements():
-                    yield (t1, t2, t3)
+def _words(R: Ring, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elementary words of length 1 to 3 as (letters, lengths): word i is
+    the first lengths[i] entries of row i of the W x 3 array letters, and
+    the rest of the row is zero.  Rings with at most EXHAUSTIVE_LIMIT
+    elements give every word, each (t1,) followed by its extensions
+    (t1, t2), each of those followed by its (t1, t2, t3); larger rings give
+    `samples` words from random.Random(seed), each drawn as a length
+    rng.choice((1, 2, 3)) and then one rng.randrange(|R|) per letter."""
+    n = R.size
+    if n <= EXHAUSTIVE_LIMIT:
+        block = 1 + n * (1 + n)  # (t1,), then (t1, t2) and its n extensions per t2
+        t1, r = np.divmod(np.arange(n * block), block)
+        t2, s = np.divmod(r - 1, 1 + n)  # for r > 0: s = 0 at (t1, t2), t3 + 1 after
+        lengths = np.where(r == 0, 1, np.where(s == 0, 2, 3))
+        letters = np.stack([t1, t2, s - 1], axis=1)
     else:
         rng = random.Random(seed)
+        lengths, flat = [], []  # flat: the padded letters, row after row
         for _ in range(samples):
-            n = rng.choice((1, 2, 3))
-            yield tuple(rng.randrange(R.size) for _ in range(n))
+            k = rng.choice((1, 2, 3))
+            lengths.append(k)
+            flat += [rng.randrange(n) for _ in range(k)] + [0] * (3 - k)
+        lengths = np.array(lengths)
+        letters = np.array(flat, dtype=np.intp).reshape(samples, 3)
+    return letters * (np.arange(3) < lengths[:, None]), lengths
 
 
-def _word_sweep(R: Ring, samples: int, seed: int, holds) -> tuple[int, int]:
-    """(checks, mismatches) of the predicate holds(ts) over _words."""
-    results = [holds(ts) for ts in _words(R, samples, seed)]
-    return len(results), results.count(False)
+def _word_sweep(R: Ring, stages, rows=None) -> tuple[int, int, Optional[int]]:
+    """(checks, mismatches, first failing index) of a sweep given as boolean
+    masks over the words: stages[k][i] says word i passes check k, in the
+    order a check of one word evaluates them, and a word fails at its first
+    check that does not hold.  rows, if given, are the entries (a, b) of
+    the point the last check makes for every word: the first word that
+    reaches it with a pair that is not admissible makes make_point raise
+    its NotAdmissibleError."""
+    reached = np.ones(len(stages[0]), dtype=bool)
+    for holds in stages[:-1]:
+        reached &= holds
+    if rows is not None:
+        bad = np.flatnonzero(reached & ~R._rows_ok[rows])
+        if len(bad):
+            make_point(R, int(rows[0][bad[0]]), int(rows[1][bad[0]]))
+    reached &= stages[-1]
+    failing = np.flatnonzero(~reached)
+    return len(reached), len(failing), (int(failing[0]) if len(failing) else None)
+
+
+def _word_report(R: Ring, letters, lengths, word_form, closed, rows, witness) -> dict:
+    """The word_formula_* entries of a suite's report from _word_sweep over
+    two checks: the closed word form, then the closed formula of the word's
+    length, which makes the points with entries rows.  A failing sweep
+    names its first failing word, the check it failed, and the values
+    witness(word) gives for it."""
+    checks, mismatches, first = _word_sweep(R, [word_form, closed], rows)
+    rep = {"word_formula_checks": checks, "word_formula_mismatches": mismatches}
+    if first is not None:
+        ts = tuple(letters[first, :lengths[first]].tolist())
+        check = "word form" if not word_form[first] else f"length-{len(ts)} formula"
+        rep["word_formula_first_mismatch"] = {"word": list(ts), "check": check,
+                                              **witness(ts)}
+    return rep
+
+
+def _by_length(lengths, per_length) -> np.ndarray:
+    """Entry i of per_length[lengths[i] - 1], elementwise."""
+    return np.select([lengths == k for k in range(1, len(per_length) + 1)], per_length)
+
+
+def duality_words(geom: Geometry, letters, lengths) -> dict:
+    """The duality suite's word sweep: for every word, the closed word form
+    and then the closed formula of its length, against the oracle's image
+    of the word point, read off the Geometry's perp array."""
+    R = geom.ring
+    pts = word_points(R, letters, lengths)
+    oracle = geom.dual_keys[geom.perp[index_of(geom.point_keys, pts)]]
+    word_form = word_dual_points(R, letters, lengths) == oracle
+    t = letters.T
+    v1, w1 = length1_perp_formula(R, t[0])
+    (a2, b2), (v2, w2) = length2_perp_formula(R, t[0], t[1])
+    (a3, b3), (v3, w3) = length3_perp_formula(R, *t)
+    # length-1 words make no point; (1, 0) stands in as an admissible pair
+    a, b = _by_length(lengths, [R.one, a2, a3]), _by_length(lengths, [R.zero, b2, b3])
+    closed = ((R._right_key[_by_length(lengths, [v1, v2, v3]),
+                            _by_length(lengths, [w1, w2, w3])] == oracle)
+              & ((lengths == 1) | (R._left_key[a, b] == pts)))
+
+    def witness(ts):
+        p = word_point(R, ts)
+        return {"point": p, "definition": geom.perp_of(p),
+                "closed_form": word_dual_point(R, ts)}
+
+    return _word_report(R, letters, lengths, word_form, closed, (a, b), witness)
 
 
 def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
@@ -129,21 +211,7 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
 
     rep["far_point_image"] = perp_of(infinity(R)) == dual_infinity(R)
 
-    neg_one = R.neg(R.one)
-
-    def formulas_hold(ts):
-        p = word_point(R, ts)
-        oracle = perp_of(p)
-        if word_dual_point(R, ts) != oracle:
-            return False
-        if len(ts) == 1:
-            return make_dual_point(R, neg_one, ts[0]) == oracle
-        formula = length2_perp_formula if len(ts) == 2 else length3_perp_formula
-        return formula(R, *ts) == (p, oracle)
-
-    checks, mismatches = _word_sweep(R, samples, seed, formulas_hold)
-    rep["word_formula_checks"] = checks
-    rep["word_formula_mismatches"] = mismatches
+    rep.update(duality_words(geom, *_words(R, samples, seed)))
 
     gens = line_generators(R)
     if small:
@@ -171,12 +239,14 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
 
     g = geom.graph
     if g.n_components == 1 and g.diameter <= 2:
-        covered = {word_point(R, (t1, t2))
-                   for t1 in R.elements() for t2 in R.elements()}
-        rep["length2_covers_line"] = covered == set(pts)
+        t1, t2 = np.divmod(np.arange(R.size ** 2), R.size)
+        ends = index_of(geom.point_keys,
+                        word_points(R, np.stack([t1, t2], axis=1), np.full(len(t1), 2)))
+        covered = np.bincount(ends, minlength=len(pts)) > 0
+        rep["length2_covers_line"] = _word_sweep(R, [covered])[1] == 0
 
     rep["ok"] = (rep["bijection"] and rep["chain_bijection"] and rep["far_point_image"]
-                 and mismatches == 0 and cov_failures == 0
+                 and rep["word_formula_mismatches"] == 0 and cov_failures == 0
                  and rep["bidual_fixed"]
                  and rep.get("opposite_equivalent", True)
                  and rep.get("length2_covers_line", True))
@@ -265,6 +335,29 @@ def catalogue_antiiso(R: Ring):
     return identity_map(R, as_antiiso=True), "identity"
 
 
+def sigma_words(geom: Geometry, m, sigma: dict, letters, lengths) -> dict:
+    """The sigma suite's word sweep for the antiautomorphism m of the
+    Geometry's ring: for every word, the closed word form and then the
+    entrywise formula of its length, against the composite sigma
+    (antiiso_point_table) of the word point, read as an index array over
+    the points."""
+    R, keys = geom.ring, geom.point_keys
+    image = index_of(keys, [a * R.size + b for a, b in map(sigma.__getitem__, geom.points)])
+    composite = keys[image[index_of(keys, word_points(R, letters, lengths))]]
+    word_form = antiiso_word_points(m, letters, lengths) == composite
+    ph = np.asarray(m.table)[letters].T
+    rows = (length1_sigma_formula(R, ph[0]), length2_sigma_formula(R, ph[0], ph[1]),
+            length3_sigma_formula(R, *ph))
+    a, b = (_by_length(lengths, [row[k] for row in rows]) for k in (0, 1))
+    entrywise = R._left_key[a, b] == composite
+
+    def witness(ts):
+        p = word_point(R, ts)
+        return {"point": p, "definition": sigma[p], "closed_form": antiiso_word_point(m, ts)}
+
+    return _word_report(R, letters, lengths, word_form, entrywise, (a, b), witness)
+
+
 def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     """Antiisomorphism-induced isomorphism: far-point image, the three
     entrywise image formulas, closed word form versus the composite, chain
@@ -278,23 +371,7 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     sigma = antiiso_point_table(m, geom)
     rep["far_point_fixed"] = sigma[infinity(R)] == infinity(R)
 
-    def formulas_hold(ts):
-        composite = sigma[word_point(R, ts)]
-        if antiiso_word_point(m, ts) != composite:
-            return False
-        ph = [m(t) for t in ts]
-        if len(ts) == 1:
-            want = make_point(R, ph[0], R.one)
-        elif len(ts) == 2:
-            want = make_point(R, R.sub(R.mul(ph[1], ph[0]), R.one), ph[1])
-        else:
-            a = R.sub(R.sub(R.mul(R.mul(ph[2], ph[1]), ph[0]), ph[2]), ph[0])
-            want = make_point(R, a, R.sub(R.mul(ph[2], ph[1]), R.one))
-        return composite == want
-
-    checks, mismatches = _word_sweep(R, samples, seed, formulas_hold)
-    rep["word_formula_checks"] = checks
-    rep["word_formula_mismatches"] = mismatches
+    rep.update(sigma_words(geom, m, sigma, *_words(R, samples, seed)))
 
     if small:
         chains = geom.chains
@@ -314,6 +391,6 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     if not normal:
         rep["normality_witness"] = normality_witness(K)
 
-    rep["ok"] = (rep["far_point_fixed"] and mismatches == 0 and rep["chains_ok"]
-                 and rep["criterion_consistent"])
+    rep["ok"] = (rep["far_point_fixed"] and rep["word_formula_mismatches"] == 0
+                 and rep["chains_ok"] and rep["criterion_consistent"])
     return rep

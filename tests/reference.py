@@ -5,13 +5,18 @@ computes from its tables, or a definition-level law no scenario runs:
 the dict-bucket annihilator scan with its cyclic-generator loops, the
 per-module covariance law, the distant relation by matrix inversion, a
 breadth-first search for point words, the four matrix actions on single
-rows and columns, and the paper's laws on induced maps.
+rows and columns, the paper's laws on induced maps, and the per-word
+sweeps of the duality and sigma suites with the closed formulas they
+check.
 """
+
+import random
 
 from chaingeom.compat import cosets_hold, joins_unit_pairs_once
 from chaingeom.isomorph import antiiso_dual_to_point
 from chaingeom.projline import VerificationError, make_point, mat_invert
 from chaingeom.rings import RingMapError, additive_generators, unit_generators
+from chaingeom.suites import EXHAUSTIVE_LIMIT
 
 
 # matrix actions ---------------------------------------------------------------
@@ -184,3 +189,121 @@ def residue_restriction_is_ring_map(m, point_map):
     R, S = m.source, m.target
     return all(point_map(make_point(R, x, R.one)) == make_point(S, m(x), S.one)
                for x in R.elements())
+
+
+# word sweeps ----------------------------------------------------------------------
+
+def words(R, samples, seed):
+    """Elementary words of length 1 to 3.  Rings with at most
+    EXHAUSTIVE_LIMIT elements give every word, each (t1,) followed by its
+    extensions (t1, t2), each of those followed by its (t1, t2, t3); larger
+    rings give `samples` words of random length from random.Random(seed)."""
+    if R.size <= EXHAUSTIVE_LIMIT:
+        for t1 in R.elements():
+            yield (t1,)
+            for t2 in R.elements():
+                yield (t1, t2)
+                for t3 in R.elements():
+                    yield (t1, t2, t3)
+    else:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            n = rng.choice((1, 2, 3))
+            yield tuple(rng.randrange(R.size) for _ in range(n))
+
+
+def stepped_word_point(R, ts):
+    """The point spanned by (1, 0) * E(t_n) * ... * E(t_1), stepping the row
+    in place: (x, y) * E(t) = (x*t - y, x)."""
+    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    x, y = R.one, R.zero
+    for t in reversed(ts):
+        x, y = add[mul[x][t]][neg[y]], x
+    return R.canonical_pair_left(x, y)
+
+
+def stepped_word_dual_point(R, ts):
+    """The closed word formula E(0) * E(-t_1) * ... * E(-t_n) * E(0) * (0, 1)^T,
+    stepping the column in place: E(s) * (v, w)^T = (s*v + w, -v)^T."""
+    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    v, w = R.one, R.zero  # E(0) * (0, 1)^T
+    for t in reversed(ts):
+        v, w = add[mul[neg[t]][v]][w], neg[v]
+    return R.canonical_pair_right(w, neg[v])  # a last E(0)
+
+
+def stepped_antiiso_word_point(m, ts):
+    """R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi), stepping the row in place."""
+    return stepped_word_point(m.target, tuple(m(t) for t in ts))
+
+
+def length2_perp_formula(R, t1, t2):
+    """R(t2*t1 - 1, t2) maps to (-t2, t1*t2 - 1)^T R."""
+    p = make_point(R, R.sub(R.mul(t2, t1), R.one), t2)
+    q = R.canonical_pair_right(R.neg(t2), R.sub(R.mul(t1, t2), R.one))
+    return p, q
+
+
+def length3_perp_formula(R, t1, t2, t3):
+    """R(t3*t2*t1 - t3 - t1, t3*t2 - 1) maps to
+    (-t2*t3 + 1, t1*t2*t3 - t1 - t3)^T R."""
+    a = R.sub(R.sub(R.mul(R.mul(t3, t2), t1), t3), t1)
+    b = R.sub(R.mul(t3, t2), R.one)
+    v = R.add(R.neg(R.mul(t2, t3)), R.one)
+    w = R.sub(R.sub(R.mul(R.mul(t1, t2), t3), t1), t3)
+    return make_point(R, a, b), R.canonical_pair_right(v, w)
+
+
+def length1_sigma_formula(R, p1):
+    return make_point(R, p1, R.one)
+
+
+def length2_sigma_formula(R, p1, p2):
+    return make_point(R, R.sub(R.mul(p2, p1), R.one), p2)
+
+
+def length3_sigma_formula(R, p1, p2, p3):
+    a = R.sub(R.sub(R.mul(R.mul(p3, p2), p1), p3), p1)
+    return make_point(R, a, R.sub(R.mul(p3, p2), R.one))
+
+
+SIGMA_FORMULAS = (length1_sigma_formula, length2_sigma_formula, length3_sigma_formula)
+
+
+def duality_formulas_hold(geom, ts, word_dual=stepped_word_dual_point,
+                          length2=length2_perp_formula, length3=length3_perp_formula):
+    """The duality suite's check of one word: the closed word form, then
+    the formula of the word's length, against the Geometry's oracle image
+    of the word point."""
+    R = geom.ring
+    p = stepped_word_point(R, ts)
+    oracle = geom.perp_of(p)
+    if word_dual(R, ts) != oracle:
+        return False
+    if len(ts) == 1:
+        return R.canonical_pair_right(R.neg(R.one), ts[0]) == oracle
+    formula = length2 if len(ts) == 2 else length3
+    return formula(R, *ts) == (p, oracle)
+
+
+def sigma_formulas_hold(m, sigma, ts, word_form=stepped_antiiso_word_point,
+                        entrywise=SIGMA_FORMULAS):
+    """The sigma suite's check of one word: the closed word form, then the
+    entrywise formula of the word's length, against the composite sigma (a
+    dict on points) of the word point."""
+    R = m.source
+    composite = sigma[stepped_word_point(R, ts)]
+    if word_form(m, ts) != composite:
+        return False
+    return entrywise[len(ts) - 1](R, *(m(t) for t in ts)) == composite
+
+
+def word_sweep(holds, ws):
+    """(checks, mismatches, first failing word or None) of the predicate
+    holds over the words ws, one word at a time."""
+    checks, failing = 0, []
+    for ts in ws:
+        checks += 1
+        if not holds(ts):
+            failing.append(ts)
+    return checks, len(failing), (failing[0] if failing else None)

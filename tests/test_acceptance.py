@@ -9,8 +9,6 @@ line counts of PG(3,q) for the matrix rings).
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from chaingeom.rings import is_normal_subgroup
 from chaingeom.projline import line_generators
 from chaingeom.duality import perp_point

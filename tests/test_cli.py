@@ -169,6 +169,19 @@ def test_upper_triangular_runs_every_task(tmp_path, q):
     assert sigma["status"] == "pass" and sigma["map"] == "diagonal-flip"
 
 
+@pytest.mark.parametrize("ring", [{"family": "upper-triangular2", "q": 2},
+                                  {"family": "finite-field", "q": 4}])
+def test_derive_plane_needs_a_matrix_ring(tmp_path, ring):
+    """derive-plane on a ring other than matrix2(2) or matrix2(3) fails with
+    exit 2 before any task runs, not as a failed task."""
+    path = small_config(tmp_path, [{"name": "enumerate-points"}, {"name": "derive-plane"}],
+                        ring=ring)
+    with pytest.raises(ConfigError, match="derive-plane needs"):
+        load_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_shipped_configs_parse():
     from pathlib import Path
     for cfg in Path(__file__).resolve().parent.parent.glob("configs/*.json"):

@@ -30,15 +30,20 @@ from chaingeom.duality import (
     covariance_failures,
     dual_infinity,
     dual_matches_opposite,
-    length2_perp_formula,
-    length3_perp_formula,
     make_dual_point,
     perp_point,
     word_dual_point,
 )
 
 import reference
-from reference import commutative_perp_formula, covariance_holds, distant, point_words
+from reference import (
+    commutative_perp_formula,
+    covariance_holds,
+    distant,
+    length2_perp_formula,
+    length3_perp_formula,
+    point_words,
+)
 
 
 def perp_chain(R, C):

@@ -24,7 +24,6 @@ from chaingeom.isomorph import (
     antiiso_dual_to_point,
     antiiso_point_table,
     antiiso_word_point,
-    find_conjugator,
     frobenius_map,
     identity_map,
     preserves_compatibility,

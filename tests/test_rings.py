@@ -9,7 +9,6 @@ from chaingeom.rings import (
     NotAUnitError,
     NotProperError,
     RingMap,
-    RingAxiomError,
     RingMapError,
     RingSpec,
     UnsupportedParameterError,
@@ -20,7 +19,6 @@ from chaingeom.rings import (
     is_normal_subgroup,
     make_ring_map,
     normality_witness,
-    subfield_in_opposite,
     unit_generators,
     verify_axioms,
     verify_ring_map,

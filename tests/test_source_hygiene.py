@@ -1,5 +1,5 @@
-"""Static checks over the package source: no unused top-level import, no
-bare `assert` (python -O strips them, and a cross-check must raise
+"""Static checks over the package source: no unused top-level import (in
+the tests either), no bare `assert` (python -O strips them, and a cross-check must raise
 instead), no `cache`/`lru_cache` decorator, no module-level dict that a
 function writes to (derived state belongs to a Geometry, not to the
 process), and no top-level function or class that only the tests call."""
@@ -18,6 +18,8 @@ MAX_BARE_ASSERTS = 0
 ALLOWED_MODULE_MEMOS = {("rings.py", "_RING_CACHE")}
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # definitions the program itself need not name, with the reason
 ALLOWED_UNREACHED = {
@@ -170,7 +172,8 @@ def test_scan_finds_module_memo_writes():
 
 
 def test_no_unused_top_level_imports():
-    found = {path.name: names for path in SOURCES if path.name != "__init__.py"
+    found = {f"{path.parent.name}/{path.name}": names
+             for path in [p for p in SOURCES if p.name != "__init__.py"] + TESTS
              for names in [unused_imports(_parse(path))] if names}
     assert found == {}
 
