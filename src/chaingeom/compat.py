@@ -89,13 +89,23 @@ def _witnessed_orbits(res: Residue, blocks, products, side: str) -> list[tuple]:
     return out
 
 
-def _distinct_rows(rows) -> np.ndarray:
-    """The distinct rows of an integer table, in the order of their np.void
-    keys.  Deduplicates through return_index: a plain np.unique imports
-    numpy.ma (about 16 ms cold)."""
-    rows = np.ascontiguousarray(rows, dtype=np.intp)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return rows[np.unique(keys, return_index=True)[1]]
+def _distinct_sets(rows) -> np.ndarray:
+    """The distinct sets among the rows of an integer table, as sorted rows
+    in lexicographic order: each row sorted, the rows ordered by
+    np.lexsort, and each kept where it differs from the one before (a plain
+    np.unique over rows imports numpy.ma, about 16 ms cold)."""
+    rows = np.sort(np.asarray(rows, dtype=np.intp), axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
+
+
+def _translates(R: Ring, rows: np.ndarray) -> np.ndarray:
+    """The distinct sets {x + c : x in row} of every row, translated by
+    every c in R: one table read from the add table."""
+    family = R._add_a[rows[:, None, :], np.arange(R.size)[:, None]]
+    return _distinct_sets(family.reshape(-1, rows.shape[1]))
 
 
 def coset_family(R: Ring, K: Subfield, side: str) -> np.ndarray:
@@ -105,9 +115,7 @@ def coset_family(R: Ring, K: Subfield, side: str) -> np.ndarray:
     them), then one table of their translates by every c."""
     k, u = np.array(K.elements), np.array(R.units)
     base = R._mul_a[k, u[:, None]] if side == "compatibility" else R._mul_a[u[:, None], k]
-    base = _distinct_rows(np.sort(base, axis=1))
-    family = R._add_a[base[:, None, :], np.arange(R.size)[:, None]]
-    return _distinct_rows(np.sort(family.reshape(-1, len(k)), axis=1))
+    return _translates(R, _distinct_sets(base))
 
 
 def _find_witness(R: Ring, K: Subfield, class_blocks: frozenset, side: str) -> Optional[Subfield]:
@@ -190,7 +198,7 @@ def check_class_structure(cls: CompatClass) -> bool:
     """True iff the class is exactly the coset family of its witness: the
     two row sets are equal, not merely one inside the other."""
     family = coset_family(cls.witness.ring, cls.witness, cls.side)
-    rows = _distinct_rows([sorted(B) for B in cls.blocks])
+    rows = _distinct_sets([list(B) for B in cls.blocks])
     return rows.shape == family.shape and bool(np.all(rows == family))
 
 
@@ -275,21 +283,24 @@ class PlaneReport:
     second_subfield: Optional[tuple] = None
 
 
-def left_subspace_spread(R: Ring, K: Subfield) -> frozenset:
-    """All 1-dim left K-subspaces Kx, x != 0: a spread of R as F_q-space."""
-    members = {frozenset(R.mul(k, x) for k in K.elements)
-               for x in R.elements() if x != R.zero}
-    q2 = len(K.elements)
-    if any(len(m) != q2 for m in members):
+def left_subspace_spread(R: Ring, K: Subfield) -> np.ndarray:
+    """All 1-dim left K-subspaces Kx, x != 0, as distinct sorted rows: a
+    spread of R as F_q-space."""
+    k, x = np.array(K.elements), np.arange(1, R.size)  # zero is 0
+    members = _distinct_sets(R._mul_a[k, x[:, None]])
+    q2 = len(k)
+    if np.any(members[:, 1:] == members[:, :-1]):
         raise VerificationError("spread member of the wrong size")
-    if set().union(*members) != set(R.elements()):
+    count = np.bincount(members.ravel(), minlength=R.size)
+    if np.any(count == 0):
         raise VerificationError("spread does not cover the ring")
-    for m1, m2 in combinations(members, 2):
-        if m1 & m2 != {R.zero}:
-            raise VerificationError(f"spread members {sorted(m1)}, {sorted(m2)} meet")
+    shared = np.flatnonzero(count[1:] > 1)  # every member holds 0
+    if len(shared):
+        m1, m2 = members[np.any(members == shared[0] + 1, axis=1)][:2].tolist()
+        raise VerificationError(f"spread members {m1}, {m2} meet")
     if len(members) != (R.size - 1) // (q2 - 1):
         raise VerificationError(f"spread has {len(members)} members")
-    return frozenset(members)
+    return members
 
 
 def _all_2dim_subspaces(R: Ring, q: int) -> list:
@@ -304,10 +315,9 @@ def _all_2dim_subspaces(R: Ring, q: int) -> list:
     x, y = np.triu_indices(n, 1)
     nonzero = x != R.zero
     spans = R._add_a[mult[x[nonzero], :, None], mult[y[nonzero], None, :]].reshape(-1, q * q)
-    spans.sort(axis=1)
-    rows = _distinct_rows(spans)
+    rows = _distinct_sets(spans)
     rows = rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]
-    return [frozenset(r) for r in rows[np.lexsort(rows.T[::-1])].tolist()]
+    return [frozenset(r) for r in rows.tolist()]
 
 
 def regulus_through(R: Ring, q: int, m1, m2, m3, subspaces=None) -> tuple[frozenset, frozenset]:
@@ -358,23 +368,25 @@ def _affine_checks(R: Ring, lines: list) -> tuple[bool, bool, int]:
             int(per_point[0]) if np.all(per_point == per_point[0]) else -1)
 
 
+def _directions(R: Ring, rows: np.ndarray) -> list[tuple]:
+    """The direction L - min(L) of every line L, a sorted row of the table,
+    as a sorted tuple."""
+    return list(map(tuple, np.sort(R._add_a[rows, R._neg_a[rows[:, :1]]], axis=1).tolist()))
+
+
 def _projective_completion(R: Ring, lines: list) -> tuple[list, list]:
-    """Affine points get ids 0..n-1, directions n..; returns (points, lines)
-    with lines as sorted tuples of point ids, last line at infinity."""
-    dirs = []
-    dir_id = {}
-    proj_lines = []
+    """Affine points get ids 0..n-1, directions n.. in order of first
+    appearance; returns (points, lines) with lines as sorted tuples of
+    point ids, last line at infinity."""
     n = R.size
-    for L in lines:
-        base = min(L)
-        d = frozenset(R.sub(x, base) for x in L)
-        if d not in dir_id:
-            dir_id[d] = n + len(dirs)
-            dirs.append(d)
-        proj_lines.append(tuple(sorted(L)) + (dir_id[d],))
-    proj_lines.append(tuple(range(n, n + len(dirs))))
-    points = list(range(n + len(dirs)))
-    return points, proj_lines
+    rows = np.sort(np.array(lines, dtype=np.intp), axis=1)
+    dirs = _directions(R, rows)
+    dir_id: dict = {}
+    for d in dirs:
+        dir_id.setdefault(d, n + len(dir_id))
+    proj_lines = [tuple(L) + (dir_id[d],) for L, d in zip(rows.tolist(), dirs)]
+    proj_lines.append(tuple(range(n, n + len(dir_id))))
+    return list(range(n + len(dir_id))), proj_lines
 
 
 # entries per slab of the Desargues kernel: one (A, A') row on order 9
@@ -487,11 +499,14 @@ def derive_plane(geom, skip_replacement: bool = False,
     classes = geom.compat_classes
     kblock = frozenset(K.elements)
     kclass = next(c for c in classes if kblock in c.blocks)
+    # the spread, AG(2, q^2), the regulus and its opposite as tables of
+    # sorted rows; a line is the tuple of its row
     spread = left_subspace_spread(R, K)
-    ag_lines = {frozenset(R.add(x, c) for x in m) for m in spread for c in R.elements()}
-    if len(ag_lines) != (q * q + 1) * q * q:
-        raise VerificationError(f"AG(2, q^2) came out with {len(ag_lines)} lines")
-    if not kclass.blocks <= ag_lines:
+    ag = _translates(R, spread)
+    if len(ag) != (q * q + 1) * q * q:
+        raise VerificationError(f"AG(2, q^2) came out with {len(ag)} lines")
+    ag_lines = list(map(tuple, ag.tolist()))
+    if not {tuple(sorted(B)) for B in kclass.blocks} <= set(ag_lines):
         raise VerificationError("the class does not extend to AG(2, q^2)")
     block_set = frozenset(res.blocks)
 
@@ -500,35 +515,31 @@ def derive_plane(geom, skip_replacement: bool = False,
     if skip_replacement:
         K2 = None
     if degenerate:
-        lines = sorted(ag_lines, key=sorted)
-        removed: frozenset = frozenset()
+        lines = ag_lines
         replaced_size = 0 if skip_replacement else 1
     else:
-        regulus = {frozenset(R.mul(k, x) for k in K.elements) for x in K2.nonzero}
-        if len(regulus) != q + 1 or not regulus <= spread:
+        k, k2 = np.array(K.elements), np.array(K2.elements)
+        regulus = _distinct_sets(R._mul_a[k, np.array(K2.nonzero)[:, None]])  # K x, x in K2*
+        reg_lines = set(map(tuple, regulus.tolist()))
+        if len(regulus) != q + 1 or not reg_lines <= set(map(tuple, spread.tolist())):
             raise RegulusNotFoundError("conjugate subfield did not span a regulus")
-        opposite = {frozenset(R.mul(a, k) for k in K2.elements) for a in K.nonzero}
+        opposite = _distinct_sets(R._mul_a[np.array(K.nonzero)[:, None], k2])  # a K2, a in K*
         if len(opposite) != q + 1:
             raise RegulusNotFoundError("opposite family has the wrong size")
-        if set().union(*opposite) != set().union(*regulus):
+        if set(opposite.ravel().tolist()) != set(regulus.ravel().tolist()):
             raise RegulusNotFoundError("opposite family misses the regulus carrier")
-        for T in opposite:
-            for m in regulus:
-                if len(T & m) != q:
-                    raise RegulusNotFoundError("non-transversal opposite member")
+        # |T & m| for every opposite member T and regulus member m
+        meets = (opposite[:, None, :, None] == regulus[None, :, None, :]).sum(axis=(2, 3))
+        if np.any(meets != q):
+            raise RegulusNotFoundError("non-transversal opposite member")
         # cross-check against the 3-generated regulus search
-        m1, m2, m3 = sorted(regulus, key=sorted)[:3]
-        reg2, trans = regulus_through(R, q, m1, m2, m3)
-        if reg2 != frozenset(regulus) or trans != frozenset(opposite):
+        reg_sets, opp_sets = ({frozenset(r) for r in t.tolist()} for t in (regulus, opposite))
+        reg2, trans = regulus_through(R, q, *map(frozenset, regulus[:3].tolist()))
+        if reg2 != reg_sets or trans != opp_sets:
             raise RegulusNotFoundError("3-generated regulus disagrees")
-        inserted = {frozenset(R.add(x, c) for x in T)
-                    for T in opposite for c in R.elements()}
-        lines = sorted((L for L in ag_lines
-                        if frozenset(R.sub(x, min(L)) for x in L) not in regulus),
-                       key=sorted)
-        lines += sorted(inserted, key=sorted)
-        removed = frozenset(regulus)
-        replaced_size = len(removed)
+        lines = [L for L, d in zip(ag_lines, _directions(R, ag)) if d not in reg_lines]
+        lines += map(tuple, _translates(R, opposite).tolist())
+        replaced_size = len(regulus)
 
     two_point, playfair, lines_per_point = _affine_checks(R, lines)
     if not (two_point and playfair):

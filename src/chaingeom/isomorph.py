@@ -41,10 +41,9 @@ class SubfieldConditionError(ValueError):
 # catalogue -----------------------------------------------------------------
 
 def transpose_map(R: Matrix2Ring) -> RingMap:
-    def t(x):
-        a, b, c, d = R._tuples[x]
-        return R._encode((a, c, b, d))
-    return make_ring_map(R, R, t, "antiisomorphism")
+    """[[a, b], [c, d]] -> [[a, c], [b, d]]: digits (a11, a21, a12, a22)."""
+    return make_ring_map(R, R, R.permuted_digits((0, 2, 1, 3)).__getitem__,
+                         "antiisomorphism")
 
 
 def frobenius_map(R: FiniteFieldRing, as_antiiso: bool = False) -> RingMap:
@@ -65,10 +64,9 @@ def identity_map(R: Ring, as_antiiso: bool = False) -> RingMap:
 
 
 def triangular_flip_map(R: UpperTriangularRing) -> RingMap:
-    def t(x):
-        a, b, d = R._tuples[x]
-        return R._encode((d, b, a))
-    return make_ring_map(R, R, t, "antiisomorphism")
+    """[[a, b], [0, d]] -> [[d, b], [0, a]]: digits (d, b, a)."""
+    return make_ring_map(R, R, R.permuted_digits((2, 1, 0)).__getitem__,
+                         "antiisomorphism")
 
 
 def find_conjugator(m: RingMap, K: Subfield, K2: Subfield) -> Optional[int]:

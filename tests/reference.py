@@ -2,21 +2,127 @@
 
 Each function is the plain, per-element form of something the package
 computes from its tables, or a definition-level law no scenario runs:
-the dict-bucket annihilator scan with its cyclic-generator loops, the
-per-module covariance law, the distant relation by matrix inversion, a
+the per-element digit formulas of the ring families, the dict-bucket
+annihilator scan with its cyclic-generator loops, the per-module
+covariance law, the distant relation by matrix inversion, a
 breadth-first search for point words, the four matrix actions on single
 rows and columns, the paper's laws on induced maps, and the per-word
 sweeps of the duality and sigma suites with the closed formulas they
-check.
+check.  Two helpers serve the tests around them: `corrupt` changes one
+entry of a fresh ring's operation table, and `word_arrays`/`as_pairs`
+feed a list of words to the array kernels in one call.
 """
 
 import random
 
+import numpy as np
+
 from chaingeom.compat import cosets_hold, joins_unit_pairs_once
 from chaingeom.isomorph import antiiso_dual_to_point
 from chaingeom.projline import VerificationError, make_point, mat_invert
-from chaingeom.rings import RingMapError, additive_generators, unit_generators
+from chaingeom.rings import GF, RingMapError, additive_generators, build_ring, unit_generators
 from chaingeom.suites import EXHAUSTIVE_LIMIT
+
+
+# ring families ------------------------------------------------------------------
+
+# Per family: the number of F_q digits of an element and its product, digit
+# tuple by digit tuple, over the field's mul (m) and add (s) tables.
+def _field_mul(m, s, x, y):
+    return (m[x[0]][y[0]],)
+
+
+def _dual_numbers_mul(m, s, x, y):  # (a0 + a1 e)(b0 + b1 e)
+    a0, a1 = x
+    b0, b1 = y
+    return m[a0][b0], s[m[a0][b1]][m[a1][b0]]
+
+
+def _product_mul(m, s, x, y):
+    return m[x[0]][y[0]], m[x[1]][y[1]]
+
+
+def _upper_triangular_mul(m, s, x, y):  # [[a, b], [0, d]]
+    a, b, d = x
+    a2, b2, d2 = y
+    return m[a][a2], s[m[a][b2]][m[b][d2]], m[d][d2]
+
+
+def _matrix2_mul(m, s, x, y):  # [[a11, a12], [a21, a22]]
+    a11, a12, a21, a22 = x
+    b11, b12, b21, b22 = y
+    return (s[m[a11][b11]][m[a12][b21]], s[m[a11][b12]][m[a12][b22]],
+            s[m[a21][b11]][m[a22][b21]], s[m[a21][b12]][m[a22][b22]])
+
+
+FAMILY_MUL = {
+    "finite-field": (1, _field_mul),
+    "dual-numbers": (2, _dual_numbers_mul),
+    "product": (2, _product_mul),
+    "upper-triangular2": (3, _upper_triangular_mul),
+    "matrix2": (4, _matrix2_mul),
+}
+
+
+def family_tables(spec):
+    """The add, mul and neg tables of the ring spec as nested lists, one
+    element at a time: the element i is the digit tuple of i in base q,
+    least significant first; sums and negatives are digitwise in F_q and
+    products come from the family's digit formula."""
+    gf, q = GF(spec.q), spec.q
+    ndigits, mul_digits = FAMILY_MUL[spec.family]
+    digits = [tuple(i // q ** k % q for k in range(ndigits)) for i in range(q ** ndigits)]
+
+    def encode(ds):
+        return sum(d * q ** k for k, d in enumerate(ds))
+
+    add = [[encode([gf.add_t[x][y] for x, y in zip(a, b)]) for b in digits] for a in digits]
+    mul = [[encode(mul_digits(gf.mul_t, gf.add_t, a, b)) for b in digits] for a in digits]
+    neg = [encode([gf.neg_t[x] for x in a]) for a in digits]
+    return add, mul, neg
+
+
+def table_mismatch(R, add, mul, neg):
+    """The first operation ("add", "mul" or "neg") whose table in R differs
+    from the given nested lists, or None if all three agree."""
+    for name, want in (("add", add), ("mul", mul), ("neg", neg)):
+        if getattr(R, f"_{name}_a").tolist() != want:
+            return name
+    return None
+
+
+def ring_map_failure(m):
+    """The message verify_ring_map gives for the additivity and
+    multiplicativity of the table m, by the pair loop: the first pair
+    (a, b) in row-major order that breaks a law, additivity first; None if
+    both laws hold."""
+    R, S, t = m.source, m.target, m.table
+    for a in R.elements():
+        for b in R.elements():
+            if t[R.add(a, b)] != S.add(t[a], t[b]):
+                return f"additivity fails at ({a}, {b})"
+            want = S.mul(t[a], t[b]) if m.kind == "isomorphism" else S.mul(t[b], t[a])
+            if t[R.mul(a, b)] != want:
+                return f"multiplicativity fails at ({a}, {b})"
+    return None
+
+
+# corrupted rings -----------------------------------------------------------------
+
+def corrupt(R, table, at, value):
+    """Set the entry at of R's operation table table ("add", "mul" or "neg")
+    to value and rederive the ring's views; returns R.  The table is
+    copied, changed and assigned back, since the tables are read-only; the
+    units and canonical keys stay as built from the clean table.  R must be
+    a freshly built ring, not the instance build_ring shares."""
+    if build_ring(R.spec) is R:
+        raise ValueError(f"{R.name} is the shared instance; corrupt a fresh one")
+    name = f"_{table}_a"
+    changed = getattr(R, name).copy()
+    changed[at] = value
+    setattr(R, name, changed)
+    R._fill_arrays()
+    return R
 
 
 # matrix actions ---------------------------------------------------------------
@@ -28,9 +134,9 @@ def row_times_mat(R, row, M):
 
 
 def mat_times_col(R, M, col):
-    add, mul = R._add_t, R._mul_cols
-    cv, cw = mul[col[0]], mul[col[1]]
-    return add[cv[M[0]]][cw[M[1]]], add[cv[M[2]]][cw[M[3]]]
+    add, mul = R._add_t, R._mul_t
+    v, w = col
+    return add[mul[M[0]][v]][mul[M[1]][w]], add[mul[M[2]][v]][mul[M[3]][w]]
 
 
 def apply_matrix(R, p, M):
@@ -296,6 +402,22 @@ def sigma_formulas_hold(m, sigma, ts, word_form=stepped_antiiso_word_point,
     if word_form(m, ts) != composite:
         return False
     return entrywise[len(ts) - 1](R, *(m(t) for t in ts)) == composite
+
+
+def word_arrays(ws):
+    """The words ws as the (letters, lengths) arrays of one sweep, each row
+    padded with zeros to the longest word."""
+    ws = list(ws)
+    width = max(map(len, ws), default=0)
+    letters = np.zeros((len(ws), width), dtype=np.intp)
+    for i, w in enumerate(ws):
+        letters[i, :len(w)] = w
+    return letters, np.array([len(w) for w in ws])
+
+
+def as_pairs(keys, n):
+    """Canonical keys x*n + y as a list of pairs (x, y)."""
+    return [divmod(k, n) for k in np.asarray(keys).tolist()]
 
 
 def word_sweep(holds, ws):

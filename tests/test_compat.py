@@ -32,13 +32,14 @@ from chaingeom.rings import (
     Matrix2Ring,
     ProductRing,
     RingSpec,
+    build_ring,
     build_subfield,
     conjugate_subfield,
     unit_generators,
 )
 
 import reference
-from reference import apply_matrix, validate_partial_affine
+from reference import apply_matrix, corrupt, validate_partial_affine
 
 
 def test_single_class_when_units_normal(f4_g, dual2_g, prod22_g, m2f2_g):
@@ -84,18 +85,6 @@ def test_class_structure_negative_control(f4_g):
     assert not check_class_structure(corrupted)
 
 
-def corrupted_product(cls, spec, a, b, value):
-    """A freshly built ring (not build_ring's cached one) with a*b := value
-    in every product table."""
-    R = cls(spec)
-    rows = [list(row) for row in R._mul_t]
-    rows[a][b] = value
-    R._mul_t = tuple(map(tuple, rows))
-    R._mul_cols = tuple(zip(*R._mul_t))
-    R._fill_arrays()
-    return R
-
-
 def coordinate_action_raises(R) -> bool:
     try:
         compat._verify_coordinate_action(R)
@@ -116,10 +105,10 @@ def test_coordinate_action_matches_reference(zoo, small_rings):
     for cls, spec in ((FiniteFieldRing, RingSpec("finite-field", 4)),
                       (DualNumbersRing, RingSpec("dual-numbers", 2)),
                       (ProductRing, RingSpec("product", 2))):
-        clean = cls(spec)._mul_t
+        clean = build_ring(spec)._mul_t
         for a, b, value in product(range(4), repeat=3):
             if value != clean[a][b]:
-                R = corrupted_product(cls, spec, a, b, value)
+                R = corrupt(cls(spec), "mul", (a, b), value)
                 raised = coordinate_action_raises(R)
                 assert raised != reference.coordinate_action_holds(R), (spec, a, b, value)
                 caught += raised
@@ -131,7 +120,7 @@ def test_coordinate_action_without_unit_generators(value):
     """R* = {1} on product(2,2), so no unit generator is tested; the shifts
     x + c alone catch the product of the element 2 = (0, 1) with the one
     (1, 1), element 3, corrupted."""
-    R = corrupted_product(ProductRing, RingSpec("product", 2), 2, 3, value)
+    R = corrupt(ProductRing(RingSpec("product", 2)), "mul", (2, 3), value)
     assert R.one == 3 and unit_generators(R) == ()
     with pytest.raises(VerificationError, match="not the matrix action"):
         compat._verify_coordinate_action(R)
@@ -526,10 +515,7 @@ def test_corrupted_addition_makes_derive_plane_raise(q, a, b):
     R = Matrix2Ring(RingSpec("matrix2", q))
     g = Geometry(R, build_subfield(R, "singer"))
     g.compat_classes
-    rows = [list(row) for row in R._add_t]
-    rows[a][b] = (rows[a][b] + 1) % R.size
-    R._add_t = tuple(map(tuple, rows))
-    R._fill_arrays()
+    corrupt(R, "add", (a, b), (R.add(a, b) + 1) % R.size)
     with pytest.raises((VerificationError, RegulusNotFoundError, DerivedPlaneError)):
         derive_plane(g)
 

@@ -14,7 +14,7 @@ from chaingeom.projline import (
     line_generators,
     make_point,
     mat_invert,
-    word_point,
+    word_points,
 )
 from chaingeom.rings import (
     DualNumbersRing,
@@ -33,16 +33,20 @@ from chaingeom.duality import (
     make_dual_point,
     perp_point,
     word_dual_point,
+    word_dual_points,
 )
 
 import reference
 from reference import (
+    as_pairs,
     commutative_perp_formula,
+    corrupt,
     covariance_holds,
     distant,
     length2_perp_formula,
     length3_perp_formula,
     point_words,
+    word_arrays,
 )
 
 
@@ -243,84 +247,71 @@ def covariance_sweep(R, count):
     return out
 
 
-def corrupted(cls, spec, a, b, value, columns):
-    """A freshly built ring (not build_ring's cached one) with a*b := value,
-    in the column table too when columns is set."""
-    R = cls(spec)
-    rows = [list(row) for row in R._mul_t]
-    rows[a][b] = value
-    R._mul_t = tuple(map(tuple, rows))
-    if columns:
-        R._mul_cols = tuple(zip(*R._mul_t))
-    R._fill_arrays()
-    return R
-
-
 @pytest.mark.parametrize("cls, spec", [(FiniteFieldRing, RingSpec("finite-field", 4)),
                                        (DualNumbersRing, RingSpec("dual-numbers", 2))])
 def test_covariance_sweep_negative_control(cls, spec):
     """Every single corrupted product makes the sweep fail or raise, never
-    pass; with both product tables corrupted alike the batched counts equal
-    the row-by-row ones."""
-    clean = cls(spec)._mul_t
+    pass, and the batched counts equal the row-by-row ones."""
+    clean = build_ring(spec)._mul_t
     for a, b, value in itertools.product(range(len(clean)), repeat=3):
         if value == clean[a][b]:
             continue
-        swept = covariance_sweep(corrupted(cls, spec, a, b, value, False),
-                                 covariance_failures)
+        R = corrupt(cls(spec), "mul", (a, b), value)
+        swept = covariance_sweep(R, covariance_failures)
         assert any(x == "raise" or x > 0 for x in swept), (a, b, value)
-        R = corrupted(cls, spec, a, b, value, True)
         assert (covariance_sweep(R, covariance_failures)
                 == covariance_sweep(R, loop_covariance_failures)), (a, b, value)
+
+
+def word_images(R, ws):
+    """The word points and the closed-form dual points of the words ws,
+    each from one call of its kernel."""
+    letters, lengths = word_arrays(ws)
+    return (as_pairs(word_points(R, letters, lengths), R.size),
+            as_pairs(word_dual_points(R, letters, lengths), R.size))
 
 
 def test_word_formula_n0_n1(zoo):
     for R, _ in zoo:
         assert word_dual_point(R, ()) == dual_infinity(R)
-        for t in R.elements():
-            assert word_dual_point(R, (t,)) == make_dual_point(R, R.neg(R.one), t)
-            assert word_dual_point(R, (t,)) == perp_point(R, word_point(R, (t,)))
+        pts, duals = word_images(R, [(t,) for t in R.elements()])
+        for t, p, q in zip(R.elements(), pts, duals):
+            assert q == make_dual_point(R, R.neg(R.one), t)
+            assert q == perp_point(R, p)
+
+
+def perp_formulas_hold(R, ws):
+    """formula == word formula == oracle on every word of ws (lengths 2
+    and 3); the kernels see all the words at once."""
+    for ts, p, q in zip(ws, *word_images(R, ws)):
+        formula = length2_perp_formula if len(ts) == 2 else length3_perp_formula
+        assert (p, q) == formula(R, *ts), ts
+        assert perp_point(R, p) == q, ts
 
 
 def test_word_formulas_exhaustive(small_zoo):
     """Lengths 2 and 3, all tuples, formula == word formula == oracle."""
     for R, _ in small_zoo:
-        for t1 in R.elements():
-            for t2 in R.elements():
-                p, q = length2_perp_formula(R, t1, t2)
-                assert word_point(R, (t1, t2)) == p
-                assert word_dual_point(R, (t1, t2)) == q
-                assert perp_point(R, p) == q
-        if R.size > 4:
-            continue  # keep the length-3 cube for the tiny rings here
-        for t1 in R.elements():
-            for t2 in R.elements():
-                for t3 in R.elements():
-                    p, q = length3_perp_formula(R, t1, t2, t3)
-                    assert word_point(R, (t1, t2, t3)) == p
-                    assert word_dual_point(R, (t1, t2, t3)) == q
-                    assert perp_point(R, p) == q
+        els = R.elements()
+        ws = list(itertools.product(els, repeat=2))
+        if R.size <= 4:  # keep the length-3 cube for the tiny rings here
+            ws += itertools.product(els, repeat=3)
+        perp_formulas_hold(R, ws)
 
 
 def test_word_formulas_m2f2_length3_exhaustive(m2f2):
-    R = m2f2
-    for t1 in R.elements():
-        for t2 in R.elements():
-            for t3 in R.elements():
-                p, q = length3_perp_formula(R, t1, t2, t3)
-                assert word_point(R, (t1, t2, t3)) == p
-                assert word_dual_point(R, (t1, t2, t3)) == q
-                assert perp_point(R, p) == q
+    perp_formulas_hold(m2f2, list(itertools.product(m2f2.elements(), repeat=3)))
 
 
 def test_word_formulas_m2f3_sampled(m2f3):
     R = m2f3
     rng = random.Random(11)
+    ws = []
     for _ in range(300):
         n = rng.choice((1, 2, 3))
-        ts = tuple(rng.randrange(R.size) for _ in range(n))
-        p = word_point(R, ts)
-        assert word_dual_point(R, ts) == perp_point(R, p)
+        ws.append(tuple(rng.randrange(R.size) for _ in range(n)))
+    for p, q in zip(*word_images(R, ws)):
+        assert q == perp_point(R, p)
 
 
 def test_length2_formula_covers_connected_diameter2(zoo_g):
@@ -330,8 +321,8 @@ def test_length2_formula_covers_connected_diameter2(zoo_g):
         R, g = geom.ring, geom.graph
         if g.n_components != 1 or g.diameter > 2:
             continue
-        covered = {word_point(R, (t1, t2))
-                   for t1 in R.elements() for t2 in R.elements()}
+        letters, lengths = word_arrays(itertools.product(R.elements(), repeat=2))
+        covered = set(as_pairs(word_points(R, letters, lengths), R.size))
         assert covered == set(geom.points)
 
 

@@ -9,7 +9,7 @@ from chaingeom.geometry import Geometry
 from chaingeom.projline import line_generators
 from chaingeom.rings import FiniteFieldRing, build_subfield, subfield_in_opposite
 
-from reference import apply_matrix, apply_matrix_dual
+from reference import apply_matrix, apply_matrix_dual, corrupt
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +51,8 @@ def test_geometries_share_no_state(f4, f4_k):
     p = (1, 2)
     clean = Geometry(f4, f4_k)
     assert clean.perp_of(p) == (1, 3)
-    fresh = FiniteFieldRing(f4.spec)
-    rows = [list(row) for row in fresh._mul_t]
-    rows[2][1] = 1  # 0 would already break the dual-point enumeration
-    fresh._mul_t = tuple(map(tuple, rows))
-    fresh._fill_arrays()  # the oracle reads the array tables
+    # 0 would already break the dual-point enumeration
+    fresh = corrupt(FiniteFieldRing(f4.spec), "mul", (2, 1), 1)
     for _ in range(2):  # a failure is not kept either
         with pytest.raises(PerpNotCyclicError):
             Geometry(fresh, build_subfield(fresh, "prime")).perp

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,7 @@ from chaingeom.projline import (
     infinity,
     line_generators,
     make_point,
-    word_point,
+    word_points,
 )
 from chaingeom.chains import standard_chain
 from chaingeom.duality import dual_infinity, make_dual_point, perp_point
@@ -24,6 +25,7 @@ from chaingeom.isomorph import (
     antiiso_dual_to_point,
     antiiso_point_table,
     antiiso_word_point,
+    antiiso_word_points,
     frobenius_map,
     identity_map,
     preserves_compatibility,
@@ -35,10 +37,20 @@ from chaingeom.isomorph import (
 
 from reference import (
     apply_matrix,
+    as_pairs,
     iso_point_map,
     residue_restriction_is_ring_map,
     transpose_law_holds,
+    word_arrays,
 )
+
+
+def word_images(m, ws):
+    """The word points over the source ring and the closed-form sigma
+    images of the words ws, each from one call of its kernel."""
+    letters, lengths = word_arrays(ws)
+    return (as_pairs(word_points(m.source, letters, lengths), m.source.size),
+            as_pairs(antiiso_word_points(m, letters, lengths), m.target.size))
 
 
 def iso_chain_map(m, C):
@@ -140,32 +152,28 @@ def test_sigma_formulas_exhaustive_m2f2(m2f2, m2f2_g):
     for t1 in R.elements():
         p = make_point(R, t1, R.one)
         assert sigma[p] == make_point(R, m(t1), R.one)
-    for t1 in R.elements():
-        for t2 in R.elements():
-            p = word_point(R, (t1, t2))
-            want = make_point(R, R.sub(R.mul(m(t2), m(t1)), R.one), m(t2))
-            assert sigma[p] == want
-            assert antiiso_word_point(m, (t1, t2)) == want
-    for t1 in R.elements():
-        for t2 in R.elements():
-            for t3 in R.elements():
-                p = word_point(R, (t1, t2, t3))
-                a = R.sub(R.sub(R.mul(R.mul(m(t3), m(t2)), m(t1)), m(t3)), m(t1))
-                b = R.sub(R.mul(m(t3), m(t2)), R.one)
-                want = make_point(R, a, b)
-                assert sigma[p] == want
-                assert antiiso_word_point(m, (t1, t2, t3)) == want
+    ws = list(product(R.elements(), repeat=2))
+    for (t1, t2), p, image in zip(ws, *word_images(m, ws)):
+        want = make_point(R, R.sub(R.mul(m(t2), m(t1)), R.one), m(t2))
+        assert sigma[p] == want
+        assert image == want
+    ws = list(product(R.elements(), repeat=3))
+    for (t1, t2, t3), p, image in zip(ws, *word_images(m, ws)):
+        a = R.sub(R.sub(R.mul(R.mul(m(t3), m(t2)), m(t1)), m(t3)), m(t1))
+        b = R.sub(R.mul(m(t3), m(t2)), R.one)
+        want = make_point(R, a, b)
+        assert sigma[p] == want
+        assert image == want
 
 
 def test_sigma_word_equals_sigma_of_word_point(m2f2_g, f4_g):
     for g, m in ((m2f2_g, transpose_map(m2f2_g.ring)),
                  (f4_g, frobenius_map(f4_g.ring, as_antiiso=True))):
         R, sigma = g.ring, antiiso_point_table(m, g)
-        for t1 in R.elements():
-            for t2 in R.elements():
-                for t3 in R.elements():
-                    for w in ((t1,), (t1, t2), (t1, t2, t3)):
-                        assert antiiso_word_point(m, w) == sigma[word_point(R, w)]
+        ws = [w for t1, t2, t3 in product(R.elements(), repeat=3)
+              for w in ((t1,), (t1, t2), (t1, t2, t3))]
+        points, images = word_images(m, ws)
+        assert images == [sigma[p] for p in points]
 
 
 def test_sigma_formulas_sampled_m2f3(m2f3, m2f3_g):
@@ -173,10 +181,12 @@ def test_sigma_formulas_sampled_m2f3(m2f3, m2f3_g):
     m = transpose_map(R)
     sigma = antiiso_point_table(m, m2f3_g)
     rng = random.Random(23)
+    ws = []
     for _ in range(200):
         n = rng.choice((1, 2, 3))
-        w = tuple(rng.randrange(R.size) for _ in range(n))
-        assert antiiso_word_point(m, w) == sigma[word_point(R, w)]
+        ws.append(tuple(rng.randrange(R.size) for _ in range(n)))
+    points, images = word_images(m, ws)
+    assert images == [sigma[p] for p in points]
 
 
 def test_transpose_law(m2f2, m2f2_g):

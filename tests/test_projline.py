@@ -90,9 +90,8 @@ from chaingeom.projline import VerificationError, mat_invert
 from chaingeom.rings import FiniteFieldRing, RingSpec
 assert not __debug__, "expected to run under python -O"
 R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
-rows = [list(row) for row in R._mul_t]
-rows[2][1] = 0
-R._mul_t = tuple(map(tuple, rows))
+mul = R._mul_a.copy(); mul[2, 1] = 0
+R._mul_a = mul; R._fill_arrays()
 try:
     for M in itertools.product(R.elements(), repeat=4):
         mat_invert(R, M)
@@ -310,10 +309,8 @@ from chaingeom.projline import VerificationError, distant_graph, enumerate_point
 from chaingeom.rings import FiniteFieldRing, RingSpec
 assert not __debug__, "expected to run under python -O"
 R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
-rows = [list(row) for row in R._mul_t]
-rows[2][1] = 0
-R._mul_t = tuple(map(tuple, rows))
-R._fill_arrays()
+mul = R._mul_a.copy(); mul[2, 1] = 0
+R._mul_a = mul; R._fill_arrays()
 try:
     distant_graph(R, enumerate_points(R))
 except VerificationError as exc:

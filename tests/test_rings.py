@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaingeom.rings import (
     GF,
+    Matrix2Ring,
     NotAFieldError,
     NotAUnitError,
     NotProperError,
@@ -23,6 +25,10 @@ from chaingeom.rings import (
     verify_axioms,
     verify_ring_map,
 )
+
+from chaingeom.isomorph import identity_map, transpose_map
+
+from reference import family_tables, ring_map_failure, table_mismatch
 
 
 def scan_units(ring):
@@ -160,20 +166,14 @@ def test_opposite_matrix2_transpose_iso(m2f2):
     # transpose read as a map R^op -> R is an isomorphism
     op = m2f2.opposite()
 
-    def transpose(x):
-        a, b, c, d = m2f2._tuples[x]
-        return m2f2._encode((a, c, b, d))
-
-    make_ring_map(op, m2f2, transpose, "isomorphism")
+    transpose = m2f2.permuted_digits((0, 2, 1, 3))  # (a, b, c, d) -> (a, c, b, d)
+    make_ring_map(op, m2f2, transpose.__getitem__, "isomorphism")
 
 
 def test_upper_triangular_flip_antiiso():
     ring = build_ring(RingSpec("upper-triangular2", 2))
 
-    def flip(x):
-        a, b, d = ring._tuples[x]
-        return ring._encode((d, b, a))
-
+    flip = ring.permuted_digits((2, 1, 0)).__getitem__  # (a, b, d) -> (d, b, a)
     m = make_ring_map(ring, ring, flip, "antiisomorphism")
     # read as a map R^op -> R it verifies as an isomorphism
     make_ring_map(ring.opposite(), ring, flip, "isomorphism")
@@ -181,11 +181,8 @@ def test_upper_triangular_flip_antiiso():
 
 
 def test_antiiso_reads_as_opposite_iso(m2f2):
-    def transpose(x):
-        a, b, c, d = m2f2._tuples[x]
-        return m2f2._encode((a, c, b, d))
-
-    m = make_ring_map(m2f2, m2f2, transpose, "antiisomorphism")
+    transpose = m2f2.permuted_digits((0, 2, 1, 3))
+    m = make_ring_map(m2f2, m2f2, transpose.__getitem__, "antiisomorphism")
     as_iso = RingMap(m2f2.opposite(), m2f2, m.table, "isomorphism")
     verify_ring_map(as_iso)
 
@@ -199,6 +196,32 @@ def test_ring_map_rejects_corrupted(f4, dual2):
     bad = RingMap(dual2, dual2, tuple(table), "isomorphism")
     with pytest.raises(RingMapError):
         verify_ring_map(bad)
+
+
+@pytest.mark.parametrize("family,q", [("finite-field", 8), ("dual-numbers", 3),
+                                      ("upper-triangular2", 2), ("matrix2", 2), ("matrix2", 3)])
+def test_ring_map_names_the_first_failing_pair(family, q):
+    """The table comparison of verify_ring_map raises where the pair loop
+    finds a broken law, with the loop's first witness; swaps of two
+    entries of a verified map give the failures."""
+    R = build_ring(RingSpec(family, q))
+    ok = transpose_map(R) if family == "matrix2" else identity_map(R)
+    rng = random.Random(q)
+    fails = 0
+    for _ in range(20):
+        table = list(ok.table)
+        i, j = rng.sample([x for x in R.elements() if x != R.one], 2)
+        table[i], table[j] = table[j], table[i]
+        m = RingMap(R, R, tuple(table), ok.kind)
+        want = ring_map_failure(m)
+        if want is None:
+            verify_ring_map(m)
+        else:
+            fails += 1
+            with pytest.raises(RingMapError) as info:
+                verify_ring_map(m)
+            assert str(info.value) == want
+    assert fails > 0
 
 
 def test_generating_sets(m2f3):
@@ -263,30 +286,41 @@ def test_canonical_pairs_match_brute_force_m2f3(m2f3, a, b, opposite):
         == least_unit_multiples(R, a, b)
 
 
-DIGIT_SPECS = [("dual-numbers", 2), ("dual-numbers", 3), ("dual-numbers", 4),
-               ("product", 2), ("product", 3), ("matrix2", 2), ("matrix2", 3),
-               ("upper-triangular2", 2), ("upper-triangular2", 3)]
+FAMILY_SPECS = ([("finite-field", q) for q in (2, 3, 4, 5, 7, 8, 9)]
+                + [("dual-numbers", 2), ("dual-numbers", 3), ("dual-numbers", 4),
+                   ("product", 2), ("product", 3), ("matrix2", 2), ("matrix2", 3),
+                   ("upper-triangular2", 2), ("upper-triangular2", 3)])
 
 
-@pytest.mark.parametrize("family,q", DIGIT_SPECS)
+@pytest.mark.parametrize("family,q", FAMILY_SPECS)
 def test_digit_tables_match_digitwise_formula(family, q):
-    # the unrolled place-value fill equals encoding the digitwise field sums
+    """The vectorized add, mul and neg tables equal the per-element digit
+    formulas, and the opposite ring's equal them with mul transposed."""
     R = build_ring(RingSpec(family, q))
-    digits = []
-    for i in R.elements():
-        ds = []
-        for _ in range(R.ndigits):
-            i, d = divmod(i, q)
-            ds.append(d)
-        digits.append(tuple(ds))
-    assert R._tuples == digits
-    add, neg = R.gf.add_t, R.gf.neg_t
-    assert R._add_t == tuple(
-        tuple(R._encode([add[x][y] for x, y in zip(digits[a], digits[b])])
-              for b in R.elements())
-        for a in R.elements())
-    assert R._neg_t == tuple(R._encode([neg[x] for x in digits[a]]) for a in R.elements())
+    add, mul, neg = family_tables(R.spec)
+    assert table_mismatch(R, add, mul, neg) is None
+    assert table_mismatch(R.opposite(), add, [list(c) for c in zip(*mul)], neg) is None
     verify_axioms(R)
+
+
+def test_digit_formula_check_catches_a_transposed_mul_table():
+    """matrix2(2) given its transposed mul table is a ring (its opposite),
+    so verify_axioms passes; only the digit formulas tell it apart."""
+    R = Matrix2Ring(RingSpec("matrix2", 2))
+    R._mul_a = R._mul_a.T.copy()
+    R._fill_arrays()
+    verify_axioms(R)
+    assert table_mismatch(R, *family_tables(R.spec)) == "mul"
+
+
+@pytest.mark.parametrize("family,q", [("finite-field", 4), ("matrix2", 2), ("matrix2", 3)])
+def test_shared_tables_are_read_only(family, q):
+    R = build_ring(RingSpec(family, q))
+    for S in (R, R.opposite()):
+        for table in (S._add_a, S._mul_a, S._neg_a, S._left_key, S._right_key, S._rows_ok):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
+    assert R.mul(0, 0) == 0
 
 
 CORRUPT_F4 = """
@@ -295,9 +329,8 @@ from chaingeom.rings import FiniteFieldRing, RingAxiomError, RingSpec, verify_ax
 assert not __debug__, "expected to run under python -O"
 R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
 verify_axioms(R)
-rows = [list(row) for row in R._mul_t]
-rows[2][3] = 0
-R._mul_t = tuple(map(tuple, rows))
+mul = R._mul_a.copy(); mul[2, 3] = 0
+R._mul_a = mul; R._fill_arrays()
 try:
     verify_axioms(R)
 except RingAxiomError as exc:

@@ -2,9 +2,12 @@
 the tests either), no bare `assert` (python -O strips them, and a cross-check must raise
 instead), no `cache`/`lru_cache` decorator, no module-level dict that a
 function writes to (derived state belongs to a Geometry, not to the
-process), and no top-level function or class that only the tests call."""
+process), no top-level function or class that only the tests call, and
+no trace of the per-element ring table machinery that the operation
+arrays replaced."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +30,11 @@ ALLOWED_UNREACHED = {
     # will run once it reports the tables it reads
     ("rings.py", "verify_axioms"),
 }
+
+
+# the per-element family hooks and the table mirrors beside the operation
+# arrays: a ring builds _add_a, _mul_a and _neg_a and derives the rest
+DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right)\b")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -169,6 +177,22 @@ def test_scan_finds_module_memo_writes():
                      "def g(k):\n    return TABLE.setdefault(k, []) or CONST[k]\n"
                      "def h(k):\n    LIST[0] = k\n")
     assert module_memo_writes(tree) == ["MEMO", "TABLE"]
+
+
+def test_scan_finds_deleted_names():
+    text = ("x = R._mul_cols[b]\ndef _struct_mul(self, a, b): pass\n"
+            "t = self._place_add; p = R._pair_left\n# _padded digits\n"
+            "R._mul_a, R._pair_right_key, R.canonical_pair_left\n")
+    assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
+                                           "_pair_left", "_padded"]
+
+
+def test_no_deleted_table_names():
+    """Neither the package nor the tests name a deleted table or hook."""
+    found = {f"{path.parent.name}/{path.name}": names
+             for path in SOURCES + TESTS if path.resolve() != Path(__file__).resolve()
+             for names in [DELETED_NAMES.findall(path.read_text())] if names}
+    assert found == {}
 
 
 def test_no_unused_top_level_imports():
