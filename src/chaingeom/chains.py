@@ -1,15 +1,12 @@
-"""Chains, their generators, and residues with coordinatized blocks.
+"""Chains and residues with coordinatized blocks.
 
 A chain is a frozenset of points: the image of the embedded line over the
 subfield K under some matrix in GL2(R).  The full chain set is the orbit
-of the standard chain under the projective-line generator set; chains
-through the far point R(1, 0) form the orbit under its stabilizer (lower
-triangular matrices with unit diagonal), generated by a small
-closure-tested generating set.  Both orbits are built by a Geometry;
-both routes must agree where both are affordable, which the tests check.
-
-For the largest ring in the zoo (matrix2(3)) the full orbit is never
-materialized; every residue computation happens at the far point.
+of the standard chain under projline.orbit_generators; chains through the
+far point R(1, 0) form the orbit under its stabilizer (lower triangular
+matrices with unit diagonal), whose generators are the same list less its
+first matrix E(0).  Both orbits are built by a Geometry, and the tests
+check that both routes agree.
 """
 
 from __future__ import annotations
@@ -17,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from chaingeom.rings import Ring, Subfield, additive_generators, unit_generators
+from chaingeom.rings import Ring, Subfield
 from chaingeom.projline import (
-    Matrix2,
     Point,
     VerificationError,
     infinity,
@@ -34,14 +30,6 @@ def standard_chain(R: Ring, K: Subfield) -> Chain:
     pts = {make_point(R, k, R.one) for k in K.elements}
     pts.add(infinity(R))
     return frozenset(pts)
-
-
-def stabilizer_generators(R: Ring) -> list[Matrix2]:
-    """Generators of the stabilizer of R(1, 0): matrices [[a, 0], [c, d]]."""
-    gens = [(u, R.zero, R.zero, R.one) for u in unit_generators(R)]
-    gens += [(R.one, R.zero, R.zero, u) for u in unit_generators(R)]
-    gens += [(R.one, R.zero, c, R.one) for c in additive_generators(R)]
-    return gens
 
 
 @dataclass

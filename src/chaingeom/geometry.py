@@ -15,16 +15,15 @@ from chaingeom.projline import (
     Point,
     VerificationError,
     distant_graph,
-    elementary,
     enumerate_points,
     index_of,
     infinity,
-    line_generators,
     make_point,
     orbit,
+    orbit_generators,
     row_images,
 )
-from chaingeom.chains import residue_at, stabilizer_generators, standard_chain
+from chaingeom.chains import residue_at, standard_chain
 from chaingeom.duality import (
     DualPoint,
     col_images,
@@ -42,10 +41,10 @@ ORBIT_CAP = 10 ** 6
 class Geometry:
     """The chain geometry of a ring and a subfield.  Each derived object is
     a cached property, computed on first use and shared by every task of
-    one run: points and dual points, the generator permutation tables on
-    both, perp, the distant graph, the chain and dual-chain orbits (all
-    from the one engine `projline.orbit`), and the far-point residue with
-    its two compatibility partitions."""
+    one run: points and dual points, the orbit generators as one
+    permutation table on each, perp, the distant graph, the chain and
+    dual-chain orbits (all from the one engine `projline.orbit`), and the
+    far-point residue with its two compatibility partitions."""
 
     def __init__(self, ring: Ring, subfield: Subfield):
         self.ring = ring
@@ -77,28 +76,19 @@ class Geometry:
         """The keys v*|R| + w of the dual points, sorted as they are."""
         return np.array([v * self.ring.size + w for v, w in self.dual_points], dtype=np.intp)
 
-    def _table(self, keys, images, gens) -> np.ndarray:
-        """Row g: the index in keys (point_keys or dual_keys) of the image of
-        each member under gens[g], acting by images."""
-        return index_of(keys, images(self.ring, keys, gens))
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """perms[g][i]: the index of points[i] * orbit_generators[g]; rows 1
+        onward fix R(1, 0)."""
+        keys = self.point_keys
+        return index_of(keys, row_images(self.ring, keys, orbit_generators(self.ring)))
 
     @cached_property
-    def line_perms(self) -> np.ndarray:
-        """line_perms[g][i]: the index of points[i] * line_generators[g]."""
-        return self._table(self.point_keys, row_images, line_generators(self.ring))
-
-    @cached_property
-    def stabilizer_perms(self) -> np.ndarray:
-        return self._table(self.point_keys, row_images, stabilizer_generators(self.ring))
-
-    @cached_property
-    def dual_line_perms(self) -> np.ndarray:
-        """dual_line_perms[g][i]: the index of line_generators[g] * dual_points[i]."""
-        return self._table(self.dual_keys, col_images, line_generators(self.ring))
-
-    @cached_property
-    def dual_stabilizer_perms(self) -> np.ndarray:
-        return self._table(self.dual_keys, col_images, stabilizer_generators(self.ring))
+    def dual_perms(self) -> np.ndarray:
+        """dual_perms[g][i]: the index of orbit_generators[g] * dual_points[i];
+        rows 1 onward fix (0, 1)^T R."""
+        keys = self.dual_keys
+        return index_of(keys, col_images(self.ring, keys, orbit_generators(self.ring)))
 
     @cached_property
     def perp(self) -> np.ndarray:
@@ -139,29 +129,28 @@ class Geometry:
     @cached_property
     def chains(self) -> frozenset:
         """Every chain: the orbit of the standard chain."""
-        return self._orbit(self.points, self._seed, self.line_perms)
+        return self._orbit(self.points, self._seed, self.perms)
 
     @cached_property
     def chains_at_infinity(self) -> frozenset:
         """The chains through R(1, 0), which the standard chain passes
         through: its stabilizer orbit."""
-        return self._orbit(self.points, self._seed, self.stabilizer_perms)
+        return self._orbit(self.points, self._seed, self.perms[1:])
 
     @cached_property
     def dual_chains(self) -> frozenset:
-        return self._orbit(self.dual_points, self._dual_seed, self.dual_line_perms)
+        return self._orbit(self.dual_points, self._dual_seed, self.dual_perms)
 
     @cached_property
     def dual_chains_at_infinity(self) -> frozenset:
         """The dual chains through (0, 1)^T R: the standard dual chain shifted
         through it by E(0), then its stabilizer orbit."""
         R = self.ring
-        (shift,) = self._table(self.dual_keys, col_images, [elementary(R, R.zero)])
-        seed = shift[self._dual_seed]
+        seed = self.dual_perms[0][self._dual_seed]
         if self.dual_index[dual_infinity(R)] not in seed:
             raise VerificationError(
                 f"{R.name}: shifted standard chain misses {dual_infinity(R)}")
-        return self._orbit(self.dual_points, seed, self.dual_stabilizer_perms)
+        return self._orbit(self.dual_points, seed, self.dual_perms[1:])
 
     @cached_property
     def residue(self):

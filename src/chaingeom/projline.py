@@ -5,7 +5,7 @@ least pair among the left unit multiples (u*a, u*b).  Matrices over the
 ring are plain row-major 4-tuples (a, b, c, d) for [[a, b], [c, d]].
 
 Point enumeration runs two independent methods, an orbit from (1, 0)
-under elementary and diagonal matrices and a full admissible-pair scan,
+under a generating set of GL2(R) and a full admissible-pair scan,
 and treats disagreement as fatal: over exotic rings membership of R(x,y)
 in the line does not force admissibility of (x, y), and the cross-check
 guards the convention that points are represented by admissible pairs
@@ -13,7 +13,10 @@ only.
 
 Every orbit of the package comes from one engine, `orbit`, over
 permutation tables: here of canonical pairs, elsewhere of points, dual
-points and ring elements.
+points and ring elements.  Orbits under GL2(R) apply its generating set
+orbit_generators (9 matrices on both matrix2 rings); line_generators is
+the whole E(t) and diagonal family, which the covariance sweep checks one
+matrix at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from chaingeom.rings import Ring
+from chaingeom.rings import Ring, additive_generators, unit_generators
 
 Point = tuple[int, int]
 Matrix2 = tuple[int, int, int, int]
@@ -133,6 +136,20 @@ def line_generators(R: Ring) -> list[Matrix2]:
     return gens
 
 
+def orbit_generators(R: Ring) -> list[Matrix2]:
+    """E(0), then generators of the stabilizer of R(1, 0), the matrices
+    [[a, 0], [c, d]]: diag(u, 1) and diag(1, u) for each unit generator u
+    and [[1, 0], [c, 1]] for each additive generator c.  They generate the
+    group of line_generators: [[1, 0], [c, 1]] = E(0)^-1 E(c), and these
+    reach every E(t) = E(0) [[1, 0], [t, 1]]."""
+    units = unit_generators(R)
+    gens = [elementary(R, R.zero)]
+    gens += [(u, R.zero, R.zero, R.one) for u in units]
+    gens += [(R.one, R.zero, R.zero, u) for u in units]
+    gens += [(R.one, R.zero, c, R.one) for c in additive_generators(R)]
+    return gens
+
+
 def orbit(seeds, perms: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
     """The orbit of the index sets given as rows of seeds under the
     permutations perms[g]: i -> perms[g][i], as sorted rows, each member
@@ -179,12 +196,12 @@ def row_images(R: Ring, keys, gens) -> np.ndarray:
 def _checked_orbit(R: Ring, start: int, act, canonical: np.ndarray, ok: np.ndarray,
                    what: str) -> tuple:
     """Sorted pairs of the orbit of the canonical pair with key start under
-    line_generators, acting on keys by act(R, keys, gens); raises
+    orbit_generators, acting on keys by act(R, keys, gens); raises
     MethodDisagreementError unless it equals the scan of every pair that
     the table ok admits, canonicalized by the key table canonical."""
     # distinct keys by counting: a plain np.unique imports numpy.ma (15 ms)
     pairs = np.flatnonzero(np.bincount(canonical.ravel()))  # every canonical pair
-    perms = index_of(pairs, act(R, pairs, line_generators(R)))
+    perms = index_of(pairs, act(R, pairs, orbit_generators(R)))
     found = np.sort(pairs[orbit([index_of(pairs, [start])], perms)[:, 0]])
     scanned = np.flatnonzero(np.bincount(canonical[ok]))
     if not np.array_equal(found, scanned):

@@ -726,9 +726,16 @@ def verify_axioms(ring: Ring) -> None:
              "right distributivity")
     _require(M[ring.one, :] == idx, "1 as left unit")
     _require(M[:, ring.one] == idx, "1 as right unit")
-    for u in ring.units:
-        if ring.inv(u) not in ring.unit_set:
-            raise RingAxiomError(f"inverse of the unit {u} is not a unit")
-        for v in ring.units:
-            if ring.mul(u, v) not in ring.unit_set:
-                raise RingAxiomError(f"units not closed under product at ({u}, {v})")
+    # per unit u: its inverse, then each product u*v, is a unit; the first
+    # failure in that order is the witness
+    units = np.array(ring.units, dtype=np.intp)
+    is_unit = np.zeros(ring.size, dtype=bool)
+    is_unit[list(ring.unit_set)] = True
+    inverse_ok = [ring.inv(u) in ring.unit_set for u in ring.units]
+    closed = np.column_stack([inverse_ok, is_unit[M[np.ix_(units, units)]]])
+    if not closed.all():
+        i, j = np.argwhere(~closed)[0].tolist()
+        if j == 0:
+            raise RingAxiomError(f"inverse of the unit {ring.units[i]} is not a unit")
+        raise RingAxiomError(
+            f"units not closed under product at ({ring.units[i]}, {ring.units[j - 1]})")

@@ -2,12 +2,15 @@
 
 Each suite returns a flat report dict with a boolean "ok", exhaustive or
 seeded-sample check counts, and any witnesses worth recording.  Rings with
-at most 16 elements are always swept exhaustively; the 81-element matrix
-ring takes explicit sample counts and seeds instead.  The word sweeps of
-the duality and sigma suites are array kernels: every word is drawn into
-(letters, lengths) arrays, every closed form is evaluated for all words
-at once, and one driver, _word_sweep, counts the failures over boolean
-masks.
+at most 16 elements are always swept exhaustively; on the 81-element
+matrix ring the duality and sigma suites take explicit sample counts and
+seeds instead.  Each of those two suites draws from one
+random.Random(seed), in bulk with rng.choices: the word lengths, then
+their letters, and in the duality suite then the covariance (generator,
+row) pairs and the bidual points.  The word sweeps are array kernels:
+every word is drawn into (letters, lengths) arrays, every closed form is
+evaluated for all words at once, and one driver, _word_sweep, counts the
+failures over boolean masks.
 """
 
 from __future__ import annotations
@@ -80,13 +83,11 @@ def graph_report(geom: Geometry) -> dict:
     }
 
 
-def chain_report(geom: Geometry, through_infinity: Optional[bool] = None,
+def chain_report(geom: Geometry, through_infinity: bool = False,
                  cap: int = 10 ** 6) -> dict:
-    """The full chain orbit, or the chains through the far point; by default
-    the latter on rings larger than EXHAUSTIVE_LIMIT."""
+    """The full chain orbit, or with through_infinity the chains through the
+    far point."""
     R, K = geom.ring, geom.subfield
-    if through_infinity is None:
-        through_infinity = R.size > EXHAUSTIVE_LIMIT
     chains = geom.chains_at_infinity if through_infinity else geom.chains
     if len(chains) > cap:
         raise OrbitCapExceededError(f"chain orbit on {R.name} exceeded cap {cap}")
@@ -96,14 +97,15 @@ def chain_report(geom: Geometry, through_infinity: Optional[bool] = None,
             "chain_size": len(K.elements) + 1}
 
 
-def _words(R: Ring, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _words(R: Ring, samples: int, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
     """Elementary words of length 1 to 3 as (letters, lengths): word i is
     the first lengths[i] entries of row i of the W x 3 array letters, and
     the rest of the row is zero.  Rings with at most EXHAUSTIVE_LIMIT
     elements give every word, each (t1,) followed by its extensions
     (t1, t2), each of those followed by its (t1, t2, t3); larger rings give
-    `samples` words from random.Random(seed), each drawn as a length
-    rng.choice((1, 2, 3)) and then one rng.randrange(|R|) per letter."""
+    `samples` words drawn from rng in two calls: every length from
+    (1, 2, 3), then three letters per word from R, of which the word keeps
+    the first lengths[i]."""
     n = R.size
     if n <= EXHAUSTIVE_LIMIT:
         block = 1 + n * (1 + n)  # (t1,), then (t1, t2) and its n extensions per t2
@@ -112,14 +114,8 @@ def _words(R: Ring, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         lengths = np.where(r == 0, 1, np.where(s == 0, 2, 3))
         letters = np.stack([t1, t2, s - 1], axis=1)
     else:
-        rng = random.Random(seed)
-        lengths, flat = [], []  # flat: the padded letters, row after row
-        for _ in range(samples):
-            k = rng.choice((1, 2, 3))
-            lengths.append(k)
-            flat += [rng.randrange(n) for _ in range(k)] + [0] * (3 - k)
-        lengths = np.array(lengths)
-        letters = np.array(flat, dtype=np.intp).reshape(samples, 3)
+        lengths = np.array(rng.choices((1, 2, 3), k=samples))
+        letters = np.array(rng.choices(R.elements(), k=3 * samples)).reshape(samples, 3)
     return letters * (np.arange(3) < lengths[:, None]), lengths
 
 
@@ -211,18 +207,19 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
 
     rep["far_point_image"] = perp_of(infinity(R)) == dual_infinity(R)
 
-    rep.update(duality_words(geom, *_words(R, samples, seed)))
+    rng = random.Random(seed)
+    rep.update(duality_words(geom, *_words(R, samples, rng)))
 
     gens = line_generators(R)
     if small:
         all_rows = [(a, b) for a in R.elements() for b in R.elements()]
         cov_rows = {i: all_rows for i in range(len(gens))}
     else:
-        rng = random.Random(seed + 1)
+        count = max(1, samples // 20)
         cov_rows = {}
-        for _ in range(max(1, samples // 20)):
-            i = rng.randrange(len(gens))
-            cov_rows.setdefault(i, []).append((rng.randrange(R.size), rng.randrange(R.size)))
+        for i, key in zip(rng.choices(range(len(gens)), k=count),
+                          rng.choices(range(R.size ** 2), k=count)):
+            cov_rows.setdefault(i, []).append(divmod(key, R.size))
     cov_failures = sum(covariance_failures(R, gens[i], rows) for i, rows in cov_rows.items())
     rep["covariance_checks"] = sum(map(len, cov_rows.values()))
     rep["covariance_failures"] = cov_failures
@@ -230,8 +227,7 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     if small:
         sample = pts
     else:
-        rng = random.Random(seed + 2)
-        sample = [pts[rng.randrange(len(pts))] for _ in range(50)]
+        sample = rng.choices(pts, k=50)
     rep["bidual_fixed"] = all(bidual_point(R, perp_of(p)) == p for p in sample)
     if small:
         op = Geometry(R.opposite(), subfield_in_opposite(K))
@@ -371,7 +367,7 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     sigma = antiiso_point_table(m, geom)
     rep["far_point_fixed"] = sigma[infinity(R)] == infinity(R)
 
-    rep.update(sigma_words(geom, m, sigma, *_words(R, samples, seed)))
+    rep.update(sigma_words(geom, m, sigma, *_words(R, samples, random.Random(seed))))
 
     if small:
         chains = geom.chains

@@ -7,7 +7,7 @@ import pytest
 
 import chaingeom
 from chaingeom.geometry import Geometry
-from chaingeom.rings import RingSpec, build_ring, build_subfield
+from chaingeom.rings import RingSpec, build_ring, build_subfield, subfield_in_opposite
 
 
 def _python_runner(*flags):
@@ -130,6 +130,13 @@ def m2f3_g(m2f3, m2f3_k):
 def zoo_g(f4_g, dual2_g, prod22_g, m2f2_g, m2f3_g):
     """The Geometries of the five zoo scenarios, in zoo order."""
     return [f4_g, dual2_g, prod22_g, m2f2_g, m2f3_g]
+
+
+@pytest.fixture(scope="session")
+def zoo_and_opposites_g(zoo_g):
+    """The zoo Geometries, then those over the opposites of the five rings."""
+    return zoo_g + [Geometry(g.ring.opposite(), subfield_in_opposite(g.subfield))
+                    for g in zoo_g]
 
 
 @pytest.fixture(scope="session")

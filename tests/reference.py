@@ -1,25 +1,38 @@
-"""Scalar references the tests compare the package against.
+"""References the tests compare the package against.
 
-Each function is the plain, per-element form of something the package
-computes from its tables, or a definition-level law no scenario runs:
-the per-element digit formulas of the ring families, the dict-bucket
-annihilator scan with its cyclic-generator loops, the per-module
-covariance law, the distant relation by matrix inversion, a
-breadth-first search for point words, the four matrix actions on single
-rows and columns, the paper's laws on induced maps, and the per-word
-sweeps of the duality and sigma suites with the closed formulas they
-check.  Two helpers serve the tests around them: `corrupt` changes one
-entry of a fresh ring's operation table, and `word_arrays`/`as_pairs`
-feed a list of words to the array kernels in one call.
+Most are the plain, per-element form of something the package computes
+from its tables, or a definition-level law no scenario runs: the
+per-element digit formulas of the ring families, the unit-closure loop of
+verify_axioms, the dict-bucket annihilator scan with its cyclic-generator
+loops, the per-module covariance law, the distant relation by matrix
+inversion, a breadth-first search for point words, the four matrix
+actions on single rows and columns, the loops the compatibility kernels
+and the Desargues scan replaced, the paper's laws on induced maps, and
+the per-word sweeps of the duality and sigma suites with the closed
+formulas they check.  Two are array code, where a scalar loop would cost
+seconds on matrix2(3): `invertible_completions`, the completion scan of
+the admissibility tables, and `line_perms`, the whole generator family
+as permutation tables.  Two helpers serve the tests around them:
+`corrupt` changes one entry of a fresh ring's operation table, and
+`word_arrays`/`as_pairs` feed a list of words to the array kernels in
+one call.
 """
 
 import random
+from itertools import combinations
 
 import numpy as np
 
-from chaingeom.compat import cosets_hold, joins_unit_pairs_once
+from chaingeom import compat
 from chaingeom.isomorph import antiiso_dual_to_point
-from chaingeom.projline import VerificationError, make_point, mat_invert
+from chaingeom.projline import (
+    VerificationError,
+    index_of,
+    line_generators,
+    make_point,
+    mat_invert,
+    row_images,
+)
 from chaingeom.rings import GF, RingMapError, additive_generators, build_ring, unit_generators
 from chaingeom.suites import EXHAUSTIVE_LIMIT
 
@@ -107,6 +120,19 @@ def ring_map_failure(m):
     return None
 
 
+def unit_closure_failure(ring):
+    """The message verify_axioms gives for the units of ring, by the loop:
+    for each unit u in order, its inverse and then each product u*v must
+    be a unit; None if all are."""
+    for u in ring.units:
+        if ring.inv(u) not in ring.unit_set:
+            return f"inverse of the unit {u} is not a unit"
+        for v in ring.units:
+            if ring.mul(u, v) not in ring.unit_set:
+                return f"units not closed under product at ({u}, {v})"
+    return None
+
+
 # corrupted rings -----------------------------------------------------------------
 
 def corrupt(R, table, at, value):
@@ -160,6 +186,39 @@ def is_column_admissible(R, v, w):
 def distant(R, p, q):
     """True iff the stacked representatives form a matrix in GL2(R)."""
     return mat_invert(R, (p[0], p[1], q[0], q[1])) is not None
+
+
+def invertible_completions(R, a, b, side):
+    """For every pair (c, d), by its key c*|R| + d: whether the matrix with
+    rows (a, b) and (c, d) (side "row"), or with columns (a, b)^T and
+    (c, d)^T (side "column"), is invertible, for all |R|^2 completions at
+    once.  A row matrix is invertible iff some column (x, y) solves it to
+    e_1 and some to e_2, the two column solves of mat_invert (finite rings
+    are Dedekind-finite, so a one-sided inverse is two-sided); a column
+    matrix takes the same solves for rows (r, s) on its left.  When some
+    column solves a*x + b*y = 1, the columns with a*x + b*y = 0 form a
+    kernel of |R| members, so every array here has |R|^2 x |R| entries."""
+    add = R._add_a
+    mul = R._mul_a if side == "row" else R._mul_a.T  # mul[a, x]: a*x, or x*a
+    n = R.size
+    x, y = np.divmod(np.arange(n * n), n)
+    first = add[mul[a, x], mul[b, y]]  # a*x + b*y for every column (x, y)
+
+    def second(solves):  # c*x + d*y, row c*|R| + d, over the given columns
+        cx, dy = mul[:, x[solves]], mul[:, y[solves]]
+        return add[cx[:, None, :], dy[None, :, :]].reshape(n * n, -1)
+
+    to_e1 = (second(first == R.one) == R.zero).any(axis=1)
+    if not to_e1.any():
+        return to_e1
+    return to_e1 & (second(first == R.zero) == R.one).any(axis=1)
+
+
+def line_perms(geom):
+    """The whole family line_generators as permutation tables of the
+    Geometry's points: row g holds the index of points[i] * line_generators[g]."""
+    keys = geom.point_keys
+    return index_of(keys, row_images(geom.ring, keys, line_generators(geom.ring)))
 
 
 def point_words(R):
@@ -267,7 +326,162 @@ def validate_partial_affine(res, cls):
     """The class forms a partial affine space on the residue points:
     (i) and (ii) of cosets_hold, and (iii) two points at unit difference
     lie on exactly one block."""
-    return cosets_hold(res, cls) and joins_unit_pairs_once(res.ring, cls.blocks)
+    return compat.cosets_hold(res, cls) and compat.joins_unit_pairs_once(res.ring, cls.blocks)
+
+
+def eq9_family(R, K, side: str) -> frozenset:
+    """The family {K a + c : a unit, c in R} (compatibility side) or
+    {d K + c : d unit, c in R} (dual side), as coordinate block sets: the
+    loop `coset_family` replaced."""
+    out = set()
+    for a in R.units:
+        if side == "compatibility":
+            base = [R.mul(k, a) for k in K.elements]
+        else:
+            base = [R.mul(a, k) for k in K.elements]
+        for c in R.elements():
+            out.add(frozenset(R.add(x, c) for x in base))
+    return frozenset(out)
+
+
+def joins_unit_pairs_once(R, blocks) -> bool:
+    """Two points at unit difference lie on exactly one of the blocks."""
+    joined: dict = {}
+    for B in blocks:
+        for x, y in combinations(sorted(B), 2):
+            joined[(x, y)] = joined.get((x, y), 0) + 1
+    return all(joined.get((x, y), 0) == 1
+               for x in R.elements() for y in R.elements()
+               if x < y and R.is_unit(R.sub(y, x)))
+
+
+def all_2dim_subspaces(R, q: int) -> list:
+    """Every span {i x + j y} of two nonzero elements with q^2 members."""
+    def multiples(x):
+        out = [R.zero]
+        for _ in range(q - 1):
+            out.append(R.add(out[-1], x))
+        return out
+
+    out = set()
+    for x in R.elements():
+        for y in R.elements():
+            if R.zero in (x, y):
+                continue
+            span = {R.add(a, b) for a in multiples(x) for b in multiples(y)}
+            if len(span) == q * q:
+                out.add(frozenset(span))
+    return sorted(out, key=sorted)
+
+
+def affine_checks(R, lines) -> tuple[bool, bool, int]:
+    """Two-point axiom, Playfair and lines per point (-1 if it varies)."""
+    pair_line: dict = {}
+    two_point = True
+    for li, L in enumerate(lines):
+        for x, y in combinations(sorted(L), 2):
+            if (x, y) in pair_line:
+                two_point = False
+            pair_line[(x, y)] = li
+    n = R.size
+    if len(pair_line) != n * (n - 1) // 2:
+        two_point = False
+    by_point: dict = {x: [] for x in R.elements()}
+    for li, L in enumerate(lines):
+        for x in L:
+            by_point[x].append(li)
+    playfair = True
+    line_sets = [frozenset(L) for L in lines]
+    for li, L in enumerate(lines):
+        for x in R.elements():
+            if x in line_sets[li]:
+                continue
+            parallels = [m for m in by_point[x]
+                         if not (line_sets[m] & line_sets[li])]
+            if len(parallels) != 1:
+                playfair = False
+    r_counts = {len(v) for v in by_point.values()}
+    lines_per_point = r_counts.pop() if len(r_counts) == 1 else -1
+    return two_point, playfair, lines_per_point
+
+
+# the Desargues scan -------------------------------------------------------------
+
+def desargues_scan(points, lines, find_failure: bool, cap: int):
+    """The loop sweep the table kernel replaced, kept as its reference.
+
+    Same order, count and cap semantics; returns (witness, configurations
+    examined), where a cut-off scan has examined exactly cap of them.
+    """
+    line_of = {}
+    for li, L in enumerate(lines):
+        for a, b in combinations(L, 2):
+            key = (a, b) if a < b else (b, a)
+            assert key not in line_of, "projective completion is not linear"
+            line_of[key] = li
+    by_point: dict = {p: [] for p in points}
+    for li, L in enumerate(lines):
+        for p in L:
+            by_point[p].append(li)
+    line_pts = [tuple(L) for L in lines]
+    meets: dict = {}
+
+    def meet(l1, l2):
+        key = (l1, l2) if l1 < l2 else (l2, l1)
+        got = meets.get(key)
+        if got is None:
+            got = (set(line_pts[l1]) & set(line_pts[l2])).pop()
+            meets[key] = got
+        return got
+
+    def lt(a, b):
+        return line_of[(a, b) if a < b else (b, a)]
+
+    count = 0
+    for O in points:
+        ls = by_point[O]
+        for l1, l2, l3 in combinations(ls, 3):
+            p1 = [p for p in line_pts[l1] if p != O]
+            p2 = [p for p in line_pts[l2] if p != O]
+            p3 = [p for p in line_pts[l3] if p != O]
+            for A in p1:
+                for A2 in p1:
+                    if A2 == A:
+                        continue
+                    for B in p2:
+                        for B2 in p2:
+                            if B2 == B:
+                                continue
+                            ab, ab2 = lt(A, B), lt(A2, B2)
+                            if ab == ab2:
+                                continue
+                            P = meet(ab, ab2)
+                            for C in p3:
+                                for C2 in p3:
+                                    if C2 == C:
+                                        continue
+                                    count += 1
+                                    if find_failure and count > cap:
+                                        return None, cap
+                                    ac, ac2 = lt(A, C), lt(A2, C2)
+                                    bc, bc2 = lt(B, C), lt(B2, C2)
+                                    if ac == ac2 or bc == bc2:
+                                        continue
+                                    Q = meet(ac, ac2)
+                                    S = meet(bc, bc2)
+                                    if P == Q or P == S or Q == S:
+                                        continue
+                                    if S in line_pts[lt(P, Q)]:
+                                        continue
+                                    witness = {
+                                        "center": O,
+                                        "lines": [l1, l2, l3],
+                                        "triangle": [A, B, C],
+                                        "image": [A2, B2, C2],
+                                        "axis_points": [P, Q, S],
+                                    }
+                                    return witness, count
+    return None, count
 
 
 # induced maps ---------------------------------------------------------------------
@@ -303,7 +517,9 @@ def words(R, samples, seed):
     """Elementary words of length 1 to 3.  Rings with at most
     EXHAUSTIVE_LIMIT elements give every word, each (t1,) followed by its
     extensions (t1, t2), each of those followed by its (t1, t2, t3); larger
-    rings give `samples` words of random length from random.Random(seed)."""
+    rings give `samples` words from random.Random(seed), by the suites' two
+    bulk draws (every length, then three letters per word, of which the
+    word keeps the first n), one word at a time."""
     if R.size <= EXHAUSTIVE_LIMIT:
         for t1 in R.elements():
             yield (t1,)
@@ -313,9 +529,10 @@ def words(R, samples, seed):
                     yield (t1, t2, t3)
     else:
         rng = random.Random(seed)
-        for _ in range(samples):
-            n = rng.choice((1, 2, 3))
-            yield tuple(rng.randrange(R.size) for _ in range(n))
+        lengths = rng.choices((1, 2, 3), k=samples)
+        letters = rng.choices(R.elements(), k=3 * samples)
+        for i, n in enumerate(lengths):
+            yield tuple(letters[3 * i:3 * i + n])
 
 
 def stepped_word_point(R, ts):

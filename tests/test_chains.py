@@ -1,5 +1,7 @@
 from itertools import combinations
+from math import comb
 
+import numpy as np
 import pytest
 
 from chaingeom.geometry import Geometry
@@ -12,7 +14,7 @@ from chaingeom.projline import (
 from chaingeom.chains import residue_at, standard_chain
 from chaingeom.rings import conjugate_subfield
 
-from reference import distant
+from reference import distant, line_perms
 
 
 def blocks_through(res, xs) -> set:
@@ -57,8 +59,8 @@ def test_dual2_chains_are_exactly_distant_triangles(dual2, dual2_g):
     assert dual2_g.chains == triangles
 
 
-def test_chains_through_infinity_agree_with_filter(small_zoo_g):
-    for g in small_zoo_g:
+def test_chains_through_infinity_agree_with_filter(zoo_g):
+    for g in zoo_g:
         inf = infinity(g.ring)
         assert g.chains_at_infinity == frozenset(C for C in g.chains if inf in C)
 
@@ -80,20 +82,49 @@ def test_chain_count_through_infinity(f4_g, m2f3, m2f3_k, m2f3_g):
     assert len(m2f3_g.chains_at_infinity) == 162
 
 
-def test_chain_set_gl_invariant(small_zoo_g):
-    for g in small_zoo_g:
-        chains = g.chains
-        for perm in g.line_perms.tolist():
-            for C in chains:
-                assert frozenset(g.points[perm[g.index[p]]] for p in C) in chains
+def index_rows(index, sets) -> np.ndarray:
+    """The sets, as sorted rows of the indices index gives their members."""
+    return np.sort([[index[p] for p in C] for C in sets], axis=1)
+
+
+def subset_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """The rank of each sorted row of k distinct indices below n among all
+    k-subsets, sum_j C(row[j], j + 1): one distinct int64 per set (the
+    combinatorial number system)."""
+    k = rows.shape[-1]
+    if comb(n, k) >= 2 ** 63:
+        raise OverflowError(f"{comb(n, k)} subsets need more than int64 keys")
+    binom = np.array([[comb(v, j + 1) for v in range(n)] for j in range(k)], dtype=np.int64)
+    return binom.ravel()[np.arange(k) * n + rows].sum(axis=-1)
+
+
+def maps_onto_itself(perms, rows) -> bool:
+    """Each permutation table of perms maps the set of distinct sorted index
+    rows onto itself: the sorted keys of its image rows equal those of the
+    rows.  A permutation maps distinct rows to distinct rows, so equal
+    sorted key lists mean equal sets."""
+    n = perms.shape[1]
+    images = subset_keys(np.sort(perms[:, rows], axis=2), n)
+    return bool((np.sort(images, axis=1) == np.sort(subset_keys(rows, n))).all())
+
+
+def test_chain_set_gl_invariant(zoo_and_opposites_g):
+    """The chain orbit, built under the 9-matrix generating set, is
+    invariant under every matrix of the whole E(t)/diagonal family.  That
+    group contains the generating set ([[1, 0], [c, 1]] = E(0)^-1 E(c)), so
+    the orbits under both are the same."""
+    for g in zoo_and_opposites_g:
+        assert maps_onto_itself(line_perms(g), index_rows(g.index, g.chains)), g.ring.name
 
 
 def test_chain_set_stabilizer_invariant_m2f3(m2f3_g):
-    g = m2f3_g
-    chains = g.chains_at_infinity
-    for perm in g.stabilizer_perms.tolist():
-        for C in chains:
-            assert frozenset(g.points[perm[g.index[p]]] for p in C) in chains
+    """The chains through the far point, the orbit under 8 stabilizer
+    generators, are invariant under every diagonal matrix of the whole
+    family (rows |R| onward of its tables)."""
+    perms = line_perms(m2f3_g)
+    rows = index_rows(m2f3_g.index, m2f3_g.chains_at_infinity)
+    assert len(perms[m2f3_g.ring.size:]) == 96
+    assert maps_onto_itself(perms[m2f3_g.ring.size:], rows)
 
 
 def test_residue_f4(f4_g):
@@ -181,8 +212,8 @@ def test_orbit_cap(f4_g):
     # the ten chains of F4 exceed a cap of 3 but not one of 10
     seed = [sorted(f4_g.index[p] for p in standard_chain(f4_g.ring, f4_g.subfield))]
     with pytest.raises(OrbitCapExceededError):
-        orbit(seed, f4_g.line_perms, cap=3)
-    assert len(orbit(seed, f4_g.line_perms, cap=10)) == 10
+        orbit(seed, f4_g.perms, cap=3)
+    assert len(orbit(seed, f4_g.perms, cap=10)) == 10
 
 
 def test_triangular_family_pipeline():

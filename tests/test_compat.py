@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -287,89 +287,13 @@ def test_derive_plane_q3_control(m2f3_g):
 
 
 def test_eq9_family_shapes(m2f3, m2f3_k):
-    fam = reference_eq9_family(m2f3, m2f3_k, "compatibility")
+    fam = reference.eq9_family(m2f3, m2f3_k, "compatibility")
     assert len(fam) == 54
     assert frozenset(m2f3_k.elements) in fam
     assert as_blocks(coset_family(m2f3, m2f3_k, "compatibility")) == fam
 
 
 # the compatibility kernels against their scalar references ---------------------
-
-def reference_eq9_family(R, K, side: str) -> frozenset:
-    """The family {K a + c : a unit, c in R} (compatibility side) or
-    {d K + c : d unit, c in R} (dual side), as coordinate block sets: the
-    loop `coset_family` replaced."""
-    out = set()
-    for a in R.units:
-        if side == "compatibility":
-            base = [R.mul(k, a) for k in K.elements]
-        else:
-            base = [R.mul(a, k) for k in K.elements]
-        for c in R.elements():
-            out.add(frozenset(R.add(x, c) for x in base))
-    return frozenset(out)
-
-
-def reference_joins_unit_pairs_once(R, blocks) -> bool:
-    """Two points at unit difference lie on exactly one of the blocks."""
-    joined: dict = {}
-    for B in blocks:
-        for x, y in combinations(sorted(B), 2):
-            joined[(x, y)] = joined.get((x, y), 0) + 1
-    return all(joined.get((x, y), 0) == 1
-               for x in R.elements() for y in R.elements()
-               if x < y and R.is_unit(R.sub(y, x)))
-
-
-def reference_all_2dim_subspaces(R, q: int) -> list:
-    """Every span {i x + j y} of two nonzero elements with q^2 members."""
-    def multiples(x):
-        out = [R.zero]
-        for _ in range(q - 1):
-            out.append(R.add(out[-1], x))
-        return out
-
-    out = set()
-    for x in R.elements():
-        for y in R.elements():
-            if R.zero in (x, y):
-                continue
-            span = {R.add(a, b) for a in multiples(x) for b in multiples(y)}
-            if len(span) == q * q:
-                out.add(frozenset(span))
-    return sorted(out, key=sorted)
-
-
-def reference_affine_checks(R, lines) -> tuple[bool, bool, int]:
-    """Two-point axiom, Playfair and lines per point (-1 if it varies)."""
-    pair_line: dict = {}
-    two_point = True
-    for li, L in enumerate(lines):
-        for x, y in combinations(sorted(L), 2):
-            if (x, y) in pair_line:
-                two_point = False
-            pair_line[(x, y)] = li
-    n = R.size
-    if len(pair_line) != n * (n - 1) // 2:
-        two_point = False
-    by_point: dict = {x: [] for x in R.elements()}
-    for li, L in enumerate(lines):
-        for x in L:
-            by_point[x].append(li)
-    playfair = True
-    line_sets = [frozenset(L) for L in lines]
-    for li, L in enumerate(lines):
-        for x in R.elements():
-            if x in line_sets[li]:
-                continue
-            parallels = [m for m in by_point[x]
-                         if not (line_sets[m] & line_sets[li])]
-            if len(parallels) != 1:
-                playfair = False
-    r_counts = {len(v) for v in by_point.values()}
-    lines_per_point = r_counts.pop() if len(r_counts) == 1 else -1
-    return two_point, playfair, lines_per_point
-
 
 def as_blocks(rows) -> frozenset:
     return frozenset(map(frozenset, np.asarray(rows).tolist()))
@@ -394,20 +318,20 @@ def test_coset_family_matches_reference(zoo_g):
         classes = g.compat_classes + g.dual_compat_classes
         for conj in conjugates(g.subfield):
             for side in ("compatibility", "dual-compatibility"):
-                want = reference_eq9_family(R, conj, side)
+                want = reference.eq9_family(R, conj, side)
                 assert as_blocks(coset_family(R, conj, side)) == want, (R.name, conj)
                 for cls in classes:
                     probe = CompatClass(side, cls.blocks, conj)
                     assert check_class_structure(probe) == (want == cls.blocks)
         for cls in classes:
-            assert reference_eq9_family(R, cls.witness, cls.side) == cls.blocks
+            assert reference.eq9_family(R, cls.witness, cls.side) == cls.blocks
 
 
 def test_joins_match_reference_on_every_class(zoo_g):
     for g in zoo_g:
         for cls in g.compat_classes + g.dual_compat_classes:
             assert joins_unit_pairs_once(g.ring, cls.blocks)
-            assert reference_joins_unit_pairs_once(g.ring, cls.blocks)
+            assert reference.joins_unit_pairs_once(g.ring, cls.blocks)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -420,7 +344,7 @@ def test_joins_match_reference_on_drawn_families(zoo_g, data):
     blocks = sorted(data.draw(st.sampled_from(classes)).blocks, key=sorted)
     drawn = data.draw(st.lists(st.sampled_from(blocks), max_size=len(blocks) + 2))
     assert (joins_unit_pairs_once(g.ring, drawn)
-            == reference_joins_unit_pairs_once(g.ring, drawn))
+            == reference.joins_unit_pairs_once(g.ring, drawn))
 
 
 @pytest.mark.parametrize("name, count", [("m2f2", 35), ("m2f3", 130)])
@@ -428,7 +352,7 @@ def test_2dim_subspaces_match_reference(request, name, count):
     R = request.getfixturevalue(name)
     spans = _all_2dim_subspaces(R, R.spec.q)
     assert len(spans) == count
-    assert spans == reference_all_2dim_subspaces(R, R.spec.q)
+    assert spans == reference.all_2dim_subspaces(R, R.spec.q)
 
 
 @pytest.fixture(scope="module")
@@ -454,7 +378,7 @@ def test_affine_checks_match_reference(affine_line_sets):
     for name, (R, lines) in affine_line_sets.items():
         q2 = round(R.size ** 0.5)
         assert _affine_checks(R, lines) == (True, True, q2 + 1), name
-        assert reference_affine_checks(R, lines) == (True, True, q2 + 1), name
+        assert reference.affine_checks(R, lines) == (True, True, q2 + 1), name
 
 
 # negative controls of the compatibility kernels -------------------------------
@@ -472,7 +396,7 @@ def test_class_with_a_shifted_block_has_no_witness(m2f3_g, monkeypatch):
     monkeypatch.setattr(compat, "orbit", lambda seeds, steps: np.array(rows))
     with pytest.raises(VerificationError, match="class without a witness"):
         compat._witnessed_orbits(res, as_blocks(rows), R.right_products, "compatibility")
-    assert reference_eq9_family(R, m2f3_g.compat_classes[0].witness,
+    assert reference.eq9_family(R, m2f3_g.compat_classes[0].witness,
                                 "compatibility") != as_blocks(rows)
 
 
@@ -505,7 +429,7 @@ def test_merged_lines_fail_the_two_point_axiom(affine_line_sets):
 def test_affine_checks_match_reference_on_broken_sets(affine_line_sets):
     for name, (R, lines) in affine_line_sets.items():
         for how, broken in broken_line_sets(lines).items():
-            assert _affine_checks(R, broken) == reference_affine_checks(R, broken), (name, how)
+            assert _affine_checks(R, broken) == reference.affine_checks(R, broken), (name, how)
 
 
 @pytest.mark.parametrize("q, a, b", [(2, 5, 9), (2, 14, 7), (3, 50, 54), (3, 1, 80)])
@@ -521,83 +445,6 @@ def test_corrupted_addition_makes_derive_plane_raise(q, a, b):
 
 
 # the Desargues scan ------------------------------------------------------------
-
-def reference_desargues_scan(points, lines, find_failure: bool, cap: int):
-    """The loop sweep the table kernel replaced, kept as its reference.
-
-    Same order, count and cap semantics; returns (witness, configurations
-    examined), where a cut-off scan has examined exactly cap of them.
-    """
-    line_of = {}
-    for li, L in enumerate(lines):
-        for a, b in combinations(L, 2):
-            key = (a, b) if a < b else (b, a)
-            assert key not in line_of, "projective completion is not linear"
-            line_of[key] = li
-    by_point: dict = {p: [] for p in points}
-    for li, L in enumerate(lines):
-        for p in L:
-            by_point[p].append(li)
-    line_pts = [tuple(L) for L in lines]
-    meets: dict = {}
-
-    def meet(l1, l2):
-        key = (l1, l2) if l1 < l2 else (l2, l1)
-        got = meets.get(key)
-        if got is None:
-            got = (set(line_pts[l1]) & set(line_pts[l2])).pop()
-            meets[key] = got
-        return got
-
-    def lt(a, b):
-        return line_of[(a, b) if a < b else (b, a)]
-
-    count = 0
-    for O in points:
-        ls = by_point[O]
-        for l1, l2, l3 in combinations(ls, 3):
-            p1 = [p for p in line_pts[l1] if p != O]
-            p2 = [p for p in line_pts[l2] if p != O]
-            p3 = [p for p in line_pts[l3] if p != O]
-            for A in p1:
-                for A2 in p1:
-                    if A2 == A:
-                        continue
-                    for B in p2:
-                        for B2 in p2:
-                            if B2 == B:
-                                continue
-                            ab, ab2 = lt(A, B), lt(A2, B2)
-                            if ab == ab2:
-                                continue
-                            P = meet(ab, ab2)
-                            for C in p3:
-                                for C2 in p3:
-                                    if C2 == C:
-                                        continue
-                                    count += 1
-                                    if find_failure and count > cap:
-                                        return None, cap
-                                    ac, ac2 = lt(A, C), lt(A2, C2)
-                                    bc, bc2 = lt(B, C), lt(B2, C2)
-                                    if ac == ac2 or bc == bc2:
-                                        continue
-                                    Q = meet(ac, ac2)
-                                    S = meet(bc, bc2)
-                                    if P == Q or P == S or Q == S:
-                                        continue
-                                    if S in line_pts[lt(P, Q)]:
-                                        continue
-                                    witness = {
-                                        "center": O,
-                                        "lines": [l1, l2, l3],
-                                        "triangle": [A, B, C],
-                                        "image": [A2, B2, C2],
-                                        "axis_points": [P, Q, S],
-                                    }
-                                    return witness, count
-    return None, count
-
 
 def assert_desargues_fails_at(lines, w):
     """Check a witness from the incidence lists alone: the triangles are in
@@ -646,22 +493,22 @@ def test_desargues_kernel_matches_loop_order4(completed_planes):
     assert len(points) == 21
     # 21 centers x 10 line triples x 12^3 ordered point pairs
     assert _desargues_scan(points, lines, find_failure=False, cap=0) == (None, 362_880)
-    assert reference_desargues_scan(points, lines, False, 0) == (None, 362_880)
+    assert reference.desargues_scan(points, lines, False, 0) == (None, 362_880)
 
 
 def test_desargues_kernel_matches_loop_hall_plane(completed_planes):
     points, lines = completed_planes[9]
     found = _desargues_scan(points, lines, find_failure=True, cap=10 ** 7)
-    assert found == reference_desargues_scan(points, lines, True, 10 ** 7)
+    assert found == reference.desargues_scan(points, lines, True, 10 ** 7)
     witness, examined = found
     assert witness == {"center": 0, "lines": [0, 1, 2], "triangle": [1, 3, 4],
                        "image": [2, 6, 36], "axis_points": [84, 31, 22]}
     assert_desargues_fails_at(lines, witness)
     # the exhaustive mode must find a failure on a non-desarguesian plane too
     exhaustive = _desargues_scan(points, lines, find_failure=False, cap=0)
-    assert exhaustive == found == reference_desargues_scan(points, lines, False, 0)
+    assert exhaustive == found == reference.desargues_scan(points, lines, False, 0)
     # the cap cuts off exactly before the witness configuration
-    for scan in (_desargues_scan, reference_desargues_scan):
+    for scan in (_desargues_scan, reference.desargues_scan):
         assert scan(points, lines, True, examined - 1) == (None, examined - 1)
         assert scan(points, lines, True, examined) == found
 

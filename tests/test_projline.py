@@ -25,7 +25,15 @@ from chaingeom.projline import (
     word_point,
 )
 
-from reference import distant, is_column_admissible, mat_times_col, point_words, row_times_mat
+from reference import (
+    distant,
+    invertible_completions,
+    is_column_admissible,
+    line_perms,
+    mat_times_col,
+    point_words,
+    row_times_mat,
+)
 
 
 def test_mat_invert_identity(f4):
@@ -121,7 +129,7 @@ def test_is_admissible_basics(f4, dual2):
 def test_admissible_rank_path_matches_completion_scan(small_rings):
     """The unimodularity table tests agree with the completion scan over
     mat_invert, for rows and for columns, on every ring of at most 16
-    elements."""
+    elements; so does the array completion scan."""
     for R in small_rings:
         els = R.elements()
         for a in els:
@@ -129,9 +137,11 @@ def test_admissible_rank_path_matches_completion_scan(small_rings):
                 rows = any(mat_invert(R, (a, b, c, d)) is not None
                            for c in els for d in els)
                 assert is_admissible(R, a, b) == rows, (R.name, a, b)
+                assert invertible_completions(R, a, b, "row").any() == rows
                 cols = any(mat_invert(R, (a, x, b, y)) is not None
                            for x in els for y in els)
                 assert is_column_admissible(R, a, b) == cols, (R.name, a, b)
+                assert invertible_completions(R, a, b, "column").any() == cols
 
 
 def test_make_point_unit_invariance_small(small_zoo):
@@ -151,13 +161,12 @@ def test_make_point_unit_invariance_small(small_zoo):
 @example(1, 9)  # E11, E21: a row but not a column
 @example(1, 3)  # E11, E12: a column but not a row
 def test_admissibility_table_matches_completion_scan_m2f3(m2f3, a, b):
-    """The table tests agree with the completion scan over mat_invert for
-    rows and columns of the 81-element ring."""
-    els = m2f3.elements()
-    rows = any(mat_invert(m2f3, (a, b, c, d)) is not None for c in els for d in els)
-    assert is_admissible(m2f3, a, b) == rows
-    cols = any(mat_invert(m2f3, (a, x, b, y)) is not None for x in els for y in els)
-    assert is_column_admissible(m2f3, a, b) == cols
+    """The table tests agree with the completion scan for rows and columns
+    of the 81-element ring: all 6,561 completions of (a, b) at once, by
+    the column solves of mat_invert over the operation tables."""
+    assert is_admissible(m2f3, a, b) == invertible_completions(m2f3, a, b, "row").any()
+    assert (is_column_admissible(m2f3, a, b)
+            == invertible_completions(m2f3, a, b, "column").any())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -212,7 +221,7 @@ def test_distant_gl_invariant(zoo_g):
     automorphism of the distant graph."""
     for geom in zoo_g:
         g = geom.graph
-        for perm in geom.line_perms.tolist():
+        for perm in line_perms(geom).tolist():
             for i in range(len(g.points)):
                 assert g.adj[perm[i]] == frozenset(perm[j] for j in g.adj[i])
 

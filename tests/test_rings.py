@@ -11,6 +11,7 @@ from chaingeom.rings import (
     NotAUnitError,
     NotProperError,
     RingMap,
+    RingAxiomError,
     RingMapError,
     RingSpec,
     UnsupportedParameterError,
@@ -28,7 +29,7 @@ from chaingeom.rings import (
 
 from chaingeom.isomorph import identity_map, transpose_map
 
-from reference import family_tables, ring_map_failure, table_mismatch
+from reference import family_tables, ring_map_failure, table_mismatch, unit_closure_failure
 
 
 def scan_units(ring):
@@ -311,6 +312,31 @@ def test_digit_formula_check_catches_a_transposed_mul_table():
     R._fill_arrays()
     verify_axioms(R)
     assert table_mismatch(R, *family_tables(R.spec)) == "mul"
+
+
+def test_unit_closure_check_names_the_loop_witness():
+    """The unit-closure check of verify_axioms is one membership test over
+    the products of units.  On unit sets that break it (a unit left out, an
+    order-3 unit without its inverse, two involutions without their
+    product, a non-unit let in) it names the witness the scalar loop finds
+    first, and it passes on the true units."""
+    R = Matrix2Ring(RingSpec("matrix2", 2))  # fresh, not the cached instance
+    units = R.units
+    involutions = [u for u in units if u != R.one and R.mul(u, u) == R.one]
+    order3 = [u for u in units if R.mul(u, u) != R.one]
+    cases = [units] + [tuple(u for u in units if u != w) for w in units if w != R.one]
+    cases += [(R.one, order3[0]), (R.one, *involutions[:2]), tuple(sorted(units + (0,)))]
+    kinds = set()
+    for case in cases:
+        R.units, R.unit_set = case, frozenset(case)
+        want = unit_closure_failure(R)
+        if want is None:
+            verify_axioms(R)
+            continue
+        kinds.add(want.split()[0])
+        with pytest.raises(RingAxiomError, match=re.escape(want)):
+            verify_axioms(R)
+    assert kinds == {"inverse", "units"}
 
 
 @pytest.mark.parametrize("family,q", [("finite-field", 4), ("matrix2", 2), ("matrix2", 3)])
