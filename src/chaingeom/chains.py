@@ -1,12 +1,14 @@
 """Chains and residues with coordinatized blocks.
 
-A chain is a frozenset of points: the image of the embedded line over the
-subfield K under some matrix in GL2(R).  The full chain set is the orbit
-of the standard chain under projline.orbit_generators; chains through the
-far point R(1, 0) form the orbit under its stabilizer (lower triangular
-matrices with unit diagonal), whose generators are the same list less its
-first matrix E(0).  Both orbits are built by a Geometry, and the tests
-check that both routes agree.
+A chain is the image of the embedded line over the subfield K under some
+matrix in GL2(R).  A Geometry holds each set of chains as one int array:
+a row per chain, the sorted indices of its points, the rows in
+lexicographic order.  The full chain set is the orbit of the standard
+chain under projline.orbit_generators; chains through the far point
+R(1, 0) form the orbit under its stabilizer (lower triangular matrices
+with unit diagonal), whose generators are the same list less its first
+matrix E(0).  The tests check that both routes agree.  A residue reads
+its blocks off the same rows.
 """
 
 from __future__ import annotations
@@ -14,22 +16,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from chaingeom.rings import Ring, Subfield
-from chaingeom.projline import (
-    Point,
-    VerificationError,
-    infinity,
-    make_point,
-)
-
-Chain = frozenset  # of Point
+from chaingeom.projline import Point, VerificationError, infinity, sorted_rows
 
 
-def standard_chain(R: Ring, K: Subfield) -> Chain:
-    """{R(k, 1) : k in K} together with R(1, 0)."""
-    pts = {make_point(R, k, R.one) for k in K.elements}
-    pts.add(infinity(R))
-    return frozenset(pts)
+def standard_chain(R: Ring, K: Subfield, keys: Optional[np.ndarray] = None) -> np.ndarray:
+    """The keys a*|R| + b of {R(k, 1) : k in K} together with R(1, 0),
+    sorted; with keys=R._right_key, the keys v*|R| + w of the standard dual
+    chain {(k, 1)^T R : k in K} together with (1, 0)^T R."""
+    keys = R._left_key if keys is None else keys
+    return np.sort(np.append(keys[np.array(K.elements), R.one], keys[R.one, R.zero]))
+
+
+def blocks_at(rows: np.ndarray, i: int) -> np.ndarray:
+    """The rows through the index i, each less i, in their order: of
+    sorted_rows, the blocks of the residue at i as sorted_rows."""
+    through = rows[(rows == i).any(axis=1)]
+    return through[through != i].reshape(len(through), -1)
 
 
 @dataclass
@@ -40,10 +45,8 @@ class Residue:
 
     ring: Ring
     subfield: Subfield
-    at: Point
     points: tuple[Point, ...]
-    point_blocks: tuple[frozenset, ...]     # blocks as point sets
-    coord_of: Optional[dict]                # Point -> x, only at the far point
+    point_blocks: np.ndarray                 # blocks as point-index rows
     blocks: Optional[tuple[frozenset, ...]]  # coordinate blocks, sorted
 
 
@@ -52,28 +55,16 @@ def residue_at(geom, p: Point) -> Residue:
     the far point are the stabilizer orbit; through any other point they
     are filtered out of the full orbit."""
     R, K = geom.ring, geom.subfield
-    if p == infinity(R):
-        chains = geom.chains_at_infinity
-    else:
-        chains = frozenset(C for C in geom.chains if p in C)
-    g = geom.graph  # its points are enumerate_points(R), in order
-    pts = tuple(g.points[j] for j in sorted(g.adj[g.index[p]]))
-    point_blocks = tuple(sorted((C - {p} for C in chains), key=sorted))
-    coord_of = None
+    i = geom.point_index(p)
+    far = p == infinity(R)
+    point_blocks = blocks_at(geom.chains_at_infinity if far else geom.chains, i)
+    near = sorted(geom.graph.adj[i])
     blocks = None
-    if p == infinity(R):
-        pt_set = set(pts)
-        coord_of = {}
-        for x in R.elements():
-            q = make_point(R, x, R.one)
-            if q not in pt_set or q in coord_of:
-                raise VerificationError(
-                    f"{R.name}: R({x}, 1) = {q} is not a new point of the far-point residue")
-            coord_of[q] = x
-        if len(coord_of) != len(pts):  # x -> R(x, 1) is a bijection onto the residue
+    if far:
+        if sorted(geom.affine.tolist()) != near:
             raise VerificationError(
-                f"{R.name}: {len(coord_of)} coordinates for {len(pts)} residue points")
-        blocks = tuple(sorted((frozenset(coord_of[q] for q in B) for B in point_blocks),
-                              key=sorted))
-    return Residue(R, K, p, pts, point_blocks, coord_of, blocks)
-
+                f"{R.name}: x -> R(x, 1) is not a bijection onto the far-point residue")
+        coord = np.full(len(geom.points), -1, dtype=np.intp)
+        coord[geom.affine] = np.arange(R.size)
+        blocks = tuple(map(frozenset, sorted_rows(coord[point_blocks]).tolist()))
+    return Residue(R, K, tuple(geom.points[j] for j in near), point_blocks, blocks)

@@ -167,12 +167,10 @@ def export_dot(graph, path: str) -> None:
     if not path:
         raise IOError("empty DOT output path")
     lines = ["graph distant {"]
-    for p in graph.points:
-        comp = graph.component[graph.index[p]]
+    for p, comp in zip(graph.points, graph.component):
         lines.append(f'  "({p[0]},{p[1]})" [component={comp}];')
     seen = []
-    for p in graph.points:
-        i = graph.index[p]
+    for i, p in enumerate(graph.points):
         for j in sorted(graph.adj[i]):
             if j > i:
                 q = graph.points[j]

@@ -35,7 +35,7 @@ from chaingeom.rings import (
     conjugate_subfield,
     unit_generators,
 )
-from chaingeom.projline import VerificationError, orbit, row_images
+from chaingeom.projline import VerificationError, orbit, row_images, sorted_rows
 from chaingeom.chains import Residue
 from chaingeom.duality import col_images
 
@@ -90,12 +90,10 @@ def _witnessed_orbits(res: Residue, blocks, products, side: str) -> list[tuple]:
 
 
 def _distinct_sets(rows) -> np.ndarray:
-    """The distinct sets among the rows of an integer table, as sorted rows
-    in lexicographic order: each row sorted, the rows ordered by
-    np.lexsort, and each kept where it differs from the one before (a plain
+    """The distinct sets among the rows of an integer table, as
+    sorted_rows, each kept where it differs from the one before (a plain
     np.unique over rows imports numpy.ma, about 16 ms cold)."""
-    rows = np.sort(np.asarray(rows, dtype=np.intp), axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = sorted_rows(rows)
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     return rows[keep]
@@ -170,23 +168,13 @@ def delta_orbits(res: Residue) -> tuple[CompatClass, ...]:
                  _witnessed_orbits(res, res.blocks, res.ring.right_products, "compatibility"))
 
 
-def dual_residue_coord(R: Ring, q) -> Optional[int]:
-    """Coordinate of a dual point under (-1, x)^T R -> x, None if not
-    distant from the dual far point."""
-    v, w = q
-    vinv = R.inv(v)
-    if vinv is None:
-        return None
-    return R.neg(R.mul(w, vinv))
-
-
 def dual_compat_classes(res: Residue, perp_coords) -> tuple[CompatClass, ...]:
     """Dual compatibility: pull the left-affine orbit relation on the
     annihilator images back to the blocks.  perp_coords[x] is the dual
-    coordinate of the annihilator of R(x, 1)."""
+    coordinate of the annihilator of R(x, 1), -1 off the dual residue."""
     R = res.ring
     img = {B: frozenset(perp_coords[x] for x in B) for B in res.blocks}
-    if any(None in I for I in img.values()):
+    if any(-1 in I for I in img.values()):
         raise VerificationError(f"{R.name}: a block point maps off the dual residue")
     side = "dual-compatibility"
     return tuple(CompatClass(side, frozenset(B for B, I in img.items() if I in icls), w)

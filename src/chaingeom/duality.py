@@ -26,12 +26,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from chaingeom.rings import Ring, Subfield
+from chaingeom.rings import Ring
 from chaingeom.projline import (
     Matrix2,
     Point,
     VerificationError,
     _checked_orbit,
+    carries,
     mat_invert,
     one_word,
 )
@@ -41,10 +42,6 @@ DualPoint = tuple[int, int]
 
 class PerpNotCyclicError(VerificationError):
     """The annihilator of a point failed to be cyclic with admissible generator."""
-
-
-def make_dual_point(R: Ring, v: int, w: int) -> DualPoint:
-    return R.canonical_pair_right(v, w)
 
 
 def dual_infinity(R: Ring) -> DualPoint:
@@ -66,13 +63,6 @@ def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
     against the column-admissible scan."""
     return _checked_orbit(R, R._right_key[R.one, R.zero], col_images, R._right_key,
                           R._cols_ok, "dual points")
-
-
-def dual_standard_chain(R: Ring, K: Subfield) -> frozenset:
-    """{(k, 1)^T R : k in K} together with (1, 0)^T R."""
-    pts = {make_dual_point(R, k, R.one) for k in K.elements}
-    pts.add(R.canonical_pair_right(R.one, R.zero))
-    return frozenset(pts)
 
 
 # the annihilator oracle ----------------------------------------------------
@@ -230,6 +220,7 @@ def bidual_point(R: Ring, q: DualPoint) -> Point:
 def dual_matches_opposite(geom, op) -> bool:
     """Transposing columns to rows over the opposite ring carries the dual
     line of the Geometry geom onto the line of the Geometry op over
-    R-opposite, and dual chains onto its chains."""
-    return (set(geom.dual_points) == set(op.points)
-            and set(geom.dual_chains) == set(op.chains))
+    R-opposite, and dual chains onto its chains: the two key arrays are
+    equal, so the map is the identity on indices."""
+    return (np.array_equal(geom.dual_keys, op.point_keys)
+            and carries(np.arange(len(op.points)), geom.dual_chains, op.chains))

@@ -1,7 +1,11 @@
 """One scenario's derived state: the Geometry of a ring and a subfield.
 
 Nothing derived is cached outside a Geometry, so two of them share no
-state and a run times everything it builds.
+state and a run times everything it builds.  Points and dual points are
+indices into their sorted tuples, found by index_of on the sorted keys.
+A set of chains, or of dual chains, is the orbit engine's output as it
+stands: an int array of sorted index rows in lexicographic order, so two
+chain sets are equal iff their arrays are.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from chaingeom.projline import (
     enumerate_points,
     index_of,
     infinity,
-    make_point,
     orbit,
     orbit_generators,
     row_images,
@@ -28,7 +31,6 @@ from chaingeom.duality import (
     DualPoint,
     col_images,
     dual_infinity,
-    dual_standard_chain,
     enumerate_dual_points,
     perp_point,
 )
@@ -43,8 +45,9 @@ class Geometry:
     a cached property, computed on first use and shared by every task of
     one run: points and dual points, the orbit generators as one
     permutation table on each, perp, the distant graph, the chain and
-    dual-chain orbits (all from the one engine `projline.orbit`), and the
-    far-point residue with its two compatibility partitions."""
+    dual-chain orbits (all from the one engine `projline.orbit`), the
+    coordinates x of the points R(x, 1) and dual points (-1, x)^T R, and
+    the far-point residue with its two compatibility partitions."""
 
     def __init__(self, ring: Ring, subfield: Subfield):
         self.ring = ring
@@ -55,16 +58,8 @@ class Geometry:
         return enumerate_points(self.ring)
 
     @cached_property
-    def index(self) -> dict:
-        return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
     def dual_points(self) -> tuple[DualPoint, ...]:
         return enumerate_dual_points(self.ring)
-
-    @cached_property
-    def dual_index(self) -> dict:
-        return {q: i for i, q in enumerate(self.dual_points)}
 
     @cached_property
     def point_keys(self) -> np.ndarray:
@@ -75,6 +70,14 @@ class Geometry:
     def dual_keys(self) -> np.ndarray:
         """The keys v*|R| + w of the dual points, sorted as they are."""
         return np.array([v * self.ring.size + w for v, w in self.dual_points], dtype=np.intp)
+
+    def point_index(self, p: Point) -> int:
+        """The index of the point p in points."""
+        return int(index_of(self.point_keys, p[0] * self.ring.size + p[1]))
+
+    def dual_index(self, q: DualPoint) -> int:
+        """The index of the dual point q in dual_points."""
+        return int(index_of(self.dual_keys, q[0] * self.ring.size + q[1]))
 
     @cached_property
     def perms(self) -> np.ndarray:
@@ -94,63 +97,74 @@ class Geometry:
     def perp(self) -> np.ndarray:
         """perp[i]: the dual-point index of the annihilator of points[i], by
         one oracle scan per point."""
-        return np.array([self.dual_index[perp_point(self.ring, p)] for p in self.points],
-                        dtype=np.intp)
+        R = self.ring
+        return index_of(self.dual_keys, [v * R.size + w for v, w in
+                                         (perp_point(R, p) for p in self.points)])
 
     def perp_of(self, p: Point) -> DualPoint:
         """The annihilator of the point p, read off perp."""
-        return self.dual_points[self.perp[self.index[p]]]
+        return self.dual_points[self.perp[self.point_index(p)]]
+
+    @cached_property
+    def affine(self) -> np.ndarray:
+        """affine[x]: the index of the point R(x, 1)."""
+        R = self.ring
+        return index_of(self.point_keys, R._left_key[np.arange(R.size), R.one])
+
+    @cached_property
+    def dual_coords(self) -> np.ndarray:
+        """dual_coords[j]: the x with dual_points[j] = (-1, x)^T R, the
+        coordinate on the dual residue; -1 at each dual point off it."""
+        R = self.ring
+        x = np.arange(R.size)
+        coords = np.full(len(self.dual_points), -1, dtype=np.intp)
+        coords[index_of(self.dual_keys, R._right_key[R.neg(R.one), x])] = x
+        return coords
 
     @cached_property
     def perp_coords(self) -> tuple:
         """The annihilator on the far-point residue: x -> the dual coordinate
-        of perp R(x, 1), None off the dual residue."""
-        R = self.ring
-        return tuple(compat.dual_residue_coord(R, self.perp_of(make_point(R, x, R.one)))
-                     for x in R.elements())
+        of perp R(x, 1), -1 off the dual residue."""
+        return tuple(self.dual_coords[self.perp[self.affine]].tolist())
 
     @cached_property
     def graph(self):
         return distant_graph(self.ring, self.points)
 
-    def _orbit(self, pairs, seed, perms) -> frozenset:
-        """The orbit of the index set seed, as frozensets of members of pairs."""
-        rows = orbit([sorted(seed)], perms, ORBIT_CAP)
-        return frozenset(frozenset(pairs[i] for i in row) for row in rows.tolist())
+    @cached_property
+    def _seed(self) -> np.ndarray:
+        return index_of(self.point_keys, standard_chain(self.ring, self.subfield))
 
     @cached_property
-    def _seed(self) -> list[int]:
-        return [self.index[p] for p in standard_chain(self.ring, self.subfield)]
+    def _dual_seed(self) -> np.ndarray:
+        R = self.ring
+        return index_of(self.dual_keys, standard_chain(R, self.subfield, R._right_key))
 
     @cached_property
-    def _dual_seed(self) -> list[int]:
-        return [self.dual_index[q] for q in dual_standard_chain(self.ring, self.subfield)]
-
-    @cached_property
-    def chains(self) -> frozenset:
+    def chains(self) -> np.ndarray:
         """Every chain: the orbit of the standard chain."""
-        return self._orbit(self.points, self._seed, self.perms)
+        return orbit([self._seed], self.perms, ORBIT_CAP)
 
     @cached_property
-    def chains_at_infinity(self) -> frozenset:
+    def chains_at_infinity(self) -> np.ndarray:
         """The chains through R(1, 0), which the standard chain passes
         through: its stabilizer orbit."""
-        return self._orbit(self.points, self._seed, self.perms[1:])
+        return orbit([self._seed], self.perms[1:], ORBIT_CAP)
 
     @cached_property
-    def dual_chains(self) -> frozenset:
-        return self._orbit(self.dual_points, self._dual_seed, self.dual_perms)
+    def dual_chains(self) -> np.ndarray:
+        return orbit([self._dual_seed], self.dual_perms, ORBIT_CAP)
 
     @cached_property
-    def dual_chains_at_infinity(self) -> frozenset:
+    def dual_chains_at_infinity(self) -> np.ndarray:
         """The dual chains through (0, 1)^T R: the standard dual chain shifted
         through it by E(0), then its stabilizer orbit."""
         R = self.ring
         seed = self.dual_perms[0][self._dual_seed]
-        if self.dual_index[dual_infinity(R)] not in seed:
+        if self.dual_index(dual_infinity(R)) not in seed:
             raise VerificationError(
                 f"{R.name}: shifted standard chain misses {dual_infinity(R)}")
-        return self._orbit(self.dual_points, seed, self.dual_perms[1:])
+        return orbit([seed], self.dual_perms[1:], ORBIT_CAP)
 
     @cached_property
     def residue(self):

@@ -1,12 +1,14 @@
 """Isomorphisms of chain geometries from ring (anti)isomorphisms.
 
-A ring isomorphism acts on points entrywise.  A ring antiisomorphism
-reaches the target line through the dual: annihilator, then the entrywise
-map on columns, then a quarter turn R'(a', b') -> R'(b', -a') that puts the
-far point back onto the far point.  The closed word formula evaluates the
-same composite as R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi); it and the
-three entrywise image formulas are array functions over the words of a
-sweep.
+A ring antiisomorphism reaches the target line through the dual:
+annihilator, then the entrywise map on columns, then a quarter turn
+R'(a', b') -> R'(b', -a') that puts the far point back onto the far
+point.  For an antiautomorphism that composite sigma is an index
+permutation of a Geometry's points, read in one array pass off its perp
+array, so that it acts on chain rows as perp does.  The closed word
+formula evaluates the same composite as
+R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi); it and the three entrywise
+image formulas are array functions over the words of a sweep.
 
 The catalogue of verified antiisomorphisms: the transpose on matrix2(q),
 any automorphism of a commutative ring, and the diagonal flip
@@ -30,8 +32,7 @@ from chaingeom.rings import (
     conjugate_subfield,
     make_ring_map,
 )
-from chaingeom.projline import Point, one_word, word_points
-from chaingeom.duality import DualPoint
+from chaingeom.projline import Point, index_of, one_word, word_points
 
 
 class SubfieldConditionError(ValueError):
@@ -89,24 +90,18 @@ def verify_subfield_condition(m: RingMap, K: Subfield, K2: Subfield) -> int:
 
 # induced maps ----------------------------------------------------------------
 
-def antiiso_dual_to_point(m: RingMap, q: DualPoint) -> Point:
-    """(v, w)^T R -> R'(v^phi, w^phi) for a ring antiisomorphism."""
+def antiiso_point_table(m: RingMap, geom) -> np.ndarray:
+    """The normalized line isomorphism induced by an antiautomorphism m of
+    the ring of the Geometry geom, as an index permutation of its points:
+    the annihilator (v, w)^T R (read off geom.perp), the entrywise map to
+    R'(v^phi, w^phi), then the quarter turn R'(a', b') -> R'(b', -a'), the
+    point action of E(0')^-1, which puts the far point back onto the far
+    point.  One array pass over every point."""
     if m.kind != "antiisomorphism":
-        raise RingMapError(f"antiiso_dual_to_point needs an antiisomorphism, got an {m.kind}")
-    return m.target.canonical_pair_left(m(q[0]), m(q[1]))
-
-
-def quarter_turn(S: Ring, p: Point) -> Point:
-    """R'(a', b') -> R'(b', -a'), the point action of E(0')^-1."""
-    return S.canonical_pair_left(p[1], S.neg(p[0]))
-
-
-def antiiso_point_table(m: RingMap, geom) -> dict:
-    """The normalized line isomorphism induced by an antiisomorphism, on
-    every point of the Geometry geom over its source ring: annihilator (read
-    off geom.perp), entrywise map, quarter turn.  Fixes the far point."""
-    return {p: quarter_turn(m.target, antiiso_dual_to_point(m, geom.perp_of(p)))
-            for p in geom.points}
+        raise RingMapError(f"antiiso_point_table needs an antiisomorphism, got an {m.kind}")
+    S, phi = m.target, np.asarray(m.table)
+    v, w = np.divmod(geom.dual_keys[geom.perp], geom.ring.size)
+    return index_of(geom.point_keys, S._left_key[phi[w], S._neg_a[phi[v]]])
 
 
 def antiiso_word_points(m: RingMap, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -150,9 +150,23 @@ def orbit_generators(R: Ring) -> list[Matrix2]:
     return gens
 
 
+def sorted_rows(rows) -> np.ndarray:
+    """The integer table rows with each row sorted and the rows in
+    lexicographic order: the one form of a set of index sets, so that two
+    sets of distinct index sets are equal iff their sorted_rows are."""
+    rows = np.sort(np.asarray(rows, dtype=np.intp), axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def carries(perm: np.ndarray, rows: np.ndarray, onto: np.ndarray) -> bool:
+    """True iff the permutation i -> perm[i] carries the set of index sets
+    rows onto the set onto, both given as sorted_rows."""
+    return np.array_equal(sorted_rows(perm[rows]), onto)
+
+
 def orbit(seeds, perms: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
     """The orbit of the index sets given as rows of seeds under the
-    permutations perms[g]: i -> perms[g][i], as sorted rows, each member
+    permutations perms[g]: i -> perms[g][i], as sorted_rows, each member
     once.  The whole frontier moves at once, and images are deduplicated
     as one np.void value per row.  Raises OrbitCapExceededError iff the
     orbit has more than cap members.
@@ -171,7 +185,7 @@ def orbit(seeds, perms: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
             raise OrbitCapExceededError(f"orbit exceeded cap {cap}")
         found.append(frontier[fresh])
         frontier = np.sort(perms[:, found[-1]], axis=2).reshape(-1, frontier.shape[1])
-    return np.concatenate(found)
+    return sorted_rows(np.concatenate(found))
 
 
 def index_of(keys: np.ndarray, wanted) -> np.ndarray:
@@ -202,7 +216,7 @@ def _checked_orbit(R: Ring, start: int, act, canonical: np.ndarray, ok: np.ndarr
     # distinct keys by counting: a plain np.unique imports numpy.ma (15 ms)
     pairs = np.flatnonzero(np.bincount(canonical.ravel()))  # every canonical pair
     perms = index_of(pairs, act(R, pairs, orbit_generators(R)))
-    found = np.sort(pairs[orbit([index_of(pairs, [start])], perms)[:, 0]])
+    found = pairs[orbit([index_of(pairs, [start])], perms)[:, 0]]
     scanned = np.flatnonzero(np.bincount(canonical[ok]))
     if not np.array_equal(found, scanned):
         raise MethodDisagreementError(
@@ -222,7 +236,6 @@ class DistantGraph:
 
     ring: Ring
     points: tuple[Point, ...]
-    index: dict
     adj: list[frozenset]
     component: list[int]
     n_components: int
@@ -322,15 +335,13 @@ def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.nda
 def distant_graph(R: Ring, pts: tuple[Point, ...]) -> DistantGraph:
     """Build the full graph on the points pts (those of enumerate_points);
     every component must share one diameter."""
-    index = {p: i for i, p in enumerate(pts)}
     adj = _distant_pairs(R, pts)
-    component, diameters, dist = _bfs_levels(adj, index[infinity(R)])
+    component, diameters, dist = _bfs_levels(adj, pts.index(infinity(R)))
     if len(set(diameters)) != 1:
         raise VerificationError(f"{R.name}: components disagree on diameter: {diameters}")
     return DistantGraph(
         ring=R,
         points=pts,
-        index=index,
         adj=[frozenset(np.flatnonzero(row).tolist()) for row in adj],
         component=component,
         n_components=len(diameters),

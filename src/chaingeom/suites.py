@@ -4,13 +4,16 @@ Each suite returns a flat report dict with a boolean "ok", exhaustive or
 seeded-sample check counts, and any witnesses worth recording.  Rings with
 at most 16 elements are always swept exhaustively; on the 81-element
 matrix ring the duality and sigma suites take explicit sample counts and
-seeds instead.  Each of those two suites draws from one
-random.Random(seed), in bulk with rng.choices: the word lengths, then
-their letters, and in the duality suite then the covariance (generator,
-row) pairs and the bidual points.  The word sweeps are array kernels:
+seeds for their words and covariance rows instead.  Each of those two
+suites draws from one random.Random(seed), in bulk with rng.choices: the
+word lengths, then their letters, and in the duality suite then the
+covariance (generator, row) pairs.  The word sweeps are array kernels:
 every word is drawn into (letters, lengths) arrays, every closed form is
 evaluated for all words at once, and one driver, _word_sweep, counts the
-failures over boolean masks.
+failures over boolean masks.  The chain checks read the Geometry's chain
+rows: one helper, projline.carries, decides whether perp or sigma, both
+index arrays, carries a chain set onto another, for every chain of the
+set, and the bidual check runs on every point.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from chaingeom.rings import Ring, is_normal_subgroup, normality_witness, subfield_in_opposite
 from chaingeom.projline import (
     OrbitCapExceededError,
+    carries,
     index_of,
     infinity,
     line_generators,
@@ -44,10 +48,10 @@ from chaingeom.duality import (
 from chaingeom.compat import (
     cosets_hold,
     derive_plane,
-    dual_residue_coord,
     joins_unit_pairs_once,
     missing_directions,
 )
+from chaingeom.chains import blocks_at
 from chaingeom.geometry import Geometry
 from chaingeom.isomorph import (
     antiiso_point_table,
@@ -91,9 +95,8 @@ def chain_report(geom: Geometry, through_infinity: bool = False,
     chains = geom.chains_at_infinity if through_infinity else geom.chains
     if len(chains) > cap:
         raise OrbitCapExceededError(f"chain orbit on {R.name} exceeded cap {cap}")
-    sizes = {len(C) for C in chains}
     key = "chains_through_infinity" if through_infinity else "chains"
-    return {"ok": sizes == {len(K.elements) + 1}, key: len(chains),
+    return {"ok": chains.shape[1] == len(K.elements) + 1, key: len(chains),
             "chain_size": len(K.elements) + 1}
 
 
@@ -193,19 +196,17 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     R, K = geom.ring, geom.subfield
     small = R.size <= EXHAUSTIVE_LIMIT
     rep: dict = {"mode": "exhaustive" if small else f"sampled({samples}, seed={seed})"}
-    pts = geom.points
-    perp_of = geom.perp_of
-    rep["bijection"] = sorted(geom.perp.tolist()) == list(range(len(geom.dual_points)))
+    pts, perp = geom.points, geom.perp
+    rep["bijection"] = sorted(perp.tolist()) == list(range(len(geom.dual_points)))
 
     if small:
         chains, dchains = geom.chains, geom.dual_chains
     else:
         chains, dchains = geom.chains_at_infinity, geom.dual_chains_at_infinity
-    rep["chain_bijection"] = ({frozenset(map(perp_of, C)) for C in chains}
-                              == set(dchains))
+    rep["chain_bijection"] = carries(perp, chains, dchains)
     rep["chains_checked"] = len(chains)
 
-    rep["far_point_image"] = perp_of(infinity(R)) == dual_infinity(R)
+    rep["far_point_image"] = geom.perp_of(infinity(R)) == dual_infinity(R)
 
     rng = random.Random(seed)
     rep.update(duality_words(geom, *_words(R, samples, rng)))
@@ -224,11 +225,8 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     rep["covariance_checks"] = sum(map(len, cov_rows.values()))
     rep["covariance_failures"] = cov_failures
 
-    if small:
-        sample = pts
-    else:
-        sample = rng.choices(pts, k=50)
-    rep["bidual_fixed"] = all(bidual_point(R, perp_of(p)) == p for p in sample)
+    rep["bidual_fixed"] = all(bidual_point(R, geom.dual_points[j]) == p
+                              for p, j in zip(pts, perp.tolist()))
     if small:
         op = Geometry(R.opposite(), subfield_in_opposite(K))
         rep["opposite_equivalent"] = dual_matches_opposite(geom, op)
@@ -258,12 +256,11 @@ def vergleich_report(geom: Geometry) -> dict:
     classes, dual_classes = geom.compat_classes, geom.dual_compat_classes
     # the dual residue: dual chains through (0, 1)^T R, less that point, in
     # the coordinates (-1, x)^T R -> x
-    dinf = dual_infinity(R)
-    dual_blocks = {frozenset(dual_residue_coord(R, q) for q in C if q != dinf)
-                   for C in geom.dual_chains_at_infinity}
+    dual_blocks = blocks_at(geom.dual_chains_at_infinity, geom.dual_index(dual_infinity(R)))
     rep = {
-        "points_fixed": all(geom.perp_coords[x] == x for x in R.elements()),
-        "blocks_equal": dual_blocks == set(geom.residue.blocks),
+        "points_fixed": geom.perp_coords == tuple(R.elements()),
+        "blocks_equal": (set(map(frozenset, geom.dual_coords[dual_blocks].tolist()))
+                         == set(geom.residue.blocks)),
         "partitions_equal": {c.blocks for c in classes} == {c.blocks for c in dual_classes},
         "units_normal": is_normal_subgroup(K, R),
         "classes": len(classes),
@@ -331,15 +328,13 @@ def catalogue_antiiso(R: Ring):
     return identity_map(R, as_antiiso=True), "identity"
 
 
-def sigma_words(geom: Geometry, m, sigma: dict, letters, lengths) -> dict:
+def sigma_words(geom: Geometry, m, sigma: np.ndarray, letters, lengths) -> dict:
     """The sigma suite's word sweep for the antiautomorphism m of the
     Geometry's ring: for every word, the closed word form and then the
-    entrywise formula of its length, against the composite sigma
-    (antiiso_point_table) of the word point, read as an index array over
-    the points."""
+    entrywise formula of its length, against the composite sigma of the
+    word point, the index permutation of antiiso_point_table."""
     R, keys = geom.ring, geom.point_keys
-    image = index_of(keys, [a * R.size + b for a, b in map(sigma.__getitem__, geom.points)])
-    composite = keys[image[index_of(keys, word_points(R, letters, lengths))]]
+    composite = keys[sigma[index_of(keys, word_points(R, letters, lengths))]]
     word_form = antiiso_word_points(m, letters, lengths) == composite
     ph = np.asarray(m.table)[letters].T
     rows = (length1_sigma_formula(R, ph[0]), length2_sigma_formula(R, ph[0], ph[1]),
@@ -349,7 +344,8 @@ def sigma_words(geom: Geometry, m, sigma: dict, letters, lengths) -> dict:
 
     def witness(ts):
         p = word_point(R, ts)
-        return {"point": p, "definition": sigma[p], "closed_form": antiiso_word_point(m, ts)}
+        return {"point": p, "definition": geom.points[sigma[geom.point_index(p)]],
+                "closed_form": antiiso_word_point(m, ts)}
 
     return _word_report(R, letters, lengths, word_form, entrywise, (a, b), witness)
 
@@ -365,19 +361,14 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
                  "mode": "exhaustive" if small else f"sampled({samples}, seed={seed})"}
     rep["conjugator"] = verify_subfield_condition(m, K, K)
     sigma = antiiso_point_table(m, geom)
-    rep["far_point_fixed"] = sigma[infinity(R)] == infinity(R)
+    far = geom.point_index(infinity(R))
+    rep["far_point_fixed"] = int(sigma[far]) == far
 
     rep.update(sigma_words(geom, m, sigma, *_words(R, samples, random.Random(seed))))
 
-    if small:
-        chains = geom.chains
-        rep["chains_mapped"] = len(chains)
-        rep["chains_ok"] = {frozenset(map(sigma.get, C)) for C in chains} == chains
-    else:
-        chains = geom.chains_at_infinity
-        sample = sorted(chains, key=lambda c: sorted(c))[::9]
-        rep["chains_mapped"] = len(sample)
-        rep["chains_ok"] = all(frozenset(map(sigma.get, C)) in chains for C in sample)
+    chains = geom.chains if small else geom.chains_at_infinity
+    rep["chains_mapped"] = len(chains)
+    rep["chains_ok"] = carries(sigma, chains, chains)
 
     preserved = preserves_compatibility(m, geom, geom)
     normal = is_normal_subgroup(K, R)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -17,16 +18,60 @@ def _python_runner(*flags):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
-    def run(code: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    def run(code: str, stdin: str = "") -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *flags, "-c", code], env=env, input=stdin,
                               capture_output=True, text=True, timeout=120)
     return run
 
 
+# Runs each script of the JSON list on stdin in a namespace of its own,
+# with its own captured output and exit status, and prints the list of
+# [status, stdout, stderr] outcomes as JSON.
+_SCRIPT_BATCH = r"""
+import contextlib, io, json, sys, traceback
+def status(code):
+    if code is None or isinstance(code, int):
+        return code or 0
+    print(code, file=sys.stderr)
+    return 1
+outcomes = []
+for script in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            exec(compile(script, "<script>", "exec"), {"__name__": "__main__"})
+            code = 0
+        except SystemExit as exc:
+            code = status(exc.code)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    outcomes.append([code, out.getvalue(), err.getvalue()])
+json.dump(outcomes, sys.stdout)
+"""
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "optimized(script): run_optimized runs the script in its one batch")
+
+
 @pytest.fixture(scope="session")
-def run_optimized():
-    """Runs Python source under python -O (see _python_runner)."""
-    return _python_runner("-O")
+def run_optimized(request):
+    """Runs Python source under python -O (see _python_runner).  The
+    scripts of every collected test marked optimized(script) run up front
+    in one python -O subprocess, each on its own (see _SCRIPT_BATCH).
+    Returns a CompletedProcess per script; a script no collected test
+    marks raises KeyError."""
+    run = _python_runner("-O")
+    scripts = list(dict.fromkeys(mark.args[0] for item in request.session.items
+                                 for mark in item.iter_markers("optimized")))
+    batch = run(_SCRIPT_BATCH, json.dumps(scripts))
+    if batch.returncode != 0:
+        raise RuntimeError(f"the python -O script batch failed:\n{batch.stderr}")
+    done = {script: subprocess.CompletedProcess(batch.args, *outcome)
+            for script, outcome in zip(scripts, json.loads(batch.stdout))}
+    return done.__getitem__
 
 
 @pytest.fixture(scope="session")

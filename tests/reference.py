@@ -7,15 +7,17 @@ verify_axioms, the dict-bucket annihilator scan with its cyclic-generator
 loops, the per-module covariance law, the distant relation by matrix
 inversion, a breadth-first search for point words, the four matrix
 actions on single rows and columns, the loops the compatibility kernels
-and the Desargues scan replaced, the paper's laws on induced maps, and
-the per-word sweeps of the duality and sigma suites with the closed
+and the Desargues scan replaced, the paper's laws on induced maps with
+the scalar steps of the sigma composite (dual to point, quarter turn),
+and the per-word sweeps of the duality and sigma suites with the closed
 formulas they check.  Two are array code, where a scalar loop would cost
 seconds on matrix2(3): `invertible_completions`, the completion scan of
 the admissibility tables, and `line_perms`, the whole generator family
-as permutation tables.  Two helpers serve the tests around them:
-`corrupt` changes one entry of a fresh ring's operation table, and
+as permutation tables.  Helpers serve the tests around them: `corrupt`
+changes one entry of a fresh ring's operation table,
 `word_arrays`/`as_pairs` feed a list of words to the array kernels in
-one call.
+one call, and `point_sets`, `row_set` and `point_map` read index rows
+and index permutations as sets and dicts of points.
 """
 
 import random
@@ -24,7 +26,6 @@ from itertools import combinations
 import numpy as np
 
 from chaingeom import compat
-from chaingeom.isomorph import antiiso_dual_to_point
 from chaingeom.projline import (
     VerificationError,
     index_of,
@@ -485,6 +486,39 @@ def desargues_scan(points, lines, find_failure: bool, cap: int):
 
 
 # induced maps ---------------------------------------------------------------------
+
+def make_dual_point(R, v, w):
+    """The dual point (v, w)^T R, canonicalized."""
+    return R.canonical_pair_right(v, w)
+
+
+def antiiso_dual_to_point(m, q):
+    """(v, w)^T R -> R'(v^phi, w^phi) for a ring antiisomorphism."""
+    if m.kind != "antiisomorphism":
+        raise RingMapError(f"antiiso_dual_to_point needs an antiisomorphism, got an {m.kind}")
+    return m.target.canonical_pair_left(m(q[0]), m(q[1]))
+
+
+def quarter_turn(S, p):
+    """R'(a', b') -> R'(b', -a'), the point action of E(0')^-1."""
+    return S.canonical_pair_left(p[1], S.neg(p[0]))
+
+
+def point_sets(geom, rows):
+    """Index rows of the Geometry's points, such as a chain set, as the set
+    of their point sets."""
+    return {frozenset(geom.points[j] for j in row) for row in np.asarray(rows).tolist()}
+
+
+def row_set(rows):
+    """Rows of an integer table as a set of sorted tuples."""
+    return {tuple(sorted(r)) for r in np.asarray(rows).tolist()}
+
+
+def point_map(geom, table):
+    """An index permutation of the Geometry's points as a dict on points."""
+    return {p: geom.points[j] for p, j in zip(geom.points, np.asarray(table).tolist())}
+
 
 def iso_point_map(m, p):
     """R(a, b) -> R'(a^phi, b^phi) for a ring isomorphism."""

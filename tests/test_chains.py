@@ -7,6 +7,7 @@ import pytest
 from chaingeom.geometry import Geometry
 from chaingeom.projline import (
     OrbitCapExceededError,
+    index_of,
     infinity,
     make_point,
     orbit,
@@ -14,7 +15,7 @@ from chaingeom.projline import (
 from chaingeom.chains import residue_at, standard_chain
 from chaingeom.rings import conjugate_subfield
 
-from reference import distant, line_perms
+from reference import as_pairs, distant, line_perms, point_sets
 
 
 def blocks_through(res, xs) -> set:
@@ -24,16 +25,27 @@ def blocks_through(res, xs) -> set:
 
 def test_standard_chain_sizes(f4, f4_k, dual2, dual2_k, m2f2, m2f2_k):
     assert len(standard_chain(f4, f4_k)) == 3
-    assert standard_chain(f4, f4_k) == {
-        make_point(f4, 0, 1), make_point(f4, 1, 1), make_point(f4, 1, 0)}
+    assert as_pairs(standard_chain(f4, f4_k), f4.size) == sorted([
+        make_point(f4, 0, 1), make_point(f4, 1, 1), make_point(f4, 1, 0)])
     assert len(standard_chain(dual2, dual2_k)) == 3
     assert len(standard_chain(m2f2, m2f2_k)) == 5
+
+
+def test_chain_rows_are_sorted_and_distinct(zoo_and_opposites_g):
+    """Each chain set is an int array of sorted index rows in strictly
+    increasing lexicographic order, so equal sets have equal arrays."""
+    for g in zoo_and_opposites_g:
+        for rows in (g.chains, g.chains_at_infinity, g.dual_chains,
+                     g.dual_chains_at_infinity):
+            assert rows.dtype.kind == "i", g.ring.name
+            assert (np.diff(rows, axis=1) > 0).all(), g.ring.name
+            assert [tuple(r) for r in rows.tolist()] == sorted(set(map(tuple, rows.tolist())))
 
 
 def test_chains_pairwise_distant(zoo_g):
     for g in zoo_g:
         R, K = g.ring, g.subfield
-        for C in g.chains_at_infinity if R.size > 16 else g.chains:
+        for C in point_sets(g, g.chains_at_infinity if R.size > 16 else g.chains):
             assert len(C) == len(K.elements) + 1
             for p, q in combinations(C, 2):
                 assert distant(R, p, q)
@@ -48,7 +60,7 @@ def test_chain_counts_small(f4_g, dual2_g, prod22_g, m2f2_g):
 
 def test_f4_every_triple_is_a_chain(f4_g):
     triples = {frozenset(t) for t in combinations(f4_g.points, 3)}
-    assert f4_g.chains == triples
+    assert point_sets(f4_g, f4_g.chains) == triples
 
 
 def test_dual2_chains_are_exactly_distant_triangles(dual2, dual2_g):
@@ -56,18 +68,19 @@ def test_dual2_chains_are_exactly_distant_triangles(dual2, dual2_g):
         frozenset(t) for t in combinations(dual2_g.points, 3)
         if all(distant(dual2, p, q) for p, q in combinations(t, 2))
     }
-    assert dual2_g.chains == triangles
+    assert point_sets(dual2_g, dual2_g.chains) == triangles
 
 
 def test_chains_through_infinity_agree_with_filter(zoo_g):
     for g in zoo_g:
         inf = infinity(g.ring)
-        assert g.chains_at_infinity == frozenset(C for C in g.chains if inf in C)
+        assert point_sets(g, g.chains_at_infinity) == {
+            C for C in point_sets(g, g.chains) if inf in C}
 
 
 def test_chains_through_other_point(f4, f4_g):
     p = make_point(f4, 0, 1)
-    through = frozenset(C for C in f4_g.chains if p in C)
+    through = {C for C in point_sets(f4_g, f4_g.chains) if p in C}
     assert len(through) == 6
     assert all(p in C for C in through)
 
@@ -80,11 +93,6 @@ def test_chain_count_through_infinity(f4_g, m2f3, m2f3_k, m2f3_g):
     n_translates = m2f3.size // len(m2f3_k.elements)
     assert n_conj * n_cosets * n_translates == 162
     assert len(m2f3_g.chains_at_infinity) == 162
-
-
-def index_rows(index, sets) -> np.ndarray:
-    """The sets, as sorted rows of the indices index gives their members."""
-    return np.sort([[index[p] for p in C] for C in sets], axis=1)
 
 
 def subset_keys(rows: np.ndarray, n: int) -> np.ndarray:
@@ -114,7 +122,7 @@ def test_chain_set_gl_invariant(zoo_and_opposites_g):
     group contains the generating set ([[1, 0], [c, 1]] = E(0)^-1 E(c)), so
     the orbits under both are the same."""
     for g in zoo_and_opposites_g:
-        assert maps_onto_itself(line_perms(g), index_rows(g.index, g.chains)), g.ring.name
+        assert maps_onto_itself(line_perms(g), g.chains), g.ring.name
 
 
 def test_chain_set_stabilizer_invariant_m2f3(m2f3_g):
@@ -122,15 +130,21 @@ def test_chain_set_stabilizer_invariant_m2f3(m2f3_g):
     generators, are invariant under every diagonal matrix of the whole
     family (rows |R| onward of its tables)."""
     perms = line_perms(m2f3_g)
-    rows = index_rows(m2f3_g.index, m2f3_g.chains_at_infinity)
+    rows = m2f3_g.chains_at_infinity
     assert len(perms[m2f3_g.ring.size:]) == 96
     assert maps_onto_itself(perms[m2f3_g.ring.size:], rows)
+
+
+def coordinatized(res) -> bool:
+    """x -> R(x, 1) is a bijection of the ring onto the residue points."""
+    R = res.ring
+    return sorted(make_point(R, x, R.one) for x in R.elements()) == sorted(res.points)
 
 
 def test_residue_f4(f4_g):
     res = f4_g.residue
     assert len(res.points) == 4
-    assert sorted(res.coord_of.values()) == [0, 1, 2, 3]
+    assert coordinatized(res)
     assert len(res.blocks) == 6
     assert all(len(B) == 2 for B in res.blocks)
 
@@ -148,7 +162,7 @@ def test_residue_coordinatization_all_zoo(zoo_g):
     for g in zoo_g:
         R, K, res = g.ring, g.subfield, g.residue
         assert len(res.points) == R.size
-        assert sorted(res.coord_of.values()) == list(R.elements())
+        assert coordinatized(res)
         for B in res.blocks:
             assert len(B) == len(K.elements)
             for x in B:
@@ -190,10 +204,10 @@ def test_two_points_joined_iff_distant(zoo_g):
 def test_residue_at_other_point(f4, f4_g):
     p = make_point(f4, 0, 1)
     res = residue_at(f4_g, p)
-    assert res.coord_of is None and res.blocks is None
+    assert res.blocks is None
     assert len(res.points) == 4
     assert len(res.point_blocks) == 6
-    for B in res.point_blocks:
+    for B in point_sets(f4_g, res.point_blocks):
         assert p not in B
         assert all(distant(f4, p, x) for x in B)
 
@@ -210,7 +224,7 @@ def test_residue_points_match_pairwise_distant(zoo_g):
 
 def test_orbit_cap(f4_g):
     # the ten chains of F4 exceed a cap of 3 but not one of 10
-    seed = [sorted(f4_g.index[p] for p in standard_chain(f4_g.ring, f4_g.subfield))]
+    seed = [index_of(f4_g.point_keys, standard_chain(f4_g.ring, f4_g.subfield))]
     with pytest.raises(OrbitCapExceededError):
         orbit(seed, f4_g.perms, cap=3)
     assert len(orbit(seed, f4_g.perms, cap=10)) == 10

@@ -39,7 +39,13 @@ from chaingeom.rings import (
 )
 
 import reference
-from reference import apply_matrix, corrupt, validate_partial_affine
+from reference import apply_matrix, corrupt, point_sets, validate_partial_affine
+
+
+def test_dual_classes_reject_a_block_point_off_the_dual_residue(f4_g):
+    coords = (-1,) + f4_g.perp_coords[1:]
+    with pytest.raises(VerificationError, match="off the dual residue"):
+        compat.dual_compat_classes(f4_g.residue, coords)
 
 
 def test_single_class_when_units_normal(f4_g, dual2_g, prod22_g, m2f2_g):
@@ -224,7 +230,7 @@ def test_compat_transportable(f4_g, dual2_g):
     from chaingeom.rings import additive_generators, unit_generators
     for g in (f4_g, dual2_g):
         R = g.ring
-        chains = g.chains
+        chains = point_sets(g, g.chains)
         coord_pt = {x: make_point(R, x, R.one) for x in R.elements()}
         for M in line_generators(R)[:6]:
             p = apply_matrix(R, infinity(R), M)
@@ -527,6 +533,7 @@ else:
 """
 
 
+@pytest.mark.optimized(DOUBLE_JOIN)
 def test_desargues_linearity_check_survives_optimize(run_optimized):
     """The scan's linearity check must not depend on assert, which python -O
     strips: two points on two lines must raise."""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingeom.geometry import Geometry
+from chaingeom import suites
 from chaingeom.projline import (
     VerificationError,
     elementary,
@@ -21,6 +22,7 @@ from chaingeom.rings import (
     FiniteFieldRing,
     RingSpec,
     build_ring,
+    build_subfield,
     subfield_in_opposite,
 )
 from chaingeom.duality import (
@@ -30,7 +32,6 @@ from chaingeom.duality import (
     covariance_failures,
     dual_infinity,
     dual_matches_opposite,
-    make_dual_point,
     perp_point,
     word_dual_point,
     word_dual_points,
@@ -45,6 +46,8 @@ from reference import (
     distant,
     length2_perp_formula,
     length3_perp_formula,
+    make_dual_point,
+    point_sets,
     point_words,
     word_arrays,
 )
@@ -168,7 +171,7 @@ def test_perp_standard_chain(f4, f4_k):
     want = {make_dual_point(f4, f4.neg(f4.one), k) for k in f4_k.elements}
     want.add(dual_infinity(f4))
     from chaingeom.chains import standard_chain
-    assert perp_chain(f4, standard_chain(f4, f4_k)) == want
+    assert perp_chain(f4, as_pairs(standard_chain(f4, f4_k), f4.size)) == want
 
 
 def test_perp_maps_chains_onto_dual_chains(zoo_g):
@@ -177,14 +180,16 @@ def test_perp_maps_chains_onto_dual_chains(zoo_g):
             chains, dual_chains = g.chains_at_infinity, g.dual_chains_at_infinity
         else:
             chains, dual_chains = g.chains, g.dual_chains
-        image = {perp_chain(g.ring, C) for C in chains}
-        assert image == set(dual_chains)
+        image = {perp_chain(g.ring, C) for C in point_sets(g, chains)}
+        assert image == {frozenset(g.dual_points[j] for j in row)
+                         for row in dual_chains.tolist()}
 
 
 def test_dual_chains_through_agree_with_filter(small_zoo_g):
     for g in small_zoo_g:
-        dinf = dual_infinity(g.ring)
-        assert g.dual_chains_at_infinity == frozenset(C for C in g.dual_chains if dinf in C)
+        dinf = g.dual_index(dual_infinity(g.ring))
+        assert np.array_equal(g.dual_chains_at_infinity,
+                              g.dual_chains[(g.dual_chains == dinf).any(axis=1)])
 
 
 def test_covariance_identity_and_elementary(small_zoo):
@@ -338,6 +343,36 @@ def test_dual_matches_opposite(small_zoo_g):
     for g in small_zoo_g:
         op = Geometry(g.ring.opposite(), subfield_in_opposite(g.subfield))
         assert dual_matches_opposite(g, op)
+
+
+def test_own_geometry_is_no_opposite(m2f2_g, monkeypatch):
+    """Negative control: matrix2(2)'s own Geometry, passed as its opposite,
+    fails the opposite-ring check and the suite's opposite_equivalent; so
+    does the opposite ring with the scalar subfield for the Singer one,
+    whose line is the same and whose chains are not."""
+    assert not dual_matches_opposite(m2f2_g, m2f2_g)
+    R = m2f2_g.ring
+    scalar = Geometry(R.opposite(), subfield_in_opposite(build_subfield(R, "scalar")))
+    assert np.array_equal(m2f2_g.dual_keys, scalar.point_keys)
+    assert not dual_matches_opposite(m2f2_g, scalar)
+    monkeypatch.setattr(suites, "Geometry", lambda R, K: m2f2_g)
+    rep = suites.duality_suite(m2f2_g)
+    assert rep["opposite_equivalent"] is False and not rep["ok"]
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch):
+    """Negative control: with the annihilators of R(0, 1) and R(1, 1)
+    swapped in perp, the suite's chain bijection and bidual check fail."""
+    g = request.getfixturevalue(f"{name}_g")
+    rep = suites.duality_suite(g)
+    assert rep["chain_bijection"] and rep["bidual_fixed"]
+    perp = g.perp.copy()
+    perp[g.affine[:2]] = perp[g.affine[1::-1]]
+    monkeypatch.setattr(g, "perp", perp)
+    rep = suites.duality_suite(g)
+    assert rep["chain_bijection"] is False and rep["bidual_fixed"] is False
+    assert not rep["ok"]
 
 
 def test_word_length_bound_matches(zoo_g):

@@ -51,6 +51,19 @@ def test_perp_array_matches_the_oracle(zoo_and_opposites_g):
                                                       for p in g.points], g.ring.name
 
 
+def test_dual_coords_match_the_definition(zoo_and_opposites_g):
+    """dual_coords holds -w v^-1 at a dual point (v, w)^T R with v a unit,
+    the x of (-1, x)^T R, and -1 where v is no unit, off the dual residue;
+    perp_coords reads it at the annihilators of the points R(x, 1)."""
+    for g in zoo_and_opposites_g:
+        R = g.ring
+        want = [-1 if R.inv(v) is None else R.neg(R.mul(w, R.inv(v)))
+                for v, w in g.dual_points]
+        assert g.dual_coords.tolist() == want, R.name
+        assert list(g.perp_coords) == [want[g.dual_points.index(perp_point(R, (x, R.one)))]
+                                       for x in R.elements()], R.name
+
+
 def test_geometries_share_no_state(f4, f4_k):
     """A Geometry over a freshly built F4 with 2*1 corrupted to 3 has a
     non-cyclic kernel at R(1, 2); its failure must not reach a Geometry over

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from chaingeom.rings import (
@@ -19,27 +20,32 @@ from chaingeom.projline import (
     word_points,
 )
 from chaingeom.chains import standard_chain
-from chaingeom.duality import dual_infinity, make_dual_point, perp_point
+from chaingeom.duality import dual_infinity, perp_point
+from chaingeom import suites
 from chaingeom.isomorph import (
     SubfieldConditionError,
-    antiiso_dual_to_point,
     antiiso_point_table,
     antiiso_word_point,
     antiiso_word_points,
     frobenius_map,
     identity_map,
     preserves_compatibility,
-    quarter_turn,
     transpose_map,
     triangular_flip_map,
     verify_subfield_condition,
 )
 
 from reference import (
+    antiiso_dual_to_point,
     apply_matrix,
     as_pairs,
     iso_point_map,
+    make_dual_point,
+    point_map,
+    point_sets,
+    quarter_turn,
     residue_restriction_is_ring_map,
+    row_set,
     transpose_law_holds,
     word_arrays,
 )
@@ -63,11 +69,11 @@ def test_identity_map_is_identity_on_points(f4, f4_g):
         assert iso_point_map(m, p) == p
 
 
-def test_iso_map_kind_guards(m2f2):
+def test_iso_map_kind_guards(m2f2, m2f2_g):
     """The map-kind guard raises, also under python -O: an isomorphism has
-    no dual-to-point map."""
+    no dual-to-point map, so it induces no sigma table."""
     with pytest.raises(RingMapError, match="needs an antiisomorphism"):
-        antiiso_dual_to_point(identity_map(m2f2), dual_infinity(m2f2))
+        antiiso_point_table(identity_map(m2f2), m2f2_g)
 
 
 def test_frobenius_permutes_line_and_fixes_standard_chain(f4, f4_k, f4_g):
@@ -75,15 +81,16 @@ def test_frobenius_permutes_line_and_fixes_standard_chain(f4, f4_k, f4_g):
     pts = f4_g.points
     image = {iso_point_map(m, p) for p in pts}
     assert image == set(pts)
-    C = standard_chain(f4, f4_k)
+    C = frozenset(as_pairs(standard_chain(f4, f4_k), f4.size))
     assert iso_chain_map(m, C) == C
-    assert iso_chain_map(m, C) in f4_g.chains
+    assert iso_chain_map(m, C) in point_sets(f4_g, f4_g.chains)
 
 
 def test_iso_maps_chains_to_chains(f4, f4_g, m2f2, m2f2_g):
     m = frobenius_map(f4)
-    for C in f4_g.chains:
-        assert iso_chain_map(m, C) in f4_g.chains
+    chains = point_sets(f4_g, f4_g.chains)
+    for C in chains:
+        assert iso_chain_map(m, C) in chains
     # inner automorphism of M2(F2): chains of the Singer geometry go to
     # chains of the conjugate-subfield geometry, which is the same set
     u = 6
@@ -91,7 +98,7 @@ def test_iso_maps_chains_to_chains(f4, f4_g, m2f2, m2f2_g):
     from chaingeom.rings import make_ring_map
     conj = make_ring_map(m2f2, m2f2,
                          lambda x: m2f2.mul(m2f2.mul(uinv, x), u), "isomorphism")
-    chains = m2f2_g.chains
+    chains = point_sets(m2f2_g, m2f2_g.chains)
     for C in chains:
         assert iso_chain_map(conj, C) in chains
 
@@ -140,7 +147,7 @@ def test_sigma_fixes_infinity(zoo_g):
             m = transpose_map(R)
         else:
             m = identity_map(R, as_antiiso=True)
-        assert antiiso_point_table(m, g)[infinity(R)] == infinity(R)
+        assert point_map(g, antiiso_point_table(m, g))[infinity(R)] == infinity(R)
         assert antiiso_word_point(m, ()) == infinity(R)
 
 
@@ -148,7 +155,7 @@ def test_sigma_formulas_exhaustive_m2f2(m2f2, m2f2_g):
     """Word images at lengths 1, 2, 3 equal the entrywise closed forms."""
     R = m2f2
     m = transpose_map(R)
-    sigma = antiiso_point_table(m, m2f2_g)
+    sigma = point_map(m2f2_g, antiiso_point_table(m, m2f2_g))
     for t1 in R.elements():
         p = make_point(R, t1, R.one)
         assert sigma[p] == make_point(R, m(t1), R.one)
@@ -169,7 +176,7 @@ def test_sigma_formulas_exhaustive_m2f2(m2f2, m2f2_g):
 def test_sigma_word_equals_sigma_of_word_point(m2f2_g, f4_g):
     for g, m in ((m2f2_g, transpose_map(m2f2_g.ring)),
                  (f4_g, frobenius_map(f4_g.ring, as_antiiso=True))):
-        R, sigma = g.ring, antiiso_point_table(m, g)
+        R, sigma = g.ring, point_map(g, antiiso_point_table(m, g))
         ws = [w for t1, t2, t3 in product(R.elements(), repeat=3)
               for w in ((t1,), (t1, t2), (t1, t2, t3))]
         points, images = word_images(m, ws)
@@ -179,7 +186,7 @@ def test_sigma_word_equals_sigma_of_word_point(m2f2_g, f4_g):
 def test_sigma_formulas_sampled_m2f3(m2f3, m2f3_g):
     R = m2f3
     m = transpose_map(R)
-    sigma = antiiso_point_table(m, m2f3_g)
+    sigma = point_map(m2f3_g, antiiso_point_table(m, m2f3_g))
     rng = random.Random(23)
     ws = []
     for _ in range(200):
@@ -201,22 +208,16 @@ def test_transpose_law(m2f2, m2f2_g):
             assert transpose_law_holds(m, M, q)
 
 
-def image_chain(sigma, C):
-    return frozenset(sigma[p] for p in C)
-
-
 def test_sigma_maps_chains_to_chains_m2f2(m2f2, m2f2_g):
     sigma = antiiso_point_table(transpose_map(m2f2), m2f2_g)
     chains = m2f2_g.chains
-    image = {image_chain(sigma, C) for C in chains}
-    assert image == set(chains)
+    assert row_set(sigma[chains]) == row_set(chains)
 
 
 def test_sigma_maps_chains_to_chains_f4_frobenius(f4, f4_g):
     sigma = antiiso_point_table(frobenius_map(f4, as_antiiso=True), f4_g)
     chains = f4_g.chains
-    image = {image_chain(sigma, C) for C in chains}
-    assert image == set(chains)
+    assert row_set(sigma[chains]) == row_set(chains)
 
 
 def test_antiiso_point_table_matches_oracle_composite(zoo_g):
@@ -224,16 +225,31 @@ def test_antiiso_point_table_matches_oracle_composite(zoo_g):
     a fresh oracle scan per point gives the same map."""
     for g in zoo_g:
         m, _ = catalogue_antiiso(g.ring)
-        want = {p: quarter_turn(g.ring, antiiso_dual_to_point(m, perp_point(g.ring, p)))
-                for p in g.points}
-        assert antiiso_point_table(m, g) == want
+        want = [quarter_turn(g.ring, antiiso_dual_to_point(m, perp_point(g.ring, p)))
+                for p in g.points]
+        assert [g.points[j] for j in antiiso_point_table(m, g)] == want
 
 
 def test_sigma_maps_infinity_chains_m2f3(m2f3, m2f3_g):
+    """All 162 chains through the far point map onto chains through it."""
     sigma = antiiso_point_table(transpose_map(m2f3), m2f3_g)
     chains = m2f3_g.chains_at_infinity
-    for C in sorted(chains, key=lambda c: sorted(c))[::9]:
-        assert image_chain(sigma, C) in chains
+    assert len(chains) == 162
+    assert row_set(sigma[chains]) == row_set(chains)
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_sigma_with_two_affine_points_swapped_fails_chains_ok(name, request, monkeypatch):
+    """Negative control: sigma followed by the transposition of R(0, 1) and
+    R(1, 1) no longer carries the suite's chains onto chains."""
+    g = request.getfixturevalue(f"{name}_g")
+    assert suites.sigma_suite(g)["chains_ok"]
+    swap = np.arange(len(g.points))
+    swap[g.affine[:2]] = g.affine[1::-1]
+    monkeypatch.setattr(suites, "antiiso_point_table",
+                        lambda m, geom: swap[antiiso_point_table(m, geom)])
+    rep = suites.sigma_suite(g)
+    assert not rep["chains_ok"] and not rep["ok"]
 
 
 def test_residue_restriction_of_induced_maps(zoo_g):
@@ -244,7 +260,7 @@ def test_residue_restriction_of_induced_maps(zoo_g):
             assert residue_restriction_is_ring_map(m, lambda p: iso_point_map(m, p))
         anti = (transpose_map(R) if R.spec.family == "matrix2"
                 else identity_map(R, as_antiiso=True))
-        sigma = antiiso_point_table(anti, g)
+        sigma = point_map(g, antiiso_point_table(anti, g))
         assert residue_restriction_is_ring_map(anti, sigma.__getitem__)
 
 
@@ -275,7 +291,8 @@ def test_triangular_flip_in_catalogue():
     m = triangular_flip_map(ring)
     K = build_subfield(ring, "scalar")
     assert verify_subfield_condition(m, K, K) in ring.unit_set
-    assert antiiso_point_table(m, Geometry(ring, K))[infinity(ring)] == infinity(ring)
+    g = Geometry(ring, K)
+    assert point_map(g, antiiso_point_table(m, g))[infinity(ring)] == infinity(ring)
 
 
 def test_sigma_suite_commutative_zoo(dual2_g, prod22_g):

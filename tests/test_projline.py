@@ -11,6 +11,7 @@ from chaingeom.projline import (
     OrbitCapExceededError,
     VerificationError,
     _bfs_levels,
+    carries,
     distant_graph,
     elementary,
     enumerate_points,
@@ -22,6 +23,7 @@ from chaingeom.projline import (
     mat_invert,
     mat_mul,
     orbit,
+    sorted_rows,
     word_point,
 )
 
@@ -110,6 +112,7 @@ sys.exit(1)
 """
 
 
+@pytest.mark.optimized(CORRUPT_F4_INVERT)
 def test_mat_invert_two_sided_check_raises_under_optimize(run_optimized):
     """The two-sided inverse check must not depend on assert, which python -O
     strips: with one corrupted product, some right inverse is not a left one."""
@@ -284,7 +287,7 @@ def test_graph_levels_match_reference_bfs(zoo_g, small_rings):
                                         for R in small_rings]
     for g in graphs:
         R = g.ring
-        component, diameters, dist = reference_levels(g.adj, g.index[infinity(R)])
+        component, diameters, dist = reference_levels(g.adj, g.points.index(infinity(R)))
         assert g.component == component, R.name
         assert g.n_components == len(diameters) and {g.diameter} == set(diameters), R.name
         assert g.dist_from_infinity == {g.points[j]: d for j, d in dist.items()}, R.name
@@ -329,6 +332,7 @@ sys.exit(1)
 """
 
 
+@pytest.mark.optimized(CORRUPT_F4_GRAPH)
 def test_distant_graph_left_inverse_check_raises_under_optimize(run_optimized):
     """The batched left-inverse check of the distant-graph kernel fails, as
     mat_invert's does, on F4 with one corrupted product, under python -O."""
@@ -457,5 +461,26 @@ def test_orbit_matches_reference_bfs(data):
         return
     rows = orbit(seeds, np.array(perms), cap).tolist()
     assert all(row == sorted(row) for row in rows)
+    assert rows == sorted(rows)
     assert len(rows) == len(want)
     assert set(map(frozenset, rows)) == want
+
+
+def set_rows(sets) -> np.ndarray:
+    return sorted_rows([sorted(S) for S in sets])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_carries_decides_as_the_set_images_do(data):
+    """carries(perm, rows, onto) holds iff the images of the index sets
+    under perm are exactly the sets of onto, with onto the image set itself
+    or another set of index sets of the same width."""
+    n = data.draw(st.integers(2, 8))
+    width = data.draw(st.integers(1, min(3, n - 1)))
+    subsets = st.frozensets(st.integers(0, n - 1), min_size=width, max_size=width)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    sets = data.draw(st.sets(subsets, min_size=1, max_size=6))
+    image = {frozenset(perm[i] for i in S) for S in sets}
+    onto = data.draw(st.sampled_from([image]) | st.sets(subsets, min_size=1, max_size=6))
+    assert carries(perm, set_rows(sets), set_rows(onto)) == (image == onto)

@@ -366,6 +366,7 @@ sys.exit(1)
 """
 
 
+@pytest.mark.optimized(CORRUPT_F4)
 def test_verify_axioms_raises_under_optimize(run_optimized):
     """verify_axioms must not depend on assert, which python -O strips."""
     proc = run_optimized(CORRUPT_F4)

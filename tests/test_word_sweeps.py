@@ -49,7 +49,7 @@ def _kernel_sweeps(geom, samples, seed):
 
 def _reference_sweeps(geom, samples, seed):
     R, m = geom.ring, _antiautomorphism(geom)
-    sigma = antiiso_point_table(m, geom)
+    sigma = reference.point_map(geom, antiiso_point_table(m, geom))
     return (reference.word_sweep(lambda ts: reference.duality_formulas_hold(geom, ts),
                                  reference.words(R, samples, seed)),
             reference.word_sweep(lambda ts: reference.sigma_formulas_hold(m, sigma, ts),
@@ -178,7 +178,7 @@ def test_corrupted_closed_forms_fail_like_the_reference(control, f4_g, dual2_g, 
     for geom in (f4_g, dual2_g, m2f2_g):
         R = geom.ring
         m, _ = suites.catalogue_antiiso(R)
-        sigma = antiiso_point_table(m, geom)
+        sigma = reference.point_map(geom, antiiso_point_table(m, geom))
 
         def holds(ts):
             if suite == "duality":
