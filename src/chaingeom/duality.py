@@ -14,8 +14,10 @@ perp_point and bidual_point read a generator off that mask by one cyclic
 span test, an exact set equality.  perp_point scans on every call and
 remembers nothing; a Geometry calls it once per point and keeps the
 answers as its perp index array, which never feeds a formula.  The
-covariance law is swept per generator: covariance_failures builds the
-same kernels for a batch of rows.  The closed formulas under test are
+covariance law is checked in one call per suite over (generator, row)
+pairs: covariance_failures scans the kernel of every row that occurs,
+groups the masks into kernel classes, and checks each distinct
+(generator, kernel class, kernel class) triple once.  The closed formulas under test are
 array functions over the operation tables, evaluated for every word of a
 sweep at once; word_dual_point is the one-word call of word_dual_points.
 """
@@ -28,7 +30,6 @@ import numpy as np
 
 from chaingeom.rings import Ring
 from chaingeom.projline import (
-    Matrix2,
     Point,
     VerificationError,
     _checked_orbit,
@@ -111,40 +112,106 @@ def perp_point(R: Ring, p: Point) -> DualPoint:
     return R.canonical_pair_right(*gen)
 
 
-# rows per slab of covariance_failures: at most this many kernel entries
-_COV_SLAB = 1 << 15
+# Slabs of the covariance scans: the row scan takes max(1, _COV_SLAB //
+# |R|^2) kernel masks at a time, the triple check about _COV_SOLUTIONS
+# solutions (set mask entries)
+_COV_SLAB = 1 << 16
+_COV_SOLUTIONS = 1 << 11
 
 
-def covariance_failures(R: Ring, M: Matrix2, rows: Iterable[tuple[int, int]]) -> int:
-    """The number of rows u (with repeats) where (u*M)-perp differs from
-    M^-1 * (u-perp), as raw solution sets, for every row at once.
-
-    Both kernels are boolean stacks over all |R|^2 candidate columns, built
-    from the operation tables in slabs of rows; the map c -> M^-1 * c is an
-    index table over the columns.
-    """
-    Minv = mat_invert(R, M)
-    if Minv is None:
-        raise VerificationError(f"covariance needs an invertible matrix, got {M}")
-    add, mul, neg = R._add_a, R._mul_a, R._neg_a
+def _kernel_classes(R: Ring, rows: np.ndarray) -> tuple:
+    """(class of every row key a*|R| + b in rows, packed class table, size
+    of every class): row c of the table is np.packbits of the kernel mask
+    {(x, y) : a*x + b*y = 0} of class c, which has size[c] members.  Every
+    row is scanned by _kernel_stack, in slabs, over uint8 copies of the
+    tables; rows whose masks are equal as bytes share a class, numbered in
+    order of first row."""
     n = R.size
-    v, w = np.arange(n)[:, None], np.arange(n)[None, :]
-    image = (add[mul[Minv[0], v], mul[Minv[1], w]] * n
-             + add[mul[Minv[2], v], mul[Minv[3], w]]).ravel()
-    rows = np.array(list(rows), dtype=np.intp).reshape(-1, 2)
-    failures = 0
+    small = np.min_scalar_type(n - 1)
+    mul, neg = R._mul_a.astype(small), R._neg_a.astype(small)
+    a, b = np.divmod(rows, n)
+    classes: dict = {}
+    of = np.empty(len(rows), dtype=np.intp)
+    row_size = np.empty(len(rows), dtype=np.intp)
     step = max(1, _COV_SLAB // (n * n))
     for r0 in range(0, len(rows), step):
-        a, b = rows[r0:r0 + step].T
-        am, bm = mul[a], mul[b]
-        ker = _kernel_stack(neg, am, bm)
-        # the rows u*M = (a*M0 + b*M2, a*M1 + b*M3)
-        lhs = _kernel_stack(neg, mul[add[am[:, M[0]], bm[:, M[2]]]],
-                            mul[add[am[:, M[1]], bm[:, M[3]]]])
-        rhs = np.zeros_like(lhs)
-        i, c = np.nonzero(ker)
-        rhs[i, image[c]] = True
-        failures += int(np.count_nonzero((lhs != rhs).any(axis=1)))
+        ker = _kernel_stack(neg, mul[a[r0:r0 + step]], mul[b[r0:r0 + step]])
+        row_size[r0:r0 + step] = np.count_nonzero(ker, axis=1)
+        of[r0:r0 + step] = [classes.setdefault(m.tobytes(), len(classes))
+                            for m in np.packbits(ker, axis=1)]
+    size = np.zeros(len(classes), dtype=np.intp)
+    size[of] = row_size
+    return of, np.frombuffer(b"".join(classes), dtype=np.uint8).reshape(len(classes), -1), size
+
+
+def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
+    """(triples, counts, table, size): every distinct (generator index,
+    class of u, class of u*M) of the pairs (M = gens[which[i]], u = the row
+    of key keys[i]), as three arrays of the same length, in sorted order,
+    with the number of pairs it stands for, and the kernel classes
+    of every row that occurs as u or u*M (_kernel_classes)."""
+    n = R.size
+    small = np.min_scalar_type(n - 1)
+    add, mul = R._add_a.astype(small), R._mul_a.astype(small)
+    which = np.asarray(which, dtype=np.intp)
+    keys = np.asarray(keys, dtype=np.intp)
+    a, b = np.divmod(keys, n)
+    m0, m1, m2, m3 = np.asarray(gens, dtype=small)[which].T
+    images = add[mul[a, m0], mul[b, m2]].astype(np.intp)  # u*M
+    images *= n
+    images += add[mul[a, m1], mul[b, m3]]
+    present = np.zeros(n * n, dtype=bool)
+    present[keys] = present[images] = True
+    rows = np.flatnonzero(present)
+    of, table, size = _kernel_classes(R, rows)
+    cls = np.zeros(n * n, dtype=np.intp)
+    cls[rows] = of
+    c = len(table)
+    # distinct triples by sorting: a plain np.unique imports numpy.ma
+    flat, counts = np.unique((which * c + cls[keys]) * c + cls[images], return_counts=True)
+    g, rest = np.divmod(flat, c * c)
+    return (g, *np.divmod(rest, c)), counts, table, size
+
+
+def covariance_failures(R: Ring, gens, which, keys) -> int:
+    """The number of pairs i, with repeats, where (u*M)-perp differs from
+    M^-1 * (u-perp) as raw solution sets, for M = gens[which[i]] and the
+    row u = (a, b) of key keys[i] = a*|R| + b.
+
+    The check of a pair depends only on M and the kernels of u and u*M.  So
+    every row that occurs gets its kernel mask from one scan, and each
+    distinct (generator, class of u, class of u*M) triple
+    (_kernel_triples) is checked once, by scattering the kernel of u
+    through the column map c -> M^-1 * c, with M^-1 from mat_invert; a
+    failing triple counts once for every pair it stands for.
+    """
+    n = R.size
+    add, mul = R._add_a.ravel(), R._mul_a.ravel()
+    (g, ker_u, ker_um), counts, table, size = _kernel_triples(R, gens, which, keys)
+    # M^-1 per generator, entries scaled by |R| as row offsets into the
+    # flat tables: M^-1 * (v, w)^T = (i0*v + i1*w, i2*v + i3*w)
+    inverse = np.zeros((4, len(gens)), dtype=np.intp)
+    for i in dict.fromkeys(g.tolist()):
+        Minv = mat_invert(R, gens[i])
+        if Minv is None:
+            raise VerificationError(f"covariance needs an invertible matrix, got {gens[i]}")
+        inverse[:, i] = Minv
+    inverse *= n
+    # slabs of about _COV_SOLUTIONS solutions: every kernel has at least
+    # |R|, so a slab unpacks at most _COV_SOLUTIONS // |R| + 1 masks
+    cut = np.flatnonzero(np.diff(np.cumsum(size[ker_u]) // _COV_SOLUTIONS)) + 1
+    edges = [0, *cut.tolist(), len(counts)]
+    failures = 0
+    for part in map(slice, edges[:-1], edges[1:]):
+        ker = np.unpackbits(table[ker_u[part]], axis=1, count=n * n).view(bool)
+        t, col = np.divmod(np.flatnonzero(ker), n * n)
+        v, w = np.divmod(col, n)
+        i0, i1, i2, i3 = inverse[:, g[part][t]]
+        rhs = np.zeros_like(ker)
+        rhs[t, add[mul[i0 + v] * n + mul[i1 + w]] * n
+            + add[mul[i2 + v] * n + mul[i3 + w]]] = True
+        bad = (np.packbits(rhs, axis=1) != table[ker_um[part]]).any(axis=1)
+        failures += int(counts[part][bad].sum())
     return failures
 
 

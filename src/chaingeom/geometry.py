@@ -16,6 +16,7 @@ import numpy as np
 
 from chaingeom.rings import Ring, Subfield
 from chaingeom.projline import (
+    OrbitCapExceededError,
     Point,
     VerificationError,
     distant_graph,
@@ -45,13 +46,15 @@ class Geometry:
     a cached property, computed on first use and shared by every task of
     one run: points and dual points, the orbit generators as one
     permutation table on each, perp, the distant graph, the chain and
-    dual-chain orbits (all from the one engine `projline.orbit`), the
+    dual-chain orbits (all from the one engine `projline.orbit`; the two
+    chain orbits through chain_rows, which takes a cap), the
     coordinates x of the points R(x, 1) and dual points (-1, x)^T R, and
     the far-point residue with its two compatibility partitions."""
 
     def __init__(self, ring: Ring, subfield: Subfield):
         self.ring = ring
         self.subfield = subfield
+        self._chain_rows: dict = {}  # through_infinity -> chain rows
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -140,16 +143,30 @@ class Geometry:
         R = self.ring
         return index_of(self.dual_keys, standard_chain(R, self.subfield, R._right_key))
 
-    @cached_property
+    def chain_rows(self, through_infinity: bool = False, cap: int = ORBIT_CAP) -> np.ndarray:
+        """The chains, or with through_infinity the chains through R(1, 0),
+        built once.  Raises OrbitCapExceededError if there are more than
+        cap: a first build hands min(cap, ORBIT_CAP) to the orbit engine,
+        which stops as soon as the orbit passes it."""
+        if through_infinity not in self._chain_rows:
+            perms = self.perms[1:] if through_infinity else self.perms
+            self._chain_rows[through_infinity] = orbit([self._seed], perms,
+                                                       min(cap, ORBIT_CAP))
+        rows = self._chain_rows[through_infinity]
+        if len(rows) > cap:
+            raise OrbitCapExceededError(f"chain orbit on {self.ring.name} exceeded cap {cap}")
+        return rows
+
+    @property
     def chains(self) -> np.ndarray:
         """Every chain: the orbit of the standard chain."""
-        return orbit([self._seed], self.perms, ORBIT_CAP)
+        return self.chain_rows()
 
-    @cached_property
+    @property
     def chains_at_infinity(self) -> np.ndarray:
         """The chains through R(1, 0), which the standard chain passes
         through: its stabilizer orbit."""
-        return orbit([self._seed], self.perms[1:], ORBIT_CAP)
+        return self.chain_rows(through_infinity=True)
 
     @cached_property
     def dual_chains(self) -> np.ndarray:

@@ -15,8 +15,8 @@ Every orbit of the package comes from one engine, `orbit`, over
 permutation tables: here of canonical pairs, elsewhere of points, dual
 points and ring elements.  Orbits under GL2(R) apply its generating set
 orbit_generators (9 matrices on both matrix2 rings); line_generators is
-the whole E(t) and diagonal family, which the covariance sweep checks one
-matrix at a time.
+the whole E(t) and diagonal family, the generators of the covariance
+check.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ seeded-sample check counts, and any witnesses worth recording.  Rings with
 at most 16 elements are always swept exhaustively; on the 81-element
 matrix ring the duality and sigma suites take explicit sample counts and
 seeds for their words and covariance rows instead.  Each of those two
-suites draws from one random.Random(seed), in bulk with rng.choices: the
-word lengths, then their letters, and in the duality suite then the
-covariance (generator, row) pairs.  The word sweeps are array kernels:
+suites draws from one random.Random(seed): the word lengths, then their
+letters, each in bulk from rng.randbytes by rejection, and in the
+duality suite then the covariance (generator, row) pairs with
+rng.choices.  The duality suite checks the covariance law in one call
+over all its (generator, row) pairs.  The word sweeps are array kernels:
 every word is drawn into (letters, lengths) arrays, every closed form is
 evaluated for all words at once, and one driver, _word_sweep, counts the
 failures over boolean masks.  The chain checks read the Geometry's chain
@@ -25,7 +27,6 @@ import numpy as np
 
 from chaingeom.rings import Ring, is_normal_subgroup, normality_witness, subfield_in_opposite
 from chaingeom.projline import (
-    OrbitCapExceededError,
     carries,
     index_of,
     infinity,
@@ -90,14 +91,29 @@ def graph_report(geom: Geometry) -> dict:
 def chain_report(geom: Geometry, through_infinity: bool = False,
                  cap: int = 10 ** 6) -> dict:
     """The full chain orbit, or with through_infinity the chains through the
-    far point."""
-    R, K = geom.ring, geom.subfield
-    chains = geom.chains_at_infinity if through_infinity else geom.chains
-    if len(chains) > cap:
-        raise OrbitCapExceededError(f"chain orbit on {R.name} exceeded cap {cap}")
+    far point, built under cap.  It is ok iff every row lists distinct
+    points in increasing order and every orbit generator (each but E(0)
+    with through_infinity) carries the chain set onto itself."""
+    K = geom.subfield
+    chains = geom.chain_rows(through_infinity, cap)
+    perms = geom.perms[1:] if through_infinity else geom.perms
     key = "chains_through_infinity" if through_infinity else "chains"
-    return {"ok": chains.shape[1] == len(K.elements) + 1, key: len(chains),
-            "chain_size": len(K.elements) + 1}
+    return {"ok": bool((np.diff(chains, axis=1) > 0).all())
+            and all(carries(p, chains, chains) for p in perms),
+            key: len(chains), "chain_size": len(K.elements) + 1}
+
+
+def _uniform(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """count draws uniform in range(n), for n <= 256 (rings have at most
+    rings.SIZE_CAP elements), from rng.randbytes by rejection: each round
+    asks for as many bytes as draws are missing, and a byte b is kept, as
+    b % n, iff b < 256 - 256 % n."""
+    bound = 256 - 256 % n
+    kept = np.empty(0, dtype=np.uint8)
+    while len(kept) < count:
+        got = np.frombuffer(rng.randbytes(count - len(kept)), dtype=np.uint8)
+        kept = np.concatenate([kept, got[got < bound]])
+    return (kept % n).astype(np.intp)
 
 
 def _words(R: Ring, samples: int, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +122,7 @@ def _words(R: Ring, samples: int, rng: random.Random) -> tuple[np.ndarray, np.nd
     the rest of the row is zero.  Rings with at most EXHAUSTIVE_LIMIT
     elements give every word, each (t1,) followed by its extensions
     (t1, t2), each of those followed by its (t1, t2, t3); larger rings give
-    `samples` words drawn from rng in two calls: every length from
+    `samples` words drawn from rng in two _uniform draws: every length from
     (1, 2, 3), then three letters per word from R, of which the word keeps
     the first lengths[i]."""
     n = R.size
@@ -117,9 +133,10 @@ def _words(R: Ring, samples: int, rng: random.Random) -> tuple[np.ndarray, np.nd
         lengths = np.where(r == 0, 1, np.where(s == 0, 2, 3))
         letters = np.stack([t1, t2, s - 1], axis=1)
     else:
-        lengths = np.array(rng.choices((1, 2, 3), k=samples))
-        letters = np.array(rng.choices(R.elements(), k=3 * samples)).reshape(samples, 3)
-    return letters * (np.arange(3) < lengths[:, None]), lengths
+        lengths = _uniform(rng, 3, samples) + 1
+        letters = _uniform(rng, n, 3 * samples).reshape(samples, 3)
+    letters *= np.arange(3) < lengths[:, None]
+    return letters, lengths
 
 
 def _word_sweep(R: Ring, stages, rows=None) -> tuple[int, int, Optional[int]]:
@@ -212,17 +229,14 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     rep.update(duality_words(geom, *_words(R, samples, rng)))
 
     gens = line_generators(R)
-    if small:
-        all_rows = [(a, b) for a in R.elements() for b in R.elements()]
-        cov_rows = {i: all_rows for i in range(len(gens))}
+    if small:  # every generator x every row
+        which, keys = np.divmod(np.arange(len(gens) * R.size ** 2), R.size ** 2)
     else:
         count = max(1, samples // 20)
-        cov_rows = {}
-        for i, key in zip(rng.choices(range(len(gens)), k=count),
-                          rng.choices(range(R.size ** 2), k=count)):
-            cov_rows.setdefault(i, []).append(divmod(key, R.size))
-    cov_failures = sum(covariance_failures(R, gens[i], rows) for i, rows in cov_rows.items())
-    rep["covariance_checks"] = sum(map(len, cov_rows.values()))
+        which = rng.choices(range(len(gens)), k=count)
+        keys = rng.choices(range(R.size ** 2), k=count)
+    cov_failures = covariance_failures(R, gens, which, keys)
+    rep["covariance_checks"] = len(keys)
     rep["covariance_failures"] = cov_failures
 
     rep["bidual_fixed"] = all(bidual_point(R, geom.dual_points[j]) == p

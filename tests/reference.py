@@ -16,7 +16,8 @@ the admissibility tables, and `line_perms`, the whole generator family
 as permutation tables.  Helpers serve the tests around them: `corrupt`
 changes one entry of a fresh ring's operation table,
 `word_arrays`/`as_pairs` feed a list of words to the array kernels in
-one call, and `point_sets`, `row_set` and `point_map` read index rows
+one call, `uniform_bytes` is the byte-by-byte form of the sampled word
+draw, and `point_sets`, `row_set` and `point_map` read index rows
 and index permutations as sets and dicts of points.
 """
 
@@ -547,13 +548,26 @@ def residue_restriction_is_ring_map(m, point_map):
 
 # word sweeps ----------------------------------------------------------------------
 
+def uniform_bytes(rng, n, count):
+    """count values uniform in range(n) from rng.randbytes, one byte at a
+    time: a round asks for one byte per value still missing, and each byte
+    b < 256 - 256 % n in it gives the value b % n; the other bytes are
+    dropped."""
+    values = []
+    while len(values) < count:
+        for b in rng.randbytes(count - len(values)):
+            if b < 256 - 256 % n:
+                values.append(b % n)
+    return values
+
+
 def words(R, samples, seed):
     """Elementary words of length 1 to 3.  Rings with at most
     EXHAUSTIVE_LIMIT elements give every word, each (t1,) followed by its
     extensions (t1, t2), each of those followed by its (t1, t2, t3); larger
     rings give `samples` words from random.Random(seed), by the suites' two
-    bulk draws (every length, then three letters per word, of which the
-    word keeps the first n), one word at a time."""
+    rejection draws from its bytes (every length, then three letters per
+    word, of which the word keeps the first n), one word at a time."""
     if R.size <= EXHAUSTIVE_LIMIT:
         for t1 in R.elements():
             yield (t1,)
@@ -563,8 +577,8 @@ def words(R, samples, seed):
                     yield (t1, t2, t3)
     else:
         rng = random.Random(seed)
-        lengths = rng.choices((1, 2, 3), k=samples)
-        letters = rng.choices(R.elements(), k=3 * samples)
+        lengths = [k + 1 for k in uniform_bytes(rng, 3, samples)]
+        letters = uniform_bytes(rng, R.size, 3 * samples)
         for i, n in enumerate(lengths):
             yield tuple(letters[3 * i:3 * i + n])
 

@@ -13,6 +13,7 @@ from chaingeom.projline import (
     orbit,
 )
 from chaingeom.chains import residue_at, standard_chain
+from chaingeom.suites import chain_report
 from chaingeom.rings import conjugate_subfield
 
 from reference import as_pairs, distant, line_perms, point_sets
@@ -228,6 +229,60 @@ def test_orbit_cap(f4_g):
     with pytest.raises(OrbitCapExceededError):
         orbit(seed, f4_g.perms, cap=3)
     assert len(orbit(seed, f4_g.perms, cap=10)) == 10
+
+
+class CountingPerms(np.ndarray):
+    """A permutation table that adds the number of images of every gather
+    by an index array to gathered."""
+
+    gathered = 0
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        if any(isinstance(i, np.ndarray) for i in (index if isinstance(index, tuple)
+                                                   else (index,))):
+            CountingPerms.gathered += out.size
+            return np.asarray(out)
+        return out
+
+
+@pytest.mark.parametrize("through_infinity", [False, True])
+def test_chain_report_cap_stops_the_engine(m2f3, m2f3_k, through_infinity):
+    """A cap of 1 stops the orbit engine one level past the standard chain,
+    with 9 of 2,106 chains (162 through the far point) imaged, and leaves
+    nothing built; without the cap every chain is imaged."""
+    geom = Geometry(m2f3, m2f3_k)
+    geom.perms = geom.perms.view(CountingPerms)
+    generators = len(geom.perms) - through_infinity
+    CountingPerms.gathered = 0
+    with pytest.raises(OrbitCapExceededError):
+        chain_report(geom, through_infinity, cap=1)
+    assert CountingPerms.gathered == generators * 10  # the seed's images
+    assert geom._chain_rows == {}
+    CountingPerms.gathered = 0
+    rep = chain_report(geom, through_infinity)
+    assert rep["ok"] and len(geom.chain_rows(through_infinity)) == (162 if through_infinity
+                                                                     else 2106)
+    # the engine's images, then the report's carries check, of every chain
+    chains = len(geom.chain_rows(through_infinity))
+    assert CountingPerms.gathered == 2 * generators * chains * 10
+    with pytest.raises(OrbitCapExceededError):  # a built orbit over the cap
+        chain_report(geom, through_infinity, cap=chains - 1)
+
+
+@pytest.mark.parametrize("through_infinity", [False, True])
+def test_chain_report_ok_can_fail(zoo_g, through_infinity):
+    """Negative controls: a row with a repeated point, and the chain set
+    with one row dropped, each turn ok false; the clean set passes."""
+    for g in zoo_g[:4]:
+        geom = Geometry(g.ring, g.subfield)
+        clean = geom.chain_rows(through_infinity)
+        assert chain_report(geom, through_infinity)["ok"], g.ring.name
+        repeated = clean.copy()
+        repeated[0, 1] = repeated[0, 0]
+        for bad in (repeated, clean[1:]):
+            geom._chain_rows[through_infinity] = bad
+            assert not chain_report(geom, through_infinity)["ok"], g.ring.name
 
 
 def test_triangular_family_pipeline():

@@ -219,34 +219,66 @@ def test_covariance_random_subsets_dual2(dual2, U, t1, t2):
     assert covariance_holds(dual2, U, M)
 
 
-def loop_covariance_failures(R, M, rows):
-    return sum(not covariance_holds(R, [u], M) for u in rows)
+def loop_covariance_failures(R, gens, which, keys):
+    """The pairs (gens[i], row of key k) of which x keys that fail
+    covariance_holds, one row at a time, with repeats."""
+    return sum(not covariance_holds(R, [divmod(k, R.size)], gens[i])
+               for i, k in zip(which, keys))
+
+
+def every_pair(R, gens):
+    """(which, keys) of every generator x every row."""
+    return np.divmod(np.arange(len(gens) * R.size ** 2), R.size ** 2)
 
 
 def test_covariance_failures_matches_holds(small_rings):
-    """The batched sweep counts what covariance_holds finds row by row, for
-    every generator and row of every ring with at most 16 elements."""
+    """The one call over every generator x every row counts what
+    covariance_holds finds row by row, on every ring with at most 16
+    elements."""
     for R in small_rings:
-        rows = [(a, b) for a in R.elements() for b in R.elements()]
-        for M in line_generators(R):
-            assert covariance_failures(R, M, rows) == loop_covariance_failures(R, M, rows)
+        gens = line_generators(R)
+        which, keys = every_pair(R, gens)
+        assert (covariance_failures(R, gens, which, keys)
+                == loop_covariance_failures(R, gens, which, keys) == 0), R.name
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(0, 176), st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)),
-                                     min_size=1, max_size=12))
-def test_covariance_failures_matches_holds_m2f3(m2f3, g, rows):
-    M = line_generators(m2f3)[g]
-    assert covariance_failures(m2f3, M, rows) == loop_covariance_failures(m2f3, M, rows)
+@given(st.lists(st.tuples(st.integers(0, 176), st.just(0) | st.integers(0, 6560)),
+                min_size=1, max_size=12),
+       st.integers(0, 12))
+def test_covariance_failures_matches_holds_m2f3(m2f3, pairs, repeats):
+    """Drawn (generator, row) multisets on matrix2(3), with the zero row and
+    the first pairs given again."""
+    pairs = pairs + pairs[:repeats]
+    gens = line_generators(m2f3)
+    which, keys = zip(*pairs)
+    assert (covariance_failures(m2f3, gens, which, keys)
+            == loop_covariance_failures(m2f3, gens, which, keys))
+
+
+def test_covariance_failures_counts_repeats():
+    """A failing pair given twice counts twice, next to passing pairs; on a
+    ring with one corrupted product."""
+    spec = RingSpec("dual-numbers", 2)
+    R = corrupt(DualNumbersRing(spec), "mul", (2, 2), 2)
+    gens = line_generators(R)
+    which, keys = every_pair(R, gens)
+    fails = [not covariance_holds(R, [divmod(int(k), R.size)], gens[i])
+             for i, k in zip(which, keys)]
+    bad, good = fails.index(True), fails.index(False)
+    assert covariance_failures(R, gens, [which[bad]], [keys[bad]]) == 1
+    assert covariance_failures(R, gens, which[[bad, good, bad]], keys[[bad, good, bad]]) == 2
+    assert covariance_failures(R, gens, which, keys) == sum(fails)
 
 
 def covariance_sweep(R, count):
     """Per generator, the failure count over every row, or "raise"."""
-    rows = [(a, b) for a in R.elements() for b in R.elements()]
+    gens = line_generators(R)
+    keys = np.arange(R.size ** 2)
     out = []
-    for M in line_generators(R):
+    for i in range(len(gens)):
         try:
-            out.append(count(R, M, rows))
+            out.append(count(R, gens, np.full(len(keys), i), keys))
         except VerificationError:
             out.append("raise")
     return out
@@ -255,17 +287,51 @@ def covariance_sweep(R, count):
 @pytest.mark.parametrize("cls, spec", [(FiniteFieldRing, RingSpec("finite-field", 4)),
                                        (DualNumbersRing, RingSpec("dual-numbers", 2))])
 def test_covariance_sweep_negative_control(cls, spec):
-    """Every single corrupted product makes the sweep fail or raise, never
-    pass, and the batched counts equal the row-by-row ones."""
+    """Every single corrupted product makes the one call over every
+    generator x every row fail or raise, never pass; per generator, the
+    counts equal the row-by-row ones."""
     clean = build_ring(spec)._mul_t
     for a, b, value in itertools.product(range(len(clean)), repeat=3):
         if value == clean[a][b]:
             continue
         R = corrupt(cls(spec), "mul", (a, b), value)
+        gens = line_generators(R)
         swept = covariance_sweep(R, covariance_failures)
-        assert any(x == "raise" or x > 0 for x in swept), (a, b, value)
-        assert (covariance_sweep(R, covariance_failures)
-                == covariance_sweep(R, loop_covariance_failures)), (a, b, value)
+        try:
+            assert covariance_failures(R, gens, *every_pair(R, gens)) > 0, (a, b, value)
+            assert "raise" not in swept
+        except VerificationError:
+            assert "raise" in swept
+        assert swept == covariance_sweep(R, loop_covariance_failures), (a, b, value)
+
+
+# The one covariance call under python -O: a corrupted product that keeps
+# every generator invertible gives failures, and one that does not raises.
+COVARIANCE_UNDER_OPTIMIZE = """
+import numpy as np
+from chaingeom.duality import covariance_failures
+from chaingeom.projline import VerificationError, line_generators
+from chaingeom.rings import DualNumbersRing, RingSpec
+assert not __debug__, "expected to run under python -O"
+for at, value in (((2, 2), 2), ((1, 0), 1)):
+    R = DualNumbersRing(RingSpec("dual-numbers", 2))  # fresh, not the cached instance
+    mul = R._mul_a.copy(); mul[at] = value
+    R._mul_a = mul; R._fill_arrays()
+    gens = line_generators(R)
+    which, keys = np.divmod(np.arange(len(gens) * 16), 16)
+    try:
+        print(covariance_failures(R, gens, which, keys))
+    except VerificationError as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.optimized(COVARIANCE_UNDER_OPTIMIZE)
+def test_covariance_failures_fail_under_optimize(run_optimized):
+    proc = run_optimized(COVARIANCE_UNDER_OPTIMIZE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    count, raised = proc.stdout.split()
+    assert int(count) > 0 and raised == "VerificationError"
 
 
 def word_images(R, ws):

@@ -73,6 +73,37 @@ def test_words_match_reference_sampled_m2f3(m2f3, seed):
     assert _word_list(m2f3, 10 ** 4, seed) == list(reference.words(m2f3, 10 ** 4, seed))
 
 
+class CyclingBytes:
+    """A stand-in rng whose randbytes gives the bytes 0, 1, ..., 255, 0,
+    1, ... in turn; given records every byte it gave."""
+
+    def __init__(self):
+        self.given = []
+
+    def randbytes(self, k):
+        out = bytes((len(self.given) + i) % 256 for i in range(k))
+        self.given += out
+        return out
+
+
+def test_sampled_draw_never_uses_bytes_at_or_above_the_bound(m2f3):
+    """The lengths come from the bytes below 255 = 3 * 85 and the letters
+    from the bytes below 243 = 3 * 81 that follow them; every other byte is
+    skipped, and no byte is asked for that the draw does not need."""
+    samples = 300
+    rng = CyclingBytes()
+    letters, lengths = suites._words(m2f3, samples, rng)
+    given = rng.given
+    split = [i for i, b in enumerate(given) if b < 255][samples - 1] + 1
+    want_lengths = [b % 3 + 1 for b in given[:split] if b < 255]
+    want_letters = [b % 81 for b in given[split:] if b < 243]
+    assert lengths.tolist() == want_lengths
+    assert len(want_letters) == 3 * samples and given[-1] < 243
+    assert letters.tolist() == [want_letters[3 * i:3 * i + n] + [0] * (3 - n)
+                                for i, n in enumerate(want_lengths)]
+    assert 255 in given[:split] and max(given[split:]) >= 243  # some bytes were skipped
+
+
 def test_sweeps_match_reference_on_small_rings_and_opposites(small_zoo_g):
     for geom in _with_opposites(small_zoo_g):
         kernel = _kernel_sweeps(geom, 10 ** 4, SEED)
