@@ -8,23 +8,27 @@ The annihilator map sends a point R(a, b) to the full solution set
 |R|^2 candidate columns, followed by extraction of an admissible cyclic
 generator.  This is the definition-level oracle that every closed formula
 in the package is tested against, so it never reuses those formulas.  One
-kernel builds every solution set: a boolean mask over the keys x*|R| + y
-of all candidate columns, r[x] == -s[y] tested from the operation tables.
-perp_point and bidual_point read a generator off that mask by one cyclic
-span test, an exact set equality.  perp_point scans on every call and
-remembers nothing; a Geometry calls it once per point and keeps the
-answers as its perp index array, which never feeds a formula.  The
-covariance law is checked in one call per suite over (generator, row)
-pairs: covariance_failures scans the kernel of every row that occurs,
-groups the masks into kernel classes, and checks each distinct
-(generator, kernel class, kernel class) triple once.  The closed formulas under test are
+driver, projline.solution_slabs, builds every solution set, in slabs of
+many rows at once: a boolean mask over the keys x*|R| + y of all candidate
+columns, a*x == -b*y tested from the operation tables.  perp_keys and
+bidual_keys read the generators of a whole batch of points, or dual
+points, off those masks by one cyclic span test per slab, an exact set
+equality, and fall back to a search in key order for a row whose least
+admissible key does not span; perp_point and bidual_point are their
+one-point calls.  They scan on every call and remember nothing; a
+Geometry makes one perp_keys call over its points and keeps the answers
+as its perp index array, which never feeds a formula.  The covariance law
+is checked in one call per suite over (generator, row) pairs:
+covariance_failures scans the kernel of every row that occurs, groups the
+masks into kernel classes, and checks each distinct (generator, kernel
+class, kernel class) triple once.  The closed formulas under test are
 array functions over the operation tables, evaluated for every word of a
 sweep at once; word_dual_point is the one-word call of word_dual_points.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from chaingeom.projline import (
     carries,
     mat_invert,
     one_word,
+    solution_slabs,
 )
 
 DualPoint = tuple[int, int]
@@ -68,21 +73,6 @@ def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
 
 # the annihilator oracle ----------------------------------------------------
 
-def _kernel_stack(neg: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row i is the raveled |R| x |R| mask r[i, x] + s[i, y] = 0, tested as
-    r[i, x] == -s[i, y] over every candidate column (x, y)."""
-    return (r[:, :, None] == neg[s][:, None, :]).reshape(len(r), r.shape[1] * s.shape[1])
-
-
-def annihilator_pairs(R: Ring, rows: Iterable[tuple[int, int]]) -> np.ndarray:
-    """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in rows},
-    as a boolean mask over the keys x*|R| + y of all |R|^2 candidate columns."""
-    rows = list(rows)
-    r = np.array([R.left_products(a) for a, _ in rows], dtype=np.intp).reshape(-1, R.size)
-    s = np.array([R.left_products(b) for _, b in rows], dtype=np.intp).reshape(-1, R.size)
-    return _kernel_stack(R._neg_a, r, s).all(axis=0)
-
-
 def _cyclic_generator(kernel: np.ndarray, products: np.ndarray,
                       ok: np.ndarray) -> Optional[tuple[int, int]]:
     """The least pair (v, w), by key v*|R| + w, of the kernel mask that the
@@ -99,49 +89,85 @@ def _cyclic_generator(kernel: np.ndarray, products: np.ndarray,
     return None
 
 
-def perp_point(R: Ring, p: Point) -> DualPoint:
-    """The annihilator of R(a, b) as a canonical dual point.
+def _generators(kernels: np.ndarray, products: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The key of _cyclic_generator for every kernel mask, a row of kernels,
+    or -1 where it finds none.  The least admitted key of every row is
+    tried at once, by one span-equality test; a row where it does not span
+    goes to _cyclic_generator, which tries the rest in order."""
+    n, admitted = len(products), ok.ravel()
+    rows = np.arange(len(kernels))
+    first = (kernels & admitted).argmax(axis=1)  # 0 if the row admits none
+    v, w = np.divmod(first, n)
+    span = np.zeros_like(kernels)
+    span[rows[:, None], products[v] * n + products[w]] = True
+    gen = np.where(admitted[first] & kernels[rows, first] & (span == kernels).all(axis=1),
+                   first, -1)
+    for i in np.flatnonzero(gen < 0).tolist():
+        found = _cyclic_generator(kernels[i], products, ok)
+        if found is not None:
+            gen[i] = found[0] * n + found[1]
+    return gen
 
-    Scans the kernel, finds an admissible column whose cyclic right span
-    {(v*x, w*x)} is the whole kernel, and returns it canonicalized; raises
-    PerpNotCyclicError if there is none (never on zoo rings).
+
+def _generator_keys(R: Ring, keys, left: bool, failure: str) -> np.ndarray:
+    """Canonical keys of the generators of the solution sets = 0 of keys
+    (solution_slabs; with left the left kernels of columns), slab by slab:
+    the least admissible pair, by key, whose cyclic span is the set (with
+    left, admissible as a row and spanning {(x*a, x*b)}).  Raises
+    PerpNotCyclicError, with failure formatted by the first such pair and
+    the ring name, at the first key whose set has no generator."""
+    n = R.size
+    products, ok, canonical = ((R._mul_a.T, R._rows_ok, R._left_key) if left
+                               else (R._mul_a, R._cols_ok, R._right_key))
+    keys = np.asarray(keys, dtype=np.intp)
+    out = np.empty(len(keys), dtype=np.intp)
+    for part, kernels in solution_slabs(R, keys, R.zero, left):
+        gen = _generators(kernels, products, ok)
+        if (gen < 0).any():
+            bad = int(keys[part][np.argmax(gen < 0)])
+            raise PerpNotCyclicError(failure.format(divmod(bad, n), R.name))
+        out[part] = canonical.ravel()[gen]
+    return out
+
+
+def perp_keys(R: Ring, keys) -> np.ndarray:
+    """The annihilators of the points of keys a*|R| + b, as canonical dual
+    keys v*|R| + w.
+
+    Scans the kernel {(x, y)^T : a*x + b*y = 0} of every point, finds the
+    least admissible column whose cyclic right span {(v*x, w*x)} is the
+    whole kernel, and canonicalizes it; raises PerpNotCyclicError if there
+    is none (never on zoo rings).
     """
-    gen = _cyclic_generator(annihilator_pairs(R, [p]), R._mul_a, R._cols_ok)
-    if gen is None:
-        raise PerpNotCyclicError(f"kernel of {p} over {R.name} has no admissible generator")
-    return R.canonical_pair_right(*gen)
+    return _generator_keys(R, keys, False, "kernel of {} over {} has no admissible generator")
 
 
-# Slabs of the covariance scans: the row scan takes max(1, _COV_SLAB //
-# |R|^2) kernel masks at a time, the triple check about _COV_SOLUTIONS
-# solutions (set mask entries)
-_COV_SLAB = 1 << 16
+def perp_point(R: Ring, p: Point) -> DualPoint:
+    """The annihilator of R(a, b) as a canonical dual point: the one-point
+    call of perp_keys."""
+    return divmod(int(perp_keys(R, [p[0] * R.size + p[1]])[0]), R.size)
+
+
+# Chunks of the covariance kernel: _COV_PAIRS (generator, row) pairs at a
+# time, and slabs of the triple check of about _COV_SOLUTIONS solutions
+# (set mask entries)
+_COV_PAIRS = 1 << 11
 _COV_SOLUTIONS = 1 << 11
 
 
 def _kernel_classes(R: Ring, rows: np.ndarray) -> tuple:
     """(class of every row key a*|R| + b in rows, packed class table, size
     of every class): row c of the table is np.packbits of the kernel mask
-    {(x, y) : a*x + b*y = 0} of class c, which has size[c] members.  Every
-    row is scanned by _kernel_stack, in slabs, over uint8 copies of the
-    tables; rows whose masks are equal as bytes share a class, numbered in
-    order of first row."""
-    n = R.size
-    small = np.min_scalar_type(n - 1)
-    mul, neg = R._mul_a.astype(small), R._neg_a.astype(small)
-    a, b = np.divmod(rows, n)
+    {(x, y) : a*x + b*y = 0} of class c, which has size[c] members, its
+    set bits.  Every row is scanned by solution_slabs; rows whose masks are
+    equal as bytes share a class, numbered in order of first row."""
     classes: dict = {}
     of = np.empty(len(rows), dtype=np.intp)
-    row_size = np.empty(len(rows), dtype=np.intp)
-    step = max(1, _COV_SLAB // (n * n))
-    for r0 in range(0, len(rows), step):
-        ker = _kernel_stack(neg, mul[a[r0:r0 + step]], mul[b[r0:r0 + step]])
-        row_size[r0:r0 + step] = np.count_nonzero(ker, axis=1)
-        of[r0:r0 + step] = [classes.setdefault(m.tobytes(), len(classes))
-                            for m in np.packbits(ker, axis=1)]
-    size = np.zeros(len(classes), dtype=np.intp)
-    size[of] = row_size
-    return of, np.frombuffer(b"".join(classes), dtype=np.uint8).reshape(len(classes), -1), size
+    for part, ker in solution_slabs(R, rows, R.zero):
+        of[part] = [classes.setdefault(m.tobytes(), len(classes))
+                    for m in np.packbits(ker, axis=1)]
+    table = np.frombuffer(b"".join(classes), dtype=np.uint8).reshape(len(classes), -1)
+    return of, table, np.bitwise_count(table).sum(axis=1, dtype=np.intp)
 
 
 def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
@@ -149,26 +175,34 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     class of u, class of u*M) of the pairs (M = gens[which[i]], u = the row
     of key keys[i]), as three arrays of the same length, in sorted order,
     with the number of pairs it stands for, and the kernel classes
-    of every row that occurs as u or u*M (_kernel_classes)."""
+    of every row that occurs as u or u*M (_kernel_classes).  The pairs are
+    taken _COV_PAIRS at a time; of each, only the key of u*M, in the
+    narrowest dtype that holds it, and the intp triple code are kept."""
     n = R.size
     small = np.min_scalar_type(n - 1)
     add, mul = R._add_a.astype(small), R._mul_a.astype(small)
-    which = np.asarray(which, dtype=np.intp)
-    keys = np.asarray(keys, dtype=np.intp)
-    a, b = np.divmod(keys, n)
-    m0, m1, m2, m3 = np.asarray(gens, dtype=small)[which].T
-    images = add[mul[a, m0], mul[b, m2]].astype(np.intp)  # u*M
-    images *= n
-    images += add[mul[a, m1], mul[b, m3]]
+    gens = np.asarray(gens, dtype=small)
+    which, keys = np.asarray(which), np.asarray(keys)
+    chunks = [slice(i, i + _COV_PAIRS) for i in range(0, len(keys), _COV_PAIRS)]
+    images = np.empty(len(keys), dtype=np.min_scalar_type(n * n - 1))  # u*M
+    for part in chunks:
+        a, b = np.divmod(keys[part], n)
+        m0, m1, m2, m3 = gens[which[part]].T
+        images[part] = (add[mul[a, m0], mul[b, m2]].astype(images.dtype) * n
+                        + add[mul[a, m1], mul[b, m3]])
     present = np.zeros(n * n, dtype=bool)
     present[keys] = present[images] = True
     rows = np.flatnonzero(present)
     of, table, size = _kernel_classes(R, rows)
-    cls = np.zeros(n * n, dtype=np.intp)
-    cls[rows] = of
     c = len(table)
+    cls = np.zeros(n * n, dtype=np.min_scalar_type(c - 1))
+    cls[rows] = of
+    # intp, a dtype every run has sorted already: a narrower one pages in more sort code
+    code = np.empty(len(keys), dtype=np.intp)
+    for part in chunks:
+        code[part] = (which[part] * c + cls[keys[part]]) * c + cls[images[part]]
     # distinct triples by sorting: a plain np.unique imports numpy.ma
-    flat, counts = np.unique((which * c + cls[keys]) * c + cls[images], return_counts=True)
+    flat, counts = np.unique(code, return_counts=True)
     g, rest = np.divmod(flat, c * c)
     return (g, *np.divmod(rest, c)), counts, table, size
 
@@ -270,18 +304,20 @@ def length3_perp_formula(R: Ring, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray
 
 # bidual and opposite --------------------------------------------------------
 
+def bidual_keys(R: Ring, keys) -> np.ndarray:
+    """The annihilators of the dual points of keys v*|R| + w, back on the
+    line via the canonical identification of R^2 with its bidual, as
+    canonical point keys a*|R| + b: the bidual of p is the perp_keys image
+    sent through bidual_keys.  The left kernel holds the rows (a, b) with
+    a*v + b*w = 0, over all |R|^2 rows; its generator spans it as
+    {(x*a, x*b)}."""
+    return _generator_keys(R, keys, True, "left kernel of {} over {} not cyclic")
+
+
 def bidual_point(R: Ring, q: DualPoint) -> Point:
-    """The annihilator of a dual point, back on the line via the canonical
-    identification of R^2 with its bidual: the bidual of p is
-    bidual_point(R, perp_point(R, p)).  The left kernel holds the rows
-    (a, b) with a*v + b*w = 0, over all |R|^2 rows; its generator spans it
-    as {(x*a, x*b)}."""
-    cols = R._mul_a.T  # cols[v, x] = x*v
-    kern = _kernel_stack(R._neg_a, cols[[q[0]]], cols[[q[1]]])[0]
-    gen = _cyclic_generator(kern, cols, R._rows_ok)
-    if gen is None:
-        raise PerpNotCyclicError(f"left kernel of {q} over {R.name} not cyclic")
-    return R.canonical_pair_left(*gen)
+    """The bidual image of the dual point q: the one-point call of
+    bidual_keys."""
+    return divmod(int(bidual_keys(R, [q[0] * R.size + q[1]])[0]), R.size)
 
 
 def dual_matches_opposite(geom, op) -> bool:

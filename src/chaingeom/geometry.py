@@ -33,7 +33,7 @@ from chaingeom.duality import (
     col_images,
     dual_infinity,
     enumerate_dual_points,
-    perp_point,
+    perp_keys,
 )
 from chaingeom import compat
 
@@ -98,11 +98,9 @@ class Geometry:
 
     @cached_property
     def perp(self) -> np.ndarray:
-        """perp[i]: the dual-point index of the annihilator of points[i], by
-        one oracle scan per point."""
-        R = self.ring
-        return index_of(self.dual_keys, [v * R.size + w for v, w in
-                                         (perp_point(R, p) for p in self.points)])
+        """perp[i]: the dual-point index of the annihilator of points[i],
+        from one batched oracle scan over every point (perp_keys)."""
+        return index_of(self.dual_keys, perp_keys(self.ring, self.point_keys))
 
     def perp_of(self, p: Point) -> DualPoint:
         """The annihilator of the point p, read off perp."""

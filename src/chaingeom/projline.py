@@ -11,6 +11,12 @@ in the line does not force admissibility of (x, y), and the cross-check
 guards the convention that points are represented by admissible pairs
 only.
 
+Every solution set {(x, y) : a*x + b*y = t} of the package, of a point
+or of a covariance row, and the left kernels of the dual points, comes
+from one driver, `solution_slabs`, which scans many rows at once in slabs
+of a fixed number of candidate entries; the distant graph reads every
+point's kernel from it as sorted keys.
+
 Every orbit of the package comes from one engine, `orbit`, over
 permutation tables: here of canonical pairs, elsewhere of points, dual
 points and ring elements.  Orbits under GL2(R) apply its generating set
@@ -247,50 +253,81 @@ class DistantGraph:
         return sum(len(s) for s in self.adj) // 2
 
 
-# leading zero bits of every byte value
-_LEADING_ZEROS = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
+# Candidate entries per slab of a solution-set scan: solution_slabs takes
+# max(1, SCAN_SLAB // |R|^2) sets at a time, 9 on matrix2(3)
+SCAN_SLAB = 1 << 16
 
 
-def _first_bits(packed: np.ndarray) -> np.ndarray:
-    """Index of the first set bit of every row of np.packbits output; each
-    row must have one."""
-    k = (packed != 0).argmax(axis=1)
-    return 8 * k + _LEADING_ZEROS[packed[np.arange(len(packed)), k]]
+def solution_slabs(R: Ring, keys, target: int, left: bool = False, as_keys: bool = False):
+    """Scan the solution sets of many rows at once, in slabs; yields
+    (part, slab) in order, part the slice of keys that the slab covers.
+
+    The row (a, b) of key a*|R| + b has the solutions (x, y), as columns,
+    with a*x + b*y = target; with left, every key v*|R| + w is a column
+    (v, w)^T and its solutions are the rows (x, y) with x*v + y*w = target.
+    A slab holds max(1, SCAN_SLAB // |R|^2) sets, each a boolean mask over
+    the keys x*|R| + y of all |R|^2 candidates, tested as
+    a*x == target - b*y over narrow copies of the tables.  With as_keys
+    each set is instead the row of its |R| solution keys in increasing
+    order, and a set of another size raises VerificationError.
+    """
+    n = R.size
+    small = np.min_scalar_type(n - 1)
+    products = (R._mul_a.T if left else R._mul_a).astype(small)
+    rest = R._add_a[target][R._neg_a].astype(small)  # z -> target - z
+    a, b = np.divmod(np.asarray(keys, dtype=np.intp), n)
+    step = max(1, SCAN_SLAB // (n * n))
+    for r0 in range(0, len(a), step):
+        part = slice(r0, r0 + step)
+        mask = products[a[part], :, None] == rest[products[b[part], None, :]]
+        mask = mask.reshape(len(mask), n * n)
+        if as_keys:
+            flat = np.flatnonzero(mask)
+            size = np.bincount(flat // (n * n), minlength=len(mask))
+            if (size != n).any():
+                i = int(np.argmax(size != n))
+                raise VerificationError(
+                    f"{R.name}: {(int(a[r0 + i]), int(b[r0 + i]))} has {size[i]} "
+                    f"solutions for {target}, not {n}")
+            mask = flat.reshape(len(mask), n) % (n * n)
+        yield part, mask
 
 
 def _distant_pairs(R: Ring, pts: tuple[Point, ...]) -> np.ndarray:
     """Adjacency of the distant relation: mat_invert's column solve for every
     pair of points at once.
 
-    For p = (a, b), ones[p] and zeros[p] pack the columns (x, y) in
-    x-major order with a*x + b*y = 1 and = 0.  The stacked matrix (p; q) has
-    a right inverse iff ones[p] & zeros[q] and zeros[p] & ones[q] both have a
-    set bit, and the first ones are the columns mat_invert finds.  Their
-    left-inverse check runs for every distant pair together and raises the
-    same VerificationError as mat_invert.
+    (x, y) -> a*x + b*y is onto for a point (a, b), so each of its
+    solution sets, = 0 and = 1, has exactly |R| members.  The stacked
+    matrix (p; q) has a right inverse iff row p takes the value 1 somewhere
+    on the kernel of q and row q somewhere on the kernel of p.  The kernels
+    come from solution_slabs as sorted key rows, and every row is tested on
+    a slab of them at once by gathers, as a*x == 1 - b*y: first[j, i] is
+    the least key of the kernel of j where row i takes 1, in x-major order
+    the column mat_invert finds, or -1 if there is none.  Their
+    left-inverse check runs for every distant pair together and raises
+    the same VerificationError as mat_invert.
     """
     add, mul = R._add_a, R._mul_a
-    size = R.size
-    sums = add.astype(np.uint8).ravel()  # sums[u * size + v] = u + v
-    ones, zeros = [], []
-    for a, b in pts:
-        vals = sums[(mul[a] * size)[:, None] + mul[b]]
-        ones.append(np.packbits(vals == R.one))
-        zeros.append(np.packbits(vals == R.zero))
-    ones, zeros = np.array(ones), np.array(zeros)
-    n = len(pts)
-    adj = np.zeros((n, n), dtype=bool)
-    solved = []  # per row i, the first column of each solve for every distant j > i
-    for i in range(n - 1):
-        oz, zo = ones[i] & zeros[i + 1:], zeros[i] & ones[i + 1:]
-        js = np.flatnonzero(oz.any(axis=1) & zo.any(axis=1))
-        adj[i, i + 1 + js] = True
-        solved.append((_first_bits(oz[js]), _first_bits(zo[js])))
-    i, j = np.nonzero(adj)  # row-major, the order of solved
-    c1, c2 = (np.concatenate(part) for part in zip(*solved))
-    x1, y1 = np.divmod(c1, size)
-    x2, y2 = np.divmod(c2, size)
+    n = R.size
+    small = np.min_scalar_type(n - 1)
     P = np.array(pts, dtype=np.intp)
+    A = mul[P[:, 0]].T.astype(small)  # A[x, i] = a*x for the point i = (a, b)
+    B = add[R.one][R._neg_a][mul[P[:, 1]]].T.astype(small)  # B[y, i] = 1 - b*y
+    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]  # n - k at key k
+    first = np.empty((len(P), len(P)), dtype=np.min_scalar_type(-n * n))
+    for part, kernel in solution_slabs(R, P[:, 0] * n + P[:, 1], R.zero, as_keys=True):
+        x, y = np.divmod(kernel, n)
+        # [j, k, i]: row i takes 1 at key k of kernel j; the top rank is its
+        # least k, and rank 0 (none) reads the -1 padding at k = n
+        top = ((A[x] == B[y]) * rank).max(axis=1)
+        padded = np.column_stack([kernel, np.full(len(kernel), -1)])
+        first[part] = padded[np.arange(len(kernel))[:, None], n - top]
+    hit = first >= 0
+    upper = np.triu(hit & hit.T, 1)
+    i, j = np.nonzero(upper)  # row-major
+    x1, y1 = np.divmod(first[j, i].astype(np.intp), n)  # (p; q) * (x1, y1)^T = e_1
+    x2, y2 = np.divmod(first[i, j].astype(np.intp), n)  # and (x2, y2)^T gives e_2
     a, b, c, d = P[i, 0], P[i, 1], P[j, 0], P[j, 1]
     # N * M for N = [[x1, x2], [y1, y2]] and M = [[a, b], [c, d]], entrywise
     NM = (add[mul[x1, a], mul[x2, c]], add[mul[x1, b], mul[x2, d]],
@@ -302,7 +339,7 @@ def _distant_pairs(R: Ring, pts: tuple[Point, ...]) -> np.ndarray:
         M = tuple(int(v[k]) for v in (a, b, c, d))
         raise VerificationError(
             f"{R.name}: {N} is a right inverse of {M} but not a left inverse")
-    return adj | adj.T
+    return upper | upper.T
 
 
 def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.ndarray]:

@@ -15,7 +15,9 @@ evaluated for all words at once, and one driver, _word_sweep, counts the
 failures over boolean masks.  The chain checks read the Geometry's chain
 rows: one helper, projline.carries, decides whether perp or sigma, both
 index arrays, carries a chain set onto another, for every chain of the
-set, and the bidual check runs on every point.
+set, and the bidual check runs on every point in one bidual_keys call; a
+failing one names its first point, the dual point perp gave it, what came
+back, and the dual point a fresh perp scan gives.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from chaingeom.projline import (
     word_points,
 )
 from chaingeom.duality import (
+    bidual_keys,
     bidual_point,
     covariance_failures,
     dual_infinity,
@@ -43,6 +46,7 @@ from chaingeom.duality import (
     length1_perp_formula,
     length2_perp_formula,
     length3_perp_formula,
+    perp_point,
     word_dual_point,
     word_dual_points,
 )
@@ -239,8 +243,14 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     rep["covariance_checks"] = len(keys)
     rep["covariance_failures"] = cov_failures
 
-    rep["bidual_fixed"] = all(bidual_point(R, geom.dual_points[j]) == p
-                              for p, j in zip(pts, perp.tolist()))
+    back = bidual_keys(R, geom.dual_keys[perp])
+    rep["bidual_fixed"] = bool(np.array_equal(back, geom.point_keys))
+    if not rep["bidual_fixed"]:
+        i = int(np.argmax(back != geom.point_keys))
+        q = geom.dual_points[perp[i]]
+        rep["bidual_first_mismatch"] = {"point": pts[i], "perp": q,
+                                        "bidual": bidual_point(R, q),
+                                        "perp_rescanned": perp_point(R, pts[i])}
     if small:
         op = Geometry(R.opposite(), subfield_in_opposite(K))
         rep["opposite_equivalent"] = dual_matches_opposite(geom, op)

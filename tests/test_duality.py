@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingeom.geometry import Geometry
-from chaingeom import suites
+from chaingeom import duality, suites
 from chaingeom.projline import (
     VerificationError,
+    distant_graph,
     elementary,
     enumerate_points,
     infinity,
     line_generators,
     make_point,
     mat_invert,
+    solution_slabs,
     word_points,
 )
 from chaingeom.rings import (
@@ -27,11 +29,13 @@ from chaingeom.rings import (
 )
 from chaingeom.duality import (
     _cyclic_generator,
-    annihilator_pairs,
+    _generators,
+    bidual_keys,
     bidual_point,
     covariance_failures,
     dual_infinity,
     dual_matches_opposite,
+    perp_keys,
     perp_point,
     word_dual_point,
     word_dual_points,
@@ -81,21 +85,65 @@ def test_perp_commutative_formula(f4_g, dual2_g, prod22_g):
             assert perp_point(g.ring, p) == commutative_perp_formula(g.ring, p)
 
 
+def solution_masks(R, rows, target=0, left=False):
+    """The masks of solution_slabs for the rows (a, b), or with left the
+    columns (v, w), stacked in order; checks that the slabs cover the keys
+    in order."""
+    parts, masks = zip(*solution_slabs(R, [a * R.size + b for a, b in rows], target, left))
+    assert [p.start for p in parts] == list(range(0, len(rows), len(masks[0])))
+    return np.concatenate(masks)
+
+
+def kernel_mask(R, rows):
+    """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in
+    rows}, as a mask over the keys x*|R| + y of all |R|^2 columns."""
+    if not rows:
+        return np.ones(R.size ** 2, dtype=bool)
+    return solution_masks(R, rows).all(axis=0)
+
+
 def test_annihilator_vectorized_matches_loop(m2f2, m2f3):
-    """The mask of one row against the plain loop, and of sets of up to
-    three rows, none included, against the dict-bucket scan."""
+    """The scanned mask of every row against the plain loop, for the values
+    0 and 1, on columns and on rows, over more rows than one slab holds;
+    and the sets of up to three rows, none included, against the
+    dict-bucket scan."""
     rng = random.Random(5)
     for R in (m2f2, m2f3):
-        for _ in range(20):
-            a, b = rng.randrange(R.size), rng.randrange(R.size)
-            fast = annihilator_pairs(R, [(a, b)])
-            assert fast.shape == (R.size ** 2,)
-            slow = {(x, y) for x in R.elements() for y in R.elements()
-                    if R.add(R.mul(a, x), R.mul(b, y)) == 0}
-            assert pairs(R, fast) == slow
+        rows = [(rng.randrange(R.size), rng.randrange(R.size)) for _ in range(20)]
+        for target in (R.zero, R.one):
+            right, left = solution_masks(R, rows, target), solution_masks(R, rows, target, True)
+            assert right.shape == left.shape == (20, R.size ** 2)
+            for (a, b), r, l in zip(rows, right, left):
+                assert pairs(R, r) == {(x, y) for x in R.elements() for y in R.elements()
+                                       if R.add(R.mul(a, x), R.mul(b, y)) == target}
+                assert pairs(R, l) == {(x, y) for x in R.elements() for y in R.elements()
+                                       if R.add(R.mul(x, a), R.mul(y, b)) == target}
         for n in (0, 2, 3):
             rows = [(rng.randrange(R.size), rng.randrange(R.size)) for _ in range(n)]
-            assert pairs(R, annihilator_pairs(R, rows)) == reference.annihilator(R, rows)
+            assert pairs(R, kernel_mask(R, rows)) == reference.annihilator(R, rows)
+
+
+def test_solution_keys_are_the_sorted_masks(zoo_g):
+    """With as_keys every point's solution sets, = 0 and = 1, come back as
+    the sorted keys of the masks, |R| of them."""
+    for g in zoo_g:
+        R = g.ring
+        for target in (R.zero, R.one):
+            masks = solution_masks(R, g.points, target)
+            keys = np.concatenate([k for _, k in solution_slabs(R, g.point_keys, target,
+                                                                 as_keys=True)])
+            assert keys.shape == (len(g.points), R.size), R.name
+            assert np.array_equal(keys, np.nonzero(masks)[1].reshape(keys.shape)), R.name
+
+
+def test_solution_set_of_the_wrong_size_raises(f4):
+    """On F4 with 1*2 corrupted to 3, 1*x is no longer onto: the kernel of
+    R(1, 1) has 6 members, and the key scan and the distant graph raise."""
+    fresh = corrupt(FiniteFieldRing(f4.spec), "mul", (1, 2), 3)
+    with pytest.raises(VerificationError, match=r"\(1, 1\) has 6 solutions for 0, not 4"):
+        list(solution_slabs(fresh, [1 * 4 + 1], 0, as_keys=True))
+    with pytest.raises(VerificationError, match="solutions for 0, not 4"):
+        distant_graph(fresh, enumerate_points(f4))
 
 
 def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
@@ -131,14 +179,23 @@ def test_perp_and_bidual_match_reference_scan(small_rings, m2f3):
             assert bidual_point(R, q) == reference.bidual_point(R, q) == p, (R.name, p)
 
 
-def test_cyclic_generator_needs_the_whole_kernel(m2f3):
+def test_cyclic_generator_needs_the_whole_kernel(m2f3, monkeypatch):
     """Both halves of the set equality bite: a kernel with one extra column
     holds the span of the true generator but has more members, and a
     kernel with one column swapped out has as many members but does not
-    hold that span; neither has a generator."""
+    hold that span; neither has a generator.  The batch finds the same,
+    and only those two rows reach its fallback, one _cyclic_generator call
+    each."""
     R = m2f3
+    calls = []
+
+    def counted(kernel, products, ok):
+        calls.append(kernel.copy())
+        return _cyclic_generator(kernel, products, ok)
+
+    monkeypatch.setattr(duality, "_cyclic_generator", counted)
     for p in enumerate_points(R)[::13]:
-        kern = annihilator_pairs(R, [p])
+        kern = kernel_mask(R, [p])
         v, w = _cyclic_generator(kern, R._mul_a, R._cols_ok)
         assert R.canonical_pair_right(v, w) == perp_point(R, p)
         outside = int(np.flatnonzero(~kern)[0])
@@ -148,6 +205,52 @@ def test_cyclic_generator_needs_the_whole_kernel(m2f3):
         swapped = bigger.copy()
         swapped[int(np.flatnonzero(kern)[-1])] = False
         assert _cyclic_generator(swapped, R._mul_a, R._cols_ok) is None, p
+        calls.clear()
+        batch = _generators(np.stack([kern, bigger, swapped]), R._mul_a, R._cols_ok)
+        assert batch.tolist() == [v * R.size + w, -1, -1], p
+        assert len(calls) == 2 and np.array_equal(calls[0], bigger) \
+            and np.array_equal(calls[1], swapped), p
+
+
+def test_batched_perp_and_bidual_match_reference(zoo_and_opposites_g):
+    """One perp_keys call over every point and one bidual_keys call over
+    every dual point give the per-point reference loops' answers, on the
+    ten Geometries of the zoo rings and their opposites."""
+    for g in zoo_and_opposites_g:
+        R = g.ring
+        assert as_pairs(perp_keys(R, g.point_keys), R.size) == [
+            reference.perp_point(R, p) for p in g.points], R.name
+        assert as_pairs(bidual_keys(R, g.dual_keys), R.size) == [
+            reference.bidual_point(R, q) for q in g.dual_points], R.name
+
+
+# A non-cyclic kernel under python -O: on F4 with 2*1 corrupted to 3 the
+# kernel of R(1, 2) has no admissible generator, in the batch over every
+# point and in the one-point call.
+PERP_NOT_CYCLIC_UNDER_OPTIMIZE = """
+from chaingeom.duality import PerpNotCyclicError, perp_keys, perp_point
+from chaingeom.rings import FiniteFieldRing, RingSpec
+assert not __debug__, "expected to run under python -O"
+R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
+mul = R._mul_a.copy(); mul[2, 1] = 3
+R._mul_a = mul; R._fill_arrays()
+points = [(0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]  # the line of the clean ring
+for call in (lambda: perp_keys(R, [a * 4 + b for a, b in points]),
+             lambda: perp_point(R, (1, 2))):
+    try:
+        print(call())
+    except PerpNotCyclicError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.optimized(PERP_NOT_CYCLIC_UNDER_OPTIMIZE)
+def test_non_cyclic_kernel_raises_under_optimize(run_optimized):
+    proc = run_optimized(PERP_NOT_CYCLIC_UNDER_OPTIMIZE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "PerpNotCyclicError kernel of (1, 2) over finite-field(4) has no admissible "
+        "generator"] * 2
 
 
 def test_perp_bijective(zoo_g):
@@ -433,12 +536,19 @@ def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch)
     g = request.getfixturevalue(f"{name}_g")
     rep = suites.duality_suite(g)
     assert rep["chain_bijection"] and rep["bidual_fixed"]
+    assert "bidual_first_mismatch" not in rep
     perp = g.perp.copy()
     perp[g.affine[:2]] = perp[g.affine[1::-1]]
     monkeypatch.setattr(g, "perp", perp)
     rep = suites.duality_suite(g)
     assert rep["chain_bijection"] is False and rep["bidual_fixed"] is False
     assert not rep["ok"]
+    # the first point whose bidual differs, the dual point perp gave it, what
+    # came back, and the annihilator a fresh scan gives it
+    first, other = sorted(g.affine[:2].tolist())
+    assert rep["bidual_first_mismatch"] == {
+        "point": g.points[first], "perp": g.dual_points[perp[first]],
+        "bidual": g.points[other], "perp_rescanned": g.dual_points[perp[other]]}
 
 
 def test_word_length_bound_matches(zoo_g):

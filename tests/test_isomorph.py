@@ -9,17 +9,21 @@ from chaingeom.rings import (
     RingSpec,
     build_ring,
     build_subfield,
+    conjugate_subfield,
     is_normal_subgroup,
+    normality_witness,
 )
 from chaingeom.suites import catalogue_antiiso
 from chaingeom.geometry import Geometry
 from chaingeom.projline import (
+    VerificationError,
     infinity,
     line_generators,
     make_point,
     word_points,
 )
 from chaingeom.chains import standard_chain
+from chaingeom.compat import CompatClass, check_class_structure, cosets_hold, missing_directions
 from chaingeom.duality import dual_infinity, perp_point
 from chaingeom import suites
 from chaingeom.isomorph import (
@@ -27,6 +31,7 @@ from chaingeom.isomorph import (
     antiiso_point_table,
     antiiso_word_point,
     antiiso_word_points,
+    find_conjugator,
     frobenius_map,
     identity_map,
     preserves_compatibility,
@@ -284,6 +289,55 @@ def test_sigma_compatibility_iff_normal(f4, f4_k, f4_g, m2f2, m2f2_k, m2f2_g,
     m = transpose_map(m2f3)
     assert not preserves_compatibility(m, m2f3_g, m2f3_g)
     assert not is_normal_subgroup(m2f3_k, m2f3)
+
+
+def wrong_conjugate(K):
+    """The conjugate u^-1 K u != K of the least unit u that moves K."""
+    R = K.ring
+    return next(c for c in (conjugate_subfield(K, u) for u in R.units)
+                if c.element_set != K.element_set)
+
+
+def test_wrong_conjugate_subfield_fails_sigma_and_compatibility_m2f3(
+        m2f3, m2f3_k, m2f3_g, monkeypatch):
+    """Negative control: K* is not normal in matrix2(3), so some unit u has
+    u^-1 K u != K.  The clean sigma suite and partial-affine report pass.
+    The conjugator the sigma suite reports carries the transpose of K onto
+    K and not onto u^-1 K u, which needs another one.  Swapped in for the
+    witness of every compatibility and dual class, a conjugate fails the
+    class structure and the coset checks, leaves its directions outside the
+    witness subspaces, and the partial-affine report raises.  (K itself
+    swapped for u^-1 K u leaves the chains, blocks and both partitions as
+    they are, so only the subfield condition and the class witnesses can
+    tell the two apart.)"""
+    R, K, g = m2f3, m2f3_k, m2f3_g
+    rep = suites.sigma_suite(g)
+    assert rep["ok"] and suites.partial_affine_report(g)["ok"]
+    assert normality_witness(K) is not None
+    conj = wrong_conjugate(K)
+    m = transpose_map(R)
+    image = frozenset(m(k) for k in K.elements)
+    assert frozenset(conjugate_subfield(K, rep["conjugator"]).elements) == image
+    assert frozenset(conjugate_subfield(conj, rep["conjugator"]).elements) != image
+    assert find_conjugator(m, K, conj) not in (None, rep["conjugator"])
+    other = Geometry(R, conj)
+    assert np.array_equal(other.chains_at_infinity, g.chains_at_infinity)
+    for name in ("compat_classes", "dual_compat_classes"):
+        assert ({c.blocks for c in getattr(other, name)}
+                == {c.blocks for c in getattr(g, name)})
+    swapped = {}
+    for name in ("compat_classes", "dual_compat_classes"):
+        swapped[name] = tuple(CompatClass(c.side, c.blocks, wrong_conjugate(c.witness))
+                              for c in getattr(g, name))
+        for clean, bad in zip(getattr(g, name), swapped[name]):
+            assert check_class_structure(clean) and cosets_hold(g.residue, clean)
+            assert not check_class_structure(bad) and not cosets_hold(g.residue, bad)
+            with pytest.raises(VerificationError, match="no witness subspace"):
+                missing_directions(g.residue, bad)
+    for name, classes in swapped.items():
+        monkeypatch.setattr(g, name, classes)
+    with pytest.raises(VerificationError, match="no witness subspace"):
+        suites.partial_affine_report(g)
 
 
 def test_triangular_flip_in_catalogue():

@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import numpy as np
@@ -11,6 +12,7 @@ from chaingeom.projline import (
     OrbitCapExceededError,
     VerificationError,
     _bfs_levels,
+    _distant_pairs,
     carries,
     distant_graph,
     elementary,
@@ -27,7 +29,10 @@ from chaingeom.projline import (
     word_point,
 )
 
+from chaingeom.rings import FiniteFieldRing
+
 from reference import (
+    corrupt,
     distant,
     invertible_completions,
     is_column_admissible,
@@ -340,6 +345,45 @@ def test_distant_graph_left_inverse_check_raises_under_optimize(run_optimized):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "(0, 1, 1, 0) is a right inverse of (0, 1, 1, 2) but not a left inverse" \
         in proc.stdout
+
+
+def pairwise_distant(R, pts):
+    """The distant adjacency from one mat_invert per pair i < j, in
+    row-major order, or the message of the first VerificationError."""
+    adj = np.zeros((len(pts), len(pts)), dtype=bool)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        try:
+            adj[i, j] = mat_invert(R, pts[i] + pts[j]) is not None
+        except VerificationError as exc:
+            return str(exc)
+    return adj | adj.T
+
+
+def test_distant_kernel_under_every_corrupted_f4_product(f4):
+    """Every single corrupted product of F4, on the clean ring's points: the
+    batched kernel gives mat_invert's adjacency, raises its left-inverse
+    error at the same first pair, or raises for a solution set of another
+    size than |R|.  Each outcome occurs."""
+    pts = enumerate_points(f4)
+    seen = set()
+    for a, b, value in itertools.product(range(4), repeat=3):
+        if value == f4.mul(a, b):
+            continue
+        R = corrupt(FiniteFieldRing(f4.spec), "mul", (a, b), value)
+        want = pairwise_distant(R, pts)
+        try:
+            got = _distant_pairs(R, pts)
+        except VerificationError as exc:
+            got = str(exc)
+        if isinstance(got, str) and "solutions for" in got:
+            seen.add("size")
+        elif isinstance(want, str):
+            seen.add("left inverse")
+            assert got == want, (a, b, value)
+        else:
+            seen.add("adjacency")
+            assert np.array_equal(got, want), (a, b, value)
+    assert seen == {"size", "left inverse", "adjacency"}
 
 
 def test_graph_f4_complete(f4_g):
