@@ -8,27 +8,30 @@ The annihilator map sends a point R(a, b) to the full solution set
 |R|^2 candidate columns, followed by extraction of an admissible cyclic
 generator.  This is the definition-level oracle that every closed formula
 in the package is tested against, so it never reuses those formulas.  One
-driver, projline.solution_slabs, builds every solution set, in slabs of
-many rows at once: a boolean mask over the keys x*|R| + y of all candidate
-columns, a*x == -b*y tested from the operation tables.  perp_keys and
-bidual_keys read the generators of a whole batch of points, or dual
-points, off those masks by one cyclic span test per slab, an exact set
-equality, and fall back to a search in key order for a row whose least
-admissible key does not span; perp_point and bidual_point are their
-one-point calls.  They scan on every call and remember nothing; a
-Geometry makes one perp_keys call over its points and keeps the answers
-as its perp index array, which never feeds a formula.  The covariance law
-is checked in one call per suite over (generator, row) pairs:
-covariance_failures scans the kernel of every row that occurs, groups the
-masks into kernel classes, and checks each distinct (generator, kernel
-class, kernel class) triple once.  The closed formulas under test are
-array functions over the operation tables, evaluated for every word of a
-sweep at once; word_dual_point is the one-word call of word_dual_points.
+driver, projline.solution_slabs, builds the solution sets of whole
+batches, in slabs of many rows at once: a boolean mask over the keys
+x*|R| + y of all candidate columns, a*x == -b*y tested from the operation
+tables.  perp_keys and bidual_keys read the generators of a batch of
+points, or dual points, off those masks by one cyclic span test per
+slab, an exact set equality, and fall back to a search in key order for
+a row whose least admissible key does not span; bidual_point is the
+one-point call of bidual_keys.  perp_point is the one-point oracle: it
+scans one point's kernel with annihilator_pairs, the solution set of any
+list of rows, and searches it in key order.  They scan on every call and
+remember nothing; a Geometry makes one perp_keys call over its points
+and keeps the answers as its perp index array, which never feeds a
+formula.  The covariance law is checked in one call per suite over
+(generator, row) pairs: covariance_failures scans the kernel of every
+row that occurs, groups the masks into kernel classes, and checks each
+distinct (generator, kernel class, kernel class) triple once.  The
+closed formulas under test are array functions over the operation
+tables, evaluated for every word of a sweep at once; word_dual_point is
+the one-word call of word_dual_points.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -73,6 +76,15 @@ def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
 
 # the annihilator oracle ----------------------------------------------------
 
+def annihilator_pairs(R: Ring, rows: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in rows},
+    as a boolean mask over the keys x*|R| + y of all |R|^2 candidate columns."""
+    rows = list(rows)
+    r = np.array([R.left_products(a) for a, _ in rows], dtype=np.intp).reshape(-1, R.size)
+    s = np.array([R.left_products(b) for _, b in rows], dtype=np.intp).reshape(-1, R.size)
+    return (r[:, :, None] == R._neg_a[s][:, None, :]).all(axis=0).ravel()
+
+
 def _cyclic_generator(kernel: np.ndarray, products: np.ndarray,
                       ok: np.ndarray) -> Optional[tuple[int, int]]:
     """The least pair (v, w), by key v*|R| + w, of the kernel mask that the
@@ -110,7 +122,7 @@ def _generators(kernels: np.ndarray, products: np.ndarray, ok: np.ndarray) -> np
 
 
 def _generator_keys(R: Ring, keys, left: bool, failure: str) -> np.ndarray:
-    """Canonical keys of the generators of the solution sets = 0 of keys
+    """Canonical keys of the generators of the kernels of keys
     (solution_slabs; with left the left kernels of columns), slab by slab:
     the least admissible pair, by key, whose cyclic span is the set (with
     left, admissible as a row and spanning {(x*a, x*b)}).  Raises
@@ -121,7 +133,7 @@ def _generator_keys(R: Ring, keys, left: bool, failure: str) -> np.ndarray:
                                else (R._mul_a, R._cols_ok, R._right_key))
     keys = np.asarray(keys, dtype=np.intp)
     out = np.empty(len(keys), dtype=np.intp)
-    for part, kernels in solution_slabs(R, keys, R.zero, left):
+    for part, kernels in solution_slabs(R, keys, left):
         gen = _generators(kernels, products, ok)
         if (gen < 0).any():
             bad = int(keys[part][np.argmax(gen < 0)])
@@ -143,9 +155,14 @@ def perp_keys(R: Ring, keys) -> np.ndarray:
 
 
 def perp_point(R: Ring, p: Point) -> DualPoint:
-    """The annihilator of R(a, b) as a canonical dual point: the one-point
-    call of perp_keys."""
-    return divmod(int(perp_keys(R, [p[0] * R.size + p[1]])[0]), R.size)
+    """The annihilator of R(a, b) as a canonical dual point, by the
+    one-point scan: the annihilator_pairs mask searched by
+    _cyclic_generator.  Gives what perp_keys gives for p, the same
+    PerpNotCyclicError included."""
+    gen = _cyclic_generator(annihilator_pairs(R, [p]), R._mul_a, R._cols_ok)
+    if gen is None:
+        raise PerpNotCyclicError(f"kernel of {p} over {R.name} has no admissible generator")
+    return R.canonical_pair_right(*gen)
 
 
 # Chunks of the covariance kernel: _COV_PAIRS (generator, row) pairs at a
@@ -153,6 +170,10 @@ def perp_point(R: Ring, p: Point) -> DualPoint:
 # (set mask entries)
 _COV_PAIRS = 1 << 11
 _COV_SOLUTIONS = 1 << 11
+
+# The number of set bits of every byte value
+_SET_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                          axis=1).sum(axis=1, dtype=np.uint8)
 
 
 def _kernel_classes(R: Ring, rows: np.ndarray) -> tuple:
@@ -163,11 +184,11 @@ def _kernel_classes(R: Ring, rows: np.ndarray) -> tuple:
     equal as bytes share a class, numbered in order of first row."""
     classes: dict = {}
     of = np.empty(len(rows), dtype=np.intp)
-    for part, ker in solution_slabs(R, rows, R.zero):
+    for part, ker in solution_slabs(R, rows):
         of[part] = [classes.setdefault(m.tobytes(), len(classes))
                     for m in np.packbits(ker, axis=1)]
     table = np.frombuffer(b"".join(classes), dtype=np.uint8).reshape(len(classes), -1)
-    return of, table, np.bitwise_count(table).sum(axis=1, dtype=np.intp)
+    return of, table, _SET_BITS[table].sum(axis=1, dtype=np.intp)
 
 
 def _kernel_triples(R: Ring, gens, which, keys) -> tuple:

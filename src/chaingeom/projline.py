@@ -11,11 +11,11 @@ in the line does not force admissibility of (x, y), and the cross-check
 guards the convention that points are represented by admissible pairs
 only.
 
-Every solution set {(x, y) : a*x + b*y = t} of the package, of a point
-or of a covariance row, and the left kernels of the dual points, comes
-from one driver, `solution_slabs`, which scans many rows at once in slabs
-of a fixed number of candidate entries; the distant graph reads every
-point's kernel from it as sorted keys.
+Every batch of solution sets {(x, y) : a*x + b*y = 0} of the package, of
+points or of covariance rows, and the left kernels of the dual points,
+comes from one driver, `solution_slabs`, which scans many rows at once in
+slabs of a fixed number of candidate entries; the distant graph reads
+every point's kernel from it as sorted keys.
 
 Every orbit of the package comes from one engine, `orbit`, over
 permutation tables: here of canonical pairs, elsewhere of points, dual
@@ -258,28 +258,28 @@ class DistantGraph:
 SCAN_SLAB = 1 << 16
 
 
-def solution_slabs(R: Ring, keys, target: int, left: bool = False, as_keys: bool = False):
-    """Scan the solution sets of many rows at once, in slabs; yields
-    (part, slab) in order, part the slice of keys that the slab covers.
+def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
+    """Scan the kernels of many rows at once, in slabs; yields (part, slab)
+    in order, part the slice of keys that the slab covers.
 
     The row (a, b) of key a*|R| + b has the solutions (x, y), as columns,
-    with a*x + b*y = target; with left, every key v*|R| + w is a column
-    (v, w)^T and its solutions are the rows (x, y) with x*v + y*w = target.
-    A slab holds max(1, SCAN_SLAB // |R|^2) sets, each a boolean mask over
-    the keys x*|R| + y of all |R|^2 candidates, tested as
-    a*x == target - b*y over narrow copies of the tables.  With as_keys
-    each set is instead the row of its |R| solution keys in increasing
-    order, and a set of another size raises VerificationError.
+    with a*x + b*y = 0; with left, every key v*|R| + w is a column (v, w)^T
+    and its solutions are the rows (x, y) with x*v + y*w = 0.  A slab holds
+    max(1, SCAN_SLAB // |R|^2) sets, each a boolean mask over the keys
+    x*|R| + y of all |R|^2 candidates, tested as a*x == -b*y over narrow
+    copies of the tables.  With as_keys each set is instead the row of its
+    |R| solution keys in increasing order, and a set of another size
+    raises VerificationError.
     """
     n = R.size
     small = np.min_scalar_type(n - 1)
     products = (R._mul_a.T if left else R._mul_a).astype(small)
-    rest = R._add_a[target][R._neg_a].astype(small)  # z -> target - z
+    neg = R._neg_a.astype(small)
     a, b = np.divmod(np.asarray(keys, dtype=np.intp), n)
     step = max(1, SCAN_SLAB // (n * n))
     for r0 in range(0, len(a), step):
         part = slice(r0, r0 + step)
-        mask = products[a[part], :, None] == rest[products[b[part], None, :]]
+        mask = products[a[part], :, None] == neg[products[b[part], None, :]]
         mask = mask.reshape(len(mask), n * n)
         if as_keys:
             flat = np.flatnonzero(mask)
@@ -288,7 +288,7 @@ def solution_slabs(R: Ring, keys, target: int, left: bool = False, as_keys: bool
                 i = int(np.argmax(size != n))
                 raise VerificationError(
                     f"{R.name}: {(int(a[r0 + i]), int(b[r0 + i]))} has {size[i]} "
-                    f"solutions for {target}, not {n}")
+                    f"solutions, not {n}")
             mask = flat.reshape(len(mask), n) % (n * n)
         yield part, mask
 
@@ -297,8 +297,8 @@ def _distant_pairs(R: Ring, pts: tuple[Point, ...]) -> np.ndarray:
     """Adjacency of the distant relation: mat_invert's column solve for every
     pair of points at once.
 
-    (x, y) -> a*x + b*y is onto for a point (a, b), so each of its
-    solution sets, = 0 and = 1, has exactly |R| members.  The stacked
+    (x, y) -> a*x + b*y is onto for a point (a, b), so its kernel has
+    exactly |R| members.  The stacked
     matrix (p; q) has a right inverse iff row p takes the value 1 somewhere
     on the kernel of q and row q somewhere on the kernel of p.  The kernels
     come from solution_slabs as sorted key rows, and every row is tested on
@@ -316,7 +316,7 @@ def _distant_pairs(R: Ring, pts: tuple[Point, ...]) -> np.ndarray:
     B = add[R.one][R._neg_a][mul[P[:, 1]]].T.astype(small)  # B[y, i] = 1 - b*y
     rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]  # n - k at key k
     first = np.empty((len(P), len(P)), dtype=np.min_scalar_type(-n * n))
-    for part, kernel in solution_slabs(R, P[:, 0] * n + P[:, 1], R.zero, as_keys=True):
+    for part, kernel in solution_slabs(R, P[:, 0] * n + P[:, 1], as_keys=True):
         x, y = np.divmod(kernel, n)
         # [j, k, i]: row i takes 1 at key k of kernel j; the top rank is its
         # least k, and rank 0 (none) reads the -1 padding at k = n

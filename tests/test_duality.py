@@ -30,6 +30,7 @@ from chaingeom.rings import (
 from chaingeom.duality import (
     _cyclic_generator,
     _generators,
+    annihilator_pairs,
     bidual_keys,
     bidual_point,
     covariance_failures,
@@ -85,64 +86,54 @@ def test_perp_commutative_formula(f4_g, dual2_g, prod22_g):
             assert perp_point(g.ring, p) == commutative_perp_formula(g.ring, p)
 
 
-def solution_masks(R, rows, target=0, left=False):
+def solution_masks(R, rows, left=False):
     """The masks of solution_slabs for the rows (a, b), or with left the
     columns (v, w), stacked in order; checks that the slabs cover the keys
     in order."""
-    parts, masks = zip(*solution_slabs(R, [a * R.size + b for a, b in rows], target, left))
+    parts, masks = zip(*solution_slabs(R, [a * R.size + b for a, b in rows], left))
     assert [p.start for p in parts] == list(range(0, len(rows), len(masks[0])))
     return np.concatenate(masks)
 
 
-def kernel_mask(R, rows):
-    """The raw solution set {(x, y) : a*x + b*y = 0 for every (a, b) in
-    rows}, as a mask over the keys x*|R| + y of all |R|^2 columns."""
-    if not rows:
-        return np.ones(R.size ** 2, dtype=bool)
-    return solution_masks(R, rows).all(axis=0)
-
-
 def test_annihilator_vectorized_matches_loop(m2f2, m2f3):
-    """The scanned mask of every row against the plain loop, for the values
-    0 and 1, on columns and on rows, over more rows than one slab holds;
-    and the sets of up to three rows, none included, against the
+    """The scanned mask of every row against the plain loop, on columns and
+    on rows, over more rows than one slab holds, and annihilator_pairs of
+    one row and of sets of up to three rows, none included, against the
     dict-bucket scan."""
     rng = random.Random(5)
     for R in (m2f2, m2f3):
         rows = [(rng.randrange(R.size), rng.randrange(R.size)) for _ in range(20)]
-        for target in (R.zero, R.one):
-            right, left = solution_masks(R, rows, target), solution_masks(R, rows, target, True)
-            assert right.shape == left.shape == (20, R.size ** 2)
-            for (a, b), r, l in zip(rows, right, left):
-                assert pairs(R, r) == {(x, y) for x in R.elements() for y in R.elements()
-                                       if R.add(R.mul(a, x), R.mul(b, y)) == target}
-                assert pairs(R, l) == {(x, y) for x in R.elements() for y in R.elements()
-                                       if R.add(R.mul(x, a), R.mul(y, b)) == target}
+        right, left = solution_masks(R, rows), solution_masks(R, rows, True)
+        assert right.shape == left.shape == (20, R.size ** 2)
+        for (a, b), r, l in zip(rows, right, left):
+            assert pairs(R, r) == {(x, y) for x in R.elements() for y in R.elements()
+                                   if R.add(R.mul(a, x), R.mul(b, y)) == 0}
+            assert pairs(R, l) == {(x, y) for x in R.elements() for y in R.elements()
+                                   if R.add(R.mul(x, a), R.mul(y, b)) == 0}
+            assert np.array_equal(annihilator_pairs(R, [(a, b)]), r)
         for n in (0, 2, 3):
             rows = [(rng.randrange(R.size), rng.randrange(R.size)) for _ in range(n)]
-            assert pairs(R, kernel_mask(R, rows)) == reference.annihilator(R, rows)
+            assert pairs(R, annihilator_pairs(R, rows)) == reference.annihilator(R, rows)
 
 
 def test_solution_keys_are_the_sorted_masks(zoo_g):
-    """With as_keys every point's solution sets, = 0 and = 1, come back as
-    the sorted keys of the masks, |R| of them."""
+    """With as_keys every point's kernel comes back as the sorted keys of
+    its mask, |R| of them."""
     for g in zoo_g:
         R = g.ring
-        for target in (R.zero, R.one):
-            masks = solution_masks(R, g.points, target)
-            keys = np.concatenate([k for _, k in solution_slabs(R, g.point_keys, target,
-                                                                 as_keys=True)])
-            assert keys.shape == (len(g.points), R.size), R.name
-            assert np.array_equal(keys, np.nonzero(masks)[1].reshape(keys.shape)), R.name
+        masks = solution_masks(R, g.points)
+        keys = np.concatenate([k for _, k in solution_slabs(R, g.point_keys, as_keys=True)])
+        assert keys.shape == (len(g.points), R.size), R.name
+        assert np.array_equal(keys, np.nonzero(masks)[1].reshape(keys.shape)), R.name
 
 
 def test_solution_set_of_the_wrong_size_raises(f4):
     """On F4 with 1*2 corrupted to 3, 1*x is no longer onto: the kernel of
     R(1, 1) has 6 members, and the key scan and the distant graph raise."""
     fresh = corrupt(FiniteFieldRing(f4.spec), "mul", (1, 2), 3)
-    with pytest.raises(VerificationError, match=r"\(1, 1\) has 6 solutions for 0, not 4"):
-        list(solution_slabs(fresh, [1 * 4 + 1], 0, as_keys=True))
-    with pytest.raises(VerificationError, match="solutions for 0, not 4"):
+    with pytest.raises(VerificationError, match=r"\(1, 1\) has 6 solutions, not 4"):
+        list(solution_slabs(fresh, [1 * 4 + 1], as_keys=True))
+    with pytest.raises(VerificationError, match="solutions, not 4"):
         distant_graph(fresh, enumerate_points(f4))
 
 
@@ -195,7 +186,7 @@ def test_cyclic_generator_needs_the_whole_kernel(m2f3, monkeypatch):
 
     monkeypatch.setattr(duality, "_cyclic_generator", counted)
     for p in enumerate_points(R)[::13]:
-        kern = kernel_mask(R, [p])
+        kern = annihilator_pairs(R, [p])
         v, w = _cyclic_generator(kern, R._mul_a, R._cols_ok)
         assert R.canonical_pair_right(v, w) == perp_point(R, p)
         outside = int(np.flatnonzero(~kern)[0])
