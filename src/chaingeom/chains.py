@@ -8,7 +8,7 @@ chain under projline.orbit_generators; chains through the far point
 R(1, 0) form the orbit under its stabilizer (lower triangular matrices
 with unit diagonal), whose generators are the same list less its first
 matrix E(0).  The tests check that both routes agree.  A residue reads
-its blocks off the same rows.
+its blocks off the same rows, in ring coordinates at the far point.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ def blocks_at(rows: np.ndarray, i: int) -> np.ndarray:
 @dataclass
 class Residue:
     """The residue at a point: points distant from it, blocks = chains
-    through it with the point removed.  At the far point the blocks are
-    coordinatized through R(x, 1) -> x."""
+    through it with the point removed, as point-index rows.  At the far
+    point the blocks are also coordinatized through R(x, 1) -> x: blocks is
+    then the int array of their coordinate rows as sorted_rows, and None at
+    any other point."""
 
     ring: Ring
     subfield: Subfield
     points: tuple[Point, ...]
-    point_blocks: np.ndarray                 # blocks as point-index rows
-    blocks: Optional[tuple[frozenset, ...]]  # coordinate blocks, sorted
+    point_blocks: np.ndarray          # blocks as point-index rows
+    blocks: Optional[np.ndarray]      # coordinate blocks as sorted_rows
 
 
 def residue_at(geom, p: Point) -> Residue:
@@ -66,5 +68,5 @@ def residue_at(geom, p: Point) -> Residue:
                 f"{R.name}: x -> R(x, 1) is not a bijection onto the far-point residue")
         coord = np.full(len(geom.points), -1, dtype=np.intp)
         coord[geom.affine] = np.arange(R.size)
-        blocks = tuple(map(frozenset, sorted_rows(coord[point_blocks]).tolist()))
+        blocks = sorted_rows(coord[point_blocks])
     return Residue(R, K, tuple(geom.points[j] for j in near), point_blocks, blocks)

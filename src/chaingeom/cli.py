@@ -33,6 +33,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from chaingeom.rings import FAMILIES, RingSpec, build_ring, build_subfield
 from chaingeom.geometry import Geometry
 from chaingeom import suites
@@ -112,8 +114,9 @@ def _check_options(task: str, options: dict) -> None:
 def parse_config(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"schema must be {SCHEMA_VERSION}")
+    # True == 1.0 == 1 in Python, so the schema's type must be int itself
+    if type(data.get("schema")) is not int or data["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"schema must be the integer {SCHEMA_VERSION}")
     ring = data.get("ring")
     if not isinstance(ring, dict) or ring.get("family") not in FAMILIES:
         raise ConfigError("ring must be {family, q} with a known family")
@@ -198,12 +201,13 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
         try:
             body = TASKS[task.name](geom, **task.options)
             status = "pass" if body.pop("ok") else "fail"
+            body = _jsonable(body)
         except Exception as exc:  # diagnostics become recorded failures
             body = {"error": f"{type(exc).__name__}: {exc}"}
             status = "fail"
         timing[task.name] = round(time.perf_counter() - t0, 6)
         all_pass = all_pass and status == "pass"
-        results.append({"name": task.name, "status": status, **_jsonable(body)})
+        results.append({"name": task.name, "status": status, **body})
     report = {
         "schema": SCHEMA_VERSION,
         "scenario": config.echo(),
@@ -225,6 +229,9 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
 
 
 def _jsonable(obj):
+    """obj with every tuple, list or set a list (sets sorted by repr),
+    every dict key a string and numpy integers and bools as int and bool;
+    raises TypeError on any other type that JSON does not have."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -232,11 +239,11 @@ def _jsonable(obj):
         if isinstance(obj, (set, frozenset)):
             items = sorted(items, key=repr)
         return items
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if isinstance(obj, (int, float, str)):
-        return obj
-    return repr(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
+    raise TypeError(f"a report holds a value of type {type(obj).__name__}: {obj!r}")
 
 
 def main(argv=None) -> int:

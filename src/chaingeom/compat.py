@@ -1,12 +1,14 @@
 """Compatibility and dual compatibility of residue blocks.
 
-Everything happens in the residue at the far point, where blocks live in
-ring coordinates.  Compatibility is the orbit relation under the affine
-right action x -> x*a + c (a a unit), dual compatibility is the pullback
-along the annihilator map of the mirrored left action x -> d*x + c.  Both
-actions are realized on coordinates as permutation tables, with a
-one-time check per residue that the coordinate action agrees with the
-matrix action.
+Everything happens in the residue at the far point, where blocks, and
+the blocks of a class, are the sorted rows of ring coordinates of one int
+array in sorted_rows order.  Compatibility is the orbit relation under
+the affine right action x -> x*a + c (a a unit), dual compatibility is
+the pullback along the annihilator map of the mirrored left action
+x -> d*x + c.  Both actions are step tables read off the mul and add
+tables, with a one-time check per residue that the coordinate action
+agrees with the matrix action.  The coset conditions and the derived
+plane read one direction table, each row less its first entry.
 
 The derivation analogue replaces one regulus of the spread of left
 K-subspaces with its opposite regulus of right K''-cosets, where K'' is a
@@ -15,9 +17,10 @@ order q^2 including an exhaustive or witness-producing Desargues search.
 That search is a sliced table kernel: join, meet and incidence tables of
 the projective completion, indexed by numpy over bounded slabs that still
 examine every configuration, in the order of the plain nested loop.  The
-witness families, the unit-pair joins, the 2-dim subspace search and the
-affine-plane checks are table kernels too, over rows of ring elements read
-from the add and mul tables or over an incidence matrix.
+witness families, the unit-pair joins, the 2-dim subspace and regulus
+searches and the affine-plane checks are table kernels too, over rows of
+ring elements read from the add and mul tables or over an incidence
+matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from chaingeom.rings import (
     conjugate_subfield,
     unit_generators,
 )
-from chaingeom.projline import VerificationError, orbit, row_images, sorted_rows
+from chaingeom.projline import VerificationError, orbit, row_images, row_keys, rows_in, sorted_rows
 from chaingeom.chains import Residue
 from chaingeom.duality import col_images
 
@@ -48,55 +51,51 @@ class DerivedPlaneError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatClass:
-    """One orbit of blocks, with the conjugate subfield that reproduces it
-    as {(u^-1 K u)a + c} (or the mirrored right-space family)."""
+    """One orbit of blocks, the int array of their coordinate rows as
+    sorted_rows, with the conjugate subfield that reproduces it as
+    {(u^-1 K u)a + c} (or the mirrored right-space family).  Classes
+    compare by identity, their blocks as arrays."""
 
     side: str  # "compatibility" | "dual-compatibility"
-    blocks: frozenset
+    blocks: np.ndarray
     witness: Subfield
 
     def __len__(self):
         return len(self.blocks)
 
 
-def _witnessed_orbits(res: Residue, blocks, products, side: str) -> list[tuple]:
-    """The orbits of the affine action x -> x*a + c (products =
-    R.right_products) or x -> a*x + c (products = R.left_products) on a set
-    of coordinate blocks, sorted, each with its conjugate-subfield witness.
-    The generators act as permutation tables; raises VerificationError if
-    the action leaves the block set or a class has no witness."""
+def _witnessed_orbits(res: Residue, blocks: np.ndarray, side: str) -> list[tuple]:
+    """The orbits of the affine action x -> x*a + c (compatibility side) or
+    x -> a*x + c (dual side) on coordinate blocks given as sorted_rows,
+    each as sorted_rows with its conjugate-subfield witness, in the order
+    of their first rows.  The generators act as step tables read off the
+    mul and add tables; raises VerificationError if the action leaves the
+    block set or a class has no witness."""
     R = res.ring
-    steps = np.array([products(g) for g in unit_generators(R)]
-                     + [[R.add(x, h) for x in R.elements()] for h in additive_generators(R)],
-                     dtype=np.intp)
-    unassigned = set(blocks)
+    act = R._mul_a.T if side == "compatibility" else R._mul_a  # act[a][x]: x*a or a*x
+    steps = np.concatenate([act[list(unit_generators(R))],
+                            R._add_a[:, list(additive_generators(R))].T])
     classes = []
-    while unassigned:
-        seed = min(unassigned, key=sorted)
-        cls = frozenset(map(frozenset, orbit([sorted(seed)], steps).tolist()))
-        if not cls <= unassigned:
+    while len(blocks):  # the least block left seeds the next class
+        cls = orbit(blocks[:1], steps)
+        if not rows_in(cls, blocks).all():
             raise VerificationError(f"{R.name}: affine action left the block set")
         classes.append(cls)
-        unassigned -= cls
-    out = []
-    for cls in sorted(classes, key=lambda c: sorted(map(sorted, c))):
-        w = _find_witness(R, res.subfield, cls, side)
-        if w is None:
-            raise VerificationError(f"{R.name}: {side} class without a witness")
-        out.append((cls, w))
-    return out
+        blocks = blocks[~rows_in(blocks, cls)]
+    witnesses = [_find_witness(R, res.subfield, cls, side) for cls in classes]
+    if None in witnesses:
+        raise VerificationError(f"{R.name}: {side} class without a witness")
+    return list(zip(classes, witnesses))
 
 
 def _distinct_sets(rows) -> np.ndarray:
     """The distinct sets among the rows of an integer table, as
-    sorted_rows, each kept where it differs from the one before (a plain
-    np.unique over rows imports numpy.ma, about 16 ms cold)."""
+    sorted_rows, each at its first row_keys (a plain np.unique over rows
+    imports numpy.ma, about 16 ms cold)."""
     rows = sorted_rows(rows)
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[keep]
+    return rows[np.sort(np.unique(row_keys(rows), return_index=True)[1])]
 
 
 def _translates(R: Ring, rows: np.ndarray) -> np.ndarray:
@@ -116,19 +115,18 @@ def coset_family(R: Ring, K: Subfield, side: str) -> np.ndarray:
     return _translates(R, _distinct_sets(base))
 
 
-def _find_witness(R: Ring, K: Subfield, class_blocks: frozenset, side: str) -> Optional[Subfield]:
+def _find_witness(R: Ring, K: Subfield, blocks: np.ndarray, side: str) -> Optional[Subfield]:
     """The conjugate subfield u^-1 K u, least unit u first, that is a block
-    of the class and whose coset family is exactly the class."""
+    of the class with the rows blocks and whose coset family is exactly
+    the class; each distinct conjugate is tried once."""
     k, u = np.array(K.elements), np.array(R.units)
     inv = np.array([R.inv(x) for x in R.units])
-    tried = set()
-    for unit, row in zip(R.units, R._mul_a[R._mul_a[inv[:, None], k], u[:, None]].tolist()):
-        block = frozenset(row)
-        if block in class_blocks and block not in tried:
-            tried.add(block)
-            conj = conjugate_subfield(K, unit)
-            if check_class_structure(CompatClass(side, class_blocks, conj)):
-                return conj
+    conj = np.sort(R._mul_a[R._mul_a[inv[:, None], k], u[:, None]], axis=1)
+    _, first = np.unique(row_keys(conj), return_index=True)
+    for i in np.sort(first[rows_in(conj[first], blocks)]).tolist():
+        witness = conjugate_subfield(K, R.units[i])
+        if check_class_structure(CompatClass(side, blocks, witness)):
+            return witness
     return None
 
 
@@ -164,40 +162,52 @@ def _verify_coordinate_action(R: Ring) -> None:
 def delta_orbits(res: Residue) -> tuple[CompatClass, ...]:
     """Compatibility classes at the far point: orbits under x -> x*a + c."""
     _verify_coordinate_action(res.ring)
-    return tuple(CompatClass("compatibility", cls, w) for cls, w in
-                 _witnessed_orbits(res, res.blocks, res.ring.right_products, "compatibility"))
+    return tuple(CompatClass("compatibility", cls, w)
+                 for cls, w in _witnessed_orbits(res, res.blocks, "compatibility"))
 
 
-def dual_compat_classes(res: Residue, perp_coords) -> tuple[CompatClass, ...]:
+def dual_compat_classes(res: Residue, perp_coords: np.ndarray) -> tuple[CompatClass, ...]:
     """Dual compatibility: pull the left-affine orbit relation on the
     annihilator images back to the blocks.  perp_coords[x] is the dual
-    coordinate of the annihilator of R(x, 1), -1 off the dual residue."""
+    coordinate of the annihilator of R(x, 1), -1 off the dual residue; a
+    block's image is its row of perp_coords, sorted, and each class holds
+    the blocks whose images lie in one orbit, in the order of the orbits."""
     R = res.ring
-    img = {B: frozenset(perp_coords[x] for x in B) for B in res.blocks}
-    if any(-1 in I for I in img.values()):
+    images = np.sort(perp_coords[res.blocks], axis=1)
+    if np.any(images == -1):
         raise VerificationError(f"{R.name}: a block point maps off the dual residue")
     side = "dual-compatibility"
-    return tuple(CompatClass(side, frozenset(B for B, I in img.items() if I in icls), w)
-                 for icls, w in
-                 _witnessed_orbits(res, set(img.values()), R.left_products, side))
+    return tuple(CompatClass(side, res.blocks[rows_in(images, icls)], w)
+                 for icls, w in _witnessed_orbits(res, _distinct_sets(images), side))
 
 
 def check_class_structure(cls: CompatClass) -> bool:
     """True iff the class is exactly the coset family of its witness: the
-    two row sets are equal, not merely one inside the other."""
-    family = coset_family(cls.witness.ring, cls.witness, cls.side)
-    rows = _distinct_sets([list(B) for B in cls.blocks])
-    return rows.shape == family.shape and bool(np.all(rows == family))
+    two sorted_rows arrays are equal, not merely one inside the other."""
+    return np.array_equal(cls.blocks, coset_family(cls.witness.ring, cls.witness, cls.side))
+
+
+def same_partition(parts, others) -> bool:
+    """True iff two families of row sets, each set as sorted_rows, hold the
+    same sets: their sorted lists of rows are equal."""
+    return sorted(p.tolist() for p in parts) == sorted(p.tolist() for p in others)
 
 
 # partial affine spaces ------------------------------------------------------
 
+def _directions(R: Ring, rows: np.ndarray) -> np.ndarray:
+    """The direction table of sorted rows of ring elements: each row L less
+    its first entry, L - L[0], sorted.  A coset's direction is its
+    subgroup."""
+    return np.sort(R._add_a[rows, R._neg_a[rows[:, :1]]], axis=1)
+
+
 def joins_unit_pairs_once(R: Ring, blocks) -> bool:
-    """Two points at unit difference lie on exactly one of the blocks (all
-    of one size; a repeated block counts twice).  The pairs x < y of every
+    """Two points at unit difference lie on exactly one of the blocks, rows
+    of one width (a repeated block counts twice).  The pairs x < y of every
     block are counted at once, as a bincount of x |R| + y."""
     n = R.size
-    rows = np.array([sorted(B) for B in blocks], dtype=np.intp, ndmin=2)
+    rows = np.sort(np.array(blocks, dtype=np.intp, ndmin=2), axis=1)
     i, j = np.triu_indices(rows.shape[1], 1)
     joined = np.bincount((rows[:, i] * n + rows[:, j]).ravel(), minlength=n * n)
     unit = np.zeros(n, dtype=bool)
@@ -207,48 +217,43 @@ def joins_unit_pairs_once(R: Ring, blocks) -> bool:
     return bool(np.all(joined.reshape(n, n)[need] == 1))
 
 
+def _ambient_directions(R: Ring, cls: CompatClass) -> np.ndarray:
+    """The 1-dim witness subspaces K'x (x*K' on the dual side), x != 0, as
+    the distinct sorted rows of one slice of the mul table."""
+    k, x = np.array(cls.witness.elements), np.arange(1, R.size)  # zero is 0
+    return _distinct_sets(R._mul_a[k, x[:, None]] if cls.side == "compatibility"
+                          else R._mul_a[x[:, None], k])
+
+
 def cosets_hold(res: Residue, cls: CompatClass) -> bool:
     """The first two conditions of a partial affine space on the residue
     points, the third being joins_unit_pairs_once:
 
     (i)   every block is a coset of a 1-dim left witness-subspace (right
-          subspace on the dual side),
+          subspace on the dual side): its row of the direction table is
+          one of the ambient directions,
     (ii)  every direction that occurs comes with all of its cosets.
     """
-    R = res.ring
-    Kp = cls.witness.elements
-    directions: dict = {}
-    for B in cls.blocks:
-        c = min(B)
-        B0 = frozenset(R.sub(x, c) for x in B)
-        b = min(x for x in B0 if x != R.zero)
-        if cls.side == "compatibility":
-            span = frozenset(R.mul(k, b) for k in Kp)
-        else:
-            span = frozenset(R.mul(b, k) for k in Kp)
-        if B0 != span:
-            return False
-        directions[B0] = directions.get(B0, 0) + 1
-    n_cosets = R.size // len(Kp)
-    return all(count == n_cosets for count in directions.values())
+    R, k = res.ring, len(cls.witness)
+    if cls.blocks.shape[1] != k:
+        return False
+    dirs = _directions(R, cls.blocks)
+    cosets = np.unique(row_keys(dirs), return_counts=True)[1]
+    return bool(rows_in(dirs, _ambient_directions(R, cls)).all()
+                and np.all(cosets == R.size // k))
 
 
 def missing_directions(res: Residue, cls: CompatClass) -> int:
-    """Parallel classes of the ambient affine space absent from the class.
-    The ambient directions K'x (x*K' on the dual side), x != 0, are the
-    distinct sorted rows of one slice of the mul table, and the class's
-    directions are its blocks shifted to 0, B - min(B), sorted the same way.
-    Raises VerificationError unless every direction of the class is one of
-    the ambient ones."""
+    """Parallel classes of the ambient affine space absent from the class:
+    ambient directions less the distinct rows of the class's direction
+    table.  Raises VerificationError unless every direction of the class
+    is one of the ambient ones."""
     R = res.ring
-    k, x = np.array(cls.witness.elements), np.arange(1, R.size)  # zero is 0
-    spans = R._mul_a[k, x[:, None]] if cls.side == "compatibility" else R._mul_a[x[:, None], k]
-    ambient = {row.tobytes() for row in np.sort(spans, axis=1)}
-    if any(len(B) != len(k) for B in cls.blocks):
+    ambient = _ambient_directions(R, cls)
+    if cls.blocks.shape[1] != len(cls.witness):
         raise VerificationError(f"{R.name}: a block is no coset of the witness")
-    rows = np.array([sorted(B) for B in cls.blocks], dtype=np.intp).reshape(-1, len(k))
-    have = {row.tobytes() for row in np.sort(R._add_a[rows, R._neg_a[rows[:, :1]]], axis=1)}
-    if not have <= ambient:
+    have = _distinct_sets(_directions(R, cls.blocks))
+    if not rows_in(have, ambient).all():
         raise VerificationError(f"{R.name}: a block direction is no witness subspace")
     return len(ambient) - len(have)
 
@@ -291,11 +296,12 @@ def left_subspace_spread(R: Ring, K: Subfield) -> np.ndarray:
     return members
 
 
-def _all_2dim_subspaces(R: Ring, q: int) -> list:
+def _all_2dim_subspaces(R: Ring, q: int) -> np.ndarray:
     """Every additive subgroup of order q^2 arising as a span of two
-    elements (q prime here, so these are the F_q-subspaces), sorted.  The
-    spans {i x + j y} of all pairs x < y of nonzero elements are the rows
-    of one table; rows with q^2 distinct entries are kept."""
+    elements (q prime here, so these are the F_q-subspaces), as
+    sorted_rows.  The spans {i x + j y} of all pairs x < y of nonzero
+    elements are the rows of one table; rows with q^2 distinct entries are
+    kept."""
     n = R.size
     mult = np.zeros((n, q), dtype=np.intp)  # mult[x, i] = i x
     for i in range(1, q):
@@ -304,25 +310,23 @@ def _all_2dim_subspaces(R: Ring, q: int) -> list:
     nonzero = x != R.zero
     spans = R._add_a[mult[x[nonzero], :, None], mult[y[nonzero], None, :]].reshape(-1, q * q)
     rows = _distinct_sets(spans)
-    rows = rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]
-    return [frozenset(r) for r in rows.tolist()]
+    return rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]
 
 
-def regulus_through(R: Ring, q: int, m1, m2, m3, subspaces=None) -> tuple[frozenset, frozenset]:
-    """The regulus spanned by three pairwise-skew 2-dim subspaces and its
-    opposite regulus (the transversal family), by exhaustive search."""
-    if subspaces is None:
-        subspaces = _all_2dim_subspaces(R, q)
-    gens = [m1, m2, m3]
-    transversals = [T for T in subspaces
-                    if all(len(T & m) == q for m in gens)]
-    if len(transversals) != q + 1:
-        raise RegulusNotFoundError(
-            f"{len(transversals)} transversals through the three generators")
-    reg = [W for W in subspaces if all(len(W & T) == q for T in transversals)]
+def regulus_through(R: Ring, q: int, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The regulus spanned by three pairwise-skew 2-dim subspaces, the rows
+    gens, and its opposite regulus (the transversal family), as sorted_rows,
+    by exhaustive search over _all_2dim_subspaces: the sizes |W & T| are
+    the entries of a product of incidence matrices."""
+    subspaces = _all_2dim_subspaces(R, q)
+    inc = _incidence(R.size, subspaces)
+    trans = subspaces[np.all(inc @ _incidence(R.size, gens).T == q, axis=1)]
+    if len(trans) != q + 1:
+        raise RegulusNotFoundError(f"{len(trans)} transversals through the three generators")
+    reg = subspaces[np.all(inc @ _incidence(R.size, trans).T == q, axis=1)]
     if len(reg) != q + 1:
         raise RegulusNotFoundError(f"regulus came out with {len(reg)} members")
-    return frozenset(reg), frozenset(transversals)
+    return reg, trans
 
 
 def second_conjugate(R: Ring, K: Subfield) -> Optional[Subfield]:
@@ -356,23 +360,16 @@ def _affine_checks(R: Ring, lines: list) -> tuple[bool, bool, int]:
             int(per_point[0]) if np.all(per_point == per_point[0]) else -1)
 
 
-def _directions(R: Ring, rows: np.ndarray) -> list[tuple]:
-    """The direction L - min(L) of every line L, a sorted row of the table,
-    as a sorted tuple."""
-    return list(map(tuple, np.sort(R._add_a[rows, R._neg_a[rows[:, :1]]], axis=1).tolist()))
-
-
-def _projective_completion(R: Ring, lines: list) -> tuple[list, list]:
+def _projective_completion(R: Ring, lines: np.ndarray) -> tuple[list, list]:
     """Affine points get ids 0..n-1, directions n.. in order of first
-    appearance; returns (points, lines) with lines as sorted tuples of
-    point ids, last line at infinity."""
+    appearance; the lines are sorted rows.  Returns (points, lines) with
+    lines as sorted tuples of point ids, last line at infinity."""
     n = R.size
-    rows = np.sort(np.array(lines, dtype=np.intp), axis=1)
-    dirs = _directions(R, rows)
+    dirs = list(map(tuple, _directions(R, lines).tolist()))
     dir_id: dict = {}
     for d in dirs:
         dir_id.setdefault(d, n + len(dir_id))
-    proj_lines = [tuple(L) + (dir_id[d],) for L, d in zip(rows.tolist(), dirs)]
+    proj_lines = [tuple(L) + (dir_id[d],) for L, d in zip(lines.tolist(), dirs)]
     proj_lines.append(tuple(range(n, n + len(dir_id))))
     return list(range(n + len(dir_id))), proj_lines
 
@@ -483,33 +480,27 @@ def derive_plane(geom, skip_replacement: bool = False,
     if R.spec.family != "matrix2" or R.spec.q not in (2, 3):
         raise RegulusNotFoundError("derivation analogue needs matrix2(2) or matrix2(3)")
     q = R.spec.q
-    res = geom.residue
-    classes = geom.compat_classes
-    kblock = frozenset(K.elements)
-    kclass = next(c for c in classes if kblock in c.blocks)
-    # the spread, AG(2, q^2), the regulus and its opposite as tables of
-    # sorted rows; a line is the tuple of its row
+    kclass = next(c for c in geom.compat_classes if list(K.elements) in c.blocks.tolist())
+    # the spread, AG(2, q^2), the regulus, its opposite and the lines as
+    # tables of sorted rows
     spread = left_subspace_spread(R, K)
     ag = _translates(R, spread)
     if len(ag) != (q * q + 1) * q * q:
         raise VerificationError(f"AG(2, q^2) came out with {len(ag)} lines")
-    ag_lines = list(map(tuple, ag.tolist()))
-    if not {tuple(sorted(B)) for B in kclass.blocks} <= set(ag_lines):
+    if not rows_in(kclass.blocks, ag).all():
         raise VerificationError("the class does not extend to AG(2, q^2)")
-    block_set = frozenset(res.blocks)
 
     K2 = second_conjugate(R, K)
     degenerate = skip_replacement or K2 is None
     if skip_replacement:
         K2 = None
     if degenerate:
-        lines = ag_lines
+        lines = ag
         replaced_size = 0 if skip_replacement else 1
     else:
         k, k2 = np.array(K.elements), np.array(K2.elements)
         regulus = _distinct_sets(R._mul_a[k, np.array(K2.nonzero)[:, None]])  # K x, x in K2*
-        reg_lines = set(map(tuple, regulus.tolist()))
-        if len(regulus) != q + 1 or not reg_lines <= set(map(tuple, spread.tolist())):
+        if len(regulus) != q + 1 or not rows_in(regulus, spread).all():
             raise RegulusNotFoundError("conjugate subfield did not span a regulus")
         opposite = _distinct_sets(R._mul_a[np.array(K.nonzero)[:, None], k2])  # a K2, a in K*
         if len(opposite) != q + 1:
@@ -517,16 +508,14 @@ def derive_plane(geom, skip_replacement: bool = False,
         if set(opposite.ravel().tolist()) != set(regulus.ravel().tolist()):
             raise RegulusNotFoundError("opposite family misses the regulus carrier")
         # |T & m| for every opposite member T and regulus member m
-        meets = (opposite[:, None, :, None] == regulus[None, :, None, :]).sum(axis=(2, 3))
-        if np.any(meets != q):
+        if np.any(_incidence(R.size, opposite) @ _incidence(R.size, regulus).T != q):
             raise RegulusNotFoundError("non-transversal opposite member")
         # cross-check against the 3-generated regulus search
-        reg_sets, opp_sets = ({frozenset(r) for r in t.tolist()} for t in (regulus, opposite))
-        reg2, trans = regulus_through(R, q, *map(frozenset, regulus[:3].tolist()))
-        if reg2 != reg_sets or trans != opp_sets:
+        reg2, trans = regulus_through(R, q, regulus[:3])
+        if not (np.array_equal(reg2, regulus) and np.array_equal(trans, opposite)):
             raise RegulusNotFoundError("3-generated regulus disagrees")
-        lines = [L for L, d in zip(ag_lines, _directions(R, ag)) if d not in reg_lines]
-        lines += map(tuple, _translates(R, opposite).tolist())
+        lines = np.concatenate([ag[~rows_in(_directions(R, ag), regulus)],
+                                _translates(R, opposite)])
         replaced_size = len(regulus)
 
     two_point, playfair, lines_per_point = _affine_checks(R, lines)
@@ -550,7 +539,7 @@ def derive_plane(geom, skip_replacement: bool = False,
                 "no Desargues failure within the search cap; cannot classify")
         desargues, method = False, "witness-search"
 
-    outside = sum(1 for L in lines if frozenset(L) not in block_set)
+    outside = int(np.count_nonzero(~rows_in(lines, geom.residue.blocks)))
     return PlaneReport(
         points=R.size,
         lines=len(lines),

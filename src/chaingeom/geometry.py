@@ -123,10 +123,10 @@ class Geometry:
         return coords
 
     @cached_property
-    def perp_coords(self) -> tuple:
-        """The annihilator on the far-point residue: x -> the dual coordinate
-        of perp R(x, 1), -1 off the dual residue."""
-        return tuple(self.dual_coords[self.perp[self.affine]].tolist())
+    def perp_coords(self) -> np.ndarray:
+        """The annihilator on the far-point residue: perp_coords[x] is the
+        dual coordinate of perp R(x, 1), -1 off the dual residue."""
+        return self.dual_coords[self.perp[self.affine]]
 
     @cached_property
     def graph(self):

@@ -32,7 +32,8 @@ from chaingeom.rings import (
     conjugate_subfield,
     make_ring_map,
 )
-from chaingeom.projline import Point, index_of, one_word, word_points
+from chaingeom.projline import Point, index_of, one_word, sorted_rows, word_points
+from chaingeom.compat import same_partition
 
 
 class SubfieldConditionError(ValueError):
@@ -72,10 +73,9 @@ def triangular_flip_map(R: UpperTriangularRing) -> RingMap:
 
 def find_conjugator(m: RingMap, K: Subfield, K2: Subfield) -> Optional[int]:
     """A unit u' of the target with image(K) = u'^-1 K2 u', by exhaustion."""
-    S = m.target
-    image = frozenset(m(k) for k in K.elements)
-    for u in S.units:
-        if frozenset(conjugate_subfield(K2, u).elements) == image:
+    image = tuple(sorted(m(k) for k in K.elements))
+    for u in m.target.units:
+        if conjugate_subfield(K2, u).elements == image:
             return u
     return None
 
@@ -139,15 +139,11 @@ def length3_sigma_formula(S: Ring, p1: np.ndarray, p2: np.ndarray, p3: np.ndarra
     return add[add[mul[p3p2, p1], neg[p3]], neg[p1]], add[p3p2, neg[S.one]]
 
 
-def transported_partition(m: RingMap, classes) -> set:
-    """Push a far-point block partition through the residue restriction."""
-    return {frozenset(frozenset(m(x) for x in B) for B in c.blocks)
-            for c in classes}
-
-
 def preserves_compatibility(m: RingMap, geom, geom2) -> bool:
     """True iff the induced map carries the far-point compatibility
     partition of the Geometry geom onto the one of the target Geometry
-    geom2."""
-    return (transported_partition(m, geom.compat_classes)
-            == {c.blocks for c in geom2.compat_classes})
+    geom2.  On the far-point residue the induced map is m itself, so each
+    class goes over as its rows read through m's table."""
+    table = np.asarray(m.table)
+    return same_partition([sorted_rows(table[c.blocks]) for c in geom.compat_classes],
+                          [c.blocks for c in geom2.compat_classes])

@@ -164,6 +164,21 @@ def sorted_rows(rows) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def row_keys(rows) -> np.ndarray:
+    """One np.void value per row of an integer table, equal iff the rows
+    are: the form in which rows are deduplicated and looked up."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each row of rows is a row of table (never, for another
+    width): a set lookup of row_keys, as np.isin imports numpy.ma on all
+    but the smallest tables."""
+    seen = set(row_keys(table).tolist())
+    return np.array([key in seen for key in row_keys(rows).tolist()], dtype=bool)
+
+
 def carries(perm: np.ndarray, rows: np.ndarray, onto: np.ndarray) -> bool:
     """True iff the permutation i -> perm[i] carries the set of index sets
     rows onto the set onto, both given as sorted_rows."""
@@ -174,15 +189,14 @@ def orbit(seeds, perms: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
     """The orbit of the index sets given as rows of seeds under the
     permutations perms[g]: i -> perms[g][i], as sorted_rows, each member
     once.  The whole frontier moves at once, and images are deduplicated
-    as one np.void value per row.  Raises OrbitCapExceededError iff the
-    orbit has more than cap members.
+    by their row_keys.  Raises OrbitCapExceededError iff the orbit has
+    more than cap members.
     """
     frontier = np.sort(np.asarray(seeds, dtype=np.intp), axis=1)
-    void = np.dtype((np.void, frontier.itemsize * frontier.shape[1]))
     seen: set = set()
     found = []
     while len(frontier):
-        keys = np.ascontiguousarray(frontier).view(void).ravel()
+        keys = row_keys(frontier)
         _, first = np.unique(keys, return_index=True)
         fresh = np.sort([i for i, k in zip(first.tolist(), keys[first].tolist())
                          if k not in seen]).astype(np.intp)

@@ -23,6 +23,7 @@ back, and the dual point a fresh perp scan gives.
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from chaingeom.projline import (
     infinity,
     line_generators,
     make_point,
+    sorted_rows,
     word_point,
     word_points,
 )
@@ -55,6 +57,7 @@ from chaingeom.compat import (
     derive_plane,
     joins_unit_pairs_once,
     missing_directions,
+    same_partition,
 )
 from chaingeom.chains import blocks_at
 from chaingeom.geometry import Geometry
@@ -282,10 +285,11 @@ def vergleich_report(geom: Geometry) -> dict:
     # the coordinates (-1, x)^T R -> x
     dual_blocks = blocks_at(geom.dual_chains_at_infinity, geom.dual_index(dual_infinity(R)))
     rep = {
-        "points_fixed": geom.perp_coords == tuple(R.elements()),
-        "blocks_equal": (set(map(frozenset, geom.dual_coords[dual_blocks].tolist()))
-                         == set(geom.residue.blocks)),
-        "partitions_equal": {c.blocks for c in classes} == {c.blocks for c in dual_classes},
+        "points_fixed": np.array_equal(geom.perp_coords, R.elements()),
+        "blocks_equal": np.array_equal(sorted_rows(geom.dual_coords[dual_blocks]),
+                                       geom.residue.blocks),
+        "partitions_equal": same_partition([c.blocks for c in classes],
+                                           [c.blocks for c in dual_classes]),
         "units_normal": is_normal_subgroup(K, R),
         "classes": len(classes),
         "dual_classes": len(dual_classes),
@@ -320,26 +324,12 @@ def partial_affine_report(geom: Geometry) -> dict:
 
 def derive_plane_report(geom: Geometry, skip_replacement: bool = False,
                         desargues_cap: int = 10 ** 7) -> dict:
+    """The fields of derive_plane's PlaneReport that are not None; ok iff
+    the derived structure is an affine plane."""
     plane = derive_plane(geom, skip_replacement=skip_replacement,
                          desargues_cap=desargues_cap)
-    rep = {
-        "points": plane.points,
-        "lines": plane.lines,
-        "line_size": plane.line_size,
-        "two_point_axiom": plane.two_point_axiom,
-        "playfair": plane.playfair,
-        "desargues": plane.desargues,
-        "desargues_method": plane.desargues_method,
-        "degenerate_replacement": plane.degenerate_replacement,
-        "replaced_regulus_size": plane.replaced_regulus_size,
-        "lines_outside_block_set": plane.lines_outside_block_set,
-        "ok": plane.two_point_axiom and plane.playfair,
-    }
-    if plane.desargues_witness is not None:
-        rep["desargues_witness"] = plane.desargues_witness
-    if plane.second_subfield is not None:
-        rep["second_subfield"] = list(plane.second_subfield)
-    return rep
+    rep = {key: value for key, value in asdict(plane).items() if value is not None}
+    return {**rep, "ok": plane.two_point_axiom and plane.playfair}
 
 
 def catalogue_antiiso(R: Ring):

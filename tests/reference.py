@@ -26,7 +26,6 @@ from itertools import combinations
 
 import numpy as np
 
-from chaingeom import compat
 from chaingeom.projline import (
     VerificationError,
     index_of,
@@ -324,11 +323,51 @@ def coordinate_action_holds(R):
     return True
 
 
+def cosets_hold(res, cls):
+    """(i) every block is a coset of a 1-dim left witness-subspace (right
+    subspace on the dual side), (ii) every direction that occurs comes
+    with all of its cosets: the block loop the row kernel replaced."""
+    R = res.ring
+    Kp = cls.witness.elements
+    directions: dict = {}
+    for B in map(frozenset, np.asarray(cls.blocks).tolist()):
+        c = min(B)
+        B0 = frozenset(R.sub(x, c) for x in B)
+        b = min(x for x in B0 if x != R.zero)
+        if cls.side == "compatibility":
+            span = frozenset(R.mul(k, b) for k in Kp)
+        else:
+            span = frozenset(R.mul(b, k) for k in Kp)
+        if B0 != span:
+            return False
+        directions[B0] = directions.get(B0, 0) + 1
+    n_cosets = R.size // len(Kp)
+    return all(count == n_cosets for count in directions.values())
+
+
+def missing_directions(res, cls):
+    """The directions K'x (x*K' on the dual side), x != 0, that no block of
+    the class has, as sets; raises VerificationError as the row kernel
+    does."""
+    R, Kp = res.ring, cls.witness.elements
+    blocks = list(map(frozenset, np.asarray(cls.blocks).tolist()))
+    if cls.side == "compatibility":
+        ambient = {frozenset(R.mul(k, x) for k in Kp) for x in R.elements() if x != R.zero}
+    else:
+        ambient = {frozenset(R.mul(x, k) for k in Kp) for x in R.elements() if x != R.zero}
+    if any(len(B) != len(Kp) for B in blocks):
+        raise VerificationError(f"{R.name}: a block is no coset of the witness")
+    have = {frozenset(R.sub(x, min(B)) for x in B) for B in blocks}
+    if not have <= ambient:
+        raise VerificationError(f"{R.name}: a block direction is no witness subspace")
+    return len(ambient) - len(have)
+
+
 def validate_partial_affine(res, cls):
     """The class forms a partial affine space on the residue points:
     (i) and (ii) of cosets_hold, and (iii) two points at unit difference
     lie on exactly one block."""
-    return compat.cosets_hold(res, cls) and compat.joins_unit_pairs_once(res.ring, cls.blocks)
+    return cosets_hold(res, cls) and joins_unit_pairs_once(res.ring, cls.blocks)
 
 
 def eq9_family(R, K, side: str) -> frozenset:

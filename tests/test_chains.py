@@ -20,8 +20,9 @@ from reference import as_pairs, distant, line_perms, point_sets
 
 
 def blocks_through(res, xs) -> set:
-    """Coordinate blocks of the far-point residue containing every x in xs."""
-    return {B for B in res.blocks if set(xs) <= B}
+    """Coordinate blocks of the far-point residue containing every x in xs,
+    as sorted tuples."""
+    return {tuple(B) for B in res.blocks.tolist() if set(xs) <= set(B)}
 
 
 def test_standard_chain_sizes(f4, f4_k, dual2, dual2_k, m2f2, m2f2_k):
@@ -142,6 +143,19 @@ def coordinatized(res) -> bool:
     return sorted(make_point(R, x, R.one) for x in R.elements()) == sorted(res.points)
 
 
+def test_residue_blocks_are_sorted_rows(zoo_g):
+    """The far-point blocks are the int array of the coordinate rows of the
+    chains through R(1, 0), less that point, in sorted_rows order."""
+    for g in zoo_g:
+        R, blocks = g.ring, g.residue.blocks
+        coord = {g.affine[x]: x for x in R.elements()}
+        far = g.point_index(infinity(R))
+        want = sorted(sorted(coord[i] for i in C if i != far)
+                      for C in g.chains_at_infinity.tolist())
+        assert blocks.dtype.kind == "i", R.name
+        assert blocks.tolist() == want, R.name
+
+
 def test_residue_f4(f4_g):
     res = f4_g.residue
     assert len(res.points) == 4
@@ -155,8 +169,7 @@ def test_residue_dual2(dual2_g):
     assert len(res.points) == 4
     assert len(res.blocks) == 4
     # blocks are cosets of the unit-direction K-lines {0,1} and {0,1+e}
-    assert set(res.blocks) == {frozenset({0, 1}), frozenset({2, 3}),
-                               frozenset({0, 3}), frozenset({1, 2})}
+    assert res.blocks.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
 def test_residue_coordinatization_all_zoo(zoo_g):
@@ -164,7 +177,7 @@ def test_residue_coordinatization_all_zoo(zoo_g):
         R, K, res = g.ring, g.subfield, g.residue
         assert len(res.points) == R.size
         assert coordinatized(res)
-        for B in res.blocks:
+        for B in res.blocks.tolist():
             assert len(B) == len(K.elements)
             for x in B:
                 for y in B:
@@ -179,7 +192,7 @@ def test_blocks_through(f4_g, dual2_g, m2f3, m2f3_k, m2f3_g):
     assert blocks_through(res, {0, 2}) == set()   # e - 0 is no unit
     res = m2f3_g.residue
     got = blocks_through(res, {0, m2f3.one})
-    conjs = {frozenset(conjugate_subfield(m2f3_k, u).elements) for u in m2f3.units}
+    conjs = {conjugate_subfield(m2f3_k, u).elements for u in m2f3.units}
     assert got == conjs  # 0 and 1 joined by every conjugate of K
     assert len(got) == 3
 
@@ -188,7 +201,7 @@ def test_two_points_joined_iff_distant(zoo_g):
     for g in zoo_g:
         R, res = g.ring, g.residue
         joined = {}
-        for B in res.blocks:
+        for B in res.blocks.tolist():
             for x in B:
                 for y in B:
                     if x < y:
@@ -300,7 +313,7 @@ def test_block_translated_closed_under_some_conjugate(zoo_g):
     for g in zoo_g:
         R, K, res = g.ring, g.subfield, g.residue
         conjs = [frozenset(conjugate_subfield(K, u).elements) for u in R.units]
-        for B in res.blocks:
+        for B in res.blocks.tolist():
             c = min(B)
             B0 = frozenset(R.sub(x, c) for x in B)
             assert any(

@@ -1,9 +1,19 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chaingeom.cli import TASKS, ConfigError, export_dot, load_config, main, parse_config, run
+from chaingeom.cli import (
+    TASKS,
+    ConfigError,
+    _jsonable,
+    export_dot,
+    load_config,
+    main,
+    parse_config,
+    run,
+)
 
 
 def small_config(tmp_path, tasks, ring=None, output=None):
@@ -37,10 +47,43 @@ def test_unknown_task_is_config_error(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
-def test_bad_schema_rejected():
-    with pytest.raises(ConfigError):
-        parse_config({"schema": 99, "ring": {"family": "finite-field", "q": 4},
-                      "subfield": "prime", "tasks": [{"name": "enumerate-points"}]})
+def test_bad_schema_rejected(tmp_path):
+    """Only the integer 1 is schema 1: true and 1.0 equal 1 in Python, and
+    must exit 2 all the same."""
+    for schema in (99, True, 1.0, "1", None):
+        data = {"schema": schema, "ring": {"family": "finite-field", "q": 4},
+                "subfield": "prime", "tasks": [{"name": "enumerate-points"}]}
+        with pytest.raises(ConfigError, match="schema"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2, schema
+
+
+def test_jsonable_converts_numpy_scalars_and_refuses_the_rest():
+    body = {"n": np.int64(3), "ok": np.bool_(True), "rows": (np.intp(1), [np.int8(2)]),
+            "set": {3, 1}}
+    got = _jsonable(body)
+    assert got == {"n": 3, "ok": True, "rows": [1, [2]], "set": [1, 3]}
+    assert [type(v) for v in (got["n"], got["ok"], got["rows"][0])] == [int, bool, int]
+    for bad in (np.array([1, 2]), object(), b"bytes"):
+        with pytest.raises(TypeError, match="a report holds a value"):
+            _jsonable({"value": bad})
+
+
+def test_unknown_report_value_fails_its_task(tmp_path, monkeypatch):
+    """A task whose report holds a value JSON has no type for fails with
+    the TypeError recorded; the other tasks and the report are unharmed."""
+    monkeypatch.setitem(TASKS, "distant-graph",
+                        lambda geom: {"ok": True, "rows": np.array([[0, 1]])})
+    path = small_config(tmp_path, [{"name": "distant-graph"}, {"name": "enumerate-points"}])
+    report, all_pass = run(load_config(str(path)), out_dir=str(tmp_path))
+    assert not all_pass
+    bad, good = report["tasks"]
+    assert bad["status"] == "fail" and bad["error"].startswith("TypeError: a report holds")
+    assert "rows" not in bad
+    assert good["status"] == "pass" and good["points"] == 5
+    assert json.loads((tmp_path / "report.json").read_text())["tasks"] == report["tasks"]
 
 
 def test_exit_codes(tmp_path):

@@ -10,6 +10,7 @@ from chaingeom.projline import (
     infinity,
     line_generators,
     make_point,
+    sorted_rows,
 )
 from chaingeom.suites import vergleich_report
 from chaingeom.compat import (
@@ -21,9 +22,11 @@ from chaingeom.compat import (
     _desargues_scan,
     check_class_structure,
     coset_family,
+    cosets_hold,
     derive_plane,
     joins_unit_pairs_once,
     missing_directions,
+    same_partition,
 )
 from chaingeom.geometry import Geometry
 from chaingeom.rings import (
@@ -42,8 +45,25 @@ import reference
 from reference import apply_matrix, corrupt, point_sets, validate_partial_affine
 
 
+def as_blocks(rows) -> frozenset:
+    """Rows of an integer table as the set of their sets."""
+    return frozenset(map(frozenset, np.asarray(rows).tolist()))
+
+
+def partition(classes) -> set:
+    """A tuple of classes as the set of their block sets."""
+    return {as_blocks(c.blocks) for c in classes}
+
+
+def kernel_partial_affine(res, cls) -> bool:
+    """The class as a partial affine space by the row kernels: (i) and (ii)
+    of cosets_hold, then the unit-pair joins."""
+    return cosets_hold(res, cls) and joins_unit_pairs_once(res.ring, cls.blocks)
+
+
 def test_dual_classes_reject_a_block_point_off_the_dual_residue(f4_g):
-    coords = (-1,) + f4_g.perp_coords[1:]
+    coords = f4_g.perp_coords.copy()
+    coords[0] = -1
     with pytest.raises(VerificationError, match="off the dual residue"):
         compat.dual_compat_classes(f4_g.residue, coords)
 
@@ -62,12 +82,16 @@ def test_three_classes_m2f3(m2f3_g):
 
 
 def test_partitions_cover_blocks(zoo_g):
+    """Each partition's classes are sorted_rows whose rows together are the
+    residue blocks, each block in one class."""
     for g in zoo_g:
         res = g.residue
         for classes in (g.compat_classes, g.dual_compat_classes):
-            seen = [B for c in classes for B in c.blocks]
-            assert len(seen) == len(res.blocks)
-            assert set(seen) == set(res.blocks)
+            for c in classes:
+                assert c.blocks.dtype.kind == "i" and np.array_equal(sorted_rows(c.blocks),
+                                                                     c.blocks)
+            seen = np.concatenate([c.blocks for c in classes])
+            assert np.array_equal(sorted_rows(seen), res.blocks)
 
 
 def test_class_structure(zoo_g):
@@ -78,16 +102,15 @@ def test_class_structure(zoo_g):
 
 def test_affine_action_leaving_the_block_set_raises(m2f2_g):
     """A block set that is not closed under the affine action, here the
-    residue blocks less one, is refused by an explicit raise."""
+    residue blocks less the first, is refused by an explicit raise."""
     res = m2f2_g.residue
-    blocks = set(res.blocks) - {res.blocks[0]}
     with pytest.raises(VerificationError, match="left the block set"):
-        compat._witnessed_orbits(res, blocks, m2f2_g.ring.right_products, "compatibility")
+        compat._witnessed_orbits(res, res.blocks[1:], "compatibility")
 
 
 def test_class_structure_negative_control(f4_g):
     cls = f4_g.compat_classes[0]
-    corrupted = CompatClass(cls.side, frozenset(list(cls.blocks)[:-1]), cls.witness)
+    corrupted = CompatClass(cls.side, cls.blocks[:-1], cls.witness)
     assert not check_class_structure(corrupted)
 
 
@@ -134,13 +157,27 @@ def test_coordinate_action_without_unit_generators(value):
 
 def test_dual_partition_matches_when_normal(small_zoo_g):
     for g in small_zoo_g:
-        assert ({c.blocks for c in g.compat_classes}
-                == {c.blocks for c in g.dual_compat_classes})
+        assert partition(g.compat_classes) == partition(g.dual_compat_classes)
 
 
 def test_dual_partition_differs_m2f3(m2f3_g):
-    assert ({c.blocks for c in m2f3_g.compat_classes}
-            != {c.blocks for c in m2f3_g.dual_compat_classes})
+    assert partition(m2f3_g.compat_classes) != partition(m2f3_g.dual_compat_classes)
+
+
+def test_same_partition_matches_set_comparison(zoo_g):
+    """same_partition answers as the comparison of the partitions as sets of
+    sets does: on the two partitions of every zoo residue, in either class
+    order, and on a partition with one block moved to another class."""
+    for g in zoo_g:
+        ours = [c.blocks for c in g.compat_classes]
+        for theirs in ([c.blocks for c in g.dual_compat_classes],
+                       [c.blocks for c in g.dual_compat_classes][::-1], ours[::-1]):
+            want = {as_blocks(b) for b in ours} == {as_blocks(b) for b in theirs}
+            assert same_partition(ours, theirs) == want, g.ring.name
+        if len(ours) > 1:
+            moved = [sorted_rows(np.vstack([ours[1], ours[0][-1:]])), ours[0][:-1]] + ours[2:]
+            assert not same_partition(ours, moved)
+            assert not same_partition(ours, ours[1:])
 
 
 def test_uK_dually_compatible_but_not_compatible(m2f3_g):
@@ -148,16 +185,16 @@ def test_uK_dually_compatible_but_not_compatible(m2f3_g):
     class with K but not its compatibility class."""
     R, K = m2f3_g.ring, m2f3_g.subfield
     res = m2f3_g.residue
-    kblock = frozenset(K.elements)
+    kblock = list(K.elements)
     u = next(u for u in R.units
-             if frozenset(R.mul(u, k) for k in K.elements)
-             != frozenset(R.mul(k, u) for k in K.elements))
-    uK = frozenset(R.mul(u, k) for k in K.elements)
-    assert uK in set(res.blocks)
-    compat_of_k = next(c for c in m2f3_g.compat_classes if kblock in c.blocks)
-    dual_of_k = next(c for c in m2f3_g.dual_compat_classes if kblock in c.blocks)
-    assert uK not in compat_of_k.blocks
-    assert uK in dual_of_k.blocks
+             if sorted(R.mul(u, k) for k in K.elements)
+             != sorted(R.mul(k, u) for k in K.elements))
+    uK = sorted(R.mul(u, k) for k in K.elements)
+    assert uK in res.blocks.tolist()
+    compat_of_k = next(c for c in m2f3_g.compat_classes if kblock in c.blocks.tolist())
+    dual_of_k = next(c for c in m2f3_g.dual_compat_classes if kblock in c.blocks.tolist())
+    assert uK not in compat_of_k.blocks.tolist()
+    assert uK in dual_of_k.blocks.tolist()
 
 
 def test_residue_comparison_zoo(zoo_g):
@@ -187,7 +224,7 @@ def test_partial_affine_dual2_genuinely_partial(dual2, dual2_g):
     cls = dual2_g.compat_classes[0]
     assert validate_partial_affine(res, cls)
     assert missing_directions(res, cls) == 1   # the nilpotent direction {0, e}
-    dirs = {frozenset(dual2.sub(x, min(B)) for x in B) for B in cls.blocks}
+    dirs = {frozenset(dual2.sub(x, min(B)) for x in B) for B in cls.blocks.tolist()}
     assert frozenset({0, 2}) not in dirs
 
 
@@ -201,17 +238,22 @@ def test_partial_affine_needs_every_unit_pair_joined(f4_g):
     """Dropping every coset of one direction keeps (i) and (ii) but leaves
     the pairs at that unit difference on no block, which (iii) refuses."""
     R, res, cls = f4_g.ring, f4_g.residue, f4_g.compat_classes[0]
-    kept = frozenset(B for B in cls.blocks
-                     if frozenset(R.sub(x, min(B)) for x in B) != frozenset({0, 1}))
+    kept = CompatClass(cls.side, np.array([B for B in cls.blocks.tolist()
+                                           if [R.sub(x, B[0]) for x in B] != [0, 1]]),
+                       cls.witness)
     assert len(kept) == 4
-    assert not validate_partial_affine(res, CompatClass(cls.side, kept, cls.witness))
+    assert cosets_hold(res, kept) and reference.cosets_hold(res, kept)
+    assert not validate_partial_affine(res, kept)
+    assert not kernel_partial_affine(res, kept)
 
 
 def test_union_of_two_classes_fails(m2f3_g):
     res = m2f3_g.residue
     c1, c2 = m2f3_g.compat_classes[:2]
-    merged = CompatClass("compatibility", c1.blocks | c2.blocks, c1.witness)
+    merged = CompatClass("compatibility", sorted_rows(np.vstack([c1.blocks, c2.blocks])),
+                         c1.witness)
     assert not validate_partial_affine(res, merged)
+    assert not kernel_partial_affine(res, merged)
 
 
 def test_classes_maximal(f4_g, m2f2_g):
@@ -219,9 +261,11 @@ def test_classes_maximal(f4_g, m2f2_g):
     for g in (f4_g, m2f2_g):
         res = g.residue
         for cls in g.compat_classes:
-            for extra in set(res.blocks) - cls.blocks:
-                bigger = CompatClass(cls.side, cls.blocks | {extra}, cls.witness)
+            for extra in [B for B in res.blocks.tolist() if B not in cls.blocks.tolist()]:
+                bigger = CompatClass(cls.side, sorted_rows(cls.blocks.tolist() + [extra]),
+                                     cls.witness)
                 assert not validate_partial_affine(res, bigger)
+                assert not kernel_partial_affine(res, bigger)
 
 
 def test_compat_transportable(f4_g, dual2_g):
@@ -301,10 +345,6 @@ def test_eq9_family_shapes(m2f3, m2f3_k):
 
 # the compatibility kernels against their scalar references ---------------------
 
-def as_blocks(rows) -> frozenset:
-    return frozenset(map(frozenset, np.asarray(rows).tolist()))
-
-
 def conjugates(K):
     """The distinct conjugate subfields u^-1 K u, least unit first."""
     out = {}
@@ -328,9 +368,45 @@ def test_coset_family_matches_reference(zoo_g):
                 assert as_blocks(coset_family(R, conj, side)) == want, (R.name, conj)
                 for cls in classes:
                     probe = CompatClass(side, cls.blocks, conj)
-                    assert check_class_structure(probe) == (want == cls.blocks)
+                    assert check_class_structure(probe) == (want == as_blocks(cls.blocks))
         for cls in classes:
-            assert reference.eq9_family(R, cls.witness, cls.side) == cls.blocks
+            assert reference.eq9_family(R, cls.witness, cls.side) == as_blocks(cls.blocks)
+
+
+def directions_or_error(missing, res, cls):
+    """missing(res, cls), or the message of the VerificationError it raises."""
+    try:
+        return missing(res, cls)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def test_cosets_and_directions_match_reference(zoo_g):
+    """On every zoo ring, for every class of either partition probed with
+    every conjugate subfield as witness on either side, the row kernels
+    cosets_hold and missing_directions answer (or raise) as the block loop
+    and the set-based reference do; the classes with their own witnesses
+    pass, and some probe fails on every ring with a non-normal K*.  A class
+    less its last block leaves one direction short of its cosets, which
+    (ii) refuses."""
+    for g in zoo_g:
+        R, res = g.ring, g.residue
+        failed = 0
+        for cls in g.compat_classes + g.dual_compat_classes:
+            assert cosets_hold(res, cls) and reference.cosets_hold(res, cls), R.name
+            assert missing_directions(res, cls) == reference.missing_directions(res, cls)
+            short = CompatClass(cls.side, cls.blocks[:-1], cls.witness)
+            assert not cosets_hold(res, short) and not reference.cosets_hold(res, short)
+            assert missing_directions(res, short) == missing_directions(res, cls)
+            for conj in conjugates(g.subfield):
+                for side in ("compatibility", "dual-compatibility"):
+                    probe = CompatClass(side, cls.blocks, conj)
+                    holds = cosets_hold(res, probe)
+                    assert holds == reference.cosets_hold(res, probe), (R.name, conj, side)
+                    assert (directions_or_error(missing_directions, res, probe)
+                            == directions_or_error(reference.missing_directions, res, probe))
+                    failed += not holds
+        assert (failed > 0) == (R.name == "matrix2(3)"), R.name
 
 
 def test_joins_match_reference_on_every_class(zoo_g):
@@ -347,7 +423,7 @@ def test_joins_match_reference_on_drawn_families(zoo_g, data):
     duplicated, get the same answer from kernel and loop."""
     g = data.draw(st.sampled_from(zoo_g))
     classes = g.compat_classes + g.dual_compat_classes
-    blocks = sorted(data.draw(st.sampled_from(classes)).blocks, key=sorted)
+    blocks = data.draw(st.sampled_from(classes)).blocks.tolist()
     drawn = data.draw(st.lists(st.sampled_from(blocks), max_size=len(blocks) + 2))
     assert (joins_unit_pairs_once(g.ring, drawn)
             == reference.joins_unit_pairs_once(g.ring, drawn))
@@ -358,7 +434,7 @@ def test_2dim_subspaces_match_reference(request, name, count):
     R = request.getfixturevalue(name)
     spans = _all_2dim_subspaces(R, R.spec.q)
     assert len(spans) == count
-    assert spans == reference.all_2dim_subspaces(R, R.spec.q)
+    assert spans.tolist() == [sorted(s) for s in reference.all_2dim_subspaces(R, R.spec.q)]
 
 
 @pytest.fixture(scope="module")
@@ -369,7 +445,7 @@ def affine_line_sets(m2f2_g, m2f3_g):
     real = compat._affine_checks
 
     def spy(R, lines):
-        sets[name] = (R, lines)
+        sets[name] = (R, list(map(tuple, lines.tolist())))
         return real(R, lines)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -394,21 +470,22 @@ def test_class_with_a_shifted_block_has_no_witness(m2f3_g, monkeypatch):
     for another) leaves the class without a witness.  The orbit engine is
     stubbed to hand back that class as the orbit of its blocks."""
     R, res = m2f3_g.ring, m2f3_g.residue
-    rows = sorted(map(sorted, m2f3_g.compat_classes[0].blocks))
+    rows = m2f3_g.compat_classes[0].blocks.tolist()
     B = rows[-1]
     z = next(x for x in R.elements() if x not in B)
     rows[-1] = sorted(B[1:] + [z])
-    assert frozenset(rows[-1]) not in set(res.blocks)
-    monkeypatch.setattr(compat, "orbit", lambda seeds, steps: np.array(rows))
+    assert rows[-1] not in res.blocks.tolist()
+    rows = sorted_rows(rows)
+    monkeypatch.setattr(compat, "orbit", lambda seeds, steps: rows)
     with pytest.raises(VerificationError, match="class without a witness"):
-        compat._witnessed_orbits(res, as_blocks(rows), R.right_products, "compatibility")
+        compat._witnessed_orbits(res, rows, "compatibility")
     assert reference.eq9_family(R, m2f3_g.compat_classes[0].witness,
                                 "compatibility") != as_blocks(rows)
 
 
 def test_duplicated_block_fails_the_joins(zoo_g):
     for g in zoo_g:
-        blocks = sorted(g.compat_classes[0].blocks, key=sorted)
+        blocks = g.compat_classes[0].blocks.tolist()
         assert not joins_unit_pairs_once(g.ring, blocks + blocks[:1])
 
 

@@ -4,7 +4,8 @@ instead), no `cache`/`lru_cache` decorator, no module-level dict that a
 function writes to (derived state belongs to a Geometry, not to the
 process), no top-level function or class that only the tests call, and
 no trace of the per-element ring table machinery that the operation
-arrays replaced."""
+arrays replaced, and no frozenset where chains, residues and classes are
+sorted index rows."""
 
 import ast
 import re
@@ -33,8 +34,13 @@ ALLOWED_UNREACHED = {
 
 
 # the per-element family hooks and the table mirrors beside the operation
-# arrays: a ring builds _add_a, _mul_a and _neg_a and derives the rest
-DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right)\b")
+# arrays: a ring builds _add_a, _mul_a and _neg_a and derives the rest; and
+# the frozenset transport of a partition, which compares rows now
+DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
+                           r"|transported_partition)\b")
+
+# the modules whose sets of blocks, chains and classes are sorted index rows
+ROW_MODULES = ("chains.py", "compat.py", "isomorph.py")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -182,9 +188,10 @@ def test_scan_finds_module_memo_writes():
 def test_scan_finds_deleted_names():
     text = ("x = R._mul_cols[b]\ndef _struct_mul(self, a, b): pass\n"
             "t = self._place_add; p = R._pair_left\n# _padded digits\n"
-            "R._mul_a, R._pair_right_key, R.canonical_pair_left\n")
+            "R._mul_a, R._pair_right_key, R.canonical_pair_left\n"
+            "from chaingeom.isomorph import transported_partition\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
-                                           "_pair_left", "_padded"]
+                                           "_pair_left", "_padded", "transported_partition"]
 
 
 def test_no_deleted_table_names():
@@ -192,6 +199,26 @@ def test_no_deleted_table_names():
     found = {f"{path.parent.name}/{path.name}": names
              for path in SOURCES + TESTS if path.resolve() != Path(__file__).resolve()
              for names in [DELETED_NAMES.findall(path.read_text())] if names}
+    assert found == {}
+
+
+def frozenset_calls(text: str) -> list[int]:
+    """The line numbers of every frozenset( in a source text."""
+    return [i for i, line in enumerate(text.splitlines(), 1) if "frozenset(" in line]
+
+
+def test_scan_finds_frozenset_calls():
+    text = "x = frozenset(a)\ny = set(b)\n# frozenset({0, 1})\nz = frozenset\n"
+    assert frozenset_calls(text) == [1, 3]
+
+
+def test_no_frozensets_in_the_row_modules():
+    """Chains, residue blocks and compatibility classes are sorted index
+    rows from the orbit engine to the derived plane: the modules that
+    handle them build no frozenset."""
+    found = {path.name: lines for path in SOURCES if path.name in ROW_MODULES
+             for lines in [frozenset_calls(path.read_text())] if lines}
+    assert [p.name for p in SOURCES if p.name in ROW_MODULES] == sorted(ROW_MODULES)
     assert found == {}
 
 
