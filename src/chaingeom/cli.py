@@ -229,15 +229,15 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
 
 
 def _jsonable(obj):
-    """obj with every tuple, list or set a list (sets sorted by repr),
-    every dict key a string and numpy integers and bools as int and bool;
-    raises TypeError on any other type that JSON does not have."""
+    """obj with every tuple, list or set a list (a set's numbers by value,
+    then the rest by repr), every dict key a string, numpy integers and
+    bools as int and bool; raises TypeError on any other type."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = [_jsonable(v) for v in obj]
         if isinstance(obj, (set, frozenset)):
-            items = sorted(items, key=repr)
+            items.sort(key=lambda v: (0, v) if isinstance(v, (int, float)) else (1, repr(v)))
         return items
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj

@@ -14,9 +14,9 @@ The derivation analogue replaces one regulus of the spread of left
 K-subspaces with its opposite regulus of right K''-cosets, where K'' is a
 second conjugate subfield, and validates the outcome as an affine plane of
 order q^2 including an exhaustive or witness-producing Desargues search.
-That search is a sliced table kernel: join, meet and incidence tables of
-the projective completion, indexed by numpy over bounded slabs that still
-examine every configuration, in the order of the plain nested loop.  The
+That search is one kernel over every configuration of the projective
+completion, in the order of the plain nested loop: axis-point tables for
+the groups of blocks it reaches and the closing test on bounded slabs.  The
 witness families, the unit-pair joins, the 2-dim subspace and regulus
 searches and the affine-plane checks are table kernels too, over rows of
 ring elements read from the add and mul tables or over an incidence
@@ -339,10 +339,10 @@ def second_conjugate(R: Ring, K: Subfield) -> Optional[Subfield]:
 
 
 def _incidence(n_points: int, lines) -> np.ndarray:
-    """The lines x points 0/1 incidence matrix."""
-    inc = np.zeros((len(lines), n_points), dtype=np.int64)
-    for li, L in enumerate(lines):
-        inc[li, list(L)] = 1
+    """The lines x points 0/1 incidence matrix, by one scatter."""
+    sizes = [len(L) for L in lines]
+    inc = np.zeros((len(sizes), n_points), dtype=np.int64)
+    inc[np.repeat(np.arange(len(sizes)), sizes), np.concatenate(lines)] = 1
     return inc
 
 
@@ -366,26 +366,25 @@ def _projective_completion(R: Ring, lines: np.ndarray) -> tuple[list, list]:
     lines as sorted tuples of point ids, last line at infinity."""
     n = R.size
     dirs = list(map(tuple, _directions(R, lines).tolist()))
-    dir_id: dict = {}
-    for d in dirs:
-        dir_id.setdefault(d, n + len(dir_id))
+    dir_id = {d: n + at for at, d in enumerate(dict.fromkeys(dirs))}
     proj_lines = [tuple(L) + (dir_id[d],) for L, d in zip(lines.tolist(), dirs)]
     proj_lines.append(tuple(range(n, n + len(dir_id))))
     return list(range(n + len(dir_id))), proj_lines
 
 
-# entries per slab of the Desargues kernel: one (A, A') row on order 9
-_SLAB = 72 * 72
+# entries per slab of the Desargues kernel, and per group of its axis
+# tables: one (A, A') row on order 9, four (O, l1, l2, l3) blocks on order 4
+_SLAB = 1 << 13
 
 
 def _plane_tables(n_points: int, lines) -> tuple:
-    """The tables the Desargues scan indexes: line_of (N x N line index, -1 on
-    the diagonal), meet (L x L point index, -1 on the diagonal) and the L x N
-    0/1 incidence matrix.  Raises VerificationError unless every two points
-    lie on exactly one line and every two lines meet in exactly one point."""
+    """The tables the Desargues scan indexes: line_of (N x N line ids, -1 on
+    the diagonal), meet (L x L point ids, -1 on the diagonal), the L x N 0/1
+    incidence matrix and through (N x (n+1), each point's lines, increasing).
+    Raises VerificationError unless every two points share exactly one line,
+    every two lines exactly one point, and all lines have one size."""
     inc = _incidence(n_points, lines)
-    # each product entry sums over the common lines (points); where exactly
-    # one is common, the index-weighted product names it
+    # each product entry sums over the common lines (points)
     for what, X in (("lines through points", inc), ("points on lines", inc.T)):
         common = X.T @ X
         np.fill_diagonal(common, 1)
@@ -394,16 +393,15 @@ def _plane_tables(n_points: int, lines) -> tuple:
             i, j = bad[0].tolist()
             raise VerificationError(
                 f"projective completion is not linear: {common[i, j]} {what} {i} and {j}")
-    line_of = (inc.T * np.arange(len(lines))) @ inc
-    meet = (inc * np.arange(n_points)) @ inc.T
-    np.fill_diagonal(line_of, -1)
-    np.fill_diagonal(meet, -1)
-    return line_of, meet, inc
-
-
-def _ordered_pairs(m: int) -> tuple:
-    """Index arrays of every ordered pair (i, j), i != j, lexicographically."""
-    return np.nonzero(~np.eye(m, dtype=bool))
+    if np.ptp(inc.sum(axis=1)):
+        raise VerificationError("projective completion has lines of different sizes")
+    through = np.nonzero(inc.T)[1].reshape(n_points, -1)
+    # one scatter each: every two points name their line, every two lines their point
+    line_of, meet = np.full((n_points, n_points), -1), np.full((len(inc), len(inc)), -1)
+    for table, X in ((line_of, np.nonzero(inc)[1].reshape(len(inc), -1)), (meet, through)):
+        table[X[:, :, None], X[:, None, :]] = np.arange(len(X))[:, None, None]
+        np.fill_diagonal(table, -1)
+    return line_of, meet, inc, through
 
 
 def _desargues_scan(points, lines, find_failure: bool, cap: int):
@@ -414,54 +412,56 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
     after the cap, a diagnostic); find_failure=False proves the statement
     by sweeping every configuration (no cap).
 
-    Every configuration (O, l1 < l2 < l3 through O, A != A' on l1,
-    B != B' on l2, C != C' on l3) is examined, in lexicographic order.  For
-    one (O, l1, l2, l3) the axis points P = AB.A'B', Q = AC.A'C' and
-    S = BC.B'C' are index tables over the ordered pairs, and the closing
-    test runs on slabs of whole (A, A') rows of at most _SLAB entries.  In
-    a projective plane (checked by _plane_tables) AB != A'B', AC != A'C'
-    and BC != B'C' always, so no configuration is skipped uncounted.
+    One kernel examines every configuration (O, l1 < l2 < l3 through O,
+    A != A' on l1, B != B' on l2, C != C' on l3) in lexicographic order.
+    For a group of (O, l1, l2, l3) blocks at a time, and only for the
+    groups the scan reaches, the axis points P = AB.A'B', Q = AC.A'C' and
+    S = BC.B'C' are tables over the ordered pairs.  The closing test, S
+    off the line PQ, runs on slabs of whole (O, l1, l2, l3, A, A') rows,
+    whole blocks where one fits in _SLAB entries, else rows of one block,
+    and the count carries across the slabs.  In a projective plane
+    (checked by _plane_tables) AB != A'B', AC != A'C' and BC != B'C', so
+    no configuration is skipped uncounted.
     """
-    line_of, meet, inc = _plane_tables(len(points), lines)
-    line_pts = [np.array(L) for L in lines]
+    n = len(points)
+    line_of, meet, inc, through = _plane_tables(n, lines)
+    # off[l n + x]: x is off line l; where P == Q line_of is -1, and the
+    # last row, read there, holds every point, so that configuration closes
+    off = np.vstack([inc == 0, np.zeros(n, dtype=bool)]).ravel()
+    line_n = (line_of * n).ravel()
+    rest = np.array(lines, dtype=np.intp)[through]  # each line through O, less O
+    rest = rest[rest != np.arange(n)[:, None, None]].reshape(*through.shape, -1)
+    triples = np.array(list(combinations(range(through.shape[1]), 3)), dtype=np.intp)
+    k = rest.shape[2]
+    i, j = np.nonzero(~np.eye(k, dtype=bool))  # the ordered pairs (X, X')
+    m = max(len(i), 1)
+    group, slab, rows = (max(1, _SLAB // d) for d in (3 * m * m, m ** 3, m * m))
     count = 0
-    for O in points:
-        for l1, l2, l3 in combinations(np.flatnonzero(inc[:, O]).tolist(), 3):
-            sides = []
-            for li in (l1, l2, l3):
-                pts = line_pts[li][line_pts[li] != O]
-                i, j = _ordered_pairs(len(pts))
-                sides.append((pts[i], pts[j]))
-            (A, A2), (B, B2), (C, C2) = sides
-            P = meet[line_of[A[:, None], B], line_of[A2[:, None], B2]]
-            Q = meet[line_of[A[:, None], C], line_of[A2[:, None], C2]]
-            S = meet[line_of[B[:, None], C], line_of[B2[:, None], C2]]
-            rows = max(1, _SLAB // S.size)
-            for r0 in range(0, len(A), rows):
-                p = P[r0:r0 + rows, :, None]
-                q = Q[r0:r0 + rows, None, :]
-                # P, Q, S distinct and not collinear: S off the line PQ, which
-                # holds P and Q; where P == Q line_of is -1, masked by p != q
-                fail = (p != q) & (inc[line_of[p, q], S] == 0)
+    for g0 in range(0, n * len(triples), group):
+        O, t = np.divmod(np.arange(g0, min(g0 + group, n * len(triples))), len(triples))
+        X = rest[O[:, None], triples[t]]  # block x line x point
+        # joins XY on the sides (l1, l2), (l1, l3), (l2, l3); meets XY.X'Y'
+        join = line_of[X[:, [0, 0, 1], :, None], X[:, [1, 2, 2], None, :]].reshape(len(O), 3, -1)
+        P, Q, S = meet[join[:, :, i[:, None] * k + i],
+                       join[:, :, j[:, None] * k + j]].swapaxes(0, 1)
+        Pn = P * n
+        for b0 in range(0, len(O), slab):
+            for a0 in range(0, m, rows):
+                at = np.s_[b0:b0 + slab, a0:a0 + rows]
+                fail = off.take(line_n.take(Pn[at][..., None] + Q[at][:, :, None])
+                                + S[b0:b0 + slab, None])
                 hits = np.flatnonzero(fail)
-                if hits.size:
-                    examined = count + int(hits[0]) + 1
-                    if find_failure and examined > cap:
-                        return None, cap
-                    a, rest = divmod(int(hits[0]), S.size)
-                    b, c = divmod(rest, S.shape[1])
-                    a += r0
-                    witness = {
-                        "center": O,
-                        "lines": [l1, l2, l3],
-                        "triangle": [int(A[a]), int(B[b]), int(C[c])],
-                        "image": [int(A2[a]), int(B2[b]), int(C2[c])],
-                        "axis_points": [int(P[a, b]), int(Q[a, c]), int(S[b, c])],
-                    }
-                    return witness, examined
-                count += fail.size
+                count += int(hits[0]) + 1 if hits.size else fail.size
                 if find_failure and count > cap:
                     return None, cap
+                if hits.size:
+                    x, a, b, c = np.unravel_index(hits[0], fail.shape)
+                    x, a = x + b0, a + a0
+                    return {"center": int(O[x]), "lines": through[O[x], triples[t[x]]].tolist(),
+                            "triangle": X[x, [0, 1, 2], i[[a, b, c]]].tolist(),
+                            "image": X[x, [0, 1, 2], j[[a, b, c]]].tolist(),
+                            "axis_points": [int(P[x, a, b]), int(Q[x, a, c]), int(S[x, b, c])]
+                            }, count
     return None, count
 
 

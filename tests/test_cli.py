@@ -71,6 +71,16 @@ def test_jsonable_converts_numpy_scalars_and_refuses_the_rest():
             _jsonable({"value": bad})
 
 
+def test_jsonable_orders_set_members_numerically():
+    """A set's numbers come out by value, not by repr ([10, 2, 3]), and
+    mixed members in one order whatever the set's own order."""
+    assert _jsonable({2, 10, 3}) == [2, 3, 10]
+    assert _jsonable(frozenset({2.5, -1, np.int64(10), False})) == [-1, False, 2.5, 10]
+    mixed = [10, "b", 2, None, (1, 2), "a"]
+    for members in (mixed, mixed[::-1]):
+        assert _jsonable({"m": set(members)}) == {"m": [2, 10, "a", "b", None, [1, 2]]}
+
+
 def test_unknown_report_value_fails_its_task(tmp_path, monkeypatch):
     """A task whose report holds a value JSON has no type for fails with
     the TypeError recorded; the other tasks and the report are unharmed."""

@@ -20,6 +20,7 @@ from chaingeom.compat import (
     _affine_checks,
     _all_2dim_subspaces,
     _desargues_scan,
+    _plane_tables,
     check_class_structure,
     coset_family,
     cosets_hold,
@@ -594,6 +595,68 @@ def test_desargues_kernel_matches_loop_hall_plane(completed_planes):
     for scan in (_desargues_scan, reference.desargues_scan):
         assert scan(points, lines, True, examined - 1) == (None, examined - 1)
         assert scan(points, lines, True, examined) == found
+
+
+def relabelled(points, lines, seed):
+    """The plane (points, lines) with its point ids permuted, its lines
+    reordered and the points within each line shuffled, all by one seed."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(points))
+    moved = [[int(perm[x]) for x in L] for L in lines]
+    for L in moved:
+        rng.shuffle(L)
+    return points, [tuple(moved[li]) for li in rng.permutation(len(lines))]
+
+
+@pytest.mark.parametrize("rows", [1, 5, None], ids=["one-row", "split-block", "default"])
+def test_desargues_kernel_is_exact_at_every_slab_size(completed_planes, monkeypatch, rows):
+    """Slab edges change nothing: with one (A, A') row per slab, with five
+    (which splits every (center, line-triple) block) and at the default
+    budget, the kernel returns what the loop reference returns, carrying
+    the count across slabs and cutting off at exactly the cap."""
+    for order, (points, lines) in sorted(completed_planes.items()):
+        if rows is not None:
+            m = order * (order - 1)  # ordered pairs on a line less its center
+            monkeypatch.setattr(compat, "_SLAB", rows * m * m)
+        if order == 4:
+            for mode in (False, True):
+                assert _desargues_scan(points, lines, mode, 10 ** 7) == (None, 362_880)
+            # caps at and beside the row, block and whole-scan edges
+            for cap in (0, 1, 143, 144, 145, 720, 1727, 1728, 1729, 362_879):
+                assert _desargues_scan(points, lines, True, cap) == (None, cap)
+            continue
+        found = reference.desargues_scan(points, lines, True, 10 ** 7)
+        assert found[1] == 2
+        assert _desargues_scan(points, lines, True, 10 ** 7) == found
+        assert _desargues_scan(points, lines, False, 0) == found
+        for cap in (found[1] - 1, 0):
+            assert _desargues_scan(points, lines, True, cap) == (None, cap)
+        # other labels put the first failure elsewhere in the first row
+        for seed in range(4):
+            plane = relabelled(points, lines, seed)
+            want = reference.desargues_scan(*plane, True, 10 ** 7)
+            assert _desargues_scan(*plane, True, 10 ** 7) == want
+            assert_desargues_fails_at(plane[1], want[0])
+            assert _desargues_scan(*plane, True, want[1] - 1) == (None, want[1] - 1)
+
+
+def test_plane_tables_match_set_join_and_meet(completed_planes):
+    """line_of and meet agree with joins and meets taken on point sets, and
+    incidence and the lines through each point with membership."""
+    for points, lines in completed_planes.values():
+        line_of, meet, inc, through = _plane_tables(len(points), lines)
+        sets = [set(L) for L in lines]
+        assert line_of.tolist() == [
+            [-1 if x == y else next(li for li, L in enumerate(sets) if {x, y} <= L)
+             for y in points] for x in points]
+        assert meet.tolist() == [[-1 if a == b else min(A & B) for b, B in enumerate(sets)]
+                                 for a, A in enumerate(sets)]
+        assert all(len(A & B) == 1 for a, A in enumerate(sets) for B in sets[a + 1:])
+        assert inc.tolist() == [[int(x in L) for x in points] for L in sets]
+        assert through.tolist() == [[li for li, L in enumerate(sets) if x in L] for x in points]
+    # a near-pencil is linear, and two lines always meet, but it is no plane
+    with pytest.raises(VerificationError, match="lines of different sizes"):
+        _plane_tables(4, [(1, 2, 3), (0, 1), (0, 2), (0, 3)])
 
 
 DOUBLE_JOIN = """

@@ -34,10 +34,12 @@ ALLOWED_UNREACHED = {
 
 
 # the per-element family hooks and the table mirrors beside the operation
-# arrays: a ring builds _add_a, _mul_a and _neg_a and derives the rest; and
-# the frozenset transport of a partition, which compares rows now
+# arrays: a ring builds _add_a, _mul_a and _neg_a and derives the rest; the
+# frozenset transport of a partition, which compares rows now; and the
+# per-block pair helper of the Desargues scan, whose kernel takes the
+# ordered pairs once
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
-                           r"|transported_partition)\b")
+                           r"|transported_partition|_ordered_pairs)\b")
 
 # the modules whose sets of blocks, chains and classes are sorted index rows
 ROW_MODULES = ("chains.py", "compat.py", "isomorph.py")
@@ -189,9 +191,11 @@ def test_scan_finds_deleted_names():
     text = ("x = R._mul_cols[b]\ndef _struct_mul(self, a, b): pass\n"
             "t = self._place_add; p = R._pair_left\n# _padded digits\n"
             "R._mul_a, R._pair_right_key, R.canonical_pair_left\n"
-            "from chaingeom.isomorph import transported_partition\n")
+            "from chaingeom.isomorph import transported_partition\n"
+            "i, j = _ordered_pairs(len(pts)); ordered_pairs = 1\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
-                                           "_pair_left", "_padded", "transported_partition"]
+                                           "_pair_left", "_padded", "transported_partition",
+                                           "_ordered_pairs"]
 
 
 def test_no_deleted_table_names():
