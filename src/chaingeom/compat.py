@@ -38,7 +38,8 @@ from chaingeom.rings import (
     conjugate_subfield,
     unit_generators,
 )
-from chaingeom.projline import VerificationError, orbit, row_images, row_keys, rows_in, sorted_rows
+from chaingeom.projline import (
+    VerificationError, orbit, row_images, row_keys, rows_in, slabs, sorted_rows)
 from chaingeom.chains import Residue
 from chaingeom.duality import col_images
 
@@ -346,17 +347,31 @@ def _incidence(n_points: int, lines) -> np.ndarray:
     return inc
 
 
+def _shared(inc: np.ndarray) -> np.ndarray:
+    """[x, y]: the number of rows of the 0/1 matrix inc with a 1 in both
+    columns x and y, 1 on the diagonal: one bincount over the ordered pairs
+    x != y of each row's list of columns, the lists padded with -1."""
+    row, col = np.nonzero(inc)
+    size = np.bincount(row, minlength=len(inc))
+    lists = np.full((len(inc), size.max()), -1)
+    lists[row, np.arange(len(row)) - (np.cumsum(size) - size)[row]] = col
+    x, y = lists[:, :, None], lists[:, None, :]
+    n = inc.shape[1]
+    common = np.bincount((x * n + y)[(x != y) & (x >= 0) & (y >= 0)], minlength=n * n)
+    common = common.reshape(n, n)
+    np.fill_diagonal(common, 1)
+    return common
+
+
 def _affine_checks(R: Ring, lines: list) -> tuple[bool, bool, int]:
     """Two-point axiom, Playfair and the number of lines per point (-1 if
     it varies) for a line family over point set R, from the incidence
     matrix: every two points share exactly one line, and every line misses
     each point off it by exactly one line through that point."""
     inc = _incidence(R.size, lines)
-    common = inc.T @ inc
-    np.fill_diagonal(common, 1)
-    parallels = ((inc @ inc.T) == 0).astype(np.int64) @ inc  # [l, x]: lines through x missing l
+    parallels = (_shared(inc.T) == 0).astype(np.int64) @ inc  # [l, x]: lines through x missing l
     per_point = inc.sum(axis=0)
-    return (bool(np.all(common == 1)), bool(np.all(parallels[inc == 0] == 1)),
+    return (bool(np.all(_shared(inc) == 1)), bool(np.all(parallels[inc == 0] == 1)),
             int(per_point[0]) if np.all(per_point == per_point[0]) else -1)
 
 
@@ -372,11 +387,6 @@ def _projective_completion(R: Ring, lines: np.ndarray) -> tuple[list, list]:
     return list(range(n + len(dir_id))), proj_lines
 
 
-# entries per slab of the Desargues kernel, and per group of its axis
-# tables: one (A, A') row on order 9, four (O, l1, l2, l3) blocks on order 4
-_SLAB = 1 << 13
-
-
 def _plane_tables(n_points: int, lines) -> tuple:
     """The tables the Desargues scan indexes: line_of (N x N line ids, -1 on
     the diagonal), meet (L x L point ids, -1 on the diagonal), the L x N 0/1
@@ -384,10 +394,8 @@ def _plane_tables(n_points: int, lines) -> tuple:
     Raises VerificationError unless every two points share exactly one line,
     every two lines exactly one point, and all lines have one size."""
     inc = _incidence(n_points, lines)
-    # each product entry sums over the common lines (points)
     for what, X in (("lines through points", inc), ("points on lines", inc.T)):
-        common = X.T @ X
-        np.fill_diagonal(common, 1)
+        common = _shared(X)
         bad = np.argwhere(common != 1)
         if len(bad):
             i, j = bad[0].tolist()
@@ -418,8 +426,8 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
     groups the scan reaches, the axis points P = AB.A'B', Q = AC.A'C' and
     S = BC.B'C' are tables over the ordered pairs.  The closing test, S
     off the line PQ, runs on slabs of whole (O, l1, l2, l3, A, A') rows,
-    whole blocks where one fits in _SLAB entries, else rows of one block,
-    and the count carries across the slabs.  In a projective plane
+    whole blocks where one fits in the slabs() budget, else rows of one
+    block, and the count carries across the slabs.  In a projective plane
     (checked by _plane_tables) AB != A'B', AC != A'C' and BC != B'C', so
     no configuration is skipped uncounted.
     """
@@ -435,28 +443,29 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
     k = rest.shape[2]
     i, j = np.nonzero(~np.eye(k, dtype=bool))  # the ordered pairs (X, X')
     m = max(len(i), 1)
-    group, slab, rows = (max(1, _SLAB // d) for d in (3 * m * m, m ** 3, m * m))
+    # intp bytes per block of P, Q, S, per block and per (A, A') row of the test
+    rows = list(slabs(np.full(m, m * m * 8)))
     count = 0
-    for g0 in range(0, n * len(triples), group):
-        O, t = np.divmod(np.arange(g0, min(g0 + group, n * len(triples))), len(triples))
+    for group in slabs(np.full(n * len(triples), 3 * m * m * 8)):
+        O, t = np.divmod(np.arange(group.start, group.stop), len(triples))
+        blocks = list(slabs(np.full(len(O), m ** 3 * 8)))
         X = rest[O[:, None], triples[t]]  # block x line x point
         # joins XY on the sides (l1, l2), (l1, l3), (l2, l3); meets XY.X'Y'
         join = line_of[X[:, [0, 0, 1], :, None], X[:, [1, 2, 2], None, :]].reshape(len(O), 3, -1)
         P, Q, S = meet[join[:, :, i[:, None] * k + i],
                        join[:, :, j[:, None] * k + j]].swapaxes(0, 1)
         Pn = P * n
-        for b0 in range(0, len(O), slab):
-            for a0 in range(0, m, rows):
-                at = np.s_[b0:b0 + slab, a0:a0 + rows]
-                fail = off.take(line_n.take(Pn[at][..., None] + Q[at][:, :, None])
-                                + S[b0:b0 + slab, None])
+        for slab in blocks:
+            for row in rows:
+                fail = off.take(line_n.take(Pn[slab, row, :, None] + Q[slab, row, None])
+                                + S[slab, None])
                 hits = np.flatnonzero(fail)
                 count += int(hits[0]) + 1 if hits.size else fail.size
                 if find_failure and count > cap:
                     return None, cap
                 if hits.size:
                     x, a, b, c = np.unravel_index(hits[0], fail.shape)
-                    x, a = x + b0, a + a0
+                    x, a = x + slab.start, a + row.start
                     return {"center": int(O[x]), "lines": through[O[x], triples[t[x]]].tolist(),
                             "triangle": X[x, [0, 1, 2], i[[a, b, c]]].tolist(),
                             "image": X[x, [0, 1, 2], j[[a, b, c]]].tolist(),

@@ -8,25 +8,20 @@ The annihilator map sends a point R(a, b) to the full solution set
 |R|^2 candidate columns, followed by extraction of an admissible cyclic
 generator.  This is the definition-level oracle that every closed formula
 in the package is tested against, so it never reuses those formulas.  One
-driver, projline.solution_slabs, builds the solution sets of whole
-batches, in slabs of many rows at once: a boolean mask over the keys
-x*|R| + y of all candidate columns, a*x == -b*y tested from the operation
-tables.  perp_keys and bidual_keys read the generators of a batch of
-points, or dual points, off those masks by one cyclic span test per
-slab, an exact set equality, and fall back to a search in key order for
-a row whose least admissible key does not span; bidual_point is the
-one-point call of bidual_keys.  perp_point is the one-point oracle: it
-scans one point's kernel with annihilator_pairs, the solution set of any
-list of rows, and searches it in key order.  They scan on every call and
-remember nothing; a Geometry makes one perp_keys call over its points
-and keeps the answers as its perp index array, which never feeds a
-formula.  The covariance law is checked in one call per suite over
-(generator, row) pairs: covariance_failures scans the kernel of every
-row that occurs, groups the masks into kernel classes, and checks each
-distinct (generator, kernel class, kernel class) triple once.  The
-closed formulas under test are array functions over the operation
-tables, evaluated for every word of a sweep at once; word_dual_point is
-the one-word call of word_dual_points.
+driver, projline.solution_slabs, scans the solution sets of whole batches
+as boolean masks over the keys x*|R| + y, a*x == -b*y tested from the
+operation tables.  perp_keys and bidual_keys read the generators of a
+batch of points, or dual points, off those masks by one exact cyclic span
+test per slab, and fall back to a search in key order; perp_point is the
+one-point oracle, annihilator_pairs searched in key order.  They remember
+nothing; a Geometry keeps one perp_keys call as its perp index array,
+which never feeds a formula.  The covariance law is checked in one call
+per suite: covariance_failures groups the masks of every row that occurs
+into kernel classes, each kept as its sorted solution keys, and checks
+each distinct (generator, kernel class, kernel class) triple once.  Every
+batch kernel takes its slabs from projline.slabs, within one byte budget.
+The closed formulas under test are array functions over the operation
+tables, evaluated for every word of a sweep at once.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ from chaingeom.projline import (
     carries,
     mat_invert,
     one_word,
+    slabs,
     solution_slabs,
 )
 
@@ -165,46 +161,21 @@ def perp_point(R: Ring, p: Point) -> DualPoint:
     return R.canonical_pair_right(*gen)
 
 
-# Chunks of the covariance kernel: _COV_PAIRS (generator, row) pairs at a
-# time, and slabs of the triple check of about _COV_SOLUTIONS solutions
-# (set mask entries)
-_COV_PAIRS = 1 << 11
-_COV_SOLUTIONS = 1 << 11
-
-# The number of set bits of every byte value
-_SET_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                          axis=1).sum(axis=1, dtype=np.uint8)
-
-
-def _kernel_classes(R: Ring, rows: np.ndarray) -> tuple:
-    """(class of every row key a*|R| + b in rows, packed class table, size
-    of every class): row c of the table is np.packbits of the kernel mask
-    {(x, y) : a*x + b*y = 0} of class c, which has size[c] members, its
-    set bits.  Every row is scanned by solution_slabs; rows whose masks are
-    equal as bytes share a class, numbered in order of first row."""
-    classes: dict = {}
-    of = np.empty(len(rows), dtype=np.intp)
-    for part, ker in solution_slabs(R, rows):
-        of[part] = [classes.setdefault(m.tobytes(), len(classes))
-                    for m in np.packbits(ker, axis=1)]
-    table = np.frombuffer(b"".join(classes), dtype=np.uint8).reshape(len(classes), -1)
-    return of, table, _SET_BITS[table].sum(axis=1, dtype=np.intp)
-
-
 def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
-    """(triples, counts, table, size): every distinct (generator index,
-    class of u, class of u*M) of the pairs (M = gens[which[i]], u = the row
-    of key keys[i]), as three arrays of the same length, in sorted order,
-    with the number of pairs it stands for, and the kernel classes
-    of every row that occurs as u or u*M (_kernel_classes).  The pairs are
-    taken _COV_PAIRS at a time; of each, only the key of u*M, in the
-    narrowest dtype that holds it, and the intp triple code are kept."""
+    """(triples, counts, classes): every distinct (generator index, class of
+    u, class of u*M) of the pairs (M = gens[which[i]], u = the row of key
+    keys[i]), as three sorted arrays, with the number of pairs each stands
+    for, and the sorted solution keys x*|R| + y of every kernel class.  Rows
+    that occur as u or u*M share a class iff their solution_slabs masks are
+    equal as bytes; classes are numbered in order of first row, whose mask
+    gives the keys.  The pairs go in slabs of four intp temporaries each and
+    keep only the key of u*M, in the narrowest dtype, and the triple code."""
     n = R.size
     small = np.min_scalar_type(n - 1)
     add, mul = R._add_a.astype(small), R._mul_a.astype(small)
     gens = np.asarray(gens, dtype=small)
     which, keys = np.asarray(which), np.asarray(keys)
-    chunks = [slice(i, i + _COV_PAIRS) for i in range(0, len(keys), _COV_PAIRS)]
+    chunks = list(slabs(np.full(len(keys), 32)))
     images = np.empty(len(keys), dtype=np.min_scalar_type(n * n - 1))  # u*M
     for part in chunks:
         a, b = np.divmod(keys[part], n)
@@ -214,10 +185,15 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     present = np.zeros(n * n, dtype=bool)
     present[keys] = present[images] = True
     rows = np.flatnonzero(present)
-    of, table, size = _kernel_classes(R, rows)
-    c = len(table)
-    cls = np.zeros(n * n, dtype=np.min_scalar_type(c - 1))
-    cls[rows] = of
+    cls = np.zeros(n * n, dtype=images.dtype)
+    masks: dict = {}
+    classes: list = []
+    for part, ker in solution_slabs(R, rows):
+        of = [masks.setdefault(m.tobytes(), len(masks)) for m in np.packbits(ker, axis=1)]
+        classes += [ker[of.index(c)].nonzero()[0].astype(images.dtype)
+                    for c in range(len(classes), len(masks))]
+        cls[rows[part]] = of
+    c = len(classes)
     # intp, a dtype every run has sorted already: a narrower one pages in more sort code
     code = np.empty(len(keys), dtype=np.intp)
     for part in chunks:
@@ -225,7 +201,7 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     # distinct triples by sorting: a plain np.unique imports numpy.ma
     flat, counts = np.unique(code, return_counts=True)
     g, rest = np.divmod(flat, c * c)
-    return (g, *np.divmod(rest, c)), counts, table, size
+    return (g, *np.divmod(rest, c)), counts, classes
 
 
 def covariance_failures(R: Ring, gens, which, keys) -> int:
@@ -234,15 +210,17 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     row u = (a, b) of key keys[i] = a*|R| + b.
 
     The check of a pair depends only on M and the kernels of u and u*M.  So
-    every row that occurs gets its kernel mask from one scan, and each
-    distinct (generator, class of u, class of u*M) triple
-    (_kernel_triples) is checked once, by scattering the kernel of u
-    through the column map c -> M^-1 * c, with M^-1 from mat_invert; a
-    failing triple counts once for every pair it stands for.
+    every row that occurs gets its kernel from one scan, and each distinct
+    (generator, class of u, class of u*M) triple (_kernel_triples) is
+    checked once: the sorted keys of the class of u go through the column
+    map c -> M^-1 * c by table gathers, with M^-1 from mat_invert, and the
+    triple holds iff its distinct images are exactly the keys of the class
+    of u*M; a failing triple counts once for every pair it stands for.
     """
     n = R.size
     add, mul = R._add_a.ravel(), R._mul_a.ravel()
-    (g, ker_u, ker_um), counts, table, size = _kernel_triples(R, gens, which, keys)
+    (g, ker_u, ker_um), counts, classes = _kernel_triples(R, gens, which, keys)
+    size = np.array([len(k) for k in classes])
     # M^-1 per generator, entries scaled by |R| as row offsets into the
     # flat tables: M^-1 * (v, w)^T = (i0*v + i1*w, i2*v + i3*w)
     inverse = np.zeros((4, len(gens)), dtype=np.intp)
@@ -252,20 +230,22 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
             raise VerificationError(f"covariance needs an invertible matrix, got {gens[i]}")
         inverse[:, i] = Minv
     inverse *= n
-    # slabs of about _COV_SOLUTIONS solutions: every kernel has at least
-    # |R|, so a slab unpacks at most _COV_SOLUTIONS // |R| + 1 masks
-    cut = np.flatnonzero(np.diff(np.cumsum(size[ker_u]) // _COV_SOLUTIONS)) + 1
-    edges = [0, *cut.tolist(), len(counts)]
     failures = 0
-    for part in map(slice, edges[:-1], edges[1:]):
-        ker = np.unpackbits(table[ker_u[part]], axis=1, count=n * n).view(bool)
-        t, col = np.divmod(np.flatnonzero(ker), n * n)
-        v, w = np.divmod(col, n)
-        i0, i1, i2, i3 = inverse[:, g[part][t]]
-        rhs = np.zeros_like(ker)
-        rhs[t, add[mul[i0 + v] * n + mul[i1 + w]] * n
-            + add[mul[i2 + v] * n + mul[i3 + w]]] = True
-        bad = (np.packbits(rhs, axis=1) != table[ker_um[part]]).any(axis=1)
+    for part in slabs(32 * size[ker_u]):  # four intp temporaries per solution of u
+        # codes t*|R|^2 + key, t the triple: the images of u's keys, sorted; u*M's keys
+        t = np.repeat(np.arange(len(counts[part])), size[ker_u[part]])
+        v, w = np.divmod(np.concatenate([classes[c] for c in ker_u[part].tolist()]), n)
+        i0, i1, i2, i3 = np.repeat(inverse[:, g[part]], size[ker_u[part]], axis=1)
+        got = np.sort(t * (n * n) + add[mul[i0 + v] * n + mul[i1 + w]] * n
+                      + add[mul[i2 + v] * n + mul[i3 + w]])
+        want = (np.repeat(np.arange(len(counts[part])), size[ker_um[part]]) * (n * n)
+                + np.concatenate([classes[c] for c in ker_um[part].tolist()]))
+        if np.array_equal(got, want):  # every triple of the slab holds
+            continue
+        # else a triple fails iff one of its distinct codes is in got or want alone
+        got = got[np.r_[True, got[1:] != got[:-1]]]
+        bad = np.zeros(len(counts[part]), dtype=bool)
+        bad[np.setxor1d(got, want, assume_unique=True) // (n * n)] = True
         failures += int(counts[part][bad].sum())
     return failures
 

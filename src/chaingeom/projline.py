@@ -13,9 +13,9 @@ only.
 
 Every batch of solution sets {(x, y) : a*x + b*y = 0} of the package, of
 points or of covariance rows, and the left kernels of the dual points,
-comes from one driver, `solution_slabs`, which scans many rows at once in
-slabs of a fixed number of candidate entries; the distant graph reads
-every point's kernel from it as sorted keys.
+comes from one driver, `solution_slabs`, which scans many rows at once;
+the distant graph reads every point's kernel from it as sorted keys.
+Every batch kernel cuts its work with `slabs`, within one byte budget.
 
 Every orbit of the package comes from one engine, `orbit`, over
 permutation tables: here of canonical pairs, elsewhere of points, dual
@@ -267,9 +267,22 @@ class DistantGraph:
         return sum(len(s) for s in self.adj) // 2
 
 
-# Candidate entries per slab of a solution-set scan: solution_slabs takes
-# max(1, SCAN_SLAB // |R|^2) sets at a time, 9 on matrix2(3)
+# The one memory budget of the batch kernels: the bytes of the temporaries
+# that one slab of slabs() holds, 9 solution masks on matrix2(3)
 SCAN_SLAB = 1 << 16
+
+
+def slabs(costs):
+    """Consecutive slices of the items, each the longest run whose summed
+    cost, the bytes of the temporaries it holds per item, stays within
+    SCAN_SLAB (read at every call), or one item that alone costs more."""
+    ends = np.cumsum(costs)
+    start = 0
+    while start < len(ends):
+        spent = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(ends.searchsorted(spent + SCAN_SLAB, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
@@ -278,10 +291,10 @@ def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
 
     The row (a, b) of key a*|R| + b has the solutions (x, y), as columns,
     with a*x + b*y = 0; with left, every key v*|R| + w is a column (v, w)^T
-    and its solutions are the rows (x, y) with x*v + y*w = 0.  A slab holds
-    max(1, SCAN_SLAB // |R|^2) sets, each a boolean mask over the keys
-    x*|R| + y of all |R|^2 candidates, tested as a*x == -b*y over narrow
-    copies of the tables.  With as_keys each set is instead the row of its
+    and its solutions are the rows (x, y) with x*v + y*w = 0.  Each set is a
+    boolean mask over the keys x*|R| + y of all |R|^2 candidates, tested as
+    a*x == -b*y over narrow copies of the tables, and costs its |R|^2 mask
+    bytes in slabs().  With as_keys each set is instead the row of its
     |R| solution keys in increasing order, and a set of another size
     raises VerificationError.
     """
@@ -290,9 +303,7 @@ def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
     products = (R._mul_a.T if left else R._mul_a).astype(small)
     neg = R._neg_a.astype(small)
     a, b = np.divmod(np.asarray(keys, dtype=np.intp), n)
-    step = max(1, SCAN_SLAB // (n * n))
-    for r0 in range(0, len(a), step):
-        part = slice(r0, r0 + step)
+    for part in slabs(np.full(len(a), n * n)):
         mask = products[a[part], :, None] == neg[products[b[part], None, :]]
         mask = mask.reshape(len(mask), n * n)
         if as_keys:
@@ -301,7 +312,7 @@ def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
             if (size != n).any():
                 i = int(np.argmax(size != n))
                 raise VerificationError(
-                    f"{R.name}: {(int(a[r0 + i]), int(b[r0 + i]))} has {size[i]} "
+                    f"{R.name}: {(int(a[part][i]), int(b[part][i]))} has {size[i]} "
                     f"solutions, not {n}")
             mask = flat.reshape(len(mask), n) % (n * n)
         yield part, mask

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaingeom import compat
+from chaingeom import compat, projline
 from chaingeom.projline import (
     VerificationError,
     infinity,
@@ -613,11 +613,12 @@ def test_desargues_kernel_is_exact_at_every_slab_size(completed_planes, monkeypa
     """Slab edges change nothing: with one (A, A') row per slab, with five
     (which splits every (center, line-triple) block) and at the default
     budget, the kernel returns what the loop reference returns, carrying
-    the count across slabs and cutting off at exactly the cap."""
+    the count across slabs and cutting off at exactly the cap.  A row
+    costs m * m intp bytes in the one slab budget."""
     for order, (points, lines) in sorted(completed_planes.items()):
         if rows is not None:
             m = order * (order - 1)  # ordered pairs on a line less its center
-            monkeypatch.setattr(compat, "_SLAB", rows * m * m)
+            monkeypatch.setattr(projline, "SCAN_SLAB", rows * m * m * 8)
         if order == 4:
             for mode in (False, True):
                 assert _desargues_scan(points, lines, mode, 10 ** 7) == (None, 362_880)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingeom.geometry import Geometry
-from chaingeom import duality, suites
+from chaingeom import duality, projline, suites
 from chaingeom.projline import (
     VerificationError,
     distant_graph,
@@ -363,6 +363,56 @@ def test_covariance_failures_counts_repeats():
     assert covariance_failures(R, gens, [which[bad]], [keys[bad]]) == 1
     assert covariance_failures(R, gens, which[[bad, good, bad]], keys[[bad, good, bad]]) == 2
     assert covariance_failures(R, gens, which, keys) == sum(fails)
+
+
+def test_covariance_failures_compare_sets_of_images():
+    """A triple holds iff the distinct images of the kernel of u are the
+    kernel of u*M: on dual2 with three corrupted products, M^-1 sends two
+    solutions of u to one column for some pairs, and the one call counts
+    what covariance_holds counts row by row."""
+    R = DualNumbersRing(RingSpec("dual-numbers", 2))
+    for at, value in (((3, 1), 2), ((0, 0), 3), ((1, 3), 2)):
+        R = corrupt(R, "mul", at, value)
+    gens = line_generators(R)
+    which, keys = every_pair(R, gens)
+    kernels = [reference.annihilator(R, [divmod(k, R.size)]) for k in range(R.size ** 2)]
+    assert any(len({reference.mat_times_col(R, mat_invert(R, M), c) for c in K}) < len(K)
+               for M in gens for K in kernels)
+    assert covariance_failures(R, gens, which, keys) == 125
+    assert loop_covariance_failures(R, gens, which, keys) == 125
+
+
+@pytest.fixture(scope="module")
+def covariance_cases():
+    """(ring, gens, which, keys, loop count) of every m2f2 pair and of
+    every pair of the corrupted dual2 ring of
+    test_covariance_failures_counts_repeats, given twice, the second time
+    in reverse order."""
+    cases = []
+    for R in (build_ring(RingSpec("matrix2", 2)),
+              corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (2, 2), 2)):
+        gens = line_generators(R)
+        which, keys = every_pair(R, gens)
+        if R.size == 4:
+            which, keys = np.r_[which, which[::-1]], np.r_[keys, keys[::-1]]
+        cases.append((R, gens, which, keys, loop_covariance_failures(R, gens, which, keys)))
+    return cases
+
+
+@pytest.mark.parametrize("budget", ["one-triple", "under-zero-row", None],
+                         ids=["one-triple", "under-zero-row", "default"])
+def test_covariance_failures_are_exact_at_every_slab_size(covariance_cases, monkeypatch,
+                                                           budget):
+    """Slab edges change nothing: with one triple per slab, with a budget
+    under one zero-row triple (|R|^2 solutions of more than 8 bytes each),
+    and at the default budget, the one call counts what the row-by-row
+    loop counts, repeats included."""
+    assert [count > 0 for *_, count in covariance_cases] == [False, True]
+    for R, gens, which, keys, count in covariance_cases:
+        if budget is not None:
+            monkeypatch.setattr(projline, "SCAN_SLAB",
+                                1 if budget == "one-triple" else 8 * R.size ** 2)
+        assert covariance_failures(R, gens, which, keys) == count, (R.name, budget)
 
 
 def covariance_sweep(R, count):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chaingeom import projline
 from chaingeom.duality import PerpNotCyclicError
 from chaingeom.projline import (
     MethodDisagreementError,
@@ -25,6 +26,7 @@ from chaingeom.projline import (
     mat_invert,
     mat_mul,
     orbit,
+    slabs,
     sorted_rows,
     word_point,
 )
@@ -467,6 +469,31 @@ def test_index_of_refuses_a_key_outside_the_set():
     for wanted in ([3, 4], [6], [0]):
         with pytest.raises(VerificationError, match="left the indexed set"):
             index_of(keys, wanted)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 60))
+def test_slabs_cover_the_items_within_the_budget(costs, budget):
+    """slabs, with SCAN_SLAB patched after import, covers every item once
+    and in order.  A slab goes over the budget only as a single item, an
+    item that costs more than the budget has a slab of its own, and the
+    next item would not fit into the slab before it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projline, "SCAN_SLAB", budget)
+        parts = list(slabs(np.array(costs, dtype=np.intp)))
+    assert [i for part in parts for i in range(len(costs))[part]] == list(range(len(costs)))
+    for part in parts:
+        assert sum(costs[part]) <= budget or part.stop - part.start == 1
+    for i, cost in enumerate(costs):
+        assert cost <= budget or slice(i, i + 1) in parts
+    for part, after in zip(parts, parts[1:]):
+        assert sum(costs[part]) + costs[after.start] > budget
+
+
+def test_slabs_of_nothing_and_at_the_default_budget():
+    assert list(slabs(np.array([], dtype=np.intp))) == []
+    assert list(slabs(np.full(20, 6561))) == [slice(0, 9), slice(9, 18), slice(18, 20)]
+    assert list(slabs([1 << 17, 1, 1 << 16])) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def reference_orbit(seeds, perms):

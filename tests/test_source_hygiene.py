@@ -37,9 +37,11 @@ ALLOWED_UNREACHED = {
 # arrays: a ring builds _add_a, _mul_a and _neg_a and derives the rest; the
 # frozenset transport of a partition, which compares rows now; and the
 # per-block pair helper of the Desargues scan, whose kernel takes the
-# ordered pairs once
+# ordered pairs once; and the slab constants and packed set bits of the
+# batch kernels, which take their slabs from projline.slabs and SCAN_SLAB
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
-                           r"|transported_partition|_ordered_pairs)\b")
+                           r"|transported_partition|_ordered_pairs"
+                           r"|_SET_BITS|_COV_PAIRS|_COV_SOLUTIONS|_SLAB)\b")
 
 # the modules whose sets of blocks, chains and classes are sorted index rows
 ROW_MODULES = ("chains.py", "compat.py", "isomorph.py")
@@ -192,10 +194,13 @@ def test_scan_finds_deleted_names():
             "t = self._place_add; p = R._pair_left\n# _padded digits\n"
             "R._mul_a, R._pair_right_key, R.canonical_pair_left\n"
             "from chaingeom.isomorph import transported_partition\n"
-            "i, j = _ordered_pairs(len(pts)); ordered_pairs = 1\n")
+            "i, j = _ordered_pairs(len(pts)); ordered_pairs = 1\n"
+            "bits = _SET_BITS[t]; step = _COV_PAIRS + _COV_SOLUTIONS\n"
+            "budget = projline.SCAN_SLAB or compat._SLAB\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
                                            "_pair_left", "_padded", "transported_partition",
-                                           "_ordered_pairs"]
+                                           "_ordered_pairs", "_SET_BITS", "_COV_PAIRS",
+                                           "_COV_SOLUTIONS", "_SLAB"]
 
 
 def test_no_deleted_table_names():
