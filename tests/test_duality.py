@@ -389,11 +389,12 @@ def covariance_cases():
     test_covariance_failures_counts_repeats, given twice, the second time
     in reverse order."""
     cases = []
-    for R in (build_ring(RingSpec("matrix2", 2)),
-              corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (2, 2), 2)):
+    for R, twice in ((build_ring(RingSpec("matrix2", 2)), False),
+                     (corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (2, 2), 2),
+                      True)):
         gens = line_generators(R)
         which, keys = every_pair(R, gens)
-        if R.size == 4:
+        if twice:
             which, keys = np.r_[which, which[::-1]], np.r_[keys, keys[::-1]]
         cases.append((R, gens, which, keys, loop_covariance_failures(R, gens, which, keys)))
     return cases
