@@ -205,7 +205,8 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
         except Exception as exc:  # diagnostics become recorded failures
             body = {"error": f"{type(exc).__name__}: {exc}"}
             status = "fail"
-        timing[task.name] = round(time.perf_counter() - t0, 6)
+        # a task named twice is timed as the sum of its runs
+        timing[task.name] = round(timing.get(task.name, 0) + time.perf_counter() - t0, 6)
         all_pass = all_pass and status == "pass"
         results.append({"name": task.name, "status": status, **body})
     report = {

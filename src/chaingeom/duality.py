@@ -18,8 +18,10 @@ nothing; a Geometry keeps one perp_keys call as its perp index array,
 which never feeds a formula.  The covariance law is checked in one call
 per suite: covariance_failures groups the masks of every row that occurs
 into kernel classes, each kept as its sorted solution keys, and checks
-each distinct (generator, kernel class, kernel class) triple once.  Every
-batch kernel takes its slabs from projline.slabs, within one byte budget.
+each distinct (generator, kernel class, kernel class) triple once, with
+the inverses of the generators from one projline.mat_inverses call.
+Every batch kernel takes its slabs from projline.slabs, within one byte
+budget.
 The closed formulas under test are array functions over the operation
 tables, evaluated for every word of a sweep at once.
 """
@@ -36,7 +38,7 @@ from chaingeom.projline import (
     VerificationError,
     _checked_orbit,
     carries,
-    mat_invert,
+    mat_inverses,
     one_word,
     slabs,
     solution_slabs,
@@ -213,9 +215,10 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     every row that occurs gets its kernel from one scan, and each distinct
     (generator, class of u, class of u*M) triple (_kernel_triples) is
     checked once: the sorted keys of the class of u go through the column
-    map c -> M^-1 * c by table gathers, with M^-1 from mat_invert, and the
-    triple holds iff its distinct images are exactly the keys of the class
-    of u*M; a failing triple counts once for every pair it stands for.
+    map c -> M^-1 * c by table gathers, with every M^-1 from one
+    mat_inverses call over the distinct generators, and the triple holds
+    iff its distinct images are exactly the keys of the class of u*M; a
+    failing triple counts once for every pair it stands for.
     """
     n = R.size
     add, mul = R._add_a.ravel(), R._mul_a.ravel()
@@ -223,13 +226,14 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     size = np.array([len(k) for k in classes])
     # M^-1 per generator, entries scaled by |R| as row offsets into the
     # flat tables: M^-1 * (v, w)^T = (i0*v + i1*w, i2*v + i3*w)
-    inverse = np.zeros((4, len(gens)), dtype=np.intp)
-    for i in dict.fromkeys(g.tolist()):
-        Minv = mat_invert(R, gens[i])
-        if Minv is None:
-            raise VerificationError(f"covariance needs an invertible matrix, got {gens[i]}")
-        inverse[:, i] = Minv
-    inverse *= n
+    used = np.flatnonzero(np.bincount(g, minlength=len(gens)))
+    inverse = np.zeros((len(gens), 4), dtype=np.intp)
+    inverse[used] = mat_inverses(R, [gens[i] for i in used.tolist()])
+    singular = used[inverse[used, 0] < 0]
+    if len(singular):
+        raise VerificationError(
+            f"covariance needs an invertible matrix, got {gens[singular[0]]}")
+    inverse = inverse.T * n
     failures = 0
     for part in slabs(32 * size[ker_u]):  # four intp temporaries per solution of u
         # codes t*|R|^2 + key, t the triple: the images of u's keys, sorted; u*M's keys

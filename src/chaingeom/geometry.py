@@ -143,15 +143,19 @@ class Geometry:
 
     def chain_rows(self, through_infinity: bool = False, cap: int = ORBIT_CAP) -> np.ndarray:
         """The chains, or with through_infinity the chains through R(1, 0),
-        built once.  Raises OrbitCapExceededError if there are more than
-        cap: a first build hands min(cap, ORBIT_CAP) to the orbit engine,
-        which stops as soon as the orbit passes it."""
-        if through_infinity not in self._chain_rows:
+        built once.  Raises OrbitCapExceededError, with one message whether
+        or not they were built before, if there are more than cap: a first
+        build hands min(cap, ORBIT_CAP) to the orbit engine, which stops as
+        soon as the orbit passes it."""
+        cap = min(cap, ORBIT_CAP)
+        rows = self._chain_rows.get(through_infinity)
+        if rows is None:
             perms = self.perms[1:] if through_infinity else self.perms
-            self._chain_rows[through_infinity] = orbit([self._seed], perms,
-                                                       min(cap, ORBIT_CAP))
-        rows = self._chain_rows[through_infinity]
-        if len(rows) > cap:
+            try:
+                rows = self._chain_rows[through_infinity] = orbit([self._seed], perms, cap)
+            except OrbitCapExceededError:
+                rows = None
+        if rows is None or len(rows) > cap:
             raise OrbitCapExceededError(f"chain orbit on {self.ring.name} exceeded cap {cap}")
         return rows
 

@@ -50,7 +50,7 @@ def transpose_map(R: Matrix2Ring) -> RingMap:
 
 def frobenius_map(R: FiniteFieldRing, as_antiiso: bool = False) -> RingMap:
     """x -> x^p; over a commutative ring it serves both ways."""
-    p = R.gf.p
+    p = R.q  # the digit field of a finite field is its prime field
     def t(x):
         out = x
         for _ in range(p - 1):

@@ -13,9 +13,13 @@ only.
 
 Every batch of solution sets {(x, y) : a*x + b*y = 0} of the package, of
 points or of covariance rows, and the left kernels of the dual points,
-comes from one driver, `solution_slabs`, which scans many rows at once;
-the distant graph reads every point's kernel from it as sorted keys.
+comes from one driver, `solution_slabs`, which scans many rows at once.
 Every batch kernel cuts its work with `slabs`, within one byte budget.
+
+GL2(R) has one solve, `mat_inverses`: the inverse of every matrix of a
+batch, or none, read off the kernels of the batch's distinct rows.  The
+distant graph is one call over the stacked pairs of points, and the
+covariance check one call over its generators.
 
 Every orbit of the package comes from one engine, `orbit`, over
 permutation tables: here of canonical pairs, elsewhere of points, dual
@@ -60,53 +64,9 @@ def mat_identity(R: Ring) -> Matrix2:
     return (R.one, R.zero, R.zero, R.one)
 
 
-def mat_mul(R: Ring, M: Matrix2, N: Matrix2) -> Matrix2:
-    add, mul = R._add_t, R._mul_t
-    ma, mb, mc, md = mul[M[0]], mul[M[1]], mul[M[2]], mul[M[3]]
-    e, f, g, h = N
-    return (add[ma[e]][mb[g]], add[ma[f]][mb[h]],
-            add[mc[e]][md[g]], add[mc[f]][md[h]])
-
-
 def elementary(R: Ring, t: int) -> Matrix2:
     """The elementary matrix [[t, 1], [-1, 0]]."""
     return (t, R.one, R.neg(R.one), R.zero)
-
-
-def mat_invert(R: Ring, M: Matrix2) -> Optional[Matrix2]:
-    """Two-sided inverse of M in GL2(R), or None.
-
-    Solves M * (x, y)^T = e_1 and = e_2 column by column over R^2, indexing
-    the operation tables directly: the products b*y are bucketed by value
-    first, so each column solve is linear in |R|.  Raises
-    VerificationError if the solution is only a one-sided inverse.
-    """
-    a, b, c, d = M
-    add, mul, neg = R._add_t, R._mul_t, R._neg_t
-    ma, mc, md = mul[a], mul[c], mul[d]
-    buckets: dict = {}
-    for y, by in enumerate(mul[b]):
-        buckets.setdefault(by, []).append(y)
-    cols = []
-    for e1, e2 in ((R.one, R.zero), (R.zero, R.one)):
-        row1 = add[e1]
-        found = None
-        for x in R.elements():
-            for y in buckets.get(row1[neg[ma[x]]], ()):
-                if add[mc[x]][md[y]] == e2:
-                    found = (x, y)
-                    break
-            if found:
-                break
-        if found is None:
-            return None
-        cols.append(found)
-    N = (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
-    # finite rings are Dedekind-finite, so the one-sided inverse is two-sided
-    if mat_mul(R, N, M) != mat_identity(R):
-        raise VerificationError(
-            f"{R.name}: {N} is a right inverse of {M} but not a left inverse")
-    return N
 
 
 # admissibility and points --------------------------------------------------
@@ -116,8 +76,9 @@ def is_admissible(R: Ring, a: int, b: int) -> bool:
 
     One table test: 1 lies in aR + bR.  Over a ring of stable rank at most
     2, and every finite ring qualifies, unimodular rows are exactly the
-    admissible ones; the tests keep the completion scan over mat_invert as
-    the reference.  Reads the admissibility table of the ring.
+    admissible ones; the tests keep the completion scan over a scalar
+    column solve as the reference.  Reads the admissibility table of the
+    ring.
     """
     return bool(R._rows_ok[a, b])
 
@@ -295,8 +256,9 @@ def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
     boolean mask over the keys x*|R| + y of all |R|^2 candidates, tested as
     a*x == -b*y over narrow copies of the tables, and costs its |R|^2 mask
     bytes in slabs().  With as_keys each set is instead the row of its
-    |R| solution keys in increasing order, and a set of another size
-    raises VerificationError.
+    solution keys in increasing order, padded with -1 to the largest set
+    of the slab: |R| keys for an admissible row of a ring, any number on a
+    corrupted table.
     """
     n = R.size
     small = np.min_scalar_type(n - 1)
@@ -307,64 +269,78 @@ def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
         mask = products[a[part], :, None] == neg[products[b[part], None, :]]
         mask = mask.reshape(len(mask), n * n)
         if as_keys:
-            flat = np.flatnonzero(mask)
-            size = np.bincount(flat // (n * n), minlength=len(mask))
-            if (size != n).any():
-                i = int(np.argmax(size != n))
-                raise VerificationError(
-                    f"{R.name}: {(int(a[part][i]), int(b[part][i]))} has {size[i]} "
-                    f"solutions, not {n}")
-            mask = flat.reshape(len(mask), n) % (n * n)
+            row, key = np.divmod(np.flatnonzero(mask), n * n)
+            size = np.bincount(row, minlength=len(mask))
+            mask = np.full((len(mask), size.max()), -1, dtype=np.intp)
+            mask[row, np.arange(len(row)) - (np.cumsum(size) - size)[row]] = key
         yield part, mask
 
 
-def _distant_pairs(R: Ring, pts: tuple[Point, ...]) -> np.ndarray:
-    """Adjacency of the distant relation: mat_invert's column solve for every
-    pair of points at once.
+def mat_inverses(R: Ring, mats) -> np.ndarray:
+    """The inverse in GL2(R) of every matrix (a, b, c, d) of mats, as the
+    rows of a k x 4 array, or a row of -1 where it has none.
 
-    (x, y) -> a*x + b*y is onto for a point (a, b), so its kernel has
-    exactly |R| members.  The stacked
-    matrix (p; q) has a right inverse iff row p takes the value 1 somewhere
-    on the kernel of q and row q somewhere on the kernel of p.  The kernels
-    come from solution_slabs as sorted key rows, and every row is tested on
-    a slab of them at once by gathers, as a*x == 1 - b*y: first[j, i] is
-    the least key of the kernel of j where row i takes 1, in x-major order
-    the column mat_invert finds, or -1 if there is none.  Their
-    left-inverse check runs for every distant pair together and raises
-    the same VerificationError as mat_invert.
+    (p; q) has a right inverse iff row p takes the value 1 on the kernel
+    of q, at its first column (x1, y1), and q takes 1 on the kernel of p,
+    at its second (x2, y2); each is the least such key x*|R| + y.  A row
+    that is not admissible (R._rows_ok) takes 1 nowhere.  The kernels of
+    the distinct admissible rows come from solution_slabs as sorted keys,
+    and each slab tests a*x == 1 - b*y by gathers on the rows paired with
+    its kernels only.  Finite rings are Dedekind-finite, so a right
+    inverse is two-sided: one left-inverse check raises VerificationError
+    at the first matrix that fails it.  The per-matrix arrays keep the
+    narrowest dtypes: a fresh 8-byte entry per matrix costs page faults on
+    the 8,385 pairs of the matrix2(3) distant graph.
     """
     add, mul = R._add_a, R._mul_a
     n = R.size
-    small = np.min_scalar_type(n - 1)
-    P = np.array(pts, dtype=np.intp)
-    A = mul[P[:, 0]].T.astype(small)  # A[x, i] = a*x for the point i = (a, b)
-    B = add[R.one][R._neg_a][mul[P[:, 1]]].T.astype(small)  # B[y, i] = 1 - b*y
-    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]  # n - k at key k
-    first = np.empty((len(P), len(P)), dtype=np.min_scalar_type(-n * n))
-    for part, kernel in solution_slabs(R, P[:, 0] * n + P[:, 1], as_keys=True):
+    M = np.asarray(mats, dtype=np.min_scalar_type(n - 1)).reshape(-1, 4)
+    p = M[:, 0].astype(np.intp) * n + M[:, 1]
+    q = M[:, 2].astype(np.intp) * n + M[:, 3]
+    both = np.flatnonzero(R._rows_ok.ravel()[p] & R._rows_ok.ravel()[q])
+    # distinct rows by a table over all keys: a plain np.unique imports numpy.ma
+    index = np.zeros(n * n, dtype=np.intp)
+    index[p[both]] = index[q[both]] = 1
+    rows = np.flatnonzero(index)
+    index[rows] = np.arange(len(rows))
+    p, q = index[p[both]], index[q[both]]
+    # A[x, i] = a*x for the row i = (a, b), and A[|R|, i] = |R|, which the
+    # padding key -1 reads and no B[y, i] = 1 - b*y equals
+    a, b = np.divmod(rows, n)
+    A = np.vstack([mul[a].T, np.full(len(rows), n)]).astype(np.min_scalar_type(n))
+    B = add[R.one][R._neg_a][mul[b]].T.astype(A.dtype)
+    paired = np.zeros((len(rows), len(rows)), dtype=bool)
+    paired[q, p] = paired[p, q] = True  # [j, i]: row i is tested on the kernel of j
+    first = np.full(paired.shape, -1, dtype=np.min_scalar_type(-n * n))
+    for part, kernel in solution_slabs(R, rows, as_keys=True):
+        kernel = np.column_stack([kernel, np.full(len(kernel), -1)])  # a -1 ends each
+        cols = np.flatnonzero(paired[part].any(axis=0))
         x, y = np.divmod(kernel, n)
         # [j, k, i]: row i takes 1 at key k of kernel j; the top rank is its
-        # least k, and rank 0 (none) reads the -1 padding at k = n
-        top = ((A[x] == B[y]) * rank).max(axis=1)
-        padded = np.column_stack([kernel, np.full(len(kernel), -1)])
-        first[part] = padded[np.arange(len(kernel))[:, None], n - top]
-    hit = first >= 0
-    upper = np.triu(hit & hit.T, 1)
-    i, j = np.nonzero(upper)  # row-major
-    x1, y1 = np.divmod(first[j, i].astype(np.intp), n)  # (p; q) * (x1, y1)^T = e_1
-    x2, y2 = np.divmod(first[i, j].astype(np.intp), n)  # and (x2, y2)^T gives e_2
-    a, b, c, d = P[i, 0], P[i, 1], P[j, 0], P[j, 1]
-    # N * M for N = [[x1, x2], [y1, y2]] and M = [[a, b], [c, d]], entrywise
+        # least k, and rank 0 (none) reads the last -1
+        width = kernel.shape[1]
+        rank = np.arange(width - 1, -1, -1, dtype=np.min_scalar_type(width))
+        top = ((A[:, cols].take(x, axis=0) == B[:, cols].take(y, axis=0))
+               * rank[:, None]).max(axis=1)
+        first[part, cols] = np.take_along_axis(kernel, rank[top], axis=1)
+    col1, col2 = first[q, p], first[p, q]
+    solved = (col1 >= 0) & (col2 >= 0)
+    x1, y1 = np.divmod(col1[solved], n)  # M * (x1, y1)^T = e_1
+    x2, y2 = np.divmod(col2[solved], n)  # and (x2, y2)^T gives e_2
+    has = both[solved]
+    a, b, c, d = M.take(has, axis=0).T
+    # N * M for N = [[x1, x2], [y1, y2]], entrywise
     NM = (add[mul[x1, a], mul[x2, c]], add[mul[x1, b], mul[x2, d]],
           add[mul[y1, a], mul[y2, c]], add[mul[y1, b], mul[y2, d]])
     left = np.all([e == want for e, want in zip(NM, mat_identity(R))], axis=0)
     if not left.all():
         k = int(np.argmin(left))
         N = tuple(int(v[k]) for v in (x1, x2, y1, y2))
-        M = tuple(int(v[k]) for v in (a, b, c, d))
-        raise VerificationError(
-            f"{R.name}: {N} is a right inverse of {M} but not a left inverse")
-    return upper | upper.T
+        raise VerificationError(f"{R.name}: {N} is a right inverse of "
+                                f"{tuple(M[has[k]].tolist())} but not a left inverse")
+    out = np.full((len(M), 4), -1, dtype=first.dtype)
+    out[has] = np.column_stack([x1, x2, y1, y2])
+    return out
 
 
 def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.ndarray]:
@@ -395,16 +371,34 @@ def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.nda
 
 
 def distant_graph(R: Ring, pts: tuple[Point, ...]) -> DistantGraph:
-    """Build the full graph on the points pts (those of enumerate_points);
-    every component must share one diameter."""
-    adj = _distant_pairs(R, pts)
+    """Build the full graph on the points pts (those of enumerate_points):
+    p and q are distant iff mat_inverses inverts (p; q).  Every point is
+    admissible, so its kernel must have |R| members, and every component
+    must share one diameter."""
+    n = R.size
+    P = np.array(pts, dtype=np.min_scalar_type(n - 1))
+    # the kernel of (a, b) has the sum over v of #{x : a*x = v} * #{y : -b*y = v} members
+    at = np.arange(len(P))[:, None] * n
+    a_x, b_y = (np.bincount((at + t).ravel(), minlength=len(P) * n).reshape(-1, n)
+                for t in (R._mul_a[P[:, 0]], R._neg_a[R._mul_a[P[:, 1]]]))
+    size = (a_x * b_y).sum(axis=1)
+    if (size != n).any():
+        k = int(np.argmax(size != n))
+        raise VerificationError(f"{R.name}: {pts[k]} has {size[k]} solutions, not {n}")
+    i, j = np.triu_indices(len(P), 1)  # every pair i < j, row-major
+    adj = np.zeros((len(P), len(P)), dtype=bool)
+    stacked = np.hstack([P.take(i, axis=0), P.take(j, axis=0)])  # (p_i; p_j)
+    adj[i, j] = mat_inverses(R, stacked)[:, 0] >= 0
+    adj |= adj.T
     component, diameters, dist = _bfs_levels(adj, pts.index(infinity(R)))
     if len(set(diameters)) != 1:
         raise VerificationError(f"{R.name}: components disagree on diameter: {diameters}")
+    ends = np.cumsum(adj.sum(axis=1)).tolist()
+    neighbours = np.nonzero(adj)[1].tolist()  # row by row
     return DistantGraph(
         ring=R,
         points=pts,
-        adj=[frozenset(np.flatnonzero(row).tolist()) for row in adj],
+        adj=[frozenset(neighbours[s:e]) for s, e in zip([0] + ends, ends)],
         component=component,
         n_components=len(diameters),
         diameter=diameters[0],

@@ -4,11 +4,12 @@ Every ring here is small enough (|R| <= 81) that exhaustive verification is
 the default posture: a ring is its add, mul and neg tables, three
 read-only numpy arrays built once per ring (each family gives its product
 as one digit formula over numpy digit arrays; sums and negatives are
-digitwise; the opposite ring transposes mul), and every other table and
-view is derived from those three.  Unit groups come from a brute-force
-two-sided inverse scan, subfields are re-verified axiom by axiom no matter
-how they were described, and the full ring axioms can be checked on
-demand over the whole element set.
+digitwise; F_{p^k} is k digits over F_p, multiplied as polynomials; the
+opposite ring transposes mul), and every other table is derived from
+those three.  Unit groups come from a brute-force two-sided inverse
+scan, subfields are re-verified axiom by axiom no matter how they were
+described, and the full ring axioms can be checked on demand over the
+whole element set.
 
 Families:
 
@@ -29,7 +30,7 @@ their companion matrices.
 Element encodings (all little-endian in the field index, so 0 is always the
 zero element):
 
-    finite-field       index = field element
+    finite-field       c_0 + c_1*g + ...  -> c_0 + p*c_1 + ...  (g the generator)
     dual-numbers       a + b*e            -> a + q*b
     matrix2            [[a,b],[c,d]]      -> a + q*b + q^2*c + q^3*d
     upper-triangular2  [[a,b],[0,d]]      -> a + q*b + q^2*d
@@ -94,76 +95,6 @@ def prime_power(q: int) -> tuple[int, int]:
     raise UnsupportedParameterError(f"{q} is not a prime power")
 
 
-class GF:
-    """F_q arithmetic tables for q <= 9.
-
-    Elements are integers 0..q-1 read as base-p digit strings: the digits
-    are the coefficients of the element as a polynomial in the generator,
-    constant term first.  For prime q the index is the residue itself.
-    """
-
-    def __init__(self, q: int):
-        p, k = prime_power(q)
-        if q > 9:
-            raise UnsupportedParameterError(f"field order {q} exceeds 9")
-        self.q, self.p, self.k = q, p, k
-        if k == 1:
-            self.add_t = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul_t = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            poly = IRREDUCIBLE[q]
-            digits = [self._digits(i) for i in range(q)]
-            self.add_t = [
-                [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            self.mul_t = [[self._polymul(digits[a], digits[b], poly) for b in range(q)]
-                          for a in range(q)]
-        self.neg_t = [self.add_t[a].index(0) for a in range(q)]
-        self.inv_t = [None] + [self.mul_t[a].index(1) if 1 in self.mul_t[a] else None
-                               for a in range(1, q)]
-
-    def _digits(self, i: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(i % self.p)
-            i //= self.p
-        return out
-
-    def _undigits(self, ds) -> int:
-        val = 0
-        for d in reversed(ds):
-            val = val * self.p + d
-        return val
-
-    def _polymul(self, xs, ys, poly) -> int:
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                conv[i + j] = (conv[i + j] + x * y) % p
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = conv[deg]
-            if c:
-                conv[deg] = 0
-                for j in range(k):
-                    conv[deg - k + j] = (conv[deg - k + j] - c * poly[j]) % p
-        return self._undigits(conv[:k])
-
-    def add(self, a, b):
-        return self.add_t[a][b]
-
-    def mul(self, a, b):
-        return self.mul_t[a][b]
-
-    def neg(self, a):
-        return self.neg_t[a]
-
-    def inv(self, a):
-        return self.inv_t[a]
-
-
 @dataclass(frozen=True)
 class RingSpec:
     family: str
@@ -182,13 +113,13 @@ class Ring:
     mul and neg tables _add_a, _mul_a and _neg_a, read-only numpy arrays
     given at construction.  The families build them from digit formulas
     (DigitRing), and the opposite ring is the transposed mul table.
-    Everything else is derived from those three arrays: the tuple views
-    the scalar methods read, the admissibility tables, the units (a
-    two-sided inverse scan) and the left and right canonical-pair keys
-    (least unit multiple of every pair), which make canonicalizing a
-    single lookup.  Instances are shared by build_ring and never change
-    after construction; the array kernels of projline and duality index
-    the tables directly.
+    Everything else is derived from those three arrays: the admissibility
+    tables, the units (a two-sided inverse scan) and the left and right
+    canonical-pair keys (least unit multiple of every pair), which make
+    canonicalizing a single lookup.  The scalar methods read single
+    entries of the arrays.  Instances are shared by build_ring and never
+    change after construction; the array kernels of projline and duality
+    index the tables directly.
     """
 
     def __init__(self, spec: RingSpec, one: int, add: np.ndarray, mul: np.ndarray,
@@ -210,21 +141,17 @@ class Ring:
         self._opposite: Optional[Ring] = None
 
     def _fill_arrays(self) -> None:
-        """Derive from the operation tables one tuple view per table
-        (_add_t, _mul_t, _neg_t), which the scalar methods and mat_invert
-        read, and the admissibility tables _rows_ok[a, b] iff 1 in aR + bR
-        and _cols_ok[v, w] iff 1 in Rv + Rw; then lock all of them
-        read-only.  Runs again where the tests corrupt a table; the units
-        and canonical keys stay as built.
+        """Derive from the operation tables the admissibility tables
+        _rows_ok[a, b] iff 1 in aR + bR and _cols_ok[v, w] iff 1 in Rv + Rw;
+        then lock the operation and admissibility tables read-only.  Runs
+        again where the tests corrupt a table; the units and canonical keys
+        stay as built.
 
         member[a, v] says v lies in aR.  The pair (a, b) is unimodular iff
         some v in aR has 1 - v in bR, so the whole row table is one boolean
         product member @ member[:, 1 - v].T; the column table is the same
         product over the memberships in Ra.
         """
-        self._add_t, self._mul_t = (tuple(map(tuple, t.tolist()))
-                                    for t in (self._add_a, self._mul_a))
-        self._neg_t = tuple(self._neg_a.tolist())
         n = self.size
         one_minus = self._add_a[self.one][self._neg_a]
         tables = []
@@ -254,16 +181,16 @@ class Ring:
 
     # arithmetic ---------------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        return self._add_t[a][b]
+        return self._add_a.item(a, b)
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_t[a][b]
+        return self._mul_a.item(a, b)
 
     def neg(self, a: int) -> int:
-        return self._neg_t[a]
+        return self._neg_a.item(a)
 
     def sub(self, a: int, b: int) -> int:
-        return self._add_t[a][self._neg_t[b]]
+        return self._add_a.item(a, self._neg_a.item(b))
 
     def inv(self, a: int) -> Optional[int]:
         return self._inv_t[a]
@@ -276,7 +203,7 @@ class Ring:
 
     def left_products(self, a: int) -> tuple[int, ...]:
         """(a*x for every x), indexable by x: a row of the mul table."""
-        return self._mul_t[a]
+        return tuple(self._mul_a[a].tolist())
 
     def right_products(self, a: int) -> tuple[int, ...]:
         """(x*a for every x), indexable by x: a column of the mul table."""
@@ -305,29 +232,29 @@ class Ring:
 
 
 class DigitRing(Ring):
-    """A ring whose elements are tuples of ndigits F_q digits, encoded
-    little-endian as the sum of d_k q^k.  Addition and negation are
+    """A ring whose elements are tuples of ndigits digits in a field F_q,
+    encoded little-endian as the sum of d_k q^k.  Addition and negation are
     digitwise in F_q.  Each family gives its multiplication once, as a
     digit formula _digit_mul(m, s, x, y) over numpy digit arrays: m and s
     are the field's mul and add tables, x and y the digit columns of the
     left and right factors, broadcast against each other, and the result
     is the product's digit columns.  So every table is one vectorized pass
-    over all pairs.  The one-digit default is F_q itself."""
+    over all pairs.  The digit field is F_{spec.q}, or F_base if given."""
 
-    ndigits = 1
-    one_digits: tuple[int, ...] = (1,)
-
-    def __init__(self, spec: RingSpec):
-        self.gf = GF(spec.q)
-        self.q = q = spec.q
+    def __init__(self, spec: RingSpec, base: Optional[int] = None):
+        self.q = q = base or spec.q
+        if prime_power(q)[1] > 1:  # F_q's tables are the shared finite-field(q) ring's
+            F = build_ring(RingSpec("finite-field", q))
+            s, m, neg = F._add_a, F._mul_a, F._neg_a
+        else:  # residues mod the prime q
+            x = np.arange(q)
+            s, m, neg = (x[:, None] + x) % q, x[:, None] * x % q, -x % q
         size = q ** self.ndigits
         if size > SIZE_CAP:
             raise UnsupportedParameterError(
                 f"{spec}: size {size} exceeds the zoo cap {SIZE_CAP}")
         self._places = q ** np.arange(self.ndigits)
         self._digits = np.arange(size)[:, None] // self._places % q  # element x digit
-        s, m, neg = (np.array(t, dtype=np.intp)
-                     for t in (self.gf.add_t, self.gf.mul_t, self.gf.neg_t))
         # digit k of every left factor down the rows, of every right factor
         # along the columns; a table's digits encode along the first axis
         x, y = self._digits.T[:, :, None], self._digits.T[:, None, :]
@@ -335,10 +262,6 @@ class DigitRing(Ring):
         mul = np.tensordot(self._places, np.stack(self._digit_mul(m, s, x, y)), axes=1)
         super().__init__(spec, self._encode(self.one_digits), add, mul,
                          neg[self._digits] @ self._places)
-
-    @staticmethod
-    def _digit_mul(m, s, x, y) -> tuple:
-        return (m[x[0], y[0]],)
 
     def _encode(self, ds) -> int:
         val = 0
@@ -353,13 +276,35 @@ class DigitRing(Ring):
 
 
 class FiniteFieldRing(DigitRing):
-    """F_q, the one-digit case."""
+    """F_q for q = p^k: k digits over F_p, the coefficients of a polynomial
+    in the generator, constant term first, multiplied modulo the fixed
+    irreducible IRREDUCIBLE[q]; a prime q is the one-digit case."""
+
+    def __init__(self, spec):
+        p, self.ndigits = prime_power(spec.q)
+        if self.ndigits > 1 and spec.q not in IRREDUCIBLE:
+            raise UnsupportedParameterError(f"field order {spec.q} exceeds 9")
+        self.one_digits = (1,) + (0,) * (self.ndigits - 1)
+        self._modulus = IRREDUCIBLE.get(spec.q)  # none for a prime q, one digit
+        super().__init__(spec, p)
+
+    def _digit_mul(self, m, s, x, y):
+        # the product of the polynomials over the integers; then, top degree
+        # first, x^k becomes minus the lower terms of the monic modulus; and
+        # every coefficient is reduced mod p
+        k = self.ndigits
+        conv = [sum(x[i] * y[d - i] for i in range(max(0, d - k + 1), min(d, k - 1) + 1))
+                for d in range(2 * k - 1)]
+        for deg in range(2 * k - 2, k - 1, -1):
+            for j in range(k):
+                conv[deg - k + j] = conv[deg - k + j] - conv[deg] * self._modulus[j]
+        return tuple(c % self.q for c in conv[:k])
 
     def elem_str(self, a):
-        if self.gf.k == 1:
+        if self.ndigits == 1:
             return str(a)
         terms = []
-        for i, d in enumerate(self.gf._digits(a)):
+        for i, d in enumerate(self._digits[a].tolist()):
             if d == 0:
                 continue
             if i == 0:
@@ -558,7 +503,7 @@ def build_subfield(ring: Ring, kind: str) -> Subfield:
         q = ring.spec.q
         poly = IRREDUCIBLE[q * q]
         c0, c1 = poly[0], poly[1]
-        comp = ring._encode((0, 1, ring.gf.neg_t[c0], ring.gf.neg_t[c1]))
+        comp = ring._encode((0, 1, -c0 % q, -c1 % q))  # q is prime
         elems = {ring.add(_scalar_embed(ring, a), ring.mul(_scalar_embed(ring, b), comp))
                  for a in range(q) for b in range(q)}
     else:

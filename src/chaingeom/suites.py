@@ -335,7 +335,7 @@ def derive_plane_report(geom: Geometry, skip_replacement: bool = False,
 def catalogue_antiiso(R: Ring):
     if R.spec.family == "matrix2":
         return transpose_map(R), "transpose"
-    if R.spec.family == "finite-field" and R.gf.k > 1:
+    if R.spec.family == "finite-field" and R.ndigits > 1:
         return frobenius_map(R, as_antiiso=True), "frobenius"
     if R.spec.family == "upper-triangular2":
         return triangular_flip_map(R), "diagonal-flip"

@@ -2,10 +2,12 @@
 
 Most are the plain, per-element form of something the package computes
 from its tables, or a definition-level law no scenario runs: the
-per-element digit formulas of the ring families, the unit-closure loop of
-verify_axioms, the dict-bucket annihilator scan with its cyclic-generator
-loops, the per-module covariance law, the distant relation by matrix
-inversion, a breadth-first search for point words, the four matrix
+per-element field tables GF and digit formulas of the ring families, the
+unit-closure loop of verify_axioms, the bucketed scalar column solve
+mat_invert (with mat_mul) that projline.mat_inverses is held to, the
+dict-bucket annihilator scan with its cyclic-generator loops, the
+per-module covariance law, the distant relation by matrix inversion, a
+breadth-first search for point words, the four matrix
 actions on single rows and columns, the loops the compatibility kernels
 and the Desargues scan replaced, the paper's laws on induced maps with
 the scalar steps of the sigma composite (dual to point, quarter turn),
@@ -17,8 +19,9 @@ as permutation tables.  Helpers serve the tests around them: `corrupt`
 changes one entry of a fresh ring's operation table,
 `word_arrays`/`as_pairs` feed a list of words to the array kernels in
 one call, `uniform_bytes` is the byte-by-byte form of the sampled word
-draw, and `point_sets`, `row_set` and `point_map` read index rows
-and index permutations as sets and dicts of points.
+draw, `point_sets`, `row_set` and `point_map` read index rows and index
+permutations as sets and dicts of points, and `tables` gives the scalar
+loops a ring's operation arrays as nested tuples.
 """
 
 import random
@@ -31,14 +34,92 @@ from chaingeom.projline import (
     index_of,
     line_generators,
     make_point,
-    mat_invert,
+    mat_identity,
     row_images,
 )
-from chaingeom.rings import GF, RingMapError, additive_generators, build_ring, unit_generators
+from chaingeom.rings import (
+    IRREDUCIBLE,
+    RingMapError,
+    UnsupportedParameterError,
+    additive_generators,
+    build_ring,
+    prime_power,
+    unit_generators,
+)
 from chaingeom.suites import EXHAUSTIVE_LIMIT
 
 
 # ring families ------------------------------------------------------------------
+
+class GF:
+    """F_q arithmetic tables for q <= 9, as nested lists built one element
+    at a time.
+
+    Elements are integers 0..q-1 read as base-p digit strings: the digits
+    are the coefficients of the element as a polynomial in the generator,
+    constant term first.  For prime q the index is the residue itself.
+    """
+
+    def __init__(self, q: int):
+        p, k = prime_power(q)
+        if q > 9:
+            raise UnsupportedParameterError(f"field order {q} exceeds 9")
+        self.q, self.p, self.k = q, p, k
+        if k == 1:
+            self.add_t = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self.mul_t = [[(a * b) % p for b in range(p)] for a in range(p)]
+        else:
+            poly = IRREDUCIBLE[q]
+            digits = [self._digits(i) for i in range(q)]
+            self.add_t = [
+                [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])])
+                 for b in range(q)]
+                for a in range(q)
+            ]
+            self.mul_t = [[self._polymul(digits[a], digits[b], poly) for b in range(q)]
+                          for a in range(q)]
+        self.neg_t = [self.add_t[a].index(0) for a in range(q)]
+        self.inv_t = [None] + [self.mul_t[a].index(1) if 1 in self.mul_t[a] else None
+                               for a in range(1, q)]
+
+    def _digits(self, i: int) -> list[int]:
+        out = []
+        for _ in range(self.k):
+            out.append(i % self.p)
+            i //= self.p
+        return out
+
+    def _undigits(self, ds) -> int:
+        val = 0
+        for d in reversed(ds):
+            val = val * self.p + d
+        return val
+
+    def _polymul(self, xs, ys, poly) -> int:
+        p, k = self.p, self.k
+        conv = [0] * (2 * k - 1)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                conv[i + j] = (conv[i + j] + x * y) % p
+        for deg in range(2 * k - 2, k - 1, -1):
+            c = conv[deg]
+            if c:
+                conv[deg] = 0
+                for j in range(k):
+                    conv[deg - k + j] = (conv[deg - k + j] - c * poly[j]) % p
+        return self._undigits(conv[:k])
+
+    def add(self, a, b):
+        return self.add_t[a][b]
+
+    def mul(self, a, b):
+        return self.mul_t[a][b]
+
+    def neg(self, a):
+        return self.neg_t[a]
+
+    def inv(self, a):
+        return self.inv_t[a]
 
 # Per family: the number of F_q digits of an element and its product, digit
 # tuple by digit tuple, over the field's mul (m) and add (s) tables.
@@ -154,14 +235,74 @@ def corrupt(R, table, at, value):
 
 # matrix actions ---------------------------------------------------------------
 
+_TABLES: dict = {}  # ring -> (its operation arrays, their nested tuples)
+
+
+def tables(R):
+    """R's add, mul and neg tables as nested tuples, for the scalar loops:
+    built once per ring, and again when corrupt gives it new arrays."""
+    arrays = (R._add_a, R._mul_a, R._neg_a)
+    held = _TABLES.get(R)
+    if held is None or any(x is not y for x, y in zip(held[0], arrays)):
+        held = _TABLES[R] = arrays, (tuple(map(tuple, R._add_a.tolist())),
+                                     tuple(map(tuple, R._mul_a.tolist())),
+                                     tuple(R._neg_a.tolist()))
+    return held[1]
+
+
+def mat_mul(R, M, N):
+    add, mul, _ = tables(R)
+    ma, mb, mc, md = mul[M[0]], mul[M[1]], mul[M[2]], mul[M[3]]
+    e, f, g, h = N
+    return (add[ma[e]][mb[g]], add[ma[f]][mb[h]],
+            add[mc[e]][md[g]], add[mc[f]][md[h]])
+
+
+def mat_invert(R, M):
+    """Two-sided inverse of M in GL2(R), or None: the scalar column solve.
+
+    Solves M * (x, y)^T = e_1 and = e_2 column by column over R^2, indexing
+    the operation tables directly: the products b*y are bucketed by value
+    first, so each column solve is linear in |R|.  Raises
+    VerificationError, in projline.mat_inverses' words, if the solution is
+    only a one-sided inverse.
+    """
+    a, b, c, d = M
+    add, mul, neg = tables(R)
+    ma, mc, md = mul[a], mul[c], mul[d]
+    buckets: dict = {}
+    for y, by in enumerate(mul[b]):
+        buckets.setdefault(by, []).append(y)
+    cols = []
+    for e1, e2 in ((R.one, R.zero), (R.zero, R.one)):
+        row1 = add[e1]
+        found = None
+        for x in R.elements():
+            for y in buckets.get(row1[neg[ma[x]]], ()):
+                if add[mc[x]][md[y]] == e2:
+                    found = (x, y)
+                    break
+            if found:
+                break
+        if found is None:
+            return None
+        cols.append(found)
+    N = (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
+    # finite rings are Dedekind-finite, so the one-sided inverse is two-sided
+    if mat_mul(R, N, M) != mat_identity(R):
+        raise VerificationError(
+            f"{R.name}: {N} is a right inverse of {M} but not a left inverse")
+    return N
+
+
 def row_times_mat(R, row, M):
-    add, mul = R._add_t, R._mul_t
+    add, mul, _ = tables(R)
     ma, mb = mul[row[0]], mul[row[1]]
     return add[ma[M[0]]][mb[M[2]]], add[ma[M[1]]][mb[M[3]]]
 
 
 def mat_times_col(R, M, col):
-    add, mul = R._add_t, R._mul_t
+    add, mul, _ = tables(R)
     v, w = col
     return add[mul[M[0]][v]][mul[M[1]][w]], add[mul[M[2]][v]][mul[M[3]][w]]
 
@@ -225,7 +366,7 @@ def line_perms(geom):
 def point_words(R):
     """A shortest elementary word for every point of the component of (1, 0),
     by one breadth-first search over the steps p -> p * E(t)."""
-    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    add, mul, neg = tables(R)
     layer = {R.canonical_pair_left(R.one, R.zero): ()}
     seen = dict(layer)
     while layer:
@@ -254,7 +395,7 @@ def annihilator(R, rows):
     as a frozenset of pairs."""
     sol = None
     for a, b in rows:
-        cur = kernel_scan(R._neg_t, R.left_products(a), R.left_products(b))
+        cur = kernel_scan(tables(R)[2], R.left_products(a), R.left_products(b))
         sol = cur if sol is None else sol & cur
     if sol is None:  # no equations: every column solves them
         sol = {(x, y) for x in R.elements() for y in R.elements()}
@@ -275,7 +416,7 @@ def perp_point(R, p):
 def bidual_point(R, q):
     """The least admissible row of the left kernel of q whose cyclic span is
     that kernel; None if there is none."""
-    kern = kernel_scan(R._neg_t, R.right_products(q[0]), R.right_products(q[1]))
+    kern = kernel_scan(tables(R)[2], R.right_products(q[0]), R.right_products(q[1]))
     for a, b in sorted(kern):
         if R._rows_ok[a, b] and set(zip(R.right_products(a), R.right_products(b))) == kern:
             return R.canonical_pair_left(a, b)
@@ -625,7 +766,7 @@ def words(R, samples, seed):
 def stepped_word_point(R, ts):
     """The point spanned by (1, 0) * E(t_n) * ... * E(t_1), stepping the row
     in place: (x, y) * E(t) = (x*t - y, x)."""
-    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    add, mul, neg = tables(R)
     x, y = R.one, R.zero
     for t in reversed(ts):
         x, y = add[mul[x][t]][neg[y]], x
@@ -635,7 +776,7 @@ def stepped_word_point(R, ts):
 def stepped_word_dual_point(R, ts):
     """The closed word formula E(0) * E(-t_1) * ... * E(-t_n) * E(0) * (0, 1)^T,
     stepping the column in place: E(s) * (v, w)^T = (s*v + w, -v)^T."""
-    add, mul, neg = R._add_t, R._mul_t, R._neg_t
+    add, mul, neg = tables(R)
     v, w = R.one, R.zero  # E(0) * (0, 1)^T
     for t in reversed(ts):
         v, w = add[mul[neg[t]][v]][w], neg[v]

@@ -228,7 +228,7 @@ def test_residue_at_other_point(f4, f4_g):
 
 def test_residue_points_match_pairwise_distant(zoo_g):
     """The residue reads its points off the distant-graph kernel; they are
-    the points distant from p by mat_invert, in enumerate_points order."""
+    the points distant from p by the scalar mat_invert, in enumerate_points order."""
     for g in zoo_g:
         R, pts = g.ring, g.points
         for p in (infinity(R), pts[-1]) if R.size <= 16 else (infinity(R),):

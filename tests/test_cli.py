@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,32 @@ def test_failed_task_still_writes_report(tmp_path):
     assert "error" in report["tasks"][0]
     assert (tmp_path / "report.json").exists()
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+
+
+def test_chain_orbit_cap_error_does_not_depend_on_task_order(tmp_path):
+    """A capped chain-orbit on matrix2(2) fails with one message whether it
+    builds the chain orbit itself, stopping the engine early, or finds the
+    orbit an earlier duality-suite built."""
+    capped = {"name": "chain-orbit", "options": {"cap": 1}}
+    errors = []
+    for tasks in ([capped, {"name": "duality-suite"}], [{"name": "duality-suite"}, capped]):
+        path = small_config(tmp_path, tasks, ring={"family": "matrix2", "q": 2})
+        report, _ = run(load_config(str(path)), out_dir=str(tmp_path))
+        errors += [t["error"] for t in report["tasks"] if t["name"] == "chain-orbit"]
+    assert errors == ["OrbitCapExceededError: chain orbit on matrix2(2) exceeded cap 1"] * 2
+
+
+def test_a_task_named_twice_is_timed_as_the_sum_of_its_runs(tmp_path, monkeypatch):
+    """wall_time_s keeps one entry per task name, the sum of its runs: with
+    a clock that moves one second per reading, two duality-suite runs give
+    2 s beside the 1 s of one enumerate-points run."""
+    clock = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
+    path = small_config(tmp_path, [{"name": "duality-suite"}, {"name": "enumerate-points"},
+                                   {"name": "duality-suite"}])
+    report, all_pass = run(load_config(str(path)), out_dir=str(tmp_path))
+    assert all_pass
+    assert report["timing"]["wall_time_s"] == {"duality-suite": 2.0, "enumerate-points": 1.0}
 
 
 def test_dot_export(tmp_path, f4_g, dual2_g):

@@ -13,7 +13,6 @@ from chaingeom.projline import (
     OrbitCapExceededError,
     VerificationError,
     _bfs_levels,
-    _distant_pairs,
     carries,
     distant_graph,
     elementary,
@@ -21,10 +20,10 @@ from chaingeom.projline import (
     index_of,
     infinity,
     is_admissible,
+    line_generators,
     make_point,
     mat_identity,
-    mat_invert,
-    mat_mul,
+    mat_inverses,
     orbit,
     slabs,
     sorted_rows,
@@ -39,10 +38,21 @@ from reference import (
     invertible_completions,
     is_column_admissible,
     line_perms,
+    mat_mul,
     mat_times_col,
     point_words,
     row_times_mat,
 )
+import reference
+
+
+def mat_invert(R, M):
+    """The one-matrix call of mat_inverses, as a tuple or None, checked
+    against the reference's scalar column solve."""
+    got = mat_inverses(R, [M])[0].tolist()
+    got = None if got[0] < 0 else tuple(got)
+    assert got == reference.mat_invert(R, M), (R.name, M)
+    return got
 
 
 def test_mat_invert_identity(f4):
@@ -62,6 +72,43 @@ def test_mat_invert_elementary(ring_name, request):
 def test_mat_invert_absent(dual2):
     # diag(1, e) has a nilpotent row that cannot be completed
     assert mat_invert(dual2, (1, 0, 0, 2)) is None
+
+
+def scalar_inverses(R, mats):
+    """The reference's scalar mat_invert of every matrix, in mat_inverses'
+    format: a row of four entries, or of -1 where there is no inverse."""
+    return np.array([reference.mat_invert(R, M) or (-1,) * 4 for M in mats]).reshape(-1, 4)
+
+
+def test_mat_inverses_match_the_scalar_solve_on_small_rings(small_rings):
+    """One mat_inverses call over all |R|^4 matrices gives the scalar column
+    solve's inverse, or its none, on every ring of at most 16 elements and
+    the opposites of the noncommutative ones; the inverses of the inverses
+    are the matrices."""
+    for R in small_rings:
+        mats = np.array(list(itertools.product(R.elements(), repeat=4)))
+        got = mat_inverses(R, mats)
+        assert np.array_equal(got, scalar_inverses(R, mats)), R.name
+        has = got[:, 0] >= 0
+        assert np.array_equal(mat_inverses(R, got[has]), mats[has]), R.name
+
+
+def test_mat_inverses_match_the_scalar_solve_m2f3(m2f3):
+    """On matrix2(3) and its opposite: every line generator, and a seeded
+    draw of 3,000 matrices, many with a row that is not admissible."""
+    rng = np.random.default_rng(18)
+    drawn = rng.integers(0, m2f3.size, (3000, 4))
+    for R in (m2f3, m2f3.opposite()):
+        gens = line_generators(R)
+        assert np.array_equal(mat_inverses(R, gens), scalar_inverses(R, gens)), R.name
+        got = mat_inverses(R, drawn)
+        assert np.array_equal(got, scalar_inverses(R, drawn.tolist())), R.name
+        rows_ok = R._rows_ok[drawn[:, 0], drawn[:, 1]] & R._rows_ok[drawn[:, 2], drawn[:, 3]]
+        assert 0 < (got[:, 0] >= 0).sum() < rows_ok.sum() < len(drawn)
+
+
+def test_mat_inverses_of_nothing(f4):
+    assert mat_inverses(f4, []).shape == (0, 4)
 
 
 def test_mat_invert_generic_matches_elimination(m2f2, m2f3):
@@ -103,15 +150,14 @@ def test_verification_errors_are_assertion_errors():
 
 CORRUPT_F4_INVERT = """
 import itertools, sys
-from chaingeom.projline import VerificationError, mat_invert
+from chaingeom.projline import VerificationError, mat_inverses
 from chaingeom.rings import FiniteFieldRing, RingSpec
 assert not __debug__, "expected to run under python -O"
 R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
 mul = R._mul_a.copy(); mul[2, 1] = 0
 R._mul_a = mul; R._fill_arrays()
 try:
-    for M in itertools.product(R.elements(), repeat=4):
-        mat_invert(R, M)
+    mat_inverses(R, list(itertools.product(R.elements(), repeat=4)))
 except VerificationError as exc:
     print(exc)
     sys.exit(0)
@@ -138,17 +184,17 @@ def test_is_admissible_basics(f4, dual2):
 
 def test_admissible_rank_path_matches_completion_scan(small_rings):
     """The unimodularity table tests agree with the completion scan over
-    mat_invert, for rows and for columns, on every ring of at most 16
-    elements; so does the array completion scan."""
+    the reference's scalar mat_invert, for rows and for columns, on every
+    ring of at most 16 elements; so does the array completion scan."""
     for R in small_rings:
         els = R.elements()
         for a in els:
             for b in els:
-                rows = any(mat_invert(R, (a, b, c, d)) is not None
+                rows = any(reference.mat_invert(R, (a, b, c, d)) is not None
                            for c in els for d in els)
                 assert is_admissible(R, a, b) == rows, (R.name, a, b)
                 assert invertible_completions(R, a, b, "row").any() == rows
-                cols = any(mat_invert(R, (a, x, b, y)) is not None
+                cols = any(reference.mat_invert(R, (a, x, b, y)) is not None
                            for x in els for y in els)
                 assert is_column_admissible(R, a, b) == cols, (R.name, a, b)
                 assert invertible_completions(R, a, b, "column").any() == cols
@@ -350,15 +396,21 @@ def test_distant_graph_left_inverse_check_raises_under_optimize(run_optimized):
 
 
 def pairwise_distant(R, pts):
-    """The distant adjacency from one mat_invert per pair i < j, in
+    """The distant adjacency from one scalar mat_invert per pair i < j, in
     row-major order, or the message of the first VerificationError."""
     adj = np.zeros((len(pts), len(pts)), dtype=bool)
     for i, j in itertools.combinations(range(len(pts)), 2):
         try:
-            adj[i, j] = mat_invert(R, pts[i] + pts[j]) is not None
+            adj[i, j] = reference.mat_invert(R, pts[i] + pts[j]) is not None
         except VerificationError as exc:
             return str(exc)
     return adj | adj.T
+
+
+def graph_adjacency(R, pts):
+    """The adjacency of distant_graph on the points pts, as a boolean matrix."""
+    adj = distant_graph(R, pts).adj
+    return np.array([[j in row for j in range(len(pts))] for row in adj])
 
 
 def test_distant_kernel_under_every_corrupted_f4_product(f4):
@@ -374,7 +426,7 @@ def test_distant_kernel_under_every_corrupted_f4_product(f4):
         R = corrupt(FiniteFieldRing(f4.spec), "mul", (a, b), value)
         want = pairwise_distant(R, pts)
         try:
-            got = _distant_pairs(R, pts)
+            got = graph_adjacency(R, pts)
         except VerificationError as exc:
             got = str(exc)
         if isinstance(got, str) and "solutions, not" in got:

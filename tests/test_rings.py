@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingeom.rings import (
-    GF,
     Matrix2Ring,
     NotAFieldError,
     NotAUnitError,
@@ -29,7 +28,7 @@ from chaingeom.rings import (
 
 from chaingeom.isomorph import identity_map, transpose_map
 
-from reference import family_tables, ring_map_failure, table_mismatch, unit_closure_failure
+from reference import GF, family_tables, ring_map_failure, table_mismatch, unit_closure_failure
 
 
 def scan_units(ring):

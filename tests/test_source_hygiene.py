@@ -34,14 +34,17 @@ ALLOWED_UNREACHED = {
 
 
 # the per-element family hooks and the table mirrors beside the operation
-# arrays: a ring builds _add_a, _mul_a and _neg_a and derives the rest; the
-# frozenset transport of a partition, which compares rows now; and the
-# per-block pair helper of the Desargues scan, whose kernel takes the
-# ordered pairs once; and the slab constants and packed set bits of the
-# batch kernels, which take their slabs from projline.slabs and SCAN_SLAB
+# arrays, the tuple views included: a ring builds _add_a, _mul_a and _neg_a
+# and derives the rest; the frozenset transport of a partition, which
+# compares rows now; and the per-block pair helper of the Desargues scan,
+# whose kernel takes the ordered pairs once; and the slab constants and
+# packed set bits of the batch kernels, which take their slabs from
+# projline.slabs and SCAN_SLAB; and the distant graph's own copy of the
+# GL2 solve, which is projline.mat_inverses
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
+                           r"|_add_t|_mul_t|_neg_t"
                            r"|transported_partition|_ordered_pairs"
-                           r"|_SET_BITS|_COV_PAIRS|_COV_SOLUTIONS|_SLAB)\b")
+                           r"|_SET_BITS|_COV_PAIRS|_COV_SOLUTIONS|_SLAB|_distant_pairs)\b")
 
 # the modules whose sets of blocks, chains and classes are sorted index rows
 ROW_MODULES = ("chains.py", "compat.py", "isomorph.py")
@@ -196,11 +199,14 @@ def test_scan_finds_deleted_names():
             "from chaingeom.isomorph import transported_partition\n"
             "i, j = _ordered_pairs(len(pts)); ordered_pairs = 1\n"
             "bits = _SET_BITS[t]; step = _COV_PAIRS + _COV_SOLUTIONS\n"
-            "budget = projline.SCAN_SLAB or compat._SLAB\n")
+            "budget = projline.SCAN_SLAB or compat._SLAB\n"
+            "s = R._add_t[a][R._neg_t[b]]; p = R._mul_t[a]; gf.add_t[a]\n"
+            "adj = _distant_pairs(R, pts); mat_inverses(R, mats)\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
                                            "_pair_left", "_padded", "transported_partition",
                                            "_ordered_pairs", "_SET_BITS", "_COV_PAIRS",
-                                           "_COV_SOLUTIONS", "_SLAB"]
+                                           "_COV_SOLUTIONS", "_SLAB", "_add_t", "_neg_t",
+                                           "_mul_t", "_distant_pairs"]
 
 
 def test_no_deleted_table_names():
