@@ -8,7 +8,7 @@ from chaingeom.rings import (
     build_ring,
     build_subfield,
     conjugate_subfield,
-    is_normal_subgroup,
+    normality_witness,
     make_ring_map,
 )
 from chaingeom.projline import (
@@ -39,7 +39,7 @@ from chaingeom.isomorph import (
 __all__ = [
     "RingSpec", "Ring", "Subfield", "RingMap",
     "build_ring", "build_subfield", "conjugate_subfield",
-    "is_normal_subgroup", "make_ring_map",
+    "make_ring_map", "normality_witness",
     "distant_graph", "enumerate_points", "infinity", "make_point", "word_point",
     "Geometry", "residue_at", "standard_chain",
     "enumerate_dual_points", "perp_point", "word_dual_point",

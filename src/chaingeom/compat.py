@@ -31,13 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from chaingeom.rings import (
-    Ring,
-    Subfield,
-    additive_generators,
-    conjugate_subfield,
-    unit_generators,
-)
+from chaingeom.rings import Ring, Subfield, conjugate_subfield, normality_witness
 from chaingeom.projline import (
     VerificationError, orbit, row_images, row_keys, rows_in, slabs, sorted_rows)
 from chaingeom.chains import Residue
@@ -76,8 +70,8 @@ def _witnessed_orbits(res: Residue, blocks: np.ndarray, side: str) -> list[tuple
     block set or a class has no witness."""
     R = res.ring
     act = R._mul_a.T if side == "compatibility" else R._mul_a  # act[a][x]: x*a or a*x
-    steps = np.concatenate([act[list(unit_generators(R))],
-                            R._add_a[:, list(additive_generators(R))].T])
+    steps = np.concatenate([act[list(R.unit_generators)],
+                            R._add_a[:, list(R.additive_generators)].T])
     classes = []
     while len(blocks):  # the least block left seeds the next class
         cls = orbit(blocks[:1], steps)
@@ -119,10 +113,8 @@ def coset_family(R: Ring, K: Subfield, side: str) -> np.ndarray:
 def _find_witness(R: Ring, K: Subfield, blocks: np.ndarray, side: str) -> Optional[Subfield]:
     """The conjugate subfield u^-1 K u, least unit u first, that is a block
     of the class with the rows blocks and whose coset family is exactly
-    the class; each distinct conjugate is tried once."""
-    k, u = np.array(K.elements), np.array(R.units)
-    inv = np.array([R.inv(x) for x in R.units])
-    conj = np.sort(R._mul_a[R._mul_a[inv[:, None], k], u[:, None]], axis=1)
+    the class; each distinct row of K.conjugates is tried once."""
+    conj = K.conjugates
     _, first = np.unique(row_keys(conj), return_index=True)
     for i in np.sort(first[rows_in(conj[first], blocks)]).tolist():
         witness = conjugate_subfield(K, R.units[i])
@@ -140,7 +132,7 @@ def _verify_coordinate_action(R: Ring) -> None:
     of row_images and col_images with the coordinate maps."""
     one, zero = R.one, R.zero
     x = np.arange(R.size)
-    units, shifts = unit_generators(R), additive_generators(R)
+    units, shifts = R.unit_generators, R.additive_generators
     points, duals = R._left_key[x, one], R._right_key[R.neg(one), x]
     moved = [R._add_a[x, c] for c in shifts]
     for side, keys, got, coords in (
@@ -330,15 +322,6 @@ def regulus_through(R: Ring, q: int, gens: np.ndarray) -> tuple[np.ndarray, np.n
     return reg, trans
 
 
-def second_conjugate(R: Ring, K: Subfield) -> Optional[Subfield]:
-    """The conjugate subfield u^-1 K u != K with the least witness unit."""
-    for u in R.units:
-        conj = conjugate_subfield(K, u)
-        if conj.elements != K.elements:
-            return conj
-    return None
-
-
 def _incidence(n_points: int, lines) -> np.ndarray:
     """The lines x points 0/1 incidence matrix, by one scatter."""
     sizes = [len(L) for L in lines]
@@ -480,10 +463,11 @@ def derive_plane(geom, skip_replacement: bool = False,
     for the Geometry geom of (R, K).
 
     Removes the lines of the ambient affine plane AG(2, q^2) whose
-    directions lie in the regulus determined by a second conjugate subfield
-    K'' and inserts the blocks {a K'' + c : a in K*, c in R}.  When no
-    second conjugate exists (q = 2) the replacement degenerates to the
-    identity and the plane is the Desarguesian AG(2, 4).
+    directions lie in the regulus determined by the second conjugate
+    subfield K'' = u^-1 K u, u the least unit that moves K, and inserts the
+    blocks {a K'' + c : a in K*, c in R}.  When no second conjugate exists
+    (q = 2) the replacement degenerates to the identity and the plane is
+    the Desarguesian AG(2, 4).
     """
     R, K = geom.ring, geom.subfield
     if R.spec.family != "matrix2" or R.spec.q not in (2, 3):
@@ -499,10 +483,9 @@ def derive_plane(geom, skip_replacement: bool = False,
     if not rows_in(kclass.blocks, ag).all():
         raise VerificationError("the class does not extend to AG(2, q^2)")
 
-    K2 = second_conjugate(R, K)
-    degenerate = skip_replacement or K2 is None
-    if skip_replacement:
-        K2 = None
+    u = normality_witness(K)
+    K2 = None if skip_replacement or u is None else conjugate_subfield(K, u)
+    degenerate = K2 is None
     if degenerate:
         lines = ag
         replaced_size = 0 if skip_replacement else 1
@@ -534,7 +517,7 @@ def derive_plane(geom, skip_replacement: bool = False,
         raise VerificationError("line and point counts of the plane disagree")
 
     points, proj_lines = _projective_completion(R, lines)
-    if degenerate and skip_replacement:
+    if skip_replacement:
         # negative control: the line set is exactly AG(2, q^2), the field plane
         desargues, method, witness = True, "field-plane-identity", None
     elif q == 2:

@@ -1,8 +1,11 @@
 """One scenario's derived state: the Geometry of a ring and a subfield.
 
-Nothing derived is cached outside a Geometry, so two of them share no
-state and a run times everything it builds.  Points and dual points are
-indices into their sorted tuples, found by index_of on the sorted keys.
+A derived value is a cached property of the object it derives from: what
+depends on the ring alone (its opposite, its generating sets) belongs to
+the Ring, the conjugates of a subfield to the Subfield, and everything
+that needs both to the Geometry, so two Geometries share no state beyond
+their ring and subfield.  Points and dual points are indices into their
+sorted tuples, found by index_of on the sorted keys.
 A set of chains, or of dual chains, is the orbit engine's output as it
 stands: an int array of sorted index rows in lexicographic order, so two
 chain sets are equal iff their arrays are.
@@ -16,7 +19,6 @@ import numpy as np
 
 from chaingeom.rings import Ring, Subfield
 from chaingeom.projline import (
-    OrbitCapExceededError,
     Point,
     VerificationError,
     distant_graph,
@@ -46,15 +48,14 @@ class Geometry:
     a cached property, computed on first use and shared by every task of
     one run: points and dual points, the orbit generators as one
     permutation table on each, perp, the distant graph, the chain and
-    dual-chain orbits (all from the one engine `projline.orbit`; the two
-    chain orbits through chain_rows, which takes a cap), the
-    coordinates x of the points R(x, 1) and dual points (-1, x)^T R, and
-    the far-point residue with its two compatibility partitions."""
+    dual-chain orbits (all from the one engine `projline.orbit`, under
+    ORBIT_CAP), the coordinates x of the points R(x, 1) and dual points
+    (-1, x)^T R, and the far-point residue with its two compatibility
+    partitions."""
 
     def __init__(self, ring: Ring, subfield: Subfield):
         self.ring = ring
         self.subfield = subfield
-        self._chain_rows: dict = {}  # through_infinity -> chain rows
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -141,34 +142,16 @@ class Geometry:
         R = self.ring
         return index_of(self.dual_keys, standard_chain(R, self.subfield, R._right_key))
 
-    def chain_rows(self, through_infinity: bool = False, cap: int = ORBIT_CAP) -> np.ndarray:
-        """The chains, or with through_infinity the chains through R(1, 0),
-        built once.  Raises OrbitCapExceededError, with one message whether
-        or not they were built before, if there are more than cap: a first
-        build hands min(cap, ORBIT_CAP) to the orbit engine, which stops as
-        soon as the orbit passes it."""
-        cap = min(cap, ORBIT_CAP)
-        rows = self._chain_rows.get(through_infinity)
-        if rows is None:
-            perms = self.perms[1:] if through_infinity else self.perms
-            try:
-                rows = self._chain_rows[through_infinity] = orbit([self._seed], perms, cap)
-            except OrbitCapExceededError:
-                rows = None
-        if rows is None or len(rows) > cap:
-            raise OrbitCapExceededError(f"chain orbit on {self.ring.name} exceeded cap {cap}")
-        return rows
-
-    @property
+    @cached_property
     def chains(self) -> np.ndarray:
         """Every chain: the orbit of the standard chain."""
-        return self.chain_rows()
+        return orbit([self._seed], self.perms, ORBIT_CAP)
 
-    @property
+    @cached_property
     def chains_at_infinity(self) -> np.ndarray:
         """The chains through R(1, 0), which the standard chain passes
         through: its stabilizer orbit."""
-        return self.chain_rows(through_infinity=True)
+        return orbit([self._seed], self.perms[1:], ORBIT_CAP)
 
     @cached_property
     def dual_chains(self) -> np.ndarray:

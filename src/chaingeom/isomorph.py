@@ -32,7 +32,8 @@ from chaingeom.rings import (
     conjugate_subfield,
     make_ring_map,
 )
-from chaingeom.projline import Point, index_of, one_word, sorted_rows, word_points
+from chaingeom.projline import (
+    Point, VerificationError, index_of, one_word, rows_in, sorted_rows, word_points)
 from chaingeom.compat import same_partition
 
 
@@ -72,12 +73,17 @@ def triangular_flip_map(R: UpperTriangularRing) -> RingMap:
 
 
 def find_conjugator(m: RingMap, K: Subfield, K2: Subfield) -> Optional[int]:
-    """A unit u' of the target with image(K) = u'^-1 K2 u', by exhaustion."""
-    image = tuple(sorted(m(k) for k in K.elements))
-    for u in m.target.units:
-        if conjugate_subfield(K2, u).elements == image:
-            return u
-    return None
+    """The least unit u' of the target with image(K) = u'^-1 K2 u': the unit
+    of the first row of K2.conjugates equal to the image, confirmed by one
+    conjugate_subfield call."""
+    image = np.sort(np.asarray(m.table)[list(K.elements)])
+    hits = np.flatnonzero(rows_in(K2.conjugates, image[None]))
+    if not len(hits):
+        return None
+    u = K2.ring.units[hits[0]]
+    if conjugate_subfield(K2, u).elements != tuple(image.tolist()):
+        raise VerificationError(f"{K2.ring.name}: the conjugate table disagrees at {u}")
+    return u
 
 
 def verify_subfield_condition(m: RingMap, K: Subfield, K2: Subfield) -> int:

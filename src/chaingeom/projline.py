@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from chaingeom.rings import Ring, additive_generators, unit_generators
+from chaingeom.rings import Ring
 
 Point = tuple[int, int]
 Matrix2 = tuple[int, int, int, int]
@@ -109,11 +109,11 @@ def orbit_generators(R: Ring) -> list[Matrix2]:
     and [[1, 0], [c, 1]] for each additive generator c.  They generate the
     group of line_generators: [[1, 0], [c, 1]] = E(0)^-1 E(c), and these
     reach every E(t) = E(0) [[1, 0], [t, 1]]."""
-    units = unit_generators(R)
+    units = R.unit_generators
     gens = [elementary(R, R.zero)]
     gens += [(u, R.zero, R.zero, R.one) for u in units]
     gens += [(R.one, R.zero, R.zero, u) for u in units]
-    gens += [(R.one, R.zero, c, R.one) for c in additive_generators(R)]
+    gens += [(R.one, R.zero, c, R.one) for c in R.additive_generators]
     return gens
 
 

@@ -40,6 +40,7 @@ zero element):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,19 +81,20 @@ class RingAxiomError(ValueError):
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Factor q = p^k with p prime, or raise UnsupportedParameterError."""
-    if q < 2:  # 0 % p == 0 for every p, and 0 // p never reaches 1
-        raise UnsupportedParameterError(f"{q} is not a prime power")
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            m, k = q, 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m == 1:
-                return p, k
-            break
-    raise UnsupportedParameterError(f"{q} is not a prime power")
+    """Factor q = p^k with p one of the primes 2, 3, 5 and 7, or raise
+    UnsupportedParameterError."""
+    if q >= 2:  # 0 % p == 0 for every p, and 0 // p never reaches 1
+        for p in (2, 3, 5, 7):
+            if q % p == 0:
+                m, k = q, 0
+                while m % p == 0:
+                    m //= p
+                    k += 1
+                if m == 1:
+                    return p, k
+                break
+    raise UnsupportedParameterError(
+        f"unsupported q = {q}: only the primes 2, 3, 5 and 7 and their powers are supported")
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,9 @@ class Ring:
     canonicalizing a single lookup.  The scalar methods read single
     entries of the arrays.  Instances are shared by build_ring and never
     change after construction; the array kernels of projline and duality
-    index the tables directly.
+    index the tables directly.  What depends on the ring alone and is not
+    needed by every caller, the opposite ring and the two generating sets,
+    is a cached property, computed on first use.
     """
 
     def __init__(self, spec: RingSpec, one: int, add: np.ndarray, mul: np.ndarray,
@@ -138,7 +142,6 @@ class Ring:
         self.unit_set = frozenset(self.units)
         self._left_key = self._canonical_keys(self._mul_a)
         self._right_key = self._canonical_keys(self._mul_a.T)
-        self._opposite: Optional[Ring] = None
 
     def _fill_arrays(self) -> None:
         """Derive from the operation tables the admissibility tables
@@ -217,11 +220,23 @@ class Ring:
         """Least (v*u, w*u) over units u."""
         return divmod(self._right_key.item(v, w), self.size)
 
+    @cached_property
     def opposite(self) -> "Ring":
         """Same elements, reversed multiplication.  Involutive."""
-        if self._opposite is None:
-            self._opposite = OppositeRing(self)
-        return self._opposite
+        return OppositeRing(self)
+
+    @cached_property
+    def unit_generators(self) -> tuple[int, ...]:
+        """Small generating set for R*, greedy by element order."""
+        return _greedy_generators(self.units, self.one,
+                                  lambda x, g: (self.mul(x, g), self.mul(g, x)),
+                                  len(self.units))
+
+    @cached_property
+    def additive_generators(self) -> tuple[int, ...]:
+        """Small generating set for (R, +), greedy by element order."""
+        return _greedy_generators(self.elements(), self.zero,
+                                  lambda x, g: (self.add(x, g),), self.size)
 
     @property
     def name(self) -> str:
@@ -392,7 +407,7 @@ class OppositeRing(Ring):
         self.base = base
         super().__init__(base.spec, base.one, base._add_a,
                          np.ascontiguousarray(base._mul_a.T), base._neg_a)
-        self._opposite = base
+        self.opposite = base
 
     def elem_str(self, a):
         return self.base.elem_str(a)
@@ -427,7 +442,8 @@ def build_ring(spec: RingSpec) -> Ring:
 
 @dataclass(frozen=True)
 class Subfield:
-    """A verified proper subfield K of a ring, as a sorted element tuple."""
+    """A verified proper subfield K of a ring, as a sorted element tuple,
+    with its conjugates u^-1 K u as a cached table."""
 
     ring: Ring
     elements: tuple[int, ...]
@@ -440,6 +456,17 @@ class Subfield:
     @property
     def nonzero(self) -> tuple[int, ...]:
         return tuple(k for k in self.elements if k != 0)
+
+    @cached_property
+    def conjugates(self) -> np.ndarray:
+        """Row i: the sorted elements of u^-1 K u for u = ring.units[i], by
+        one gather over the mul table."""
+        R, units = self.ring, np.array(self.ring.units)
+        inv = np.array([R.inv(u) for u in R.units])
+        rows = R._mul_a[R._mul_a[inv[:, None], list(self.elements)], units[:, None]]
+        rows.sort(axis=1)
+        rows.flags.writeable = False
+        return rows
 
     def __len__(self):
         return len(self.elements)
@@ -526,27 +553,16 @@ def conjugate_subfield(K: Subfield, u: int) -> Subfield:
 
 def subfield_in_opposite(K: Subfield) -> Subfield:
     """K carried over to the opposite ring (same element set)."""
-    ring = K.ring.opposite()
+    ring = K.ring.opposite
     verify_subfield(ring, K.element_set)
     return Subfield(ring, K.elements, K.descriptor + "^op")
 
 
 def normality_witness(K: Subfield) -> Optional[int]:
-    """A unit u with u^-1 K* u != K*, or None if K* is normal in R*."""
-    ring = K.ring
-    kstar = frozenset(K.nonzero)
-    for u in ring.units:
-        uinv = ring.inv(u)
-        if any(ring.mul(ring.mul(uinv, k), u) not in kstar for k in kstar):
-            return u
-    return None
-
-
-def is_normal_subgroup(K: Subfield, ring: Ring) -> bool:
-    """True iff u^-1 K* u = K* for every unit u."""
-    if K.ring is not ring:
-        raise ValueError(f"{K!r} is not a subfield of {ring.name}")
-    return normality_witness(K) is None
+    """The least unit u with u^-1 K u != K, read off K.conjugates, or None
+    if K* is normal in R*."""
+    moved = np.flatnonzero((K.conjugates != K.elements).any(axis=1))
+    return K.ring.units[moved[0]] if len(moved) else None
 
 
 # generating sets --------------------------------------------------------
@@ -575,18 +591,6 @@ def _greedy_generators(candidates, start: int, images, order: int) -> tuple[int,
         if len(span) == order:
             break
     return tuple(gens)
-
-
-def unit_generators(ring: Ring) -> tuple[int, ...]:
-    """Small generating set for R*, greedy by element order."""
-    return _greedy_generators(ring.units, ring.one,
-                              lambda x, g: (ring.mul(x, g), ring.mul(g, x)), len(ring.units))
-
-
-def additive_generators(ring: Ring) -> tuple[int, ...]:
-    """Small generating set for (R, +), greedy by element order."""
-    return _greedy_generators(ring.elements(), ring.zero,
-                              lambda x, g: (ring.add(x, g),), ring.size)
 
 
 # ring maps ---------------------------------------------------------------

@@ -28,8 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from chaingeom.rings import Ring, is_normal_subgroup, normality_witness, subfield_in_opposite
+from chaingeom.rings import Ring, normality_witness, subfield_in_opposite
 from chaingeom.projline import (
+    OrbitCapExceededError,
     carries,
     index_of,
     infinity,
@@ -98,11 +99,14 @@ def graph_report(geom: Geometry) -> dict:
 def chain_report(geom: Geometry, through_infinity: bool = False,
                  cap: int = 10 ** 6) -> dict:
     """The full chain orbit, or with through_infinity the chains through the
-    far point, built under cap.  It is ok iff every row lists distinct
-    points in increasing order and every orbit generator (each but E(0)
-    with through_infinity) carries the chain set onto itself."""
+    far point; raises OrbitCapExceededError if there are more than cap.
+    It is ok iff every row lists distinct points in increasing order and
+    every orbit generator (each but E(0) with through_infinity) carries the
+    chain set onto itself."""
     K = geom.subfield
-    chains = geom.chain_rows(through_infinity, cap)
+    chains = geom.chains_at_infinity if through_infinity else geom.chains
+    if len(chains) > cap:
+        raise OrbitCapExceededError(f"chain orbit on {geom.ring.name} exceeded cap {cap}")
     perms = geom.perms[1:] if through_infinity else geom.perms
     key = "chains_through_infinity" if through_infinity else "chains"
     return {"ok": bool((np.diff(chains, axis=1) > 0).all())
@@ -255,7 +259,7 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
                                         "bidual": bidual_point(R, q),
                                         "perp_rescanned": perp_point(R, pts[i])}
     if small:
-        op = Geometry(R.opposite(), subfield_in_opposite(K))
+        op = Geometry(R.opposite, subfield_in_opposite(K))
         rep["opposite_equivalent"] = dual_matches_opposite(geom, op)
 
     g = geom.graph
@@ -284,19 +288,19 @@ def vergleich_report(geom: Geometry) -> dict:
     # the dual residue: dual chains through (0, 1)^T R, less that point, in
     # the coordinates (-1, x)^T R -> x
     dual_blocks = blocks_at(geom.dual_chains_at_infinity, geom.dual_index(dual_infinity(R)))
+    witness = normality_witness(K)
     rep = {
         "points_fixed": np.array_equal(geom.perp_coords, R.elements()),
         "blocks_equal": np.array_equal(sorted_rows(geom.dual_coords[dual_blocks]),
                                        geom.residue.blocks),
         "partitions_equal": same_partition([c.blocks for c in classes],
                                            [c.blocks for c in dual_classes]),
-        "units_normal": is_normal_subgroup(K, R),
+        "units_normal": witness is None,
         "classes": len(classes),
         "dual_classes": len(dual_classes),
     }
     rep["ok"] = (rep["points_fixed"] and rep["blocks_equal"]
                  and rep["partitions_equal"] == rep["units_normal"])
-    witness = normality_witness(K)
     if witness is not None:
         rep["normality_witness"] = witness
         rep["normality_witness_str"] = R.elem_str(witness)
@@ -385,12 +389,12 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     rep["chains_ok"] = carries(sigma, chains, chains)
 
     preserved = preserves_compatibility(m, geom, geom)
-    normal = is_normal_subgroup(K, R)
+    witness = normality_witness(K)
     rep["compatibility_preserved"] = preserved
-    rep["units_normal"] = normal
-    rep["criterion_consistent"] = preserved == normal
-    if not normal:
-        rep["normality_witness"] = normality_witness(K)
+    rep["units_normal"] = witness is None
+    rep["criterion_consistent"] = preserved == rep["units_normal"]
+    if witness is not None:
+        rep["normality_witness"] = witness
 
     rep["ok"] = (rep["far_point_fixed"] and rep["word_formula_mismatches"] == 0
                  and rep["chains_ok"] and rep["criterion_consistent"])

@@ -180,7 +180,7 @@ def zoo_g(f4_g, dual2_g, prod22_g, m2f2_g, m2f3_g):
 @pytest.fixture(scope="session")
 def zoo_and_opposites_g(zoo_g):
     """The zoo Geometries, then those over the opposites of the five rings."""
-    return zoo_g + [Geometry(g.ring.opposite(), subfield_in_opposite(g.subfield))
+    return zoo_g + [Geometry(g.ring.opposite, subfield_in_opposite(g.subfield))
                     for g in zoo_g]
 
 
@@ -200,5 +200,5 @@ def small_rings():
     """Every supported ring with at most 16 elements, plus the opposites of
     the two noncommutative ones."""
     rings = [build_ring(RingSpec(family, q)) for family, q in SMALL_SPECS]
-    return rings + [build_ring(RingSpec("upper-triangular2", 2)).opposite(),
-                    build_ring(RingSpec("matrix2", 2)).opposite()]
+    return rings + [build_ring(RingSpec("upper-triangular2", 2)).opposite,
+                    build_ring(RingSpec("matrix2", 2)).opposite]

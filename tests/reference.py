@@ -41,10 +41,8 @@ from chaingeom.rings import (
     IRREDUCIBLE,
     RingMapError,
     UnsupportedParameterError,
-    additive_generators,
     build_ring,
     prime_power,
-    unit_generators,
 )
 from chaingeom.suites import EXHAUSTIVE_LIMIT
 
@@ -199,6 +197,18 @@ def ring_map_failure(m):
             want = S.mul(t[a], t[b]) if m.kind == "isomorphism" else S.mul(t[b], t[a])
             if t[R.mul(a, b)] != want:
                 return f"multiplicativity fails at ({a}, {b})"
+    return None
+
+
+def normality_witness(K):
+    """A unit u with u^-1 K* u != K*, or None if K* is normal in R*: the
+    scalar loop over the units that the conjugate table replaced."""
+    ring = K.ring
+    kstar = frozenset(K.nonzero)
+    for u in ring.units:
+        uinv = ring.inv(u)
+        if any(ring.mul(ring.mul(uinv, k), u) not in kstar for k in kstar):
+            return u
     return None
 
 
@@ -451,12 +461,12 @@ def coordinate_action_holds(R):
     pt = [R.canonical_pair_left(x, one) for x in R.elements()]
     dual = [R.canonical_pair_right(R.neg(one), x) for x in R.elements()]
     for x in R.elements():
-        for a in unit_generators(R):
+        for a in R.unit_generators:
             if (apply_matrix(R, pt[x], (a, zero, zero, one)) != pt[R.mul(x, a)]
                     or apply_matrix_dual(R, dual[x], (one, zero, zero, a))
                     != dual[R.mul(a, x)]):
                 return False
-        for c in additive_generators(R):
+        for c in R.additive_generators:
             if (apply_matrix(R, pt[x], (one, zero, c, one)) != pt[R.add(x, c)]
                     or apply_matrix_dual(R, dual[x], (one, zero, R.neg(c), one))
                     != dual[R.add(x, c)]):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from chaingeom.rings import is_normal_subgroup
+from chaingeom.rings import normality_witness
 from chaingeom.projline import line_generators
 from chaingeom.duality import perp_point
 from chaingeom.compat import missing_directions
@@ -146,7 +146,7 @@ def test_criterion_7_antiisomorphism_suite(f4, f4_k, f4_g, m2f2_g, m2f3_g):
         assert rep3["criterion_consistent"]
         repf = suites.sigma_suite(f4_g)
         assert repf["word_formula_mismatches"] == 0
-        assert repf["compatibility_preserved"] == is_normal_subgroup(f4_k, f4)
+        assert repf["compatibility_preserved"] == (normality_witness(f4_k) is None)
         assert time.perf_counter() - t0 < 300.0, "criterion 7 exceeded 5 min"
 
 

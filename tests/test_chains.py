@@ -260,41 +260,43 @@ class CountingPerms(np.ndarray):
 
 
 @pytest.mark.parametrize("through_infinity", [False, True])
-def test_chain_report_cap_stops_the_engine(m2f3, m2f3_k, through_infinity):
-    """A cap of 1 stops the orbit engine one level past the standard chain,
-    with 9 of 2,106 chains (162 through the far point) imaged, and leaves
-    nothing built; without the cap every chain is imaged."""
+def test_chain_report_cap_is_checked_on_the_built_set(m2f3, m2f3_k, through_infinity):
+    """The chain set is built once, under ORBIT_CAP, whatever the report's
+    cap: a cap of 1 raises once the set is built, a built set over the cap
+    raises the same message, and a report within the cap adds one carries
+    check of every chain (2,106 chains, 162 through the far point)."""
     geom = Geometry(m2f3, m2f3_k)
     geom.perms = geom.perms.view(CountingPerms)
     generators = len(geom.perms) - through_infinity
+    chains = 162 if through_infinity else 2106
+    per_pass = generators * chains * 10  # every generator's image of every chain
     CountingPerms.gathered = 0
-    with pytest.raises(OrbitCapExceededError):
+    with pytest.raises(OrbitCapExceededError, match="^chain orbit on matrix2.3. exceeded cap 1$"):
         chain_report(geom, through_infinity, cap=1)
-    assert CountingPerms.gathered == generators * 10  # the seed's images
-    assert geom._chain_rows == {}
-    CountingPerms.gathered = 0
+    assert CountingPerms.gathered == per_pass  # the engine's images
     rep = chain_report(geom, through_infinity)
-    assert rep["ok"] and len(geom.chain_rows(through_infinity)) == (162 if through_infinity
-                                                                     else 2106)
-    # the engine's images, then the report's carries check, of every chain
-    chains = len(geom.chain_rows(through_infinity))
-    assert CountingPerms.gathered == 2 * generators * chains * 10
-    with pytest.raises(OrbitCapExceededError):  # a built orbit over the cap
+    assert rep["ok"] and rep["chains_through_infinity" if through_infinity
+                             else "chains"] == chains
+    assert CountingPerms.gathered == 2 * per_pass  # the report's carries check
+    with pytest.raises(OrbitCapExceededError,
+                       match=f"^chain orbit on matrix2.3. exceeded cap {chains - 1}$"):
         chain_report(geom, through_infinity, cap=chains - 1)
+    assert CountingPerms.gathered == 2 * per_pass  # nothing built again
 
 
 @pytest.mark.parametrize("through_infinity", [False, True])
 def test_chain_report_ok_can_fail(zoo_g, through_infinity):
     """Negative controls: a row with a repeated point, and the chain set
     with one row dropped, each turn ok false; the clean set passes."""
+    attr = "chains_at_infinity" if through_infinity else "chains"
     for g in zoo_g[:4]:
         geom = Geometry(g.ring, g.subfield)
-        clean = geom.chain_rows(through_infinity)
+        clean = getattr(geom, attr)
         assert chain_report(geom, through_infinity)["ok"], g.ring.name
         repeated = clean.copy()
         repeated[0, 1] = repeated[0, 0]
         for bad in (repeated, clean[1:]):
-            geom._chain_rows[through_infinity] = bad
+            setattr(geom, attr, bad)
             assert not chain_report(geom, through_infinity)["ok"], g.ring.name
 
 

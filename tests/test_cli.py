@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chaingeom import rings
 from chaingeom.cli import (
     TASKS,
     ConfigError,
@@ -280,6 +281,19 @@ def test_report_matches_golden(tmp_path, name):
     report.pop("timing")
     golden = (root / "data" / f"golden_{name}.json").read_text()
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden
+
+
+@pytest.mark.parametrize("name,calls", [("m2f2", 4), ("m2f3", 2)])
+def test_generating_sets_are_built_once_per_ring(tmp_path, monkeypatch, name, calls):
+    """One run builds the unit and the additive generating set of each ring
+    it uses once: of R and, where the duality suite checks the opposite
+    geometry (every ring but matrix2(3)), of R^op."""
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    greedy, made = rings._greedy_generators, []
+    monkeypatch.setattr(rings, "_greedy_generators", lambda *a: made.append(a) or greedy(*a))
+    root = Path(__file__).resolve().parent.parent
+    run(load_config(str(root / "configs" / f"{name}.json")), out_dir=str(tmp_path))
+    assert len(made) == calls
 
 
 COLD_RUNS = """

@@ -155,9 +155,9 @@ def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
 def reference_rings(small_rings):
     """Every ring of at most 16 elements and the opposite of each, and
     upper-triangular2(2) and (3) with their opposites."""
-    rings = small_rings + [R.opposite() for R in small_rings]
+    rings = small_rings + [R.opposite for R in small_rings]
     tri = [build_ring(RingSpec("upper-triangular2", q)) for q in (2, 3)]
-    return rings + tri + [R.opposite() for R in tri]
+    return rings + tri + [R.opposite for R in tri]
 
 
 def test_perp_and_bidual_match_reference_scan(small_rings, m2f3):
@@ -553,7 +553,7 @@ def test_bidual(zoo_g):
 
 def test_dual_matches_opposite(small_zoo_g):
     for g in small_zoo_g:
-        op = Geometry(g.ring.opposite(), subfield_in_opposite(g.subfield))
+        op = Geometry(g.ring.opposite, subfield_in_opposite(g.subfield))
         assert dual_matches_opposite(g, op)
 
 
@@ -564,7 +564,7 @@ def test_own_geometry_is_no_opposite(m2f2_g, monkeypatch):
     whose line is the same and whose chains are not."""
     assert not dual_matches_opposite(m2f2_g, m2f2_g)
     R = m2f2_g.ring
-    scalar = Geometry(R.opposite(), subfield_in_opposite(build_subfield(R, "scalar")))
+    scalar = Geometry(R.opposite, subfield_in_opposite(build_subfield(R, "scalar")))
     assert np.array_equal(m2f2_g.dual_keys, scalar.point_keys)
     assert not dual_matches_opposite(m2f2_g, scalar)
     monkeypatch.setattr(suites, "Geometry", lambda R, K: m2f2_g)

@@ -98,7 +98,7 @@ def test_mat_inverses_match_the_scalar_solve_m2f3(m2f3):
     draw of 3,000 matrices, many with a row that is not admissible."""
     rng = np.random.default_rng(18)
     drawn = rng.integers(0, m2f3.size, (3000, 4))
-    for R in (m2f3, m2f3.opposite()):
+    for R in (m2f3, m2f3.opposite):
         gens = line_generators(R)
         assert np.array_equal(mat_inverses(R, gens), scalar_inverses(R, gens)), R.name
         got = mat_inverses(R, drawn)
@@ -133,7 +133,7 @@ def test_mat_invert_generic_matches_elimination(m2f2, m2f3):
        st.booleans())
 def test_matrix_helpers_match_ring_methods_m2f3(m2f3, M, N, opposite):
     # the table-indexed helpers agree with products spelled out via R.add/R.mul
-    R = m2f3.opposite() if opposite else m2f3
+    R = m2f3.opposite if opposite else m2f3
     a, b, c, d = M
     e, f, g, h = N
     dot = lambda x, y, z, w: R.add(R.mul(x, y), R.mul(z, w))

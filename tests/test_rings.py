@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -14,20 +15,19 @@ from chaingeom.rings import (
     RingMapError,
     RingSpec,
     UnsupportedParameterError,
-    additive_generators,
     build_ring,
     build_subfield,
     conjugate_subfield,
-    is_normal_subgroup,
     make_ring_map,
     normality_witness,
-    unit_generators,
     verify_axioms,
     verify_ring_map,
 )
 
+from chaingeom.cli import main
 from chaingeom.isomorph import identity_map, transpose_map
 
+import reference
 from reference import GF, family_tables, ring_map_failure, table_mismatch, unit_closure_failure
 
 
@@ -57,6 +57,9 @@ def test_build_ring_examples(f4, dual2, m2f2):
     assert m2f2.size == 16 and len(m2f2.units) == 6  # |GL2(F2)| = 6
 
 
+SUPPORTED_PRIMES = "only the primes 2, 3, 5 and 7 and their powers are supported"
+
+
 def test_unsupported_parameters():
     with pytest.raises(UnsupportedParameterError):
         build_ring(RingSpec("finite-field", 6))
@@ -65,8 +68,21 @@ def test_unsupported_parameters():
     with pytest.raises(UnsupportedParameterError):
         build_ring(RingSpec("nonsense", 2))
     for q in (0, 1, -4, 10):  # 0 used to loop forever
-        with pytest.raises(UnsupportedParameterError, match="not a prime power"):
+        with pytest.raises(UnsupportedParameterError, match=SUPPORTED_PRIMES):
             build_ring(RingSpec("finite-field", q))
+
+
+@pytest.mark.parametrize("q", [11, 121])
+def test_prime_powers_of_other_primes_are_named_unsupported(q, tmp_path, capsys):
+    """11 and 121 are prime powers: a config over one exits 2 with an error
+    that names the supported primes, not one that says q is no prime power."""
+    with pytest.raises(UnsupportedParameterError, match=SUPPORTED_PRIMES):
+        build_ring(RingSpec("dual-numbers", q))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "ring": {"family": "dual-numbers", "q": q},
+                                "subfield": "prime", "tasks": [{"name": "enumerate-points"}]}))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert SUPPORTED_PRIMES in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family,q", [
@@ -132,12 +148,20 @@ def test_conjugates_all_verify(zoo):
             conjugate_subfield(K, u)  # raises if any fails field verification
 
 
+def test_conjugate_table_matches_conjugate_subfield(zoo_and_opposites_g):
+    """Row i of K.conjugates is conjugate_subfield(K, units[i]), and the
+    normality witness read off the table is the scalar loop's, on every zoo
+    ring and its opposite."""
+    for R, K in ((g.ring, g.subfield) for g in zoo_and_opposites_g):
+        assert K.conjugates.tolist() == [list(conjugate_subfield(K, u).elements)
+                                         for u in R.units], R.name
+        assert normality_witness(K) == reference.normality_witness(K), R.name
+
+
 def test_normality(f4, f4_k, m2f2, m2f2_k, m2f3, m2f3_k):
-    assert is_normal_subgroup(f4_k, f4)
-    assert is_normal_subgroup(m2f2_k, m2f2)      # order-3 subgroup of S3
-    assert not is_normal_subgroup(m2f3_k, m2f3)  # Singer F9* in GL2(F3)
-    with pytest.raises(ValueError, match="not a subfield of"):
-        is_normal_subgroup(f4_k, m2f2)  # the subfield of another ring
+    assert normality_witness(f4_k) is None
+    assert normality_witness(m2f2_k) is None      # order-3 subgroup of S3
+    assert normality_witness(m2f3_k) is not None  # Singer F9* in GL2(F3)
     u = normality_witness(m2f3_k)
     assert u is not None
     uinv = m2f3.inv(u)
@@ -146,7 +170,7 @@ def test_normality(f4, f4_k, m2f2, m2f2_k, m2f3, m2f3_k):
 
 
 def test_opposite_commutative_identical(f4):
-    op = f4.opposite()
+    op = f4.opposite
     for a in f4.elements():
         for b in f4.elements():
             assert op.mul(a, b) == f4.mul(a, b)
@@ -154,8 +178,8 @@ def test_opposite_commutative_identical(f4):
 
 
 def test_opposite_involution(m2f3):
-    op = m2f3.opposite()
-    back = op.opposite()
+    op = m2f3.opposite
+    back = op.opposite
     assert back is m2f3
     for a in (0, 1, 28, 55):
         for b in (0, 2, 28, 80):
@@ -164,7 +188,7 @@ def test_opposite_involution(m2f3):
 
 def test_opposite_matrix2_transpose_iso(m2f2):
     # transpose read as a map R^op -> R is an isomorphism
-    op = m2f2.opposite()
+    op = m2f2.opposite
 
     transpose = m2f2.permuted_digits((0, 2, 1, 3))  # (a, b, c, d) -> (a, c, b, d)
     make_ring_map(op, m2f2, transpose.__getitem__, "isomorphism")
@@ -176,14 +200,14 @@ def test_upper_triangular_flip_antiiso():
     flip = ring.permuted_digits((2, 1, 0)).__getitem__  # (a, b, d) -> (d, b, a)
     m = make_ring_map(ring, ring, flip, "antiisomorphism")
     # read as a map R^op -> R it verifies as an isomorphism
-    make_ring_map(ring.opposite(), ring, flip, "isomorphism")
+    make_ring_map(ring.opposite, ring, flip, "isomorphism")
     assert m.table[ring.one] == ring.one
 
 
 def test_antiiso_reads_as_opposite_iso(m2f2):
     transpose = m2f2.permuted_digits((0, 2, 1, 3))
     m = make_ring_map(m2f2, m2f2, transpose.__getitem__, "antiisomorphism")
-    as_iso = RingMap(m2f2.opposite(), m2f2, m.table, "isomorphism")
+    as_iso = RingMap(m2f2.opposite, m2f2, m.table, "isomorphism")
     verify_ring_map(as_iso)
 
 
@@ -225,7 +249,7 @@ def test_ring_map_names_the_first_failing_pair(family, q):
 
 
 def test_generating_sets(m2f3):
-    gens = unit_generators(m2f3)
+    gens = m2f3.unit_generators
     assert len(gens) <= 4
     span = {m2f3.one}
     frontier = [m2f3.one]
@@ -237,7 +261,7 @@ def test_generating_sets(m2f3):
                 span.add(y)
                 frontier.append(y)
     assert len(span) == len(m2f3.units)
-    agens = additive_generators(m2f3)
+    agens = m2f3.additive_generators
     assert len(agens) <= 4
 
 
@@ -250,13 +274,13 @@ def test_elem_str(f4, dual2, m2f2, prod22):
 
 def test_opposite_table_is_transpose(m2f2, m2f3):
     for R in (m2f2, m2f3):
-        op = R.opposite()
+        op = R.opposite
         for a in R.elements():
             assert op.left_products(a) == R.right_products(a)
             assert op.right_products(a) == R.left_products(a)
             for b in R.elements():
                 assert op.mul(a, b) == R.mul(b, a)
-    op = m2f2.opposite()
+    op = m2f2.opposite
     for a in m2f2.elements():
         for b in m2f2.elements():
             assert op.canonical_pair_left(a, b) == m2f2.canonical_pair_right(a, b)
@@ -281,7 +305,7 @@ def test_canonical_pairs_match_brute_force_small(small_rings):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 80), st.integers(0, 80), st.booleans())
 def test_canonical_pairs_match_brute_force_m2f3(m2f3, a, b, opposite):
-    R = m2f3.opposite() if opposite else m2f3
+    R = m2f3.opposite if opposite else m2f3
     assert (R.canonical_pair_left(a, b), R.canonical_pair_right(a, b)) \
         == least_unit_multiples(R, a, b)
 
@@ -299,7 +323,7 @@ def test_digit_tables_match_digitwise_formula(family, q):
     R = build_ring(RingSpec(family, q))
     add, mul, neg = family_tables(R.spec)
     assert table_mismatch(R, add, mul, neg) is None
-    assert table_mismatch(R.opposite(), add, [list(c) for c in zip(*mul)], neg) is None
+    assert table_mismatch(R.opposite, add, [list(c) for c in zip(*mul)], neg) is None
     verify_axioms(R)
 
 
@@ -341,7 +365,7 @@ def test_unit_closure_check_names_the_loop_witness():
 @pytest.mark.parametrize("family,q", [("finite-field", 4), ("matrix2", 2), ("matrix2", 3)])
 def test_shared_tables_are_read_only(family, q):
     R = build_ring(RingSpec(family, q))
-    for S in (R, R.opposite()):
+    for S in (R, R.opposite):
         for table in (S._add_a, S._mul_a, S._neg_a, S._left_key, S._right_key, S._rows_ok):
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 1

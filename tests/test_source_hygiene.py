@@ -1,8 +1,9 @@
 """Static checks over the package source: no unused top-level import (in
 the tests either), no bare `assert` (python -O strips them, and a cross-check must raise
 instead), no `cache`/`lru_cache` decorator, no module-level dict that a
-function writes to (derived state belongs to a Geometry, not to the
-process), no top-level function or class that only the tests call, and
+function writes to and no `__init__` that sets up a memo of its own
+(derived state belongs to the object it derives from, as a cached
+property, not to the process), no top-level function or class that only the tests call, and
 no trace of the per-element ring table machinery that the operation
 arrays replaced, and no frozenset where chains, residues and classes are
 sorted index rows."""
@@ -40,11 +41,14 @@ ALLOWED_UNREACHED = {
 # whose kernel takes the ordered pairs once; and the slab constants and
 # packed set bits of the batch kernels, which take their slabs from
 # projline.slabs and SCAN_SLAB; and the distant graph's own copy of the
-# GL2 solve, which is projline.mat_inverses
+# GL2 solve, which is projline.mat_inverses; and the hand-rolled memos of
+# the opposite ring and the chain rows, and the second-conjugate loop, which
+# are cached properties and Subfield.conjugates now
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
                            r"|_add_t|_mul_t|_neg_t"
                            r"|transported_partition|_ordered_pairs"
-                           r"|_SET_BITS|_COV_PAIRS|_COV_SOLUTIONS|_SLAB|_distant_pairs)\b")
+                           r"|_SET_BITS|_COV_PAIRS|_COV_SOLUTIONS|_SLAB|_distant_pairs"
+                           r"|_chain_rows|_opposite|chain_rows|second_conjugate)\b")
 
 # the modules whose sets of blocks, chains and classes are sorted index rows
 ROW_MODULES = ("chains.py", "compat.py", "isomorph.py")
@@ -127,6 +131,33 @@ def module_memo_writes(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
+def init_memos(tree: ast.Module) -> list[str]:
+    """Class.attr for each attribute that an __init__ sets to a literal
+    None, {} or [] on self, plainly or annotated: the start of a
+    hand-rolled memo."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            for node in ast.walk(init):
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign):
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                empty = ((isinstance(value, ast.Constant) and value.value is None)
+                         or (isinstance(value, ast.Dict) and not value.keys)
+                         or (isinstance(value, ast.List) and not value.elts))
+                found += [f"{cls.name}.{t.attr}" for t in targets
+                          if empty and isinstance(t, ast.Attribute)
+                          and isinstance(t.value, ast.Name) and t.value.id == "self"]
+    return found
+
+
 def _named(tree: ast.AST) -> Counter:
     """How often each name is read in tree, as a plain name or an attribute."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
@@ -192,6 +223,17 @@ def test_scan_finds_module_memo_writes():
     assert module_memo_writes(tree) == ["MEMO", "TABLE"]
 
 
+def test_scan_finds_init_memos():
+    tree = ast.parse("class A:\n    def __init__(self, x):\n        self._memo = None\n"
+                     "        self._rows: dict = {}\n        self.items = []\n"
+                     "        self.x = x\n        self.full = [x]\n        self.zero = 0\n"
+                     "        other._seen = None\n        local = {}\n"
+                     "    def reset(self):\n        self._memo = None\n"
+                     "class B(A):\n    def __init__(self):\n        self.table: dict = {1: 2}\n"
+                     "        self.none: Optional[int] = None\n")
+    assert init_memos(tree) == ["A._memo", "A._rows", "A.items", "B.none"]
+
+
 def test_scan_finds_deleted_names():
     text = ("x = R._mul_cols[b]\ndef _struct_mul(self, a, b): pass\n"
             "t = self._place_add; p = R._pair_left\n# _padded digits\n"
@@ -201,12 +243,16 @@ def test_scan_finds_deleted_names():
             "bits = _SET_BITS[t]; step = _COV_PAIRS + _COV_SOLUTIONS\n"
             "budget = projline.SCAN_SLAB or compat._SLAB\n"
             "s = R._add_t[a][R._neg_t[b]]; p = R._mul_t[a]; gf.add_t[a]\n"
-            "adj = _distant_pairs(R, pts); mat_inverses(R, mats)\n")
+            "adj = _distant_pairs(R, pts); mat_inverses(R, mats)\n"
+            "self._opposite = None; R.opposite; geom._chain_rows[True] = rows\n"
+            "rows = geom.chain_rows(True); test_chain_rows_are_sorted(g)\n"
+            "K2 = second_conjugate(R, K); subfield_in_opposite(K)\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
                                            "_pair_left", "_padded", "transported_partition",
                                            "_ordered_pairs", "_SET_BITS", "_COV_PAIRS",
                                            "_COV_SOLUTIONS", "_SLAB", "_add_t", "_neg_t",
-                                           "_mul_t", "_distant_pairs"]
+                                           "_mul_t", "_distant_pairs", "_opposite",
+                                           "_chain_rows", "chain_rows", "second_conjugate"]
 
 
 def test_no_deleted_table_names():
@@ -253,6 +299,14 @@ def test_bare_assert_count():
 def test_no_cache_decorators():
     found = {path.name: names for path in SOURCES
              for names in [cache_decorators(_parse(path))] if names}
+    assert found == {}
+
+
+def test_no_memos_set_up_in_init():
+    """A derived value is a cached property of its owner: no __init__ of
+    the package starts a memo of None, {} or [] on self."""
+    found = {path.name: names for path in SOURCES
+             for names in [init_memos(_parse(path))] if names}
     assert found == {}
 
 

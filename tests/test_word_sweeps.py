@@ -28,7 +28,7 @@ def _with_opposites(geometries):
     """Each Geometry, then the one over its opposite ring."""
     out = []
     for g in geometries:
-        out += [g, Geometry(g.ring.opposite(), subfield_in_opposite(g.subfield))]
+        out += [g, Geometry(g.ring.opposite, subfield_in_opposite(g.subfield))]
     return out
 
 
@@ -62,7 +62,7 @@ def _counts(rep):
 
 def test_words_match_reference_on_small_rings_and_opposites(small_zoo):
     for R, _ in small_zoo:
-        for ring in (R, R.opposite()):
+        for ring in (R, R.opposite):
             want = list(reference.words(ring, 10 ** 4, SEED))
             assert _word_list(ring, 10 ** 4, SEED) == want
             assert len(want) == R.size + R.size ** 2 + R.size ** 3
