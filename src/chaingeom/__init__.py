@@ -19,11 +19,7 @@ from chaingeom.projline import (
     word_point,
 )
 from chaingeom.chains import residue_at, standard_chain
-from chaingeom.duality import (
-    enumerate_dual_points,
-    perp_point,
-    word_dual_point,
-)
+from chaingeom.duality import perp_point, word_dual_point
 from chaingeom.compat import (
     delta_orbits,
     derive_plane,
@@ -42,7 +38,7 @@ __all__ = [
     "make_ring_map", "normality_witness",
     "distant_graph", "enumerate_points", "infinity", "make_point", "word_point",
     "Geometry", "residue_at", "standard_chain",
-    "enumerate_dual_points", "perp_point", "word_dual_point",
+    "perp_point", "word_dual_point",
     "delta_orbits", "derive_plane",
     "dual_compat_classes",
     "antiiso_point_table", "antiiso_word_point", "transpose_map",

@@ -22,11 +22,11 @@ from chaingeom.rings import Ring, Subfield
 from chaingeom.projline import Point, VerificationError, infinity, sorted_rows
 
 
-def standard_chain(R: Ring, K: Subfield, keys: Optional[np.ndarray] = None) -> np.ndarray:
+def standard_chain(R: Ring, K: Subfield, dual: bool = False) -> np.ndarray:
     """The keys a*|R| + b of {R(k, 1) : k in K} together with R(1, 0),
-    sorted; with keys=R._right_key, the keys v*|R| + w of the standard dual
-    chain {(k, 1)^T R : k in K} together with (1, 0)^T R."""
-    keys = R._left_key if keys is None else keys
+    sorted; with dual, the keys v*|R| + w of the standard dual chain
+    {(k, 1)^T R : k in K} together with (1, 0)^T R."""
+    keys = R._right_key if dual else R._left_key
     return np.sort(np.append(keys[np.array(K.elements), R.one], keys[R.one, R.zero]))
 
 
@@ -57,7 +57,7 @@ def residue_at(geom, p: Point) -> Residue:
     the far point are the stabilizer orbit; through any other point they
     are filtered out of the full orbit."""
     R, K = geom.ring, geom.subfield
-    i = geom.point_index(p)
+    i = geom.index(p)
     far = p == infinity(R)
     point_blocks = blocks_at(geom.chains_at_infinity if far else geom.chains, i)
     near = sorted(geom.graph.adj[i])

@@ -35,7 +35,6 @@ from chaingeom.rings import Ring, Subfield, conjugate_subfield, normality_witnes
 from chaingeom.projline import (
     VerificationError, orbit, row_images, row_keys, rows_in, slabs, sorted_rows)
 from chaingeom.chains import Residue
-from chaingeom.duality import col_images
 
 
 class RegulusNotFoundError(RuntimeError):
@@ -129,7 +128,7 @@ def _verify_coordinate_action(R: Ring) -> None:
     (c an additive generator) as [[a, 0], [0, 1]] and [[1, 0], [c, 1]] on
     the points R(x, 1), and x -> a*x and x -> x + c as [[1, 0], [0, a]] and
     [[1, 0], [-c, 1]] on the dual points (-1, x)^T R.  Compares key tables
-    of row_images and col_images with the coordinate maps."""
+    of row_images, on both sides, with the coordinate maps."""
     one, zero = R.one, R.zero
     x = np.arange(R.size)
     units, shifts = R.unit_generators, R.additive_generators
@@ -141,8 +140,8 @@ def _verify_coordinate_action(R: Ring) -> None:
                         + [(one, zero, c, one) for c in shifts]),
              [R._mul_a[x, a] for a in units] + moved),
             ("dual point", duals,
-             col_images(R, duals, [(one, zero, zero, a) for a in units]
-                        + [(one, zero, R.neg(c), one) for c in shifts]),
+             row_images(R, duals, [(one, zero, zero, a) for a in units]
+                        + [(one, zero, R.neg(c), one) for c in shifts], dual=True),
              [R._mul_a[a, x] for a in units] + moved)):
         bad = np.argwhere(got != keys[np.array(coords)])
         if len(bad):

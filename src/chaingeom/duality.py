@@ -1,7 +1,9 @@
-"""The dual projective line and the canonical isomorphism onto it.
+"""The canonical isomorphism of the projective line onto its dual.
 
 Dual points are cyclic right submodules of column pairs, canonicalized as
-the least (v*u, w*u) over units u.  GL2(R) acts on them from the left.
+the least (v*u, w*u) over units u.  GL2(R) acts on them from the left; they
+are enumerated, acted on and formed into chains by the same code as the
+points, on its dual side (geometry.Line, projline.row_images).
 
 The annihilator map sends a point R(a, b) to the full solution set
 {(x, y)^T : a*x + b*y = 0}, computed by an exhaustive kernel scan over all
@@ -36,7 +38,6 @@ from chaingeom.rings import Ring
 from chaingeom.projline import (
     Point,
     VerificationError,
-    _checked_orbit,
     carries,
     mat_inverses,
     one_word,
@@ -54,22 +55,6 @@ class PerpNotCyclicError(VerificationError):
 def dual_infinity(R: Ring) -> DualPoint:
     """The dual point (0, 1)^T R, the annihilator image of R(1, 0)."""
     return R.canonical_pair_right(R.zero, R.one)
-
-
-def col_images(R: Ring, keys, gens) -> np.ndarray:
-    """Canonical keys v*|R| + w of the columns M * (v, w)^T, for every
-    generator M (axis 0) and every column given by its key (axis 1)."""
-    add, mul = R._add_a, R._mul_a
-    v, w = np.divmod(np.asarray(keys, dtype=np.intp), R.size)
-    m0, m1, m2, m3 = np.asarray(gens, dtype=np.intp).T[:, :, None]
-    return R._right_key[add[mul[m0, v], mul[m1, w]], add[mul[m2, v], mul[m3, w]]]
-
-
-def enumerate_dual_points(R: Ring) -> tuple[DualPoint, ...]:
-    """All dual points: left-action orbit of (1,0)^T R, cross-checked
-    against the column-admissible scan."""
-    return _checked_orbit(R, R._right_key[R.one, R.zero], col_images, R._right_key,
-                          R._cols_ok, "dual points")
 
 
 # the annihilator oracle ----------------------------------------------------
@@ -119,19 +104,19 @@ def _generators(kernels: np.ndarray, products: np.ndarray, ok: np.ndarray) -> np
     return gen
 
 
-def _generator_keys(R: Ring, keys, left: bool, failure: str) -> np.ndarray:
+def _generator_keys(R: Ring, keys, dual: bool, failure: str) -> np.ndarray:
     """Canonical keys of the generators of the kernels of keys
-    (solution_slabs; with left the left kernels of columns), slab by slab:
+    (solution_slabs; with dual the left kernels of columns), slab by slab:
     the least admissible pair, by key, whose cyclic span is the set (with
-    left, admissible as a row and spanning {(x*a, x*b)}).  Raises
+    dual, admissible as a row and spanning {(x*a, x*b)}).  Raises
     PerpNotCyclicError, with failure formatted by the first such pair and
     the ring name, at the first key whose set has no generator."""
     n = R.size
-    products, ok, canonical = ((R._mul_a.T, R._rows_ok, R._left_key) if left
+    products, ok, canonical = ((R._mul_a.T, R._rows_ok, R._left_key) if dual
                                else (R._mul_a, R._cols_ok, R._right_key))
     keys = np.asarray(keys, dtype=np.intp)
     out = np.empty(len(keys), dtype=np.intp)
-    for part, kernels in solution_slabs(R, keys, left):
+    for part, kernels in solution_slabs(R, keys, dual):
         gen = _generators(kernels, products, ok)
         if (gen < 0).any():
             bad = int(keys[part][np.argmax(gen < 0)])
@@ -327,8 +312,8 @@ def bidual_point(R: Ring, q: DualPoint) -> Point:
 
 def dual_matches_opposite(geom, op) -> bool:
     """Transposing columns to rows over the opposite ring carries the dual
-    line of the Geometry geom onto the line of the Geometry op over
-    R-opposite, and dual chains onto its chains: the two key arrays are
-    equal, so the map is the identity on indices."""
-    return (np.array_equal(geom.dual_keys, op.point_keys)
-            and carries(np.arange(len(op.points)), geom.dual_chains, op.chains))
+    Line of the Geometry geom onto the Line op over R-opposite, and its
+    chains onto the chains of op: the two key arrays are equal, so the map
+    is the identity on indices."""
+    return (np.array_equal(geom.dual.keys, op.keys)
+            and carries(np.arange(len(op.points)), geom.dual.chains, op.chains))

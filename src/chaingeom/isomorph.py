@@ -106,8 +106,8 @@ def antiiso_point_table(m: RingMap, geom) -> np.ndarray:
     if m.kind != "antiisomorphism":
         raise RingMapError(f"antiiso_point_table needs an antiisomorphism, got an {m.kind}")
     S, phi = m.target, np.asarray(m.table)
-    v, w = np.divmod(geom.dual_keys[geom.perp], geom.ring.size)
-    return index_of(geom.point_keys, S._left_key[phi[w], S._neg_a[phi[v]]])
+    v, w = np.divmod(geom.dual.keys[geom.perp], geom.ring.size)
+    return index_of(geom.keys, S._left_key[phi[w], S._neg_a[phi[v]]])
 
 
 def antiiso_word_points(m: RingMap, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:

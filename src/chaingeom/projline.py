@@ -4,12 +4,14 @@ Points are canonical admissible pairs (a, b): the index-lexicographically
 least pair among the left unit multiples (u*a, u*b).  Matrices over the
 ring are plain row-major 4-tuples (a, b, c, d) for [[a, b], [c, d]].
 
-Point enumeration runs two independent methods, an orbit from (1, 0)
-under a generating set of GL2(R) and a full admissible-pair scan,
-and treats disagreement as fatal: over exotic rings membership of R(x,y)
-in the line does not force admissibility of (x, y), and the cross-check
-guards the convention that points are represented by admissible pairs
-only.
+The dual line of columns (v, w)^T R is the same code on its other side:
+each line kernel takes a `dual` flag, and a column M * (v, w)^T is the row
+(v, w) * M^T over the transposed mul table.  Point enumeration runs two
+independent methods, an orbit from (1, 0) under a generating set of GL2(R)
+and a full admissible-pair scan, and treats disagreement as fatal: over
+exotic rings membership of R(x,y) in the line does not force
+admissibility of (x, y), and the cross-check guards the convention that
+points are represented by admissible pairs only.
 
 Every batch of solution sets {(x, y) : a*x + b*y = 0} of the package, of
 points or of covariance rows, and the left kernels of the dual points,
@@ -179,36 +181,37 @@ def index_of(keys: np.ndarray, wanted) -> np.ndarray:
     return pos
 
 
-def row_images(R: Ring, keys, gens) -> np.ndarray:
+def row_images(R: Ring, keys, gens, dual: bool = False) -> np.ndarray:
     """Canonical keys a*|R| + b of the rows (a, b) * M, for every generator
-    M (axis 0) and every row given by its key (axis 1)."""
-    add, mul = R._add_a, R._mul_a
+    M (axis 0) and every row given by its key (axis 1); with dual, the keys
+    v*|R| + w of the columns M * (v, w)^T, which are the rows (v, w) * M^T
+    over the transposed mul table, canonical as columns."""
+    add = R._add_a
+    mul, canonical = (R._mul_a.T, R._right_key) if dual else (R._mul_a, R._left_key)
     a, b = np.divmod(np.asarray(keys, dtype=np.intp), R.size)
     m0, m1, m2, m3 = np.asarray(gens, dtype=np.intp).T[:, :, None]
-    return R._left_key[add[mul[a, m0], mul[b, m2]], add[mul[a, m1], mul[b, m3]]]
+    if dual:
+        m1, m2 = m2, m1
+    return canonical[add[mul[a, m0], mul[b, m2]], add[mul[a, m1], mul[b, m3]]]
 
 
-def _checked_orbit(R: Ring, start: int, act, canonical: np.ndarray, ok: np.ndarray,
-                   what: str) -> tuple:
-    """Sorted pairs of the orbit of the canonical pair with key start under
-    orbit_generators, acting on keys by act(R, keys, gens); raises
-    MethodDisagreementError unless it equals the scan of every pair that
-    the table ok admits, canonicalized by the key table canonical."""
+def enumerate_points(R: Ring, dual: bool = False) -> tuple[Point, ...]:
+    """All points, or with dual all dual points, as sorted pairs: the orbit
+    of R(1, 0), or (1, 0)^T R, under orbit_generators, acting by
+    row_images; raises MethodDisagreementError unless it equals the scan of
+    every canonical pair that the admissibility table admits."""
+    canonical, ok = (R._right_key, R._cols_ok) if dual else (R._left_key, R._rows_ok)
     # distinct keys by counting: a plain np.unique imports numpy.ma (15 ms)
     pairs = np.flatnonzero(np.bincount(canonical.ravel()))  # every canonical pair
-    perms = index_of(pairs, act(R, pairs, orbit_generators(R)))
-    found = pairs[orbit([index_of(pairs, [start])], perms)[:, 0]]
+    perms = index_of(pairs, row_images(R, pairs, orbit_generators(R), dual))
+    start = index_of(pairs, [canonical[R.one, R.zero]])
+    found = pairs[orbit([start], perms)[:, 0]]
     scanned = np.flatnonzero(np.bincount(canonical[ok]))
     if not np.array_equal(found, scanned):
         raise MethodDisagreementError(
-            f"{R.name}: orbit gives {len(found)} {what}, scan gives {len(scanned)}")
+            f"{R.name}: orbit gives {len(found)} {'dual points' if dual else 'points'}, "
+            f"scan gives {len(scanned)}")
     return tuple(zip(*(x.tolist() for x in np.divmod(found, R.size))))
-
-
-def enumerate_points(R: Ring) -> tuple[Point, ...]:
-    """All points, as an orbit cross-checked against the admissible scan."""
-    return _checked_orbit(R, R._left_key[R.one, R.zero], row_images, R._left_key,
-                          R._rows_ok, "points")
 
 
 @dataclass
@@ -246,12 +249,12 @@ def slabs(costs):
         start = stop
 
 
-def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
+def solution_slabs(R: Ring, keys, dual: bool = False, as_keys: bool = False):
     """Scan the kernels of many rows at once, in slabs; yields (part, slab)
     in order, part the slice of keys that the slab covers.
 
     The row (a, b) of key a*|R| + b has the solutions (x, y), as columns,
-    with a*x + b*y = 0; with left, every key v*|R| + w is a column (v, w)^T
+    with a*x + b*y = 0; with dual, every key v*|R| + w is a column (v, w)^T
     and its solutions are the rows (x, y) with x*v + y*w = 0.  Each set is a
     boolean mask over the keys x*|R| + y of all |R|^2 candidates, tested as
     a*x == -b*y over narrow copies of the tables, and costs its |R|^2 mask
@@ -262,7 +265,7 @@ def solution_slabs(R: Ring, keys, left: bool = False, as_keys: bool = False):
     """
     n = R.size
     small = np.min_scalar_type(n - 1)
-    products = (R._mul_a.T if left else R._mul_a).astype(small)
+    products = (R._mul_a.T if dual else R._mul_a).astype(small)
     neg = R._neg_a.astype(small)
     a, b = np.divmod(np.asarray(keys, dtype=np.intp), n)
     for part in slabs(np.full(len(a), n * n)):

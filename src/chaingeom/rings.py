@@ -208,10 +208,6 @@ class Ring:
         """(a*x for every x), indexable by x: a row of the mul table."""
         return tuple(self._mul_a[a].tolist())
 
-    def right_products(self, a: int) -> tuple[int, ...]:
-        """(x*a for every x), indexable by x: a column of the mul table."""
-        return tuple(self._mul_a[:, a].tolist())
-
     def canonical_pair_left(self, a: int, b: int) -> tuple[int, int]:
         """Least (u*a, u*b) over units u, in index-lexicographic order."""
         return divmod(self._left_key.item(a, b), self.size)

@@ -33,7 +33,6 @@ from chaingeom.projline import (
     OrbitCapExceededError,
     carries,
     index_of,
-    infinity,
     line_generators,
     make_point,
     sorted_rows,
@@ -44,7 +43,6 @@ from chaingeom.duality import (
     bidual_keys,
     bidual_point,
     covariance_failures,
-    dual_infinity,
     dual_matches_opposite,
     length1_perp_formula,
     length2_perp_formula,
@@ -197,7 +195,7 @@ def duality_words(geom: Geometry, letters, lengths) -> dict:
     of the word point, read off the Geometry's perp array."""
     R = geom.ring
     pts = word_points(R, letters, lengths)
-    oracle = geom.dual_keys[geom.perp[index_of(geom.point_keys, pts)]]
+    oracle = geom.dual.keys[geom.perp[index_of(geom.keys, pts)]]
     word_form = word_dual_points(R, letters, lengths) == oracle
     t = letters.T
     v1, w1 = length1_perp_formula(R, t[0])
@@ -225,16 +223,16 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     small = R.size <= EXHAUSTIVE_LIMIT
     rep: dict = {"mode": "exhaustive" if small else f"sampled({samples}, seed={seed})"}
     pts, perp = geom.points, geom.perp
-    rep["bijection"] = sorted(perp.tolist()) == list(range(len(geom.dual_points)))
+    rep["bijection"] = sorted(perp.tolist()) == list(range(len(geom.dual.points)))
 
     if small:
-        chains, dchains = geom.chains, geom.dual_chains
+        chains, dchains = geom.chains, geom.dual.chains
     else:
-        chains, dchains = geom.chains_at_infinity, geom.dual_chains_at_infinity
+        chains, dchains = geom.chains_at_infinity, geom.dual.chains_at_infinity
     rep["chain_bijection"] = carries(perp, chains, dchains)
     rep["chains_checked"] = len(chains)
 
-    rep["far_point_image"] = geom.perp_of(infinity(R)) == dual_infinity(R)
+    rep["far_point_image"] = int(perp[geom.far]) == geom.dual.far
 
     rng = random.Random(seed)
     rep.update(duality_words(geom, *_words(R, samples, rng)))
@@ -250,11 +248,11 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     rep["covariance_checks"] = len(keys)
     rep["covariance_failures"] = cov_failures
 
-    back = bidual_keys(R, geom.dual_keys[perp])
-    rep["bidual_fixed"] = bool(np.array_equal(back, geom.point_keys))
+    back = bidual_keys(R, geom.dual.keys[perp])
+    rep["bidual_fixed"] = bool(np.array_equal(back, geom.keys))
     if not rep["bidual_fixed"]:
-        i = int(np.argmax(back != geom.point_keys))
-        q = geom.dual_points[perp[i]]
+        i = int(np.argmax(back != geom.keys))
+        q = geom.dual.points[perp[i]]
         rep["bidual_first_mismatch"] = {"point": pts[i], "perp": q,
                                         "bidual": bidual_point(R, q),
                                         "perp_rescanned": perp_point(R, pts[i])}
@@ -265,7 +263,7 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     g = geom.graph
     if g.n_components == 1 and g.diameter <= 2:
         t1, t2 = np.divmod(np.arange(R.size ** 2), R.size)
-        ends = index_of(geom.point_keys,
+        ends = index_of(geom.keys,
                         word_points(R, np.stack([t1, t2], axis=1), np.full(len(t1), 2)))
         covered = np.bincount(ends, minlength=len(pts)) > 0
         rep["length2_covers_line"] = _word_sweep(R, [covered])[1] == 0
@@ -287,7 +285,7 @@ def vergleich_report(geom: Geometry) -> dict:
     classes, dual_classes = geom.compat_classes, geom.dual_compat_classes
     # the dual residue: dual chains through (0, 1)^T R, less that point, in
     # the coordinates (-1, x)^T R -> x
-    dual_blocks = blocks_at(geom.dual_chains_at_infinity, geom.dual_index(dual_infinity(R)))
+    dual_blocks = blocks_at(geom.dual.chains_at_infinity, geom.dual.far)
     witness = normality_witness(K)
     rep = {
         "points_fixed": np.array_equal(geom.perp_coords, R.elements()),
@@ -351,7 +349,7 @@ def sigma_words(geom: Geometry, m, sigma: np.ndarray, letters, lengths) -> dict:
     Geometry's ring: for every word, the closed word form and then the
     entrywise formula of its length, against the composite sigma of the
     word point, the index permutation of antiiso_point_table."""
-    R, keys = geom.ring, geom.point_keys
+    R, keys = geom.ring, geom.keys
     composite = keys[sigma[index_of(keys, word_points(R, letters, lengths))]]
     word_form = antiiso_word_points(m, letters, lengths) == composite
     ph = np.asarray(m.table)[letters].T
@@ -362,7 +360,7 @@ def sigma_words(geom: Geometry, m, sigma: np.ndarray, letters, lengths) -> dict:
 
     def witness(ts):
         p = word_point(R, ts)
-        return {"point": p, "definition": geom.points[sigma[geom.point_index(p)]],
+        return {"point": p, "definition": geom.points[sigma[geom.index(p)]],
                 "closed_form": antiiso_word_point(m, ts)}
 
     return _word_report(R, letters, lengths, word_form, entrywise, (a, b), witness)
@@ -379,8 +377,7 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
                  "mode": "exhaustive" if small else f"sampled({samples}, seed={seed})"}
     rep["conjugator"] = verify_subfield_condition(m, K, K)
     sigma = antiiso_point_table(m, geom)
-    far = geom.point_index(infinity(R))
-    rep["far_point_fixed"] = int(sigma[far]) == far
+    rep["far_point_fixed"] = int(sigma[geom.far]) == geom.far
 
     rep.update(sigma_words(geom, m, sigma, *_words(R, samples, random.Random(seed))))
 

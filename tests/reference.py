@@ -369,7 +369,7 @@ def invertible_completions(R, a, b, side):
 def line_perms(geom):
     """The whole family line_generators as permutation tables of the
     Geometry's points: row g holds the index of points[i] * line_generators[g]."""
-    keys = geom.point_keys
+    keys = geom.keys
     return index_of(keys, row_images(geom.ring, keys, line_generators(geom.ring)))
 
 
@@ -426,9 +426,10 @@ def perp_point(R, p):
 def bidual_point(R, q):
     """The least admissible row of the left kernel of q whose cyclic span is
     that kernel; None if there is none."""
-    kern = kernel_scan(tables(R)[2], R.right_products(q[0]), R.right_products(q[1]))
+    col = R._mul_a.T.tolist()  # col[a][x] = x*a
+    kern = kernel_scan(tables(R)[2], col[q[0]], col[q[1]])
     for a, b in sorted(kern):
-        if R._rows_ok[a, b] and set(zip(R.right_products(a), R.right_products(b))) == kern:
+        if R._rows_ok[a, b] and set(zip(col[a], col[b])) == kern:
             return R.canonical_pair_left(a, b)
     return None
 

@@ -38,14 +38,14 @@ def test_criterion_1_canonical_isomorphism(small_zoo_g):
             R = g.ring
             t0 = time.perf_counter()
             pts = g.points
-            duals = g.dual_points
+            duals = g.dual.points
             image = [perp_point(R, p) for p in pts]
             assert len(set(image)) == len(pts)
             assert set(image) == set(duals)
             # a fresh oracle scan per point, as dual-point indices
             perp = np.array([duals.index(q) for q in image])
             chains = g.chains
-            dchains = g.dual_chains
+            dchains = g.dual.chains
             chain_image = {tuple(r) for r in np.sort(perp[chains], axis=1).tolist()}
             assert chain_image == {tuple(r) for r in dchains.tolist()}
             assert len(chain_image) == len(chains)

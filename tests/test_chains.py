@@ -37,8 +37,8 @@ def test_chain_rows_are_sorted_and_distinct(zoo_and_opposites_g):
     """Each chain set is an int array of sorted index rows in strictly
     increasing lexicographic order, so equal sets have equal arrays."""
     for g in zoo_and_opposites_g:
-        for rows in (g.chains, g.chains_at_infinity, g.dual_chains,
-                     g.dual_chains_at_infinity):
+        for rows in (g.chains, g.chains_at_infinity, g.dual.chains,
+                     g.dual.chains_at_infinity):
             assert rows.dtype.kind == "i", g.ring.name
             assert (np.diff(rows, axis=1) > 0).all(), g.ring.name
             assert [tuple(r) for r in rows.tolist()] == sorted(set(map(tuple, rows.tolist())))
@@ -149,7 +149,7 @@ def test_residue_blocks_are_sorted_rows(zoo_g):
     for g in zoo_g:
         R, blocks = g.ring, g.residue.blocks
         coord = {g.affine[x]: x for x in R.elements()}
-        far = g.point_index(infinity(R))
+        far = g.far
         want = sorted(sorted(coord[i] for i in C if i != far)
                       for C in g.chains_at_infinity.tolist())
         assert blocks.dtype.kind == "i", R.name
@@ -238,7 +238,7 @@ def test_residue_points_match_pairwise_distant(zoo_g):
 
 def test_orbit_cap(f4_g):
     # the ten chains of F4 exceed a cap of 3 but not one of 10
-    seed = [index_of(f4_g.point_keys, standard_chain(f4_g.ring, f4_g.subfield))]
+    seed = [index_of(f4_g.keys, standard_chain(f4_g.ring, f4_g.subfield))]
     with pytest.raises(OrbitCapExceededError):
         orbit(seed, f4_g.perms, cap=3)
     assert len(orbit(seed, f4_g.perms, cap=10)) == 10

@@ -146,8 +146,9 @@ def test_failed_task_still_writes_report(tmp_path):
 
 def test_chain_orbit_cap_error_does_not_depend_on_task_order(tmp_path):
     """A capped chain-orbit on matrix2(2) fails with one message whether it
-    builds the chain orbit itself, stopping the engine early, or finds the
-    orbit an earlier duality-suite built."""
+    runs first or after a duality-suite: either way it reads the chain set
+    the Geometry builds under ORBIT_CAP, and only then compares its length
+    with the task's cap."""
     capped = {"name": "chain-orbit", "options": {"cap": 1}}
     errors = []
     for tasks in ([capped, {"name": "duality-suite"}], [{"name": "duality-suite"}, capped]):

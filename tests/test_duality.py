@@ -86,11 +86,11 @@ def test_perp_commutative_formula(f4_g, dual2_g, prod22_g):
             assert perp_point(g.ring, p) == commutative_perp_formula(g.ring, p)
 
 
-def solution_masks(R, rows, left=False):
-    """The masks of solution_slabs for the rows (a, b), or with left the
+def solution_masks(R, rows, dual=False):
+    """The masks of solution_slabs for the rows (a, b), or with dual the
     columns (v, w), stacked in order; checks that the slabs cover the keys
     in order."""
-    parts, masks = zip(*solution_slabs(R, [a * R.size + b for a, b in rows], left))
+    parts, masks = zip(*solution_slabs(R, [a * R.size + b for a, b in rows], dual))
     assert [p.start for p in parts] == list(range(0, len(rows), len(masks[0])))
     return np.concatenate(masks)
 
@@ -122,7 +122,7 @@ def test_solution_keys_are_the_sorted_masks(zoo_g):
     for g in zoo_g:
         R = g.ring
         masks = solution_masks(R, g.points)
-        keys = np.concatenate([k for _, k in solution_slabs(R, g.point_keys, as_keys=True)])
+        keys = np.concatenate([k for _, k in solution_slabs(R, g.keys, as_keys=True)])
         assert keys.shape == (len(g.points), R.size), R.name
         assert np.array_equal(keys, np.nonzero(masks)[1].reshape(keys.shape)), R.name
 
@@ -145,7 +145,7 @@ def test_bidual_left_kernel_matches_loop(small_rings, m2f3):
     for R, pts in cases:
         for p in pts:
             v, w = perp_point(R, p)
-            Rv, Rw = R.right_products(v), R.right_products(w)
+            Rv, Rw = R._mul_a[:, v].tolist(), R._mul_a[:, w].tolist()
             loop = {(a, b) for a in R.elements() for b in R.elements()
                     if R.add(Rv[a], Rw[b]) == R.zero}
             assert reference.kernel_scan(reference.tables(R)[2], Rv, Rw) == loop, (R.name, p)
@@ -211,10 +211,10 @@ def test_batched_perp_and_bidual_match_reference(zoo_and_opposites_g):
     ten Geometries of the zoo rings and their opposites."""
     for g in zoo_and_opposites_g:
         R = g.ring
-        assert as_pairs(perp_keys(R, g.point_keys), R.size) == [
+        assert as_pairs(perp_keys(R, g.keys), R.size) == [
             reference.perp_point(R, p) for p in g.points], R.name
-        assert as_pairs(bidual_keys(R, g.dual_keys), R.size) == [
-            reference.bidual_point(R, q) for q in g.dual_points], R.name
+        assert as_pairs(bidual_keys(R, g.dual.keys), R.size) == [
+            reference.bidual_point(R, q) for q in g.dual.points], R.name
 
 
 # A non-cyclic kernel under python -O: on F4 with 2*1 corrupted to 3 the
@@ -248,7 +248,7 @@ def test_non_cyclic_kernel_raises_under_optimize(run_optimized):
 
 def test_perp_bijective(zoo_g):
     for g in zoo_g:
-        pts, duals = g.points, g.dual_points
+        pts, duals = g.points, g.dual.points
         image = {perp_point(g.ring, p) for p in pts}
         assert len(image) == len(pts)
         assert image == set(duals)
@@ -273,19 +273,18 @@ def test_perp_standard_chain(f4, f4_k):
 def test_perp_maps_chains_onto_dual_chains(zoo_g):
     for g in zoo_g:
         if g.ring.size > 16:
-            chains, dual_chains = g.chains_at_infinity, g.dual_chains_at_infinity
+            chains, dchains = g.chains_at_infinity, g.dual.chains_at_infinity
         else:
-            chains, dual_chains = g.chains, g.dual_chains
+            chains, dchains = g.chains, g.dual.chains
         image = {perp_chain(g.ring, C) for C in point_sets(g, chains)}
-        assert image == {frozenset(g.dual_points[j] for j in row)
-                         for row in dual_chains.tolist()}
+        assert image == {frozenset(g.dual.points[j] for j in row)
+                         for row in dchains.tolist()}
 
 
 def test_dual_chains_through_agree_with_filter(small_zoo_g):
     for g in small_zoo_g:
-        dinf = g.dual_index(dual_infinity(g.ring))
-        assert np.array_equal(g.dual_chains_at_infinity,
-                              g.dual_chains[(g.dual_chains == dinf).any(axis=1)])
+        assert np.array_equal(g.dual.chains_at_infinity,
+                              g.dual.chains[(g.dual.chains == g.dual.far).any(axis=1)])
 
 
 def test_covariance_identity_and_elementary(small_zoo):
@@ -565,7 +564,7 @@ def test_own_geometry_is_no_opposite(m2f2_g, monkeypatch):
     assert not dual_matches_opposite(m2f2_g, m2f2_g)
     R = m2f2_g.ring
     scalar = Geometry(R.opposite, subfield_in_opposite(build_subfield(R, "scalar")))
-    assert np.array_equal(m2f2_g.dual_keys, scalar.point_keys)
+    assert np.array_equal(m2f2_g.dual.keys, scalar.keys)
     assert not dual_matches_opposite(m2f2_g, scalar)
     monkeypatch.setattr(suites, "Geometry", lambda R, K: m2f2_g)
     rep = suites.duality_suite(m2f2_g)
@@ -575,12 +574,24 @@ def test_own_geometry_is_no_opposite(m2f2_g, monkeypatch):
 @pytest.mark.parametrize("name", ["m2f2", "m2f3"])
 def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch):
     """Negative control: with the annihilators of R(0, 1) and R(1, 1)
-    swapped in perp, the suite's chain bijection and bidual check fail."""
+    swapped in perp, the suite's chain bijection and bidual check fail.
+    With the annihilator of R(0, 1) repeated at R(1, 1), perp is no
+    bijection; with the annihilators of the far point and R(0, 1) swapped,
+    the far point's image is not (0, 1)^T R."""
     g = request.getfixturevalue(f"{name}_g")
     rep = suites.duality_suite(g)
     assert rep["chain_bijection"] and rep["bidual_fixed"]
+    assert rep["bijection"] and rep["far_point_image"]
     assert "bidual_first_mismatch" not in rep
-    perp = g.perp.copy()
+    clean, i, j = g.perp, *g.affine[:2].tolist()
+    repeated, far_swapped = clean.copy(), clean.copy()
+    repeated[j] = clean[i]
+    far_swapped[[g.far, i]] = clean[[i, g.far]]
+    for perp, key in ((repeated, "bijection"), (far_swapped, "far_point_image")):
+        monkeypatch.setattr(g, "perp", perp)
+        rep = suites.duality_suite(g)
+        assert rep[key] is False and not rep["ok"], key
+    perp = clean.copy()
     perp[g.affine[:2]] = perp[g.affine[1::-1]]
     monkeypatch.setattr(g, "perp", perp)
     rep = suites.duality_suite(g)
@@ -590,8 +601,8 @@ def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch)
     # came back, and the annihilator a fresh scan gives it
     first, other = sorted(g.affine[:2].tolist())
     assert rep["bidual_first_mismatch"] == {
-        "point": g.points[first], "perp": g.dual_points[perp[first]],
-        "bidual": g.points[other], "perp_rescanned": g.dual_points[perp[other]]}
+        "point": g.points[first], "perp": g.dual.points[perp[first]],
+        "bidual": g.points[other], "perp_rescanned": g.dual.points[perp[other]]}
 
 
 def test_word_length_bound_matches(zoo_g):

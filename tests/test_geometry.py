@@ -6,12 +6,12 @@ import pytest
 from chaingeom.duality import (
     PerpNotCyclicError,
     dual_infinity,
-    enumerate_dual_points,
     perp_point,
 )
 from chaingeom.geometry import Geometry
 from chaingeom.projline import (
     MethodDisagreementError,
+    enumerate_points,
     infinity,
     line_generators,
     orbit_generators,
@@ -28,7 +28,7 @@ def test_permutation_tables_match_the_matrix_action(zoo_and_opposites_g):
     for g in zoo_and_opposites_g:
         R = g.ring
         for table, act, pts, far in ((g.perms, apply_matrix, g.points, infinity(R)),
-                                     (g.dual_perms, apply_matrix_dual, g.dual_points,
+                                     (g.dual.perms, apply_matrix_dual, g.dual.points,
                                       dual_infinity(R))):
             gens = orbit_generators(R)
             assert table.shape == (len(gens), len(pts))
@@ -41,13 +41,13 @@ def test_orbit_stacks_have_nine_rows_on_matrix2(m2f2_g, m2f3_g):
     """The orbits apply 9 matrices per side on both matrix2 rings; the
     covariance sweep keeps the whole family of 28 and 177."""
     for g, family in ((m2f2_g, 28), (m2f3_g, 177)):
-        assert g.perms.shape[0] == g.dual_perms.shape[0] == 9
+        assert g.perms.shape[0] == g.dual.perms.shape[0] == 9
         assert len(line_generators(g.ring)) == family
 
 
 def test_perp_array_matches_the_oracle(zoo_and_opposites_g):
     for g in zoo_and_opposites_g:
-        assert [g.dual_points[j] for j in g.perp] == [perp_point(g.ring, p)
+        assert [g.dual.points[j] for j in g.perp] == [perp_point(g.ring, p)
                                                       for p in g.points], g.ring.name
 
 
@@ -58,9 +58,9 @@ def test_dual_coords_match_the_definition(zoo_and_opposites_g):
     for g in zoo_and_opposites_g:
         R = g.ring
         want = [-1 if R.inv(v) is None else R.neg(R.mul(w, R.inv(v)))
-                for v, w in g.dual_points]
+                for v, w in g.dual.points]
         assert g.dual_coords.tolist() == want, R.name
-        assert list(g.perp_coords) == [want[g.dual_points.index(perp_point(R, (x, R.one)))]
+        assert list(g.perp_coords) == [want[g.dual.points.index(perp_point(R, (x, R.one)))]
                                        for x in R.elements()], R.name
 
 
@@ -90,4 +90,4 @@ def test_orbit_cross_check_catches_a_corrupted_product(f4, value, orbit_size):
     fresh = corrupt(FiniteFieldRing(f4.spec), "mul", (2, 1), value)
     with pytest.raises(MethodDisagreementError,
                        match=f"orbit gives {orbit_size} dual points, scan gives 5"):
-        enumerate_dual_points(fresh)
+        enumerate_points(fresh, dual=True)

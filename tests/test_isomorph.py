@@ -132,7 +132,7 @@ def test_dual_to_point_basics(m2f2, m2f2_g):
         q = make_dual_point(R, R.neg(R.one), t)
         assert antiiso_dual_to_point(m, q) == make_point(R, R.neg(R.one), m(t))
     # well-defined on every dual point
-    for q in m2f2_g.dual_points:
+    for q in m2f2_g.dual.points:
         antiiso_dual_to_point(m, q)
 
 
@@ -207,7 +207,7 @@ def test_transpose_law(m2f2, m2f2_g):
     I = (R.one, R.zero, R.zero, R.one)
     q0 = dual_infinity(R)
     assert transpose_law_holds(m, I, q0)
-    duals = m2f2_g.dual_points
+    duals = m2f2_g.dual.points
     for M in line_generators(R):
         for q in duals[::3]:
             assert transpose_law_holds(m, M, q)
@@ -297,10 +297,9 @@ def test_sigma_compatibility_iff_normal(f4, f4_k, f4_g, m2f2, m2f2_k, m2f2_g,
 
 
 def wrong_conjugate(K):
-    """The conjugate u^-1 K u != K of the least unit u that moves K."""
-    R = K.ring
-    return next(c for c in (conjugate_subfield(K, u) for u in R.units)
-                if c.element_set != K.element_set)
+    """The conjugate u^-1 K u != K of the least unit u that moves K, as
+    derive_plane takes it."""
+    return conjugate_subfield(K, normality_witness(K))
 
 
 def test_wrong_conjugate_subfield_fails_sigma_and_compatibility_m2f3(

@@ -276,8 +276,8 @@ def test_opposite_table_is_transpose(m2f2, m2f3):
     for R in (m2f2, m2f3):
         op = R.opposite
         for a in R.elements():
-            assert op.left_products(a) == R.right_products(a)
-            assert op.right_products(a) == R.left_products(a)
+            assert list(op.left_products(a)) == R._mul_a[:, a].tolist()
+            assert op._mul_a[:, a].tolist() == list(R.left_products(a))
             for b in R.elements():
                 assert op.mul(a, b) == R.mul(b, a)
     op = m2f2.opposite

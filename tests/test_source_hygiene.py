@@ -43,12 +43,17 @@ ALLOWED_UNREACHED = {
 # projline.slabs and SCAN_SLAB; and the distant graph's own copy of the
 # GL2 solve, which is projline.mat_inverses; and the hand-rolled memos of
 # the opposite ring and the chain rows, and the second-conjugate loop, which
-# are cached properties and Subfield.conjugates now
+# are cached properties and Subfield.conjugates now; and the dual line's
+# twins of the line's kernels and attributes, which are the one Line and
+# its kernels on their dual side
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
                            r"|_add_t|_mul_t|_neg_t"
                            r"|transported_partition|_ordered_pairs"
                            r"|_SET_BITS|_COV_PAIRS|_COV_SOLUTIONS|_SLAB|_distant_pairs"
-                           r"|_chain_rows|_opposite|chain_rows|second_conjugate)\b")
+                           r"|_chain_rows|_opposite|chain_rows|second_conjugate"
+                           r"|col_images|enumerate_dual_points|_checked_orbit|_dual_seed"
+                           r"|point_keys|point_index|dual_keys|dual_index|dual_perms"
+                           r"|dual_chains\w*)\b")
 
 # the modules whose sets of blocks, chains and classes are sorted index rows
 ROW_MODULES = ("chains.py", "compat.py", "isomorph.py")
@@ -246,13 +251,23 @@ def test_scan_finds_deleted_names():
             "adj = _distant_pairs(R, pts); mat_inverses(R, mats)\n"
             "self._opposite = None; R.opposite; geom._chain_rows[True] = rows\n"
             "rows = geom.chain_rows(True); test_chain_rows_are_sorted(g)\n"
-            "K2 = second_conjugate(R, K); subfield_in_opposite(K)\n")
+            "K2 = second_conjugate(R, K); subfield_in_opposite(K)\n"
+            "keys = col_images(R, keys, gens); enumerate_dual_points(R)\n"
+            "_checked_orbit(R, start); geom._dual_seed; geom.dual.keys\n"
+            "geom.point_keys[geom.point_index(p)]; geom.dual_keys, geom.dual_index(q)\n"
+            "geom.dual_perms; geom.dual_chains, geom.dual_chains_at_infinity\n"
+            "word_dual_points(R); test_dual_chains_through(g)\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
                                            "_pair_left", "_padded", "transported_partition",
                                            "_ordered_pairs", "_SET_BITS", "_COV_PAIRS",
                                            "_COV_SOLUTIONS", "_SLAB", "_add_t", "_neg_t",
                                            "_mul_t", "_distant_pairs", "_opposite",
-                                           "_chain_rows", "chain_rows", "second_conjugate"]
+                                           "_chain_rows", "chain_rows", "second_conjugate",
+                                           "col_images", "enumerate_dual_points",
+                                           "_checked_orbit", "_dual_seed", "point_keys",
+                                           "point_index", "dual_keys", "dual_index",
+                                           "dual_perms", "dual_chains",
+                                           "dual_chains_at_infinity"]
 
 
 def test_no_deleted_table_names():
