@@ -13,13 +13,12 @@ its blocks off the same rows, in ring coordinates at the far point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from chaingeom.rings import Ring, Subfield
-from chaingeom.projline import Point, VerificationError, infinity, sorted_rows
+from chaingeom.projline import Point, VerificationError, sorted_rows
 
 
 def standard_chain(R: Ring, K: Subfield, dual: bool = False) -> np.ndarray:
@@ -37,36 +36,29 @@ def blocks_at(rows: np.ndarray, i: int) -> np.ndarray:
     return through[through != i].reshape(len(through), -1)
 
 
-@dataclass
-class Residue:
-    """The residue at a point: points distant from it, blocks = chains
-    through it with the point removed, as point-index rows.  At the far
-    point the blocks are also coordinatized through R(x, 1) -> x: blocks is
-    then the int array of their coordinate rows as sorted_rows, and None at
-    any other point."""
+class Residue(NamedTuple):
+    """The residue at the far point R(1, 0): the points distant from it,
+    and its blocks, the chains through it less that point, as point-index
+    rows and, coordinatized through R(x, 1) -> x, as the int array of
+    their coordinate rows in sorted_rows order."""
 
     ring: Ring
     subfield: Subfield
     points: tuple[Point, ...]
     point_blocks: np.ndarray          # blocks as point-index rows
-    blocks: Optional[np.ndarray]      # coordinate blocks as sorted_rows
+    blocks: np.ndarray                # coordinate blocks as sorted_rows
 
 
-def residue_at(geom, p: Point) -> Residue:
-    """The residue of the Geometry geom at the point p.  Its chains through
-    the far point are the stabilizer orbit; through any other point they
-    are filtered out of the full orbit."""
+def residue_at(geom) -> Residue:
+    """The residue of the Geometry geom at its far point R(1, 0); its
+    chains through that point are the stabilizer orbit."""
     R, K = geom.ring, geom.subfield
-    i = geom.index(p)
-    far = p == infinity(R)
-    point_blocks = blocks_at(geom.chains_at_infinity if far else geom.chains, i)
-    near = sorted(geom.graph.adj[i])
-    blocks = None
-    if far:
-        if sorted(geom.affine.tolist()) != near:
-            raise VerificationError(
-                f"{R.name}: x -> R(x, 1) is not a bijection onto the far-point residue")
-        coord = np.full(len(geom.points), -1, dtype=np.intp)
-        coord[geom.affine] = np.arange(R.size)
-        blocks = sorted_rows(coord[point_blocks])
-    return Residue(R, K, tuple(geom.points[j] for j in near), point_blocks, blocks)
+    point_blocks = blocks_at(geom.chains_at_infinity, geom.far)
+    near = sorted(geom.graph.adj[geom.far])
+    if sorted(geom.affine.tolist()) != near:
+        raise VerificationError(
+            f"{R.name}: x -> R(x, 1) is not a bijection onto the far-point residue")
+    coord = np.full(len(geom.points), -1, dtype=np.intp)
+    coord[geom.affine] = np.arange(R.size)
+    return Residue(R, K, tuple(geom.points[j] for j in near), point_blocks,
+                   sorted_rows(coord[point_blocks]))

@@ -24,14 +24,12 @@ pass, 1 some task failed, 2 invalid config.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,14 +44,12 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     name: str
-    options: dict = field(default_factory=dict)
+    options: dict
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     ring: RingSpec
     subfield: str
     tasks: tuple[TaskSpec, ...]
@@ -248,6 +244,8 @@ def _jsonable(obj):
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at the top: run() and its callers never parse a command line
+
     parser = argparse.ArgumentParser(prog="chaingeom",
                                      description="chain-geometry verification runs")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,9 +25,8 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,16 +44,16 @@ class DerivedPlaneError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class CompatClass:
     """One orbit of blocks, the int array of their coordinate rows as
     sorted_rows, with the conjugate subfield that reproduces it as
     {(u^-1 K u)a + c} (or the mirrored right-space family).  Classes
     compare by identity, their blocks as arrays."""
 
-    side: str  # "compatibility" | "dual-compatibility"
-    blocks: np.ndarray
-    witness: Subfield
+    def __init__(self, side: str, blocks: np.ndarray, witness: Subfield):
+        self.side = side  # "compatibility" | "dual-compatibility"
+        self.blocks = blocks
+        self.witness = witness
 
     def __len__(self):
         return len(self.blocks)
@@ -252,8 +251,7 @@ def missing_directions(res: Residue, cls: CompatClass) -> int:
 
 # the derivation analogue -----------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaneReport:
+class PlaneReport(NamedTuple):
     points: int
     lines: int
     line_size: int

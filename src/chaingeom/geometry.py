@@ -147,7 +147,7 @@ class Geometry(Line):
     @cached_property
     def residue(self):
         """The residue at the far point, with coordinatized blocks."""
-        return residue_at(self, infinity(self.ring))
+        return residue_at(self)
 
     @cached_property
     def compat_classes(self) -> tuple:

@@ -33,8 +33,7 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -173,10 +172,14 @@ def orbit(seeds, perms: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
 
 def index_of(keys: np.ndarray, wanted) -> np.ndarray:
     """Positions of wanted in the sorted array keys; raises VerificationError
-    if some wanted key is not among them."""
-    wanted = np.asarray(wanted)
-    pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
-    if not np.array_equal(keys[pos], wanted):
+    if some wanted key is not among them.  One scatter writes each key's
+    position into a table of keys[-1] + 2 entries, -1 elsewhere, and one
+    gather reads it; a wanted key outside 0..keys[-1] is clipped to -1 or
+    keys[-1] + 1, whose entry is -1."""
+    table = np.full(keys[-1] + 2, -1, dtype=np.intp)
+    table[keys] = np.arange(len(keys))
+    pos = table[np.clip(np.asarray(wanted, dtype=np.intp), -1, keys[-1] + 1)]
+    if (pos < 0).any():
         raise VerificationError("an image left the indexed set")
     return pos
 
@@ -214,8 +217,7 @@ def enumerate_points(R: Ring, dual: bool = False) -> tuple[Point, ...]:
     return tuple(zip(*(x.tolist() for x in np.divmod(found, R.size))))
 
 
-@dataclass
-class DistantGraph:
+class DistantGraph(NamedTuple):
     """Distant graph with components and the (shared) diameter."""
 
     ring: Ring

@@ -39,9 +39,8 @@ zero element):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,8 +96,7 @@ def prime_power(q: int) -> tuple[int, int]:
         f"unsupported q = {q}: only the primes 2, 3, 5 and 7 and their powers are supported")
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(NamedTuple):
     family: str
     q: int
 
@@ -436,14 +434,24 @@ def build_ring(spec: RingSpec) -> Ring:
 
 # subfields -------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Subfield:
     """A verified proper subfield K of a ring, as a sorted element tuple,
-    with its conjugates u^-1 K u as a cached table."""
+    with its conjugates u^-1 K u as a cached table.  Subfields are equal
+    iff they have the same ring, elements and descriptor."""
 
-    ring: Ring
-    elements: tuple[int, ...]
-    descriptor: str
+    def __init__(self, ring: Ring, elements: tuple[int, ...], descriptor: str):
+        self.ring = ring
+        self.elements = elements
+        self.descriptor = descriptor
+
+    def _key(self) -> tuple:
+        return self.ring, self.elements, self.descriptor
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Subfield else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def element_set(self) -> frozenset:
@@ -591,8 +599,7 @@ def _greedy_generators(candidates, start: int, images, order: int) -> tuple[int,
 
 # ring maps ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RingMap:
+class RingMap(NamedTuple):
     """A verified ring isomorphism or antiisomorphism given as a table.
 
     For kind "antiisomorphism" the table reverses products.  conjugator, if

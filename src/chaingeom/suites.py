@@ -23,7 +23,6 @@ back, and the dual point a fresh perp scan gives.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -330,7 +329,7 @@ def derive_plane_report(geom: Geometry, skip_replacement: bool = False,
     the derived structure is an affine plane."""
     plane = derive_plane(geom, skip_replacement=skip_replacement,
                          desargues_cap=desargues_cap)
-    rep = {key: value for key, value in asdict(plane).items() if value is not None}
+    rep = {key: value for key, value in plane._asdict().items() if value is not None}
     return {**rep, "ok": plane.two_point_axiom and plane.playfair}
 
 

@@ -306,16 +306,19 @@ for name in ("m2f3", "m2f2"):
     if not all_pass:
         raise SystemExit(name + " failed")
 print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])))
+             if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])
+             or m in ("dataclasses", "argparse")))
 """
 
 
-def test_runs_do_not_import_numpy_ma(run_fresh):
+def test_runs_do_not_import_numpy_ma_random_dataclasses_or_argparse(run_fresh):
     """A plain np.unique (also with axis=0) imports numpy.ma, about 16 ms of
     a cold run; the kernels dedupe through return_index, which does not.
     Nor may a run import numpy.random: the samples come from the stdlib
     random module, and numpy.random raised the peak RSS of a cold m2f3 run
-    by about 6 MB (18 %)."""
+    by about 6 MB (18 %).  Nor dataclasses, whose generated methods cost
+    about 4 ms of every import (the records are NamedTuples or plain
+    classes), nor argparse, which only cli.main reads."""
     configs = str(Path(__file__).resolve().parent.parent / "configs")
     proc = run_fresh(f"CONFIGS = {configs!r}" + COLD_RUNS)
     assert proc.returncode == 0, proc.stdout + proc.stderr

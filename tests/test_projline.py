@@ -515,12 +515,23 @@ def test_point_word_examples(f4, dual2):
     assert w is not None and len(w) == 2
 
 
-def test_index_of_refuses_a_key_outside_the_set():
+def test_index_of_refuses_a_key_outside_the_set(zoo_g):
+    """index_of gathers from a table over 0..keys[-1] + 1: a negative key
+    would wrap around to a table entry, so -1 and -2 must raise as well,
+    also where 0 is a key.  A 2-D wanted, as the permutation tables pass,
+    keeps its shape, and on every zoo Line and its dual the positions are
+    searchsorted's."""
     keys = np.array([1, 3, 5])
     assert index_of(keys, [5, 1, 3]).tolist() == [2, 0, 1]
-    for wanted in ([3, 4], [6], [0]):
+    assert index_of(keys, [[5, 1], [3, 3]]).tolist() == [[2, 0], [1, 1]]
+    for known, wanted in ((keys, [3, 4]), (keys, [6]), (keys, [0]), (keys, [-1]),
+                          (keys, [-2]), (keys, [[1, 3], [5, 7]]), (np.array([0, 2]), [-1])):
         with pytest.raises(VerificationError, match="left the indexed set"):
-            index_of(keys, wanted)
+            index_of(known, wanted)
+    for line in [line for g in zoo_g for line in (g, g.dual)]:
+        wanted = line.keys[line.perms]
+        assert np.array_equal(index_of(line.keys, wanted),
+                              np.searchsorted(line.keys, wanted))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
