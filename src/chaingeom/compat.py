@@ -16,7 +16,7 @@ second conjugate subfield, and validates the outcome as an affine plane of
 order q^2 including an exhaustive or witness-producing Desargues search.
 That search is one kernel over every configuration of the projective
 completion, in the order of the plain nested loop: axis-point tables for
-the groups of blocks it reaches and the closing test on bounded slabs.  The
+the slabs of blocks it reaches and the closing test on them.  The
 witness families, the unit-pair joins, the 2-dim subspace and regulus
 searches and the affine-plane checks are table kernels too, over rows of
 ring elements read from the add and mul tables or over an incidence
@@ -32,7 +32,7 @@ import numpy as np
 
 from chaingeom.rings import Ring, Subfield, conjugate_subfield, normality_witness
 from chaingeom.projline import (
-    VerificationError, orbit, row_images, row_keys, rows_in, slabs, sorted_rows)
+    VerificationError, orbit, padded_rows, row_images, row_keys, rows_in, slabs, sorted_rows)
 from chaingeom.chains import Residue
 
 
@@ -331,10 +331,7 @@ def _shared(inc: np.ndarray) -> np.ndarray:
     """[x, y]: the number of rows of the 0/1 matrix inc with a 1 in both
     columns x and y, 1 on the diagonal: one bincount over the ordered pairs
     x != y of each row's list of columns, the lists padded with -1."""
-    row, col = np.nonzero(inc)
-    size = np.bincount(row, minlength=len(inc))
-    lists = np.full((len(inc), size.max()), -1)
-    lists[row, np.arange(len(row)) - (np.cumsum(size) - size)[row]] = col
+    lists = padded_rows(inc)
     x, y = lists[:, :, None], lists[:, None, :]
     n = inc.shape[1]
     common = np.bincount((x * n + y)[(x != y) & (x >= 0) & (y >= 0)], minlength=n * n)
@@ -401,56 +398,68 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
     by sweeping every configuration (no cap).
 
     One kernel examines every configuration (O, l1 < l2 < l3 through O,
-    A != A' on l1, B != B' on l2, C != C' on l3) in lexicographic order.
-    For a group of (O, l1, l2, l3) blocks at a time, and only for the
-    groups the scan reaches, the axis points P = AB.A'B', Q = AC.A'C' and
-    S = BC.B'C' are tables over the ordered pairs.  The closing test, S
-    off the line PQ, runs on slabs of whole (O, l1, l2, l3, A, A') rows,
-    whole blocks where one fits in the slabs() budget, else rows of one
-    block, and the count carries across the slabs.  In a projective plane
-    (checked by _plane_tables) AB != A'B', AC != A'C' and BC != B'C', so
-    no configuration is skipped uncounted.
+    A != A' on l1, B != B' on l2, C != C' on l3) in lexicographic order,
+    on slabs of whole (O, l1, l2, l3) blocks where one fits in the slabs()
+    budget, else of (A, A') rows of one block.  For the blocks of a slab,
+    and only for the slabs the scan reaches, the axis points
+    P = AB.A'B', Q = AC.A'C' and S = BC.B'C' are tables over the ordered
+    pairs; the closing test, S off the line PQ, reads the line ids of PQ
+    and the incidence table, and the count carries across the slabs.  The
+    witness is read off the count, the index of the first failing
+    configuration in the scan order.  In a projective plane (checked by
+    _plane_tables) AB != A'B', AC != A'C' and BC != B'C', so no
+    configuration is skipped uncounted.
     """
     n = len(points)
     line_of, meet, inc, through = _plane_tables(n, lines)
     # off[l n + x]: x is off line l; where P == Q line_of is -1, and the
     # last row, read there, holds every point, so that configuration closes
     off = np.vstack([inc == 0, np.zeros(n, dtype=bool)]).ravel()
-    line_n = (line_of * n).ravel()
+    line_n, meet_flat = (line_of * n).ravel(), meet.ravel()
     rest = np.array(lines, dtype=np.intp)[through]  # each line through O, less O
     rest = rest[rest != np.arange(n)[:, None, None]].reshape(*through.shape, -1)
     triples = np.array(list(combinations(range(through.shape[1]), 3)), dtype=np.intp)
     k = rest.shape[2]
     i, j = np.nonzero(~np.eye(k, dtype=bool))  # the ordered pairs (X, X')
     m = max(len(i), 1)
-    # intp bytes per block of P, Q, S, per block and per (A, A') row of the test
-    rows = list(slabs(np.full(m, m * m * 8)))
+    # bytes: an (A, A') row of the test holds two intp arrays of m*m
+    # entries, the keys P*n + Q and the lines PQ, or PQ and the keys of S
+    # on them, with up to two more that numpy buffers to broadcast, beside
+    # the flags of the rows before; a block holds its tables, the points X,
+    # their joins and P, Q and S (intp), and beside them m rows, or the
+    # tables of the slab before and two more arrays like P while its own
+    # are gathered
+    row = 25 * m * m
+    rows = list(slabs(np.full(m, row)))
+    tables = 24 * k * (k + 1) + 24 * m * m
+    block = tables + max(tables + 48 * m * m, m * row)
     count = 0
-    for group in slabs(np.full(n * len(triples), 3 * m * m * 8)):
-        O, t = np.divmod(np.arange(group.start, group.stop), len(triples))
-        blocks = list(slabs(np.full(len(O), m ** 3 * 8)))
+    for slab in slabs(np.full(n * len(triples), block)):
+        O, t = np.divmod(np.arange(slab.start, slab.stop), len(triples))
         X = rest[O[:, None], triples[t]]  # block x line x point
         # joins XY on the sides (l1, l2), (l1, l3), (l2, l3); meets XY.X'Y'
         join = line_of[X[:, [0, 0, 1], :, None], X[:, [1, 2, 2], None, :]].reshape(len(O), 3, -1)
-        P, Q, S = meet[join[:, :, i[:, None] * k + i],
-                       join[:, :, j[:, None] * k + j]].swapaxes(0, 1)
-        Pn = P * n
-        for slab in blocks:
-            for row in rows:
-                fail = off.take(line_n.take(Pn[slab, row, :, None] + Q[slab, row, None])
-                                + S[slab, None])
-                hits = np.flatnonzero(fail)
-                count += int(hits[0]) + 1 if hits.size else fail.size
-                if find_failure and count > cap:
-                    return None, cap
-                if hits.size:
-                    x, a, b, c = np.unravel_index(hits[0], fail.shape)
-                    x, a = x + slab.start, a + row.start
-                    return {"center": int(O[x]), "lines": through[O[x], triples[t[x]]].tolist(),
-                            "triangle": X[x, [0, 1, 2], i[[a, b, c]]].tolist(),
-                            "image": X[x, [0, 1, 2], j[[a, b, c]]].tolist(),
-                            "axis_points": [int(P[x, a, b]), int(Q[x, a, c]), int(S[x, b, c])]
-                            }, count
+        # by take, in C order: take copies an index array in another order
+        P, Q, S = meet_flat.take(join.take(i[:, None] * k + i, axis=2) * len(meet)
+                                 + join.take(j[:, None] * k + j, axis=2)).swapaxes(0, 1)
+        for part in rows:
+            fail = off.take(line_n.take(P[:, part, :, None] * n + Q[:, part, None])
+                            + S[:, None])
+            hits = np.flatnonzero(fail)
+            count += int(hits[0]) + 1 if hits.size else fail.size
+            if find_failure and count > cap:
+                return None, cap
+            if hits.size:
+                # the failing block, and in it the pairs (A, A'), (B, B'), (C, C')
+                at, abc = divmod(count - 1, m ** 3)
+                a, b, c = abc // (m * m), abc // m % m, abc % m
+                x = at - slab.start
+                center, triple = divmod(at, len(triples))
+                return {"center": center, "lines": through[center, triples[triple]].tolist(),
+                        "triangle": X[x, [0, 1, 2], i[[a, b, c]]].tolist(),
+                        "image": X[x, [0, 1, 2], j[[a, b, c]]].tolist(),
+                        "axis_points": [int(P[x, a, b]), int(Q[x, a, c]), int(S[x, b, c])]
+                        }, count
     return None, count
 
 

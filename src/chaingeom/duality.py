@@ -95,8 +95,8 @@ def _generators(kernels: np.ndarray, products: np.ndarray, ok: np.ndarray) -> np
     v, w = np.divmod(first, n)
     span = np.zeros_like(kernels)
     span[rows[:, None], products[v] * n + products[w]] = True
-    gen = np.where(admitted[first] & kernels[rows, first] & (span == kernels).all(axis=1),
-                   first, -1)
+    span ^= kernels  # no member left iff the span is the kernel
+    gen = np.where(admitted[first] & kernels[rows, first] & ~span.any(axis=1), first, -1)
     for i in np.flatnonzero(gen < 0).tolist():
         found = _cyclic_generator(kernels[i], products, ok)
         if found is not None:
@@ -116,7 +116,10 @@ def _generator_keys(R: Ring, keys, dual: bool, failure: str) -> np.ndarray:
                                else (R._mul_a, R._cols_ok, R._right_key))
     keys = np.asarray(keys, dtype=np.intp)
     out = np.empty(len(keys), dtype=np.intp)
-    for part, kernels in solution_slabs(R, keys, dual):
+    # per kernel, beside its mask: the span (a mask), four intp index
+    # arrays of |R| entries to scatter it, and five intp scalars
+    held = n * n + 32 * n + 40
+    for part, kernels in solution_slabs(R, keys, dual, held=held):
         gen = _generators(kernels, products, ok)
         if (gen < 0).any():
             bad = int(keys[part][np.argmax(gen < 0)])
@@ -155,20 +158,26 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     for, and the sorted solution keys x*|R| + y of every kernel class.  Rows
     that occur as u or u*M share a class iff their solution_slabs masks are
     equal as bytes; classes are numbered in order of first row, whose mask
-    gives the keys.  The pairs go in slabs of four intp temporaries each and
-    keep only the key of u*M, in the narrowest dtype, and the triple code."""
+    gives the keys.  The pairs go in slabs and keep only the key of u*M, in
+    the narrowest dtype, and the triple code."""
     n = R.size
     small = np.min_scalar_type(n - 1)
     add, mul = R._add_a.astype(small), R._mul_a.astype(small)
     gens = np.asarray(gens, dtype=small)
     which, keys = np.asarray(which), np.asarray(keys)
-    chunks = list(slabs(np.full(len(keys), 32)))
     images = np.empty(len(keys), dtype=np.min_scalar_type(n * n - 1))  # u*M
-    for part in chunks:
+
+    def image_keys(part):  # the entries of a chunk go with the call
         a, b = np.divmod(keys[part], n)
         m0, m1, m2, m3 = gens[which[part]].T
-        images[part] = (add[mul[a, m0], mul[b, m2]].astype(images.dtype) * n
-                        + add[mul[a, m1], mul[b, m3]])
+        return (add[mul[a, m0], mul[b, m2]].astype(images.dtype) * n
+                + add[mul[a, m1], mul[b, m3]])
+
+    # per pair: its row entries and the gathers of u*M, or the terms of its
+    # code, with the intp copies numpy makes of narrow index arrays
+    chunks = list(slabs(np.full(len(keys), 48)))
+    for part in chunks:
+        images[part] = image_keys(part)
     present = np.zeros(n * n, dtype=bool)
     present[keys] = present[images] = True
     rows = np.flatnonzero(present)
@@ -220,13 +229,15 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
             f"covariance needs an invertible matrix, got {gens[singular[0]]}")
     inverse = inverse.T * n
     failures = 0
-    for part in slabs(32 * size[ker_u]):  # four intp temporaries per solution of u
+    # per solution of u: its triple and entries, the intp terms of its image
+    # and the sorted codes of the images and of u*M's keys
+    for part in slabs(96 * size[ker_u]):
         # codes t*|R|^2 + key, t the triple: the images of u's keys, sorted; u*M's keys
         t = np.repeat(np.arange(len(counts[part])), size[ker_u[part]])
         v, w = np.divmod(np.concatenate([classes[c] for c in ker_u[part].tolist()]), n)
-        i0, i1, i2, i3 = np.repeat(inverse[:, g[part]], size[ker_u[part]], axis=1)
-        got = np.sort(t * (n * n) + add[mul[i0 + v] * n + mul[i1 + w]] * n
-                      + add[mul[i2 + v] * n + mul[i3 + w]])
+        i0, i1, i2, i3 = inverse[:, g[part]]
+        got = np.sort(t * (n * n) + add[mul[i0[t] + v] * n + mul[i1[t] + w]] * n
+                      + add[mul[i2[t] + v] * n + mul[i3[t] + w]])
         want = (np.repeat(np.arange(len(counts[part])), size[ker_um[part]]) * (n * n)
                 + np.concatenate([classes[c] for c in ker_um[part].tolist()]))
         if np.array_equal(got, want):  # every triple of the slab holds

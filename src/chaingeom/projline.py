@@ -233,15 +233,19 @@ class DistantGraph(NamedTuple):
         return sum(len(s) for s in self.adj) // 2
 
 
-# The one memory budget of the batch kernels: the bytes of the temporaries
-# that one slab of slabs() holds, 9 solution masks on matrix2(3)
-SCAN_SLAB = 1 << 16
+# The one memory budget of the batch kernels: every byte that one slab of
+# slabs() holds at its peak, numpy's temporaries included.  2^19 ran both
+# benchmark workloads fastest, of 1 to 8 times 2^16, 2^20 and 2^21, with
+# no rise in their peak RSS, which 2^20 raised
+SCAN_SLAB = 1 << 19
 
 
 def slabs(costs):
     """Consecutive slices of the items, each the longest run whose summed
-    cost, the bytes of the temporaries it holds per item, stays within
-    SCAN_SLAB (read at every call), or one item that alone costs more."""
+    cost stays within SCAN_SLAB (read at every call), or one item that
+    alone costs more.  An item's cost is every byte its slab holds for it
+    at the slab's peak: the arrays of the item, the temporaries numpy
+    makes on the way, and what the slab before still binds."""
     ends = np.cumsum(costs)
     start = 0
     while start < len(ends):
@@ -251,7 +255,18 @@ def slabs(costs):
         start = stop
 
 
-def solution_slabs(R: Ring, keys, dual: bool = False, as_keys: bool = False):
+def padded_rows(mask: np.ndarray) -> np.ndarray:
+    """The column indices of the nonzero entries of every row of the 2-D
+    mask, increasing, padded with -1 to the longest row."""
+    row, col = np.divmod(np.flatnonzero(mask), mask.shape[1])  # 2-D nonzero is slower
+    size = np.bincount(row, minlength=len(mask))
+    out = np.full((len(mask), size.max()), -1, dtype=np.intp)
+    out[row, np.arange(len(row)) - (np.cumsum(size) - size)[row]] = col
+    return out
+
+
+def solution_slabs(R: Ring, keys, dual: bool = False, as_keys: bool = False,
+                   held: int = 0):
     """Scan the kernels of many rows at once, in slabs; yields (part, slab)
     in order, part the slice of keys that the slab covers.
 
@@ -259,25 +274,28 @@ def solution_slabs(R: Ring, keys, dual: bool = False, as_keys: bool = False):
     with a*x + b*y = 0; with dual, every key v*|R| + w is a column (v, w)^T
     and its solutions are the rows (x, y) with x*v + y*w = 0.  Each set is a
     boolean mask over the keys x*|R| + y of all |R|^2 candidates, tested as
-    a*x == -b*y over narrow copies of the tables, and costs its |R|^2 mask
-    bytes in slabs().  With as_keys each set is instead the row of its
-    solution keys in increasing order, padded with -1 to the largest set
-    of the slab: |R| keys for an admissible row of a ring, any number on a
-    corrupted table.
+    a*x == -b*y over narrow copies of the tables.  With as_keys each set is
+    instead the row of its solution keys in increasing order (padded_rows),
+    padded with -1 to the largest set of the slab: |R| keys for an
+    admissible row of a ring, any number on a corrupted table.
+
+    A row costs, in slabs(), the bytes of its set, |R|^2 mask bytes or the
+    8-byte keys of an admissible row's kernel, plus the larger of held, the
+    bytes per row that the consumer holds beside the set, and what building
+    the next set holds while the consumer still binds this one: the mask
+    and its index copies, and with as_keys the scatter of its keys.
     """
     n = R.size
     small = np.min_scalar_type(n - 1)
     products = (R._mul_a.T if dual else R._mul_a).astype(small)
     neg = R._neg_a.astype(small)
     a, b = np.divmod(np.asarray(keys, dtype=np.intp), n)
-    for part in slabs(np.full(len(a), n * n)):
+    build = n * n + (48 * n if as_keys else 16 * n)
+    for part in slabs(np.full(len(a), (8 * n if as_keys else n * n) + max(held, build))):
         mask = products[a[part], :, None] == neg[products[b[part], None, :]]
         mask = mask.reshape(len(mask), n * n)
         if as_keys:
-            row, key = np.divmod(np.flatnonzero(mask), n * n)
-            size = np.bincount(row, minlength=len(mask))
-            mask = np.full((len(mask), size.max()), -1, dtype=np.intp)
-            mask[row, np.arange(len(row)) - (np.cumsum(size) - size)[row]] = key
+            mask = padded_rows(mask)
         yield part, mask
 
 
@@ -317,7 +335,11 @@ def mat_inverses(R: Ring, mats) -> np.ndarray:
     paired = np.zeros((len(rows), len(rows)), dtype=bool)
     paired[q, p] = paired[p, q] = True  # [j, i]: row i is tested on the kernel of j
     first = np.full(paired.shape, -1, dtype=np.min_scalar_type(-n * n))
-    for part, kernel in solution_slabs(R, rows, as_keys=True):
+    # per kernel: its keys with a -1 appended, their x and y (intp), and
+    # for every row that may be paired with it the gathers of A and B and
+    # their test, then the top rank of each and its key (intp)
+    held = (n + 1) * (24 + (2 * A.itemsize + 1) * len(rows)) + 16 * len(rows)
+    for part, kernel in solution_slabs(R, rows, as_keys=True, held=held):
         kernel = np.column_stack([kernel, np.full(len(kernel), -1)])  # a -1 ends each
         cols = np.flatnonzero(paired[part].any(axis=0))
         x, y = np.divmod(kernel, n)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import chaingeom
+from chaingeom import compat
 from chaingeom.geometry import Geometry
 from chaingeom.rings import RingSpec, build_ring, build_subfield, subfield_in_opposite
 
@@ -188,6 +189,24 @@ def zoo_and_opposites_g(zoo_g):
 def small_zoo_g(zoo_g):
     """Zoo Geometries over rings with |R| <= 16."""
     return [g for g in zoo_g if g.ring.size <= 16]
+
+
+@pytest.fixture(scope="session")
+def completed_planes(m2f2_g, m2f3_g):
+    """{order: (points, lines)} of the projective completions derive_plane
+    scans: AG(2, 4) from matrix2(2) and the Hall plane from matrix2(3)."""
+    planes = {}
+    real = compat._desargues_scan
+
+    def spy(points, lines, find_failure, cap):
+        planes[round((len(points) - 1) ** 0.5)] = (points, lines)
+        return real(points, lines, find_failure, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compat, "_desargues_scan", spy)
+        compat.derive_plane(m2f2_g)
+        compat.derive_plane(m2f3_g)
+    return planes
 
 
 SMALL_SPECS = ([("finite-field", q) for q in (2, 3, 4, 5, 7, 8, 9)]

@@ -21,14 +21,17 @@ changes one entry of a fresh ring's operation table,
 one call, `uniform_bytes` is the byte-by-byte form of the sampled word
 draw, `point_sets`, `row_set` and `point_map` read index rows and index
 permutations as sets and dicts of points, and `tables` gives the scalar
-loops a ring's operation arrays as nested tuples.
+loops a ring's operation arrays as nested tuples, and `slab_costs` the
+item costs a kernel states to the one slab budget.
 """
 
 import random
 from itertools import combinations
 
 import numpy as np
+import pytest
 
+from chaingeom import projline
 from chaingeom.projline import (
     VerificationError,
     index_of,
@@ -885,3 +888,18 @@ def word_sweep(holds, ws):
         if not holds(ts):
             failing.append(ts)
     return checks, len(failing), (failing[0] if failing else None)
+
+
+def slab_costs(call, module) -> list:
+    """The costs of every slabs() call that call makes from module, in
+    order: the item costs each kernel states to the one slab budget."""
+    seen, real = [], projline.slabs
+
+    def spy(costs):
+        seen.append(np.asarray(costs))
+        return real(costs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "slabs", spy)
+        call()
+    return seen

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaingeom import rings
+from chaingeom import cli, rings
 from chaingeom.cli import (
     TASKS,
     ConfigError,
@@ -17,6 +17,9 @@ from chaingeom.cli import (
     parse_config,
     run,
 )
+from chaingeom.projline import enumerate_points
+
+from reference import corrupt
 
 
 def small_config(tmp_path, tasks, ring=None, output=None):
@@ -41,6 +44,24 @@ def test_run_f4_counts(tmp_path):
     assert by_name["enumerate-points"]["points"] == 5
     assert by_name["chain-orbit"]["chains"] == 10
     assert (tmp_path / "report.json").exists()
+
+
+def test_points_task_records_a_method_disagreement(tmp_path, monkeypatch):
+    """The negative control of methods_agree, which is True whenever the
+    task returns: on a freshly built F4 with 1*2 corrupted to 0, the orbit
+    of R(1, 0) and the admissibility scan disagree on the points (not on
+    the dual points), so the points task fails and the report records the
+    MethodDisagreementError with both counts."""
+    fresh = corrupt(rings.FiniteFieldRing(rings.RingSpec("finite-field", 4)), "mul", (1, 2), 0)
+    enumerate_points(fresh, dual=True)  # the dual side still agrees
+    monkeypatch.setattr(cli, "build_ring", lambda spec: fresh)
+    config = load_config(str(small_config(tmp_path, [{"name": "enumerate-points"}])))
+    report, all_pass = run(config, out_dir=str(tmp_path))
+    (task,) = report["tasks"]
+    assert not all_pass and not report["all_pass"] and task["status"] == "fail"
+    assert "methods_agree" not in task
+    assert task["error"] == ("MethodDisagreementError: finite-field(4): "
+                             "orbit gives 4 points, scan gives 5")
 
 
 def test_unknown_task_is_config_error(tmp_path):

@@ -42,7 +42,7 @@ from chaingeom.rings import (
 )
 
 import reference
-from reference import apply_matrix, corrupt, point_sets, validate_partial_affine
+from reference import apply_matrix, corrupt, point_sets, slab_costs, validate_partial_affine
 
 
 def as_blocks(rows) -> frozenset:
@@ -552,24 +552,6 @@ def assert_desargues_fails_at(lines, w):
     assert len({P, Q, S}) == 3 and S not in join(P, Q)
 
 
-@pytest.fixture(scope="module")
-def completed_planes(m2f2_g, m2f3_g):
-    """{order: (points, lines)} of the projective completions derive_plane
-    scans: AG(2, 4) from matrix2(2) and the Hall plane from matrix2(3)."""
-    planes = {}
-    real = compat._desargues_scan
-
-    def spy(points, lines, find_failure, cap):
-        planes[round((len(points) - 1) ** 0.5)] = (points, lines)
-        return real(points, lines, find_failure, cap)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compat, "_desargues_scan", spy)
-        derive_plane(m2f2_g)
-        derive_plane(m2f3_g)
-    return planes
-
-
 def test_desargues_kernel_matches_loop_order4(completed_planes):
     points, lines = completed_planes[4]
     assert len(points) == 21
@@ -611,12 +593,15 @@ def test_desargues_kernel_is_exact_at_every_slab_size(completed_planes, monkeypa
     """Slab edges change nothing: with one (A, A') row per slab, with five
     (which splits every (center, line-triple) block) and at the default
     budget, the kernel returns what the loop reference returns, carrying
-    the count across slabs and cutting off at exactly the cap.  A row
-    costs m * m intp bytes in the one slab budget."""
+    the count across slabs and cutting off at exactly the cap.  The
+    budgets are whole rows at the cost the kernel states for a row, its
+    first slabs() call, and a block of m rows costs more than five."""
     for order, (points, lines) in sorted(completed_planes.items()):
         if rows is not None:
             m = order * (order - 1)  # ordered pairs on a line less its center
-            monkeypatch.setattr(projline, "SCAN_SLAB", rows * m * m * 8)
+            row, block = slab_costs(lambda: _desargues_scan(points, lines, True, 0), compat)
+            assert len(row) == m and block[0] >= m * row[0] > 5 * row[0]
+            monkeypatch.setattr(projline, "SCAN_SLAB", rows * int(row[0]))
         if order == 4:
             for mode in (False, True):
                 assert _desargues_scan(points, lines, mode, 10 ** 7) == (None, 362_880)

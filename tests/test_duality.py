@@ -54,6 +54,7 @@ from reference import (
     make_dual_point,
     point_sets,
     point_words,
+    slab_costs,
     word_arrays,
 )
 
@@ -405,14 +406,18 @@ def covariance_cases():
 def test_covariance_failures_are_exact_at_every_slab_size(covariance_cases, monkeypatch,
                                                            budget):
     """Slab edges change nothing: with one triple per slab, with a budget
-    under one zero-row triple (|R|^2 solutions of more than 8 bytes each),
-    and at the default budget, the one call counts what the row-by-row
-    loop counts, repeats included."""
+    a byte under one zero-row triple (|R|^2 solutions, at the cost the
+    check states per solution in its last slabs() call, the largest item
+    of it), and at the default budget, the one call counts what the
+    row-by-row loop counts, repeats included."""
     assert [count > 0 for *_, count in covariance_cases] == [False, True]
     for R, gens, which, keys, count in covariance_cases:
-        if budget is not None:
-            monkeypatch.setattr(projline, "SCAN_SLAB",
-                                1 if budget == "one-triple" else 8 * R.size ** 2)
+        if budget == "one-triple":
+            monkeypatch.setattr(projline, "SCAN_SLAB", 1)
+        elif budget is not None:
+            *_, triples = slab_costs(lambda: covariance_failures(R, gens, which, keys), duality)
+            assert triples.max() % R.size ** 2 == 0 and triples.max() > triples.min()
+            monkeypatch.setattr(projline, "SCAN_SLAB", int(triples.max()) - 1)
         assert covariance_failures(R, gens, which, keys) == count, (R.name, budget)
 
 
