@@ -234,10 +234,12 @@ class DistantGraph(NamedTuple):
 
 
 # The one memory budget of the batch kernels: every byte that one slab of
-# slabs() holds at its peak, numpy's temporaries included.  2^19 ran both
-# benchmark workloads fastest, of 1 to 8 times 2^16, 2^20 and 2^21, with
-# no rise in their peak RSS, which 2^20 raised
-SCAN_SLAB = 1 << 19
+# slabs() holds at its peak, numpy's temporaries included.  Of 1 to 8
+# times 2^16, 2^20 and 2^21, 7 * 2^16 and 2^19 ran both benchmark
+# workloads fastest, and 2^20 raised their peak RSS; 7 * 2^16 keeps the
+# Desargues scan's largest arrays under glibc's 128 KiB mmap threshold,
+# and its times did not move with the checkout's path, as those of 2^19 did
+SCAN_SLAB = 7 << 16
 
 
 def slabs(costs):

@@ -558,9 +558,9 @@ def test_slabs_of_nothing_and_at_the_default_budget(monkeypatch):
     an item over the budget alone, one at the budget alone, and the rest
     packed up to it."""
     assert list(slabs(np.array([], dtype=np.intp))) == []
-    assert projline.SCAN_SLAB == 1 << 19
-    assert list(slabs(np.full(20, 1 << 16))) == [slice(0, 8), slice(8, 16), slice(16, 20)]
-    assert list(slabs([1 << 20, 1, 1 << 19])) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert projline.SCAN_SLAB == 7 << 16
+    assert list(slabs(np.full(20, 1 << 16))) == [slice(0, 7), slice(7, 14), slice(14, 20)]
+    assert list(slabs([1 << 19, 1, 7 << 16])) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     monkeypatch.setattr(projline, "SCAN_SLAB", 1 << 16)
     assert list(slabs(np.full(20, 6561))) == [slice(0, 9), slice(9, 18), slice(18, 20)]
     assert list(slabs([1 << 17, 1, 1 << 16])) == [slice(0, 1), slice(1, 2), slice(2, 3)]
