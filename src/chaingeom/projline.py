@@ -292,7 +292,7 @@ def solution_slabs(R: Ring, keys, dual: bool = False, as_keys: bool = False,
     products = (R._mul_a.T if dual else R._mul_a).astype(small)
     neg = R._neg_a.astype(small)
     a, b = np.divmod(np.asarray(keys, dtype=np.intp), n)
-    build = n * n + (48 * n if as_keys else 16 * n)
+    build = n * n + (72 * n if as_keys else 16 * n)
     for part in slabs(np.full(len(a), (8 * n if as_keys else n * n) + max(held, build))):
         mask = products[a[part], :, None] == neg[products[b[part], None, :]]
         mask = mask.reshape(len(mask), n * n)
