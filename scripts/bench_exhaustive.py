@@ -7,12 +7,14 @@ The shipped m2f3 config samples its words and covariance pairs; here each
 of REPEATS fresh interpreters imports chaingeom from the `src/` of this
 checkout, sets `suites.EXHAUSTIVE_LIMIT = 81` in-process, and runs the
 m2f3 config's duality-suite and sigma-suite tasks through `cli.run`, so
-both suites check every word and every covariance pair.  No config file
-is written or changed.  The script prints one JSON line: the median of
-each task's wall time and of their sum over the runs, in seconds, and the
-median of the runs' max RSS in MB.  It exits 1 if a run fails or a task
-does not pass.  Standard library only; it takes about 5 s and holds one
-child of about 115 MB at a time.
+both suites check every word and every covariance pair.  The child also
+wraps the duality suite's `covariance_failures` in-process, to time the
+covariance check.  No config file is written or changed.  The script
+prints one JSON line: the median of each task's wall time, of their sum
+and of the covariance check's wall time over the runs, in seconds, and
+the median of the runs' max RSS in MB.  It exits 1 if a run fails or a
+task does not pass.  Standard library only; it takes about 5 s and holds
+one child of about 115 MB at a time.
 """
 
 import json
@@ -27,9 +29,18 @@ REPEATS = 7
 TASKS = ("duality-suite", "sigma-suite")
 
 CHILD = """
-import json, resource, sys, tempfile
+import json, resource, sys, tempfile, time
 from chaingeom import cli, suites
 suites.EXHAUSTIVE_LIMIT = 81
+covariance_s = []
+check = suites.covariance_failures
+def timed(*args):
+    start = time.perf_counter()
+    try:
+        return check(*args)
+    finally:
+        covariance_s.append(time.perf_counter() - start)
+suites.covariance_failures = timed
 with open(sys.argv[1]) as fh:
     data = json.load(fh)
 data["tasks"] = [t for t in data["tasks"] if t["name"] in sys.argv[2:]]
@@ -38,6 +49,7 @@ with tempfile.TemporaryDirectory() as out:
 print(json.dumps({"all_pass": all_pass,
                   "modes": [t.get("mode") for t in report["tasks"]],
                   "task_s": report["timing"]["wall_time_s"],
+                  "covariance_s": sum(covariance_s),
                   "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
@@ -58,10 +70,12 @@ def main() -> int:
     runs = [one_run() for _ in range(REPEATS)]
     median = {name: statistics.median(r["task_s"][name] for r in runs) for name in TASKS}
     median["total"] = statistics.median(sum(r["task_s"].values()) for r in runs)
+    covariance = statistics.median(r["covariance_s"] for r in runs)
     print(json.dumps({
         "workload": "m2f3 exhaustive",
         "runs": REPEATS,
         "median_task_s": {name: round(s, 4) for name, s in median.items()},
+        "median_covariance_s": round(covariance, 4),
         "max_rss_mb": round(statistics.median(r["max_rss_kb"] for r in runs) / 1024, 2),
     }))
     return 0

@@ -19,9 +19,10 @@ one-point oracle, annihilator_pairs searched in key order.  They remember
 nothing; a Geometry keeps one perp_keys call as its perp index array,
 which never feeds a formula.  The covariance law is checked in one call
 per suite: covariance_failures groups the masks of every row that occurs
-into kernel classes, each kept as its sorted solution keys, and checks
-each distinct (generator, kernel class, kernel class) triple once, with
-the inverses of the generators from one projline.mat_inverses call.
+into kernel classes, held as one table of sorted solution keys per class
+size, and checks each distinct (generator, kernel class, kernel class)
+triple once, with the inverses of the generators from one
+projline.mat_inverses call.
 Every batch kernel takes its slabs from projline.slabs, within one byte
 budget.
 The closed formulas under test are array functions over the operation
@@ -151,45 +152,69 @@ def perp_point(R: Ring, p: Point) -> DualPoint:
     return R.canonical_pair_right(*gen)
 
 
+def _flat_tables(R: Ring) -> tuple:
+    """The add and mul tables, flat, in the narrowest dtype of an entry, and
+    both again times |R| in the dtype of a key x*|R| + y and of its images."""
+    n = R.size
+    # at least 16 bits: numpy sorts rows of 8-bit keys some 30 times slower
+    key_t = np.promote_types(np.min_scalar_type(n * n - 1), np.uint16)
+    return (*(t.astype(np.min_scalar_type(n - 1)).ravel() for t in (R._add_a, R._mul_a)),
+            *((t * n).astype(key_t).ravel() for t in (R._add_a, R._mul_a)))
+
+
+def _pair_keys(tables, p, q) -> np.ndarray:
+    """The keys x*|R| + y of x = p0*q0 + p1*q1 and y = p2*q2 + p3*q3,
+    elementwise, each p given times |R| as a row offset into the flat
+    _flat_tables: flat takes, whose every index fits the dtype of a key."""
+    add, mul, addn, muln = tables
+    return (addn.take(muln.take(p[0] + q[0]) + mul.take(p[1] + q[1]))
+            + add.take(muln.take(p[2] + q[2]) + mul.take(p[3] + q[3])))
+
+
 def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     """(triples, counts, classes): every distinct (generator index, class of
     u, class of u*M) of the pairs (M = gens[which[i]], u = the row of key
     keys[i]), as three sorted arrays, with the number of pairs each stands
-    for, and the sorted solution keys x*|R| + y of every kernel class.  Rows
-    that occur as u or u*M share a class iff their solution_slabs masks are
-    equal as bytes; classes are numbered in order of first row, whose mask
-    gives the keys.  The pairs go in slabs and keep only the key of u*M, in
-    the narrowest dtype, and the triple code."""
+    for, and the kernel classes, built once as (size, slot, tables): class
+    c has size[c] solution keys x*|R| + y, increasing, as row slot[c] of
+    tables[size[c]], one table per class size.  Rows that occur as u or
+    u*M share a class iff their solution_slabs masks are equal as bytes;
+    classes are numbered in order of first row, whose mask gives the keys.
+    The pairs go in slabs and keep only the key of u*M, in the dtype of a
+    key, and the triple code."""
     n = R.size
-    small = np.min_scalar_type(n - 1)
-    add, mul = R._add_a.astype(small), R._mul_a.astype(small)
-    gens = np.asarray(gens, dtype=small)
-    which, keys = np.asarray(which), np.asarray(keys)
-    images = np.empty(len(keys), dtype=np.min_scalar_type(n * n - 1))  # u*M
-
-    def image_keys(part):  # the entries of a chunk go with the call
-        a, b = np.divmod(keys[part], n)
-        m0, m1, m2, m3 = gens[which[part]].T
-        return (add[mul[a, m0], mul[b, m2]].astype(images.dtype) * n
-                + add[mul[a, m1], mul[b, m3]])
-
-    # per pair: its row entries and the gathers of u*M, or the terms of its
-    # code, with the intp copies numpy makes of narrow index arrays
-    chunks = list(slabs(np.full(len(keys), 48)))
+    tables = _flat_tables(R)
+    key_t = tables[2].dtype
+    m0, m1, m2, m3 = np.asarray(gens, dtype=key_t).reshape(-1, 4).T
+    which, keys = np.asarray(which, dtype=np.intp), np.asarray(keys, dtype=np.intp)
+    images = np.empty(len(keys), dtype=key_t)  # u*M = (a*m0 + b*m2, a*m1 + b*m3)
+    # per pair: its key, entries and offsets, the takes of u*M and the intp
+    # copy of an index, or the terms of its code
+    chunks = list(slabs(np.full(len(keys), 40)))
     for part in chunks:
-        images[part] = image_keys(part)
+        w, u = which[part], keys[part].astype(key_t)
+        b = u % n
+        a, b = u - b, b * n  # a*|R|, b*|R|
+        images[part] = _pair_keys(tables, (a, b, a, b), [m.take(w) for m in (m0, m2, m1, m3)])
     present = np.zeros(n * n, dtype=bool)
     present[keys] = present[images] = True
     rows = np.flatnonzero(present)
-    cls = np.zeros(n * n, dtype=images.dtype)
+    cls = np.zeros(n * n, dtype=key_t)
     masks: dict = {}
-    classes: list = []
+    found: list = []  # per class, its solution keys
     for part, ker in solution_slabs(R, rows):
         of = [masks.setdefault(m.tobytes(), len(masks)) for m in np.packbits(ker, axis=1)]
-        classes += [ker[of.index(c)].nonzero()[0].astype(images.dtype)
-                    for c in range(len(classes), len(masks))]
+        found += [np.flatnonzero(ker[of.index(c)]).astype(key_t)
+                  for c in range(len(found), len(masks))]
         cls[rows[part]] = of
-    c = len(classes)
+    size = np.array([len(k) for k in found])
+    slot = np.zeros(len(found), dtype=np.intp)
+    by_size = {}
+    for s in sorted(set(size.tolist())):
+        members = np.flatnonzero(size == s)
+        slot[members] = np.arange(len(members))
+        by_size[s] = np.array([found[i] for i in members.tolist()], dtype=key_t)
+    c = len(found)
     # intp, a dtype every run has sorted already: a narrower one pages in more sort code
     code = np.empty(len(keys), dtype=np.intp)
     for part in chunks:
@@ -197,7 +222,15 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     # distinct triples by sorting: a plain np.unique imports numpy.ma
     flat, counts = np.unique(code, return_counts=True)
     g, rest = np.divmod(flat, c * c)
-    return (g, *np.divmod(rest, c)), counts, classes
+    return (g, *np.divmod(rest, c)), counts, (size, slot, by_size)
+
+
+# The bytes a slab of covariance_failures holds at its peak (traced on
+# matrix2(3)): per image of a generator's table, the table and the terms of
+# its images; per solution key of a triple, the key, the terms and the
+# image mapped where it is read, and the key of u*M beside it
+_IMAGE_BYTES = 16
+_KEY_BYTES = 24
 
 
 def covariance_failures(R: Ring, gens, which, keys) -> int:
@@ -208,16 +241,26 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     The check of a pair depends only on M and the kernels of u and u*M.  So
     every row that occurs gets its kernel from one scan, and each distinct
     (generator, class of u, class of u*M) triple (_kernel_triples) is
-    checked once: the sorted keys of the class of u go through the column
-    map c -> M^-1 * c by table gathers, with every M^-1 from one
-    mat_inverses call over the distinct generators, and the triple holds
-    iff its distinct images are exactly the keys of the class of u*M; a
-    failing triple counts once for every pair it stands for.
+    checked once, with every M^-1 from one mat_inverses call over the
+    distinct generators.  The generators go in groups, and the triples of a
+    group in slabs, one class size at a time: a triple's solution keys are
+    one row of the table of its size, and so are its images c -> M^-1 * c,
+    by flat takes on the operation tables.  A generator that reads at least
+    as many keys as there are columns has every column mapped once, into a
+    table that its triples gather from; the others map each key where it is
+    read, which costs less than finding the few keys they read twice, and
+    so does a slab that holds triples of both kinds.  A
+    triple holds iff its distinct images are exactly the keys of the class
+    of u*M: where the two classes have one size, iff its images, sorted
+    row by row, equal those keys; else (only on a corrupted table) by
+    comparing the sets.  A failing triple counts once for every pair it
+    stands for.
     """
     n = R.size
-    add, mul = R._add_a.ravel(), R._mul_a.ravel()
-    (g, ker_u, ker_um), counts, classes = _kernel_triples(R, gens, which, keys)
-    size = np.array([len(k) for k in classes])
+    nn = n * n
+    tables = _flat_tables(R)
+    key_t = tables[2].dtype
+    (g, ker_u, ker_um), counts, (size, slot, by_size) = _kernel_triples(R, gens, which, keys)
     # M^-1 per generator, entries scaled by |R| as row offsets into the
     # flat tables: M^-1 * (v, w)^T = (i0*v + i1*w, i2*v + i3*w)
     used = np.flatnonzero(np.bincount(g, minlength=len(gens)))
@@ -227,27 +270,45 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     if len(singular):
         raise VerificationError(
             f"covariance needs an invertible matrix, got {gens[singular[0]]}")
-    inverse = inverse.T * n
-    failures = 0
-    # per solution of u: its triple and entries, the intp terms of its image
-    # and the sorted codes of the images and of u*M's keys
-    for part in slabs(96 * size[ker_u]):
-        # codes t*|R|^2 + key, t the triple: the images of u's keys, sorted; u*M's keys
-        t = np.repeat(np.arange(len(counts[part])), size[ker_u[part]])
-        v, w = np.divmod(np.concatenate([classes[c] for c in ker_u[part].tolist()]), n)
-        i0, i1, i2, i3 = inverse[:, g[part]]
-        got = np.sort(t * (n * n) + add[mul[i0[t] + v] * n + mul[i1[t] + w]] * n
-                      + add[mul[i2[t] + v] * n + mul[i3[t] + w]])
-        want = (np.repeat(np.arange(len(counts[part])), size[ker_um[part]]) * (n * n)
-                + np.concatenate([classes[c] for c in ker_um[part].tolist()]))
-        if np.array_equal(got, want):  # every triple of the slab holds
-            continue
-        # else a triple fails iff one of its distinct codes is in got or want alone
-        got = got[np.r_[True, got[1:] != got[:-1]]]
-        bad = np.zeros(len(counts[part]), dtype=bool)
-        bad[np.setxor1d(got, want, assume_unique=True) // (n * n)] = True
-        failures += int(counts[part][bad].sum())
-    return failures
+    inverse = (inverse.T * n).astype(key_t)[:, :, None]
+
+    def images(k, cols):  # of the columns of keys cols, row i under M^-1 of k[i]
+        v, w = np.divmod(cols, key_t.type(n))
+        return _pair_keys(tables, inverse[:, k], (v, w, v, w))
+
+    entries, cols_at = size[ker_u], slot[ker_u]
+    # the row of u*M's keys in the table of u's size, or -1: another size
+    want_at = np.where(size[ker_um] == entries, slot[ker_um], -1)
+    holds = np.zeros(len(counts), dtype=bool)
+    ends = np.cumsum(np.bincount(g))[used]  # the triples of used[k] end at ends[k]
+    tabled = np.zeros(len(gens), dtype=bool)  # the generators mapped by a table
+    tabled[used] = np.bincount(g, weights=entries)[used] >= nn
+    every = np.arange(nn, dtype=key_t)[None, :]
+    # a group's table, with the terms of its images, takes half the budget,
+    # and a slab of the group's triples the other half
+    for part in slabs(tabled[used] * (2 * _IMAGE_BYTES * nn)):
+        group = used[part]
+        t = np.arange(int(ends[part.start - 1]) if part.start else 0, int(ends[part.stop - 1]))
+        table = images(group[tabled[group]], every).ravel()
+        row = np.zeros(len(gens), dtype=np.intp)  # a generator's row of the table
+        row[group[tabled[group]]] = np.arange(np.count_nonzero(tabled[group])) * nn
+        for s in sorted(set(entries[t].tolist())):
+            of_size = t[entries[t] == s]
+            # per key of u: its image's terms, the image, u*M's key
+            for p in slabs(np.full(len(of_size), 2 * _KEY_BYTES * s)):
+                sel = of_size[p]
+                cols = by_size[s][cols_at[sel]]
+                image = (table.take(row[g[sel], None] + cols) if tabled[g[sel]].all()
+                         else images(g[sel], cols))
+                image.sort(axis=1)
+                holds[sel] = (image == by_size[s][want_at[sel]]).all(axis=1)
+    # a class of u*M of another size than u's, on a corrupted table: the
+    # triple holds iff its distinct images are the keys of that class
+    for i in np.flatnonzero(want_at < 0).tolist():
+        image = images(g[i:i + 1], by_size[entries[i]][cols_at[i]][None, :])
+        holds[i] = sorted(set(image.ravel().tolist())) == by_size[size[ker_um[i]]][
+            slot[ker_um[i]]].tolist()
+    return int(counts[~holds].sum())
 
 
 # closed formulas ------------------------------------------------------------

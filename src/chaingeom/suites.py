@@ -184,8 +184,16 @@ def _word_report(R: Ring, letters, lengths, word_form, closed, rows, witness) ->
 
 
 def _by_length(lengths, per_length) -> np.ndarray:
-    """Entry i of per_length[lengths[i] - 1], elementwise."""
-    return np.select([lengths == k for k in range(1, len(per_length) + 1)], per_length)
+    """Entry i of per_length[lengths[i] - 1], elementwise: a copy of the
+    last length's values, then one gather for the words of each other
+    length.  It holds one word array; a stack of every length's values
+    for one gather would hold three."""
+    out = np.array(np.broadcast_to(per_length[-1], lengths.shape),
+                   dtype=np.result_type(*per_length))
+    for k, values in enumerate(per_length[:-1], 1):
+        at = np.flatnonzero(lengths == k)
+        out[at] = np.broadcast_to(values, lengths.shape)[at]
+    return out
 
 
 def duality_words(geom: Geometry, letters, lengths) -> dict:
@@ -265,7 +273,10 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
         ends = index_of(geom.keys,
                         word_points(R, np.stack([t1, t2], axis=1), np.full(len(t1), 2)))
         covered = np.bincount(ends, minlength=len(pts)) > 0
-        rep["length2_covers_line"] = _word_sweep(R, [covered])[1] == 0
+        _, missed, first = _word_sweep(R, [covered])
+        rep["length2_covers_line"] = missed == 0
+        if missed:
+            rep["length2_first_uncovered"] = pts[first]
 
     rep["ok"] = (rep["bijection"] and rep["chain_bijection"] and rep["far_point_image"]
                  and rep["word_formula_mismatches"] == 0 and cov_failures == 0

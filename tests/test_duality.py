@@ -383,20 +383,48 @@ def test_covariance_failures_compare_sets_of_images():
     assert loop_covariance_failures(R, gens, which, keys) == 125
 
 
+def test_covariance_failures_keep_a_triple_of_a_colliding_generator():
+    """On dual2 with 0*0 corrupted to 3, M^-1 of M = E(2) sends a column of
+    the kernel of (0, 2) and one of the kernel of (0, 3) to one column, yet
+    maps each kernel to distinct columns, and the triple of (0, 2) holds:
+    a check that failed every triple of a generator whose M^-1 collides on
+    the columns it reads would count it.  Given the two pairs alone (the
+    generator maps each key it reads) and every row (it maps every column
+    once), the one call counts what the row-by-row loop counts."""
+    R = corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (0, 0), 3)
+    gens = line_generators(R)
+    Minv = reference.mat_invert(R, gens[2])
+    kernels = [reference.annihilator(R, [u]) for u in ((0, 2), (0, 3))]
+
+    def images(K):
+        return {reference.mat_times_col(R, Minv, c) for c in K}
+
+    assert all(len(images(K)) == len(K) for K in kernels)
+    assert len(images(kernels[0] | kernels[1])) < len(kernels[0] | kernels[1])
+    assert covariance_holds(R, [(0, 2)], gens[2])
+    for which, keys in (([2, 2], [2, 3]), (np.full(16, 2), np.arange(16))):
+        assert (covariance_failures(R, gens, which, keys)
+                == loop_covariance_failures(R, gens, which, keys) > 0)
+    assert covariance_failures(R, gens, [2, 2], [2, 3]) == 1
+
+
 @pytest.fixture(scope="module")
 def covariance_cases():
-    """(ring, gens, which, keys, loop count) of every m2f2 pair and of
-    every pair of the corrupted dual2 ring of
-    test_covariance_failures_counts_repeats, given twice, the second time
-    in reverse order."""
+    """(ring, gens, which, keys, loop count) of every m2f2 pair, of every
+    pair of the corrupted dual2 ring of test_covariance_failures_counts_repeats,
+    given twice, the second time in reverse order, and of every fifth pair
+    of that ring, where six of its eight generators read fewer keys than
+    there are columns."""
     cases = []
-    for R, twice in ((build_ring(RingSpec("matrix2", 2)), False),
-                     (corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (2, 2), 2),
-                      True)):
+    bad = corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (2, 2), 2)
+    for R, take in ((build_ring(RingSpec("matrix2", 2)), "all"), (bad, "twice"),
+                    (bad, "fifth")):
         gens = line_generators(R)
         which, keys = every_pair(R, gens)
-        if twice:
+        if take == "twice":
             which, keys = np.r_[which, which[::-1]], np.r_[keys, keys[::-1]]
+        elif take == "fifth":
+            which, keys = which[::5], keys[::5]
         cases.append((R, gens, which, keys, loop_covariance_failures(R, gens, which, keys)))
     return cases
 
@@ -407,17 +435,18 @@ def test_covariance_failures_are_exact_at_every_slab_size(covariance_cases, monk
                                                            budget):
     """Slab edges change nothing: with one triple per slab, with a budget
     a byte under one zero-row triple (|R|^2 solutions, at the cost the
-    check states per solution in its last slabs() call, the largest item
-    of it), and at the default budget, the one call counts what the
-    row-by-row loop counts, repeats included."""
-    assert [count > 0 for *_, count in covariance_cases] == [False, True]
+    check states per solution, the largest item of all its slabs() calls,
+    while smaller items share a slab), and at the default budget, the one
+    call counts what the row-by-row loop counts, repeats included."""
+    assert [count > 0 for *_, count in covariance_cases] == [False, True, True]
     for R, gens, which, keys, count in covariance_cases:
         if budget == "one-triple":
             monkeypatch.setattr(projline, "SCAN_SLAB", 1)
         elif budget is not None:
-            *_, triples = slab_costs(lambda: covariance_failures(R, gens, which, keys), duality)
-            assert triples.max() % R.size ** 2 == 0 and triples.max() > triples.min()
-            monkeypatch.setattr(projline, "SCAN_SLAB", int(triples.max()) - 1)
+            costs = slab_costs(lambda: covariance_failures(R, gens, which, keys), duality)
+            top = max(int(c.max()) for c in costs)
+            assert top % R.size ** 2 == 0 and min(int(c.min()) for c in costs) < top
+            monkeypatch.setattr(projline, "SCAN_SLAB", top - 1)
         assert covariance_failures(R, gens, which, keys) == count, (R.name, budget)
 
 
@@ -608,6 +637,31 @@ def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch)
     assert rep["bidual_first_mismatch"] == {
         "point": g.points[first], "perp": g.dual.points[perp[first]],
         "bidual": g.points[other], "perp_rescanned": g.dual.points[perp[other]]}
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_uncovered_point_fails_length2_covers_line(name, request, monkeypatch):
+    """Negative control: with every length-2 word that spans the last point
+    sent to the far point instead, and the word sweep's points left as
+    they are, the suite's length2_covers_line alone is false: the report
+    names the last point and is not ok, and every other entry is as
+    before."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.duality_suite(g)
+    assert clean["length2_covers_line"] is True and clean["ok"]
+    real, last, far = suites.word_points, g.keys[-1], g.keys[g.far]
+
+    def uncovering(R, letters, lengths):
+        pts = real(R, letters, lengths)
+        if letters.shape[1] == 2:  # the length-2 grid; the sweep's words have 3 columns
+            pts = np.where(pts == last, far, pts)
+        return pts
+
+    monkeypatch.setattr(suites, "word_points", uncovering)
+    rep = suites.duality_suite(g)
+    assert rep.pop("length2_covers_line") is False and rep.pop("ok") is False
+    assert rep.pop("length2_first_uncovered") == g.points[-1]
+    assert rep == {k: v for k, v in clean.items() if k not in ("length2_covers_line", "ok")}
 
 
 def test_word_length_bound_matches(zoo_g):
