@@ -204,7 +204,7 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     found: list = []  # per class, its solution keys
     for part, ker in solution_slabs(R, rows):
         of = [masks.setdefault(m.tobytes(), len(masks)) for m in np.packbits(ker, axis=1)]
-        found += [np.flatnonzero(ker[of.index(c)]).astype(key_t)
+        found += [ker[of.index(c)].nonzero()[0].astype(key_t)
                   for c in range(len(found), len(masks))]
         cls[rows[part]] = of
     size = np.array([len(k) for k in found])
@@ -249,12 +249,11 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     as many keys as there are columns has every column mapped once, into a
     table that its triples gather from; the others map each key where it is
     read, which costs less than finding the few keys they read twice, and
-    so does a slab that holds triples of both kinds.  A
-    triple holds iff its distinct images are exactly the keys of the class
-    of u*M: where the two classes have one size, iff its images, sorted
-    row by row, equal those keys; else (only on a corrupted table) by
-    comparing the sets.  A failing triple counts once for every pair it
-    stands for.
+    so does a slab that holds triples of both kinds.  A triple holds iff
+    its distinct images are exactly the keys of the class of u*M: where the
+    two classes have one size, iff its images, sorted row by row, equal
+    those keys; else (only on a corrupted table) by comparing the sets.  A
+    failing triple counts once for every pair it stands for.
     """
     n = R.size
     nn = n * n
@@ -277,7 +276,8 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
         return _pair_keys(tables, inverse[:, k], (v, w, v, w))
 
     entries, cols_at = size[ker_u], slot[ker_u]
-    # the row of u*M's keys in the table of u's size, or -1: another size
+    # the row of u*M's keys in the table of u's size, or -1: another size,
+    # compared after the slabs
     want_at = np.where(size[ker_um] == entries, slot[ker_um], -1)
     holds = np.zeros(len(counts), dtype=bool)
     ends = np.cumsum(np.bincount(g))[used]  # the triples of used[k] end at ends[k]
