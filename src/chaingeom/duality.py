@@ -171,7 +171,7 @@ def _pair_keys(tables, p, q) -> np.ndarray:
             + add.take(muln.take(p[2] + q[2]) + mul.take(p[3] + q[3])))
 
 
-def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
+def _kernel_triples(R: Ring, tables, gens, which, keys) -> tuple:
     """(triples, counts, classes): every distinct (generator index, class of
     u, class of u*M) of the pairs (M = gens[which[i]], u = the row of key
     keys[i]), as three sorted arrays, with the number of pairs each stands
@@ -181,9 +181,8 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     u*M share a class iff their solution_slabs masks are equal as bytes;
     classes are numbered in order of first row, whose mask gives the keys.
     The pairs go in slabs and keep only the key of u*M, in the dtype of a
-    key, and the triple code."""
+    key, and the triple code.  tables are R's _flat_tables."""
     n = R.size
-    tables = _flat_tables(R)
     key_t = tables[2].dtype
     m0, m1, m2, m3 = np.asarray(gens, dtype=key_t).reshape(-1, 4).T
     which, keys = np.asarray(which, dtype=np.intp), np.asarray(keys, dtype=np.intp)
@@ -225,14 +224,6 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     return (g, *np.divmod(rest, c)), counts, (size, slot, by_size)
 
 
-# The bytes a slab of covariance_failures holds at its peak (traced on
-# matrix2(3)): per image of a generator's table, the table and the terms of
-# its images; per solution key of a triple, the key, the terms and the
-# image mapped where it is read, and the key of u*M beside it
-_IMAGE_BYTES = 16
-_KEY_BYTES = 24
-
-
 def covariance_failures(R: Ring, gens, which, keys) -> int:
     """The number of pairs i, with repeats, where (u*M)-perp differs from
     M^-1 * (u-perp) as raw solution sets, for M = gens[which[i]] and the
@@ -242,24 +233,20 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     every row that occurs gets its kernel from one scan, and each distinct
     (generator, class of u, class of u*M) triple (_kernel_triples) is
     checked once, with every M^-1 from one mat_inverses call over the
-    distinct generators.  The generators go in groups, and the triples of a
-    group in slabs, one class size at a time: a triple's solution keys are
-    one row of the table of its size, and so are its images c -> M^-1 * c,
-    by flat takes on the operation tables.  A generator that reads at least
-    as many keys as there are columns has every column mapped once, into a
-    table that its triples gather from; the others map each key where it is
-    read, which costs less than finding the few keys they read twice, and
-    so does a slab that holds triples of both kinds.  A triple holds iff
-    its distinct images are exactly the keys of the class of u*M: where the
-    two classes have one size, iff its images, sorted row by row, equal
-    those keys; else (only on a corrupted table) by comparing the sets.  A
-    failing triple counts once for every pair it stands for.
+    distinct generators.  The triples go in slabs, one class size at a
+    time: a triple's solution keys are one row of the table of its size,
+    and so are its images c -> M^-1 * c, by flat takes on the operation
+    tables.  A triple holds iff its distinct images are exactly the keys of
+    the class of u*M: where the two classes have one size, iff its images,
+    sorted row by row, equal those keys; else (only on a corrupted table)
+    by comparing the sets.  A failing triple counts once for every pair it
+    stands for.
     """
     n = R.size
-    nn = n * n
     tables = _flat_tables(R)
     key_t = tables[2].dtype
-    (g, ker_u, ker_um), counts, (size, slot, by_size) = _kernel_triples(R, gens, which, keys)
+    triples, counts, (size, slot, by_size) = _kernel_triples(R, tables, gens, which, keys)
+    g, ker_u, ker_um = triples
     # M^-1 per generator, entries scaled by |R| as row offsets into the
     # flat tables: M^-1 * (v, w)^T = (i0*v + i1*w, i2*v + i3*w)
     used = np.flatnonzero(np.bincount(g, minlength=len(gens)))
@@ -280,28 +267,15 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     # compared after the slabs
     want_at = np.where(size[ker_um] == entries, slot[ker_um], -1)
     holds = np.zeros(len(counts), dtype=bool)
-    ends = np.cumsum(np.bincount(g))[used]  # the triples of used[k] end at ends[k]
-    tabled = np.zeros(len(gens), dtype=bool)  # the generators mapped by a table
-    tabled[used] = np.bincount(g, weights=entries)[used] >= nn
-    every = np.arange(nn, dtype=key_t)[None, :]
-    # a group's table, with the terms of its images, takes half the budget,
-    # and a slab of the group's triples the other half
-    for part in slabs(tabled[used] * (2 * _IMAGE_BYTES * nn)):
-        group = used[part]
-        t = np.arange(int(ends[part.start - 1]) if part.start else 0, int(ends[part.stop - 1]))
-        table = images(group[tabled[group]], every).ravel()
-        row = np.zeros(len(gens), dtype=np.intp)  # a generator's row of the table
-        row[group[tabled[group]]] = np.arange(np.count_nonzero(tabled[group])) * nn
-        for s in sorted(set(entries[t].tolist())):
-            of_size = t[entries[t] == s]
-            # per key of u: its image's terms, the image, u*M's key
-            for p in slabs(np.full(len(of_size), 2 * _KEY_BYTES * s)):
-                sel = of_size[p]
-                cols = by_size[s][cols_at[sel]]
-                image = (table.take(row[g[sel], None] + cols) if tabled[g[sel]].all()
-                         else images(g[sel], cols))
-                image.sort(axis=1)
-                holds[sel] = (image == by_size[s][want_at[sel]]).all(axis=1)
+    for s in sorted(set(entries.tolist())):
+        of_size = np.flatnonzero(entries == s)
+        # per solution key of a triple: the key, the terms of its image, the
+        # image and the key of u*M beside it
+        for p in slabs(np.full(len(of_size), 24 * s)):
+            sel = of_size[p]
+            image = images(g[sel], by_size[s][cols_at[sel]])
+            image.sort(axis=1)
+            holds[sel] = (image == by_size[s][want_at[sel]]).all(axis=1)
     # a class of u*M of another size than u's, on a corrupted table: the
     # triple holds iff its distinct images are the keys of that class
     for i in np.flatnonzero(want_at < 0).tolist():

@@ -388,9 +388,8 @@ def test_covariance_failures_keep_a_triple_of_a_colliding_generator():
     the kernel of (0, 2) and one of the kernel of (0, 3) to one column, yet
     maps each kernel to distinct columns, and the triple of (0, 2) holds:
     a check that failed every triple of a generator whose M^-1 collides on
-    the columns it reads would count it.  Given the two pairs alone (the
-    generator maps each key it reads) and every row (it maps every column
-    once), the one call counts what the row-by-row loop counts."""
+    the columns it reads would count it.  Given the two pairs alone and
+    every row, the one call counts what the row-by-row loop counts."""
     R = corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (0, 0), 3)
     gens = line_generators(R)
     Minv = reference.mat_invert(R, gens[2])
@@ -413,8 +412,7 @@ def covariance_cases():
     """(ring, gens, which, keys, loop count) of every m2f2 pair, of every
     pair of the corrupted dual2 ring of test_covariance_failures_counts_repeats,
     given twice, the second time in reverse order, and of every fifth pair
-    of that ring, where six of its eight generators read fewer keys than
-    there are columns."""
+    of that ring, where the generators read unlike sets of rows."""
     cases = []
     bad = corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (2, 2), 2)
     for R, take in ((build_ring(RingSpec("matrix2", 2)), "all"), (bad, "twice"),
@@ -435,17 +433,19 @@ def test_covariance_failures_are_exact_at_every_slab_size(covariance_cases, monk
                                                            budget):
     """Slab edges change nothing: with one triple per slab, with a budget
     a byte under one zero-row triple (|R|^2 solutions, at the cost the
-    check states per solution, the largest item of all its slabs() calls,
-    while smaller items share a slab), and at the default budget, the one
-    call counts what the row-by-row loop counts, repeats included."""
+    check states per solution, its largest triple, while triples of
+    smaller classes share a slab), and at the default budget, the one call
+    counts what the row-by-row loop counts, repeats included."""
     assert [count > 0 for *_, count in covariance_cases] == [False, True, True]
     for R, gens, which, keys, count in covariance_cases:
         if budget == "one-triple":
             monkeypatch.setattr(projline, "SCAN_SLAB", 1)
         elif budget is not None:
-            costs = slab_costs(lambda: covariance_failures(R, gens, which, keys), duality)
-            top = max(int(c.max()) for c in costs)
-            assert top % R.size ** 2 == 0 and min(int(c.min()) for c in costs) < top
+            # the pairs of _kernel_triples, then the triples of each class size
+            _, *triples = slab_costs(lambda: covariance_failures(R, gens, which, keys), duality)
+            per_key = sorted({int(c) for c in np.concatenate(triples)})
+            top = per_key[-1]
+            assert top % R.size ** 2 == 0 and per_key[0] < top
             monkeypatch.setattr(projline, "SCAN_SLAB", top - 1)
         assert covariance_failures(R, gens, which, keys) == count, (R.name, budget)
 

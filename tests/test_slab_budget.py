@@ -11,7 +11,8 @@ import pytest
 
 from chaingeom import compat, duality, projline
 from chaingeom.compat import _desargues_scan
-from chaingeom.duality import _kernel_triples, bidual_keys, covariance_failures, perp_keys
+from chaingeom.duality import (_flat_tables, _kernel_triples, bidual_keys, covariance_failures,
+                               perp_keys)
 from chaingeom.projline import distant_graph, line_generators, solution_slabs
 
 BUDGETS = (1 << 16, 1 << 18)
@@ -35,14 +36,10 @@ def kernels(g, plane, order):
     """Each slabbed kernel of the package as one call on the inputs of g:
     the solution-set driver as masks and as keys, both generator scans,
     the distant graph's solve, the kernel classes and the covariance check
-    (every 389th pair of matrix2(3), every pair of matrix2(2)), the check
-    again on every row of the first two generators, whose columns it maps
-    once each in a table, and the Desargues scan of the plane derive_plane
-    scans."""
+    (every 389th pair of matrix2(3), every pair of matrix2(2)), and the
+    Desargues scan of the plane derive_plane scans."""
     R = g.ring
     pairs = every_nth_pair(R, 389 if R.size > 16 else 1)
-    rows = np.tile(np.arange(R.size ** 2), 2)
-    two = line_generators(R), np.repeat([0, 1], R.size ** 2), rows
     admissible = np.flatnonzero(R._rows_ok.ravel())
     return {
         "solution_slabs": lambda: drain(solution_slabs(R, np.arange(R.size ** 2))),
@@ -50,9 +47,8 @@ def kernels(g, plane, order):
         "perp_keys": lambda: perp_keys(R, g.keys),
         "bidual_keys": lambda: bidual_keys(R, g.dual.keys),
         "mat_inverses": lambda: distant_graph(R, g.points),
-        "kernel_triples": lambda: _kernel_triples(R, *pairs),
+        "kernel_triples": lambda: _kernel_triples(R, _flat_tables(R), *pairs),
         "covariance": lambda: covariance_failures(R, *pairs),
-        "covariance_tables": lambda: covariance_failures(R, *two),
         "desargues": lambda: _desargues_scan(*plane, order == 9, 10 ** 7),
     }
 
@@ -70,7 +66,7 @@ def traced_peak(call) -> int:
 
 @pytest.mark.parametrize("kernel", ["solution_slabs", "solution_keys", "perp_keys",
                                     "bidual_keys", "mat_inverses", "kernel_triples",
-                                    "covariance", "covariance_tables", "desargues"])
+                                    "covariance", "desargues"])
 @pytest.mark.parametrize("name, order", [("m2f2", 4), ("m2f3", 9)])
 def test_slab_budget_holds(request, completed_planes, monkeypatch, name, order, kernel):
     call = kernels(request.getfixturevalue(f"{name}_g"), completed_planes[order],
