@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from chaingeom.rings import Ring, Subfield
-from chaingeom.projline import Point, VerificationError, sorted_rows
+from chaingeom.projline import VerificationError, sorted_rows
 
 
 def standard_chain(R: Ring, K: Subfield, dual: bool = False) -> np.ndarray:
@@ -37,28 +37,24 @@ def blocks_at(rows: np.ndarray, i: int) -> np.ndarray:
 
 
 class Residue(NamedTuple):
-    """The residue at the far point R(1, 0): the points distant from it,
-    and its blocks, the chains through it less that point, as point-index
-    rows and, coordinatized through R(x, 1) -> x, as the int array of
-    their coordinate rows in sorted_rows order."""
+    """The residue at the far point R(1, 0): its blocks, the chains through
+    it less that point, coordinatized through R(x, 1) -> x, as the int
+    array of their coordinate rows in sorted_rows order."""
 
     ring: Ring
     subfield: Subfield
-    points: tuple[Point, ...]
-    point_blocks: np.ndarray          # blocks as point-index rows
-    blocks: np.ndarray                # coordinate blocks as sorted_rows
+    blocks: np.ndarray
 
 
 def residue_at(geom) -> Residue:
     """The residue of the Geometry geom at its far point R(1, 0); its
-    chains through that point are the stabilizer orbit."""
-    R, K = geom.ring, geom.subfield
-    point_blocks = blocks_at(geom.chains_at_infinity, geom.far)
-    near = sorted(geom.graph.adj[geom.far])
-    if sorted(geom.affine.tolist()) != near:
+    chains through that point are the stabilizer orbit, and its points,
+    those distant from the far point, must be the R(x, 1)."""
+    R = geom.ring
+    if not np.array_equal(np.sort(geom.affine), np.flatnonzero(geom.graph.adj[geom.far])):
         raise VerificationError(
             f"{R.name}: x -> R(x, 1) is not a bijection onto the far-point residue")
     coord = np.full(len(geom.points), -1, dtype=np.intp)
     coord[geom.affine] = np.arange(R.size)
-    return Residue(R, K, tuple(geom.points[j] for j in near), point_blocks,
-                   sorted_rows(coord[point_blocks]))
+    return Residue(R, geom.subfield,
+                   sorted_rows(coord[blocks_at(geom.chains_at_infinity, geom.far)]))

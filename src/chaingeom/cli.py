@@ -19,7 +19,8 @@ A scenario config is JSON:
 Task names come from the registry below.  Every sampling option takes an
 explicit integer seed; reports are byte-identical for identical configs
 once the single volatile "timing" key is dropped.  Exit codes: 0 all tasks
-pass, 1 some task failed, 2 invalid config.
+pass, 1 some task failed, 2 invalid config (a key outside this layout
+included).
 """
 
 from __future__ import annotations
@@ -107,15 +108,25 @@ def _check_options(task: str, options: dict) -> None:
             raise ConfigError(f"option {key} of {task} must be at least 1")
 
 
+def _known_keys(what: str, obj: dict, keys) -> None:
+    """Raise ConfigError at the first key of obj outside keys: a misspelled
+    key must not run another scenario than the one asked for."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{what} takes no key {key!r}")
+
+
 def parse_config(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys("config", data, ("schema", "ring", "subfield", "tasks", "output"))
     # True == 1.0 == 1 in Python, so the schema's type must be int itself
     if type(data.get("schema")) is not int or data["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"schema must be the integer {SCHEMA_VERSION}")
     ring = data.get("ring")
     if not isinstance(ring, dict) or ring.get("family") not in FAMILIES:
         raise ConfigError("ring must be {family, q} with a known family")
+    _known_keys("ring", ring, ("family", "q"))
     # bool is a subclass of int: "q": true must not mean q = 1
     if not isinstance(ring.get("q"), int) or isinstance(ring["q"], bool):
         raise ConfigError("q must be an integer")
@@ -131,6 +142,7 @@ def parse_config(data: dict) -> ScenarioConfig:
             t = {"name": t}
         if not isinstance(t, dict) or t.get("name") not in TASKS:
             raise ConfigError(f"unknown task {t!r}")
+        _known_keys(f"task {t['name']}", t, ("name", "options"))
         options = t.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError("task options must be an object")
@@ -142,9 +154,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     output = data.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output must be an object")
+    _known_keys("output", output, ("report", "dot"))
     for key, value in output.items():
-        if key not in ("report", "dot"):
-            raise ConfigError(f"output takes no key {key!r}")
         if not isinstance(value, str) or not value:
             raise ConfigError(f"output {key} must be a non-empty string")
     return ScenarioConfig(RingSpec(ring["family"], ring["q"]), subfield,
@@ -165,16 +176,11 @@ def export_dot(graph, path: str) -> None:
     a component attribute per vertex, everything sorted by canonical key."""
     if not path:
         raise IOError("empty DOT output path")
+    label = [f'"({a},{b})"' for a, b in graph.points]
     lines = ["graph distant {"]
-    for p, comp in zip(graph.points, graph.component):
-        lines.append(f'  "({p[0]},{p[1]})" [component={comp}];')
-    seen = []
-    for i, p in enumerate(graph.points):
-        for j in sorted(graph.adj[i]):
-            if j > i:
-                q = graph.points[j]
-                seen.append(f'  "({p[0]},{p[1]})" -- "({q[0]},{q[1]})";')
-    lines.extend(seen)
+    lines += [f"  {v} [component={c}];" for v, c in zip(label, graph.component.tolist())]
+    i, j = np.nonzero(np.triu(graph.adj, 1))  # the edges i < j, row by row
+    lines += [f"  {label[a]} -- {label[b]};" for a, b in zip(i.tolist(), j.tolist())]
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 

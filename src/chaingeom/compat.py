@@ -430,11 +430,11 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
     # tables of the slab before and two more arrays like P while its own
     # are gathered
     row = 25 * m * m
-    rows = list(slabs(np.full(m, row)))
+    rows = list(slabs(m, row))
     tables = 24 * k * (k + 1) + 24 * m * m
     block = tables + max(tables + 48 * m * m, m * row)
     count = 0
-    for slab in slabs(np.full(n * len(triples), block)):
+    for slab in slabs(n * len(triples), block):
         O, t = np.divmod(np.arange(slab.start, slab.stop), len(triples))
         X = rest[O[:, None], triples[t]]  # block x line x point
         # joins XY on the sides (l1, l2), (l1, l3), (l2, l3); meets XY.X'Y'

@@ -189,7 +189,7 @@ def _kernel_triples(R: Ring, tables, gens, which, keys) -> tuple:
     images = np.empty(len(keys), dtype=key_t)  # u*M = (a*m0 + b*m2, a*m1 + b*m3)
     # per pair: its key, entries and offsets, the takes of u*M and the intp
     # copy of an index, or the terms of its code
-    chunks = list(slabs(np.full(len(keys), 40)))
+    chunks = list(slabs(len(keys), 40))
     for part in chunks:
         w, u = which[part], keys[part].astype(key_t)
         b = u % n
@@ -271,7 +271,7 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
         of_size = np.flatnonzero(entries == s)
         # per solution key of a triple: the key, the terms of its image, the
         # image and the key of u*M beside it
-        for p in slabs(np.full(len(of_size), 24 * s)):
+        for p in slabs(len(of_size), 24 * s):
             sel = of_size[p]
             image = images(g[sel], by_size[s][cols_at[sel]])
             image.sort(axis=1)

@@ -218,19 +218,19 @@ def enumerate_points(R: Ring, dual: bool = False) -> tuple[Point, ...]:
 
 
 class DistantGraph(NamedTuple):
-    """Distant graph with components and the (shared) diameter."""
+    """Distant graph: the read-only boolean adjacency matrix over the
+    points, the component of every point (numbered in order of least
+    member) and the (shared) diameter."""
 
-    ring: Ring
     points: tuple[Point, ...]
-    adj: list[frozenset]
-    component: list[int]
+    adj: np.ndarray
+    component: np.ndarray
     n_components: int
     diameter: int
-    dist_from_infinity: dict
 
     @property
     def n_edges(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return int(self.adj.sum()) // 2
 
 
 # The one memory budget of the batch kernels: every byte that one slab of
@@ -242,19 +242,16 @@ class DistantGraph(NamedTuple):
 SCAN_SLAB = 7 << 16
 
 
-def slabs(costs):
-    """Consecutive slices of the items, each the longest run whose summed
-    cost stays within SCAN_SLAB (read at every call), or one item that
-    alone costs more.  An item's cost is every byte its slab holds for it
-    at the slab's peak: the arrays of the item, the temporaries numpy
-    makes on the way, and what the slab before still binds."""
-    ends = np.cumsum(costs)
-    start = 0
-    while start < len(ends):
-        spent = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(ends.searchsorted(spent + SCAN_SLAB, side="right")))
-        yield slice(start, stop)
-        start = stop
+def slabs(count: int, cost: int):
+    """Consecutive slices of count items of cost bytes each: as many items
+    as fit within SCAN_SLAB (read at every call), or one item that alone
+    costs more; items that cost nothing share one slab.  An item's cost is
+    every byte its slab holds for it at the slab's peak: the arrays of the
+    item, the temporaries numpy makes on the way, and what the slab before
+    still binds."""
+    step = max(1, SCAN_SLAB // cost if cost else count)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def padded_rows(mask: np.ndarray) -> np.ndarray:
@@ -293,7 +290,7 @@ def solution_slabs(R: Ring, keys, dual: bool = False, as_keys: bool = False,
     neg = R._neg_a.astype(small)
     a, b = np.divmod(np.asarray(keys, dtype=np.intp), n)
     build = n * n + (72 * n if as_keys else 16 * n)
-    for part in slabs(np.full(len(a), (8 * n if as_keys else n * n) + max(held, build))):
+    for part in slabs(len(a), (8 * n if as_keys else n * n) + max(held, build)):
         mask = products[a[part], :, None] == neg[products[b[part], None, :]]
         mask = mask.reshape(len(mask), n * n)
         if as_keys:
@@ -372,18 +369,16 @@ def mat_inverses(R: Ring, mats) -> np.ndarray:
     return out
 
 
-def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.ndarray]:
+def _bfs_levels(adj: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Breadth-first search from every vertex at once, by boolean products.
 
     After step k, reach[v] holds the vertices within distance k of v; the
     eccentricity of v is the last step that grew its row.  Returns the
-    component of every vertex (numbered in order of least member), the
-    diameter of every component, and the distance from src (-1 if
-    unreachable).
+    component of every vertex (numbered in order of least member) and the
+    diameter of every component.
     """
     reach = np.eye(len(adj), dtype=bool)
     ecc = np.zeros(len(adj), dtype=np.intp)
-    dist = np.where(reach[src], 0, -1)
     step = 0
     while True:
         nxt = reach | (reach @ adj)
@@ -392,11 +387,10 @@ def _bfs_levels(adj: np.ndarray, src: int) -> tuple[list[int], list[int], np.nda
             break
         step += 1
         ecc[grew] = step
-        dist[nxt[src] & ~reach[src]] = step
         reach = nxt
     roots, component = np.unique(reach.argmax(axis=1), return_inverse=True)
     diameters = [int(ecc[component == c].max()) for c in range(len(roots))]
-    return component.tolist(), diameters, dist
+    return component, diameters
 
 
 def distant_graph(R: Ring, pts: tuple[Point, ...]) -> DistantGraph:
@@ -419,20 +413,12 @@ def distant_graph(R: Ring, pts: tuple[Point, ...]) -> DistantGraph:
     stacked = np.hstack([P.take(i, axis=0), P.take(j, axis=0)])  # (p_i; p_j)
     adj[i, j] = mat_inverses(R, stacked)[:, 0] >= 0
     adj |= adj.T
-    component, diameters, dist = _bfs_levels(adj, pts.index(infinity(R)))
+    adj.flags.writeable = False
+    component, diameters = _bfs_levels(adj)
     if len(set(diameters)) != 1:
         raise VerificationError(f"{R.name}: components disagree on diameter: {diameters}")
-    ends = np.cumsum(adj.sum(axis=1)).tolist()
-    neighbours = np.nonzero(adj)[1].tolist()  # row by row
-    return DistantGraph(
-        ring=R,
-        points=pts,
-        adj=[frozenset(neighbours[s:e]) for s, e in zip([0] + ends, ends)],
-        component=component,
-        n_components=len(diameters),
-        diameter=diameters[0],
-        dist_from_infinity={pts[j]: int(dist[j]) for j in np.flatnonzero(dist >= 0)},
-    )
+    return DistantGraph(points=pts, adj=adj, component=component,
+                        n_components=len(diameters), diameter=diameters[0])
 
 
 # elementary words ----------------------------------------------------------

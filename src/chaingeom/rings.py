@@ -600,18 +600,13 @@ def _greedy_generators(candidates, start: int, images, order: int) -> tuple[int,
 # ring maps ---------------------------------------------------------------
 
 class RingMap(NamedTuple):
-    """A verified ring isomorphism or antiisomorphism given as a table.
-
-    For kind "antiisomorphism" the table reverses products.  conjugator, if
-    set, is a unit u' of the target with image(K) = u'^-1 K' u' for the
-    distinguished subfields of the geometries under study.
-    """
+    """A verified ring isomorphism or antiisomorphism given as a table; for
+    kind "antiisomorphism" the table reverses products."""
 
     source: Ring
     target: Ring
     table: tuple[int, ...]
     kind: str
-    conjugator: Optional[int] = None
 
     def __call__(self, a: int) -> int:
         return self.table[a]
@@ -641,10 +636,8 @@ def verify_ring_map(m: RingMap) -> None:
         raise RingMapError(f"{law} fails at ({a}, {b})")
 
 
-def make_ring_map(source: Ring, target: Ring, func, kind: str,
-                  conjugator: Optional[int] = None) -> RingMap:
-    m = RingMap(source, target, tuple(func(a) for a in source.elements()),
-                kind, conjugator)
+def make_ring_map(source: Ring, target: Ring, func, kind: str) -> RingMap:
+    m = RingMap(source, target, tuple(func(a) for a in source.elements()), kind)
     verify_ring_map(m)
     return m
 

@@ -6,7 +6,8 @@ per-element field tables GF and digit formulas of the ring families, the
 unit-closure loop of verify_axioms, the bucketed scalar column solve
 mat_invert (with mat_mul) that projline.mat_inverses is held to, the
 dict-bucket annihilator scan with its cyclic-generator loops, the
-per-module covariance law, the distant relation by matrix inversion, a
+per-module covariance law, the distant relation by matrix inversion with
+plain breadth-first searches over a graph's boolean matrix, a
 breadth-first search for point words, the four matrix
 actions on single rows and columns, the loops the compatibility kernels
 and the Desargues scan replaced, the paper's laws on induced maps with
@@ -21,11 +22,14 @@ changes one entry of a fresh ring's operation table,
 one call, `uniform_bytes` is the byte-by-byte form of the sampled word
 draw, `point_sets`, `row_set` and `point_map` read index rows and index
 permutations as sets and dicts of points, and `tables` gives the scalar
-loops a ring's operation arrays as nested tuples, and `slab_costs` the
-item costs a kernel states to the one slab budget.
+loops a ring's operation arrays as nested tuples, `slab_costs` the
+item counts and costs a kernel states to the one slab budget, and
+`changed_keys` the keys where a negative control's report differs from
+the clean one.
 """
 
 import random
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -341,6 +345,39 @@ def is_column_admissible(R, v, w):
 def distant(R, p, q):
     """True iff the stacked representatives form a matrix in GL2(R)."""
     return mat_invert(R, (p[0], p[1], q[0], q[1])) is not None
+
+
+def pairwise_adjacency(R, pts, pairs):
+    """{(i, j): whether pts[i] and pts[j] are distant} over the index pairs,
+    in their order."""
+    return {(i, j): distant(R, pts[i], pts[j]) for i, j in pairs}
+
+
+def reference_bfs(adj, src):
+    """Plain breadth-first search over the boolean adjacency matrix adj, the
+    loop the boolean-product levels replaced: {vertex: distance} for every
+    vertex reachable from src."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y in np.flatnonzero(adj[x]).tolist():
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def reference_levels(adj):
+    """(component per vertex numbered by least member, diameter per
+    component) from one plain BFS per vertex."""
+    n = len(adj)
+    runs = [reference_bfs(adj, v) for v in range(n)]
+    roots = sorted({min(run) for run in runs})
+    component = [roots.index(min(runs[v])) for v in range(n)]
+    diameters = [max(max(runs[v].values()) for v in range(n) if component[v] == c)
+                 for c in range(len(roots))]
+    return component, diameters
 
 
 def invertible_completions(R, a, b, side):
@@ -890,14 +927,20 @@ def word_sweep(holds, ws):
     return checks, len(failing), (failing[0] if failing else None)
 
 
+def changed_keys(clean: dict, bad: dict) -> set:
+    """The report keys where two reports differ."""
+    return {k for k in clean.keys() | bad.keys() if clean.get(k) != bad.get(k)}
+
+
 def slab_costs(call, module) -> list:
-    """The costs of every slabs() call that call makes from module, in
-    order: the item costs each kernel states to the one slab budget."""
+    """The (count, cost) of every slabs() call that call makes from module,
+    in order: the items and the cost per item each kernel states to the
+    one slab budget."""
     seen, real = [], projline.slabs
 
-    def spy(costs):
-        seen.append(np.asarray(costs))
-        return real(costs)
+    def spy(count, cost):
+        seen.append((count, cost))
+        return real(count, cost)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "slabs", spy)

@@ -156,7 +156,7 @@ def test_criterion_8_graph_fixtures(zoo_g, f4_g, dual2_g, m2f2_g):
         assert len(f4_g.chains) == 10
         g = dual2_g.graph
         assert len(g.points) == 6 and g.diameter == 2 and g.n_components == 1
-        assert g.n_edges == 12 and all(len(s) == 4 for s in g.adj)  # octahedron
+        assert g.n_edges == 12 and g.adj.sum(axis=1).tolist() == [4] * 6  # octahedron
         g = m2f2_g.graph
         assert len(g.points) == 35 and g.n_components == 1 and g.diameter == 2
         for geom in zoo_g:

@@ -19,16 +19,17 @@ from chaingeom.cli import (
 )
 from chaingeom.projline import enumerate_points
 
-from reference import corrupt
+from reference import corrupt, pairwise_adjacency, reference_levels
 
 
-def small_config(tmp_path, tasks, ring=None, output=None):
+def small_config(tmp_path, tasks, ring=None, output=None, **extra):
     data = {
         "schema": 1,
         "ring": ring or {"family": "finite-field", "q": 4},
         "subfield": "prime" if ring is None else "scalar",
         "tasks": tasks,
         "output": output or {},
+        **extra,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
@@ -209,6 +210,28 @@ def test_dot_export(tmp_path, f4_g, dual2_g):
         export_dot(g, "")
 
 
+@pytest.mark.parametrize("name", ["f4", "dual2", "m2f2"])
+def test_dot_text_matches_the_pairwise_graph(request, tmp_path, name):
+    """The whole DOT text, byte for byte, against the scalar mat_invert on
+    every pair and one plain BFS per point: a node line per point with its
+    component, then an edge line per distant pair i < j, row by row."""
+    g = request.getfixturevalue(f"{name}_g")
+    pts = g.points
+    pairs = pairwise_adjacency(g.ring, pts, itertools.combinations(range(len(pts)), 2))
+    adj = np.zeros((len(pts), len(pts)), dtype=bool)
+    for (i, j), edge in pairs.items():
+        adj[i, j] = adj[j, i] = edge
+    component, _ = reference_levels(adj)
+    label = [f'"({a},{b})"' for a, b in pts]
+    want = (["graph distant {"]
+            + [f"  {v} [component={c}];" for v, c in zip(label, component)]
+            + [f"  {label[i]} -- {label[j]};" for (i, j), edge in pairs.items() if edge]
+            + ["}"])
+    path = tmp_path / f"{name}.dot"
+    export_dot(g.graph, str(path))
+    assert path.read_text() == "\n".join(want) + "\n"
+
+
 def test_dot_byte_stable(tmp_path, f4_g):
     g = f4_g.graph
     p1, p2 = tmp_path / "a.dot", tmp_path / "b.dot"
@@ -236,6 +259,26 @@ def test_bad_option_is_config_error(tmp_path, task, options):
     with pytest.raises(ConfigError):
         load_config(str(path))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("task, ring, extra", [
+    # a misspelled options key must not run the task with its defaults
+    ({"name": "duality-suite", "option": {"samples": 0, "seed": -5}}, None, {}),
+    ({"name": "enumerate-points", "options": {}, "note": "x"}, None, {}),
+    ({"name": "enumerate-points"}, {"family": "finite-field", "q": 4, "Q": 4}, {}),
+    ({"name": "enumerate-points"}, None, {"outputs": {"report": "x.json"}}),
+    ({"name": "enumerate-points"}, None, {"subfields": "prime"}),
+], ids=["task-option", "task-note", "ring-Q", "outputs", "subfields"])
+def test_unknown_key_is_config_error(tmp_path, task, ring, extra):
+    """A key outside the config's layout, in a task object, in ring or at
+    the top level, fails before any task runs, as an unknown output key
+    does."""
+    path = small_config(tmp_path, [task], ring=ring, **extra)
+    with pytest.raises(ConfigError, match="takes no key"):
+        load_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("q", [True, "4", None])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaingeom import compat, projline
+from chaingeom import compat, projline, suites
 from chaingeom.projline import (
     VerificationError,
     infinity,
@@ -42,7 +42,8 @@ from chaingeom.rings import (
 )
 
 import reference
-from reference import apply_matrix, corrupt, point_sets, slab_costs, validate_partial_affine
+from reference import (apply_matrix, changed_keys, corrupt, point_sets, slab_costs,
+                       validate_partial_affine)
 
 
 def as_blocks(rows) -> frozenset:
@@ -195,6 +196,61 @@ def test_uK_dually_compatible_but_not_compatible(m2f3_g):
     dual_of_k = next(c for c in m2f3_g.dual_compat_classes if kblock in c.blocks.tolist())
     assert uK not in compat_of_k.blocks.tolist()
     assert uK in dual_of_k.blocks.tolist()
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
+def test_vergleich_with_a_shifted_perp_fails_points_fixed(request, name):
+    """Negative control: a fresh Geometry whose perp sends R(x, 1) to the
+    annihilator of R(x + 1, 1) no longer fixes the residue points.  The
+    shift maps every block to a block of its own class, so only
+    points_fixed and ok move."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = vergleich_report(g)
+    assert clean["ok"] and clean["points_fixed"]
+    R = g.ring
+    shifted = Geometry(R, g.subfield)
+    perp = g.perp.copy()
+    perp[g.affine] = g.perp[g.affine[R._add_a[np.arange(R.size), R.one]]]
+    shifted.perp = perp
+    rep = vergleich_report(shifted)
+    assert not rep["points_fixed"] and not rep["ok"]
+    assert changed_keys(clean, rep) == {"points_fixed", "ok"}
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
+def test_vergleich_without_a_dual_chain_fails_blocks_equal(request, name):
+    """Negative control: a fresh Geometry whose dual chains through the far
+    dual point lack their first row has one dual block too few; only
+    blocks_equal and ok move."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = vergleich_report(g)
+    assert clean["ok"] and clean["blocks_equal"]
+    fewer = Geometry(g.ring, g.subfield)
+    fewer.dual.chains_at_infinity = g.dual.chains_at_infinity[1:]
+    rep = vergleich_report(fewer)
+    assert not rep["blocks_equal"] and not rep["ok"]
+    assert changed_keys(clean, rep) == {"blocks_equal", "ok"}
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
+def test_partial_affine_with_a_pair_joined_twice_fails_exactly_one_block(
+        request, name, monkeypatch):
+    """Negative control: joins_unit_pairs_once failing on the first class
+    turns exactly_one_block_per_class and ok false, and the partial_affine
+    verdict of that class, and of no other."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.partial_affine_report(g)
+    assert clean["ok"] and clean["exactly_one_block_per_class"]
+    first = g.compat_classes[0].blocks
+    monkeypatch.setattr(suites, "joins_unit_pairs_once",
+                        lambda R, blocks: blocks is not first
+                        and joins_unit_pairs_once(R, blocks))
+    rep = suites.partial_affine_report(g)
+    assert not rep["exactly_one_block_per_class"] and not rep["ok"]
+    assert changed_keys(clean, rep) == {"exactly_one_block_per_class", "ok", "classes"}
+    assert [c["partial_affine"] for c in rep["classes"]] == [
+        False] + [c["partial_affine"] for c in clean["classes"][1:]]
+    assert [{**c, "partial_affine": True} for c in rep["classes"]] == clean["classes"]
 
 
 def test_residue_comparison_zoo(zoo_g):
@@ -599,9 +655,10 @@ def test_desargues_kernel_is_exact_at_every_slab_size(completed_planes, monkeypa
     for order, (points, lines) in sorted(completed_planes.items()):
         if rows is not None:
             m = order * (order - 1)  # ordered pairs on a line less its center
-            row, block = slab_costs(lambda: _desargues_scan(points, lines, True, 0), compat)
-            assert len(row) == m and block[0] >= m * row[0] > 5 * row[0]
-            monkeypatch.setattr(projline, "SCAN_SLAB", rows * int(row[0]))
+            (per_block, row), (_, block) = slab_costs(
+                lambda: _desargues_scan(points, lines, True, 0), compat)
+            assert per_block == m and block >= m * row > 5 * row
+            monkeypatch.setattr(projline, "SCAN_SLAB", rows * row)
         if order == 4:
             for mode in (False, True):
                 assert _desargues_scan(points, lines, mode, 10 ** 7) == (None, 362_880)

@@ -443,7 +443,7 @@ def test_covariance_failures_are_exact_at_every_slab_size(covariance_cases, monk
         elif budget is not None:
             # the pairs of _kernel_triples, then the triples of each class size
             _, *triples = slab_costs(lambda: covariance_failures(R, gens, which, keys), duality)
-            per_key = sorted({int(c) for c in np.concatenate(triples)})
+            per_key = sorted({cost for count, cost in triples if count})
             top = per_key[-1]
             assert top % R.size ** 2 == 0 and per_key[0] < top
             monkeypatch.setattr(projline, "SCAN_SLAB", top - 1)

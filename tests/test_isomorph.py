@@ -44,6 +44,7 @@ from reference import (
     antiiso_dual_to_point,
     apply_matrix,
     as_pairs,
+    changed_keys,
     iso_point_map,
     make_dual_point,
     point_map,
@@ -255,6 +256,43 @@ def test_sigma_with_two_affine_points_swapped_fails_chains_ok(name, request, mon
                         lambda m, geom: swap[antiiso_point_table(m, geom)])
     rep = suites.sigma_suite(g)
     assert not rep["chains_ok"] and not rep["ok"]
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_sigma_that_moves_the_far_point_fails_far_point_fixed(name, request, monkeypatch):
+    """Negative control: sigma followed by the transposition of R(1, 0) and
+    R(0, 1) moves the far point.  far_point_fixed and ok turn false, and so
+    do the word formulas at every word point the swap moves, and chains_ok."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.sigma_suite(g)
+    assert clean["ok"] and clean["far_point_fixed"]
+    swap = np.arange(len(g.points))
+    swap[[g.far, g.affine[0]]] = swap[[g.affine[0], g.far]]
+    monkeypatch.setattr(suites, "antiiso_point_table",
+                        lambda m, geom: swap[antiiso_point_table(m, geom)])
+    rep = suites.sigma_suite(g)
+    assert not rep["far_point_fixed"] and not rep["ok"]
+    assert changed_keys(clean, rep) == {"far_point_fixed", "ok", "chains_ok",
+                                        "word_formula_mismatches",
+                                        "word_formula_first_mismatch"}
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
+def test_sigma_with_the_compatibility_verdict_flipped_fails_criterion_consistent(
+        name, request, monkeypatch):
+    """Negative control: preserves_compatibility answering the opposite of
+    itself breaks the criterion, on a ring whose units are normal in K*
+    (matrix2(2), F4) and on one whose are not (matrix2(3)); only
+    compatibility_preserved, criterion_consistent and ok move."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.sigma_suite(g)
+    assert clean["ok"] and clean["criterion_consistent"]
+    monkeypatch.setattr(suites, "preserves_compatibility",
+                        lambda m, a, b: not preserves_compatibility(m, a, b))
+    rep = suites.sigma_suite(g)
+    assert not rep["criterion_consistent"] and not rep["ok"]
+    assert changed_keys(clean, rep) == {"compatibility_preserved", "criterion_consistent",
+                                        "ok"}
 
 
 def test_residue_restriction_of_induced_maps(zoo_g):

@@ -1,5 +1,4 @@
 import itertools
-from collections import deque
 
 import numpy as np
 import pytest
@@ -40,7 +39,10 @@ from reference import (
     line_perms,
     mat_mul,
     mat_times_col,
+    pairwise_adjacency,
     point_words,
+    reference_bfs,
+    reference_levels,
     row_times_mat,
 )
 import reference
@@ -277,13 +279,8 @@ def test_distant_gl_invariant(zoo_g):
     automorphism of the distant graph."""
     for geom in zoo_g:
         g = geom.graph
-        for perm in line_perms(geom).tolist():
-            for i in range(len(g.points)):
-                assert g.adj[perm[i]] == frozenset(perm[j] for j in g.adj[i])
-
-
-def _pairwise_adjacency(R, pts, pairs):
-    return {(i, j): distant(R, pts[i], pts[j]) for i, j in pairs}
+        for perm in line_perms(geom):
+            assert np.array_equal(g.adj[np.ix_(perm, perm)], g.adj)
 
 
 def test_kernel_adjacency_matches_pairwise_distant_small(small_rings):
@@ -292,8 +289,8 @@ def test_kernel_adjacency_matches_pairwise_distant_small(small_rings):
     for R in small_rings:
         g = distant_graph(R, enumerate_points(R))
         n = len(g.points)
-        want = _pairwise_adjacency(R, g.points, [(i, j) for i in range(n) for j in range(n)])
-        assert {(i, j): j in g.adj[i] for i in range(n) for j in range(n)} == want, R.name
+        want = pairwise_adjacency(R, g.points, [(i, j) for i in range(n) for j in range(n)])
+        assert {(i, j): bool(g.adj[i, j]) for i in range(n) for j in range(n)} == want, R.name
 
 
 def test_kernel_adjacency_matches_pairwise_distant_m2f3(m2f3, m2f3_g):
@@ -301,71 +298,39 @@ def test_kernel_adjacency_matches_pairwise_distant_m2f3(m2f3, m2f3_g):
     n = len(g.points)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     assert len(pairs) == 8385
-    want = _pairwise_adjacency(m2f3, g.points, pairs)
-    assert {(i, j): j in g.adj[i] for i, j in pairs} == want
-    assert all(i not in g.adj[i] for i in range(n))
+    want = pairwise_adjacency(m2f3, g.points, pairs)
+    assert {(i, j): bool(g.adj[i, j]) for i, j in pairs} == want
+    assert not g.adj.diagonal().any()
     assert g.n_edges == sum(want.values())
 
 
-def reference_bfs(adj, src):
-    """Plain breadth-first search, the loop the boolean-product levels
-    replaced: {vertex: distance} for every vertex reachable from src."""
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(adj[x]):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
-def reference_levels(adj, src):
-    """(component per vertex numbered by least member, diameter per
-    component, distances from src) from one plain BFS per vertex."""
-    n = len(adj)
-    runs = [reference_bfs(adj, v) for v in range(n)]
-    roots = sorted({min(run) for run in runs})
-    component = [roots.index(min(runs[v])) for v in range(n)]
-    diameters = [max(max(runs[v].values()) for v in range(n) if component[v] == c)
-                 for c in range(len(roots))]
-    return component, diameters, runs[src]
-
-
 def test_graph_levels_match_reference_bfs(zoo_g, small_rings):
-    """Components, diameter and distances from R(1, 0) agree with one plain
-    BFS per point, on every zoo ring and every ring of at most 16 elements."""
-    graphs = [g.graph for g in zoo_g] + [distant_graph(R, enumerate_points(R))
-                                        for R in small_rings]
-    for g in graphs:
-        R = g.ring
-        component, diameters, dist = reference_levels(g.adj, g.points.index(infinity(R)))
-        assert g.component == component, R.name
+    """Components and diameter agree with one plain BFS per point, on every
+    zoo ring and every ring of at most 16 elements; the adjacency is the
+    read-only boolean matrix."""
+    graphs = [(g.ring, g.graph) for g in zoo_g] + [
+        (R, distant_graph(R, enumerate_points(R))) for R in small_rings]
+    for R, g in graphs:
+        assert g.adj.dtype == bool and not g.adj.flags.writeable, R.name
+        component, diameters = reference_levels(g.adj)
+        assert g.component.tolist() == component, R.name
         assert g.n_components == len(diameters) and {g.diameter} == set(diameters), R.name
-        assert g.dist_from_infinity == {g.points[j]: d for j, d in dist.items()}, R.name
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
-    st.integers(0, n - 1), st.just(n))))
+    st.just(n))))
 def test_bfs_levels_match_reference_on_any_graph(graph):
     """The boolean-product levels on arbitrary undirected graphs, most of
     them disconnected, against the plain BFS reference."""
-    edges, src, n = graph
-    adj = [set() for _ in range(n)]
+    edges, n = graph
     matrix = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
             matrix[i, j] = matrix[j, i] = True
-    component, diameters, dist = _bfs_levels(matrix, src)
-    want_component, want_diameters, want_dist = reference_levels(adj, src)
-    assert (component, diameters) == (want_component, want_diameters)
-    assert {j: int(d) for j, d in enumerate(dist) if d >= 0} == want_dist
-    assert all(d == -1 for j, d in enumerate(dist) if j not in want_dist)
+    component, diameters = _bfs_levels(matrix)
+    assert (component.tolist(), diameters) == reference_levels(matrix)
 
 
 CORRUPT_F4_GRAPH = """
@@ -407,12 +372,6 @@ def pairwise_distant(R, pts):
     return adj | adj.T
 
 
-def graph_adjacency(R, pts):
-    """The adjacency of distant_graph on the points pts, as a boolean matrix."""
-    adj = distant_graph(R, pts).adj
-    return np.array([[j in row for j in range(len(pts))] for row in adj])
-
-
 def test_distant_kernel_under_every_corrupted_f4_product(f4):
     """Every single corrupted product of F4, on the clean ring's points: the
     batched kernel gives mat_invert's adjacency, raises its left-inverse
@@ -426,7 +385,7 @@ def test_distant_kernel_under_every_corrupted_f4_product(f4):
         R = corrupt(FiniteFieldRing(f4.spec), "mul", (a, b), value)
         want = pairwise_distant(R, pts)
         try:
-            got = graph_adjacency(R, pts)
+            got = distant_graph(R, pts).adj
         except VerificationError as exc:
             got = str(exc)
         if isinstance(got, str) and "solutions, not" in got:
@@ -451,8 +410,7 @@ def test_graph_dual2_octahedron(dual2_g):
     assert len(g.points) == 6 and g.n_edges == 12
     assert g.diameter == 2 and g.n_components == 1
     # octahedron: every vertex misses exactly one other
-    for i in range(6):
-        assert len(g.adj[i]) == 4
+    assert g.adj.sum(axis=1).tolist() == [4] * 6
 
 
 def test_graph_m2f2(m2f2_g):
@@ -468,8 +426,7 @@ def test_graph_m2f3(m2f3_g):
 def test_graph_prod22(prod22_g):
     g = prod22_g.graph
     assert len(g.points) == 9 and g.n_components == 1 and g.diameter == 2
-    for i in range(9):
-        assert len(g.adj[i]) == 4
+    assert g.adj.sum(axis=1).tolist() == [4] * 9
 
 
 def test_word_point_basics(f4, dual2, m2f2):
@@ -495,11 +452,12 @@ def test_point_word_lengths_match_graph_distance(zoo_g):
         R, g = geom.ring, geom.graph
         bound = max(2, g.diameter)
         words = point_words(R)
+        dist = {g.points[j]: d for j, d in reference_bfs(g.adj, geom.far).items()}
         for p in g.points:
             w = words.get(p)
-            if p in g.dist_from_infinity:
+            if p in dist:
                 assert w is not None and len(w) <= bound
-                assert len(w) == g.dist_from_infinity[p]
+                assert len(w) == dist[p]
                 assert word_point(R, w) == p
             else:
                 assert w is None
@@ -535,35 +493,38 @@ def test_index_of_refuses_a_key_outside_the_set(zoo_g):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 60))
-def test_slabs_cover_the_items_within_the_budget(costs, budget):
+@given(st.integers(0, 30), st.integers(0, 40), st.integers(1, 60))
+def test_slabs_cover_the_items_within_the_budget(count, cost, budget):
     """slabs, with SCAN_SLAB patched after import, covers every item once
     and in order.  A slab goes over the budget only as a single item, an
     item that costs more than the budget has a slab of its own, and the
     next item would not fit into the slab before it."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(projline, "SCAN_SLAB", budget)
-        parts = list(slabs(np.array(costs, dtype=np.intp)))
-    assert [i for part in parts for i in range(len(costs))[part]] == list(range(len(costs)))
+        parts = list(slabs(count, cost))
+    assert [i for part in parts for i in range(count)[part]] == list(range(count))
     for part in parts:
-        assert sum(costs[part]) <= budget or part.stop - part.start == 1
-    for i, cost in enumerate(costs):
+        assert cost * (part.stop - part.start) <= budget or part.stop - part.start == 1
+    for i in range(count):
         assert cost <= budget or slice(i, i + 1) in parts
     for part, after in zip(parts, parts[1:]):
-        assert sum(costs[part]) + costs[after.start] > budget
+        assert cost * (part.stop - part.start) + cost > budget
 
 
 def test_slabs_of_nothing_and_at_the_default_budget(monkeypatch):
     """The slices at a budget of 2^16 bytes, patched, and at the default:
-    an item over the budget alone, one at the budget alone, and the rest
-    packed up to it."""
-    assert list(slabs(np.array([], dtype=np.intp))) == []
+    items over the budget alone, items at the budget alone, the rest
+    packed up to it, and items that cost nothing in one slab."""
+    assert list(slabs(0, 1)) == []
     assert projline.SCAN_SLAB == 7 << 16
-    assert list(slabs(np.full(20, 1 << 16))) == [slice(0, 7), slice(7, 14), slice(14, 20)]
-    assert list(slabs([1 << 19, 1, 7 << 16])) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(slabs(20, 1 << 16)) == [slice(0, 7), slice(7, 14), slice(14, 20)]
+    assert list(slabs(3, 1 << 19)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(slabs(3, 7 << 16)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(slabs(5, 0)) == [slice(0, 5)]
     monkeypatch.setattr(projline, "SCAN_SLAB", 1 << 16)
-    assert list(slabs(np.full(20, 6561))) == [slice(0, 9), slice(9, 18), slice(18, 20)]
-    assert list(slabs([1 << 17, 1, 1 << 16])) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(slabs(20, 6561)) == [slice(0, 9), slice(9, 18), slice(18, 20)]
+    assert list(slabs(3, 1 << 17)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(slabs(3, 1 << 16)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def reference_orbit(seeds, perms):

@@ -74,9 +74,9 @@ def test_slab_budget_holds(request, completed_planes, monkeypatch, name, order, 
     item = []
     real = projline.slabs
 
-    def priced(costs):
-        item.append(int(np.max(costs, initial=0)))
-        return real(costs)
+    def priced(count, cost):
+        item.append(cost if count else 0)
+        return real(count, cost)
 
     for module in (projline, duality, compat):
         monkeypatch.setattr(module, "slabs", priced)

@@ -6,7 +6,7 @@ function writes to and no `__init__` that sets up a memo of its own
 property, not to the process), no top-level function or class that only the tests call, and
 no trace of the per-element ring table machinery that the operation
 arrays replaced, and no frozenset where chains, residues and classes are
-sorted index rows."""
+sorted index rows and the distant graph is a boolean matrix."""
 
 import ast
 import re
@@ -45,7 +45,10 @@ ALLOWED_UNREACHED = {
 # the opposite ring and the chain rows, and the second-conjugate loop, which
 # are cached properties and Subfield.conjugates now; and the dual line's
 # twins of the line's kernels and attributes, which are the one Line and
-# its kernels on their dual side
+# its kernels on their dual side; and the distant graph's distances from
+# the far point and the residue's point-index blocks, which nothing read:
+# a distance is a BFS over the adjacency matrix, and the residue's blocks
+# are its coordinate rows
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
                            r"|_add_t|_mul_t|_neg_t"
                            r"|transported_partition|_ordered_pairs"
@@ -53,10 +56,11 @@ DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_l
                            r"|_chain_rows|_opposite|chain_rows|second_conjugate"
                            r"|col_images|enumerate_dual_points|_checked_orbit|_dual_seed"
                            r"|point_keys|point_index|dual_keys|dual_index|dual_perms"
-                           r"|dual_chains\w*)\b")
+                           r"|dual_chains\w*|dist_from_infinity|point_blocks)\b")
 
-# the modules whose sets of blocks, chains and classes are sorted index rows
-ROW_MODULES = ("chains.py", "compat.py", "isomorph.py")
+# the modules whose sets of blocks, chains and classes are sorted index
+# rows, and the one whose distant graph is a boolean matrix
+ROW_MODULES = ("chains.py", "compat.py", "isomorph.py", "projline.py")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -256,7 +260,8 @@ def test_scan_finds_deleted_names():
             "_checked_orbit(R, start); geom._dual_seed; geom.dual.keys\n"
             "geom.point_keys[geom.point_index(p)]; geom.dual_keys, geom.dual_index(q)\n"
             "geom.dual_perms; geom.dual_chains, geom.dual_chains_at_infinity\n"
-            "word_dual_points(R); test_dual_chains_through(g)\n")
+            "word_dual_points(R); test_dual_chains_through(g)\n"
+            "g.dist_from_infinity[p]; res.point_blocks; blocks_at(rows, i)\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
                                            "_pair_left", "_padded", "transported_partition",
                                            "_ordered_pairs", "_SET_BITS", "_COV_PAIRS",
@@ -267,7 +272,8 @@ def test_scan_finds_deleted_names():
                                            "_checked_orbit", "_dual_seed", "point_keys",
                                            "point_index", "dual_keys", "dual_index",
                                            "dual_perms", "dual_chains",
-                                           "dual_chains_at_infinity"]
+                                           "dual_chains_at_infinity", "dist_from_infinity",
+                                           "point_blocks"]
 
 
 def test_no_deleted_table_names():
@@ -290,8 +296,9 @@ def test_scan_finds_frozenset_calls():
 
 def test_no_frozensets_in_the_row_modules():
     """Chains, residue blocks and compatibility classes are sorted index
-    rows from the orbit engine to the derived plane: the modules that
-    handle them build no frozenset."""
+    rows from the orbit engine to the derived plane, and the distant graph
+    is its boolean matrix: the modules that handle them build no
+    frozenset."""
     found = {path.name: lines for path in SOURCES if path.name in ROW_MODULES
              for lines in [frozenset_calls(path.read_text())] if lines}
     assert [p.name for p in SOURCES if p.name in ROW_MODULES] == sorted(ROW_MODULES)
