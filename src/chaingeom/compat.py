@@ -25,6 +25,7 @@ matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -70,13 +71,13 @@ def _witnessed_orbits(res: Residue, blocks: np.ndarray, side: str) -> list[tuple
     act = R._mul_a.T if side == "compatibility" else R._mul_a  # act[a][x]: x*a or a*x
     steps = np.concatenate([act[list(R.unit_generators)],
                             R._add_a[:, list(R.additive_generators)].T])
+    left = {key: i for i, key in enumerate(row_keys(blocks).tolist())}  # in block order
     classes = []
-    while len(blocks):  # the least block left seeds the next class
-        cls = orbit(blocks[:1], steps)
-        if not rows_in(cls, blocks).all():
+    while left:  # the least block left seeds the next class
+        cls = orbit(blocks[[next(iter(left.values()))]], steps)
+        if None in [left.pop(key, None) for key in row_keys(cls).tolist()]:
             raise VerificationError(f"{R.name}: affine action left the block set")
         classes.append(cls)
-        blocks = blocks[~rows_in(blocks, cls)]
     witnesses = [_find_witness(R, res.subfield, cls, side) for cls in classes]
     if None in witnesses:
         raise VerificationError(f"{R.name}: {side} class without a witness")
@@ -85,10 +86,11 @@ def _witnessed_orbits(res: Residue, blocks: np.ndarray, side: str) -> list[tuple
 
 def _distinct_sets(rows) -> np.ndarray:
     """The distinct sets among the rows of an integer table, as
-    sorted_rows, each at its first row_keys (a plain np.unique over rows
-    imports numpy.ma, about 16 ms cold)."""
+    sorted_rows: each row of sorted_rows that differs from the row before."""
     rows = sorted_rows(rows)
-    return rows[np.sort(np.unique(row_keys(rows), return_index=True)[1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _translates(R: Ring, rows: np.ndarray) -> np.ndarray:
@@ -112,12 +114,15 @@ def _find_witness(R: Ring, K: Subfield, blocks: np.ndarray, side: str) -> Option
     """The conjugate subfield u^-1 K u, least unit u first, that is a block
     of the class with the rows blocks and whose coset family is exactly
     the class; each distinct row of K.conjugates is tried once."""
-    conj = K.conjugates
-    _, first = np.unique(row_keys(conj), return_index=True)
-    for i in np.sort(first[rows_in(conj[first], blocks)]).tolist():
-        witness = conjugate_subfield(K, R.units[i])
-        if check_class_structure(CompatClass(side, blocks, witness)):
-            return witness
+    first: dict = {}  # each distinct conjugate's first row
+    for i, key in enumerate(row_keys(K.conjugates).tolist()):
+        first.setdefault(key, i)
+    in_class = set(row_keys(blocks).tolist())
+    for key, i in first.items():
+        if key in in_class:
+            witness = conjugate_subfield(K, R.units[i])
+            if check_class_structure(CompatClass(side, blocks, witness)):
+                return witness
     return None
 
 
@@ -228,10 +233,9 @@ def cosets_hold(res: Residue, cls: CompatClass) -> bool:
     R, k = res.ring, len(cls.witness)
     if cls.blocks.shape[1] != k:
         return False
-    dirs = _directions(R, cls.blocks)
-    cosets = np.unique(row_keys(dirs), return_counts=True)[1]
-    return bool(rows_in(dirs, _ambient_directions(R, cls)).all()
-                and np.all(cosets == R.size // k))
+    cosets = Counter(row_keys(_directions(R, cls.blocks)).tolist())
+    ambient = set(row_keys(_ambient_directions(R, cls)).tolist())
+    return all(key in ambient and c == R.size // k for key, c in cosets.items())
 
 
 def missing_directions(res: Residue, cls: CompatClass) -> int:
@@ -257,7 +261,7 @@ class PlaneReport(NamedTuple):
     line_size: int
     two_point_axiom: bool
     playfair: bool
-    desargues: bool
+    desargues: Optional[bool]  # None where the lines are no affine plane
     desargues_method: str
     desargues_witness: Optional[dict] = None
     degenerate_replacement: bool = False
@@ -346,7 +350,10 @@ def _affine_checks(R: Ring, lines: list) -> tuple[bool, bool, int]:
     matrix: every two points share exactly one line, and every line misses
     each point off it by exactly one line through that point."""
     inc = _incidence(R.size, lines)
-    parallels = (_shared(inc.T) == 0).astype(np.int64) @ inc  # [l, x]: lines through x missing l
+    # [l, x]: the lines through x that miss l, a gather over each point's
+    # lines whose padding -1 reads an appended column of False
+    miss = np.hstack([_shared(inc.T) == 0, np.zeros((len(inc), 1), dtype=bool)])
+    parallels = miss[:, padded_rows(inc.T)].sum(axis=2)
     per_point = inc.sum(axis=0)
     return (bool(np.all(_shared(inc) == 1)), bool(np.all(parallels[inc == 0] == 1)),
             int(per_point[0]) if np.all(per_point == per_point[0]) else -1)
@@ -453,13 +460,14 @@ def _desargues_scan(points, lines, find_failure: bool, cap: int):
                 # the failing block, and in it the pairs (A, A'), (B, B'), (C, C')
                 at, abc = divmod(count - 1, m ** 3)
                 a, b, c = abc // (m * m), abc // m % m, abc % m
-                x = at - slab.start
                 center, triple = divmod(at, len(triples))
+                sides = rest[center, triples[triple]]
+                tri = sides[[0, 1, 2], i[[a, b, c]]].tolist()
+                img = sides[[0, 1, 2], j[[a, b, c]]].tolist()
+                axis = [int(meet[line_of[tri[u], tri[v]], line_of[img[u], img[v]]])
+                        for u, v in ((0, 1), (0, 2), (1, 2))]  # AB.A'B', AC.A'C', BC.B'C'
                 return {"center": center, "lines": through[center, triples[triple]].tolist(),
-                        "triangle": X[x, [0, 1, 2], i[[a, b, c]]].tolist(),
-                        "image": X[x, [0, 1, 2], j[[a, b, c]]].tolist(),
-                        "axis_points": [int(P[x, a, b]), int(Q[x, a, c]), int(S[x, b, c])]
-                        }, count
+                        "triangle": tri, "image": img, "axis_points": axis}, count
     return None, count
 
 
@@ -473,7 +481,8 @@ def derive_plane(geom, skip_replacement: bool = False,
     subfield K'' = u^-1 K u, u the least unit that moves K, and inserts the
     blocks {a K'' + c : a in K*, c in R}.  When no second conjugate exists
     (q = 2) the replacement degenerates to the identity and the plane is
-    the Desarguesian AG(2, 4).
+    the Desarguesian AG(2, 4).  Lines that fail the two-point axiom or
+    Playfair are reported so, with no completion and no Desargues verdict.
     """
     R, K = geom.ring, geom.subfield
     if R.spec.family != "matrix2" or R.spec.q not in (2, 3):
@@ -517,21 +526,23 @@ def derive_plane(geom, skip_replacement: bool = False,
         replaced_size = len(regulus)
 
     two_point, playfair, lines_per_point = _affine_checks(R, lines)
-    if not (two_point and playfair):
-        raise DerivedPlaneError("derived structure is not an affine plane")
-    if len(lines) * (q * q) != R.size * lines_per_point:
+    affine = two_point and playfair
+    if affine and len(lines) * (q * q) != R.size * lines_per_point:
         raise VerificationError("line and point counts of the plane disagree")
 
-    points, proj_lines = _projective_completion(R, lines)
-    if skip_replacement:
+    if not affine:
+        # no plane to complete: the verdicts report it, and no Desargues one
+        desargues, method, witness = None, "not-an-affine-plane", None
+    elif skip_replacement:
         # negative control: the line set is exactly AG(2, q^2), the field plane
         desargues, method, witness = True, "field-plane-identity", None
     elif q == 2:
-        witness, _ = _desargues_scan(points, proj_lines, find_failure=False, cap=0)
+        witness, _ = _desargues_scan(*_projective_completion(R, lines),
+                                     find_failure=False, cap=0)
         desargues, method = witness is None, "exhaustive"
     else:
-        witness, _ = _desargues_scan(points, proj_lines, find_failure=True,
-                                     cap=desargues_cap)
+        witness, _ = _desargues_scan(*_projective_completion(R, lines),
+                                     find_failure=True, cap=desargues_cap)
         if witness is None:
             raise DerivedPlaneError(
                 "no Desargues failure within the search cap; cannot classify")

@@ -202,7 +202,9 @@ def _kernel_triples(R: Ring, tables, gens, which, keys) -> tuple:
     masks: dict = {}
     found: list = []  # per class, its solution keys
     for part, ker in solution_slabs(R, rows):
-        of = [masks.setdefault(m.tobytes(), len(masks)) for m in np.packbits(ker, axis=1)]
+        packed = np.packbits(ker, axis=1)  # one np.void key per mask
+        of = [masks.setdefault(m, len(masks))
+              for m in packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()]
         found += [ker[of.index(c)].nonzero()[0].astype(key_t)
                   for c in range(len(found), len(masks))]
         cls[rows[part]] = of

@@ -150,19 +150,19 @@ def carries(perm: np.ndarray, rows: np.ndarray, onto: np.ndarray) -> bool:
 def orbit(seeds, perms: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
     """The orbit of the index sets given as rows of seeds under the
     permutations perms[g]: i -> perms[g][i], as sorted_rows, each member
-    once.  The whole frontier moves at once, and images are deduplicated
-    by their row_keys.  Raises OrbitCapExceededError iff the orbit has
-    more than cap members.
+    once.  The whole frontier moves at once; one pass over its row_keys
+    keeps, in frontier order, the first row of each key not seen before.
+    Raises OrbitCapExceededError iff the orbit has more than cap members.
     """
     frontier = np.sort(np.asarray(seeds, dtype=np.intp), axis=1)
     seen: set = set()
     found = []
     while len(frontier):
-        keys = row_keys(frontier)
-        _, first = np.unique(keys, return_index=True)
-        fresh = np.sort([i for i, k in zip(first.tolist(), keys[first].tolist())
-                         if k not in seen]).astype(np.intp)
-        seen.update(keys[fresh].tolist())
+        fresh = []
+        for i, key in enumerate(row_keys(frontier).tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
         if cap is not None and len(seen) > cap:
             raise OrbitCapExceededError(f"orbit exceeded cap {cap}")
         found.append(frontier[fresh])
@@ -373,21 +373,25 @@ def _bfs_levels(adj: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Breadth-first search from every vertex at once, by boolean products.
 
     After step k, reach[v] holds the vertices within distance k of v; the
-    eccentricity of v is the last step that grew its row.  Returns the
-    component of every vertex (numbered in order of least member) and the
-    diameter of every component.
+    eccentricity of v is the last step that grew its row.  No product runs
+    whose result is known: step 1 is adj itself, and once every row is
+    full the search ends.  Returns the component of every vertex (numbered
+    in order of least member) and the diameter of every component.
     """
     reach = np.eye(len(adj), dtype=bool)
+    nxt = reach | adj  # the identity times adj is adj
     ecc = np.zeros(len(adj), dtype=np.intp)
     step = 0
     while True:
-        nxt = reach | (reach @ adj)
         grew = (nxt != reach).any(axis=1)
         if not grew.any():
             break
         step += 1
         ecc[grew] = step
         reach = nxt
+        if reach.all():  # no full row can grow
+            break
+        nxt = reach | (reach @ adj)
     roots, component = np.unique(reach.argmax(axis=1), return_inverse=True)
     diameters = [int(ecc[component == c].max()) for c in range(len(roots))]
     return component, diameters

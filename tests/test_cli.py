@@ -377,7 +377,9 @@ print(sorted(m for m in sys.modules
 
 def test_runs_do_not_import_numpy_ma_random_dataclasses_or_argparse(run_fresh):
     """A plain np.unique (also with axis=0) imports numpy.ma, about 16 ms of
-    a cold run; the kernels dedupe through return_index, which does not.
+    a cold run; the kernels dedupe rows by set lookups of their row_keys,
+    and call np.unique only with return_counts or return_inverse, which do
+    not import it.
     Nor may a run import numpy.random: the samples come from the stdlib
     random module, and numpy.random raised the peak RSS of a cold m2f3 run
     by about 6 MB (18 %).  Nor dataclasses, whose generated methods cost
@@ -385,5 +387,37 @@ def test_runs_do_not_import_numpy_ma_random_dataclasses_or_argparse(run_fresh):
     classes), nor argparse, which only cli.main reads."""
     configs = str(Path(__file__).resolve().parent.parent / "configs")
     proc = run_fresh(f"CONFIGS = {configs!r}" + COLD_RUNS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+VOID_UNIQUE_RUNS = """
+import glob, tempfile
+import numpy as np
+unique = np.unique
+def refuse_void(ar, *args, **kwargs):
+    if np.asarray(ar).dtype.kind == "V":
+        raise AssertionError("np.unique over np.void keys")
+    return unique(ar, *args, **kwargs)
+np.unique = refuse_void
+from chaingeom.cli import load_config, run
+failed = []
+for path in sorted(glob.glob(CONFIGS + "/*.json")):
+    with tempfile.TemporaryDirectory() as out:
+        report, all_pass = run(load_config(path), out_dir=out)
+    failed += [(path, t["name"], t.get("error")) for t in report["tasks"]
+               if t["status"] != "pass"]
+print(failed)
+"""
+
+
+def test_runs_do_not_sort_void_row_keys_with_np_unique(run_fresh):
+    """np.unique over np.void row keys takes numpy's generic compare sort;
+    a row set is deduplicated in one pass over row_keys(...).tolist(), or by
+    comparing adjacent rows of sorted_rows.  Every shipped config runs
+    with np.unique refusing an input of dtype kind V, and every task
+    passes."""
+    configs = str(Path(__file__).resolve().parent.parent / "configs")
+    proc = run_fresh(f"CONFIGS = {configs!r}" + VOID_UNIQUE_RUNS)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "[]"

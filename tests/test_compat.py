@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaingeom import compat, projline, suites
 from chaingeom.projline import (
@@ -107,6 +107,31 @@ def test_affine_action_leaving_the_block_set_raises(m2f2_g):
     res = m2f2_g.residue
     with pytest.raises(VerificationError, match="left the block set"):
         compat._witnessed_orbits(res, res.blocks[1:], "compatibility")
+
+
+@pytest.mark.parametrize("how", ["outside", "taken"])
+def test_orbit_off_the_blocks_left_raises(m2f2_g, monkeypatch, how):
+    """A stubbed orbit engine whose class holds a row outside the block set
+    ("outside"), or a block that an earlier class took ("taken"), is
+    refused by the explicit raise."""
+    R, blocks = m2f2_g.ring, m2f2_g.residue.blocks
+    classes = iter([np.vstack([blocks[:1], blocks[:1] + R.size])] if how == "outside"
+                   else [blocks[:2], blocks[1:3]])
+    monkeypatch.setattr(compat, "orbit", lambda seeds, steps: next(classes))
+    with pytest.raises(VerificationError, match="affine action left the block set"):
+        compat._witnessed_orbits(m2f2_g.residue, blocks, "compatibility")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), max_size=40))
+@example([])
+@example([[2, 0, 1]])
+@example([[1, 0, 2]] * 5 + [[2, 2, 0], [0, 2, 2]])
+def test_distinct_sets_match_a_sorted_set_of_tuples(rows):
+    """Empty, one-row and duplicate-heavy tables (entries 0..3, width 3)."""
+    got = compat._distinct_sets(np.array(rows, dtype=np.intp).reshape(-1, 3))
+    assert got.shape[1] == 3
+    assert got.tolist() == [list(r) for r in sorted({tuple(sorted(r)) for r in rows})]
 
 
 def test_class_structure_negative_control(f4_g):
@@ -580,6 +605,32 @@ def test_corrupted_addition_makes_derive_plane_raise(q, a, b):
     corrupt(R, "add", (a, b), (R.add(a, b) + 1) % R.size)
     with pytest.raises((VerificationError, RegulusNotFoundError, DerivedPlaneError)):
         derive_plane(g)
+
+
+@pytest.mark.parametrize("key", ["two_point_axiom", "playfair"])
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_derive_plane_with_a_flipped_affine_verdict_fails_that_key(
+        request, name, key, monkeypatch):
+    """Negative control: _affine_checks stubbed to flip one verdict turns
+    that key and ok false in the derive-plane report, and drops the
+    Desargues verdict, since the lines are then no plane to complete."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.derive_plane_report(g)
+    assert clean["ok"] and clean[key]
+    real = compat._affine_checks
+
+    def flipped(R, lines):
+        two_point, playfair, per_point = real(R, lines)
+        if key == "two_point_axiom":
+            return not two_point, playfair, per_point
+        return two_point, not playfair, per_point
+
+    monkeypatch.setattr(compat, "_affine_checks", flipped)
+    rep = suites.derive_plane_report(g)
+    assert rep[key] is False and not rep["ok"]
+    assert rep["desargues_method"] == "not-an-affine-plane"
+    assert changed_keys(clean, rep) == {key, "ok", "desargues", "desargues_method"} | (
+        {"desargues_witness"} if "desargues_witness" in clean else set())
 
 
 # the Desargues scan ------------------------------------------------------------
