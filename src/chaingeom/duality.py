@@ -25,8 +25,8 @@ triple once, with the inverses of the generators from one
 projline.mat_inverses call.
 Every batch kernel takes its slabs from projline.slabs, within one byte
 budget.
-The closed formulas under test are array functions over the operation
-tables, evaluated for every word of a sweep at once.
+The closed formulas under test are array functions over the flat
+operation tables, each evaluated on the words of its own length.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from chaingeom.projline import (
     Point,
     VerificationError,
     carries,
+    flat_at,
     mat_inverses,
     one_word,
     slabs,
@@ -152,26 +153,18 @@ def perp_point(R: Ring, p: Point) -> DualPoint:
     return R.canonical_pair_right(*gen)
 
 
-def _flat_tables(R: Ring) -> tuple:
-    """The add and mul tables, flat, in the narrowest dtype of an entry, and
-    both again times |R| in the dtype of a key x*|R| + y and of its images."""
-    n = R.size
-    # at least 16 bits: numpy sorts rows of 8-bit keys some 30 times slower
-    key_t = np.promote_types(np.min_scalar_type(n * n - 1), np.uint16)
-    return (*(t.astype(np.min_scalar_type(n - 1)).ravel() for t in (R._add_a, R._mul_a)),
-            *((t * n).astype(key_t).ravel() for t in (R._add_a, R._mul_a)))
-
-
-def _pair_keys(tables, p, q) -> np.ndarray:
+def _pair_keys(R: Ring, p, q) -> np.ndarray:
     """The keys x*|R| + y of x = p0*q0 + p1*q1 and y = p2*q2 + p3*q3,
-    elementwise, each p given times |R| as a row offset into the flat
-    _flat_tables: flat takes, whose every index fits the dtype of a key."""
-    add, mul, addn, muln = tables
-    return (addn.take(muln.take(p[0] + q[0]) + mul.take(p[1] + q[1]))
-            + add.take(muln.take(p[2] + q[2]) + mul.take(p[3] + q[3])))
+    elementwise, each p given times |R| as a row offset into R's flat
+    tables: flat takes, whose every index fits the dtype of a key."""
+    add, mul, n = R._add_f, R._mul_f, R._stride
+
+    def entry(i, j):  # p_i*q_i + p_j*q_j
+        return add.take(mul.take(p[i] + q[i]) * n + mul.take(p[j] + q[j]))
+    return entry(0, 1) * n + entry(2, 3)
 
 
-def _kernel_triples(R: Ring, tables, gens, which, keys) -> tuple:
+def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
     """(triples, counts, classes): every distinct (generator index, class of
     u, class of u*M) of the pairs (M = gens[which[i]], u = the row of key
     keys[i]), as three sorted arrays, with the number of pairs each stands
@@ -181,9 +174,9 @@ def _kernel_triples(R: Ring, tables, gens, which, keys) -> tuple:
     u*M share a class iff their solution_slabs masks are equal as bytes;
     classes are numbered in order of first row, whose mask gives the keys.
     The pairs go in slabs and keep only the key of u*M, in the dtype of a
-    key, and the triple code.  tables are R's _flat_tables."""
+    key, and the triple code."""
     n = R.size
-    key_t = tables[2].dtype
+    key_t = R._stride.dtype
     m0, m1, m2, m3 = np.asarray(gens, dtype=key_t).reshape(-1, 4).T
     which, keys = np.asarray(which, dtype=np.intp), np.asarray(keys, dtype=np.intp)
     images = np.empty(len(keys), dtype=key_t)  # u*M = (a*m0 + b*m2, a*m1 + b*m3)
@@ -194,7 +187,7 @@ def _kernel_triples(R: Ring, tables, gens, which, keys) -> tuple:
         w, u = which[part], keys[part].astype(key_t)
         b = u % n
         a, b = u - b, b * n  # a*|R|, b*|R|
-        images[part] = _pair_keys(tables, (a, b, a, b), [m.take(w) for m in (m0, m2, m1, m3)])
+        images[part] = _pair_keys(R, (a, b, a, b), [m.take(w) for m in (m0, m2, m1, m3)])
     present = np.zeros(n * n, dtype=bool)
     present[keys] = present[images] = True
     rows = np.flatnonzero(present)
@@ -245,9 +238,8 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     stands for.
     """
     n = R.size
-    tables = _flat_tables(R)
-    key_t = tables[2].dtype
-    triples, counts, (size, slot, by_size) = _kernel_triples(R, tables, gens, which, keys)
+    key_t = R._stride.dtype
+    triples, counts, (size, slot, by_size) = _kernel_triples(R, gens, which, keys)
     g, ker_u, ker_um = triples
     # M^-1 per generator, entries scaled by |R| as row offsets into the
     # flat tables: M^-1 * (v, w)^T = (i0*v + i1*w, i2*v + i3*w)
@@ -261,8 +253,8 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     inverse = (inverse.T * n).astype(key_t)[:, :, None]
 
     def images(k, cols):  # of the columns of keys cols, row i under M^-1 of k[i]
-        v, w = np.divmod(cols, key_t.type(n))
-        return _pair_keys(tables, inverse[:, k], (v, w, v, w))
+        v, w = np.divmod(cols, R._stride)
+        return _pair_keys(R, inverse[:, k], (v, w, v, w))
 
     entries, cols_at = size[ker_u], slot[ker_u]
     # the row of u*M's keys in the table of u's size, or -1: another size,
@@ -289,31 +281,29 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
 
 # closed formulas ------------------------------------------------------------
 
-def word_dual_points(R: Ring, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def word_dual_points(R: Ring, letters: np.ndarray) -> np.ndarray:
     """Canonical keys v*|R| + w of the annihilator images of the word
-    points (projline.word_points), by the closed word formula
+    points (projline.word_points) of words of one length n, row j of
+    letters holding letter t_(j+1), by the closed word formula
     E(0) * E(-t_1) * ... * E(-t_n) * E(0) * (0, 1)^T, sign factor dropped.
-    Every column steps at once, E(s) * (v, w)^T = (s*v + w, -v)^T, where
-    lengths > j masks letter j in."""
-    add, mul, neg = R._add_a, R._mul_a, R._neg_a
-    letters = np.asarray(letters, dtype=np.intp)
-    lengths = np.asarray(lengths)
-    v = np.full(len(lengths), R.one, dtype=np.intp)  # E(0) * (0, 1)^T
-    w = np.full(len(lengths), R.zero, dtype=np.intp)
-    for j in reversed(range(letters.shape[1])):
-        live = lengths > j
-        v, w = np.where(live, add[mul[neg[letters[:, j]], v], w], v), np.where(live, neg[v], w)
-    return R._right_key[w, neg[v]]  # a last E(0)
+    Every column steps at once, E(s) * (v, w)^T = (s*v + w, -v)^T, by flat
+    takes on the narrow tables."""
+    add, mul, neg = R._add_f, R._mul_f, R._neg_f
+    v, w = np.full(letters.shape[1], R.one, dtype=add.dtype), R.zero  # E(0) * (0, 1)^T
+    for t in letters[::-1]:
+        v, w = flat_at(R, add, flat_at(R, mul, neg.take(t), v), w), neg.take(v)
+    return flat_at(R, R._right_key.ravel(), w, neg.take(v))  # a last E(0)
 
 
 def word_dual_point(R: Ring, ts: tuple[int, ...]) -> DualPoint:
     """Annihilator image of the word point by the closed word formula: the
     one-word call of word_dual_points."""
-    return divmod(int(word_dual_points(R, *one_word(ts))[0]), R.size)
+    return divmod(int(word_dual_points(R, one_word(ts))[0]), R.size)
 
 
-# The closed length-1, -2 and -3 formulas, elementwise over arrays of
-# letters: each gives the entries of its pairs, not yet canonicalized.
+# The closed length-1, -2 and -3 formulas, elementwise over the letter
+# arrays of the words of their length, by flat takes on the narrow tables:
+# each gives the entries of its pairs, not yet canonicalized.
 
 def length1_perp_formula(R: Ring, t1: np.ndarray) -> tuple:
     """The length-1 instance: R(t1, 1) maps to (-1, t1)^T R; gives (v, w)."""
@@ -323,21 +313,24 @@ def length1_perp_formula(R: Ring, t1: np.ndarray) -> tuple:
 def length2_perp_formula(R: Ring, t1: np.ndarray, t2: np.ndarray) -> tuple:
     """The length-2 instance: R(t2*t1 - 1, t2) maps to (-t2, t1*t2 - 1)^T R;
     gives ((a, b), (v, w))."""
-    add, mul, neg = R._add_a, R._mul_a, R._neg_a
+    add, mul, neg = R._add_f, R._mul_f, R._neg_f
     minus_one = neg[R.one]
-    return ((add[mul[t2, t1], minus_one], t2),
-            (neg[t2], add[mul[t1, t2], minus_one]))
+    return ((flat_at(R, add, flat_at(R, mul, t2, t1), minus_one), t2),
+            (neg.take(t2), flat_at(R, add, flat_at(R, mul, t1, t2), minus_one)))
 
 
 def length3_perp_formula(R: Ring, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> tuple:
     """The length-3 instance: R(t3*t2*t1 - t3 - t1, t3*t2 - 1) maps to
     (-t2*t3 + 1, t1*t2*t3 - t1 - t3)^T R; gives ((a, b), (v, w))."""
-    add, mul, neg = R._add_a, R._mul_a, R._neg_a
-    minus_one = neg[R.one]
-    t3t2 = mul[t3, t2]
-    a = add[add[mul[t3t2, t1], neg[t3]], neg[t1]]
-    w = add[add[mul[mul[t1, t2], t3], neg[t1]], neg[t3]]
-    return (a, add[t3t2, minus_one]), (add[neg[mul[t2, t3]], R.one], w)
+    add, mul, neg = R._add_f, R._mul_f, R._neg_f
+
+    def minus(x, y, z):  # x - y - z
+        return flat_at(R, add, flat_at(R, add, x, neg.take(y)), neg.take(z))
+    t3t2 = flat_at(R, mul, t3, t2)
+    a = minus(flat_at(R, mul, t3t2, t1), t3, t1)
+    w = minus(flat_at(R, mul, flat_at(R, mul, t1, t2), t3), t1, t3)
+    return ((a, flat_at(R, add, t3t2, neg[R.one])),
+            (flat_at(R, add, neg.take(flat_at(R, mul, t2, t3)), R.one), w))
 
 
 # bidual and opposite --------------------------------------------------------

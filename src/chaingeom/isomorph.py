@@ -8,7 +8,7 @@ permutation of a Geometry's points, read in one array pass off its perp
 array, so that it acts on chain rows as perp does.  The closed word
 formula evaluates the same composite as
 R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi); it and the three entrywise
-image formulas are array functions over the words of a sweep.
+image formulas are array functions over the words of one length.
 
 The catalogue of verified antiisomorphisms: the transpose on matrix2(q),
 any automorphism of a commutative ring, and the diagonal flip
@@ -33,7 +33,7 @@ from chaingeom.rings import (
     make_ring_map,
 )
 from chaingeom.projline import (
-    Point, VerificationError, index_of, one_word, rows_in, sorted_rows, word_points)
+    Point, VerificationError, flat_at, index_of, one_word, rows_in, sorted_rows, word_points)
 from chaingeom.compat import same_partition
 
 
@@ -110,22 +110,24 @@ def antiiso_point_table(m: RingMap, geom) -> np.ndarray:
     return index_of(geom.keys, S._left_key[phi[w], S._neg_a[phi[v]]])
 
 
-def antiiso_word_points(m: RingMap, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Closed form R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi) for every word
-    of a sweep (projline.word_points): the word points over the target
+def antiiso_word_points(m: RingMap, letters: np.ndarray) -> np.ndarray:
+    """Closed form R'(1', 0') * E(t_n^phi) * ... * E(t_1^phi) for words of
+    one length (projline.word_points): the word points over the target
     ring of the mapped letters, as canonical keys."""
-    return word_points(m.target, np.asarray(m.table)[letters], lengths)
+    S = m.target
+    return word_points(S, np.asarray(m.table, dtype=S._neg_f.dtype).take(letters))
 
 
 def antiiso_word_point(m: RingMap, ts: tuple[int, ...]) -> Point:
     """The closed word form of one word: the one-word call of
     antiiso_word_points."""
-    return divmod(int(antiiso_word_points(m, *one_word(ts))[0]), m.target.size)
+    return divmod(int(antiiso_word_points(m, one_word(ts))[0]), m.target.size)
 
 
-# The three entrywise image formulas, elementwise over arrays of mapped
-# letters p_i = t_i^phi: each gives the entries (a, b) of the image point,
-# not yet canonicalized.
+# The three entrywise image formulas, elementwise over the arrays of mapped
+# letters p_i = t_i^phi of the words of their length, by flat takes on the
+# narrow tables: each gives the entries (a, b) of the image point, not yet
+# canonicalized.
 
 def length1_sigma_formula(S: Ring, p1: np.ndarray) -> tuple:
     """sigma(R(t1, 1)) = R'(p1, 1)."""
@@ -134,15 +136,15 @@ def length1_sigma_formula(S: Ring, p1: np.ndarray) -> tuple:
 
 def length2_sigma_formula(S: Ring, p1: np.ndarray, p2: np.ndarray) -> tuple:
     """sigma of the word (t1, t2) is R'(p2*p1 - 1, p2)."""
-    add, mul, neg = S._add_a, S._mul_a, S._neg_a
-    return add[mul[p2, p1], neg[S.one]], p2
+    return flat_at(S, S._add_f, flat_at(S, S._mul_f, p2, p1), S._neg_f[S.one]), p2
 
 
 def length3_sigma_formula(S: Ring, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> tuple:
     """sigma of the word (t1, t2, t3) is R'(p3*p2*p1 - p3 - p1, p3*p2 - 1)."""
-    add, mul, neg = S._add_a, S._mul_a, S._neg_a
-    p3p2 = mul[p3, p2]
-    return add[add[mul[p3p2, p1], neg[p3]], neg[p1]], add[p3p2, neg[S.one]]
+    add, mul, neg = S._add_f, S._mul_f, S._neg_f
+    p3p2 = flat_at(S, mul, p3, p2)
+    a = flat_at(S, add, flat_at(S, add, flat_at(S, mul, p3p2, p1), neg.take(p3)), neg.take(p1))
+    return a, flat_at(S, add, p3p2, neg[S.one])
 
 
 def preserves_compatibility(m: RingMap, geom, geom2) -> bool:

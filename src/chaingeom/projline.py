@@ -427,28 +427,30 @@ def distant_graph(R: Ring, pts: tuple[Point, ...]) -> DistantGraph:
 
 # elementary words ----------------------------------------------------------
 
-def word_points(R: Ring, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def flat_at(R: Ring, table: np.ndarray, x, y) -> np.ndarray:
+    """Entry (x, y) of one of R's flat tables (Ring._fill_arrays),
+    elementwise: a flat take at x * |R| + y."""
+    return table.take(x * R._stride + y)
+
+
+def word_points(R: Ring, letters: np.ndarray) -> np.ndarray:
     """Canonical keys a*|R| + b of the points spanned by
-    (1, 0) * E(t_n) * ... * E(t_1), one per row of letters: the word
-    (t_1, ..., t_n) is the row's first n = lengths[i] letters, and the rest
-    of the row is padding.  Every row steps at once from its last letter,
-    (x, y) * E(t) = (x*t - y, x), where lengths > j masks letter j in."""
-    add, mul, neg = R._add_a, R._mul_a, R._neg_a
-    letters = np.asarray(letters, dtype=np.intp)
-    lengths = np.asarray(lengths)
-    x = np.full(len(lengths), R.one, dtype=np.intp)
-    y = np.full(len(lengths), R.zero, dtype=np.intp)
-    for j in reversed(range(letters.shape[1])):
-        live = lengths > j
-        x, y = np.where(live, add[mul[x, letters[:, j]], neg[y]], x), np.where(live, x, y)
-    return R._left_key[x, y]
+    (1, 0) * E(t_n) * ... * E(t_1), for words of one length n: row j of
+    the n x W array letters holds letter t_(j+1) of every word.  Every word
+    steps at once from its last letter, (x, y) * E(t) = (x*t - y, x), by
+    flat takes on the narrow tables."""
+    add, mul, neg = R._add_f, R._mul_f, R._neg_f
+    x, y = np.full(letters.shape[1], R.one, dtype=add.dtype), R.zero
+    for t in letters[::-1]:
+        x, y = flat_at(R, add, flat_at(R, mul, x, t), neg.take(y)), x
+    return flat_at(R, R._left_key.ravel(), x, y)
 
 
-def one_word(ts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The word ts as the (letters, lengths) arrays of a one-word sweep."""
-    return np.array(ts, dtype=np.intp).reshape(1, len(ts)), np.array([len(ts)])
+def one_word(ts: tuple[int, ...]) -> np.ndarray:
+    """The word ts as the letters of a sweep of one word."""
+    return np.array(ts, dtype=np.intp).reshape(len(ts), 1)
 
 
 def word_point(R: Ring, ts: tuple[int, ...]) -> Point:
     """The point of the word ts: the one-word call of word_points."""
-    return divmod(int(word_points(R, *one_word(ts))[0]), R.size)
+    return divmod(int(word_points(R, one_word(ts))[0]), R.size)

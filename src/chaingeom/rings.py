@@ -114,12 +114,13 @@ class Ring:
     given at construction.  The families build them from digit formulas
     (DigitRing), and the opposite ring is the transposed mul table.
     Everything else is derived from those three arrays: the admissibility
-    tables, the units (a two-sided inverse scan) and the left and right
-    canonical-pair keys (least unit multiple of every pair), which make
-    canonicalizing a single lookup.  The scalar methods read single
-    entries of the arrays.  Instances are shared by build_ring and never
-    change after construction; the array kernels of projline and duality
-    index the tables directly.  What depends on the ring alone and is not
+    tables, flat narrow copies of the three for the array kernels, the
+    units (a two-sided inverse scan) and the left and right canonical-pair
+    keys (least unit multiple of every pair), which make canonicalizing a
+    single lookup.  The scalar methods read single entries of the arrays.
+    Instances are shared by build_ring and never change after
+    construction; the array kernels of projline and duality index the
+    tables directly.  What depends on the ring alone and is not
     needed by every caller, the opposite ring and the two generating sets,
     is a cached property, computed on first use.
     """
@@ -143,10 +144,15 @@ class Ring:
 
     def _fill_arrays(self) -> None:
         """Derive from the operation tables the admissibility tables
-        _rows_ok[a, b] iff 1 in aR + bR and _cols_ok[v, w] iff 1 in Rv + Rw;
-        then lock the operation and admissibility tables read-only.  Runs
-        again where the tests corrupt a table; the units and canonical keys
-        stay as built.
+        _rows_ok[a, b] iff 1 in aR + bR and _cols_ok[v, w] iff 1 in Rv + Rw,
+        and the flat tables of the array kernels: _add_f, _mul_f and _neg_f,
+        the three operation tables raveled in the narrowest dtype of an
+        element, where entry (x, y) sits at x * _stride + y, _stride being
+        |R| in the dtype of a key x*|R| + y (at least 16 bits: numpy sorts
+        rows of 8-bit keys some 30 times slower).  Then lock every table
+        read-only.  Runs again where the tests corrupt a table, so no flat
+        table keeps a clean entry; the units and canonical keys stay as
+        built.
 
         member[a, v] says v lies in aR.  The pair (a, b) is unimodular iff
         some v in aR has 1 - v in bR, so the whole row table is one boolean
@@ -161,7 +167,11 @@ class Ring:
             member[np.arange(n)[:, None], products] = True
             tables.append(member @ member[:, one_minus].T)
         self._rows_ok, self._cols_ok = tables
-        for table in (self._add_a, self._mul_a, self._neg_a, *tables):
+        small = np.min_scalar_type(n - 1)
+        self._stride = np.promote_types(np.min_scalar_type(n * n - 1), np.uint16).type(n)
+        flat = [t.astype(small).ravel() for t in (self._add_a, self._mul_a, self._neg_a)]
+        self._add_f, self._mul_f, self._neg_f = flat
+        for table in (self._add_a, self._mul_a, self._neg_a, *tables, *flat):
             table.flags.writeable = False
 
     def _canonical_keys(self, products: np.ndarray) -> np.ndarray:

@@ -10,10 +10,12 @@ letters, each in bulk from rng.randbytes by rejection, and in the
 duality suite then the covariance (generator, row) pairs with
 rng.choices.  The duality suite checks the covariance law in one call
 over all its (generator, row) pairs.  The word sweeps are array kernels:
-every word is drawn into (letters, lengths) arrays, every closed form is
-evaluated for all words at once, and one driver, _word_sweep, counts the
-failures over boolean masks.  The chain checks read the Geometry's chain
-rows: one helper, projline.carries, decides whether perp or sigma, both
+every word is drawn into (letters, lengths) arrays, the words are grouped
+by length once, every kernel, the word points and word forms as well as
+each closed formula, runs on the letters of one length's words only, and
+the checks and point entries go back into word order, where one driver,
+_word_sweep, counts the failures over boolean masks.  The chain checks
+read the Geometry's chain rows: one helper, projline.carries, decides whether perp or sigma, both
 index arrays, carries a chain set onto another, for every chain of the
 set, and the bidual check runs on every point in one bidual_keys call; a
 failing one names its first point, the dual point perp gave it, what came
@@ -27,10 +29,12 @@ from typing import Optional
 
 import numpy as np
 
+from chaingeom import duality, isomorph
 from chaingeom.rings import Ring, normality_witness, subfield_in_opposite
 from chaingeom.projline import (
     OrbitCapExceededError,
     carries,
+    flat_at,
     index_of,
     line_generators,
     make_point,
@@ -48,7 +52,6 @@ from chaingeom.duality import (
     length3_perp_formula,
     perp_point,
     word_dual_point,
-    word_dual_points,
 )
 from chaingeom.compat import (
     cosets_hold,
@@ -62,7 +65,6 @@ from chaingeom.geometry import Geometry
 from chaingeom.isomorph import (
     antiiso_point_table,
     antiiso_word_point,
-    antiiso_word_points,
     frobenius_map,
     identity_map,
     length1_sigma_formula,
@@ -112,39 +114,50 @@ def chain_report(geom: Geometry, through_infinity: bool = False,
 
 
 def _uniform(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """count draws uniform in range(n), for n <= 256 (rings have at most
-    rings.SIZE_CAP elements), from rng.randbytes by rejection: each round
-    asks for as many bytes as draws are missing, and a byte b is kept, as
-    b % n, iff b < 256 - 256 % n."""
+    """count draws uniform in range(n), for n < 256 (rings have at most
+    rings.SIZE_CAP elements), as uint8, from rng.randbytes by rejection:
+    each round asks for as many bytes as draws are missing, and a byte b is
+    kept, as b % n, iff b < 256 - 256 % n."""
     bound = 256 - 256 % n
     kept = np.empty(0, dtype=np.uint8)
     while len(kept) < count:
         got = np.frombuffer(rng.randbytes(count - len(kept)), dtype=np.uint8)
         kept = np.concatenate([kept, got[got < bound]])
-    return (kept % n).astype(np.intp)
+    return kept % n
 
 
 def _words(R: Ring, samples: int, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
     """Elementary words of length 1 to 3 as (letters, lengths): word i is
     the first lengths[i] entries of row i of the W x 3 array letters, and
-    the rest of the row is zero.  Rings with at most EXHAUSTIVE_LIMIT
-    elements give every word, each (t1,) followed by its extensions
-    (t1, t2), each of those followed by its (t1, t2, t3); larger rings give
-    `samples` words drawn from rng in two _uniform draws: every length from
-    (1, 2, 3), then three letters per word from R, of which the word keeps
-    the first lengths[i]."""
+    the rest of the row is zero; letters in the dtype of R's flat tables.
+    Rings with at most EXHAUSTIVE_LIMIT elements give every word, each
+    (t1,) followed by its extensions (t1, t2), each of those followed by
+    its (t1, t2, t3); larger rings give `samples` words drawn from rng in
+    two _uniform draws: every length from (1, 2, 3), then three letters per
+    word from R, of which the word keeps the first lengths[i]."""
     n = R.size
     if n <= EXHAUSTIVE_LIMIT:
         block = 1 + n * (1 + n)  # (t1,), then (t1, t2) and its n extensions per t2
         t1, r = np.divmod(np.arange(n * block), block)
         t2, s = np.divmod(r - 1, 1 + n)  # for r > 0: s = 0 at (t1, t2), t3 + 1 after
         lengths = np.where(r == 0, 1, np.where(s == 0, 2, 3))
-        letters = np.stack([t1, t2, s - 1], axis=1)
+        letters = np.stack([t1, t2, s - 1], axis=1, dtype=R._neg_f.dtype, casting="unsafe")
     else:
         lengths = _uniform(rng, 3, samples) + 1
         letters = _uniform(rng, n, 3 * samples).reshape(samples, 3)
     letters *= np.arange(3) < lengths[:, None]
     return letters, lengths
+
+
+def _length_groups(letters, lengths) -> tuple[np.ndarray, list]:
+    """The words of a sweep grouped by length: order, the indices of the
+    length-1, then the length-2, then the length-3 words, each group in
+    word order, and for each length k the k x W_k array of the letters of
+    its words, row j holding letter t_(j+1)."""
+    order = np.argsort(lengths, kind="stable")
+    ends = np.cumsum(np.bincount(lengths, minlength=4)).tolist()
+    grouped = letters.T[:, order]
+    return order, [grouped[:k, ends[k - 1]:ends[k]] for k in (1, 2, 3)]
 
 
 def _word_sweep(R: Ring, stages, rows=None) -> tuple[int, int, Optional[int]]:
@@ -167,13 +180,18 @@ def _word_sweep(R: Ring, stages, rows=None) -> tuple[int, int, Optional[int]]:
     return len(reached), len(failing), (int(failing[0]) if len(failing) else None)
 
 
-def _word_report(R: Ring, letters, lengths, word_form, closed, rows, witness) -> dict:
+def _word_report(R: Ring, letters, lengths, order, grouped, witness) -> dict:
     """The word_formula_* entries of a suite's report from _word_sweep over
     two checks: the closed word form, then the closed formula of the word's
-    length, which makes the points with entries rows.  A failing sweep
-    names its first failing word, the check it failed, and the values
-    witness(word) gives for it."""
-    checks, mismatches, first = _word_sweep(R, [word_form, closed], rows)
+    length, which makes the points with entries (a, b).  grouped holds the
+    two checks' masks and a and b in the order of the length groups
+    (_length_groups), and order puts them back into word order.  A failing
+    sweep names its first failing word, the check it failed, and the
+    values witness(word) gives for it."""
+    word_form, closed, a, b = [np.empty_like(values) for values in grouped]
+    for out, values in zip((word_form, closed, a, b), grouped):
+        out[order] = values
+    checks, mismatches, first = _word_sweep(R, [word_form, closed], (a, b))
     rep = {"word_formula_checks": checks, "word_formula_mismatches": mismatches}
     if first is not None:
         ts = tuple(letters[first, :lengths[first]].tolist())
@@ -183,43 +201,34 @@ def _word_report(R: Ring, letters, lengths, word_form, closed, rows, witness) ->
     return rep
 
 
-def _by_length(lengths, per_length) -> np.ndarray:
-    """Entry i of per_length[lengths[i] - 1], elementwise: a copy of the
-    last length's values, then one gather for the words of each other
-    length.  It holds one word array; a stack of every length's values
-    for one gather would hold three."""
-    out = np.array(np.broadcast_to(per_length[-1], lengths.shape),
-                   dtype=np.result_type(*per_length))
-    for k, values in enumerate(per_length[:-1], 1):
-        at = np.flatnonzero(lengths == k)
-        out[at] = np.broadcast_to(values, lengths.shape)[at]
-    return out
-
-
 def duality_words(geom: Geometry, letters, lengths) -> dict:
     """The duality suite's word sweep: for every word, the closed word form
     and then the closed formula of its length, against the oracle's image
-    of the word point, read off the Geometry's perp array."""
+    of the word point, read off the Geometry's perp array.  Each kernel
+    runs on the words of one length at a time."""
     R = geom.ring
-    pts = word_points(R, letters, lengths)
+    order, groups = _length_groups(letters, lengths)
+    pts = np.concatenate([word_points(R, g) for g in groups])
     oracle = geom.dual.keys[geom.perp[index_of(geom.keys, pts)]]
-    word_form = word_dual_points(R, letters, lengths) == oracle
-    t = letters.T
-    v1, w1 = length1_perp_formula(R, t[0])
-    (a2, b2), (v2, w2) = length2_perp_formula(R, t[0], t[1])
-    (a3, b3), (v3, w3) = length3_perp_formula(R, *t)
+    # the word form read through its module, as its one-word call reads it
+    word_form = np.concatenate([duality.word_dual_points(R, g) for g in groups]) == oracle
+    v1, w1 = length1_perp_formula(R, *groups[0])
+    (a2, b2), (v2, w2) = length2_perp_formula(R, *groups[1])
+    (a3, b3), (v3, w3) = length3_perp_formula(R, *groups[2])
     # length-1 words make no point; (1, 0) stands in as an admissible pair
-    a, b = _by_length(lengths, [R.one, a2, a3]), _by_length(lengths, [R.zero, b2, b3])
-    closed = ((R._right_key[_by_length(lengths, [v1, v2, v3]),
-                            _by_length(lengths, [w1, w2, w3])] == oracle)
-              & ((lengths == 1) | (R._left_key[a, b] == pts)))
+    a = np.concatenate([np.full_like(v1, R.one), a2, a3])
+    b = np.concatenate([np.full_like(v1, R.zero), b2, b3])
+    closed = flat_at(R, R._right_key.ravel(), np.concatenate([v1, v2, v3]),
+                     np.concatenate([w1, w2, w3])) == oracle
+    longer = slice(len(v1), None)
+    closed[longer] &= flat_at(R, R._left_key.ravel(), a[longer], b[longer]) == pts[longer]
 
     def witness(ts):
         p = word_point(R, ts)
         return {"point": p, "definition": geom.perp_of(p),
                 "closed_form": word_dual_point(R, ts)}
 
-    return _word_report(R, letters, lengths, word_form, closed, (a, b), witness)
+    return _word_report(R, letters, lengths, order, (word_form, closed, a, b), witness)
 
 
 def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
@@ -268,10 +277,9 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
         rep["opposite_equivalent"] = dual_matches_opposite(geom, op)
 
     g = geom.graph
-    if g.n_components == 1 and g.diameter <= 2:
-        t1, t2 = np.divmod(np.arange(R.size ** 2), R.size)
-        ends = index_of(geom.keys,
-                        word_points(R, np.stack([t1, t2], axis=1), np.full(len(t1), 2)))
+    if g.n_components == 1 and g.diameter <= 2:  # every (t1, t2), t1 major
+        grid = np.indices((R.size, R.size), dtype=R._neg_f.dtype).reshape(2, -1)
+        ends = index_of(geom.keys, word_points(R, grid))
         covered = np.bincount(ends, minlength=len(pts)) > 0
         _, missed, first = _word_sweep(R, [covered])
         rep["length2_covers_line"] = missed == 0
@@ -358,22 +366,26 @@ def sigma_words(geom: Geometry, m, sigma: np.ndarray, letters, lengths) -> dict:
     """The sigma suite's word sweep for the antiautomorphism m of the
     Geometry's ring: for every word, the closed word form and then the
     entrywise formula of its length, against the composite sigma of the
-    word point, the index permutation of antiiso_point_table."""
+    word point, the index permutation of antiiso_point_table.  Each kernel
+    runs on the words of one length at a time."""
     R, keys = geom.ring, geom.keys
-    composite = keys[sigma[index_of(keys, word_points(R, letters, lengths))]]
-    word_form = antiiso_word_points(m, letters, lengths) == composite
-    ph = np.asarray(m.table)[letters].T
-    rows = (length1_sigma_formula(R, ph[0]), length2_sigma_formula(R, ph[0], ph[1]),
-            length3_sigma_formula(R, *ph))
-    a, b = (_by_length(lengths, [row[k] for row in rows]) for k in (0, 1))
-    entrywise = R._left_key[a, b] == composite
+    order, groups = _length_groups(letters, lengths)
+    pts = np.concatenate([word_points(R, g) for g in groups])
+    composite = keys[sigma[index_of(keys, pts)]]
+    # the word form read through its module, as its one-word call reads it
+    word_form = np.concatenate([isomorph.antiiso_word_points(m, g) for g in groups]) == composite
+    phi = np.asarray(m.table, dtype=R._neg_f.dtype)
+    formulas = (length1_sigma_formula, length2_sigma_formula, length3_sigma_formula)
+    rows = [formula(R, *phi.take(g)) for formula, g in zip(formulas, groups)]
+    a, b = (np.concatenate([row[k] for row in rows]) for k in (0, 1))
+    entrywise = flat_at(R, R._left_key.ravel(), a, b) == composite
 
     def witness(ts):
         p = word_point(R, ts)
         return {"point": p, "definition": geom.points[sigma[geom.index(p)]],
                 "closed_form": antiiso_word_point(m, ts)}
 
-    return _word_report(R, letters, lengths, word_form, entrywise, (a, b), witness)
+    return _word_report(R, letters, lengths, order, (word_form, entrywise, a, b), witness)
 
 
 def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:

@@ -18,9 +18,9 @@ seconds on matrix2(3): `invertible_completions`, the completion scan of
 the admissibility tables, and `line_perms`, the whole generator family
 as permutation tables.  Helpers serve the tests around them: `corrupt`
 changes one entry of a fresh ring's operation table,
-`word_arrays`/`as_pairs` feed a list of words to the array kernels in
-one call, `uniform_bytes` is the byte-by-byte form of the sampled word
-draw, `point_sets`, `row_set` and `point_map` read index rows and index
+`word_keys`/`as_pairs` feed a list of words of any lengths to the array
+kernels, one call per length, `uniform_bytes` is the byte-by-byte form
+of the sampled word draw, `point_sets`, `row_set` and `point_map` read index rows and index
 permutations as sets and dicts of points, and `tables` gives the scalar
 loops a ring's operation arrays as nested tuples, `slab_costs` the
 item counts and costs a kernel states to the one slab budget, and
@@ -900,15 +900,16 @@ def sigma_formulas_hold(m, sigma, ts, word_form=stepped_antiiso_word_point,
     return entrywise[len(ts) - 1](R, *(m(t) for t in ts)) == composite
 
 
-def word_arrays(ws):
-    """The words ws as the (letters, lengths) arrays of one sweep, each row
-    padded with zeros to the longest word."""
+def word_keys(kernel, ws) -> np.ndarray:
+    """The keys the word kernel gives for the words ws, in their order: one
+    call kernel(letters) per length k, on the k x W_k array whose row j
+    holds letter t_(j+1) of each word of length k."""
     ws = list(ws)
-    width = max(map(len, ws), default=0)
-    letters = np.zeros((len(ws), width), dtype=np.intp)
-    for i, w in enumerate(ws):
-        letters[i, :len(w)] = w
-    return letters, np.array([len(w) for w in ws])
+    out = np.empty(len(ws), dtype=np.intp)
+    for k in sorted({len(w) for w in ws}):
+        at = [i for i, w in enumerate(ws) if len(w) == k]
+        out[at] = kernel(np.array([ws[i] for i in at], dtype=np.intp).reshape(len(at), k).T)
+    return out
 
 
 def as_pairs(keys, n):

@@ -55,7 +55,7 @@ from reference import (
     point_sets,
     point_words,
     slab_costs,
-    word_arrays,
+    word_keys,
 )
 
 
@@ -515,10 +515,9 @@ def test_covariance_failures_fail_under_optimize(run_optimized):
 
 def word_images(R, ws):
     """The word points and the closed-form dual points of the words ws,
-    each from one call of its kernel."""
-    letters, lengths = word_arrays(ws)
-    return (as_pairs(word_points(R, letters, lengths), R.size),
-            as_pairs(word_dual_points(R, letters, lengths), R.size))
+    each from one call of its kernel per word length."""
+    return (as_pairs(word_keys(lambda t: word_points(R, t), ws), R.size),
+            as_pairs(word_keys(lambda t: word_dual_points(R, t), ws), R.size))
 
 
 def test_word_formula_n0_n1(zoo):
@@ -571,8 +570,8 @@ def test_length2_formula_covers_connected_diameter2(zoo_g):
         R, g = geom.ring, geom.graph
         if g.n_components != 1 or g.diameter > 2:
             continue
-        letters, lengths = word_arrays(itertools.product(R.elements(), repeat=2))
-        covered = set(as_pairs(word_points(R, letters, lengths), R.size))
+        grid = np.array(list(itertools.product(R.elements(), repeat=2))).T
+        covered = set(as_pairs(word_points(R, grid), R.size))
         assert covered == set(geom.points)
 
 
@@ -650,13 +649,20 @@ def test_uncovered_point_fails_length2_covers_line(name, request, monkeypatch):
     clean = suites.duality_suite(g)
     assert clean["length2_covers_line"] is True and clean["ok"]
     real, last, far = suites.word_points, g.keys[-1], g.keys[g.far]
+    real_sweep, swept = suites.duality_words, []
 
-    def uncovering(R, letters, lengths):
-        pts = real(R, letters, lengths)
-        if letters.shape[1] == 2:  # the length-2 grid; the sweep's words have 3 columns
+    def sweep(*args):
+        rep = real_sweep(*args)
+        swept.append(True)
+        return rep
+
+    def uncovering(R, letters):
+        pts = real(R, letters)
+        if swept:  # the length-2 grid, which comes after the word sweep
             pts = np.where(pts == last, far, pts)
         return pts
 
+    monkeypatch.setattr(suites, "duality_words", sweep)
     monkeypatch.setattr(suites, "word_points", uncovering)
     rep = suites.duality_suite(g)
     assert rep.pop("length2_covers_line") is False and rep.pop("ok") is False

@@ -53,16 +53,15 @@ from reference import (
     residue_restriction_is_ring_map,
     row_set,
     transpose_law_holds,
-    word_arrays,
+    word_keys,
 )
 
 
 def word_images(m, ws):
     """The word points over the source ring and the closed-form sigma
-    images of the words ws, each from one call of its kernel."""
-    letters, lengths = word_arrays(ws)
-    return (as_pairs(word_points(m.source, letters, lengths), m.source.size),
-            as_pairs(antiiso_word_points(m, letters, lengths), m.target.size))
+    images of the words ws, each from one call of its kernel per word length."""
+    return (as_pairs(word_keys(lambda t: word_points(m.source, t), ws), m.source.size),
+            as_pairs(word_keys(lambda t: antiiso_word_points(m, t), ws), m.target.size))
 
 
 def iso_chain_map(m, C):

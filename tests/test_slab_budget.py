@@ -11,8 +11,7 @@ import pytest
 
 from chaingeom import compat, duality, projline
 from chaingeom.compat import _desargues_scan
-from chaingeom.duality import (_flat_tables, _kernel_triples, bidual_keys, covariance_failures,
-                               perp_keys)
+from chaingeom.duality import _kernel_triples, bidual_keys, covariance_failures, perp_keys
 from chaingeom.projline import distant_graph, line_generators, solution_slabs
 
 BUDGETS = (1 << 16, 1 << 18)
@@ -47,7 +46,7 @@ def kernels(g, plane, order):
         "perp_keys": lambda: perp_keys(R, g.keys),
         "bidual_keys": lambda: bidual_keys(R, g.dual.keys),
         "mat_inverses": lambda: distant_graph(R, g.points),
-        "kernel_triples": lambda: _kernel_triples(R, _flat_tables(R), *pairs),
+        "kernel_triples": lambda: _kernel_triples(R, *pairs),
         "covariance": lambda: covariance_failures(R, *pairs),
         "desargues": lambda: _desargues_scan(*plane, order == 9, 10 ** 7),
     }

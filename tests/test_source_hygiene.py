@@ -48,7 +48,10 @@ ALLOWED_UNREACHED = {
 # its kernels on their dual side; and the distant graph's distances from
 # the far point and the residue's point-index blocks, which nothing read:
 # a distance is a BFS over the adjacency matrix, and the residue's blocks
-# are its coordinate rows
+# are its coordinate rows; and the per-word gather of every length's
+# formula values and the covariance check's own flat tables, since each
+# word kernel runs on the words of one length and the ring holds its flat
+# tables
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
                            r"|_add_t|_mul_t|_neg_t"
                            r"|transported_partition|_ordered_pairs"
@@ -56,7 +59,8 @@ DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_l
                            r"|_chain_rows|_opposite|chain_rows|second_conjugate"
                            r"|col_images|enumerate_dual_points|_checked_orbit|_dual_seed"
                            r"|point_keys|point_index|dual_keys|dual_index|dual_perms"
-                           r"|dual_chains\w*|dist_from_infinity|point_blocks)\b")
+                           r"|dual_chains\w*|dist_from_infinity|point_blocks"
+                           r"|_by_length|_flat_tables)\b")
 
 # the modules whose sets of blocks, chains and classes are sorted index
 # rows, and the one whose distant graph is a boolean matrix
@@ -261,7 +265,9 @@ def test_scan_finds_deleted_names():
             "geom.point_keys[geom.point_index(p)]; geom.dual_keys, geom.dual_index(q)\n"
             "geom.dual_perms; geom.dual_chains, geom.dual_chains_at_infinity\n"
             "word_dual_points(R); test_dual_chains_through(g)\n"
-            "g.dist_from_infinity[p]; res.point_blocks; blocks_at(rows, i)\n")
+            "g.dist_from_infinity[p]; res.point_blocks; blocks_at(rows, i)\n"
+            "a = _by_length(lengths, [R.one, a2]); _length_groups(letters, lengths)\n"
+            "tables = _flat_tables(R); R._add_f, R._mul_f\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
                                            "_pair_left", "_padded", "transported_partition",
                                            "_ordered_pairs", "_SET_BITS", "_COV_PAIRS",
@@ -273,7 +279,7 @@ def test_scan_finds_deleted_names():
                                            "point_index", "dual_keys", "dual_index",
                                            "dual_perms", "dual_chains",
                                            "dual_chains_at_infinity", "dist_from_infinity",
-                                           "point_blocks"]
+                                           "point_blocks", "_by_length", "_flat_tables"]
 
 
 def test_no_deleted_table_names():

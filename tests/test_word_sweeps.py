@@ -3,16 +3,19 @@ tests hold them to the per-word references of tests/reference.py: the
 same words, the same (checks, mismatches), the same first failing word
 under corrupted closed forms, and the same NotAdmissibleError."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaingeom import duality, isomorph, suites
 from chaingeom.geometry import Geometry
 from chaingeom.isomorph import antiiso_point_table
 from chaingeom.projline import NotAdmissibleError, make_point
-from chaingeom.rings import make_ring_map, subfield_in_opposite
+from chaingeom.rings import FiniteFieldRing, RingSpec, build_subfield, make_ring_map, \
+    subfield_in_opposite
 
 import reference
 
@@ -176,37 +179,44 @@ def _shifted_scalar_sigma(k):
 _word_dual_points = duality.word_dual_points
 _antiiso_word_points = isomorph.antiiso_word_points
 
-# name: (suite, {(module, attribute): kernel copy}, keyword arguments of the
-# reference check with the scalar copy)
+# name: (suite, (module, attribute, kernel copy), keyword arguments of the
+# reference check with the scalar copy): one patched name per closed form,
+# which the sweep and its one-word witness call both read
 CONTROLS = {
-    "length-2 perp formula": ("duality", {
-        (suites, "length2_perp_formula"): _shifted_perp(duality.length2_perp_formula),
-    }, {"length2": _shifted_scalar_perp(reference.length2_perp_formula)}),
-    "length-3 perp formula": ("duality", {
-        (suites, "length3_perp_formula"): _shifted_perp(duality.length3_perp_formula),
-    }, {"length3": _shifted_scalar_perp(reference.length3_perp_formula)}),
-    "dual word form": ("duality", {
-        (mod, "word_dual_points"): lambda R, *w: _shift_col_keys(R, _word_dual_points(R, *w))
-        for mod in (suites, duality)
-    }, {"word_dual": lambda R, ts: _shift_col(R, reference.stepped_word_dual_point(R, ts))}),
-    "antiiso word form": ("sigma", {
-        (mod, "antiiso_word_points"):
-            lambda m, *w: _shift_row_keys(m.target, _antiiso_word_points(m, *w))
-        for mod in (suites, isomorph)
-    }, {"word_form":
+    "length-2 perp formula": ("duality", (
+        suites, "length2_perp_formula", _shifted_perp(duality.length2_perp_formula),
+    ), {"length2": _shifted_scalar_perp(reference.length2_perp_formula)}),
+    "length-3 perp formula": ("duality", (
+        suites, "length3_perp_formula", _shifted_perp(duality.length3_perp_formula),
+    ), {"length3": _shifted_scalar_perp(reference.length3_perp_formula)}),
+    "dual word form": ("duality", (
+        duality, "word_dual_points", lambda R, t: _shift_col_keys(R, _word_dual_points(R, t)),
+    ), {"word_dual": lambda R, ts: _shift_col(R, reference.stepped_word_dual_point(R, ts))}),
+    "antiiso word form": ("sigma", (
+        isomorph, "antiiso_word_points",
+        lambda m, t: _shift_row_keys(m.target, _antiiso_word_points(m, t)),
+    ), {"word_form":
         lambda m, ts: _shift_row(m.target, reference.stepped_antiiso_word_point(m, ts))}),
-    **{f"length-{k} sigma formula": ("sigma", {
-        (suites, f"length{k}_sigma_formula"):
-            _shifted_entries(getattr(isomorph, f"length{k}_sigma_formula")),
-    }, {"entrywise": _shifted_scalar_sigma(k - 1)}) for k in (1, 2, 3)},
+    **{f"length-{k} sigma formula": ("sigma", (
+        suites, f"length{k}_sigma_formula",
+        _shifted_entries(getattr(isomorph, f"length{k}_sigma_formula")),
+    ), {"entrywise": _shifted_scalar_sigma(k - 1)}) for k in (1, 2, 3)},
 }
+
+
+# the controls that also run on sampled matrix2(3), whose words come in
+# random order of length
+M2F3_CONTROLS = ("length-3 perp formula", "antiiso word form")
 
 
 @pytest.mark.parametrize("control", sorted(CONTROLS))
 def test_corrupted_closed_forms_fail_like_the_reference(control, f4_g, dual2_g, m2f2_g,
-                                                        monkeypatch):
-    suite, patches, kwargs = CONTROLS[control]
-    for geom in (f4_g, dual2_g, m2f2_g):
+                                                        request, monkeypatch):
+    suite, (module, name, corrupted), kwargs = CONTROLS[control]
+    geometries = [f4_g, dual2_g, m2f2_g]
+    if control in M2F3_CONTROLS:
+        geometries.append(request.getfixturevalue("m2f3_g"))
+    for geom in geometries:
         R = geom.ring
         m, _ = suites.catalogue_antiiso(R)
         sigma = reference.point_map(geom, antiiso_point_table(m, geom))
@@ -219,10 +229,9 @@ def test_corrupted_closed_forms_fail_like_the_reference(control, f4_g, dual2_g, 
         words = reference.words(R, 10 ** 4, SEED)
         checks, mismatches, first = reference.word_sweep(holds, words)
         with monkeypatch.context() as patched:
-            for (module, name), corrupted in patches.items():
-                patched.setattr(module, name, corrupted)
+            patched.setattr(module, name, corrupted)
             run = suites.duality_suite if suite == "duality" else suites.sigma_suite
-            rep = run(geom)
+            rep = run(geom, samples=10 ** 4, seed=SEED)
         assert mismatches > 0, (control, R.name)
         assert _counts(rep) == (checks, mismatches), (control, R.name)
         assert not rep["ok"]
@@ -255,10 +264,10 @@ def test_inadmissible_formula_pair_raises_at_the_reference_word(dual2_g, m2f2_g,
         return make_point(R, t1, t2), reference.length2_perp_formula(R, t1, t2)[1]
 
     # (v, w) -> (v - w, w): it moves (0, 1)^T R, the image of the word (0, 0)
-    def word_form_off_at_0(R, letters, lengths):
-        keys = _word_dual_points(R, letters, lengths)
+    def word_form_off_at_0(R, letters):
+        keys = _word_dual_points(R, letters)
         v, w = np.divmod(keys, R.size)
-        return np.where(letters[:, 0] == 0, R._right_key[R._add_a[v, R._neg_a[w]], w], keys)
+        return np.where(letters[0] == 0, R._right_key[R._add_a[v, R._neg_a[w]], w], keys)
 
     def scalar_word_form_off_at_0(R, ts):
         v, w = reference.stepped_word_dual_point(R, ts)
@@ -278,10 +287,98 @@ def test_inadmissible_formula_pair_raises_at_the_reference_word(dual2_g, m2f2_g,
             with monkeypatch.context() as patched:
                 patched.setattr(suites, "length2_perp_formula", rows_swapped)
                 if off_at_0:
-                    patched.setattr(suites, "word_dual_points", word_form_off_at_0)
+                    patched.setattr(duality, "word_dual_points", word_form_off_at_0)
                 with pytest.raises(NotAdmissibleError) as got:
                     suites.duality_suite(geom)
             assert str(got.value) == str(want.value)
             messages.append(str(want.value))
         assert messages[0] == f"(0, 0) is not admissible over {R.name}"
         assert messages[1] != messages[0], R.name
+
+
+# sweeps over any words ---------------------------------------------------------------
+
+def _sweep_arrays(R, ws):
+    """The words ws as the (letters, lengths) arrays of suites._words."""
+    letters = np.zeros((len(ws), 3), dtype=R._neg_f.dtype)
+    for i, w in enumerate(ws):
+        letters[i, :len(w)] = w
+    return letters, np.array([len(w) for w in ws])
+
+
+def _outcome(rep):
+    first = rep.get("word_formula_first_mismatch")
+    return (*_counts(rep), tuple(first["word"]) if first else None)
+
+
+@st.composite
+def word_lists(draw):
+    """A ring of at most 4 elements or its opposite (by index), and words
+    over it: any mix of lengths, or every word of one length."""
+    ring = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        return ring, list(itertools.product(range(4), repeat=k))
+    word = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+    return ring, draw(st.lists(word, min_size=1, max_size=30))
+
+
+@pytest.fixture(scope="module")
+def tiny_geometries(f4_g, dual2_g, prod22_g):
+    return _with_opposites([f4_g, dual2_g, prod22_g])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(words=word_lists(), control=st.sampled_from([None] + sorted(CONTROLS)))
+@example(words=(0, [(1,)]), control=None)
+@example(words=(3, [(2, 1, 3)]), control="length-3 perp formula")
+@example(words=(1, [(1, 2), (3,), (0, 2)]), control="length-2 sigma formula")
+@example(words=(4, [(1, 2, 3), (2,), (3, 3, 1)]), control="dual word form")
+def test_sweeps_over_any_mix_of_lengths_match_the_reference(tiny_geometries, words, control):
+    """duality_words and sigma_words on any list of words, a length group
+    empty, a single word, or every word of one length, clean and with one
+    closed form shifted, give the checks, mismatches and first failing word
+    of reference.word_sweep on the same words."""
+    ring, ws = words
+    geom = tiny_geometries[ring]
+    R, m = geom.ring, _antiautomorphism(geom)
+    sigma = antiiso_point_table(m, geom)
+    suite, kwargs, arrays = "clean", {}, _sweep_arrays(R, ws)
+    with pytest.MonkeyPatch.context() as patched:
+        if control is not None:
+            suite, (module, name, corrupted), kwargs = CONTROLS[control]
+            patched.setattr(module, name, corrupted)
+        got = (suites.duality_words(geom, *arrays), suites.sigma_words(geom, m, sigma, *arrays))
+    on_points = reference.point_map(geom, sigma)
+    want = (reference.word_sweep(lambda ts: reference.duality_formulas_hold(
+                geom, ts, **(kwargs if suite == "duality" else {})), ws),
+            reference.word_sweep(lambda ts: reference.sigma_formulas_hold(
+                m, on_points, ts, **(kwargs if suite == "sigma" else {})), ws))
+    assert [_outcome(rep) for rep in got] == list(want)
+
+
+def test_corruption_after_first_use_reaches_the_flat_tables():
+    """Both sweeps run on a freshly built F4, one product is then corrupted
+    by reference.corrupt, and both sweep the same Geometry's words again:
+    the counts and first failing words are those of reference.word_sweep
+    on the corrupted tables, so no flat table kept a clean entry from its
+    first use.  Every flat table is read-only, before and after."""
+    for at, value in (((2, 1), 0), ((3, 3), 3)):
+        R = FiniteFieldRing(RingSpec("finite-field", 4))  # fresh, not the cached instance
+        geom = Geometry(R, build_subfield(R, "prime"))
+        m, _ = suites.catalogue_antiiso(R)
+        sigma = antiiso_point_table(m, geom)
+        words = suites._words(R, 10 ** 4, random.Random(SEED))
+        clean = (suites.duality_words(geom, *words), suites.sigma_words(geom, m, sigma, *words))
+        assert [_counts(rep) for rep in clean] == [(84, 0)] * 2
+        flat = (R._add_f, R._mul_f, R._neg_f)
+        reference.corrupt(R, "mul", at, value)
+        assert all(not t.flags.writeable for t in flat + (R._add_f, R._mul_f, R._neg_f))
+        got = (suites.duality_words(geom, *words), suites.sigma_words(geom, m, sigma, *words))
+        on_points = reference.point_map(geom, sigma)
+        ws = list(reference.words(R, 10 ** 4, SEED))
+        want = (reference.word_sweep(lambda ts: reference.duality_formulas_hold(geom, ts), ws),
+                reference.word_sweep(lambda ts: reference.sigma_formulas_hold(m, on_points, ts),
+                                     ws))
+        assert [_outcome(rep) for rep in got] == list(want), at
+        assert all(w[1] > 0 for w in want), at
