@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from chaingeom.rings import FAMILIES, RingSpec, build_ring, build_subfield
+from chaingeom.compat import DERIVE_PLANE_RINGS
 from chaingeom.geometry import Geometry
 from chaingeom import suites
 
@@ -89,10 +90,6 @@ TASK_OPTIONS = {
     "sigma-suite": {"samples": int, "seed": int},
 }
 POSITIVE_OPTIONS = frozenset({"samples", "cap", "desargues_cap"})
-
-# the rings (family, q) whose reguli the derive-plane task can replace
-DERIVE_PLANE_RINGS = {("matrix2", 2), ("matrix2", 3)}
-
 
 def _check_options(task: str, options: dict) -> None:
     allowed = TASK_OPTIONS.get(task, {})

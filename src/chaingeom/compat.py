@@ -36,6 +36,8 @@ from chaingeom.projline import (
     VerificationError, orbit, padded_rows, row_images, row_keys, rows_in, slabs, sorted_rows)
 from chaingeom.chains import Residue
 
+DERIVE_PLANE_RINGS = {("matrix2", 2), ("matrix2", 3)}  # derive_plane's (family, q)
+
 
 class RegulusNotFoundError(RuntimeError):
     pass
@@ -485,7 +487,7 @@ def derive_plane(geom, skip_replacement: bool = False,
     Playfair are reported so, with no completion and no Desargues verdict.
     """
     R, K = geom.ring, geom.subfield
-    if R.spec.family != "matrix2" or R.spec.q not in (2, 3):
+    if (R.spec.family, R.spec.q) not in DERIVE_PLANE_RINGS:
         raise RegulusNotFoundError("derivation analogue needs matrix2(2) or matrix2(3)")
     q = R.spec.q
     kclass = next(c for c in geom.compat_classes if list(K.elements) in c.blocks.tolist())

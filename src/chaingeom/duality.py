@@ -18,13 +18,13 @@ test per slab, and fall back to a search in key order; perp_point is the
 one-point oracle, annihilator_pairs searched in key order.  They remember
 nothing; a Geometry keeps one perp_keys call as its perp index array,
 which never feeds a formula.  The covariance law is checked in one call
-per suite: covariance_failures groups the masks of every row that occurs
-into kernel classes, held as one table of sorted solution keys per class
+per suite, over the index range or array of its (generator, row) pairs:
+covariance_failures groups the masks of every row that occurs into
+kernel classes, held as one table of sorted solution keys per class
 size, and checks each distinct (generator, kernel class, kernel class)
 triple once, with the inverses of the generators from one
-projline.mat_inverses call.
-Every batch kernel takes its slabs from projline.slabs, within one byte
-budget.
+projline.mat_inverses call.  Every batch kernel takes its slabs from
+projline.slabs, or index_slabs over it, within one byte budget.
 The closed formulas under test are array functions over the flat
 operation tables, each evaluated on the words of its own length.
 """
@@ -41,6 +41,7 @@ from chaingeom.projline import (
     VerificationError,
     carries,
     flat_at,
+    index_slabs,
     mat_inverses,
     one_word,
     slabs,
@@ -164,32 +165,31 @@ def _pair_keys(R: Ring, p, q) -> np.ndarray:
     return entry(0, 1) * n + entry(2, 3)
 
 
-def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
+def _kernel_triples(R: Ring, gens, pairs) -> tuple:
     """(triples, counts, classes): every distinct (generator index, class of
-    u, class of u*M) of the pairs (M = gens[which[i]], u = the row of key
-    keys[i]), as three sorted arrays, with the number of pairs each stands
-    for, and the kernel classes, built once as (size, slot, tables): class
-    c has size[c] solution keys x*|R| + y, increasing, as row slot[c] of
-    tables[size[c]], one table per class size.  Rows that occur as u or
-    u*M share a class iff their solution_slabs masks are equal as bytes;
-    classes are numbered in order of first row, whose mask gives the keys.
-    The pairs go in slabs and keep only the key of u*M, in the dtype of a
-    key, and the triple code."""
+    u, class of u*M) of the pairs (as in covariance_failures), as three
+    sorted arrays, with the number of pairs each stands for, and the kernel
+    classes, built once as (size, slot, tables): class c has size[c]
+    solution keys x*|R| + y, increasing, as row slot[c] of tables[size[c]],
+    one table per class size.  Rows that occur as u or u*M share a class
+    iff their solution_slabs masks are equal as bytes; classes are numbered
+    in order of first row, whose mask gives the keys.  The pairs go in
+    slabs twice: to mark the rows that occur, then to count the distinct
+    triple codes of each slab, merged at the end."""
     n = R.size
     key_t = R._stride.dtype
     m0, m1, m2, m3 = np.asarray(gens, dtype=key_t).reshape(-1, 4).T
-    which, keys = np.asarray(which, dtype=np.intp), np.asarray(keys, dtype=np.intp)
-    images = np.empty(len(keys), dtype=key_t)  # u*M = (a*m0 + b*m2, a*m1 + b*m3)
-    # per pair: its key, entries and offsets, the takes of u*M and the intp
-    # copy of an index, or the terms of its code
-    chunks = list(slabs(len(keys), 40))
-    for part in chunks:
-        w, u = which[part], keys[part].astype(key_t)
-        b = u % n
-        a, b = u - b, b * n  # a*|R|, b*|R|
-        images[part] = _pair_keys(R, (a, b, a, b), [m.take(w) for m in (m0, m2, m1, m3)])
+
+    def sweep():  # per slab: its generator indices, u and u*M = (a*m0 + b*m2, a*m1 + b*m3)
+        # per pair: u's entries and offsets, the takes and key of u*M, its code and sort
+        for _, (w, u) in index_slabs(pairs, (len(gens), n * n), 16, key_t):
+            b = u % n
+            a, b = u - b, b * n  # a*|R|, b*|R|
+            yield w, u, _pair_keys(R, (a, b, a, b), [m.take(w) for m in (m0, m2, m1, m3)])
+
     present = np.zeros(n * n, dtype=bool)
-    present[keys] = present[images] = True
+    for _, u, image in sweep():
+        present[u] = present[image] = True
     rows = np.flatnonzero(present)
     cls = np.zeros(n * n, dtype=key_t)
     masks: dict = {}
@@ -208,21 +208,25 @@ def _kernel_triples(R: Ring, gens, which, keys) -> tuple:
         members = np.flatnonzero(size == s)
         slot[members] = np.arange(len(members))
         by_size[s] = np.array([found[i] for i in members.tolist()], dtype=key_t)
-    c = len(found)
-    # intp, a dtype every run has sorted already: a narrower one pages in more sort code
-    code = np.empty(len(keys), dtype=np.intp)
-    for part in chunks:
-        code[part] = (which[part] * c + cls[keys[part]]) * c + cls[images[part]]
-    # distinct triples by sorting: a plain np.unique imports numpy.ma
-    flat, counts = np.unique(code, return_counts=True)
+    c = np.intp(len(found))
+    # intp codes, a dtype every run has sorted already: a narrower one pages
+    # in more sort code; distinct by sorting: a plain np.unique imports numpy.ma
+    codes, tallies = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # no pairs
+    for w, u, image in sweep():
+        code, tally = np.unique((w * c + cls[u]) * c + cls[image], return_counts=True)
+        codes.append(code)
+        tallies.append(tally)
+    flat, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    counts = np.bincount(inverse, np.concatenate(tallies)).astype(np.intp)
     g, rest = np.divmod(flat, c * c)
     return (g, *np.divmod(rest, c)), counts, (size, slot, by_size)
 
 
-def covariance_failures(R: Ring, gens, which, keys) -> int:
-    """The number of pairs i, with repeats, where (u*M)-perp differs from
-    M^-1 * (u-perp) as raw solution sets, for M = gens[which[i]] and the
-    row u = (a, b) of key keys[i] = a*|R| + b.
+def covariance_failures(R: Ring, gens, pairs) -> int:
+    """The number of pairs, with repeats, where (u*M)-perp differs from
+    M^-1 * (u-perp) as raw solution sets, a pair given by its index
+    i*|R|^2 + k in pairs, a range or an index array: M = gens[i] and u =
+    (a, b) the row of key k = a*|R| + b.
 
     The check of a pair depends only on M and the kernels of u and u*M.  So
     every row that occurs gets its kernel from one scan, and each distinct
@@ -239,7 +243,7 @@ def covariance_failures(R: Ring, gens, which, keys) -> int:
     """
     n = R.size
     key_t = R._stride.dtype
-    triples, counts, (size, slot, by_size) = _kernel_triples(R, gens, which, keys)
+    triples, counts, (size, slot, by_size) = _kernel_triples(R, gens, pairs)
     g, ker_u, ker_um = triples
     # M^-1 per generator, entries scaled by |R| as row offsets into the
     # flat tables: M^-1 * (v, w)^T = (i0*v + i1*w, i2*v + i3*w)

@@ -13,10 +13,10 @@ exotic rings membership of R(x,y) in the line does not force
 admissibility of (x, y), and the cross-check guards the convention that
 points are represented by admissible pairs only.
 
-Every batch of solution sets {(x, y) : a*x + b*y = 0} of the package, of
-points or of covariance rows, and the left kernels of the dual points,
-comes from one driver, `solution_slabs`, which scans many rows at once.
-Every batch kernel cuts its work with `slabs`, within one byte budget.
+Every batch of solution sets {(x, y) : a*x + b*y = 0}, of points or of
+covariance rows, and the left kernels of the dual points, comes from one
+driver, `solution_slabs`.  Every batch kernel cuts its work with `slabs`,
+and every sweep over an index range with `index_slabs`, in one budget.
 
 GL2(R) has one solve, `mat_inverses`: the inverse of every matrix of a
 batch, or none, read off the kernels of the batch's distinct rows.  The
@@ -252,6 +252,19 @@ def slabs(count: int, cost: int):
     step = max(1, SCAN_SLAB // cost if cost else count)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
+
+
+def index_slabs(indices, radix, cost: int, dtype=np.intp):
+    """The items of indices, a range or an index array, in slabs(): yields
+    (part, digits), part the slice of indices of a slab and digits[:, i] the
+    mixed-radix digits of its item i in dtype, most significant first.  An
+    item costs what the consumer holds for it, cost, plus its index and its
+    digits, as intp and in dtype."""
+    for part in slabs(len(indices), cost + 8 + (8 + np.dtype(dtype).itemsize) * len(radix)):
+        items = indices[part]
+        if isinstance(items, range):
+            items = np.arange(items.start, items.stop, items.step)
+        yield part, np.array(np.unravel_index(items, radix), dtype=dtype)
 
 
 def padded_rows(mask: np.ndarray) -> np.ndarray:

@@ -4,28 +4,22 @@ Each suite returns a flat report dict with a boolean "ok", exhaustive or
 seeded-sample check counts, and any witnesses worth recording.  Rings with
 at most 16 elements are always swept exhaustively; on the 81-element
 matrix ring the duality and sigma suites take explicit sample counts and
-seeds for their words and covariance rows instead.  Each of those two
-suites draws from one random.Random(seed): the word lengths, then their
-letters, each in bulk from rng.randbytes by rejection, and in the
-duality suite then the covariance (generator, row) pairs with
-rng.choices.  The duality suite checks the covariance law in one call
-over all its (generator, row) pairs.  The word sweeps are array kernels:
-every word is drawn into (letters, lengths) arrays, the words are grouped
-by length once, every kernel, the word points and word forms as well as
-each closed formula, runs on the letters of one length's words only, and
-the checks and point entries go back into word order, where one driver,
-_word_sweep, counts the failures over boolean masks.  The chain checks
-read the Geometry's chain rows: one helper, projline.carries, decides whether perp or sigma, both
-index arrays, carries a chain set onto another, for every chain of the
-set, and the bidual check runs on every point in one bidual_keys call; a
-failing one names its first point, the dual point perp gave it, what came
-back, and the dual point a fresh perp scan gives.
-"""
+seeds for their words and covariance rows instead, drawn from one
+random.Random(seed): the word lengths, then their letters, each in bulk
+from rng.randbytes by rejection, and in the duality suite then the
+covariance (generator, row) pairs with rng.choices.  Every sweep walks
+index ranges, or drawn index arrays, in slabs (projline.index_slabs),
+each index's digits its letters or its (generator, row): the words one
+length at a time, where one driver, _word_sweep, carries the counts and
+the first failing word across the slabs; the covariance pairs, in one
+covariance_failures call; and the length-2 words of length2_covers_line.
+One helper, projline.carries, decides whether perp or sigma, both index
+arrays, carries a chain set onto another; the bidual check runs on every
+point in one bidual_keys call."""
 
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 import numpy as np
 
@@ -36,6 +30,7 @@ from chaingeom.projline import (
     carries,
     flat_at,
     index_of,
+    index_slabs,
     line_generators,
     make_point,
     sorted_rows,
@@ -77,6 +72,8 @@ from chaingeom.isomorph import (
 )
 
 EXHAUSTIVE_LIMIT = 16
+# the bytes a word check holds per word of a slab, at its peak, beyond its letters
+WORD_COST = 40
 
 
 def points_report(geom: Geometry) -> dict:
@@ -126,109 +123,93 @@ def _uniform(rng: random.Random, n: int, count: int) -> np.ndarray:
     return kept % n
 
 
-def _words(R: Ring, samples: int, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """Elementary words of length 1 to 3 as (letters, lengths): word i is
-    the first lengths[i] entries of row i of the W x 3 array letters, and
-    the rest of the row is zero; letters in the dtype of R's flat tables.
-    Rings with at most EXHAUSTIVE_LIMIT elements give every word, each
-    (t1,) followed by its extensions (t1, t2), each of those followed by
-    its (t1, t2, t3); larger rings give `samples` words drawn from rng in
-    two _uniform draws: every length from (1, 2, 3), then three letters per
-    word from R, of which the word keeps the first lengths[i]."""
+def _words(R: Ring, samples: int, rng: random.Random) -> list:
+    """Elementary words of length 1 to 3 by length: for k = 1, 2, 3,
+    (indices, at), the words of length k as k-digit base-|R| numbers, t1
+    most significant, and at(j) the place of word indices[j] in word order.
+    Rings with at most EXHAUSTIVE_LIMIT elements give every word, indices =
+    range(|R|^k), each (t1,) followed by its extensions (t1, t2), each of
+    those by its (t1, t2, t3); larger rings give `samples` words drawn
+    from rng in two _uniform draws: every length from (1, 2, 3), then
+    three letters per word, of which the word keeps the first k."""
     n = R.size
     if n <= EXHAUSTIVE_LIMIT:
-        block = 1 + n * (1 + n)  # (t1,), then (t1, t2) and its n extensions per t2
-        t1, r = np.divmod(np.arange(n * block), block)
-        t2, s = np.divmod(r - 1, 1 + n)  # for r > 0: s = 0 at (t1, t2), t3 + 1 after
-        lengths = np.where(r == 0, 1, np.where(s == 0, 2, 3))
-        letters = np.stack([t1, t2, s - 1], axis=1, dtype=R._neg_f.dtype, casting="unsafe")
-    else:
-        lengths = _uniform(rng, 3, samples) + 1
-        letters = _uniform(rng, n, 3 * samples).reshape(samples, 3)
-    letters *= np.arange(3) < lengths[:, None]
-    return letters, lengths
+        below = (1 + n + n * n, 1 + n, 1)  # the words from a prefix on: it and its extensions
+        return [(range(n ** k), lambda j, k=k: k - 1 + sum(
+            j // n ** (k - 1 - i) % n * below[i] for i in range(k))) for k in (1, 2, 3)]
+    lengths = _uniform(rng, 3, samples) + 1
+    return _word_groups(n, _uniform(rng, n, 3 * samples).reshape(samples, 3), lengths)
 
 
-def _length_groups(letters, lengths) -> tuple[np.ndarray, list]:
-    """The words of a sweep grouped by length: order, the indices of the
-    length-1, then the length-2, then the length-3 words, each group in
-    word order, and for each length k the k x W_k array of the letters of
-    its words, row j holding letter t_(j+1)."""
-    order = np.argsort(lengths, kind="stable")
-    ends = np.cumsum(np.bincount(lengths, minlength=4)).tolist()
-    grouped = letters.T[:, order]
-    return order, [grouped[:k, ends[k - 1]:ends[k]] for k in (1, 2, 3)]
+def _word_groups(n: int, letters, lengths) -> list:
+    """The length groups of _words for words in word order, word i the
+    first lengths[i] letters of row i of letters."""
+    ats = [np.flatnonzero(lengths == k) for k in (1, 2, 3)]
+    return [(np.ravel_multi_index(letters[at, :k].T, (n,) * k), at.__getitem__)
+            for k, at in enumerate(ats, 1)]
 
 
-def _word_sweep(R: Ring, stages, rows=None) -> tuple[int, int, Optional[int]]:
-    """(checks, mismatches, first failing index) of a sweep given as boolean
-    masks over the words: stages[k][i] says word i passes check k, in the
-    order a check of one word evaluates them, and a word fails at its first
-    check that does not hold.  rows, if given, are the entries (a, b) of
-    the point the last check makes for every word: the first word that
-    reaches it with a pair that is not admissible makes make_point raise
-    its NotAdmissibleError."""
-    reached = np.ones(len(stages[0]), dtype=bool)
-    for holds in stages[:-1]:
-        reached &= holds
-    if rows is not None:
-        bad = np.flatnonzero(reached & ~R._rows_ok[rows])
-        if len(bad):
-            make_point(R, int(rows[0][bad[0]]), int(rows[1][bad[0]]))
-    reached &= stages[-1]
-    failing = np.flatnonzero(~reached)
-    return len(reached), len(failing), (int(failing[0]) if len(failing) else None)
-
-
-def _word_report(R: Ring, letters, lengths, order, grouped, witness) -> dict:
-    """The word_formula_* entries of a suite's report from _word_sweep over
-    two checks: the closed word form, then the closed formula of the word's
-    length, which makes the points with entries (a, b).  grouped holds the
-    two checks' masks and a and b in the order of the length groups
-    (_length_groups), and order puts them back into word order.  A failing
-    sweep names its first failing word, the check it failed, and the
-    values witness(word) gives for it."""
-    word_form, closed, a, b = [np.empty_like(values) for values in grouped]
-    for out, values in zip((word_form, closed, a, b), grouped):
-        out[order] = values
-    checks, mismatches, first = _word_sweep(R, [word_form, closed], (a, b))
+def _word_sweep(R: Ring, words, check, witness) -> dict:
+    """The word_formula_* entries of a suite's report over the words of
+    _words, in slabs of one length k: check(letters), on a slab's k x W
+    letters, says if each word holds the closed word form, if it then holds
+    the length-k formula, and gives the entries (a, b) of the formula's
+    point, or None.  A word fails at its first check that does not hold.
+    Places increase within a length, so the sweep's first failing word is
+    the earliest of the slabs' firsts, and so is the first word whose pair
+    is not admissible, for which make_point raises.  A failing sweep names
+    that word, the check it failed, and what witness(word) gives for it."""
+    checks = mismatches = 0
+    failing, inadmissible = [], []  # per slab, (place, what the report needs)
+    for k, (indices, at) in enumerate(words, 1):
+        for part, letters in index_slabs(indices, (R.size,) * k, WORD_COST, R._neg_f.dtype):
+            word_form, closed, rows = check(letters)
+            fails = np.flatnonzero(~(word_form & closed)).tolist()
+            checks, mismatches = checks + len(closed), mismatches + len(fails)
+            failing += [(at(part.start + j), letters[:, j].tolist(), word_form[j])
+                        for j in fails[:1]]
+            out = [] if rows is None else np.flatnonzero(word_form & ~R._rows_ok[rows]).tolist()
+            inadmissible += [(at(part.start + j), int(rows[0][j]), int(rows[1][j]))
+                             for j in out[:1]]
+    if inadmissible:
+        make_point(R, *min(inadmissible)[1:])
     rep = {"word_formula_checks": checks, "word_formula_mismatches": mismatches}
-    if first is not None:
-        ts = tuple(letters[first, :lengths[first]].tolist())
-        check = "word form" if not word_form[first] else f"length-{len(ts)} formula"
-        rep["word_formula_first_mismatch"] = {"word": list(ts), "check": check,
-                                              **witness(ts)}
+    if failing:
+        _, ts, word_form = min(failing)
+        rep["word_formula_first_mismatch"] = {
+            "word": ts, "check": f"length-{len(ts)} formula" if word_form else "word form",
+            **witness(tuple(ts))}
     return rep
 
 
-def duality_words(geom: Geometry, letters, lengths) -> dict:
-    """The duality suite's word sweep: for every word, the closed word form
-    and then the closed formula of its length, against the oracle's image
-    of the word point, read off the Geometry's perp array.  Each kernel
-    runs on the words of one length at a time."""
+def duality_words(geom: Geometry, words) -> dict:
+    """The duality suite's word sweep over the length groups words of
+    _words: for every word, the closed word form and then the closed
+    formula of its length, against the oracle's image of the word point,
+    read off the Geometry's perp array.  Each check runs on one slab of
+    words of one length."""
     R = geom.ring
-    order, groups = _length_groups(letters, lengths)
-    pts = np.concatenate([word_points(R, g) for g in groups])
-    oracle = geom.dual.keys[geom.perp[index_of(geom.keys, pts)]]
-    # the word form read through its module, as its one-word call reads it
-    word_form = np.concatenate([duality.word_dual_points(R, g) for g in groups]) == oracle
-    v1, w1 = length1_perp_formula(R, *groups[0])
-    (a2, b2), (v2, w2) = length2_perp_formula(R, *groups[1])
-    (a3, b3), (v3, w3) = length3_perp_formula(R, *groups[2])
-    # length-1 words make no point; (1, 0) stands in as an admissible pair
-    a = np.concatenate([np.full_like(v1, R.one), a2, a3])
-    b = np.concatenate([np.full_like(v1, R.zero), b2, b3])
-    closed = flat_at(R, R._right_key.ravel(), np.concatenate([v1, v2, v3]),
-                     np.concatenate([w1, w2, w3])) == oracle
-    longer = slice(len(v1), None)
-    closed[longer] &= flat_at(R, R._left_key.ravel(), a[longer], b[longer]) == pts[longer]
+
+    def check(letters):
+        pts = word_points(R, letters)
+        oracle = geom.dual.keys[geom.perp[index_of(geom.keys, pts)]]
+        # the word form read through its module, as its one-word call reads it
+        word_form = duality.word_dual_points(R, letters) == oracle
+        formula = (length1_perp_formula, length2_perp_formula,
+                   length3_perp_formula)[len(letters) - 1]
+        # a length-1 word makes no point
+        rows, (v, w) = formula(R, *letters) if len(letters) > 1 else (None, formula(R, *letters))
+        closed = flat_at(R, R._right_key.ravel(), v, w) == oracle
+        if rows is not None:
+            closed &= flat_at(R, R._left_key.ravel(), *rows) == pts
+        return word_form, closed, rows
 
     def witness(ts):
         p = word_point(R, ts)
         return {"point": p, "definition": geom.perp_of(p),
                 "closed_form": word_dual_point(R, ts)}
 
-    return _word_report(R, letters, lengths, order, (word_form, closed, a, b), witness)
+    return _word_sweep(R, words, check, witness)
 
 
 def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
@@ -251,17 +232,17 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
     rep["far_point_image"] = int(perp[geom.far]) == geom.dual.far
 
     rng = random.Random(seed)
-    rep.update(duality_words(geom, *_words(R, samples, rng)))
+    rep.update(duality_words(geom, _words(R, samples, rng)))
 
     gens = line_generators(R)
-    if small:  # every generator x every row
-        which, keys = np.divmod(np.arange(len(gens) * R.size ** 2), R.size ** 2)
+    if small:  # every generator x every row, by pair index
+        pairs = range(len(gens) * R.size ** 2)
     else:
         count = max(1, samples // 20)
         which = rng.choices(range(len(gens)), k=count)
-        keys = rng.choices(range(R.size ** 2), k=count)
-    cov_failures = covariance_failures(R, gens, which, keys)
-    rep["covariance_checks"] = len(keys)
+        pairs = np.multiply(which, R.size ** 2) + rng.choices(range(R.size ** 2), k=count)
+    cov_failures = covariance_failures(R, gens, pairs)
+    rep["covariance_checks"] = len(pairs)
     rep["covariance_failures"] = cov_failures
 
     back = bidual_keys(R, geom.dual.keys[perp])
@@ -278,13 +259,14 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
 
     g = geom.graph
     if g.n_components == 1 and g.diameter <= 2:  # every (t1, t2), t1 major
-        grid = np.indices((R.size, R.size), dtype=R._neg_f.dtype).reshape(2, -1)
-        ends = index_of(geom.keys, word_points(R, grid))
-        covered = np.bincount(ends, minlength=len(pts)) > 0
-        _, missed, first = _word_sweep(R, [covered])
-        rep["length2_covers_line"] = missed == 0
-        if missed:
-            rep["length2_first_uncovered"] = pts[first]
+        covered = np.zeros(len(pts), dtype=bool)
+        for _, letters in index_slabs(range(R.size ** 2), (R.size, R.size), WORD_COST,
+                                      R._neg_f.dtype):
+            covered[index_of(geom.keys, word_points(R, letters))] = True
+        missed = np.flatnonzero(~covered)
+        rep["length2_covers_line"] = not len(missed)
+        if len(missed):
+            rep["length2_first_uncovered"] = pts[int(missed[0])]
 
     rep["ok"] = (rep["bijection"] and rep["chain_bijection"] and rep["far_point_image"]
                  and rep["word_formula_mismatches"] == 0 and cov_failures == 0
@@ -362,30 +344,32 @@ def catalogue_antiiso(R: Ring):
     return identity_map(R, as_antiiso=True), "identity"
 
 
-def sigma_words(geom: Geometry, m, sigma: np.ndarray, letters, lengths) -> dict:
-    """The sigma suite's word sweep for the antiautomorphism m of the
-    Geometry's ring: for every word, the closed word form and then the
-    entrywise formula of its length, against the composite sigma of the
-    word point, the index permutation of antiiso_point_table.  Each kernel
-    runs on the words of one length at a time."""
+def sigma_words(geom: Geometry, m, sigma: np.ndarray, words) -> dict:
+    """The sigma suite's word sweep over the length groups words of _words,
+    for the antiautomorphism m of the Geometry's ring: for every word, the
+    closed word form and then the entrywise formula of its length, against
+    the composite sigma of the word point, the index permutation of
+    antiiso_point_table.  Each check runs on one slab of words of one
+    length."""
     R, keys = geom.ring, geom.keys
-    order, groups = _length_groups(letters, lengths)
-    pts = np.concatenate([word_points(R, g) for g in groups])
-    composite = keys[sigma[index_of(keys, pts)]]
-    # the word form read through its module, as its one-word call reads it
-    word_form = np.concatenate([isomorph.antiiso_word_points(m, g) for g in groups]) == composite
     phi = np.asarray(m.table, dtype=R._neg_f.dtype)
-    formulas = (length1_sigma_formula, length2_sigma_formula, length3_sigma_formula)
-    rows = [formula(R, *phi.take(g)) for formula, g in zip(formulas, groups)]
-    a, b = (np.concatenate([row[k] for row in rows]) for k in (0, 1))
-    entrywise = flat_at(R, R._left_key.ravel(), a, b) == composite
+
+    def check(letters):
+        pts = word_points(R, letters)
+        composite = keys[sigma[index_of(keys, pts)]]
+        # the word form read through its module, as its one-word call reads it
+        word_form = isomorph.antiiso_word_points(m, letters) == composite
+        formula = (length1_sigma_formula, length2_sigma_formula,
+                   length3_sigma_formula)[len(letters) - 1]
+        rows = formula(R, *phi.take(letters))
+        return word_form, flat_at(R, R._left_key.ravel(), *rows) == composite, rows
 
     def witness(ts):
         p = word_point(R, ts)
         return {"point": p, "definition": geom.points[sigma[geom.index(p)]],
                 "closed_form": antiiso_word_point(m, ts)}
 
-    return _word_report(R, letters, lengths, order, (word_form, entrywise, a, b), witness)
+    return _word_sweep(R, words, check, witness)
 
 
 def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
@@ -401,7 +385,7 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     sigma = antiiso_point_table(m, geom)
     rep["far_point_fixed"] = int(sigma[geom.far]) == geom.far
 
-    rep.update(sigma_words(geom, m, sigma, *_words(R, samples, random.Random(seed))))
+    rep.update(sigma_words(geom, m, sigma, _words(R, samples, random.Random(seed))))
 
     chains = geom.chains if small else geom.chains_at_infinity
     rep["chains_mapped"] = len(chains)

@@ -7,6 +7,7 @@ import pytest
 from chaingeom.geometry import Geometry
 from chaingeom.projline import (
     OrbitCapExceededError,
+    carries,
     index_of,
     infinity,
     make_point,
@@ -292,6 +293,25 @@ def test_chain_report_ok_can_fail(zoo_g, through_infinity):
         for bad in (repeated, clean[1:]):
             setattr(geom, attr, bad)
             assert not chain_report(geom, through_infinity)["ok"], g.ring.name
+
+
+@pytest.mark.parametrize("through_infinity", [False, True])
+def test_chain_report_row_order_fails_alone(zoo_g, through_infinity):
+    """Negative control of the row-order check alone: with every point of
+    every row given twice, each generator still carries the chain set onto
+    itself (the rows sort as before), yet no row lists distinct points, so
+    the report is not ok, and its counts are as before."""
+    attr = "chains_at_infinity" if through_infinity else "chains"
+    for g in zoo_g[:4]:
+        geom = Geometry(g.ring, g.subfield)
+        clean = chain_report(geom, through_infinity)
+        doubled = np.repeat(getattr(geom, attr), 2, axis=1)
+        setattr(geom, attr, doubled)
+        perms = geom.perms[1:] if through_infinity else geom.perms
+        assert all(carries(p, doubled, doubled) for p in perms), g.ring.name
+        rep = chain_report(geom, through_infinity)
+        assert clean.pop("ok") is True and rep.pop("ok") is False, g.ring.name
+        assert rep == clean, g.ring.name
 
 
 def test_triangular_family_pipeline():

@@ -329,6 +329,14 @@ def test_derive_plane_needs_a_matrix_ring(tmp_path, ring):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_derive_plane_rings_are_one_set():
+    """The config check reads the set of rings that derive_plane itself
+    tests, not a copy."""
+    from chaingeom import compat
+    assert cli.DERIVE_PLANE_RINGS is compat.DERIVE_PLANE_RINGS
+    assert compat.DERIVE_PLANE_RINGS == {("matrix2", 2), ("matrix2", 3)}
+
+
 def test_shipped_configs_parse():
     from pathlib import Path
     for cfg in Path(__file__).resolve().parent.parent.glob("configs/*.json"):

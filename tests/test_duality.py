@@ -314,16 +314,16 @@ def test_covariance_random_subsets_dual2(dual2, U, t1, t2):
     assert covariance_holds(dual2, U, M)
 
 
-def loop_covariance_failures(R, gens, which, keys):
-    """The pairs (gens[i], row of key k) of which x keys that fail
-    covariance_holds, one row at a time, with repeats."""
+def loop_covariance_failures(R, gens, pairs):
+    """The pairs (gens[i], row of key k) of pair index i*|R|^2 + k in pairs
+    that fail covariance_holds, one row at a time, with repeats."""
     return sum(not covariance_holds(R, [divmod(k, R.size)], gens[i])
-               for i, k in zip(which, keys))
+               for i, k in (divmod(int(p), R.size ** 2) for p in pairs))
 
 
 def every_pair(R, gens):
-    """(which, keys) of every generator x every row."""
-    return np.divmod(np.arange(len(gens) * R.size ** 2), R.size ** 2)
+    """The pair indices of every generator x every row, generator major."""
+    return range(len(gens) * R.size ** 2)
 
 
 def test_covariance_failures_matches_holds(small_rings):
@@ -332,9 +332,9 @@ def test_covariance_failures_matches_holds(small_rings):
     elements."""
     for R in small_rings:
         gens = line_generators(R)
-        which, keys = every_pair(R, gens)
-        assert (covariance_failures(R, gens, which, keys)
-                == loop_covariance_failures(R, gens, which, keys) == 0), R.name
+        pairs = every_pair(R, gens)
+        assert (covariance_failures(R, gens, pairs)
+                == loop_covariance_failures(R, gens, pairs) == 0), R.name
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -344,26 +344,25 @@ def test_covariance_failures_matches_holds(small_rings):
 def test_covariance_failures_matches_holds_m2f3(m2f3, pairs, repeats):
     """Drawn (generator, row) multisets on matrix2(3), with the zero row and
     the first pairs given again."""
-    pairs = pairs + pairs[:repeats]
+    pairs = [i * m2f3.size ** 2 + k for i, k in pairs + pairs[:repeats]]
     gens = line_generators(m2f3)
-    which, keys = zip(*pairs)
-    assert (covariance_failures(m2f3, gens, which, keys)
-            == loop_covariance_failures(m2f3, gens, which, keys))
+    assert (covariance_failures(m2f3, gens, pairs)
+            == loop_covariance_failures(m2f3, gens, pairs))
 
 
 def test_covariance_failures_counts_repeats():
-    """A failing pair given twice counts twice, next to passing pairs; on a
-    ring with one corrupted product."""
+    """A failing pair given twice counts twice, next to passing pairs, and
+    no pairs count nothing; on a ring with one corrupted product."""
     spec = RingSpec("dual-numbers", 2)
     R = corrupt(DualNumbersRing(spec), "mul", (2, 2), 2)
     gens = line_generators(R)
-    which, keys = every_pair(R, gens)
-    fails = [not covariance_holds(R, [divmod(int(k), R.size)], gens[i])
-             for i, k in zip(which, keys)]
+    pairs = every_pair(R, gens)
+    fails = [loop_covariance_failures(R, gens, [p]) == 1 for p in pairs]
     bad, good = fails.index(True), fails.index(False)
-    assert covariance_failures(R, gens, [which[bad]], [keys[bad]]) == 1
-    assert covariance_failures(R, gens, which[[bad, good, bad]], keys[[bad, good, bad]]) == 2
-    assert covariance_failures(R, gens, which, keys) == sum(fails)
+    assert covariance_failures(R, gens, [bad]) == 1
+    assert covariance_failures(R, gens, np.array([bad, good, bad])) == 2
+    assert covariance_failures(R, gens, []) == covariance_failures(R, gens, range(0)) == 0
+    assert covariance_failures(R, gens, pairs) == sum(fails)
 
 
 def test_covariance_failures_compare_sets_of_images():
@@ -375,12 +374,12 @@ def test_covariance_failures_compare_sets_of_images():
     for at, value in (((3, 1), 2), ((0, 0), 3), ((1, 3), 2)):
         R = corrupt(R, "mul", at, value)
     gens = line_generators(R)
-    which, keys = every_pair(R, gens)
+    pairs = every_pair(R, gens)
     kernels = [reference.annihilator(R, [divmod(k, R.size)]) for k in range(R.size ** 2)]
     assert any(len({reference.mat_times_col(R, reference.mat_invert(R, M), c) for c in K})
                < len(K) for M in gens for K in kernels)
-    assert covariance_failures(R, gens, which, keys) == 125
-    assert loop_covariance_failures(R, gens, which, keys) == 125
+    assert covariance_failures(R, gens, pairs) == 125
+    assert loop_covariance_failures(R, gens, pairs) == 125
 
 
 def test_covariance_failures_keep_a_triple_of_a_colliding_generator():
@@ -401,29 +400,30 @@ def test_covariance_failures_keep_a_triple_of_a_colliding_generator():
     assert all(len(images(K)) == len(K) for K in kernels)
     assert len(images(kernels[0] | kernels[1])) < len(kernels[0] | kernels[1])
     assert covariance_holds(R, [(0, 2)], gens[2])
-    for which, keys in (([2, 2], [2, 3]), (np.full(16, 2), np.arange(16))):
-        assert (covariance_failures(R, gens, which, keys)
-                == loop_covariance_failures(R, gens, which, keys) > 0)
-    assert covariance_failures(R, gens, [2, 2], [2, 3]) == 1
+    for pairs in ([2 * 16 + 2, 2 * 16 + 3], range(2 * 16, 3 * 16)):
+        assert (covariance_failures(R, gens, pairs)
+                == loop_covariance_failures(R, gens, pairs) > 0)
+    assert covariance_failures(R, gens, [2 * 16 + 2, 2 * 16 + 3]) == 1
 
 
 @pytest.fixture(scope="module")
 def covariance_cases():
-    """(ring, gens, which, keys, loop count) of every m2f2 pair, of every
-    pair of the corrupted dual2 ring of test_covariance_failures_counts_repeats,
+    """(ring, gens, pairs, loop count) of every m2f2 pair, of every pair of
+    the corrupted dual2 ring of test_covariance_failures_counts_repeats,
     given twice, the second time in reverse order, and of every fifth pair
-    of that ring, where the generators read unlike sets of rows."""
+    of that ring, where the generators read unlike sets of rows: index
+    ranges, but for the pairs given twice, an index array."""
     cases = []
     bad = corrupt(DualNumbersRing(RingSpec("dual-numbers", 2)), "mul", (2, 2), 2)
     for R, take in ((build_ring(RingSpec("matrix2", 2)), "all"), (bad, "twice"),
                     (bad, "fifth")):
         gens = line_generators(R)
-        which, keys = every_pair(R, gens)
+        pairs = every_pair(R, gens)
         if take == "twice":
-            which, keys = np.r_[which, which[::-1]], np.r_[keys, keys[::-1]]
+            pairs = np.r_[pairs, pairs[::-1]]
         elif take == "fifth":
-            which, keys = which[::5], keys[::5]
-        cases.append((R, gens, which, keys, loop_covariance_failures(R, gens, which, keys)))
+            pairs = pairs[::5]
+        cases.append((R, gens, pairs, loop_covariance_failures(R, gens, pairs)))
     return cases
 
 
@@ -437,27 +437,26 @@ def test_covariance_failures_are_exact_at_every_slab_size(covariance_cases, monk
     smaller classes share a slab), and at the default budget, the one call
     counts what the row-by-row loop counts, repeats included."""
     assert [count > 0 for *_, count in covariance_cases] == [False, True, True]
-    for R, gens, which, keys, count in covariance_cases:
+    for R, gens, pairs, count in covariance_cases:
         if budget == "one-triple":
             monkeypatch.setattr(projline, "SCAN_SLAB", 1)
         elif budget is not None:
-            # the pairs of _kernel_triples, then the triples of each class size
-            _, *triples = slab_costs(lambda: covariance_failures(R, gens, which, keys), duality)
+            # the triples of each class size (the pairs take theirs in projline)
+            triples = slab_costs(lambda: covariance_failures(R, gens, pairs), duality)
             per_key = sorted({cost for count, cost in triples if count})
             top = per_key[-1]
             assert top % R.size ** 2 == 0 and per_key[0] < top
             monkeypatch.setattr(projline, "SCAN_SLAB", top - 1)
-        assert covariance_failures(R, gens, which, keys) == count, (R.name, budget)
+        assert covariance_failures(R, gens, pairs) == count, (R.name, budget)
 
 
 def covariance_sweep(R, count):
     """Per generator, the failure count over every row, or "raise"."""
-    gens = line_generators(R)
-    keys = np.arange(R.size ** 2)
+    gens, rows = line_generators(R), R.size ** 2
     out = []
     for i in range(len(gens)):
         try:
-            out.append(count(R, gens, np.full(len(keys), i), keys))
+            out.append(count(R, gens, range(i * rows, (i + 1) * rows)))
         except VerificationError:
             out.append("raise")
     return out
@@ -477,7 +476,7 @@ def test_covariance_sweep_negative_control(cls, spec):
         gens = line_generators(R)
         swept = covariance_sweep(R, covariance_failures)
         try:
-            assert covariance_failures(R, gens, *every_pair(R, gens)) > 0, (a, b, value)
+            assert covariance_failures(R, gens, every_pair(R, gens)) > 0, (a, b, value)
             assert "raise" not in swept
         except VerificationError:
             assert "raise" in swept
@@ -487,7 +486,6 @@ def test_covariance_sweep_negative_control(cls, spec):
 # The one covariance call under python -O: a corrupted product that keeps
 # every generator invertible gives failures, and one that does not raises.
 COVARIANCE_UNDER_OPTIMIZE = """
-import numpy as np
 from chaingeom.duality import covariance_failures
 from chaingeom.projline import VerificationError, line_generators
 from chaingeom.rings import DualNumbersRing, RingSpec
@@ -497,9 +495,8 @@ for at, value in (((2, 2), 2), ((1, 0), 1)):
     mul = R._mul_a.copy(); mul[at] = value
     R._mul_a = mul; R._fill_arrays()
     gens = line_generators(R)
-    which, keys = np.divmod(np.arange(len(gens) * 16), 16)
     try:
-        print(covariance_failures(R, gens, which, keys))
+        print(covariance_failures(R, gens, range(len(gens) * 16)))
     except VerificationError as exc:
         print(type(exc).__name__)
 """
@@ -638,36 +635,95 @@ def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch)
         "bidual": g.points[other], "perp_rescanned": g.dual.points[perp[other]]}
 
 
+def _flipped_alone(clean, rep, key, value):
+    """True iff rep is clean with key set to value and ok false, and no
+    other entry changed."""
+    rest = {k: v for k, v in rep.items() if k not in (key, "ok")}
+    return (rep[key] == value and rep["ok"] is False and clean["ok"] is True
+            and rest == {k: v for k, v in clean.items() if k not in (key, "ok")})
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_chains_not_carried_fail_chain_bijection_alone(name, request, monkeypatch):
+    """Negative control: with the chain check answering no, the suite's
+    chain_bijection alone is false and the report is not ok."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.duality_suite(g)
+    monkeypatch.setattr(suites, "carries", lambda perm, rows, onto: False)
+    assert _flipped_alone(clean, suites.duality_suite(g), "chain_bijection", False)
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_moved_bidual_fails_bidual_fixed_alone(name, request, monkeypatch):
+    """Negative control: with the bidual of one point moved to the next
+    point, the suite's bidual_fixed alone is false, and the report names
+    that point, the dual point perp gave it, and what bidual_point and a
+    fresh perp scan give for it: the point itself and that dual point."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.duality_suite(g)
+    real, i = suites.bidual_keys, 3
+
+    def moved(R, keys):
+        back = real(R, keys).copy()
+        back[i] = back[i + 1]
+        return back
+
+    monkeypatch.setattr(suites, "bidual_keys", moved)
+    rep = suites.duality_suite(g)
+    q = g.dual.points[g.perp[i]]
+    assert rep.pop("bidual_first_mismatch") == {
+        "point": g.points[i], "perp": q, "bidual": g.points[i], "perp_rescanned": q}
+    assert _flipped_alone(clean, rep, "bidual_fixed", False)
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_covariance_failures_fail_the_suite_alone(name, request, monkeypatch):
+    """Negative control: with a nonzero covariance count, the suite reports
+    that count, is not ok, and changes nothing else."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.duality_suite(g)
+    monkeypatch.setattr(suites, "covariance_failures", lambda R, gens, pairs: 3)
+    assert _flipped_alone(clean, suites.duality_suite(g), "covariance_failures", 3)
+
+
 @pytest.mark.parametrize("name", ["m2f2", "m2f3"])
 def test_uncovered_point_fails_length2_covers_line(name, request, monkeypatch):
-    """Negative control: with every length-2 word that spans the last point
-    sent to the far point instead, and the word sweep's points left as
-    they are, the suite's length2_covers_line alone is false: the report
-    names the last point and is not ok, and every other entry is as
-    before."""
+    """Negative control: with every length-2 word that spans one of the
+    last two points sent to the far point instead, and the word sweep's
+    points left as they are, the suite's length2_covers_line alone is
+    false: the report names the first of the two and is not ok, and every
+    other entry is as before; so at the default budget, with one length-2
+    word per slab and with 97."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.duality_suite(g)
     assert clean["length2_covers_line"] is True and clean["ok"]
-    real, last, far = suites.word_points, g.keys[-1], g.keys[g.far]
-    real_sweep, swept = suites.duality_words, []
+    # the cost per word of the length-2 grid, the last slabs() of the suite
+    item = slab_costs(lambda: suites.duality_suite(g), projline)[-1][1]
+    real, last, far = suites.word_points, g.keys[-2:], g.keys[g.far]
+    real_bidual, budget, swept = suites.bidual_keys, [], []
 
-    def sweep(*args):
-        rep = real_sweep(*args)
+    def bidual(*args):  # after the word sweep, before the length-2 grid
         swept.append(True)
-        return rep
+        monkeypatch.setattr(projline, "SCAN_SLAB", budget[0])
+        return real_bidual(*args)
 
     def uncovering(R, letters):
         pts = real(R, letters)
-        if swept:  # the length-2 grid, which comes after the word sweep
-            pts = np.where(pts == last, far, pts)
+        if swept:
+            pts = np.where(np.isin(pts, last), far, pts)
         return pts
 
-    monkeypatch.setattr(suites, "duality_words", sweep)
+    monkeypatch.setattr(suites, "bidual_keys", bidual)
     monkeypatch.setattr(suites, "word_points", uncovering)
-    rep = suites.duality_suite(g)
-    assert rep.pop("length2_covers_line") is False and rep.pop("ok") is False
-    assert rep.pop("length2_first_uncovered") == g.points[-1]
-    assert rep == {k: v for k, v in clean.items() if k not in ("length2_covers_line", "ok")}
+    default = projline.SCAN_SLAB
+    for budget[:] in ([default], [item], [97 * item]):
+        swept.clear()
+        monkeypatch.setattr(projline, "SCAN_SLAB", default)
+        rep = suites.duality_suite(g)
+        assert rep.pop("length2_covers_line") is False and rep.pop("ok") is False
+        assert rep.pop("length2_first_uncovered") == g.points[-2], budget
+        assert rep == {k: v for k, v in clean.items()
+                       if k not in ("length2_covers_line", "ok")}, budget
 
 
 def test_word_length_bound_matches(zoo_g):

@@ -51,7 +51,9 @@ ALLOWED_UNREACHED = {
 # are its coordinate rows; and the per-word gather of every length's
 # formula values and the covariance check's own flat tables, since each
 # word kernel runs on the words of one length and the ring holds its flat
-# tables
+# tables; and the grouping of a sweep's words by length and the scatter of
+# its checks back into word order, since every sweep walks index ranges
+# by length in slabs (projline.index_slabs)
 DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_left|_pair_right"
                            r"|_add_t|_mul_t|_neg_t"
                            r"|transported_partition|_ordered_pairs"
@@ -60,7 +62,7 @@ DELETED_NAMES = re.compile(r"\b(_struct_\w+|_place_\w+|_padded|_mul_cols|_pair_l
                            r"|col_images|enumerate_dual_points|_checked_orbit|_dual_seed"
                            r"|point_keys|point_index|dual_keys|dual_index|dual_perms"
                            r"|dual_chains\w*|dist_from_infinity|point_blocks"
-                           r"|_by_length|_flat_tables)\b")
+                           r"|_by_length|_flat_tables|_length_groups|_word_report)\b")
 
 # the modules whose sets of blocks, chains and classes are sorted index
 # rows, and the one whose distant graph is a boolean matrix
@@ -267,7 +269,8 @@ def test_scan_finds_deleted_names():
             "word_dual_points(R); test_dual_chains_through(g)\n"
             "g.dist_from_infinity[p]; res.point_blocks; blocks_at(rows, i)\n"
             "a = _by_length(lengths, [R.one, a2]); _length_groups(letters, lengths)\n"
-            "tables = _flat_tables(R); R._add_f, R._mul_f\n")
+            "tables = _flat_tables(R); R._add_f, R._mul_f\n"
+            "rep = _word_report(R, letters, lengths, order, grouped, witness)\n")
     assert DELETED_NAMES.findall(text) == ["_mul_cols", "_struct_mul", "_place_add",
                                            "_pair_left", "_padded", "transported_partition",
                                            "_ordered_pairs", "_SET_BITS", "_COV_PAIRS",
@@ -279,7 +282,8 @@ def test_scan_finds_deleted_names():
                                            "point_index", "dual_keys", "dual_index",
                                            "dual_perms", "dual_chains",
                                            "dual_chains_at_infinity", "dist_from_infinity",
-                                           "point_blocks", "_by_length", "_flat_tables"]
+                                           "point_blocks", "_by_length", "_length_groups",
+                                           "_flat_tables", "_word_report"]
 
 
 def test_no_deleted_table_names():

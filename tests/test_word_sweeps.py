@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chaingeom import duality, isomorph, suites
+from chaingeom import duality, isomorph, projline, suites
 from chaingeom.geometry import Geometry
 from chaingeom.isomorph import antiiso_point_table
-from chaingeom.projline import NotAdmissibleError, make_point
+from chaingeom.projline import NotAdmissibleError, is_admissible, make_point
 from chaingeom.rings import FiniteFieldRing, RingSpec, build_subfield, make_ring_map, \
     subfield_in_opposite
 
@@ -22,9 +22,20 @@ import reference
 SEED = 1
 
 
+def _in_word_order(R, words):
+    """The words of the length groups of suites._words as tuples, in word
+    order: group k's word j, the k base-|R| digits of indices[j], at place
+    at(j); the places are 0, 1, ... with none missing."""
+    out = {}
+    for k, (indices, at) in enumerate(words, 1):
+        for j, code in enumerate(indices):
+            out[int(at(j))] = tuple(int(code) // R.size ** (k - 1 - i) % R.size
+                                    for i in range(k))
+    return [out[i] for i in range(len(out))]
+
+
 def _word_list(R, samples, seed):
-    letters, lengths = suites._words(R, samples, random.Random(seed))
-    return [tuple(row[:n]) for row, n in zip(letters.tolist(), lengths.tolist())]
+    return _in_word_order(R, suites._words(R, samples, random.Random(seed)))
 
 
 def _with_opposites(geometries):
@@ -44,10 +55,10 @@ def _antiautomorphism(geom):
 
 
 def _kernel_sweeps(geom, samples, seed):
-    letters, lengths = suites._words(geom.ring, samples, random.Random(seed))
+    words = suites._words(geom.ring, samples, random.Random(seed))
     m = _antiautomorphism(geom)
-    return (suites.duality_words(geom, letters, lengths),
-            suites.sigma_words(geom, m, antiiso_point_table(m, geom), letters, lengths))
+    return (suites.duality_words(geom, words),
+            suites.sigma_words(geom, m, antiiso_point_table(m, geom), words))
 
 
 def _reference_sweeps(geom, samples, seed):
@@ -95,15 +106,13 @@ def test_sampled_draw_never_uses_bytes_at_or_above_the_bound(m2f3):
     skipped, and no byte is asked for that the draw does not need."""
     samples = 300
     rng = CyclingBytes()
-    letters, lengths = suites._words(m2f3, samples, rng)
+    got = _in_word_order(m2f3, suites._words(m2f3, samples, rng))
     given = rng.given
     split = [i for i, b in enumerate(given) if b < 255][samples - 1] + 1
     want_lengths = [b % 3 + 1 for b in given[:split] if b < 255]
     want_letters = [b % 81 for b in given[split:] if b < 243]
-    assert lengths.tolist() == want_lengths
     assert len(want_letters) == 3 * samples and given[-1] < 243
-    assert letters.tolist() == [want_letters[3 * i:3 * i + n] + [0] * (3 - n)
-                                for i, n in enumerate(want_lengths)]
+    assert got == [tuple(want_letters[3 * i:3 * i + n]) for i, n in enumerate(want_lengths)]
     assert 255 in given[:split] and max(given[split:]) >= 243  # some bytes were skipped
 
 
@@ -296,14 +305,41 @@ def test_inadmissible_formula_pair_raises_at_the_reference_word(dual2_g, m2f2_g,
         assert messages[1] != messages[0], R.name
 
 
+def test_inadmissible_pairs_of_two_lengths_raise_at_the_earliest_word(dual2_g, m2f2_g,
+                                                                      monkeypatch):
+    """With the length-3 formula's point R(t1, t2) and the length-2
+    formula's point R(t1 - 1, e), e a nonzero non-unit, words of both
+    lengths make pairs that are not admissible, first (1, 0) among the
+    length-2 words, whose pair is (0, e), and (0, 0, 0) among the length-3
+    words, whose pair is (0, 0).  The sweep meets the length-2 words
+    first, yet (0, 0, 0) comes first in word order, and its pair raises."""
+    def length3(R, t1, t2, t3):
+        return (t1, t2), duality.length3_perp_formula(R, t1, t2, t3)[1]
+
+    for geom in (dual2_g, m2f2_g):
+        R = geom.ring
+        e = next(x for x in R.elements() if x and not R.is_unit(x))
+        assert not is_admissible(R, R.zero, e)
+
+        def length2(R, t1, t2):
+            row = (R._add_a[t1, R._neg_a[R.one]], np.full_like(t2, e))
+            return row, duality.length2_perp_formula(R, t1, t2)[1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(suites, "length2_perp_formula", length2)
+            patched.setattr(suites, "length3_perp_formula", length3)
+            with pytest.raises(NotAdmissibleError, match=r"^\(0, 0\) is not admissible over"):
+                suites.duality_suite(geom)
+
+
 # sweeps over any words ---------------------------------------------------------------
 
-def _sweep_arrays(R, ws):
-    """The words ws as the (letters, lengths) arrays of suites._words."""
+def _sweep_words(R, ws):
+    """The words ws, in that order, as the length groups of suites._words."""
     letters = np.zeros((len(ws), 3), dtype=R._neg_f.dtype)
     for i, w in enumerate(ws):
         letters[i, :len(w)] = w
-    return letters, np.array([len(w) for w in ws])
+    return suites._word_groups(R.size, letters, np.array([len(w) for w in ws]))
 
 
 def _outcome(rep):
@@ -343,12 +379,12 @@ def test_sweeps_over_any_mix_of_lengths_match_the_reference(tiny_geometries, wor
     geom = tiny_geometries[ring]
     R, m = geom.ring, _antiautomorphism(geom)
     sigma = antiiso_point_table(m, geom)
-    suite, kwargs, arrays = "clean", {}, _sweep_arrays(R, ws)
+    suite, kwargs, words = "clean", {}, _sweep_words(R, ws)
     with pytest.MonkeyPatch.context() as patched:
         if control is not None:
             suite, (module, name, corrupted), kwargs = CONTROLS[control]
             patched.setattr(module, name, corrupted)
-        got = (suites.duality_words(geom, *arrays), suites.sigma_words(geom, m, sigma, *arrays))
+        got = (suites.duality_words(geom, words), suites.sigma_words(geom, m, sigma, words))
     on_points = reference.point_map(geom, sigma)
     want = (reference.word_sweep(lambda ts: reference.duality_formulas_hold(
                 geom, ts, **(kwargs if suite == "duality" else {})), ws),
@@ -369,12 +405,12 @@ def test_corruption_after_first_use_reaches_the_flat_tables():
         m, _ = suites.catalogue_antiiso(R)
         sigma = antiiso_point_table(m, geom)
         words = suites._words(R, 10 ** 4, random.Random(SEED))
-        clean = (suites.duality_words(geom, *words), suites.sigma_words(geom, m, sigma, *words))
+        clean = (suites.duality_words(geom, words), suites.sigma_words(geom, m, sigma, words))
         assert [_counts(rep) for rep in clean] == [(84, 0)] * 2
         flat = (R._add_f, R._mul_f, R._neg_f)
         reference.corrupt(R, "mul", at, value)
         assert all(not t.flags.writeable for t in flat + (R._add_f, R._mul_f, R._neg_f))
-        got = (suites.duality_words(geom, *words), suites.sigma_words(geom, m, sigma, *words))
+        got = (suites.duality_words(geom, words), suites.sigma_words(geom, m, sigma, words))
         on_points = reference.point_map(geom, sigma)
         ws = list(reference.words(R, 10 ** 4, SEED))
         want = (reference.word_sweep(lambda ts: reference.duality_formulas_hold(geom, ts), ws),
@@ -382,3 +418,58 @@ def test_corruption_after_first_use_reaches_the_flat_tables():
                                      ws))
         assert [_outcome(rep) for rep in got] == list(want), at
         assert all(w[1] > 0 for w in want), at
+
+
+
+# slab edges -----------------------------------------------------------------------
+
+def _swapped_rows(R, t1, t2):
+    """A length-2 perp formula whose point is R(t1, t2), inadmissible where
+    t1 R + t2 R misses 1."""
+    return (t1, t2), duality.length2_perp_formula(R, t1, t2)[1]
+
+
+# controls patched together: one for each sweep
+CONTROL_PAIRS = (("dual word form", "antiiso word form"),
+                 ("length-3 perp formula", "length-2 sigma formula"))
+
+
+@pytest.mark.parametrize("per_slab", [1, 97, None], ids=["one-word", "97-words", "default"])
+def test_sweeps_are_exact_at_every_slab_size(per_slab, f4_g, dual2_g, m2f2_g, m2f3_g,
+                                             monkeypatch):
+    """Slab edges change nothing: with one word per slab (on F4 and
+    dual2), 97 words per slab, whose edges fall inside every length group,
+    and at the default budget, both sweeps under closed-form controls give
+    the reports of a one-slab run, counts and first failing word included,
+    and an inadmissible formula pair raises the same NotAdmissibleError.
+    (test_duality holds the length-2 cover to the same budgets.)"""
+    item = max(cost for _, cost in reference.slab_costs(
+        lambda: suites.duality_words(f4_g, suites._words(f4_g.ring, 1, None)), projline))
+    budget = projline.SCAN_SLAB if per_slab is None else per_slab * item
+    geometries = [f4_g, dual2_g] + ([m2f2_g, m2f3_g] if per_slab != 1 else [])
+
+    def outcomes(geom, patches):
+        m = _antiautomorphism(geom)
+        sigma = antiiso_point_table(m, geom)
+        words = suites._words(geom.ring, 10 ** 4, random.Random(SEED))
+        out = []
+        for patch in patches:
+            with monkeypatch.context() as patched:
+                for module, name, value in patch:
+                    patched.setattr(module, name, value)
+                try:
+                    out.append((suites.duality_words(geom, words),
+                                suites.sigma_words(geom, m, sigma, words)))
+                except NotAdmissibleError as exc:
+                    out.append(str(exc))
+        return out
+
+    patches = [[CONTROLS[c][1] for c in pair] for pair in CONTROL_PAIRS]
+    patches.append([(suites, "length2_perp_formula", _swapped_rows)])
+    for geom in geometries:
+        monkeypatch.setattr(projline, "SCAN_SLAB", 1 << 40)
+        want = outcomes(geom, patches)
+        monkeypatch.setattr(projline, "SCAN_SLAB", budget)
+        assert outcomes(geom, patches) == want, (geom.ring.name, per_slab)
+        assert all(rep["word_formula_mismatches"] > 0 for pair in want[:2] for rep in pair)
+        assert want[2].endswith(f"is not admissible over {geom.ring.name}")
