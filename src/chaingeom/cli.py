@@ -30,13 +30,14 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from chaingeom.rings import FAMILIES, RingSpec, build_ring, build_subfield
 from chaingeom.compat import DERIVE_PLANE_RINGS
 from chaingeom.geometry import Geometry
+from chaingeom.projline import VerificationError
 from chaingeom import suites
 
 SCHEMA_VERSION = 1
@@ -68,31 +69,57 @@ class ScenarioConfig(NamedTuple):
         }
 
 
-# Each task is a suite function, called with the run's Geometry and the
-# task's options as keyword arguments.
-TASKS = {
-    "enumerate-points": suites.points_report,
-    "distant-graph": suites.graph_report,
-    "chain-orbit": suites.chain_report,
-    "duality-suite": suites.duality_suite,
-    "vergleich": suites.vergleich_report,
-    "partial-affine": suites.partial_affine_report,
-    "derive-plane": suites.derive_plane_report,
-    "sigma-suite": suites.sigma_suite,
-}
+class Task(NamedTuple):
+    suite: Callable[..., dict]
+    options: dict  # option -> its JSON type
+    verdicts: dict  # report key -> the value it must hold
 
-# The options each task accepts, with their JSON type; any other key is an
-# error.  Counts and caps must be at least 1.
-TASK_OPTIONS = {
-    "chain-orbit": {"through_infinity": bool, "cap": int},
-    "duality-suite": {"samples": int, "seed": int},
-    "derive-plane": {"skip_replacement": bool, "desargues_cap": int},
-    "sigma-suite": {"samples": int, "seed": int},
+
+# Each task is a record: its suite function, called with the run's Geometry
+# and the task's options as keyword arguments; the options it accepts, with
+# their JSON type (any other key is an error, and counts and caps must be
+# at least 1); and its verdicts, the report keys that decide it, each with
+# the value it must hold: True for a check, 0 for a count of mismatches or
+# failures.  passes() is the one place where a task passes or fails.
+TASKS = {
+    "enumerate-points": Task(suites.points_report, {}, {"methods_agree": True}),
+    "distant-graph": Task(suites.graph_report, {}, {}),
+    "chain-orbit": Task(suites.chain_report, {"through_infinity": bool, "cap": int},
+                        {"chains_closed": True}),
+    "duality-suite": Task(suites.duality_suite, {"samples": int, "seed": int}, {
+        "bijection": True, "chain_bijection": True, "far_point_image": True,
+        "word_formula_mismatches": 0, "covariance_failures": 0, "bidual_fixed": True,
+        "opposite_equivalent": True, "length2_covers_line": True}),
+    "vergleich": Task(suites.vergleich_report, {}, {
+        "points_fixed": True, "blocks_equal": True, "criterion_consistent": True}),
+    "partial-affine": Task(suites.partial_affine_report, {},
+                           {"cosets_hold": True, "exactly_one_block_per_class": True}),
+    "derive-plane": Task(suites.derive_plane_report,
+                         {"skip_replacement": bool, "desargues_cap": int},
+                         {"two_point_axiom": True, "playfair": True}),
+    "sigma-suite": Task(suites.sigma_suite, {"samples": int, "seed": int}, {
+        "far_point_fixed": True, "word_formula_mismatches": 0, "chains_ok": True,
+        "criterion_consistent": True}),
 }
 POSITIVE_OPTIONS = frozenset({"samples", "cap", "desargues_cap"})
+# The verdicts a report may leave out: the opposite geometry is built on the
+# small rings only, and the length-2 cover is checked at diameter <= 2 only.
+MAY_NOT_APPLY = frozenset({"opposite_equivalent", "length2_covers_line"})
+
+
+def passes(task: str, body: dict) -> bool:
+    """Whether the report body of task holds each verdict of the task at
+    its value; raises VerificationError at a verdict missing from body
+    whose check always applies."""
+    verdicts = TASKS[task].verdicts
+    for key in verdicts:
+        if key not in body and key not in MAY_NOT_APPLY:
+            raise VerificationError(f"the report of {task} lacks its verdict {key}")
+    return all(body[key] == value for key, value in verdicts.items() if key in body)
+
 
 def _check_options(task: str, options: dict) -> None:
-    allowed = TASK_OPTIONS.get(task, {})
+    allowed = TASKS[task].options
     for key, value in options.items():
         kind = allowed.get(key)
         if kind is None:
@@ -137,7 +164,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     for t in raw_tasks:
         if isinstance(t, str):
             t = {"name": t}
-        if not isinstance(t, dict) or t.get("name") not in TASKS:
+        # a name that is a JSON array or object is unhashable: no dict lookup
+        if (not isinstance(t, dict) or not isinstance(t.get("name"), str)
+                or t["name"] not in TASKS):
             raise ConfigError(f"unknown task {t!r}")
         _known_keys(f"task {t['name']}", t, ("name", "options"))
         options = t.get("options", {})
@@ -198,9 +227,8 @@ def run(config: ScenarioConfig, out_dir: Optional[str] = None,
     for task in config.tasks:
         t0 = time.perf_counter()
         try:
-            body = TASKS[task.name](geom, **task.options)
-            status = "pass" if body.pop("ok") else "fail"
-            body = _jsonable(body)
+            body = _jsonable(TASKS[task.name].suite(geom, **task.options))
+            status = "pass" if passes(task.name, body) else "fail"
         except Exception as exc:  # diagnostics become recorded failures
             body = {"error": f"{type(exc).__name__}: {exc}"}
             status = "fail"

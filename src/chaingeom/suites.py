@@ -1,6 +1,7 @@
 """Verification suites over one (ring, subfield) scenario.
 
-Each suite returns a flat report dict with a boolean "ok", exhaustive or
+Each suite returns a flat report dict: its verdicts, the checks and
+failure counts that cli.TASKS names as deciding its task, exhaustive or
 seeded-sample check counts, and any witnesses worth recording.  Rings with
 at most 16 elements are always swept exhaustively; on the 81-element
 matrix ring the duality and sigma suites take explicit sample counts and
@@ -78,13 +79,12 @@ WORD_COST = 40
 
 def points_report(geom: Geometry) -> dict:
     pts = geom.points  # raises MethodDisagreementError on mismatch
-    return {"ok": True, "points": len(pts), "methods_agree": True}
+    return {"points": len(pts), "methods_agree": True}
 
 
 def graph_report(geom: Geometry) -> dict:
     g = geom.graph
     return {
-        "ok": True,
         "points": len(g.points),
         "edges": g.n_edges,
         "components": g.n_components,
@@ -96,16 +96,16 @@ def chain_report(geom: Geometry, through_infinity: bool = False,
                  cap: int = 10 ** 6) -> dict:
     """The full chain orbit, or with through_infinity the chains through the
     far point; raises OrbitCapExceededError if there are more than cap.
-    It is ok iff every row lists distinct points in increasing order and
-    every orbit generator (each but E(0) with through_infinity) carries the
-    chain set onto itself."""
+    chains_closed says whether every row lists distinct points in increasing
+    order and every orbit generator (each but E(0) with through_infinity)
+    carries the chain set onto itself."""
     K = geom.subfield
     chains = geom.chains_at_infinity if through_infinity else geom.chains
     if len(chains) > cap:
         raise OrbitCapExceededError(f"chain orbit on {geom.ring.name} exceeded cap {cap}")
     perms = geom.perms[1:] if through_infinity else geom.perms
     key = "chains_through_infinity" if through_infinity else "chains"
-    return {"ok": bool((np.diff(chains, axis=1) > 0).all())
+    return {"chains_closed": bool((np.diff(chains, axis=1) > 0).all())
             and all(carries(p, chains, chains) for p in perms),
             key: len(chains), "chain_size": len(K.elements) + 1}
 
@@ -241,9 +241,8 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
         count = max(1, samples // 20)
         which = rng.choices(range(len(gens)), k=count)
         pairs = np.multiply(which, R.size ** 2) + rng.choices(range(R.size ** 2), k=count)
-    cov_failures = covariance_failures(R, gens, pairs)
     rep["covariance_checks"] = len(pairs)
-    rep["covariance_failures"] = cov_failures
+    rep["covariance_failures"] = covariance_failures(R, gens, pairs)
 
     back = bidual_keys(R, geom.dual.keys[perp])
     rep["bidual_fixed"] = bool(np.array_equal(back, geom.keys))
@@ -267,12 +266,6 @@ def duality_suite(geom: Geometry, samples: int = 10000, seed: int = 1) -> dict:
         rep["length2_covers_line"] = not len(missed)
         if len(missed):
             rep["length2_first_uncovered"] = pts[int(missed[0])]
-
-    rep["ok"] = (rep["bijection"] and rep["chain_bijection"] and rep["far_point_image"]
-                 and rep["word_formula_mismatches"] == 0 and cov_failures == 0
-                 and rep["bidual_fixed"]
-                 and rep.get("opposite_equivalent", True)
-                 and rep.get("length2_covers_line", True))
     return rep
 
 
@@ -297,8 +290,7 @@ def vergleich_report(geom: Geometry) -> dict:
         "classes": len(classes),
         "dual_classes": len(dual_classes),
     }
-    rep["ok"] = (rep["points_fixed"] and rep["blocks_equal"]
-                 and rep["partitions_equal"] == rep["units_normal"])
+    rep["criterion_consistent"] = rep["partitions_equal"] == rep["units_normal"]
     if witness is not None:
         rep["normality_witness"] = witness
         rep["normality_witness_str"] = R.elem_str(witness)
@@ -307,31 +299,33 @@ def vergleich_report(geom: Geometry) -> dict:
 
 def partial_affine_report(geom: Geometry) -> dict:
     """Each class as a partial affine space; two distant points lie on
-    exactly one block of every class.  The joins are counted once per
-    class and answer both (iii) and exactly_one_block_per_class."""
+    exactly one block of every class.  The joins and the coset conditions
+    are checked once per class: the joins answer both (iii) and
+    exactly_one_block_per_class, the cosets partial_affine and cosets_hold."""
     R, res = geom.ring, geom.residue
-    per_class, joined = [], []
+    per_class, joined, cosets = [], [], []
     for cls in geom.compat_classes + geom.dual_compat_classes:
         joined.append(joins_unit_pairs_once(R, cls.blocks))
+        cosets.append(cosets_hold(res, cls))
         per_class.append({
             "side": cls.side,
             "blocks": len(cls.blocks),
             "witness": list(cls.witness.elements),
             "missing_directions": missing_directions(res, cls),
-            "partial_affine": cosets_hold(res, cls) and joined[-1],
+            "partial_affine": cosets[-1] and joined[-1],
         })
-    return {"ok": all(c["partial_affine"] for c in per_class), "classes": per_class,
+    return {"classes": per_class, "cosets_hold": all(cosets),
             "exactly_one_block_per_class": all(joined)}
 
 
 def derive_plane_report(geom: Geometry, skip_replacement: bool = False,
                         desargues_cap: int = 10 ** 7) -> dict:
-    """The fields of derive_plane's PlaneReport that are not None; ok iff
-    the derived structure is an affine plane."""
+    """The fields of derive_plane's PlaneReport that are not None, among
+    them two_point_axiom and playfair, which together say whether the
+    derived structure is an affine plane."""
     plane = derive_plane(geom, skip_replacement=skip_replacement,
                          desargues_cap=desargues_cap)
-    rep = {key: value for key, value in plane._asdict().items() if value is not None}
-    return {**rep, "ok": plane.two_point_axiom and plane.playfair}
+    return {key: value for key, value in plane._asdict().items() if value is not None}
 
 
 def catalogue_antiiso(R: Ring):
@@ -398,7 +392,4 @@ def sigma_suite(geom: Geometry, samples: int = 10000, seed: int = 2) -> dict:
     rep["criterion_consistent"] = preserved == rep["units_normal"]
     if witness is not None:
         rep["normality_witness"] = witness
-
-    rep["ok"] = (rep["far_point_fixed"] and rep["word_formula_mismatches"] == 0
-                 and rep["chains_ok"] and rep["criterion_consistent"])
     return rep

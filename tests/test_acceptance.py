@@ -16,6 +16,7 @@ from chaingeom.projline import line_generators
 from chaingeom.duality import perp_point
 from chaingeom.compat import missing_directions
 from chaingeom import suites
+from chaingeom.cli import passes
 
 from reference import covariance_holds, validate_partial_affine
 
@@ -110,7 +111,7 @@ def test_criterion_5_partial_affine(zoo_g, f4_g, dual2_g):
         for g in zoo_g:
             rep = suites.partial_affine_report(g)
             assert rep["exactly_one_block_per_class"], g.ring.name
-            assert rep["ok"], g.ring.name
+            assert passes("partial-affine", rep), g.ring.name
 
 
 def test_criterion_6_derivation_analogue(m2f2_g, m2f3_g):

@@ -14,10 +14,11 @@ from chaingeom.projline import (
     orbit,
 )
 from chaingeom.chains import standard_chain
+from chaingeom.cli import passes
 from chaingeom.suites import chain_report
 from chaingeom.rings import conjugate_subfield
 
-from reference import as_pairs, distant, line_perms, point_sets
+from reference import as_pairs, changed_keys, distant, line_perms, point_sets
 
 
 def blocks_through(res, xs) -> set:
@@ -270,8 +271,8 @@ def test_chain_report_cap_is_checked_on_the_built_set(m2f3, m2f3_k, through_infi
         chain_report(geom, through_infinity, cap=1)
     assert CountingPerms.gathered == per_pass  # the engine's images
     rep = chain_report(geom, through_infinity)
-    assert rep["ok"] and rep["chains_through_infinity" if through_infinity
-                             else "chains"] == chains
+    assert passes("chain-orbit", rep) and rep["chains_through_infinity" if through_infinity
+                                              else "chains"] == chains
     assert CountingPerms.gathered == 2 * per_pass  # the report's carries check
     with pytest.raises(OrbitCapExceededError,
                        match=f"^chain orbit on matrix2.3. exceeded cap {chains - 1}$"):
@@ -282,17 +283,20 @@ def test_chain_report_cap_is_checked_on_the_built_set(m2f3, m2f3_k, through_infi
 @pytest.mark.parametrize("through_infinity", [False, True])
 def test_chain_report_ok_can_fail(zoo_g, through_infinity):
     """Negative controls: a row with a repeated point, and the chain set
-    with one row dropped, each turn ok false; the clean set passes."""
+    with one row dropped, each turn chains_closed false and fail the task;
+    the clean set passes."""
     attr = "chains_at_infinity" if through_infinity else "chains"
     for g in zoo_g[:4]:
         geom = Geometry(g.ring, g.subfield)
         clean = getattr(geom, attr)
-        assert chain_report(geom, through_infinity)["ok"], g.ring.name
+        assert passes("chain-orbit", chain_report(geom, through_infinity)), g.ring.name
         repeated = clean.copy()
         repeated[0, 1] = repeated[0, 0]
         for bad in (repeated, clean[1:]):
             setattr(geom, attr, bad)
-            assert not chain_report(geom, through_infinity)["ok"], g.ring.name
+            rep = chain_report(geom, through_infinity)
+            assert rep["chains_closed"] is False, g.ring.name
+            assert not passes("chain-orbit", rep), g.ring.name
 
 
 @pytest.mark.parametrize("through_infinity", [False, True])
@@ -300,7 +304,8 @@ def test_chain_report_row_order_fails_alone(zoo_g, through_infinity):
     """Negative control of the row-order check alone: with every point of
     every row given twice, each generator still carries the chain set onto
     itself (the rows sort as before), yet no row lists distinct points, so
-    the report is not ok, and its counts are as before."""
+    chains_closed alone turns false, the task fails, and the counts are as
+    before."""
     attr = "chains_at_infinity" if through_infinity else "chains"
     for g in zoo_g[:4]:
         geom = Geometry(g.ring, g.subfield)
@@ -310,8 +315,8 @@ def test_chain_report_row_order_fails_alone(zoo_g, through_infinity):
         perms = geom.perms[1:] if through_infinity else geom.perms
         assert all(carries(p, doubled, doubled) for p in perms), g.ring.name
         rep = chain_report(geom, through_infinity)
-        assert clean.pop("ok") is True and rep.pop("ok") is False, g.ring.name
-        assert rep == clean, g.ring.name
+        assert passes("chain-orbit", clean) and not passes("chain-orbit", rep), g.ring.name
+        assert changed_keys(clean, rep) == {"chains_closed"}, g.ring.name
 
 
 def test_triangular_family_pipeline():

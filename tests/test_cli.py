@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import time
@@ -15,6 +16,7 @@ from chaingeom.cli import (
     load_config,
     main,
     parse_config,
+    passes,
     run,
 )
 from chaingeom.projline import enumerate_points
@@ -65,11 +67,16 @@ def test_points_task_records_a_method_disagreement(tmp_path, monkeypatch):
                              "orbit gives 4 points, scan gives 5")
 
 
-def test_unknown_task_is_config_error(tmp_path):
-    path = small_config(tmp_path, [{"name": "no-such-task"}])
-    with pytest.raises(ConfigError):
-        load_config(str(path))
-    assert main(["run", str(path)]) == 2
+def test_unknown_task_is_config_error(tmp_path, capsys):
+    """A task name that is no registered name, a JSON array or a JSON
+    object among them, exits 2 with a config error, not a traceback."""
+    for name in ("no-such-task", ["enumerate-points"], {"name": "enumerate-points"}):
+        path = small_config(tmp_path, [{"name": name}])
+        with pytest.raises(ConfigError, match="unknown task"):
+            load_config(str(path))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2, name
+        assert capsys.readouterr().err.startswith("config error: unknown task"), name
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_bad_schema_rejected(tmp_path):
@@ -86,11 +93,11 @@ def test_bad_schema_rejected(tmp_path):
 
 
 def test_jsonable_converts_numpy_scalars_and_refuses_the_rest():
-    body = {"n": np.int64(3), "ok": np.bool_(True), "rows": (np.intp(1), [np.int8(2)]),
+    body = {"n": np.int64(3), "flag": np.bool_(True), "rows": (np.intp(1), [np.int8(2)]),
             "set": {3, 1}}
     got = _jsonable(body)
-    assert got == {"n": 3, "ok": True, "rows": [1, [2]], "set": [1, 3]}
-    assert [type(v) for v in (got["n"], got["ok"], got["rows"][0])] == [int, bool, int]
+    assert got == {"n": 3, "flag": True, "rows": [1, [2]], "set": [1, 3]}
+    assert [type(v) for v in (got["n"], got["flag"], got["rows"][0])] == [int, bool, int]
     for bad in (np.array([1, 2]), object(), b"bytes"):
         with pytest.raises(TypeError, match="a report holds a value"):
             _jsonable({"value": bad})
@@ -109,8 +116,8 @@ def test_jsonable_orders_set_members_numerically():
 def test_unknown_report_value_fails_its_task(tmp_path, monkeypatch):
     """A task whose report holds a value JSON has no type for fails with
     the TypeError recorded; the other tasks and the report are unharmed."""
-    monkeypatch.setitem(TASKS, "distant-graph",
-                        lambda geom: {"ok": True, "rows": np.array([[0, 1]])})
+    monkeypatch.setitem(TASKS, "distant-graph", TASKS["distant-graph"]._replace(
+        suite=lambda geom: {"rows": np.array([[0, 1]])}))
     path = small_config(tmp_path, [{"name": "distant-graph"}, {"name": "enumerate-points"}])
     report, all_pass = run(load_config(str(path)), out_dir=str(tmp_path))
     assert not all_pass
@@ -119,6 +126,31 @@ def test_unknown_report_value_fails_its_task(tmp_path, monkeypatch):
     assert "rows" not in bad
     assert good["status"] == "pass" and good["points"] == 5
     assert json.loads((tmp_path / "report.json").read_text())["tasks"] == report["tasks"]
+
+
+def test_a_task_passes_iff_its_report_holds_every_verdict(tmp_path, monkeypatch):
+    """passes() compares every verdict of the task with the value it must
+    hold.  A verdict left out of the report fails the task, with an error
+    that names it, unless its check may not apply (opposite_equivalent,
+    length2_covers_line)."""
+    spec = TASKS["duality-suite"]
+    clean = {**spec.verdicts, "mode": "stub"}
+    assert passes("duality-suite", clean)
+    assert not passes("duality-suite", {**clean, "covariance_failures": 2})
+    assert not passes("duality-suite", {**clean, "bidual_fixed": False})
+    path = small_config(tmp_path, [{"name": "duality-suite"}])
+    for left_out, status in (("covariance_failures", "fail"), ("bijection", "fail"),
+                             ("opposite_equivalent", "pass"), ("length2_covers_line", "pass")):
+        body = {k: v for k, v in clean.items() if k != left_out}
+        monkeypatch.setitem(TASKS, "duality-suite",
+                            spec._replace(suite=lambda geom, body=body: dict(body)))
+        report, all_pass = run(load_config(str(path)), out_dir=str(tmp_path))
+        (task,) = report["tasks"]
+        assert task["status"] == status and all_pass is (status == "pass"), left_out
+        if status == "fail":
+            assert task == {"name": "duality-suite", "status": "fail", "error":
+                            "VerificationError: the report of duality-suite lacks "
+                            f"its verdict {left_out}"}
 
 
 def test_exit_codes(tmp_path):
@@ -429,3 +461,91 @@ def test_runs_do_not_sort_void_row_keys_with_np_unique(run_fresh):
     proc = run_fresh(f"CONFIGS = {configs!r}" + VOID_UNIQUE_RUNS)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The report-level negative control of every verdict of the registry: the
+# test, in its module, that makes the verdict false through the real report
+# path and asserts that the task then fails.
+VERDICT_CONTROLS = {
+    ("chain-orbit", "chains_closed"): "test_chains.py::test_chain_report_row_order_fails_alone",
+    ("duality-suite", "bijection"):
+        "test_duality.py::test_dual_line_state_fails_bijection_and_far_point_image_alone",
+    ("duality-suite", "far_point_image"):
+        "test_duality.py::test_dual_line_state_fails_bijection_and_far_point_image_alone",
+    ("duality-suite", "chain_bijection"):
+        "test_duality.py::test_chains_not_carried_fail_chain_bijection_alone",
+    ("duality-suite", "word_formula_mismatches"):
+        "test_word_sweeps.py::test_corrupted_closed_forms_fail_like_the_reference",
+    ("duality-suite", "covariance_failures"):
+        "test_duality.py::test_covariance_failures_fail_the_suite_alone",
+    ("duality-suite", "bidual_fixed"): "test_duality.py::test_moved_bidual_fails_bidual_fixed_alone",
+    ("duality-suite", "opposite_equivalent"): "test_duality.py::test_own_geometry_is_no_opposite",
+    ("duality-suite", "length2_covers_line"):
+        "test_duality.py::test_uncovered_point_fails_length2_covers_line",
+    ("vergleich", "points_fixed"):
+        "test_compat.py::test_vergleich_with_a_shifted_perp_fails_points_fixed",
+    ("vergleich", "blocks_equal"):
+        "test_compat.py::test_vergleich_without_a_dual_chain_fails_blocks_equal",
+    ("vergleich", "criterion_consistent"):
+        "test_compat.py::test_vergleich_with_a_flipped_partition_check_fails_criterion_consistent",
+    ("partial-affine", "cosets_hold"):
+        "test_compat.py::test_partial_affine_with_a_coset_failure_fails_cosets_hold",
+    ("partial-affine", "exactly_one_block_per_class"):
+        "test_compat.py::test_partial_affine_with_a_pair_joined_twice_fails_exactly_one_block",
+    ("derive-plane", "two_point_axiom"):
+        "test_compat.py::test_derive_plane_with_a_flipped_affine_verdict_fails_that_key",
+    ("derive-plane", "playfair"):
+        "test_compat.py::test_derive_plane_with_a_flipped_affine_verdict_fails_that_key",
+    ("sigma-suite", "far_point_fixed"):
+        "test_isomorph.py::test_sigma_with_the_far_index_moved_fails_far_point_fixed_alone",
+    ("sigma-suite", "word_formula_mismatches"):
+        "test_word_sweeps.py::test_corrupted_closed_forms_fail_like_the_reference",
+    ("sigma-suite", "chains_ok"): "test_isomorph.py::test_chains_not_carried_fail_chains_ok_alone",
+    ("sigma-suite", "criterion_consistent"):
+        "test_isomorph.py::test_sigma_with_the_compatibility_verdict_flipped_fails_criterion_consistent",
+}
+
+# The verdicts that no corruption makes false alone, with the reason.
+NO_CONTROL_ALONE = {
+    ("enumerate-points", "methods_agree"):
+        "True whenever the task returns: a disagreement raises, and the task fails "
+        "with the error (test_points_task_records_a_method_disagreement)",
+}
+
+
+def test_every_verdict_has_a_control_or_a_reason():
+    """Each verdict of the registry has a report-level control test, which
+    exists, or a recorded reason why no corruption flips it alone; a
+    verdict added without either fails here."""
+    verdicts = {(task, key) for task, spec in TASKS.items() for key in spec.verdicts}
+    assert not VERDICT_CONTROLS.keys() & NO_CONTROL_ALONE.keys()
+    assert VERDICT_CONTROLS.keys() | NO_CONTROL_ALONE.keys() == verdicts
+    here = Path(__file__).resolve().parent
+    for control in set(VERDICT_CONTROLS.values()):
+        module, name = control.split("::")
+        tree = ast.parse((here / module).read_text())
+        assert name in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, control
+
+
+# The top-level booleans a report states as facts of the scenario, which
+# decide no task.
+FACTS = {"units_normal", "partitions_equal", "compatibility_preserved", "desargues",
+         "degenerate_replacement"}
+
+
+def test_every_reported_check_is_a_registered_verdict(tmp_path):
+    """Over the reports of the shipped configs, every top-level boolean of a
+    task is one of its verdicts or a fact, and every *_mismatches or
+    *_failures count one of its verdicts; and every count verdict is named
+    so, as the benchmark gate's rule for nonzero counters reads them."""
+    for cfg in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+        report, all_pass = run(load_config(str(cfg)), out_dir=str(tmp_path))
+        assert all_pass, cfg.name
+        for task in report["tasks"]:
+            verdicts = TASKS[task["name"]].verdicts
+            checks = {key for key, value in task.items() if isinstance(value, bool)
+                      or key.endswith(("_mismatches", "_failures"))}
+            assert checks - FACTS <= verdicts.keys(), (cfg.name, task["name"])
+    for spec in TASKS.values():
+        for key, value in spec.verdicts.items():
+            assert value is True or (value == 0 and key.endswith(("_mismatches", "_failures")))

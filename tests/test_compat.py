@@ -12,6 +12,7 @@ from chaingeom.projline import (
     make_point,
     sorted_rows,
 )
+from chaingeom.cli import passes
 from chaingeom.suites import vergleich_report
 from chaingeom.compat import (
     CompatClass,
@@ -228,51 +229,87 @@ def test_vergleich_with_a_shifted_perp_fails_points_fixed(request, name):
     """Negative control: a fresh Geometry whose perp sends R(x, 1) to the
     annihilator of R(x + 1, 1) no longer fixes the residue points.  The
     shift maps every block to a block of its own class, so only
-    points_fixed and ok move."""
+    points_fixed moves, and the task fails."""
     g = request.getfixturevalue(f"{name}_g")
     clean = vergleich_report(g)
-    assert clean["ok"] and clean["points_fixed"]
+    assert passes("vergleich", clean) and clean["points_fixed"]
     R = g.ring
     shifted = Geometry(R, g.subfield)
     perp = g.perp.copy()
     perp[g.affine] = g.perp[g.affine[R._add_a[np.arange(R.size), R.one]]]
     shifted.perp = perp
     rep = vergleich_report(shifted)
-    assert not rep["points_fixed"] and not rep["ok"]
-    assert changed_keys(clean, rep) == {"points_fixed", "ok"}
+    assert not rep["points_fixed"] and not passes("vergleich", rep)
+    assert changed_keys(clean, rep) == {"points_fixed"}
 
 
 @pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
 def test_vergleich_without_a_dual_chain_fails_blocks_equal(request, name):
     """Negative control: a fresh Geometry whose dual chains through the far
     dual point lack their first row has one dual block too few; only
-    blocks_equal and ok move."""
+    blocks_equal moves, and the task fails."""
     g = request.getfixturevalue(f"{name}_g")
     clean = vergleich_report(g)
-    assert clean["ok"] and clean["blocks_equal"]
+    assert passes("vergleich", clean) and clean["blocks_equal"]
     fewer = Geometry(g.ring, g.subfield)
     fewer.dual.chains_at_infinity = g.dual.chains_at_infinity[1:]
     rep = vergleich_report(fewer)
-    assert not rep["blocks_equal"] and not rep["ok"]
-    assert changed_keys(clean, rep) == {"blocks_equal", "ok"}
+    assert not rep["blocks_equal"] and not passes("vergleich", rep)
+    assert changed_keys(clean, rep) == {"blocks_equal"}
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
+def test_vergleich_with_a_flipped_partition_check_fails_criterion_consistent(
+        request, name, monkeypatch):
+    """Negative control: same_partition stubbed to answer the opposite
+    flips partitions_equal while units_normal stays (false on matrix2(3),
+    true on the others), so criterion_consistent moves with it, and the
+    task fails."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = vergleich_report(g)
+    assert passes("vergleich", clean) and clean["criterion_consistent"]
+    monkeypatch.setattr(suites, "same_partition", lambda a, b: not same_partition(a, b))
+    rep = vergleich_report(g)
+    assert rep["partitions_equal"] != clean["partitions_equal"]
+    assert rep["criterion_consistent"] is False and not passes("vergleich", rep)
+    assert changed_keys(clean, rep) == {"partitions_equal", "criterion_consistent"}
 
 
 @pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
 def test_partial_affine_with_a_pair_joined_twice_fails_exactly_one_block(
         request, name, monkeypatch):
     """Negative control: joins_unit_pairs_once failing on the first class
-    turns exactly_one_block_per_class and ok false, and the partial_affine
-    verdict of that class, and of no other."""
+    turns exactly_one_block_per_class false, and the partial_affine verdict
+    of that class, and of no other; the task fails."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.partial_affine_report(g)
-    assert clean["ok"] and clean["exactly_one_block_per_class"]
+    assert passes("partial-affine", clean) and clean["exactly_one_block_per_class"]
     first = g.compat_classes[0].blocks
     monkeypatch.setattr(suites, "joins_unit_pairs_once",
                         lambda R, blocks: blocks is not first
                         and joins_unit_pairs_once(R, blocks))
     rep = suites.partial_affine_report(g)
-    assert not rep["exactly_one_block_per_class"] and not rep["ok"]
-    assert changed_keys(clean, rep) == {"exactly_one_block_per_class", "ok", "classes"}
+    assert not rep["exactly_one_block_per_class"] and not passes("partial-affine", rep)
+    assert changed_keys(clean, rep) == {"exactly_one_block_per_class", "classes"}
+    assert [c["partial_affine"] for c in rep["classes"]] == [
+        False] + [c["partial_affine"] for c in clean["classes"][1:]]
+    assert [{**c, "partial_affine": True} for c in rep["classes"]] == clean["classes"]
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
+def test_partial_affine_with_a_coset_failure_fails_cosets_hold(request, name, monkeypatch):
+    """Negative control: cosets_hold failing on the first class turns the
+    report's cosets_hold false, and the partial_affine verdict of that
+    class, and of no other; the task fails."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.partial_affine_report(g)
+    assert passes("partial-affine", clean) and clean["cosets_hold"]
+    first = g.compat_classes[0]
+    monkeypatch.setattr(suites, "cosets_hold",
+                        lambda res, cls: cls is not first and cosets_hold(res, cls))
+    rep = suites.partial_affine_report(g)
+    assert rep["cosets_hold"] is False and not passes("partial-affine", rep)
+    assert changed_keys(clean, rep) == {"cosets_hold", "classes"}
     assert [c["partial_affine"] for c in rep["classes"]] == [
         False] + [c["partial_affine"] for c in clean["classes"][1:]]
     assert [{**c, "partial_affine": True} for c in rep["classes"]] == clean["classes"]
@@ -284,7 +321,7 @@ def test_residue_comparison_zoo(zoo_g):
         rep = vergleich_report(g)
         assert rep["points_fixed"]
         assert rep["blocks_equal"]
-        assert rep["ok"]
+        assert passes("vergleich", rep)
         if R.name == "matrix2(3)":
             assert not rep["units_normal"] and not rep["partitions_equal"]
             assert rep["normality_witness"] is not None
@@ -612,11 +649,12 @@ def test_corrupted_addition_makes_derive_plane_raise(q, a, b):
 def test_derive_plane_with_a_flipped_affine_verdict_fails_that_key(
         request, name, key, monkeypatch):
     """Negative control: _affine_checks stubbed to flip one verdict turns
-    that key and ok false in the derive-plane report, and drops the
-    Desargues verdict, since the lines are then no plane to complete."""
+    that key false in the derive-plane report, which fails the task, and
+    drops the Desargues verdict, since the lines are then no plane to
+    complete."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.derive_plane_report(g)
-    assert clean["ok"] and clean[key]
+    assert passes("derive-plane", clean) and clean[key]
     real = compat._affine_checks
 
     def flipped(R, lines):
@@ -627,9 +665,9 @@ def test_derive_plane_with_a_flipped_affine_verdict_fails_that_key(
 
     monkeypatch.setattr(compat, "_affine_checks", flipped)
     rep = suites.derive_plane_report(g)
-    assert rep[key] is False and not rep["ok"]
+    assert rep[key] is False and not passes("derive-plane", rep)
     assert rep["desargues_method"] == "not-an-affine-plane"
-    assert changed_keys(clean, rep) == {key, "ok", "desargues", "desargues_method"} | (
+    assert changed_keys(clean, rep) == {key, "desargues", "desargues_method"} | (
         {"desargues_witness"} if "desargues_witness" in clean else set())
 
 

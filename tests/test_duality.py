@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaingeom.geometry import Geometry
 from chaingeom import duality, projline, suites
+from chaingeom.cli import passes
 from chaingeom.projline import (
     VerificationError,
     distant_graph,
@@ -598,7 +599,7 @@ def test_own_geometry_is_no_opposite(m2f2_g, monkeypatch):
     assert not dual_matches_opposite(m2f2_g, scalar)
     monkeypatch.setattr(suites, "Geometry", lambda R, K: m2f2_g)
     rep = suites.duality_suite(m2f2_g)
-    assert rep["opposite_equivalent"] is False and not rep["ok"]
+    assert rep["opposite_equivalent"] is False and not passes("duality-suite", rep)
 
 
 @pytest.mark.parametrize("name", ["m2f2", "m2f3"])
@@ -620,13 +621,13 @@ def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch)
     for perp, key in ((repeated, "bijection"), (far_swapped, "far_point_image")):
         monkeypatch.setattr(g, "perp", perp)
         rep = suites.duality_suite(g)
-        assert rep[key] is False and not rep["ok"], key
+        assert rep[key] is False and not passes("duality-suite", rep), key
     perp = clean.copy()
     perp[g.affine[:2]] = perp[g.affine[1::-1]]
     monkeypatch.setattr(g, "perp", perp)
     rep = suites.duality_suite(g)
     assert rep["chain_bijection"] is False and rep["bidual_fixed"] is False
-    assert not rep["ok"]
+    assert not passes("duality-suite", rep)
     # the first point whose bidual differs, the dual point perp gave it, what
     # came back, and the annihilator a fresh scan gives it
     first, other = sorted(g.affine[:2].tolist())
@@ -636,17 +637,35 @@ def test_swapped_perp_entries_fail_chains_and_bidual(name, request, monkeypatch)
 
 
 def _flipped_alone(clean, rep, key, value):
-    """True iff rep is clean with key set to value and ok false, and no
-    other entry changed."""
-    rest = {k: v for k, v in rep.items() if k not in (key, "ok")}
-    return (rep[key] == value and rep["ok"] is False and clean["ok"] is True
-            and rest == {k: v for k, v in clean.items() if k not in (key, "ok")})
+    """True iff rep is clean with key set to value, no other entry changed,
+    and rep fails the duality-suite task that clean passes."""
+    rest = {k: v for k, v in rep.items() if k != key}
+    return (rep[key] == value and not passes("duality-suite", rep)
+            and passes("duality-suite", clean)
+            and rest == {k: v for k, v in clean.items() if k != key})
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_dual_line_state_fails_bijection_and_far_point_image_alone(name, request, monkeypatch):
+    """Negative controls of bijection and far_point_image alone, which no
+    perp array gives (a perp unlike the oracle's moves some bidual, so
+    bidual_fixed falls with them): once the clean suite has built every
+    state it reads, a dual line with one point more than perp reaches
+    fails bijection alone, and the dual far index moved to the next dual
+    point fails far_point_image alone; each fails the task."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean, d = suites.duality_suite(g), g.dual
+    for attr, value, key in (("points", d.points + d.points[:1], "bijection"),
+                             ("far", (d.far + 1) % len(d.points), "far_point_image")):
+        with monkeypatch.context() as patched:
+            patched.setattr(d, attr, value)
+            assert _flipped_alone(clean, suites.duality_suite(g), key, False), key
 
 
 @pytest.mark.parametrize("name", ["m2f2", "m2f3"])
 def test_chains_not_carried_fail_chain_bijection_alone(name, request, monkeypatch):
     """Negative control: with the chain check answering no, the suite's
-    chain_bijection alone is false and the report is not ok."""
+    chain_bijection alone is false and the task fails."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.duality_suite(g)
     monkeypatch.setattr(suites, "carries", lambda perm, rows, onto: False)
@@ -679,7 +698,7 @@ def test_moved_bidual_fails_bidual_fixed_alone(name, request, monkeypatch):
 @pytest.mark.parametrize("name", ["m2f2", "m2f3"])
 def test_covariance_failures_fail_the_suite_alone(name, request, monkeypatch):
     """Negative control: with a nonzero covariance count, the suite reports
-    that count, is not ok, and changes nothing else."""
+    that count, fails the task, and changes nothing else."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.duality_suite(g)
     monkeypatch.setattr(suites, "covariance_failures", lambda R, gens, pairs: 3)
@@ -691,12 +710,12 @@ def test_uncovered_point_fails_length2_covers_line(name, request, monkeypatch):
     """Negative control: with every length-2 word that spans one of the
     last two points sent to the far point instead, and the word sweep's
     points left as they are, the suite's length2_covers_line alone is
-    false: the report names the first of the two and is not ok, and every
+    false: the report names the first of the two and fails, and every
     other entry is as before; so at the default budget, with one length-2
     word per slab and with 97."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.duality_suite(g)
-    assert clean["length2_covers_line"] is True and clean["ok"]
+    assert clean["length2_covers_line"] is True and passes("duality-suite", clean)
     # the cost per word of the length-2 grid, the last slabs() of the suite
     item = slab_costs(lambda: suites.duality_suite(g), projline)[-1][1]
     real, last, far = suites.word_points, g.keys[-2:], g.keys[g.far]
@@ -720,10 +739,10 @@ def test_uncovered_point_fails_length2_covers_line(name, request, monkeypatch):
         swept.clear()
         monkeypatch.setattr(projline, "SCAN_SLAB", default)
         rep = suites.duality_suite(g)
-        assert rep.pop("length2_covers_line") is False and rep.pop("ok") is False
+        assert not passes("duality-suite", rep), budget
+        assert rep.pop("length2_covers_line") is False
         assert rep.pop("length2_first_uncovered") == g.points[-2], budget
-        assert rep == {k: v for k, v in clean.items()
-                       if k not in ("length2_covers_line", "ok")}, budget
+        assert rep == {k: v for k, v in clean.items() if k != "length2_covers_line"}, budget
 
 
 def test_word_length_bound_matches(zoo_g):

@@ -12,6 +12,7 @@ from chaingeom.rings import (
     conjugate_subfield,
     normality_witness,
 )
+from chaingeom.cli import passes
 from chaingeom.suites import catalogue_antiiso
 from chaingeom.geometry import Geometry
 from chaingeom.projline import (
@@ -254,26 +255,55 @@ def test_sigma_with_two_affine_points_swapped_fails_chains_ok(name, request, mon
     monkeypatch.setattr(suites, "antiiso_point_table",
                         lambda m, geom: swap[antiiso_point_table(m, geom)])
     rep = suites.sigma_suite(g)
-    assert not rep["chains_ok"] and not rep["ok"]
+    assert not rep["chains_ok"] and not passes("sigma-suite", rep)
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_chains_not_carried_fail_chains_ok_alone(name, request, monkeypatch):
+    """Negative control of chains_ok alone: with the chain check answering
+    no, only chains_ok turns false, and the task fails."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.sigma_suite(g)
+    monkeypatch.setattr(suites, "carries", lambda perm, rows, onto: False)
+    rep = suites.sigma_suite(g)
+    assert rep["chains_ok"] is False and not passes("sigma-suite", rep)
+    assert changed_keys(clean, rep) == {"chains_ok"}
 
 
 @pytest.mark.parametrize("name", ["m2f2", "m2f3"])
 def test_sigma_that_moves_the_far_point_fails_far_point_fixed(name, request, monkeypatch):
     """Negative control: sigma followed by the transposition of R(1, 0) and
-    R(0, 1) moves the far point.  far_point_fixed and ok turn false, and so
-    do the word formulas at every word point the swap moves, and chains_ok."""
+    R(0, 1) moves the far point.  far_point_fixed turns false, and so do the
+    word formulas at every word point the swap moves, and chains_ok; the
+    task fails."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.sigma_suite(g)
-    assert clean["ok"] and clean["far_point_fixed"]
+    assert passes("sigma-suite", clean) and clean["far_point_fixed"]
     swap = np.arange(len(g.points))
     swap[[g.far, g.affine[0]]] = swap[[g.affine[0], g.far]]
     monkeypatch.setattr(suites, "antiiso_point_table",
                         lambda m, geom: swap[antiiso_point_table(m, geom)])
     rep = suites.sigma_suite(g)
-    assert not rep["far_point_fixed"] and not rep["ok"]
-    assert changed_keys(clean, rep) == {"far_point_fixed", "ok", "chains_ok",
+    assert not rep["far_point_fixed"] and not passes("sigma-suite", rep)
+    assert changed_keys(clean, rep) == {"far_point_fixed", "chains_ok",
                                         "word_formula_mismatches",
                                         "word_formula_first_mismatch"}
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_sigma_with_the_far_index_moved_fails_far_point_fixed_alone(name, request, monkeypatch):
+    """Negative control of far_point_fixed alone: once the clean suite has
+    built every state it reads, the Geometry's far index is moved to the
+    first point that sigma does not fix.  Only the far-point check reads
+    it, so far_point_fixed alone turns false, and the task fails."""
+    g = request.getfixturevalue(f"{name}_g")
+    clean = suites.sigma_suite(g)
+    m, _ = catalogue_antiiso(g.ring)
+    sigma = antiiso_point_table(m, g)
+    monkeypatch.setattr(g, "far", int(np.flatnonzero(sigma != np.arange(len(sigma)))[0]))
+    rep = suites.sigma_suite(g)
+    assert rep["far_point_fixed"] is False and not passes("sigma-suite", rep)
+    assert changed_keys(clean, rep) == {"far_point_fixed"}
 
 
 @pytest.mark.parametrize("name", ["m2f2", "m2f3", "f4"])
@@ -282,16 +312,16 @@ def test_sigma_with_the_compatibility_verdict_flipped_fails_criterion_consistent
     """Negative control: preserves_compatibility answering the opposite of
     itself breaks the criterion, on a ring whose units are normal in K*
     (matrix2(2), F4) and on one whose are not (matrix2(3)); only
-    compatibility_preserved, criterion_consistent and ok move."""
+    compatibility_preserved and criterion_consistent move, and the task
+    fails."""
     g = request.getfixturevalue(f"{name}_g")
     clean = suites.sigma_suite(g)
-    assert clean["ok"] and clean["criterion_consistent"]
+    assert passes("sigma-suite", clean) and clean["criterion_consistent"]
     monkeypatch.setattr(suites, "preserves_compatibility",
                         lambda m, a, b: not preserves_compatibility(m, a, b))
     rep = suites.sigma_suite(g)
-    assert not rep["criterion_consistent"] and not rep["ok"]
-    assert changed_keys(clean, rep) == {"compatibility_preserved", "criterion_consistent",
-                                        "ok"}
+    assert not rep["criterion_consistent"] and not passes("sigma-suite", rep)
+    assert changed_keys(clean, rep) == {"compatibility_preserved", "criterion_consistent"}
 
 
 def test_residue_restriction_of_induced_maps(zoo_g):
@@ -353,7 +383,8 @@ def test_wrong_conjugate_subfield_fails_sigma_and_compatibility_m2f3(
     tell the two apart.)"""
     R, K, g = m2f3, m2f3_k, m2f3_g
     rep = suites.sigma_suite(g)
-    assert rep["ok"] and suites.partial_affine_report(g)["ok"]
+    assert passes("sigma-suite", rep)
+    assert passes("partial-affine", suites.partial_affine_report(g))
     assert normality_witness(K) is not None
     conj = wrong_conjugate(K)
     m = transpose_map(R)
@@ -395,6 +426,6 @@ def test_sigma_suite_commutative_zoo(dual2_g, prod22_g):
     from chaingeom.suites import sigma_suite
     for g in (dual2_g, prod22_g):
         rep = sigma_suite(g)
-        assert rep["ok"]
+        assert passes("sigma-suite", rep)
         assert rep["word_formula_mismatches"] == 0
         assert rep["compatibility_preserved"]  # commutative, trivially normal

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaingeom import duality, isomorph, projline, suites
+from chaingeom.cli import passes
 from chaingeom.geometry import Geometry
 from chaingeom.isomorph import antiiso_point_table
 from chaingeom.projline import NotAdmissibleError, is_admissible, make_point
@@ -243,7 +244,7 @@ def test_corrupted_closed_forms_fail_like_the_reference(control, f4_g, dual2_g, 
             rep = run(geom, samples=10 ** 4, seed=SEED)
         assert mismatches > 0, (control, R.name)
         assert _counts(rep) == (checks, mismatches), (control, R.name)
-        assert not rep["ok"]
+        assert not passes(f"{suite}-suite", rep)
         witness = rep["word_formula_first_mismatch"]
         assert tuple(witness["word"]) == first, (control, R.name)
         assert witness["check"] == ("word form" if "word" in control
